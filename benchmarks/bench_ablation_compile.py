@@ -22,9 +22,8 @@ import pytest
 
 from repro.bench.calibration import SQL_QUERIES
 from repro.bench.micro import _catalog
-from repro.samzasql.compile import CompiledExecutor
+from repro.samzasql.compile import CompiledExecutor, compile_chain
 from repro.samzasql.operators.base import OperatorContext
-from repro.samzasql.operators.insert import InsertOperator
 from repro.samzasql.operators.router import build_router
 from repro.samzasql.plan_builder import PhysicalPlanBuilder
 from repro.sql.planner import QueryPlanner
@@ -47,19 +46,13 @@ class ChainRunner:
         self._stream = plan.input_streams[0]
         self.sink_count = 0
 
-        def send(_message, _ts, _key=None):
-            self.sink_count += 1
-
         def send_batch(entries):
             self.sink_count += len(entries)
 
-        self._router = build_router(plan, OperatorContext(
-            {}, send, send_batch=send_batch))
-        for operator in self._router.operators:
-            if isinstance(operator, InsertOperator):
-                operator.set_buffering(True)
-        self._route_batch = (CompiledExecutor(plan, self._router).route_batch
-                             if compiled else self._router.route_batch)
+        self._router = build_router(plan, OperatorContext({}, send_batch))
+        self._route_batch = (
+            CompiledExecutor(compile_chain(plan), self._router).route_batch
+            if compiled else self._router.route_batch)
 
         generator = OrdersGenerator(interarrival_ms=1000)
         records = [(record, record["rowtime"])

@@ -38,10 +38,11 @@ def _operator(cached: bool) -> SlidingWindowOperator:
         frame_mode="RANGE", preceding_ms=300_000, preceding_rows=None,
         aggs=[AggSpec(func="SUM", arg_source="r[3]")],
         field_names=["rowtime", "productId", "orderId", "units", "sum"])
-    operator.setup(OperatorContext(_stores(cached), send=lambda *_: None))
+    operator.setup(OperatorContext(_stores(cached),
+                                   send_batch=lambda _entries: None))
 
     class _Sink:
-        def process(self, port, row, ts):
+        def receive_batch(self, port, rows, timestamps):
             pass
 
     operator.downstream = _Sink()

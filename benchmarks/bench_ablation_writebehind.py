@@ -21,7 +21,7 @@ Two views are measured:
   monolithic-blob write-through path, both over the same decoded Orders
   workload — the headline per-message ratio, asserted >= 2x;
 * full runtime (``measure_writebehind_speedup``): the fig6 query through
-  broker + container + task with only ``stores.write.behind`` toggled —
+  broker + container + task with only ``execution.write.behind`` toggled —
   the deferral share alone, Amdahl-diluted by input/output serde and the
   container loop, asserted as a >= 1.1x regression guard.
 """
@@ -68,10 +68,10 @@ def test_ablation_writebehind_speedup(benchmark, results_dir):
         "  full runtime, write-behind:  "
         f"{full['writebehind_msgs_per_s']:,.0f} msgs/s\n"
         f"  full-runtime speedup:        {full['speedup']:.2f}x "
-        "(stores.write.behind=true vs false, deferral share only)")
+        "(execution.write.behind=true vs false, deferral share only)")
     assert micro["speedup"] >= 2.0, (
         f"write-behind state maintenance only {micro['speedup']:.2f}x the "
         "legacy blob path (expected >= 2x on the fig6 window query)")
     assert full["speedup"] >= 1.1, (
-        f"stores.write.behind=true only {full['speedup']:.2f}x write-through "
+        f"execution.write.behind=true only {full['speedup']:.2f}x write-through "
         "in the full runtime (expected >= 1.1x on the fig6 window query)")

@@ -47,10 +47,10 @@ def _window_operator(stores) -> SlidingWindowOperator:
         frame_mode="RANGE", preceding_ms=300_000, preceding_rows=None,
         aggs=[AggSpec(func="SUM", arg_source="r[3]")],
         field_names=["rowtime", "productId", "orderId", "units", "sum"])
-    operator.setup(OperatorContext(stores, send=lambda *_: None))
+    operator.setup(OperatorContext(stores, send_batch=lambda _entries: None))
 
     class _Sink:
-        def process(self, port, row, ts):
+        def receive_batch(self, port, rows, timestamps):
             pass
 
     operator.downstream = _Sink()

@@ -165,53 +165,25 @@ def measure_metrics_overhead(query: str = "filter", messages: int = 4000,
             elapsed = _measure_once(query, "samzasql", messages, partitions,
                                     containers=1, warmup=200,
                                     metrics_interval_ms=interval,
-                                    extra_config={"task.serde.fusion": "false"})
+                                    extra_config={"execution.serde.fusion": "false"})
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
     best["overhead_percent"] = (best["on"] / best["off"] - 1.0) * 100.0
     return best
 
 
-def measure_batch_speedup(query: str = "filter", messages: int = 4000,
-                          partitions: int = 32, repeats: int = 3,
-                          containers: int = 1) -> dict[str, float]:
-    """Throughput ratio of batched vs single-message execution on one query.
-
-    Same methodology as :func:`measure_metrics_overhead`: GC-suspended
-    process-time runs, modes interleaved with alternating order so process
-    lifetime drift taxes both equally, per-mode minimum kept.  Returns best
-    elapsed seconds per mode plus derived msgs/sec and the speedup factor,
-    keyed ``{"single": ..., "batch": ..., "single_msgs_per_s": ...,
-    "batch_msgs_per_s": ..., "speedup": ...}``.
-    """
-    best: dict[str, float] = {}
-    modes = [("single", "false"), ("batch", "true")]
-    for round_no in range(max(repeats, 1)):
-        order = modes if round_no % 2 == 0 else modes[::-1]
-        for mode, flag in order:
-            elapsed = _measure_once(
-                query, "samzasql", messages, partitions,
-                containers=containers, warmup=200,
-                extra_config={"task.batch.execution": flag})
-            if mode not in best or elapsed < best[mode]:
-                best[mode] = elapsed
-    best["single_msgs_per_s"] = messages / max(best["single"], 1e-9)
-    best["batch_msgs_per_s"] = messages / max(best["batch"], 1e-9)
-    best["speedup"] = best["single"] / max(best["batch"], 1e-9)
-    return best
-
-
 def measure_serde_speedup(query: str = "filter", messages: int = 4000,
                           partitions: int = 32, repeats: int = 3,
                           containers: int = 1) -> dict[str, float]:
-    """Throughput ratio of serde-fused vs full-decode batched execution.
+    """Throughput ratio of serde-fused vs full-decode execution.
 
-    Both modes run batched + whole-plan-compiled; only ``task.serde.fusion``
+    Both modes run whole-plan-compiled; only ``execution.serde.fusion``
     is toggled, so the ratio isolates the serde bound — column-pruned
     skip-scan decode, re-encode elision, and the fused decode→chain→encode
     function versus full per-record decode and re-encode.  Same noise
-    discipline as :func:`measure_batch_speedup`: GC-suspended process-time
-    runs, modes interleaved with alternating order, per-mode minimum.
+    discipline as :func:`measure_metrics_overhead`: GC-suspended
+    process-time runs, modes interleaved with alternating order, per-mode
+    minimum.
     Returns ``{"plain": ..., "fused": ..., "plain_msgs_per_s": ...,
     "fused_msgs_per_s": ..., "speedup": ...}``.
     """
@@ -223,7 +195,7 @@ def measure_serde_speedup(query: str = "filter", messages: int = 4000,
             elapsed = _measure_once(
                 query, "samzasql", messages, partitions,
                 containers=containers, warmup=200,
-                extra_config={"task.serde.fusion": flag})
+                extra_config={"execution.serde.fusion": flag})
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
     best["plain_msgs_per_s"] = messages / max(best["plain"], 1e-9)
@@ -238,9 +210,9 @@ def measure_writebehind_speedup(query: str = "window", messages: int = 4000,
     """Throughput ratio of write-behind vs write-through state stores.
 
     Runs one stateful query (default the fig6 sliding window, the shape the
-    paper shows "dominated by access to the key-value store") in batched
-    execution with ``stores.write.behind`` toggled.  Same noise discipline
-    as :func:`measure_batch_speedup`: GC-suspended process-time runs, modes
+    paper shows "dominated by access to the key-value store") with
+    ``execution.write.behind`` toggled.  Same noise discipline as
+    :func:`measure_metrics_overhead`: GC-suspended process-time runs, modes
     interleaved with alternating order, per-mode minimum.  Returns
     ``{"writethrough": ..., "writebehind": ...,
     "writethrough_msgs_per_s": ..., "writebehind_msgs_per_s": ...,
@@ -254,7 +226,7 @@ def measure_writebehind_speedup(query: str = "window", messages: int = 4000,
             elapsed = _measure_once(
                 query, "samzasql", messages, partitions,
                 containers=containers, warmup=200,
-                extra_config={"stores.write.behind": flag})
+                extra_config={"execution.write.behind": flag})
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
     best["writethrough_msgs_per_s"] = messages / max(best["writethrough"], 1e-9)

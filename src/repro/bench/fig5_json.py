@@ -1,8 +1,7 @@
 """Machine-readable fig5/fig6 throughput snapshot.
 
 Runs the four §5.1 benchmark queries — fig5a filter, fig5b project,
-fig5c join, fig6 sliding window — through the full runtime in both
-execution modes (``task.batch.execution`` off and on) and writes the
+fig5c join, fig6 sliding window — through the full runtime and writes the
 msgs/sec results to ``BENCH_fig5.json`` at the repo root, so tooling
 (and the next session) can diff throughput without parsing prose.
 For the stateless fig5a/b chains it also records the chain-isolated
@@ -10,7 +9,7 @@ whole-plan compilation numbers (``chain_*_msgs_per_s`` +
 ``compile_speedup``) from :func:`repro.bench.micro.measure_compile_speedup`
 and the end-to-end serde-fusion numbers (``e2e_pruned_*`` +
 ``serde_fusion_speedup``) from
-:func:`repro.bench.calibration.measure_serde_speedup` — the batched run
+:func:`repro.bench.calibration.measure_serde_speedup` — the run
 with column-pruned compiled decode and re-encode elision on vs off.
 
 Run:  python -m repro.bench.fig5_json [--messages 4000] [--out PATH]
@@ -21,7 +20,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bench.calibration import measure_batch_speedup, measure_serde_speedup
+from repro.bench.calibration import measure, measure_serde_speedup
 from repro.bench.micro import measure_compile_speedup
 
 #: figure label -> calibration query key
@@ -39,15 +38,13 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parents[3] / "BENCH_fig5.json"
 
 
 def collect(messages: int = 4000, repeats: int = 2) -> dict:
-    """Measure every figure query in both modes; returns the JSON payload."""
+    """Measure every figure query; returns the JSON payload."""
     figures = {}
     for label, query in FIGURES.items():
-        measured = measure_batch_speedup(query=query, messages=messages,
-                                         repeats=repeats)
+        measured = measure(query, "samzasql", messages=messages,
+                           repeats=repeats)
         figures[label] = {
-            "single_msgs_per_s": round(measured["single_msgs_per_s"], 1),
-            "batch_msgs_per_s": round(measured["batch_msgs_per_s"], 1),
-            "batch_speedup": round(measured["speedup"], 3),
+            "batch_msgs_per_s": round(measured.throughput_msgs_per_s, 1),
         }
         if label in COMPILED_FIGURES:
             # chain-isolated (pre-decoded records, discard sink): end-to-end
@@ -63,7 +60,7 @@ def collect(messages: int = 4000, repeats: int = 2) -> dict:
                 "compile_speedup": round(compiled["speedup"], 3),
             })
             # end-to-end with serde fusion: pruned compiled decode +
-            # re-encode elision vs the full decode/encode batched path
+            # re-encode elision vs the full decode/encode path
             fused = measure_serde_speedup(query=query, messages=messages,
                                           repeats=repeats)
             figures[label].update({
@@ -94,9 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = collect(messages=args.messages, repeats=args.repeats)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for label, row in payload["figures"].items():
-        line = (f"{label}: single {row['single_msgs_per_s']:,.0f} msgs/s, "
-                f"batch {row['batch_msgs_per_s']:,.0f} msgs/s "
-                f"({row['batch_speedup']:.2f}x)")
+        line = f"{label}: {row['batch_msgs_per_s']:,.0f} msgs/s"
         if "compile_speedup" in row:
             line += (f", compiled chain "
                      f"{row['chain_compiled_msgs_per_s']:,.0f} msgs/s "

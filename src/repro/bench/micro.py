@@ -74,93 +74,35 @@ class MicroPipeline:
             self.step()
 
 
-class BatchMicroPipeline:
-    """Batch-at-a-time twin of :class:`MicroPipeline`.
-
-    ``step()`` hands the next ``batch_size`` encoded messages to the
-    pipeline in a single call — the shape the batched container loop
-    produces from ``Consumer.poll_batches`` — so benchmarks can compare
-    per-message cost against the single-message ``MicroPipeline`` on
-    identical workloads.  ``messages_per_step`` converts step timings to
-    per-message figures.
-    """
-
-    def __init__(self, process_batch: Callable[[list, list], None],
-                 messages: list[tuple[bytes, bytes, int]], batch_size: int,
-                 reset: Callable[[], None] | None = None):
-        self._process_batch = process_batch
-        self._messages = messages
-        self._batch_size = batch_size
-        self._index = 0
-        self._reset = reset
-        self.messages_per_step = batch_size
-
-    def step(self) -> None:
-        start = self._index
-        stop = start + self._batch_size
-        chunk = self._messages[start:stop]
-        self._index = stop
-        if self._index >= len(self._messages):
-            self._index = 0
-            if self._reset is not None:
-                self._reset()
-        self._process_batch([value for value, _key, _ts in chunk],
-                            [ts for _value, _key, ts in chunk])
-
-    def run_batch(self, count: int) -> None:
-        """Process at least ``count`` messages (whole steps)."""
-        done = 0
-        while done < count:
-            self.step()
-            done += self._batch_size
-
-
 def _encoded_orders(count: int) -> list[tuple[bytes, bytes, int]]:
     generator = OrdersGenerator(interarrival_ms=1000)
     return [(value, key, ts) for key, value, ts in generator.encoded(count)]
 
 
 def samzasql_pipeline(query: str, messages: int = 8192,
-                      fuse_scans: bool = False,
-                      batch_size: int = 0) -> MicroPipeline | BatchMicroPipeline:
-    """The SamzaSQL-compiled pipeline: deserialize → operators → serialize.
-
-    With ``batch_size > 0`` the returned pipeline runs the batched
-    execution path instead — ``from_bytes_batch`` → ``route_batch`` →
-    buffered insert sinks flushed through ``to_bytes_batch`` — mirroring
-    what the container does per poll group when ``task.batch.execution``
-    is on.
-    """
+                      fuse_scans: bool = False) -> MicroPipeline:
+    """The SamzaSQL-compiled pipeline: deserialize → operators → serialize,
+    one message (a batch of one) per step."""
     catalog = _catalog()
     planner = QueryPlanner(catalog)
     logical = planner.plan_query(SQL_QUERIES[query])
     builder = PhysicalPlanBuilder(catalog, fuse_scans=fuse_scans)
     plan = builder.build(logical, "bench-output")
 
-    from repro.samzasql.operators.insert import InsertOperator
     from repro.samzasql.shell import sql_row_type_to_avro
 
     output_schema = sql_row_type_to_avro("BenchOut", logical.row_type)
     output_serde = AvroSerde(output_schema)
     sink_count = [0]
 
-    def send(message: dict, _ts: int, _key=None) -> None:
-        output_serde.to_bytes(message)  # ArrayToAvro + wire encoding
-        sink_count[0] += 1
-
     def send_batch(entries: list) -> None:
+        # ArrayToAvro + wire encoding
         encoded = output_serde.to_bytes_batch(
             [message for message, _ts, _key in entries])
         sink_count[0] += len(encoded)
 
     def _build() -> MessageRouter:
-        router = build_router(plan, OperatorContext(
-            stores, send, send_batch=send_batch))
-        if batch_size > 0:
-            for operator in router.operators:
-                if isinstance(operator, InsertOperator):
-                    operator.set_buffering(True)
-        return router
+        return build_router(plan, OperatorContext(stores, send_batch))
 
     stores = _make_stores()
     router_box: list[MessageRouter] = []
@@ -185,21 +127,11 @@ def samzasql_pipeline(query: str, messages: int = 8192,
     stream = plan.input_streams[0]
     workload = _encoded_orders(messages)
 
-    if batch_size > 0:
-        def process_batch(values: list, timestamps: list) -> None:
-            records = input_serde.from_bytes_batch(values)
-            router = router_box[0]
-            router.route_batch(stream, records, timestamps)
-            router.flush_sinks()
-
-        batch_pipeline = BatchMicroPipeline(process_batch, workload,
-                                            batch_size, reset=rebuild)
-        batch_pipeline.sink_count = sink_count  # type: ignore[attr-defined]
-        return batch_pipeline
-
     def process(value_bytes: bytes, ts: int) -> None:
         record = input_serde.from_bytes(value_bytes)
-        router_box[0].route(stream, record, ts)
+        router = router_box[0]
+        router.route(stream, record, ts)
+        router.flush_sinks()
 
     pipeline = MicroPipeline(process, workload, reset=rebuild)
     pipeline.sink_count = sink_count  # type: ignore[attr-defined]
@@ -318,7 +250,7 @@ def measure_compile_speedup(query: str = "filter", messages: int = 4000,
     (Same isolation discipline as :func:`measure_window_state_speedup`
     for the write-behind state layout.)
 
-    Methodology matches :func:`repro.bench.calibration.measure_batch_speedup`:
+    Methodology matches :func:`repro.bench.calibration.measure_serde_speedup`:
     GC-suspended process-time runs, modes interleaved with alternating
     order, per-mode minimum.  Returns ``{"interpreted": ...,
     "compiled": ..., "interpreted_msgs_per_s": ...,
@@ -328,15 +260,15 @@ def measure_compile_speedup(query: str = "filter", messages: int = 4000,
     import gc
     import time
 
-    from repro.samzasql.compile import CompiledExecutor, analyze_plan
-    from repro.samzasql.operators.insert import InsertOperator
+    from repro.samzasql.compile import (CompiledExecutor, chain_fallback,
+                                        compile_chain)
 
     catalog = _catalog()
     logical = QueryPlanner(catalog).plan_query(SQL_QUERIES[query])
     plan = PhysicalPlanBuilder(catalog).build(logical, "bench-output")
-    decision = analyze_plan(plan)
-    if not decision.supported:
-        raise ValueError(f"query {query!r} does not compile: {decision.reason}")
+    reason = chain_fallback(plan)
+    if reason is not None:
+        raise ValueError(f"query {query!r} does not compile: {reason}")
     stream = plan.input_streams[0]
 
     generator = OrdersGenerator(interarrival_ms=1000)
@@ -347,19 +279,11 @@ def measure_compile_speedup(query: str = "filter", messages: int = 4000,
               for i in range(0, len(records), batch_size)]
     sink_count = [0]
 
-    def send(_message: dict, _ts: int, _key=None) -> None:
-        sink_count[0] += 1
-
     def send_batch(entries: list) -> None:
         sink_count[0] += len(entries)
 
     def make_router() -> MessageRouter:
-        router = build_router(plan, OperatorContext(
-            {}, send, send_batch=send_batch))
-        for operator in router.operators:
-            if isinstance(operator, InsertOperator):
-                operator.set_buffering(True)
-        return router
+        return build_router(plan, OperatorContext({}, send_batch))
 
     def timed(route_batch, router) -> float:
         # one untimed pass warms allocators and any lazy setup
@@ -385,7 +309,7 @@ def measure_compile_speedup(query: str = "filter", messages: int = 4000,
 
     def run_compiled() -> float:
         router = make_router()
-        executor = CompiledExecutor(plan, router)
+        executor = CompiledExecutor(compile_chain(plan), router)
         return timed(executor.route_batch, router)
 
     best = {"interpreted": float("inf"), "compiled": float("inf")}
@@ -433,7 +357,7 @@ def measure_window_state_speedup(messages: int = 15_000,
     same pre-decoded Orders workload so the ratio isolates state
     maintenance from input/output serde.
 
-    Methodology matches :func:`repro.bench.calibration.measure_batch_speedup`:
+    Methodology matches :func:`repro.bench.calibration.measure_serde_speedup`:
     GC-suspended process-time runs, modes interleaved with alternating
     order, per-mode minimum.  Returns ``{"legacy_ms_per_msg": ...,
     "writebehind_ms_per_msg": ..., "speedup": ...}``.
@@ -493,10 +417,11 @@ def measure_window_state_speedup(messages: int = 15_000,
         stores = {name: _changelogged_store(write_behind=True)
                   for name in _STORE_NAMES}
         router = build_router(plan, OperatorContext(
-            stores, lambda _m, _ts, _key=None: None))
+            stores, lambda _entries: None))
 
         def step(record: dict, ts: int) -> None:
             router.route(stream, record, ts)
+            router.flush_sinks()
 
         return _timed_steps(step, flush_stores=list(stores.values()))
 
@@ -578,9 +503,6 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
         def __init__(self):
             self.count = 0
 
-        def receive(self, _port, _row, _ts):
-            self.count += 1
-
         def receive_batch(self, _port, rows, _timestamps):
             self.count += len(rows)
 
@@ -590,9 +512,6 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
         def __init__(self, operator, port):
             self._operator = operator
             self._port = port
-
-        def receive(self, _port, row, ts):
-            self._operator.process(self._port, row, ts)
 
         def receive_batch(self, _port, rows, timestamps):
             self._operator.process_batch(self._port, rows, timestamps)
@@ -621,7 +540,7 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
             field_names=["ts0", "k0", "ts1", "k1", "ts2", "k2"])
         sink = _DiscardSink()
         operator.downstream = sink
-        operator.setup(OperatorContext(_make_stores(), lambda *_: None))
+        operator.setup(OperatorContext(_make_stores(), lambda _entries: None))
 
         def feed():
             for port, row, arrival in events:
@@ -640,7 +559,7 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
         first.downstream = _Port(second, 0)
         second.downstream = sink
         stores = _make_stores()
-        context = OperatorContext(stores, lambda *_: None)
+        context = OperatorContext(stores, lambda _entries: None)
         first.setup(context)
         second.setup(context)
 
@@ -766,8 +685,6 @@ def main(argv: list[str] | None = None) -> int:
 
     * metrics overhead — snapshot reporter off vs on must cost no more
       than ``--threshold`` percent;
-    * batch speedup — ``task.batch.execution=true`` must be at least
-      ``--batch-threshold`` times the single-message path's throughput;
     * compile speedup — with ``--compile-threshold`` set, whole-plan
       ``exec``-compilation must be at least that multiple of the
       interpreted per-operator chain's throughput, measured on the
@@ -776,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
     * serde fusion — with ``--serde-threshold`` set, the serde-fused
       path (column-pruned compiled decode, re-encode elision, one
       generated decode→chain→encode function per task) must be at
-      least that multiple of the full decode/encode batched path's
+      least that multiple of the full decode/encode path's
       end-to-end throughput;
     * window state maintenance — the fig6 sliding window's split-layout
       write-behind state path must be at least ``--window-threshold``
@@ -800,23 +717,19 @@ def main(argv: list[str] | None = None) -> int:
     minima, and a best-of-``--attempts`` noise guard.  Exit 1 when any
     gate fails.
 
-    Run:  python -m repro.bench.micro [--threshold 5] [--batch-threshold 1.5]
+    Run:  python -m repro.bench.micro [--threshold 5]
           [--compile-threshold 1.5] [--serde-threshold 1.5]
           [--window-threshold 2.0] [--scaling-threshold 1.4]
     """
     import argparse
     import os
 
-    from repro.bench.calibration import (measure_batch_speedup,
-                                         measure_metrics_overhead)
+    from repro.bench.calibration import measure_metrics_overhead
 
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--threshold", type=float, default=5.0,
                         help="max tolerated metrics overhead, percent "
                              "(default 5)")
-    parser.add_argument("--batch-threshold", type=float, default=1.5,
-                        help="min batched/single throughput ratio "
-                             "(default 1.5; 0 disables the gate)")
     parser.add_argument("--compile-threshold", type=float, default=0.0,
                         help="min compiled/interpreted operator-chain "
                              "throughput ratio (0, the default, disables "
@@ -875,28 +788,6 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: metrics instrumentation overhead above threshold")
         failed = True
 
-    if args.batch_threshold > 0:
-        speedup = None
-        for attempt in range(max(args.attempts, 1)):
-            measured = measure_batch_speedup(
-                query="filter", messages=args.messages,
-                repeats=min(args.repeats, 3))
-            if speedup is None or measured["speedup"] > speedup["speedup"]:
-                speedup = measured
-            if speedup["speedup"] >= args.batch_threshold:
-                break
-            print(f"attempt {attempt + 1}: batch speedup "
-                  f"{measured['speedup']:.2f}x under threshold; "
-                  f"re-measuring...")
-        print("batched execution (task.batch.execution=true vs false):")
-        print(f"  single-message: {speedup['single_msgs_per_s']:,.0f} msgs/s")
-        print(f"  batched:        {speedup['batch_msgs_per_s']:,.0f} msgs/s")
-        print(f"  speedup:        {speedup['speedup']:.2f}x "
-              f"(threshold {args.batch_threshold:.1f}x)")
-        if speedup["speedup"] < args.batch_threshold:
-            print("FAIL: batched execution speedup below threshold")
-            failed = True
-
     if args.compile_threshold > 0:
         compiled = None
         for attempt in range(max(args.attempts, 1)):
@@ -933,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"attempt {attempt + 1}: serde fusion speedup "
                   f"{measured['speedup']:.2f}x under threshold; "
                   f"re-measuring...")
-        print("serde fusion (task.serde.fusion=true vs false, batched):")
+        print("serde fusion (execution.serde.fusion=true vs false):")
         print(f"  full serde:  {fused['plain_msgs_per_s']:,.0f} msgs/s")
         print(f"  fused:       {fused['fused_msgs_per_s']:,.0f} msgs/s")
         print(f"  speedup:     {fused['speedup']:.2f}x "

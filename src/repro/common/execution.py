@@ -1,71 +1,72 @@
-"""Unified execution-mode configuration.
+"""Execution switches: four ablation knobs and one deployment setting.
 
-The runtime grew four independent mode flags, each read ad hoc wherever
-it was needed: ``task.batch.execution`` (container + task),
-``stores.write.behind`` (container store specs), ``cluster.parallel.execution``
-(container, job runner, environment) and now ``task.compile.execution``
-(task).  :class:`ExecutionConfig` is the one typed surface over all of
-them: construct it directly, thread it through
+The runtime has one execution path — batch-at-a-time, a single message
+being a batch of one.  What remains configurable is which plan-time
+optimizations apply (ablation switches, used by benches and equivalence
+tests) and whether containers run in forked worker processes (a
+deployment setting).  :class:`ExecutionConfig` is the one typed surface
+over them: construct it directly, pass it to
 :class:`~repro.samzasql.environment.SamzaSqlEnvironment`, or recover it
 from a flat :class:`~repro.common.config.Config` with
 :meth:`ExecutionConfig.from_config`.
 
-Canonical keys are ``execution.batch`` / ``execution.write.behind`` /
-``execution.parallel`` / ``execution.compile``.  The historical flat
-keys keep working as a deprecation shim — :meth:`from_config` falls back
-to them, and :meth:`to_overrides` *emits* them so that every existing
-consumer (per-store ``write.behind`` overrides, benchmarks, chaos
-harnesses) observes the same values without a dual-key conflict.
+Each switch has exactly one spelling.  A retired spelling raises
+:class:`~repro.common.errors.ConfigError` naming its replacement — a
+silently ignored ablation key would make an equivalence test pass
+vacuously.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common.clock import Clock, VirtualClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
 
-#: canonical key -> (legacy key, default); order matters for to_overrides().
-KEY_MAP: dict[str, tuple[str, bool]] = {
-    "execution.batch": ("task.batch.execution", True),
-    "execution.write.behind": ("stores.write.behind", True),
-    "execution.parallel": ("cluster.parallel.execution", False),
-    "execution.compile": ("task.compile.execution", True),
-    "execution.multiway.join": ("plan.multiway.join", True),
-    "execution.serde.fusion": ("task.serde.fusion", True),
+#: field -> the config key that carries it.
+KEYS: dict[str, str] = {
+    "write_behind": "execution.write.behind",
+    "parallel": "cluster.parallel.execution",
+    "compile": "execution.compile",
+    "multiway_join": "execution.multiway.join",
+    "serde_fusion": "execution.serde.fusion",
 }
 
-_FIELD_BY_CANONICAL = {
-    "execution.batch": "batch",
-    "execution.write.behind": "write_behind",
-    "execution.parallel": "parallel",
-    "execution.compile": "compile",
-    "execution.multiway.join": "multiway_join",
-    "execution.serde.fusion": "serde_fusion",
+_NO_BATCH_SWITCH = ("nothing (the batch path is the only path; "
+                    "task.poll.batch.size=1 gives batches of one)")
+
+#: retired spelling -> what to write instead.
+RETIRED_KEYS: dict[str, str] = {
+    "task.batch.execution": _NO_BATCH_SWITCH,
+    "execution.batch": _NO_BATCH_SWITCH,
+    "task.compile.execution": "execution.compile",
+    "task.serde.fusion": "execution.serde.fusion",
+    "plan.multiway.join": "execution.multiway.join",
+    "stores.write.behind": "execution.write.behind (or the per-store "
+                           "stores.<name>.write.behind)",
+    "execution.parallel": "cluster.parallel.execution",
 }
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The four execution-mode knobs, as one typed value.
+    """The execution switches, as one typed value.
 
-    ``batch``        -- vectorized per-operator ``process_batch`` path.
-    ``write_behind`` -- buffered changelog writes for window state.
+    ``write_behind`` -- buffered changelog writes for window state
+                        (per-store ``stores.<name>.write.behind`` wins).
     ``parallel``     -- process-backed containers (forked workers).
-    ``compile``      -- whole-plan ``exec``-compilation of the stateless
-                        operator prefix (requires ``batch`` to take
-                        effect on the hot path; harmless otherwise).
+    ``compile``      -- whole-plan ``exec``-compilation of stateless
+                        chains.
     ``multiway_join`` -- collapse left-deep windowed stream-join chains
                         into one K-way operator at plan time (off =
                         always plan the pairwise cascade).
     ``serde_fusion`` -- plan-aware serde: column-pruned decode,
                         re-encode elision, and decode→chain→encode
                         fusion for compiled stateless chains (requires
-                        ``batch`` and ``compile`` to take effect).
+                        ``compile``).
     """
 
-    batch: bool = True
     write_behind: bool = True
     parallel: bool = False
     compile: bool = True
@@ -74,38 +75,22 @@ class ExecutionConfig:
 
     @classmethod
     def from_config(cls, config: Config | dict | None) -> "ExecutionConfig":
-        """Recover the knobs from a flat config map.
-
-        Canonical ``execution.*`` keys win; the legacy flat keys are the
-        deprecation shim and are consulted only when the canonical key is
-        absent.
-        """
+        """Recover the switches from a flat config map."""
         cfg = config if isinstance(config, Config) else Config(config or {})
-        values: dict[str, bool] = {}
-        for canonical, (legacy, default) in KEY_MAP.items():
-            field = _FIELD_BY_CANONICAL[canonical]
-            if canonical in cfg:
-                values[field] = cfg.get_bool(canonical)
-            else:
-                values[field] = cfg.get_bool(legacy, default)
-        return cls(**values)
+        for retired, replacement in RETIRED_KEYS.items():
+            if retired in cfg:
+                raise ConfigError(
+                    f"config key {retired!r} is retired; use {replacement}")
+        return cls(**{
+            f.name: cfg.get_bool(KEYS[f.name], f.default) for f in fields(cls)})
 
     def to_overrides(self) -> dict[str, str]:
-        """Flat config entries carrying these knobs.
-
-        Deliberately emits the *legacy* keys only: every runtime consumer
-        (container, task, job runner, per-store ``write.behind``
-        overrides) reads through them, so a single key namespace keeps
-        override merging unambiguous.
-        """
-        out: dict[str, str] = {}
-        for canonical, (legacy, _default) in KEY_MAP.items():
-            value = getattr(self, _FIELD_BY_CANONICAL[canonical])
-            out[legacy] = "true" if value else "false"
-        return out
+        """Flat config entries carrying these switches."""
+        return {key: "true" if getattr(self, name) else "false"
+                for name, key in KEYS.items()}
 
     def validate(self, clock: Clock | None = None) -> "ExecutionConfig":
-        """Reject illegal knob combinations; returns self for chaining."""
+        """Reject illegal combinations; returns self for chaining."""
         if self.parallel and isinstance(clock, VirtualClock):
             raise ConfigError(
                 "cluster.parallel.execution=true is incompatible with a "
@@ -116,9 +101,5 @@ class ExecutionConfig:
 
     def describe(self) -> str:
         """One-line human summary, used by ``EXPLAIN``."""
-        return (f"batch={'on' if self.batch else 'off'} "
-                f"write_behind={'on' if self.write_behind else 'off'} "
-                f"parallel={'on' if self.parallel else 'off'} "
-                f"compile={'on' if self.compile else 'off'} "
-                f"multiway_join={'on' if self.multiway_join else 'off'} "
-                f"serde_fusion={'on' if self.serde_fusion else 'off'}")
+        return " ".join(f"{name}={'on' if getattr(self, name) else 'off'}"
+                        for name in KEYS)

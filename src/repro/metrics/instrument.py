@@ -7,15 +7,14 @@ design keeps the hot path nearly free:
 * ``messages-in`` / ``messages-out`` are *live gauges over the operator's
   existing plain-int counters* — nothing extra happens per message, the
   ints are read only when a snapshot is taken;
-* ``window-state-size`` gauges call the operator's ``state_size()`` (a
-  store walk) only at snapshot time;
+* ``window-state-size`` gauges call the operator's ``state_size()`` only
+  at snapshot time;
 * the ``process-ns`` timer is the one true hot-path hook, and it is
   sampled *at the task entry point*, not per operator: the
-  :class:`TimingSampler` counts routed messages and, for 1-in-16 of them,
-  flips every operator's ``receive`` onto its timed path for just that
-  message.  Unsampled messages cross zero wrappers — the whole DAG runs
-  exactly as it does with metrics off, and the per-message cost is one
-  integer increment and a branch.
+  :class:`TimingSampler` counts routed messages and, for a 16-message
+  burst out of every 256, flips every operator's ``receive_batch`` onto
+  its timed path for just that burst.  Unsampled messages cross zero
+  wrappers — the whole DAG runs exactly as it does with metrics off.
 """
 
 from __future__ import annotations
@@ -35,61 +34,35 @@ def operator_group(op_id: str, partition_id: int) -> str:
 
 
 class TimingSampler:
-    """Routes messages, timing every operator for 1-in-N of them.
+    """Routes batches, timing every operator for 1-in-16 of the messages.
 
-    Wraps a router's ``route`` callable.  For sampled messages each
-    operator with a timer gets ``receive`` bound to ``_timed_process``
-    for the duration of that one delivery; everything else flows through
-    the untouched plain bindings.
+    Unsampled spans go through ``route_batch`` (the task's executor);
+    sampled bursts go through ``timed_route_batch`` (the interpreted
+    router — per-operator latency needs per-operator dispatch) with each
+    timed operator's ``receive_batch`` bound to ``_timed_process_batch``
+    for the duration of that one delivery.
     """
 
-    #: Time 1-in-16 routed messages.
-    SAMPLE_MASK = 15
+    #: A 16-message burst once per 256 messages: the 1-in-16 sampling
+    #: rate, but a poll batch is split at period boundaries instead of at
+    #: every 16th message.  Splitting is what sampling costs — each
+    #: sub-batch pays the DAG's fixed per-call overhead — and each burst
+    #: is routed as one batch, its timers recording the per-message mean.
+    BURST_LEN = 16
+    BURST_PERIOD_MASK = 255
 
-    __slots__ = ("_route", "_route_batch", "_timed_ops", "_tick")
+    __slots__ = ("_route_batch", "_timed_route_batch", "_timed_ops", "_tick")
 
-    def __init__(self, route, operators, route_batch=None):
-        self._route = route
+    def __init__(self, route_batch, timed_route_batch, operators):
         self._route_batch = route_batch
+        self._timed_route_batch = timed_route_batch
         self._timed_ops = [op for op in operators
                            if op._process_timer is not None]
         self._tick = 0
 
-    def route(self, stream: str, message, timestamp_ms: int) -> None:
-        self._tick += 1
-        if self._tick & self.SAMPLE_MASK:
-            self._route(stream, message, timestamp_ms)
-            return
-        for op in self._timed_ops:
-            op.receive = op._timed_process
-        try:
-            self._route(stream, message, timestamp_ms)
-        finally:
-            for op in self._timed_ops:
-                op.receive = op.process
-
-    #: Batch path: time the same 1-in-16 of messages, but take them as a
-    #: 16-message burst once per 256 so a poll batch is split at period
-    #: boundaries instead of at every 16th message.  Splitting is what
-    #: batch-mode sampling costs — each sub-batch pays the DAG's fixed
-    #: per-call overhead — and bursts cut the split count 8x while keeping
-    #: the sampling rate, and the per-sample methodology (one individually
-    #: routed, individually timed message), identical.
-    BURST_LEN = 16
-    BURST_PERIOD_MASK = 255
-
     def route_batch(self, stream: str, messages: list, timestamps: list) -> None:
-        """Batch routing with the same 1-in-16 per-message sampling rate.
-
-        Unsampled spans go through the router's batch path; sampled
-        messages are routed individually with every operator bound to its
-        timed path, exactly as in single-message mode — only the sample
-        *placement* differs (bursts, see :attr:`BURST_LEN`).
-        """
         mask = self.BURST_PERIOD_MASK
         burst = self.BURST_LEN
-        route = self._route
-        route_batch = self._route_batch
         timed_ops = self._timed_ops
         start = 0
         n = len(messages)
@@ -98,20 +71,20 @@ class TimingSampler:
             if pos >= burst:  # unsampled span: batch until the next period
                 stop = min(start + (mask + 1 - pos), n)
                 self._tick += stop - start
-                route_batch(stream, messages[start:stop], timestamps[start:stop])
-                start = stop
-            else:  # inside the burst: route singly through timed bindings
+                self._route_batch(stream, messages[start:stop],
+                                  timestamps[start:stop])
+            else:  # inside the burst: one batch through timed bindings
                 stop = min(start + (burst - pos), n)
                 self._tick += stop - start
                 for op in timed_ops:
-                    op.receive = op._timed_process
+                    op.receive_batch = op._timed_process_batch
                 try:
-                    for i in range(start, stop):
-                        route(stream, messages[i], timestamps[i])
+                    self._timed_route_batch(stream, messages[start:stop],
+                                            timestamps[start:stop])
                 finally:
                     for op in timed_ops:
-                        op.receive = op.process
-                start = stop
+                        op.receive_batch = op.process_batch
+            start = stop
 
 
 def instrument_operators(operators, registry: MetricsRegistry,

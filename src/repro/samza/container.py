@@ -40,7 +40,6 @@ from repro.samza.storage import (
     WriteBehindKeyValueStore,
 )
 from repro.samza.system import (
-    IncomingMessageEnvelope,
     OutgoingMessageEnvelope,
     SystemStreamPartition,
 )
@@ -90,7 +89,7 @@ class _Collector(MessageCollector):
         self._container = container
 
     def send(self, envelope: OutgoingMessageEnvelope) -> None:
-        self._container._send(envelope)
+        self._container._send_batch([envelope])
 
     def send_batch(self, envelopes: list[OutgoingMessageEnvelope]) -> None:
         self._container._send_batch(envelopes)
@@ -140,17 +139,12 @@ class SamzaContainer:
         self._task_by_ssp: dict[SystemStreamPartition, TaskInstance] = {}
         self._input_serdes: dict[str, tuple] = {}  # stream -> (key_serde, msg_serde)
         self._output_serdes: dict[str, tuple] = {}
-        self._store_specs = self._parse_store_specs(config)
-
         self._window_ms = config.get_int("task.window.ms", -1)
         self._commit_interval = config.get_int("task.checkpoint.interval.messages", 500)
         self._batch_size = config.get_int("task.poll.batch.size", 200)
         execution = ExecutionConfig.from_config(config)
-        # Batch-at-a-time execution (default): decode, dispatch and process
-        # whole per-partition record batches.  execution.batch=false (legacy
-        # task.batch.execution) selects the per-message loop for A/B
-        # comparison.
-        self._batch_execution = execution.batch
+        self._store_specs = self._parse_store_specs(
+            config, execution.write_behind)
         # Under parallel execution, task init (and with it the SQL task's
         # plan fetch + operator codegen) is deferred to the worker process
         # so compilation happens per-process from the shared plan JSON.
@@ -195,17 +189,14 @@ class SamzaContainer:
     # -- configuration parsing ---------------------------------------------------
 
     @staticmethod
-    def _parse_store_specs(config: Config) -> list[_StoreSpec]:
+    def _parse_store_specs(config: Config,
+                           write_behind_default: bool) -> list[_StoreSpec]:
         specs: list[_StoreSpec] = []
-        # "stores.write.behind" is the job-wide write-behind default, not a
-        # store named "write".
         names = {
             key.split(".")[1]
             for key in config
             if key.startswith("stores.") and len(key.split(".")) >= 3
-            and key != "stores.write.behind"
         }
-        write_behind_default = ExecutionConfig.from_config(config).write_behind
         for name in sorted(names):
             prefix = f"stores.{name}."
             changelog = config.get(prefix + "changelog")
@@ -256,7 +247,6 @@ class SamzaContainer:
         # (offset beyond the high watermark).  Either way the replay
         # contract is "resume from what still exists" — clamp into the
         # valid range and count the reset rather than crash on restore.
-        tp_to_ssp = {ssp.topic_partition: ssp for ssp in all_ssps}
         for instance in self.tasks.values():
             earliest = {
                 ssp: self.cluster.earliest_offset(ssp.topic_partition)
@@ -299,7 +289,6 @@ class SamzaContainer:
 
         self._last_window_ms = self.clock.now_ms()
         self._started = True
-        del tp_to_ssp  # documentation of intent only
 
     def finish_task_init(self) -> None:
         """Second half of startup under parallel execution, run inside the
@@ -361,40 +350,21 @@ class SamzaContainer:
 
     # -- output path ------------------------------------------------------------------
 
-    def _send(self, envelope: OutgoingMessageEnvelope) -> None:
-        stream = envelope.system_stream.stream
+    def _ensure_topic(self, stream: str) -> None:
+        """Auto-create intermediate/output topics, co-partitioned with
+        the widest input."""
         if not self.cluster.has_topic(stream):
-            # Auto-create intermediate/output topics, co-partitioned with inputs.
             partitions = max(
                 (self.cluster.topic(ssp.stream).partition_count
                  for ssp in self._task_by_ssp), default=1)
-            self.cluster.create_topic(stream, partitions=partitions, if_not_exists=True)
-        if envelope.pre_serialized:
-            key_bytes = envelope.key
-            value_bytes = envelope.message
-        else:
-            if stream not in self._output_serdes:
-                self._output_serdes[stream] = self.serdes.resolve_stream_serdes(
-                    self.config, envelope.system_stream.system, stream)
-            key_serde, msg_serde = self._output_serdes[stream]
-            key_bytes = None if envelope.key is None else key_serde.to_bytes(envelope.key)
-            value_bytes = (
-                None if envelope.message is None else msg_serde.to_bytes(envelope.message))
-        partition = None
-        if envelope.partition_key is not None:
-            count = self.cluster.topic(stream).partition_count
-            partition = hash_partitioner(
-                _PARTITION_KEY_SERDE.to_bytes(envelope.partition_key), count)
-        timestamp = (envelope.timestamp_ms if envelope.timestamp_ms is not None
-                     else self.clock.now_ms())
-        self._producer.send(stream, value_bytes, key=key_bytes,
-                            partition=partition, timestamp_ms=timestamp)
-        self._sent.inc()
+            self.cluster.create_topic(stream, partitions=partitions,
+                                      if_not_exists=True)
 
     def _send_batch(self, envelopes: list[OutgoingMessageEnvelope]) -> None:
-        """Batched output path: per stream, resolve the serdes and the
-        partition count once, encode with the serdes' batch forms, and hand
-        the whole batch to ``Producer.send_batch``.
+        """The envelope output path (a single ``send`` is a batch of one):
+        per stream, resolve the serdes and the partition count once, encode
+        with the serdes' batch forms, and hand the whole batch to
+        ``Producer.send_batch``.
 
         Pre-serialized envelopes (the serde-fused fast path) carry bytes
         already; they skip encoding entirely — when a whole group is
@@ -404,12 +374,7 @@ class SamzaContainer:
         for envelope in envelopes:
             by_stream.setdefault(envelope.system_stream.stream, []).append(envelope)
         for stream, group in by_stream.items():
-            if not self.cluster.has_topic(stream):
-                partitions = max(
-                    (self.cluster.topic(ssp.stream).partition_count
-                     for ssp in self._task_by_ssp), default=1)
-                self.cluster.create_topic(stream, partitions=partitions,
-                                          if_not_exists=True)
+            self._ensure_topic(stream)
             plain = [e for e in group if not e.pre_serialized]
             if plain:
                 if stream not in self._output_serdes:
@@ -453,12 +418,7 @@ class SamzaContainer:
         memoized per key: output keys are grouping/join keys, whose
         cardinality is far below the record count.
         """
-        if not self.cluster.has_topic(stream):
-            partitions = max(
-                (self.cluster.topic(ssp.stream).partition_count
-                 for ssp in self._task_by_ssp), default=1)
-            self.cluster.create_topic(stream, partitions=partitions,
-                                      if_not_exists=True)
+        self._ensure_topic(stream)
         count = self.cluster.topic(stream).partition_count
         memo = self._key_route_memo.get(stream)
         if memo is None:
@@ -504,10 +464,7 @@ class SamzaContainer:
         if self._bootstrap_active:
             self._maybe_finish_bootstrap()
 
-        if self._batch_execution:
-            handled = self._process_poll_batched()
-        else:
-            handled = self._process_poll_single()
+        handled = self._process_poll()
 
         self._maybe_fire_window()
 
@@ -522,43 +479,16 @@ class SamzaContainer:
             self.stop()
         return handled
 
-    def _process_poll_single(self) -> int:
-        """The per-message loop (task.batch.execution=false)."""
-        records = self._consumer.poll(max_records=self._batch_size)
-        for record in records:
-            ssp = SystemStreamPartition("kafka", record.topic, record.partition)
-            instance = self._task_by_ssp[ssp]
-            key_serde, msg_serde = self._input_serdes[record.topic]
-            key = None if record.key is None else key_serde.from_bytes(record.key)
-            message = None if record.value is None else msg_serde.from_bytes(record.value)
-            envelope = IncomingMessageEnvelope(
-                system_stream_partition=ssp, offset=record.offset,
-                key=key, message=message, timestamp_ms=record.timestamp_ms,
-                raw_key=record.key, raw_message=record.value,
-            )
-            instance.process(envelope, self._collector, self._coordinator)
-            self._processed.inc()
-            self._messages_since_commit += 1
-            if self._fault_injector is not None:
-                # May raise ContainerCrashError: the exception must escape
-                # WITHOUT committing, so work since the last checkpoint is
-                # genuinely lost and the replacement container replays it.
-                self._fault_injector.on_processed(self.container_id)
-            if self._coordinator.shutdown_requested:
-                break
-        return len(records)
-
-    def _process_poll_batched(self) -> int:
+    def _process_poll(self) -> int:
         """Batch-at-a-time loop: task, serdes and decode are resolved once
         per (topic, partition) group, the whole group flows through
         ``TaskInstance.process_batch``, and only then does the per-message
         bookkeeping (counters, fault injection) run for each record.
 
-        Per-message crash semantics are preserved by capping each chunk at
-        the fault injector's next crash point: every message before the
-        point is fully processed (output flushed by the task) and nothing
-        past it is touched, so the crash loses exactly the uncommitted
-        suffix — the same replay window as the single-message loop.
+        Crash points stay per-message: each chunk is capped at the fault
+        injector's next crash point, so every message before the point is
+        fully processed (output flushed by the task) and nothing past it
+        is touched — the crash loses exactly the uncommitted suffix.
         """
         groups = self._consumer.poll_batches(max_records=self._batch_size)
         injector = self._fault_injector
@@ -594,9 +524,12 @@ class SamzaContainer:
                 if injector is not None:
                     on_processed = injector.on_processed
                     for _ in range(done):
-                        # May raise ContainerCrashError — see the single
-                        # loop; the chunk cap above guarantees no message
-                        # past the crash point has been processed.
+                        # May raise ContainerCrashError: the exception must
+                        # escape WITHOUT committing, so work since the last
+                        # checkpoint is genuinely lost and the replacement
+                        # container replays it.  The chunk cap above
+                        # guarantees no message past the crash point has
+                        # been processed.
                         on_processed(self.container_id)
                 if done < len(chunk) or coordinator.shutdown_requested:
                     return handled

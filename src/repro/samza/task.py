@@ -23,6 +23,12 @@ class MessageCollector(ABC):
     @abstractmethod
     def send(self, envelope: OutgoingMessageEnvelope) -> None: ...
 
+    def send_batch(self, envelopes: list[OutgoingMessageEnvelope]) -> None:
+        """Send many envelopes; collectors with a batched output path
+        override this."""
+        for envelope in envelopes:
+            self.send(envelope)
+
 
 class TaskCoordinator(ABC):
     """Lets a task request commits or job shutdown from inside a callback."""

@@ -73,21 +73,26 @@ class TaskInstance:
         records were actually processed (all of them unless the task
         requested shutdown mid-batch).
 
-        Batch-aware tasks get the whole batch in one call; other tasks fall
-        back to a per-record loop with per-record offset tracking, exactly
-        matching the single-message path.  Offsets only ever cover records
-        whose processing completed, so a checkpoint taken afterwards is
-        identical to one the single-message path would have written.
+        Batch-aware tasks get the whole batch in one call; native
+        :class:`StreamTask` tasks get one :meth:`process` call per record.
+        Offsets only ever cover records whose processing completed, so a
+        checkpoint taken afterwards never runs ahead of the work.
         """
         task_batch = getattr(self.task, "process_batch", None)
         if task_batch is not None:
             task_batch(ssp, records, keys, messages, collector, coordinator)
-            done = len(records)
-            self.offsets[ssp] = records[-1].offset + 1
-            self.messages_processed += done
-            return done
-        return self._process_record_loop(ssp, records, keys, messages,
-                                         collector, coordinator)
+            return self._completed(ssp, records)
+        done = 0
+        for record, key, message in zip(records, keys, messages):
+            self.process(IncomingMessageEnvelope(
+                system_stream_partition=ssp, offset=record.offset,
+                key=key, message=message, timestamp_ms=record.timestamp_ms,
+                raw_key=record.key, raw_message=record.value,
+            ), collector, coordinator)
+            done += 1
+            if getattr(coordinator, "shutdown_requested", False):
+                break
+        return done
 
     def process_batch_raw(self, ssp: SystemStreamPartition, records: list,
                           collector: MessageCollector,
@@ -98,28 +103,12 @@ class TaskInstance:
         a checkpoint taken afterwards matches the decoded path's exactly.
         """
         self.task.process_batch_raw(ssp, records, collector, coordinator)
-        done = len(records)
-        self.offsets[ssp] = records[-1].offset + 1
-        self.messages_processed += done
-        return done
+        return self._completed(ssp, records)
 
-    def _process_record_loop(self, ssp, records, keys, messages, collector,
-                             coordinator) -> int:
-        process = self.task.process
-        offsets = self.offsets
-        done = 0
-        for record, key, message in zip(records, keys, messages):
-            process(IncomingMessageEnvelope(
-                system_stream_partition=ssp, offset=record.offset,
-                key=key, message=message, timestamp_ms=record.timestamp_ms,
-                raw_key=record.key, raw_message=record.value,
-            ), collector, coordinator)
-            offsets[ssp] = record.offset + 1
-            done += 1
-            if getattr(coordinator, "shutdown_requested", False):
-                break
-        self.messages_processed += done
-        return done
+    def _completed(self, ssp: SystemStreamPartition, records: list) -> int:
+        self.offsets[ssp] = records[-1].offset + 1
+        self.messages_processed += len(records)
+        return len(records)
 
     def window(self, collector: MessageCollector, coordinator: TaskCoordinator) -> None:
         if isinstance(self.task, WindowableTask):

@@ -20,7 +20,8 @@ future-work item 5, taken to its endpoint).
 
 Unsupported shapes — stateful operators (windows, aggregations), joins,
 and UDF calls (resolved through a live registry) — fall back to the
-interpreted router, selected per task at plan time.  Byte equivalence
+interpreted router, selected per task at plan time
+(:func:`repro.samzasql.decision.decide_execution`).  Byte equivalence
 between the two paths is enforced by the integration suite; the
 per-operator ``processed``/``emitted`` counters are maintained exactly,
 so metrics snapshots are indistinguishable too.
@@ -51,21 +52,6 @@ _JOIN_KINDS = frozenset(
     {"stream_stream_join", "stream_relation_join", "multi_way_join"})
 
 
-@dataclass(frozen=True)
-class CompileDecision:
-    """Whether a plan's chain compiles, and why not when it doesn't."""
-
-    supported: bool
-    reason: str | None = None
-
-    @property
-    def status(self) -> str:
-        """``compiled`` / ``interpreted (fallback: <reason>)`` for EXPLAIN."""
-        if self.supported:
-            return "compiled"
-        return f"interpreted (fallback: {self.reason})"
-
-
 def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
     """The plan's operator chain in leaf-to-root (execution) order."""
     nodes: list[PhysicalNode] = []
@@ -79,34 +65,30 @@ def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
     return nodes
 
 
-def analyze_plan(plan: PhysicalPlan) -> CompileDecision:
-    """Decide at plan time whether the whole chain exec-compiles."""
-
-    def reject(reason: str) -> CompileDecision:
-        return CompileDecision(False, reason)
-
+def chain_fallback(plan: PhysicalPlan) -> str | None:
+    """Why the plan's chain does not exec-compile; None when it does."""
     node: PhysicalNode = plan.root
     while True:
         kind = node.kind
         if kind in _STATEFUL_KINDS:
-            return reject(f"stateful operator: {kind}")
+            return f"stateful operator: {kind}"
         if kind in _JOIN_KINDS:
-            return reject(f"join operator: {kind}")
+            return f"join operator: {kind}"
         if kind not in STATELESS_KINDS:
-            return reject(f"unsupported operator: {kind}")
+            return f"unsupported operator: {kind}"
         for source in _expression_sources(node):
             if "_udf_call(" in source:
-                return reject("expression calls a UDF (resolved via live registry)")
+                return "expression calls a UDF (resolved via live registry)"
         if not node.inputs:
             break
         if len(node.inputs) != 1:
-            return reject(f"multi-input operator: {kind}")
+            return f"multi-input operator: {kind}"
         node = node.inputs[0]
     if not isinstance(node, (ScanNode, FusedScanNode)):
-        return reject(f"chain does not end at a scan: {node.kind}")
+        return f"chain does not end at a scan: {node.kind}"
     if not isinstance(plan.root, InsertNode):
-        return reject(f"chain root is not an insert: {plan.root.kind}")
-    return CompileDecision(True)
+        return f"chain root is not an insert: {plan.root.kind}"
+    return None
 
 
 def _expression_sources(node: PhysicalNode) -> list[str]:
@@ -219,7 +201,7 @@ class CompiledChain:
     """The generated function plus the bookkeeping the executor needs."""
 
     source: str            # generated Python, kept for EXPLAIN / debugging
-    fn: object             # f(messages, timestamps) -> entries | (entries, counts)
+    fn: object             # f(inputs, timestamps) -> entries | (entries, counts)
     stream: str            # the single input stream the chain consumes
     filter_flags: list     # per chain node (leaf->root): is it a filter stage?
     staged: bool           # True when fn returns (entries, stage_counts)
@@ -254,9 +236,9 @@ class ChainExpressions:
 
 def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
     """Render the stateless chain's nodes into composed expressions."""
-    decision = analyze_plan(plan)
-    if not decision.supported:
-        raise PlannerError(f"plan does not compile: {decision.reason}")
+    reason = chain_fallback(plan)
+    if reason is not None:
+        raise PlannerError(f"plan does not compile: {reason}")
     nodes = _chain_nodes(plan)
 
     columns: list[str] = []
@@ -297,7 +279,7 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
             filter_flags.append(False)
         elif isinstance(node, InsertNode):
             filter_flags.append(False)
-        else:  # pragma: no cover - analyze_plan already rejected it
+        else:  # pragma: no cover - chain_fallback already rejected it
             raise PlannerError(f"cannot compile node kind {node.kind!r}")
 
     insert = plan.root
@@ -380,56 +362,51 @@ def compile_chain(plan: PhysicalPlan) -> CompiledChain:
 
 
 class CompiledExecutor:
-    """Drop-in replacement for the router's ``route``/``route_batch``.
+    """Runs a :class:`CompiledChain` in place of the router's dispatch.
 
-    Runs the generated function over each delivered batch, maintains the
-    chain operators' ``processed``/``emitted`` counters exactly as the
-    interpreted path would, and hands the finished entries straight to
-    the insert operator's delivery path (shared output buffer, so
-    flush/checkpoint semantics are untouched).
+    The chain is either :func:`compile_chain`'s (decoded record dicts in,
+    message dicts out) or the serde-fused one from
+    :func:`repro.samzasql.serde_plan.compile_serde_fused` (raw value bytes
+    in, encoded bytes out).  Either way the executor runs the generated
+    function over each delivered batch, maintains the chain operators'
+    ``processed``/``emitted`` counters exactly as the interpreted path
+    would, and hands the finished entries to the insert operator's
+    buffer, so flush/checkpoint semantics are untouched.
     """
 
-    def __init__(self, plan: PhysicalPlan, router):
-        self._chain = compile_chain(plan)
+    def __init__(self, chain: CompiledChain, router):
         operators = list(router.operators)  # leaf-to-root, like the chain
-        if len(operators) != len(self._chain.filter_flags):
+        if len(operators) != len(chain.filter_flags):
             raise PlannerError(
                 "router operator count does not match the compiled chain "
-                f"({len(operators)} vs {len(self._chain.filter_flags)})")
-        self._counters = list(zip(operators, self._chain.filter_flags))
+                f"({len(operators)} vs {len(chain.filter_flags)})")
+        self._counters = list(zip(operators, chain.filter_flags))
         insert = operators[-1]
         if not isinstance(insert, InsertOperator):
             raise PlannerError("compiled chain must end in an insert operator")
         self._insert = insert
-        self._fn = self._chain.fn
-        self._stream = self._chain.stream
-        self._staged = self._chain.staged
-        self._single_filter = (not self._chain.staged
-                               and any(self._chain.filter_flags))
-
-    @property
-    def source(self) -> str:
-        """The generated Python source (EXPLAIN, tests, debugging)."""
-        return self._chain.source
-
-    @property
-    def stream(self) -> str:
-        return self._stream
-
-    def route(self, stream: str, message, timestamp_ms: int) -> None:
-        self.route_batch(stream, [message], [timestamp_ms])
+        self._fn = chain.fn
+        self._staged = chain.staged
+        self._single_filter = not chain.staged and any(chain.filter_flags)
+        self.stream = chain.stream
+        #: The generated Python source (EXPLAIN, tests, debugging).
+        self.source = chain.source
 
     def route_batch(self, stream: str, messages: list, timestamps: list) -> None:
-        if stream != self._stream:
+        if stream != self.stream:
             raise PlannerError(
                 f"router has no entry for stream {stream!r}; known: "
-                f"{[self._stream]}")
+                f"{[self.stream]}")
+        self.run(messages, timestamps)
+
+    def run(self, inputs: list, timestamps: list) -> None:
+        """One batch of the chain's input stream through the function."""
         if self._staged:
-            entries, stage_counts = self._fn(messages, timestamps)
+            entries, stage_counts = self._fn(inputs, timestamps)
         else:
-            entries = self._fn(messages, timestamps)
+            entries = self._fn(inputs, timestamps)
             stage_counts = (len(entries),) if self._single_filter else ()
-        count = len(messages)
+        count = len(inputs)
         stage = iter(stage_counts)
         for operator, is_filter in self._counters:
             operator.processed += count

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro.samza.storage import KeyValueStore
 
@@ -12,14 +12,12 @@ class OperatorContext:
     """What operators get at setup: stores, an output sink, metrics."""
 
     def __init__(self, stores: dict[str, KeyValueStore],
-                 send: Callable[..., None], partition_id: int = 0,
-                 metrics=None, send_batch: Callable[[list], None] | None = None):
+                 send_batch: Callable[[list], None], partition_id: int = 0,
+                 metrics=None):
         self._stores = stores
-        # send(message_dict, timestamp_ms, key=None); key set for
-        # relation-stream outputs (compacted/upserting output topics)
-        self.send = send
         # send_batch(entries) with entries of (message, timestamp_ms, key);
-        # None when the hosting environment has no batched output path.
+        # key set for relation-stream outputs (compacted/upserting output
+        # topics)
         self.send_batch = send_batch
         self.partition_id = partition_id
         # MetricsRegistry of the hosting container, or None when the job
@@ -38,15 +36,17 @@ class OperatorContext:
 class Operator:
     """One node of the router DAG.
 
-    ``process(port, row, timestamp)`` receives an array-tuple on an input
-    port (port 0 for single-input operators; joins use 0/1 plus a relation
-    port) and forwards zero or more tuples downstream via ``emit``.
+    ``process_batch(port, rows, timestamps)`` receives a batch of
+    array-tuples on an input port (port 0 for single-input operators;
+    joins use 0/1 plus a relation port) and forwards zero or more tuples
+    downstream via ``emit_batch``.  A single message is a batch of one:
+    :meth:`process` is that convenience, for tests and timer-driven emits.
 
-    Message delivery goes through ``receive`` — normally just a bound
-    alias of ``process``.  When the job's metrics reporter is enabled, a
+    Delivery goes through ``receive_batch`` — normally just a bound alias
+    of ``process_batch``.  When the job's metrics reporter is enabled, a
     :class:`~repro.metrics.instrument.TimingSampler` at the task entry
-    point flips ``receive`` to :meth:`_timed_process` for sampled
-    messages, so unsampled traffic crosses no wrapper at all.  Each
+    point flips ``receive_batch`` to :meth:`_timed_process_batch` for
+    sampled bursts, so unsampled traffic crosses no wrapper at all.  Each
     operator carries a stable ``op_id`` (assigned by the router in plan
     order) under which its metrics appear in snapshots.
     """
@@ -60,34 +60,17 @@ class Operator:
         self.processed = 0
         self.emitted = 0
         self.op_id = ""
-        self.receive: Callable[[int, Any, int], None] = self.process
-        # Batch delivery entry point: always the plain bound method — the
-        # TimingSampler routes sampled messages through the single-message
-        # path, so batch deliveries are never rebound.
         self.receive_batch: Callable[[int, list, list], None] = self.process_batch
         self._process_timer = None
 
     def setup(self, context: OperatorContext) -> None:
         """Bind stores / compile state; called once at task init."""
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
+    def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         raise NotImplementedError
 
-    def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Process a whole batch delivered on one port.
-
-        The default loops over :meth:`process`, preserving single-message
-        semantics exactly; stateless operators override it with a
-        vectorized (codegen'd comprehension) implementation.
-        """
-        process = self.process
-        for row, ts in zip(rows, timestamps):
-            process(port, row, ts)
-
-    def emit(self, row: list, timestamp_ms: int) -> None:
-        self.emitted += 1
-        if self.downstream is not None:
-            self.downstream.receive(0, row, timestamp_ms)
+    def process(self, port: int, row: list, timestamp_ms: int) -> None:
+        self.process_batch(port, [row], [timestamp_ms])
 
     def emit_batch(self, rows: list, timestamps: list) -> None:
         self.emitted += len(rows)
@@ -103,21 +86,25 @@ class Operator:
         """Attach a ``process-ns`` timer; deliveries are NOT rerouted here.
 
         The :class:`~repro.metrics.instrument.TimingSampler` binds
-        ``receive`` to :meth:`_timed_process` only for the messages it
-        samples, so a plain (unsampled) delivery costs nothing extra.
+        ``receive_batch`` to :meth:`_timed_process_batch` only for the
+        bursts it samples, so a plain (unsampled) delivery costs nothing
+        extra.
         """
         self._process_timer = timer
 
-    def _timed_process(self, port: int, row: list, timestamp_ms: int) -> None:
-        """Timed delivery path; bound to ``receive`` during a sample.
+    def _timed_process_batch(self, port: int, rows: list,
+                             timestamps: list) -> None:
+        """Timed delivery path; bound to ``receive_batch`` during a sample.
 
-        The timer measures *inclusive* time: an operator's sample covers
-        its own work plus everything it forwards downstream synchronously
-        (the DAG executes depth-first in-process).
+        Records the per-message mean of the batch.  The timer measures
+        *inclusive* time: an operator's sample covers its own work plus
+        everything it forwards downstream synchronously (the DAG executes
+        depth-first in-process).
         """
         start = time.perf_counter_ns()
-        self.process(port, row, timestamp_ms)
-        self._process_timer.update(time.perf_counter_ns() - start)
+        self.process_batch(port, rows, timestamps)
+        self._process_timer.update(
+            (time.perf_counter_ns() - start) // len(rows))
 
     # debugging helper used by the shell's EXPLAIN and by tests
     def describe(self) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.samzasql.operators.base import Operator
-from repro.sql.codegen import compile_batch_predicate, compile_lambda
+from repro.sql.codegen import compile_batch_predicate
 
 
 class FilterOperator(Operator):
@@ -12,13 +12,7 @@ class FilterOperator(Operator):
     def __init__(self, predicate_source: str):
         super().__init__()
         self.predicate_source = predicate_source
-        self._predicate = compile_lambda(predicate_source)
         self._batch_predicate = compile_batch_predicate(predicate_source)
-
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        if self._predicate(row):
-            self.emit(row, timestamp_ms)
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         self.processed += len(rows)

@@ -11,10 +11,8 @@ the gain.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.samzasql.operators.base import Operator
-from repro.sql.codegen import compile_batch_fused_scan, compile_lambda
+from repro.sql.codegen import compile_batch_fused_scan
 
 
 class FusedScanOperator(Operator):
@@ -30,26 +28,13 @@ class FusedScanOperator(Operator):
         self.field_names = list(field_names)
         self.rowtime_field = (None if rowtime_index is None
                               else field_names[rowtime_index])
-        self._predicate = (None if predicate_source is None
-                           else compile_lambda(predicate_source))
-        self._project = (None if projection_source is None
-                         else compile_lambda(projection_source))
+        self._stages = (["scan"]
+                        + ["filter"] * (predicate_source is not None)
+                        + ["project"] * (projection_source is not None))
         self.output_field_names = list(output_field_names)
         self._batch_eval = compile_batch_fused_scan(
             self.field_names, self.rowtime_field,
             predicate_source, projection_source)
-
-    def process(self, port: int, message: Any, timestamp_ms: int) -> None:
-        self.processed += 1
-        if self._predicate is not None and not self._predicate(message):
-            return
-        if self.rowtime_field is not None:
-            timestamp_ms = message[self.rowtime_field]
-        if self._project is not None:
-            row = self._project(message)
-        else:
-            row = [message[name] for name in self.field_names]
-        self.emit(row, timestamp_ms)
 
     def process_batch(self, port: int, messages: list, timestamps: list) -> None:
         self.processed += len(messages)
@@ -58,9 +43,4 @@ class FusedScanOperator(Operator):
             self.emit_batch([row for row, _ in pairs], [ts for _, ts in pairs])
 
     def describe(self) -> str:
-        parts = ["scan"]
-        if self._predicate is not None:
-            parts.append("filter")
-        if self._project is not None:
-            parts.append("project")
-        return f"FusedScan({self.stream}: {'+'.join(parts)})"
+        return f"FusedScan({self.stream}: {'+'.join(self._stages)})"

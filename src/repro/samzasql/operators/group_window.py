@@ -94,53 +94,12 @@ class GroupWindowAggOperator(Operator):
 
     # -- processing -----------------------------------------------------------------
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        ts = self._time_fn(row)
-        key = repr(self._key_fn(row))
-        key_values = self._key_fn(row)
-
-        meta = self._store.get(_META_KEY) or {"watermark": None, "open": {}}
-        watermark = meta["watermark"]
-
-        arg_values = [None if fn is None else fn(row) for fn in self._arg_fns]
-        for wstart in self.windows_for(ts):
-            wend = wstart + self.retain_ms
-            if watermark is not None and wend <= watermark:
-                self.late_dropped += 1  # window already emitted; tuple expired
-                continue
-            store_key = f"{wstart}|{key}"
-            state = self._store.get(store_key)
-            if state is None:
-                state = {"wstart": wstart, "keys": key_values,
-                         "accs": [([None, 0, None, None] if udaf is None
-                                   else [udaf.create()])
-                                  for udaf in self._udafs]}
-                meta["open"][store_key] = wend
-            for udaf, acc, value in zip(self._udafs, state["accs"], arg_values):
-                if udaf is not None:
-                    acc[0] = udaf.add(acc[0], value)
-                    continue
-                # acc = [sum, count, min, max]
-                acc[1] += 1
-                if value is not None:
-                    acc[0] = value if acc[0] is None else acc[0] + value
-                    acc[2] = value if acc[2] is None else min(acc[2], value)
-                    acc[3] = value if acc[3] is None else max(acc[3], value)
-            self._store.put(store_key, state)
-
-        # advance the watermark and emit windows whose end has passed
-        if watermark is None or ts > watermark:
-            meta["watermark"] = ts
-        self._emit_closed(meta)
-        self._store.put(_META_KEY, meta)
-
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Batch path: the meta record is fetched once per batch and window
-        states once per (window, batch), with write-back deferred to the
-        end of the batch.  Watermark advancement and closed-window emission
-        still run per message — lateness decisions and the emission
-        sequence are exactly those of the single-message path."""
+        """The meta record is fetched once per batch and window states
+        once per (window, batch), with write-back deferred to the end of
+        the batch.  Watermark advancement and closed-window emission run
+        per message, so lateness decisions and the emission sequence do
+        not depend on how the input was batched."""
         self.processed += len(rows)
         store = self._store
         meta = store.get(_META_KEY) or {"watermark": None, "open": {}}
@@ -177,6 +136,7 @@ class GroupWindowAggOperator(Operator):
                     if udaf is not None:
                         acc[0] = udaf.add(acc[0], value)
                         continue
+                    # acc = [sum, count, min, max]
                     acc[1] += 1
                     if value is not None:
                         acc[0] = value if acc[0] is None else acc[0] + value
@@ -192,9 +152,9 @@ class GroupWindowAggOperator(Operator):
 
     def _close_windows(self, meta: dict, states: dict, dirty: dict,
                        out_rows: list, out_ts: list) -> None:
-        """Batch-mode twin of :meth:`_emit_closed`: consults the per-batch
-        state cache before the store (deferred puts haven't landed yet) and
-        collects output rows instead of emitting them one by one."""
+        """Emit windows whose end the watermark has passed: consults the
+        per-batch state cache before the store (deferred puts haven't
+        landed yet) and collects the output rows."""
         watermark = meta["watermark"]
         if watermark is None:
             return
@@ -212,20 +172,6 @@ class GroupWindowAggOperator(Operator):
             out_rows.append(self._window_row(state, wend))
             out_ts.append(wend)
 
-    def _emit_closed(self, meta: dict) -> None:
-        watermark = meta["watermark"]
-        if watermark is None:
-            return
-        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
-            if wend > watermark:
-                continue
-            state = self._store.get(store_key)
-            meta["open"].pop(store_key)
-            if state is None:
-                continue
-            self._store.delete(store_key)
-            self._emit_window(state, wend)
-
     def emit_partials(self) -> None:
         """Early-results policy: emit current partial aggregates for every
         open window *without* closing it — late tuples keep updating the
@@ -233,26 +179,28 @@ class GroupWindowAggOperator(Operator):
         meta = self._store.get(_META_KEY)
         if meta is None:
             return
-        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
-            state = self._store.get(store_key)
-            if state is not None:
-                self._emit_window(state, wend)
+        self._emit_windows(meta, delete=False)
 
     def flush(self) -> None:
         """Force-emit every open window (end of bounded input / shutdown)."""
         meta = self._store.get(_META_KEY)
         if meta is None:
             return
-        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
-            state = self._store.get(store_key)
-            if state is not None:
-                self._store.delete(store_key)
-                self._emit_window(state, wend)
+        self._emit_windows(meta, delete=True)
         meta["open"] = {}
         self._store.put(_META_KEY, meta)
 
-    def _emit_window(self, state: dict, wend: int) -> None:
-        self.emit(self._window_row(state, wend), wend)
+    def _emit_windows(self, meta: dict, delete: bool) -> None:
+        """Emit every open window in end order, one batch downstream."""
+        out_rows, out_ts = [], []
+        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
+            state = self._store.get(store_key)
+            if state is not None:
+                if delete:
+                    self._store.delete(store_key)
+                out_rows.append(self._window_row(state, wend))
+                out_ts.append(wend)
+        self.emit_batch(out_rows, out_ts)
 
     def _window_row(self, state: dict, wend: int) -> list:
         results = []

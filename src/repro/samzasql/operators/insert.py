@@ -16,53 +16,22 @@ class InsertOperator(Operator):
         self.field_names = list(field_names)
         self.rowtime_index = rowtime_index
         self.key_field_indexes = key_field_indexes
-        self._send = None
         self._send_batch = None
-        # Output buffer for the batched execution path; None when the
-        # operator sends each record immediately (single-message mode).
-        self._buffer: list | None = None
+        self._buffer: list = []
 
     def setup(self, context: OperatorContext) -> None:
-        self._send = context.send
-        self._send_batch = getattr(context, "send_batch", None)
-
-    def set_buffering(self, enabled: bool) -> None:
-        """Buffer output and send it in one flush per task callback.
-
-        The hosting task flushes at the end of every ``process_batch`` /
-        ``window`` invocation — before control returns to the container —
-        so output is never held across a checkpoint, a crash loses only
-        output of uncommitted (replayable) input, and quiescence detection
-        still sees everything the processed input produced.
-        """
-        if enabled:
-            if self._buffer is None:
-                self._buffer = []
-        else:
-            self.flush()
-            self._buffer = None
+        self._send_batch = context.send_batch
 
     def _key_of(self, row: list) -> str | None:
         if self.key_field_indexes is None:
             return None
         return "|".join(repr(row[i]) for i in self.key_field_indexes)
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        # ArrayToAvro: positional array -> record dict
-        message = dict(zip(self.field_names, row))
-        if self.rowtime_index is not None and row[self.rowtime_index] is not None:
-            timestamp_ms = row[self.rowtime_index]
-        self.emitted += 1
-        if self._buffer is not None:
-            self._buffer.append((message, timestamp_ms, self._key_of(row)))
-        else:
-            self._send(message, timestamp_ms, self._key_of(row))
-
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         n = len(rows)
         self.processed += n
         self.emitted += n
+        # ArrayToAvro: positional array -> record dict
         names = self.field_names
         rt = self.rowtime_index
         if self.key_field_indexes is None:
@@ -82,46 +51,30 @@ class InsertOperator(Operator):
                 entries = [(dict(zip(names, row)),
                             ts if row[rt] is None else row[rt], key_of(row))
                            for row, ts in zip(rows, timestamps)]
-        if self._buffer is not None:
-            self._buffer.extend(entries)
-        elif self._send_batch is not None:
-            self._send_batch(entries)
-        else:
-            send = self._send
-            for message, ts, key in entries:
-                send(message, ts, key)
+        self._buffer.extend(entries)
 
     def deliver(self, entries: list) -> None:
         """Accept pre-built ``(message, timestamp_ms, key)`` entries.
 
         The whole-plan compiler produces finished entries directly (the
         ArrayToAvro step is fused into the generated function); they join
-        the same buffer / batched-send path as interpreted output, so
-        flush and checkpoint semantics are identical.  Counters are
-        maintained by the caller.
+        the same buffer as interpreted output, so flush and checkpoint
+        semantics are identical.  Counters are maintained by the caller.
         """
-        if self._buffer is not None:
-            self._buffer.extend(entries)
-        elif self._send_batch is not None:
-            self._send_batch(entries)
-        else:
-            send = self._send
-            for message, ts, key in entries:
-                send(message, ts, key)
+        self._buffer.extend(entries)
 
     def flush(self) -> None:
-        """Send buffered output, resolving the sink once for the batch."""
-        buffer = self._buffer
-        if not buffer:
-            return
-        entries = buffer[:]
-        buffer.clear()
-        if self._send_batch is not None:
+        """Send buffered output in one call.
+
+        The hosting task flushes at the end of every ``process_batch`` /
+        ``window`` invocation — before control returns to the container —
+        so output is never held across a checkpoint, a crash loses only
+        output of uncommitted (replayable) input, and quiescence detection
+        still sees everything the processed input produced.
+        """
+        if self._buffer:
+            entries, self._buffer = self._buffer, []
             self._send_batch(entries)
-        else:
-            send = self._send
-            for message, ts, key in entries:
-                send(message, ts, key)
 
     def describe(self) -> str:
         return f"Insert({self.output_stream})"

@@ -166,8 +166,8 @@ class MultiWayStreamJoinOperator(Operator):
             slots[j] = candidates
         return slots
 
-    def _emit_combinations(self, slots: list, out_rows: list | None = None,
-                           out_ts: list | None = None) -> None:
+    def _emit_combinations(self, slots: list, out_rows: list,
+                           out_ts: list) -> None:
         condition = self._condition
         for combo in product(*slots):
             parts = [entry[2] for entry in combo]
@@ -176,19 +176,14 @@ class MultiWayStreamJoinOperator(Operator):
             joined: list = []
             for part in parts:
                 joined.extend(part)
-            ts = max(entry[0] for entry in combo)
-            if out_rows is None:
-                self.emit(joined, ts)
-            else:
-                out_rows.append(joined)
-                out_ts.append(ts)
+            out_rows.append(joined)
+            out_ts.append(max(entry[0] for entry in combo))
 
     # -- buffering + purge -------------------------------------------------------
 
     def _buffer(self, port: int, key, ts: int, row: list) -> dict:
         """Add one row to its side's buffers; returns the touched index
-        record (callers persist it: process per message, process_batch
-        once per touched bucket)."""
+        record (the caller persists it, once per touched bucket)."""
         bucket_id = ts // self.bucket_ms
         self._seq += 1
         seq = self._seq
@@ -252,29 +247,19 @@ class MultiWayStreamJoinOperator(Operator):
 
     # -- processing --------------------------------------------------------------
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        ts = row[self.time_indexes[port]]
-        key = self._key_fns[port](row)
-        slots = self._matches(port, row, ts, key)
-        if slots is not None:
-            self._emit_combinations(slots)
-        record = self._buffer(port, key, ts, row)
-        self._stores[port].put(("b", ts // self.bucket_ms), record)
-        self._advance(port, ts)
-
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Batch path: rows probe/buffer in input order (outputs and final
-        buffers identical to the single-message path), with each touched
-        (port, bucket) index record persisted once per batch instead of
-        once per row."""
+        """Rows probe/buffer in input order, with each touched (port,
+        bucket) index record persisted once per batch."""
         self.processed += len(rows)
         time_index = self.time_indexes[port]
         key_fn = self._key_fns[port]
         out_rows: list = []
         out_ts: list = []
         touched: dict[int, dict] = {}
-        last_ts = None
+        # The watermark is the batch's latest timestamp, not its last: a
+        # straggler at the end of a batch must not hold the watermark back
+        # further than it would arriving alone.
+        max_ts = None
         for row in rows:
             ts = row[time_index]
             key = key_fn(row)
@@ -282,12 +267,13 @@ class MultiWayStreamJoinOperator(Operator):
             if slots is not None:
                 self._emit_combinations(slots, out_rows, out_ts)
             touched[ts // self.bucket_ms] = self._buffer(port, key, ts, row)
-            last_ts = ts
+            if max_ts is None or ts > max_ts:
+                max_ts = ts
         store_put = self._stores[port].put
         for bucket_id, record in touched.items():
             store_put(("b", bucket_id), record)
-        if last_ts is not None:
-            self._advance(port, last_ts)
+        if max_ts is not None:
+            self._advance(port, max_ts)
         self.emit_batch(out_rows, out_ts)
 
     def describe(self) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.samzasql.operators.base import Operator
-from repro.sql.codegen import compile_batch_projection, compile_lambda
+from repro.sql.codegen import compile_batch_projection
 
 
 class ProjectOperator(Operator):
@@ -13,12 +13,7 @@ class ProjectOperator(Operator):
         super().__init__()
         self.projection_source = projection_source
         self.field_names = list(field_names)
-        self._project = compile_lambda(projection_source)
         self._batch_project = compile_batch_projection(projection_source)
-
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        self.emit(self._project(row), timestamp_ms)
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         self.processed += len(rows)

@@ -51,34 +51,21 @@ from repro.samzasql.physical import (
 class _Port:
     """An entry point: deliver messages of one stream into (operator, port)."""
 
-    __slots__ = ("operator", "port", "field_names", "rowtime_index")
+    __slots__ = ("operator", "port", "field_names")
 
     def __init__(self, operator: Operator, port: int,
-                 field_names: list[str] | None = None,
-                 rowtime_index: int | None = None):
+                 field_names: list[str] | None = None):
         self.operator = operator
         self.port = port
         self.field_names = field_names
-        self.rowtime_index = rowtime_index
-
-    def deliver(self, message: Any, timestamp_ms: int) -> None:
-        if self.field_names is not None:
-            # relation changelog records arrive as dicts: convert to arrays
-            row = [message[name] for name in self.field_names]
-            if self.rowtime_index is not None:
-                timestamp_ms = row[self.rowtime_index]
-            self.operator.receive(self.port, row, timestamp_ms)
-        else:
-            self.operator.receive(self.port, message, timestamp_ms)
 
     def deliver_batch(self, messages: list, timestamps: list) -> None:
-        if self.field_names is not None:
-            # Relation changelog entry: stateful update path, loop per record.
-            deliver = self.deliver
-            for message, ts in zip(messages, timestamps):
-                deliver(message, ts)
-        else:
-            self.operator.receive_batch(self.port, messages, timestamps)
+        names = self.field_names
+        if names is not None:
+            # relation changelog records arrive as dicts: convert to arrays
+            messages = [[message[name] for name in names]
+                        for message in messages]
+        self.operator.receive_batch(self.port, messages, timestamps)
 
 
 class MessageRouter:
@@ -89,18 +76,11 @@ class MessageRouter:
         self.operators = operators
 
     def route(self, stream: str, message: Any, timestamp_ms: int) -> None:
-        try:
-            ports = self._entries[stream]
-        except KeyError:
-            raise PlannerError(
-                f"router has no entry for stream {stream!r}; known: "
-                f"{sorted(self._entries)}") from None
-        for port in ports:
-            port.deliver(message, timestamp_ms)
+        self.route_batch(stream, [message], [timestamp_ms])
 
     def route_batch(self, stream: str, messages: list, timestamps: list) -> None:
         """Route one stream's record batch; operators forward whole lists
-        downstream (vectorized where overridden, per-message otherwise)."""
+        downstream."""
         try:
             ports = self._entries[stream]
         except KeyError:
@@ -122,7 +102,7 @@ class MessageRouter:
         self.flush_sinks()
 
     def flush_sinks(self) -> None:
-        """Flush buffered insert output (batched execution) downstream."""
+        """Send buffered insert output."""
         for operator in self.operators:
             if isinstance(operator, InsertOperator):
                 operator.flush()
@@ -182,9 +162,6 @@ class _PortAdapter(Operator):
         super().__init__()
         self._target = target
         self._port = port
-
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self._target.receive(self._port, row, timestamp_ms)
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         self._target.receive_batch(self._port, rows, timestamps)

@@ -9,8 +9,6 @@ array at the scan operator".
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.samzasql.operators.base import Operator
 from repro.sql.codegen import compile_batch_scan
 
@@ -26,16 +24,9 @@ class ScanOperator(Operator):
         self.rowtime_index = rowtime_index
         self._batch_scan = compile_batch_scan(self.field_names, rowtime_index)
 
-    def process(self, port: int, message: Any, timestamp_ms: int) -> None:
-        self.processed += 1
-        # AvroToArray: record dict -> positional array
-        row = [message[name] for name in self.field_names]
-        if self.rowtime_index is not None:
-            timestamp_ms = row[self.rowtime_index]
-        self.emit(row, timestamp_ms)
-
     def process_batch(self, port: int, messages: list, timestamps: list) -> None:
         self.processed += len(messages)
+        # AvroToArray: record dict -> positional array
         pairs = self._batch_scan(messages, timestamps)
         self.emit_batch([row for row, _ in pairs], [ts for _, ts in pairs])
 

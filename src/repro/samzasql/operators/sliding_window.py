@@ -228,8 +228,8 @@ class SlidingWindowOperator(Operator):
     def _advance(self, key: str, order_value, row: list) -> list:
         """Admit one row into its window; returns the new aggregate values.
 
-        Callers are responsible for persisting ``window.record`` (process
-        does it per message, process_batch once per touched key)."""
+        The caller persists ``window.record`` (once per touched key per
+        batch)."""
         window = self._windows.get(key)
         if window is None:
             window = _WindowState(
@@ -273,19 +273,9 @@ class SlidingWindowOperator(Operator):
         self._messages.delete((key, entry[0], entry[1]))
         self._retained -= 1
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        key = repr(self._key_fn(row))
-        results = self._advance(key, self._order_fn(row), row)
-        self._state.put(key, self._windows[key].record)
-
-        # send latest aggregate values downstream
-        self.emit(row + results, timestamp_ms)
-
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Batch path: per-row window maintenance in input order (emission
-        order and results are identical to the single-message path), with
-        the bounds-record put deferred to once per (key, batch)."""
+        """Per-row window maintenance in input order, with the
+        bounds-record put deferred to once per (key, batch)."""
         self.processed += len(rows)
         key_fn = self._key_fn
         order_fn = self._order_fn
@@ -300,6 +290,7 @@ class SlidingWindowOperator(Operator):
         windows = self._windows
         for key in touched:
             state_put(key, windows[key].record)
+        # send latest aggregate values downstream
         self.emit_batch(out, list(timestamps))
 
     def state_size(self) -> int:

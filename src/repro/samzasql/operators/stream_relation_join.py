@@ -53,16 +53,19 @@ class StreamRelationJoinOperator(Operator):
 
     def state_size(self) -> int:
         """Cached relation rows; backs ``window-state-size``."""
-        if self._store is None:
-            return 0
-        return sum(1 for _ in self._store.all())
+        return 0 if self._store is None else len(self._store)
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
+    def process_batch(self, port: int, rows: list, timestamps: list) -> None:
+        self.processed += len(rows)
         if port == RELATION_PORT:
-            self._apply_changelog(row)
+            for row in rows:
+                self._apply_changelog(row)
             return
-        self._join(row, timestamp_ms)
+        out_rows: list = []
+        out_ts: list = []
+        for row, ts in zip(rows, timestamps):
+            self._join(row, ts, out_rows, out_ts)
+        self.emit_batch(out_rows, out_ts)
 
     def _apply_changelog(self, row: list) -> None:
         """Upsert (or delete, for tombstones) a relation row."""
@@ -77,16 +80,14 @@ class StreamRelationJoinOperator(Operator):
     def delete_relation_key(self, key_value) -> None:
         self._store.delete(repr(key_value))
 
-    def _join(self, stream_row: list, timestamp_ms: int) -> None:
+    def _join(self, stream_row: list, timestamp_ms: int, out_rows: list,
+              out_ts: list) -> None:
         matched = False
         if self._stream_key is not None:
-            candidates = []
             relation_row = self._store.get(repr(self._stream_key(stream_row)))
-            if relation_row is not None:
-                candidates.append(relation_row)
+            candidates = [] if relation_row is None else [relation_row]
         else:
-            candidates = [value for _key, value in self._store.all()
-                          if _key != "__all__"]
+            candidates = [value for _key, value in self._store.all()]
         for relation_row in candidates:
             if self.stream_is_left:
                 left, right = stream_row, relation_row
@@ -94,10 +95,11 @@ class StreamRelationJoinOperator(Operator):
                 left, right = relation_row, stream_row
             if self._condition(left, right):
                 matched = True
-                self.emit(list(left) + list(right), timestamp_ms)
+                out_rows.append(list(left) + list(right))
+                out_ts.append(timestamp_ms)
         if not matched and self.join_kind == "LEFT":
-            nulls = [None] * self.relation_width
-            self.emit(list(stream_row) + nulls, timestamp_ms)
+            out_rows.append(list(stream_row) + [None] * self.relation_width)
+            out_ts.append(timestamp_ms)
 
     def describe(self) -> str:
         return f"StreamRelationJoin({self.relation})"

@@ -81,43 +81,6 @@ class StreamStreamJoinOperator(Operator):
 
     # -- processing -----------------------------------------------------------------
 
-    def process(self, port: int, row: list, timestamp_ms: int) -> None:
-        self.processed += 1
-        ts = self._time_of(port, row)
-        key = self._key_of(port, row)
-        other_port = RIGHT_PORT if port == LEFT_PORT else LEFT_PORT
-
-        # probe the other side's buffer for rows inside the window
-        other_bucket = self._stores[other_port].get(key) or {"rows": []}
-        if port == LEFT_PORT:
-            # need: ts - other_ts in [-lower, upper]
-            low, high = ts - self.upper_bound_ms, ts + self.lower_bound_ms
-        else:
-            # other row is the left side: other_ts - ts in [-lower, upper]
-            low, high = ts - self.lower_bound_ms, ts + self.upper_bound_ms
-        for other_ts, _other_seq, other_row in other_bucket["rows"]:
-            if not low <= other_ts <= high:
-                continue
-            if port == LEFT_PORT:
-                left, right = row, other_row
-            else:
-                left, right = other_row, row
-            if self._condition(left, right):
-                self.emit(list(left) + list(right),
-                          max(self._time_of(LEFT_PORT, left),
-                              self._time_of(RIGHT_PORT, right)))
-
-        # buffer this row on its own side
-        bucket = self._stores[port].get(key) or {"rows": []}
-        self._seq += 1
-        bucket["rows"].append((ts, self._seq, row))
-        self._retained += 1
-        # Purge rows that can no longer match: the list is time-ordered
-        # (monotonic timestamps), so scan from the front and stop at the
-        # first survivor instead of rebuilding the whole list per message.
-        self._purge_front(bucket["rows"], ts - self._retention_ms())
-        self._stores[port].put(key, bucket)
-
     def _purge_front(self, entries: list, horizon: int) -> None:
         drop = 0
         for entry in entries:
@@ -129,10 +92,9 @@ class StreamStreamJoinOperator(Operator):
             self._retained -= drop
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Batch path: rows are probed/buffered in input order (matches and
-        final buffer contents are identical to the single-message path),
-        but each touched bucket is fetched from the store once per batch
-        and written back once per batch instead of once per row."""
+        """Rows are probed/buffered in input order; each touched bucket is
+        fetched from the store once per batch and written back once per
+        batch."""
         self.processed += len(rows)
         own_store = self._stores[port]
         other_port = RIGHT_PORT if port == LEFT_PORT else LEFT_PORT
@@ -147,13 +109,16 @@ class StreamStreamJoinOperator(Operator):
             ts = self._time_of(port, row)
             key = self._key_of(port, row)
 
+            # probe the other side's buffer for rows inside the window
             other_bucket = other_buckets.get(key)
             if other_bucket is None:
                 other_bucket = other_store.get(key) or {"rows": []}
                 other_buckets[key] = other_bucket
             if port == LEFT_PORT:
+                # need: ts - other_ts in [-lower, upper]
                 low, high = ts - self.upper_bound_ms, ts + self.lower_bound_ms
             else:
+                # other row is the left side: other_ts - ts in [-lower, upper]
                 low, high = ts - self.lower_bound_ms, ts + self.upper_bound_ms
             for other_ts, _other_seq, other_row in other_bucket["rows"]:
                 if not low <= other_ts <= high:
@@ -167,6 +132,7 @@ class StreamStreamJoinOperator(Operator):
                     out_ts.append(max(self._time_of(LEFT_PORT, left),
                                       self._time_of(RIGHT_PORT, right)))
 
+            # buffer this row on its own side
             bucket = own_buckets.get(key)
             if bucket is None:
                 bucket = own_store.get(key) or {"rows": []}
@@ -174,6 +140,9 @@ class StreamStreamJoinOperator(Operator):
             self._seq += 1
             bucket["rows"].append((ts, self._seq, row))
             self._retained += 1
+            # Purge rows that can no longer match: the list is time-ordered
+            # (monotonic timestamps), so scan from the front and stop at the
+            # first survivor instead of rebuilding the whole list per message.
             self._purge_front(bucket["rows"], ts - retention)
         for key, bucket in own_buckets.items():
             own_store.put(key, bucket)

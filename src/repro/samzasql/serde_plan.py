@@ -32,8 +32,9 @@ Three layers, all decided at plan time:
    undecoded consumer records and the producer takes the bytes as-is.
 
 Anything the analysis cannot prove safe — unsupported schema shapes,
-expressions over unknown columns, stateful chains — keeps the
-byte-identical full-decode path, and EXPLAIN reports why.
+expressions over unknown columns — keeps the byte-identical full-decode
+path, and EXPLAIN reports why.  The analysis assumes a compilable chain;
+:func:`repro.samzasql.decision.decide_execution` gates on that first.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ import ast
 import struct
 from dataclasses import dataclass, field
 
-from repro.common.errors import PlannerError
 from repro.common.errors import SerdeError
 from repro.samzasql.compile import (
     ChainExpressions,
+    CompiledChain,
     _compile_namespace,
-    analyze_plan,
     chain_expressions,
 )
-from repro.samzasql.operators.insert import InsertOperator
 from repro.samzasql.physical import PhysicalPlan
 from repro.serde.avro import (
     _DOUBLE,
@@ -150,104 +149,61 @@ def _bare_ref(source: str) -> str | None:
     return None
 
 
-# -- the plan-time decision ---------------------------------------------------
+# -- the plan-time analysis ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SerdePlan:
-    """What the serde-fusion analysis decided for one task's chain."""
+@dataclass
+class SerdeAnalysis:
+    """How a compilable chain serde-fuses: what the decision reports and
+    everything the codegen needs, computed once."""
 
-    supported: bool
-    reason: str | None = None
+    exprs: ChainExpressions = None
+    output_schema: object = None
+    in_fields: list = field(default_factory=list)    # flat_record_fields
+    span_fields: set = field(default_factory=set)    # input indexes spanned
+    # Per output column: ("splice", input_index, prefix_byte | None) or
+    # ("compute", expr_over_r, out_kind, out_null_index, field_type_def).
+    columns: list = field(default_factory=list)
     required: tuple = ()   # input columns decoded into Python values
     pruned: tuple = ()     # input columns skip-scanned / span-forwarded
     spliced: tuple = ()    # output columns forwarded as raw byte spans
     computed: tuple = ()   # output columns re-encoded from values
 
-    @property
-    def elided(self) -> bool:
-        """True when the encode step is a pure byte splice."""
-        return self.supported and not self.computed
 
-    @property
-    def decode_status(self) -> str:
-        if not self.supported:
-            return "full"
-        total = len(self.required) + len(self.pruned)
-        return f"pruned {len(self.required)}/{total}"
-
-    @property
-    def encode_status(self) -> str:
-        if not self.supported:
-            return "full"
-        if self.elided:
-            return "elided (raw byte splice)"
-        return (f"fused ({len(self.spliced)} spliced, "
-                f"{len(self.computed)} re-encoded)")
-
-    def describe(self) -> str:
-        """The EXPLAIN line: pruned columns + decode/encode status."""
-        if not self.supported:
-            return f"serde: full decode/encode (fallback: {self.reason})"
-        skip = ", ".join(self.pruned) if self.pruned else "none"
-        return (f"serde: decode {self.decode_status} columns "
-                f"(skip-scan: {skip}), encode {self.encode_status}")
-
-
-@dataclass
-class _Build:
-    """Everything the codegen needs, computed once during analysis."""
-
-    exprs: ChainExpressions = None
-    in_fields: list = field(default_factory=list)    # flat_record_fields
-    required: set = field(default_factory=set)       # input names decoded
-    span_fields: set = field(default_factory=set)    # input indexes spanned
-    # Per output column: ("splice", input_index, prefix_byte | None) or
-    # ("compute", expr_over_r, out_kind, out_null_index, field_type_def).
-    columns: list = field(default_factory=list)
-
-
-def _unsupported(reason: str) -> tuple[SerdePlan, None]:
-    return SerdePlan(False, reason), None
-
-
-def _analyze(plan: PhysicalPlan, input_schema, output_schema
-             ) -> tuple[SerdePlan, _Build | None]:
-    decision = analyze_plan(plan)
-    if not decision.supported:
-        return _unsupported(f"chain not compiled: {decision.reason}")
-    if len(plan.input_streams) != 1:
-        return _unsupported("chain reads more than one input stream")
-
+def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
+                  ) -> tuple[str | None, SerdeAnalysis | None]:
+    """Decide whether a compilable single-input chain serde-fuses:
+    ``(None, analysis)`` when it does, ``(reason, None)`` when not."""
     in_def = getattr(input_schema, "definition", None)
     in_fields = flat_record_fields(in_def)
     if in_fields is None:
-        return _unsupported("input schema is not a record")
+        return "input schema is not a record", None
     for name, kind, _null in in_fields:
         if kind is None:
-            return _unsupported(f"input field {name!r} has an unsupported shape")
+            return f"input field {name!r} has an unsupported shape", None
     in_by_name = {name: (i, kind, null)
                   for i, (name, kind, null) in enumerate(in_fields)}
 
     out_def = getattr(output_schema, "definition", None)
     out_fields = flat_record_fields(out_def)
     if out_fields is None:
-        return _unsupported("output schema is not a record")
+        return "output schema is not a record", None
     for name, kind, null in out_fields:
         if kind is None:
-            return _unsupported(
-                f"output field {name!r} has an unsupported shape")
+            return f"output field {name!r} has an unsupported shape", None
         if null == 1:
-            return _unsupported(
-                f"output field {name!r} has a non-canonical union ordering")
+            return (f"output field {name!r} has a non-canonical union "
+                    "ordering"), None
 
     exprs = chain_expressions(plan)
     if len(out_fields) != len(exprs.columns):
-        return _unsupported("output schema width does not match the chain")
+        return "output schema width does not match the chain", None
     if [name for name, _k, _n in out_fields] != list(exprs.insert.field_names):
-        return _unsupported("output schema field names do not match the chain")
+        return "output schema field names do not match the chain", None
 
-    build = _Build(exprs=exprs, in_fields=in_fields)
+    build = SerdeAnalysis(exprs=exprs, output_schema=output_schema,
+                          in_fields=in_fields)
+    needed: set = set()
     # Columns whose *values* the generated function needs: predicates,
     # the output timestamp, the output key, and any re-encoded column.
     value_sources = list(exprs.conditions) + [exprs.ts_expr, exprs.key_expr]
@@ -275,42 +231,27 @@ def _analyze(plan: PhysicalPlan, input_schema, output_schema
     for source in value_sources:
         for name in collect_refs(source):
             if name not in in_by_name:
-                return _unsupported(
-                    f"expression references unknown column {name!r}")
-            build.required.add(name)
+                return (f"expression references unknown column {name!r}",
+                        None)
+            needed.add(name)
 
-    required = tuple(name for name, _k, _n in in_fields
-                     if name in build.required)
-    pruned = tuple(name for name, _k, _n in in_fields
-                   if name not in build.required)
-    spliced = tuple(name for (name, _k, _n), op
-                    in zip(out_fields, build.columns) if op[0] == "splice")
-    computed = tuple(name for (name, _k, _n), op
-                     in zip(out_fields, build.columns) if op[0] == "compute")
-    return (SerdePlan(True, None, required=required, pruned=pruned,
-                      spliced=spliced, computed=computed), build)
-
-
-def analyze_serde(plan: PhysicalPlan, input_schema, output_schema) -> SerdePlan:
-    """Decide at plan time whether the chain serde-fuses, and how."""
-    return _analyze(plan, input_schema, output_schema)[0]
+    build.required = tuple(name for name, _k, _n in in_fields
+                           if name in needed)
+    build.pruned = tuple(name for name, _k, _n in in_fields
+                         if name not in needed)
+    build.spliced = tuple(name for (name, _k, _n), op
+                          in zip(out_fields, build.columns)
+                          if op[0] == "splice")
+    build.computed = tuple(name for (name, _k, _n), op
+                           in zip(out_fields, build.columns)
+                           if op[0] == "compute")
+    return None, build
 
 
 # -- code generation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FusedSerdeChain:
-    """The generated decode→chain→encode function plus its bookkeeping."""
-
-    source: str          # generated Python, kept for EXPLAIN / debugging
-    fn: object           # f(values, timestamps) -> (entries, stage_counts)
-    stream: str          # the single input stream the chain consumes
-    filter_flags: list   # per chain node (leaf->root): is it a filter stage?
-    plan: SerdePlan
-
-
-def _decode_section(build: _Build) -> list[str]:
+def _decode_section(build: SerdeAnalysis) -> list[str]:
     """Per-field decode/skip/span lines at loop level (inside ``try``)."""
     lines: list[str] = []
     pad = " " * 12
@@ -346,7 +287,7 @@ def _decode_section(build: _Build) -> list[str]:
     return lines
 
 
-def _splice_pieces(build: _Build) -> list[tuple]:
+def _splice_pieces(build: SerdeAnalysis) -> list[tuple]:
     """The elided-encode program: ``('const', bytes)`` and
     ``('span', first_field, last_field)`` pieces, coalesced."""
     pieces: list[tuple] = []
@@ -367,8 +308,7 @@ def _splice_pieces(build: _Build) -> list[tuple]:
     return pieces
 
 
-def compile_serde_fused(plan: PhysicalPlan, input_schema,
-                        output_schema) -> FusedSerdeChain:
+def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
     """Generate one function spanning decode → chain → encode.
 
     The function takes the *raw* value batch (encoded Avro datums and
@@ -377,10 +317,6 @@ def compile_serde_fused(plan: PhysicalPlan, input_schema,
     pre-serialized send, and ``stage_counts`` carries the per-filter
     survivor counts the operator counters need.
     """
-    serde_plan, build = _analyze(plan, input_schema, output_schema)
-    if not serde_plan.supported:
-        raise PlannerError(f"plan does not serde-fuse: {serde_plan.reason}")
-
     fvars = {name: f"f{i}" for i, (name, _k, _n) in enumerate(build.in_fields)}
     conditions = [substitute_named_refs(c, fvars) for c in build.exprs.conditions]
     ts_expr = substitute_named_refs(build.exprs.ts_expr, fvars)
@@ -396,7 +332,7 @@ def compile_serde_fused(plan: PhysicalPlan, input_schema,
                       "_join": b"".join})
 
     encode_lines: list[str] = []
-    if serde_plan.elided:
+    if not build.computed:
         rendered: list[str] = []
         pieces = _splice_pieces(build)
         last = len(build.in_fields) - 1
@@ -426,7 +362,8 @@ def compile_serde_fused(plan: PhysicalPlan, input_schema,
                 encode_lines.append(f"{pad}out += buf[s{index}:e{index}]")
                 continue
             _tag, column, okind, onull, type_def = op
-            namespace[f"enc{j}"] = output_schema._compile_encoder(type_def)
+            namespace[f"enc{j}"] = build.output_schema._compile_encoder(
+                type_def)
             expr = substitute_named_refs(column, fvars)
             encode_lines.append(f"{pad}v = ({expr})")
             if onull is None:
@@ -471,64 +408,6 @@ def compile_serde_fused(plan: PhysicalPlan, input_schema,
     source = "\n".join(lines)
 
     exec(compile(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
-    return FusedSerdeChain(source=source, fn=namespace["_fused_plan"],
-                           stream=build.exprs.stream,
-                           filter_flags=build.exprs.filter_flags,
-                           plan=serde_plan)
-
-
-class SerdeFusedExecutor:
-    """Routes *raw* consumer batches through the fused function.
-
-    The per-operator ``processed``/``emitted`` counters are maintained
-    exactly as :class:`repro.samzasql.compile.CompiledExecutor` would,
-    and finished entries go through the insert operator's delivery path
-    (shared output buffer), so flush/checkpoint semantics are untouched —
-    the only difference is that no record dict ever exists.
-    """
-
-    def __init__(self, plan: PhysicalPlan, router, input_schema,
-                 output_schema):
-        self._chain = compile_serde_fused(plan, input_schema, output_schema)
-        operators = list(router.operators)  # leaf-to-root, like the chain
-        if len(operators) != len(self._chain.filter_flags):
-            raise PlannerError(
-                "router operator count does not match the fused chain "
-                f"({len(operators)} vs {len(self._chain.filter_flags)})")
-        self._counters = list(zip(operators, self._chain.filter_flags))
-        insert = operators[-1]
-        if not isinstance(insert, InsertOperator):
-            raise PlannerError("fused chain must end in an insert operator")
-        self._insert = insert
-        self._fn = self._chain.fn
-        self._stream = self._chain.stream
-
-    @property
-    def source(self) -> str:
-        """The generated Python source (EXPLAIN, tests, debugging)."""
-        return self._chain.source
-
-    @property
-    def stream(self) -> str:
-        return self._stream
-
-    @property
-    def serde_plan(self) -> SerdePlan:
-        return self._chain.plan
-
-    def route_raw_batch(self, stream: str, values: list,
-                        timestamps: list) -> None:
-        if stream != self._stream:
-            raise PlannerError(
-                f"fused executor has no entry for stream {stream!r}; "
-                f"known: {[self._stream]}")
-        entries, stage_counts = self._fn(values, timestamps)
-        count = len(values)
-        stage = iter(stage_counts)
-        for operator, is_filter in self._counters:
-            operator.processed += count
-            if is_filter:
-                count = next(stage)
-            operator.emitted += count
-        if entries:
-            self._insert.deliver(entries)
+    return CompiledChain(source=source, fn=namespace["_fused_plan"],
+                         stream=build.exprs.stream,
+                         filter_flags=build.exprs.filter_flags, staged=True)

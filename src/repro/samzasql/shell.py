@@ -359,14 +359,15 @@ class SamzaSQLShell:
                         fuse_scans: bool,
                         relation_key: list[str] | None) -> str:
         """The EXPLAIN report: logical plan, physical operator chain, and
-        per-task compiled/interpreted status with the fallback reason.
+        the per-task execution decision with its fallback reasons.
 
-        Runs the exact planning pipeline a submission would — including
-        the physical lowering and the compile decision — but writes
-        nothing to ZooKeeper and submits no job.
+        Runs the exact planning pipeline a submission would — physical
+        lowering, job config, and the same
+        :func:`~repro.samzasql.decision.decide_execution` call every task
+        makes at init — but writes nothing to ZooKeeper and submits no job.
         """
         from repro.common.execution import ExecutionConfig
-        from repro.samzasql.compile import analyze_plan
+        from repro.samzasql.decision import decide_execution
 
         lines = ["logical plan:"]
         lines += ["  " + line for line in planned.plan.explain().splitlines()]
@@ -383,9 +384,10 @@ class SamzaSQLShell:
         lines += ["  " + line for line in plan.explain().splitlines()]
         lines += self._describe_join_strategy(plan)
 
-        merged = Config(self._default_overrides).merge(overrides)
-        execution = ExecutionConfig.from_config(merged)
-        lines.append(f"execution: {execution.describe()}")
+        serdes, config = self._job_config(
+            "explain", plan, planned.plan.row_type, containers, -1, overrides)
+        lines.append(
+            f"execution: {ExecutionConfig.from_config(config).describe()}")
 
         # One task per input partition (GroupByPartitionId), like the job
         # would get; fall back to the container count for unknown topics.
@@ -394,45 +396,10 @@ class SamzaSQLShell:
                         for s in plan.input_streams)
         except Exception:  # noqa: BLE001 - unregistered topic
             tasks = containers
-        decision = analyze_plan(plan)
-        if not execution.compile and decision.supported:
-            status = "interpreted (fallback: disabled by execution.compile=false)"
-        else:
-            status = decision.status
-        lines.append(f"tasks: {tasks} × {status}")
-        lines.append("  " + self._serde_status(plan, planned, execution,
-                                               decision))
+        decision = decide_execution(plan, config, serdes)
+        lines.append(f"tasks: {tasks} × {decision.task_status}")
+        lines.append("  " + decision.serde_status)
         return "\n".join(lines)
-
-    def _serde_status(self, plan: PhysicalPlan, planned, execution,
-                      decision) -> str:
-        """The per-task serde line for EXPLAIN: pruned columns plus the
-        decode/encode fast-path status, mirroring the exact decision
-        :class:`~repro.samzasql.task.SamzaSqlTask` makes at init."""
-        from repro.samzasql.serde_plan import SerdePlan, analyze_serde
-
-        if not decision.supported:
-            sp = SerdePlan(False, f"chain not compiled: {decision.reason}")
-        elif not execution.compile:
-            sp = SerdePlan(False, "disabled by execution.compile=false")
-        elif not execution.serde_fusion:
-            sp = SerdePlan(False, "disabled by execution.serde.fusion=false")
-        elif not execution.batch:
-            sp = SerdePlan(False, "requires execution.batch=true")
-        elif (self.metrics_interval_ms > 0
-                and METRICS_STREAM not in plan.input_streams):
-            sp = SerdePlan(False, "metrics sampling needs decoded messages")
-        else:
-            input_schema = (self._schema_for_topic(plan.input_streams[0])
-                            if len(plan.input_streams) == 1 else None)
-            output_schema = sql_row_type_to_avro(
-                "explain_output", planned.plan.row_type)
-            if input_schema is None or output_schema is None:
-                sp = SerdePlan(
-                    False, "input/output streams are not Avro with string keys")
-            else:
-                sp = analyze_serde(plan, input_schema, output_schema)
-        return sp.describe()
 
     @staticmethod
     def _describe_join_strategy(plan: PhysicalPlan) -> list[str]:
@@ -533,15 +500,9 @@ class SamzaSQLShell:
         shell_zk = ZkClient(self.zk)
         shell_zk.write_json(zk_path, plan.to_dict())
 
-        serdes, config = self._build_job_config(
-            query_id, plan, planned.plan.row_type, containers, window_ms)
-        # Monitoring: every job reports snapshots — except jobs that *consume*
-        # __metrics, which must not also produce to it (feedback loop).
-        if (self.metrics_interval_ms > 0
-                and METRICS_STREAM not in plan.input_streams):
-            config.setdefault(
-                "metrics.reporter.interval.ms", self.metrics_interval_ms)
-        config = Config(config).merge(self._default_overrides).merge(overrides)
+        serdes, config = self._job_config(
+            query_id, plan, planned.plan.row_type, containers, window_ms,
+            overrides)
 
         job = SamzaJob(
             config=config,
@@ -559,9 +520,13 @@ class SamzaSQLShell:
             plan=plan, master=master, output_serde=output_serde,
             warnings=list(planned.warnings), _shell=self)
 
-    def _build_job_config(self, query_id: str, plan: PhysicalPlan,
-                          output_row_type: RowType, containers: int,
-                          window_ms: int) -> tuple[SerdeRegistry, dict]:
+    def _job_config(self, query_id: str, plan: PhysicalPlan,
+                    output_row_type: RowType, containers: int,
+                    window_ms: int, overrides: dict
+                    ) -> tuple[SerdeRegistry, Config]:
+        """The job's serde registry and merged config: what the shell
+        derives from the plan, then the shell's default overrides, then
+        the statement's."""
         serdes = SerdeRegistry()
         config: dict[str, Any] = {
             "job.name": query_id,
@@ -601,7 +566,14 @@ class SamzaSQLShell:
             config[f"stores.{store}.changelog"] = f"kafka.{query_id}-{store}-changelog"
             config[f"stores.{store}.key.serde"] = "object"
             config[f"stores.{store}.msg.serde"] = "object"
-        return serdes, config
+
+        # Monitoring: every job reports snapshots — except jobs that *consume*
+        # __metrics, which must not also produce to it (feedback loop).
+        if (self.metrics_interval_ms > 0
+                and METRICS_STREAM not in plan.input_streams):
+            config["metrics.reporter.interval.ms"] = self.metrics_interval_ms
+        return serdes, Config(config).merge(self._default_overrides).merge(
+            overrides)
 
     def _schema_for_topic(self, topic: str) -> AvroSchema | None:
         """The Avro schema a topic carries (stream or table changelog), or

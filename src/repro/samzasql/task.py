@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.common.config import Config
 from repro.common.errors import ZkSessionExpiredError
-from repro.common.execution import ExecutionConfig
 from repro.samza.system import OutgoingMessageEnvelope, SystemStream
 from repro.samza.task import (
     InitableTask,
@@ -24,63 +23,44 @@ from repro.samza.task import (
     TaskCoordinator,
     WindowableTask,
 )
-from repro.samzasql.compile import CompiledExecutor, analyze_plan
+from repro.samzasql.compile import CompiledExecutor, compile_chain
+from repro.samzasql.decision import (
+    COMPILED,
+    FUSED,
+    ExecutionDecision,
+    decide_execution,
+)
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.group_window import GroupWindowAggOperator
 from repro.samzasql.operators.router import build_router
 from repro.samzasql.physical import PhysicalPlan
+from repro.samzasql.serde_plan import compile_serde_fused
 from repro.zk.client import ZkClient
 
 
 class _CollectorSink:
     """Bridges operator output onto the collector of the current callback."""
 
-    def __init__(self, output_stream: str):
+    def __init__(self, output_stream: str, pre_serialized: bool):
         self.output_stream = SystemStream("kafka", output_stream)
         self.collector: MessageCollector | None = None
+        # The serde-fused path emits encoded bytes: its entries take the
+        # collector's pre-serialized lane, no envelope objects at all.
+        self.send_batch = (self._send_pre_serialized if pre_serialized
+                           else self._send_envelopes)
 
-    def send(self, message: dict, timestamp_ms: int, key: str | None = None) -> None:
-        self.collector.send(self._envelope(message, timestamp_ms, key))
+    def _send_pre_serialized(self, entries: list) -> None:
+        self.collector.send_pre_serialized_batch(
+            self.output_stream.stream, entries)
 
-    def send_batch(self, entries: list) -> None:
-        """Send many ``(message, timestamp_ms, key)`` entries in one call,
-        batched through the collector when it supports it.
-
-        When every message is already encoded bytes (serde-fused output)
-        and the collector exposes the pre-serialized lane, the entries go
-        straight through it — no envelope objects are built at all."""
-        collector = self.collector
-        raw_batch = getattr(collector, "send_pre_serialized_batch", None)
-        if raw_batch is not None and all(
-                type(message) is bytes for message, _ts, _key in entries):
-            raw_batch(self.output_stream.stream, entries)
-            return
-        envelope = self._envelope
-        envelopes = [envelope(message, timestamp_ms, key)
-                     for message, timestamp_ms, key in entries]
-        send_batch = getattr(collector, "send_batch", None)
-        if send_batch is not None:
-            send_batch(envelopes)
-        else:
-            send = collector.send
-            for env in envelopes:
-                send(env)
-
-    def _envelope(self, message, timestamp_ms: int,
-                  key: str | None) -> OutgoingMessageEnvelope:
-        if type(message) is bytes:
-            # Serde-fused entry: the message is already the encoded datum.
-            # The output key serde is the string serde (utf-8), applied
-            # here; the partition key stays the Python string so the
-            # partitioner hashes exactly what it would on the decoded path.
-            return OutgoingMessageEnvelope(
-                system_stream=self.output_stream, message=message,
-                key=None if key is None else key.encode("utf-8"),
-                partition_key=key, timestamp_ms=timestamp_ms,
-                pre_serialized=True)
-        return OutgoingMessageEnvelope(
-            system_stream=self.output_stream, message=message, key=key,
-            partition_key=key, timestamp_ms=timestamp_ms)
+    def _send_envelopes(self, entries: list) -> None:
+        """Send many ``(message, timestamp_ms, key)`` entries in one call."""
+        stream = self.output_stream
+        self.collector.send_batch([
+            OutgoingMessageEnvelope(
+                system_stream=stream, message=message, key=key,
+                partition_key=key, timestamp_ms=timestamp_ms)
+            for message, timestamp_ms, key in entries])
 
 
 class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
@@ -90,15 +70,11 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         self._zk = zk
         self._plan_path = plan_path
         self._router = None
-        self._route = None
         self._route_batch = None
         self._sink = None
         self._early_emit = False
-        self._buffered_sinks = False
         self._executor = None
-        self._compile_decision = None
-        self._raw_executor = None
-        self._serde_plan = None
+        self._decision: ExecutionDecision | None = None
         #: Streams the container should deliver *undecoded* (the
         #: serde-fused fast path); empty when the fallback path runs.
         self.raw_input_streams: frozenset[str] = frozenset()
@@ -113,83 +89,38 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             self._zk.reconnect()
             payload = self._zk.read_json(self._plan_path)
         plan = PhysicalPlan.from_dict(payload)
-        execution = ExecutionConfig.from_config(config)
-        self._sink = _CollectorSink(plan.output_stream)
+        decision = decide_execution(plan, config, context.serdes)
+        self._decision = decision
+        self._sink = _CollectorSink(plan.output_stream,
+                                    pre_serialized=decision.path == FUSED)
         stores = {name: context.get_store(name) for name in plan.store_names}
-        op_context = OperatorContext(
-            stores=stores, send=self._sink.send,
-            partition_id=context.partition_id, metrics=context.metrics,
-            send_batch=self._sink.send_batch)
-        self._router = build_router(plan, op_context)
-        self._route = self._router.route
-        self._route_batch = self._router.route_batch
-        self._compile_decision = analyze_plan(plan)
-        if execution.compile and self._compile_decision.supported:
-            # Whole-plan compilation: one generated function replaces the
-            # per-operator dispatch for the full stateless chain.  The
-            # interpreted router stays built — its operators carry the
-            # counters and it serves the metrics sampler's timed path.
-            self._executor = CompiledExecutor(plan, self._router)
-            self._route = self._executor.route
-            self._route_batch = self._executor.route_batch
-        sampling = (context.metrics is not None
-                    and config.get_int("metrics.reporter.interval.ms", 0) > 0)
-        if (execution.serde_fusion and execution.batch and not sampling
-                and self._executor is not None):
-            # Serde fusion: when the chain compiled, the schemas resolve,
-            # and the analysis proves the fast path byte-identical, ask
-            # the container for raw batches and run decode→chain→encode
-            # as one generated function.  The timing sampler needs decoded
-            # messages, so a metrics-sampled task keeps full decode.
-            self._init_serde_fusion(plan, config, context)
-        if sampling:
+        # The interpreted router is always built: its operators carry the
+        # counters, and it serves the metrics sampler's timed bursts.
+        self._router = build_router(plan, OperatorContext(
+            stores=stores, send_batch=self._sink.send_batch,
+            partition_id=context.partition_id, metrics=context.metrics))
+        if decision.path == FUSED:
+            # One generated function spans decode→chain→encode; the
+            # container delivers this task's batches undecoded.
+            self._executor = CompiledExecutor(
+                compile_serde_fused(decision.serde), self._router)
+            self.raw_input_streams = frozenset(plan.input_streams)
+        elif decision.path == COMPILED:
+            # One generated function replaces the per-operator dispatch
+            # for the full stateless chain.
+            self._executor = CompiledExecutor(compile_chain(plan), self._router)
+        route_batch = (self._router if self._executor is None
+                       else self._executor).route_batch
+        if decision.sampled:
             from repro.metrics.instrument import TimingSampler, instrument_operators
 
             instrument_operators(self._router.operators, context.metrics,
                                  context.partition_id)
-            # Sampled messages go through the interpreted router with timed
-            # bindings (per-operator latency needs per-operator dispatch);
-            # unsampled spans flow through the compiled path when present.
-            sampler = TimingSampler(self._router.route, self._router.operators,
-                                    route_batch=self._route_batch)
-            self._route = sampler.route
-            self._route_batch = sampler.route_batch
-        if execution.batch:
-            # Batched container loop: buffer insert output and flush it once
-            # per task callback (topic + partitioner resolved per flush).
-            from repro.samzasql.operators.insert import InsertOperator
-
-            for operator in self._router.operators:
-                if isinstance(operator, InsertOperator):
-                    operator.set_buffering(True)
-                    self._buffered_sinks = True
+            route_batch = TimingSampler(
+                route_batch, self._router.route_batch,
+                self._router.operators).route_batch
+        self._route_batch = route_batch
         self._early_emit = config.get_bool("samzasql.window.early.emit", False)
-
-    def _init_serde_fusion(self, plan: PhysicalPlan, config: Config,
-                           context: TaskContext) -> None:
-        from repro.samzasql.serde_plan import SerdeFusedExecutor, SerdePlan, analyze_serde
-        from repro.serde.avro import AvroSerde
-        from repro.serde.base import StringSerde
-
-        registry = getattr(context, "serdes", None)
-        if registry is None or len(plan.input_streams) != 1:
-            self._serde_plan = SerdePlan(False, "no serde registry available")
-            return
-        _in_key, in_msg = registry.resolve_stream_serdes(
-            config, "kafka", plan.input_streams[0])
-        out_key, out_msg = registry.resolve_stream_serdes(
-            config, "kafka", plan.output_stream)
-        if not (isinstance(in_msg, AvroSerde) and isinstance(out_msg, AvroSerde)
-                and isinstance(out_key, StringSerde)):
-            self._serde_plan = SerdePlan(
-                False, "input/output streams are not Avro with string keys")
-            return
-        self._serde_plan = analyze_serde(plan, in_msg.schema, out_msg.schema)
-        if not self._serde_plan.supported:
-            return
-        self._raw_executor = SerdeFusedExecutor(
-            plan, self._router, in_msg.schema, out_msg.schema)
-        self.raw_input_streams = frozenset(plan.input_streams)
 
     def process_batch_raw(self, ssp, records: list,
                           collector: MessageCollector,
@@ -201,17 +132,17 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         :meth:`process_batch` exactly.
         """
         self._sink.collector = collector
-        values = [record.value for record in records]
-        timestamps = [record.timestamp_ms for record in records]
-        self._raw_executor.route_raw_batch(ssp.stream, values, timestamps)
+        self._executor.run([record.value for record in records],
+                           [record.timestamp_ms for record in records])
         self._router.flush_sinks()
 
     def process(self, envelope, collector: MessageCollector,
                 coordinator: TaskCoordinator) -> None:
+        """One decoded message: a batch of one."""
         self._sink.collector = collector
-        self._route(envelope.stream, envelope.message, envelope.timestamp_ms)
-        if self._buffered_sinks:
-            self._router.flush_sinks()
+        self._route_batch(envelope.stream, [envelope.message],
+                          [envelope.timestamp_ms])
+        self._router.flush_sinks()
 
     def process_batch(self, ssp, records: list, keys: list, messages: list,
                       collector: MessageCollector,
@@ -249,14 +180,14 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         return self._router
 
     @property
-    def compiled(self) -> bool:
-        """True when this task runs the exec-compiled whole-plan function."""
-        return self._executor is not None
+    def decision(self) -> ExecutionDecision:
+        """The plan-time decision this task executes (what EXPLAIN prints)."""
+        return self._decision
 
     @property
-    def compile_decision(self):
-        """The per-task :class:`~repro.samzasql.compile.CompileDecision`."""
-        return self._compile_decision
+    def compiled(self) -> bool:
+        """True when this task runs an exec-compiled whole-plan function."""
+        return self._executor is not None
 
     @property
     def executor(self):
@@ -266,16 +197,4 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
     @property
     def serde_fused(self) -> bool:
         """True when this task routes raw batches through the fused path."""
-        return self._raw_executor is not None
-
-    @property
-    def serde_plan(self):
-        """The per-task :class:`~repro.samzasql.serde_plan.SerdePlan`
-        (None when the fusion analysis never ran)."""
-        return self._serde_plan
-
-    @property
-    def raw_executor(self):
-        """The :class:`~repro.samzasql.serde_plan.SerdeFusedExecutor`,
-        or None."""
-        return self._raw_executor
+        return self._decision.path == FUSED

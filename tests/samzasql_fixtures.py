@@ -27,8 +27,8 @@ class Deployment:
     """Cluster + YARN + shell, with helpers to feed the paper's workloads."""
 
     #: Merged under every ``run``'s ``config_overrides``.  Test modules
-    #: parametrize this (e.g. over ``task.batch.execution``) to drive the
-    #: same end-to-end scenarios down both execution paths.
+    #: parametrize this (e.g. over ``execution.compile``) to drive the
+    #: same end-to-end scenarios down every execution path.
     default_overrides: dict[str, str] = {}
 
     def __init__(self, partitions: int = 4, nodes: int = 2):

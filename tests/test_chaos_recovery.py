@@ -196,7 +196,7 @@ class TestSqlQueryRecovery:
                                        config_overrides={
                                            "task.checkpoint.interval.messages": 10,
                                            "task.poll.batch.size": 8,
-                                           "task.compile.execution": flag,
+                                           "execution.compile": flag,
                                        })
             supervisor = ChaosSupervisor(dep.runner, injector,
                                          zk=dep.shell.zk)
@@ -349,7 +349,6 @@ class TestMidBatchCrash:
         cluster, runner, injector, written = chaos_runtime(schedule, 80)
         job = SamzaJob(
             config=base_config(containers=2).merge({
-                "task.batch.execution": "true",
                 "task.poll.batch.size": batch_size,
                 "task.checkpoint.interval.messages": interval,
             }),
@@ -376,15 +375,14 @@ class TestMidBatchCrash:
 
     def test_mid_batch_crash_matches_single_message_output(self):
         """The committed-plus-replayed output set is the same whether the
-        crashed job ran batched or message-at-a-time."""
+        crashed job polled 32 messages at a time or one."""
         outputs = {}
-        for mode in ("true", "false"):
+        for poll_size in (32, 1):
             schedule = FaultSchedule.script().add_crash(25)
             cluster, runner, injector, _ = chaos_runtime(schedule, 80)
             job = SamzaJob(
                 config=base_config(containers=2).merge({
-                    "task.batch.execution": mode,
-                    "task.poll.batch.size": 32,
+                    "task.poll.batch.size": poll_size,
                     "task.checkpoint.interval.messages": 10,
                 }),
                 task_factory=lambda: FilterTask(threshold=50),
@@ -393,5 +391,5 @@ class TestMidBatchCrash:
             runner.submit(job)
             ChaosSupervisor(runner, injector).run_until_quiescent()
             out = read_topic(cluster, "OrdersOut", AvroSerde(ORDERS_SCHEMA))
-            outputs[mode] = {o["orderId"] for o in out}
-        assert outputs["true"] == outputs["false"]
+            outputs[poll_size] = {o["orderId"] for o in out}
+        assert outputs[32] == outputs[1]

@@ -3,8 +3,8 @@
 ``cluster.parallel.execution=true`` reruns the integration suite with
 every container forked into its own OS process hosting a shared-nothing
 broker shard, mirrored back to the parent over framed pipes.  The suite
-is parametrized over ``task.batch.execution`` as well, so all four
-combinations of (execution mode, batching) produce identical results.
+is parametrized over ``task.poll.batch.size`` (200 and 1) as well, so
+every combination of (execution mode, poll size) produces identical results.
 
 Also here: the frame codec unit tests, the golden-value regressions the
 parallel mode depends on (canonical plan JSON, the FNV-1a partitioner),
@@ -26,7 +26,7 @@ from tests import test_samzasql_integration as integration
 from tests.samzasql_fixtures import Deployment
 
 
-@pytest.fixture(autouse=True, params=["true", "false"],
+@pytest.fixture(autouse=True, params=["200", "1"],
                 ids=["batched", "single-message"])
 def parallel_mode(request, monkeypatch):
     """Force every Deployment in this module into parallel execution and
@@ -41,7 +41,7 @@ def parallel_mode(request, monkeypatch):
 
     monkeypatch.setattr(Deployment, "default_overrides", {
         "cluster.parallel.execution": "true",
-        "task.batch.execution": request.param,
+        "task.poll.batch.size": request.param,
     })
     monkeypatch.setattr(Deployment, "__init__", tracking_init)
     yield request.param

@@ -2,11 +2,11 @@
 mapping, EXPLAIN reporting, and the QueryHandle stopped-query contract.
 
 The integration suite already drives every end-to-end scenario through
-all four batch × compile modes; this module pins the *seams* — which
+the poll-size × compile modes; this module pins the *seams* — which
 plans compile and why others don't, that the compiled path's rows AND
-per-operator counters match the interpreted path's exactly, that the
-canonical/legacy config key mapping stays stable, and that EXPLAIN
-reports the per-task decision the runtime actually makes.
+per-operator counters match the interpreted path's exactly, that each
+execution switch has exactly one spelling, and that EXPLAIN reports the
+per-task decision the runtime actually makes.
 """
 
 import pytest
@@ -14,8 +14,8 @@ import pytest
 from repro.common import VirtualClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
-from repro.common.execution import KEY_MAP, ExecutionConfig
-from repro.samzasql.compile import analyze_plan, compile_chain
+from repro.common.execution import KEYS, RETIRED_KEYS, ExecutionConfig
+from repro.samzasql.compile import chain_fallback, compile_chain
 from repro.serving.errors import ErrorCode, PipelineError
 
 from tests.samzasql_fixtures import Deployment
@@ -53,7 +53,7 @@ def run_modes(sql, count=40, **kwargs):
     for mode, flag in (("compiled", "true"), ("interpreted", "false")):
         dep = Deployment().with_orders(count)
         handles[mode] = dep.run(
-            sql, config_overrides={"task.compile.execution": flag}, **kwargs)
+            sql, config_overrides={"execution.compile": flag}, **kwargs)
     return handles
 
 
@@ -63,8 +63,8 @@ class TestCompileDecision:
         handle = dep.run(FILTER_SQL)
         for task in sql_tasks(handle):
             assert task.compiled
-            assert task.compile_decision.supported
-            assert task.compile_decision.status == "compiled"
+            assert task.decision.compile_fallback is None
+            assert task.decision.task_status == "compiled"
 
     def test_projection_chain_compiles(self):
         dep = Deployment().with_orders(5)
@@ -77,10 +77,11 @@ class TestCompileDecision:
         handle = dep.run(WINDOW_SQL)
         for task in sql_tasks(handle):
             assert not task.compiled
-            decision = task.compile_decision
-            assert not decision.supported
-            assert decision.reason == "stateful operator: sliding_window"
-            assert decision.status == (
+            decision = task.decision
+            assert decision.path == "interpreted"
+            assert decision.compile_fallback == (
+                "stateful operator: sliding_window")
+            assert decision.task_status == (
                 "interpreted (fallback: stateful operator: sliding_window)")
 
     def test_join_falls_back_with_reason(self):
@@ -90,7 +91,7 @@ class TestCompileDecision:
             "FROM Orders o JOIN Products p ON o.productId = p.productId")
         for task in sql_tasks(handle):
             assert not task.compiled
-            assert "join operator" in task.compile_decision.reason
+            assert "join operator" in task.decision.compile_fallback
 
     def test_udf_falls_back_with_reason(self):
         from repro.sql.udf import UDF_REGISTRY, register_scalar_udf
@@ -103,17 +104,18 @@ class TestCompileDecision:
                              "PLAN_COMPILE_T(units) AS u FROM Orders")
             for task in sql_tasks(handle):
                 assert not task.compiled
-                assert "UDF" in task.compile_decision.reason
+                assert "UDF" in task.decision.compile_fallback
         finally:
             UDF_REGISTRY.clear()
 
     def test_compile_flag_off_keeps_interpreted_router(self):
         dep = Deployment().with_orders(5)
         handle = dep.run(FILTER_SQL,
-                         config_overrides={"task.compile.execution": "false"})
+                         config_overrides={"execution.compile": "false"})
         for task in sql_tasks(handle):
-            # the plan is compilable, but the knob vetoes it per task
-            assert task.compile_decision.supported
+            # the plan is compilable, but the switch vetoes it per task
+            assert task.decision.compile_fallback == (
+                "disabled by execution.compile=false")
             assert not task.compiled
             assert task.executor is None
 
@@ -122,10 +124,10 @@ class TestCompileDecision:
         decisions = {}
         for sql in (FILTER_SQL, WINDOW_SQL):
             handle = dep.shell.execute(sql)
-            decisions[sql] = analyze_plan(handle.plan)
+            decisions[sql] = chain_fallback(handle.plan)
             handle.stop()
-        assert decisions[FILTER_SQL].supported
-        assert not decisions[WINDOW_SQL].supported
+        assert decisions[FILTER_SQL] is None
+        assert decisions[WINDOW_SQL] == "stateful operator: sliding_window"
 
 
 class TestByteEquivalence:
@@ -169,7 +171,8 @@ class TestByteEquivalence:
 
     def test_generated_source_is_one_function(self):
         dep = Deployment().with_orders(5)
-        handle = dep.run(FILTER_SQL)
+        handle = dep.run(FILTER_SQL,
+                         config_overrides={"execution.serde.fusion": "false"})
         [task] = [t for t in sql_tasks(handle) if t.executor is not None][:1]
         source = task.executor.source
         assert source.count("def ") == 1
@@ -182,53 +185,49 @@ class TestByteEquivalence:
 class TestExecutionConfigMapping:
     def test_defaults(self):
         config = ExecutionConfig.from_config(Config({}))
-        assert config == ExecutionConfig(batch=True, write_behind=True,
-                                         parallel=False, compile=True)
+        assert config == ExecutionConfig(
+            write_behind=True, parallel=False, compile=True,
+            multiway_join=True, serde_fusion=True)
 
-    def test_legacy_keys_still_work(self):
-        config = ExecutionConfig.from_config(Config({
-            "task.batch.execution": "false",
-            "stores.write.behind": "false",
-            "cluster.parallel.execution": "true",
-            "task.compile.execution": "false",
-        }))
-        assert config == ExecutionConfig(batch=False, write_behind=False,
-                                         parallel=True, compile=False)
-
-    def test_canonical_keys_win_over_legacy(self):
-        config = ExecutionConfig.from_config(Config({
-            "execution.batch": "false",
-            "task.batch.execution": "true",
-            "execution.compile": "false",
-            "task.compile.execution": "true",
-        }))
-        assert config.batch is False
-        assert config.compile is False
+    def test_retired_keys_raise_naming_replacement(self):
+        # a silently ignored ablation key would pass tests vacuously
+        assert set(RETIRED_KEYS) == {
+            "task.batch.execution", "execution.batch",
+            "task.compile.execution", "task.serde.fusion",
+            "plan.multiway.join", "stores.write.behind",
+            "execution.parallel"}
+        for retired, replacement in RETIRED_KEYS.items():
+            with pytest.raises(ConfigError) as excinfo:
+                ExecutionConfig.from_config(Config({retired: "false"}))
+            assert retired in str(excinfo.value)
+            assert replacement in str(excinfo.value)
+        dep = Deployment().with_orders(1)
+        with pytest.raises(ConfigError, match="execution.compile"):
+            dep.shell.execute(
+                FILTER_SQL,
+                config_overrides={"task.compile.execution": "false"})
 
     def test_key_map_pin(self):
-        # the deprecation shim's exact mapping, pinned in both directions
-        assert KEY_MAP == {
-            "execution.batch": ("task.batch.execution", True),
-            "execution.write.behind": ("stores.write.behind", True),
-            "execution.parallel": ("cluster.parallel.execution", False),
-            "execution.compile": ("task.compile.execution", True),
-            "execution.multiway.join": ("plan.multiway.join", True),
-            "execution.serde.fusion": ("task.serde.fusion", True),
+        # one spelling per switch, pinned in both directions
+        assert KEYS == {
+            "write_behind": "execution.write.behind",
+            "parallel": "cluster.parallel.execution",
+            "compile": "execution.compile",
+            "multiway_join": "execution.multiway.join",
+            "serde_fusion": "execution.serde.fusion",
         }
-        overrides = ExecutionConfig(batch=False, write_behind=True,
-                                    parallel=True, compile=False).to_overrides()
+        value = ExecutionConfig(write_behind=True, parallel=True,
+                                compile=False)
+        overrides = value.to_overrides()
         assert overrides == {
-            "task.batch.execution": "false",
-            "stores.write.behind": "true",
+            "execution.write.behind": "true",
             "cluster.parallel.execution": "true",
-            "task.compile.execution": "false",
-            "plan.multiway.join": "true",
-            "task.serde.fusion": "true",
+            "execution.compile": "false",
+            "execution.multiway.join": "true",
+            "execution.serde.fusion": "true",
         }
         # round trip: overrides reconstruct the same value
-        assert ExecutionConfig.from_config(Config(overrides)) == \
-            ExecutionConfig(batch=False, write_behind=True,
-                            parallel=True, compile=False)
+        assert ExecutionConfig.from_config(Config(overrides)) == value
 
     def test_parallel_with_virtual_clock_rejected(self):
         config = ExecutionConfig(parallel=True)
@@ -238,7 +237,7 @@ class TestExecutionConfigMapping:
 
     def test_describe(self):
         assert ExecutionConfig().describe() == \
-            "batch=on write_behind=on parallel=off compile=on multiway_join=on serde_fusion=on"
+            "write_behind=on parallel=off compile=on multiway_join=on serde_fusion=on"
 
 
 class TestExplain:
@@ -248,7 +247,7 @@ class TestExplain:
         assert isinstance(report, str)
         assert "logical plan:" in report
         assert "physical plan:" in report
-        assert ("execution: batch=on write_behind=on parallel=off compile=on"
+        assert ("execution: write_behind=on parallel=off compile=on"
                 in report)
         assert "tasks: 4 × compiled" in report  # one per Orders partition
 
@@ -262,7 +261,7 @@ class TestExplain:
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(
             f"EXPLAIN {FILTER_SQL}",
-            config_overrides={"task.compile.execution": "false"})
+            config_overrides={"execution.compile": "false"})
         assert "compile=off" in report
         assert ("interpreted (fallback: disabled by execution.compile=false)"
                 in report)

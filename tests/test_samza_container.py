@@ -122,14 +122,14 @@ class TestStatefulJob:
         assert cluster.topic("test-job-counts-changelog").total_messages() > 0
 
     def test_changelog_writethrough_mode(self):
-        """stores.write.behind=false restores per-mutation changelog writes."""
+        """execution.write.behind=false restores per-mutation changelog writes."""
         cluster, rm, runner, clock = make_runtime()
         produce_orders(cluster, 20, partitions=2)
         config = base_config(containers=1).merge({
             "stores.counts.changelog": "kafka.test-job-counts-changelog",
             "stores.counts.key.serde": "string",
             "stores.counts.msg.serde": "json",
-            "stores.write.behind": "false",
+            "execution.write.behind": "false",
         })
         job = SamzaJob(config=config, task_factory=CountingTask,
                        serdes=orders_serdes())

@@ -7,28 +7,27 @@ YARN submission, Samza containers, and the operator layer.
 import pytest
 
 from repro.common import PlannerError
+from repro.serde import ObjectSerde
 
 from tests.samzasql_fixtures import Deployment
 
 
 @pytest.fixture(autouse=True,
-                params=[("true", "true"), ("true", "false"),
-                        ("false", "true"), ("false", "false")],
+                params=[("200", "true"), ("200", "false"),
+                        ("1", "true"), ("1", "false")],
                 ids=["batched-compiled", "batched-interpreted",
                      "single-message-compiled", "single-message-interpreted"])
 def execution_mode(request, monkeypatch):
-    """Run every end-to-end scenario down all four execution paths.
+    """Run every end-to-end scenario at two poll sizes, compiled and not.
 
-    The batched container loop must be observationally identical to the
-    single-message one — same outputs, same offsets, same checkpoints —
-    and the exec-compiled whole-plan path must be byte-identical to the
-    interpreted operator DAG, so the whole module is parametrized over
-    the (``task.batch.execution`` × ``task.compile.execution``) product.
+    A single message is a batch of one: the ``single-message`` arm polls
+    one record at a time through the same code 200-record polls take, and
+    the compiled path must be byte-identical to the interpreted DAG.
     """
-    batch, compile_flag = request.param
+    poll_size, compile_flag = request.param
     monkeypatch.setattr(Deployment, "default_overrides",
-                        {"task.batch.execution": batch,
-                         "task.compile.execution": compile_flag})
+                        {"task.poll.batch.size": poll_size,
+                         "execution.compile": compile_flag})
     return request.param
 
 
@@ -512,9 +511,25 @@ class TestFaultTolerance:
             assert record["unitsLastFiveMinutes"] == expected
 
 
+def _without_arrival_seq(key, value):
+    """Join stores number buffered rows in arrival order, which depends on
+    how the inputs interleave — exactly what the poll size changes."""
+    if isinstance(value, dict) and "rows" in value:  # stream-stream bucket
+        return key, [(ts, row) for ts, _seq, row in value["rows"]]
+    if key[0] == "r":                                # multi-way row entry
+        return key[:2], value
+    if key[0] == "b":                                # multi-way bucket index
+        return key, value["count"]
+    return key, value
+
+
 class TestBatchSingleEquivalence:
-    """The batched path must be bit-identical to single-message execution:
-    same output records, same task offsets, same checkpoint contents."""
+    """Poll-batch-size independence: whatever ``task.poll.batch.size`` cuts
+    the input into, the output records, final task offsets, checkpoints and
+    the state the changelog restores to must be the same.  (Commit points
+    move with the poll size, so the changelog bytes need not match.)"""
+
+    POLL_SIZES = ("1", "7", "200")
 
     QUERIES = {
         "filter": "SELECT STREAM * FROM Orders WHERE units > 50",
@@ -530,6 +545,8 @@ class TestBatchSingleEquivalence:
                  "PacketsR1.rowtime BETWEEN PacketsR2.rowtime - INTERVAL '2' SECOND "
                  "AND PacketsR2.rowtime + INTERVAL '2' SECOND "
                  "AND PacketsR1.packetId = PacketsR2.packetId"),
+        "relation_join": TestStreamRelationJoin.SQL,
+        "multiway_join": TestMultiWayStreamJoin._sql(3),
         "group_window": ("SELECT STREAM START(rowtime) AS ws, END(rowtime) AS we, "
                          "COUNT(*) AS c, SUM(units) AS s FROM Orders "
                          "GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)"),
@@ -544,19 +561,49 @@ class TestBatchSingleEquivalence:
                 deployment.feed_packet("PacketsR1", pid, t0)
                 deployment.feed_packet("PacketsR2", pid, t0 + (pid % 5) * 400)
             return deployment
-        return Deployment().with_orders(120)
+        if query == "multiway_join":
+            deployment = Deployment(partitions=1).with_packets(routers=3)
+            TestMultiWayStreamJoin._feed(deployment, 3)
+            return deployment
+        deployment = Deployment().with_orders(120)
+        return (deployment.with_products(10) if query == "relation_join"
+                else deployment)
+
+    @staticmethod
+    def _restored_stores(deployment: Deployment, handle) -> dict:
+        """What a replacement container would restore: each changelog
+        partition replayed (latest value per key, None is a tombstone)."""
+        serde = ObjectSerde()
+        cluster = deployment.cluster
+        restored = {}
+        for store in handle.plan.store_names:
+            topic = f"{handle.query_id}-{store}-changelog"
+            for tp in cluster.partitions_for(topic):
+                latest = {message.key: message.value for message
+                          in cluster.fetch(tp, cluster.earliest_offset(tp))}
+                restored[store, tp.partition] = sorted(
+                    repr(_without_arrival_seq(serde.from_bytes(key),
+                                              serde.from_bytes(value)))
+                    for key, value in latest.items() if value is not None)
+        return restored
 
     @classmethod
-    def _run_mode(cls, query: str, mode: str, containers: int = 2):
+    def _run_mode(cls, query: str, poll_size: str, containers: int = 2):
         deployment = cls._deployment(query)
         handle = deployment.run(
             cls.QUERIES[query], containers=containers,
-            config_overrides={"task.batch.execution": mode})
+            config_overrides={"task.poll.batch.size": poll_size})
+        if query == "multiway_join":
+            # A port is purged only when *another* port advances, so what
+            # is retained at quiescence depends on arrival order; a closing
+            # packet per router moves every watermark past the feed.
+            for router in ("PacketsR1", "PacketsR2", "PacketsR3"):
+                deployment.feed_packet(router, 7000, 9_000_000)
+            deployment.runner.run_until_quiescent()
         outputs = sorted(handle.results(),
                          key=lambda r: sorted(r.items()))
         offsets = {}
         checkpoints = {}
-        stores = {}
         for container in handle.master.samza_containers.values():
             for name, instance in container.tasks.items():
                 offsets[name] = {str(ssp): off
@@ -564,18 +611,16 @@ class TestBatchSingleEquivalence:
                 instance.commit()
                 checkpoint = instance._checkpoints.read_last_checkpoint(name)
                 checkpoints[name] = checkpoint.to_payload()
-                stores[name] = {
-                    store_name: {repr(k): v for k, v in contents.items()}
-                    for store_name, contents
-                    in instance.store_snapshot().items()
-                }
-        return outputs, offsets, checkpoints, stores
+        return (outputs, offsets, checkpoints,
+                cls._restored_stores(deployment, handle))
 
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_outputs_offsets_checkpoints_identical(self, query):
-        batched = self._run_mode(query, "true")
-        single = self._run_mode(query, "false")
-        assert batched[0] == single[0], "output records differ"
-        assert batched[1] == single[1], "task offsets differ"
-        assert batched[2] == single[2], "checkpoint contents differ"
-        assert batched[3] == single[3], "committed store state differs"
+        reference, *others = [self._run_mode(query, size)
+                              for size in self.POLL_SIZES]
+        assert reference[0], "query produced no output"
+        for run in others:
+            assert run[0] == reference[0], "output records differ"
+            assert run[1] == reference[1], "task offsets differ"
+            assert run[2] == reference[2], "checkpoint contents differ"
+            assert run[3] == reference[3], "restored store state differs"

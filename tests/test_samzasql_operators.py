@@ -29,8 +29,8 @@ class Sink(Operator):
         super().__init__()
         self.rows = []
 
-    def process(self, port, row, timestamp_ms):
-        self.rows.append((row, timestamp_ms))
+    def process_batch(self, port, rows, timestamps):
+        self.rows.extend(zip(rows, timestamps))
 
 
 def make_context(store_names=()):
@@ -41,7 +41,8 @@ def make_context(store_names=()):
     }
     sent = []
     context = OperatorContext(
-        stores, send=lambda msg, ts, key=None: sent.append((msg, ts)))
+        stores, send_batch=lambda entries: sent.extend(
+            (msg, ts) for msg, ts, _key in entries))
     return context, sent
 
 
@@ -88,6 +89,7 @@ class TestFilterProjectInsert:
         context, sent = make_context()
         op.setup(context)
         op.process(0, [123, 9], 0)
+        op.flush()
         assert sent == [({"rowtime": 123, "units": 9}, 123)]
 
     def test_fused_scan_filter_project(self):
@@ -557,11 +559,15 @@ class TestMultiWayStreamJoinOperator:
         assert second.state_size() == 1
 
     def test_batch_path_equivalent_to_single(self):
+        """One batch per run of same-port rows vs batches of one."""
         arrivals = []
         for pid in ("a", "b"):
             base = 1000 if pid == "a" else 3000
             arrivals += [(0, [base, pid]), (0, [base + 100, pid]),
                          (1, [base + 400, pid]), (2, [base + 800, pid])]
+        # a straggler ending a run must not hold port 0's watermark back
+        arrivals += [(1, [6500, "b"]), (1, [9000, "b"]), (2, [9000, "b"]),
+                     (0, [9000, "b"]), (0, [8000, "c"])]
 
         single = self._make()
         single_sink, _ = wire(single, self.STORES)
@@ -585,9 +591,9 @@ class TestMultiWayStreamJoinOperator:
 
 
 class TestBatchEquivalence:
-    """``process_batch`` must be observationally identical to looping
-    ``process`` — same downstream rows, timestamps, and counters — for
-    every vectorized override and for the base-class default."""
+    """One batch of N must be observationally identical to N batches of
+    one (``process``) through the single implementation — same downstream
+    rows, timestamps, and counters — for every operator."""
 
     ORDERS = [{"rowtime": 1000 + i, "productId": i % 10,
                "orderId": i, "units": (i * 7) % 100} for i in range(50)]
@@ -600,6 +606,9 @@ class TestBatchEquivalence:
         batch_op = make_operator()
         batch_sink, batch_sent = wire(batch_op, store_names)
         feed_batch(batch_op)
+        for op in (single_op, batch_op):
+            if isinstance(op, InsertOperator):
+                op.flush()
         assert batch_sink.rows == single_sink.rows
         assert batch_sent == single_sent
         assert batch_op.processed == single_op.processed
@@ -653,29 +662,23 @@ class TestBatchEquivalence:
             rows, [0] * len(rows))
 
     def test_insert_buffered_flush(self):
-        """Buffered mode sends nothing until flush, then exactly the same
-        records the unbuffered operator sent immediately."""
+        """Nothing is sent until flush; one flush sends everything, in
+        order, and a second flush sends nothing more."""
         rows = [[o["rowtime"], o["units"]] for o in self.ORDERS]
-        timestamps = [0] * len(rows)
-
-        plain = InsertOperator("Out", ["rowtime", "units"], rowtime_index=0)
-        context, sent_plain = make_context()
-        plain.setup(context)
-        plain.process_batch(0, rows, timestamps)
-
-        buffered = InsertOperator("Out", ["rowtime", "units"], rowtime_index=0)
-        context, sent_buffered = make_context()
-        buffered.setup(context)
-        buffered.set_buffering(True)
-        buffered.process_batch(0, rows, timestamps)
-        assert sent_buffered == []          # held until the task flushes
-        buffered.flush()
-        assert sent_buffered == sent_plain
+        insert = InsertOperator("Out", ["rowtime", "units"], rowtime_index=0)
+        context, sent = make_context()
+        insert.setup(context)
+        insert.process_batch(0, rows[:20], [0] * 20)
+        insert.process_batch(0, rows[20:], [0] * (len(rows) - 20))
+        assert sent == []          # held until the task flushes
+        insert.flush()
+        assert sent == [({"rowtime": rt, "units": u}, rt) for rt, u in rows]
+        insert.flush()
+        assert len(sent) == len(rows)
 
     def test_sliding_window_range_frame(self):
-        """The stateful batch override must match the per-message path row
-        for row, including the incremental MIN/MAX deque results across
-        purges."""
+        """Row for row, including the incremental MIN/MAX deque results
+        across purges."""
         rows = [[o["rowtime"], o["productId"], o["units"]] for o in self.ORDERS]
         self._check(
             lambda: SlidingWindowOperator(
@@ -705,9 +708,9 @@ class TestBatchEquivalence:
             store_names=("sql-window-messages", "sql-window-state"))
 
     def test_stream_stream_join(self):
-        """Per-port batches in the same port order as the single feed must
-        match — including matches against rows buffered earlier in the
-        same batch."""
+        """Per-port batches in the same port order as the one-by-one feed
+        must match — including matches against rows buffered earlier in
+        the same batch."""
         left = [[1000 + i * 10, f"p{i % 3}"] for i in range(20)]
         right = [[1005 + i * 10, f"p{i % 3}"] for i in range(20)]
 
@@ -733,9 +736,26 @@ class TestBatchEquivalence:
         self._drain(make_operator, feed_single, feed_batch,
                     ("sql-join-left", "sql-join-right"))
 
+    def test_stream_relation_join(self):
+        """LEFT join over a keyed relation: relation upserts, then stream
+        rows (matches, and misses padded with nulls)."""
+        relation = [[pid, pid * 10] for pid in range(5)] + [[2, 99]]
+        stream = [[1000 + i, i % 7] for i in range(30)]
+        make = TestStreamRelationJoinOperator()._operator
+        single, single_sink = make(kind="LEFT")
+        batched, batch_sink = make(kind="LEFT")
+        for port, rows in ((RELATION_PORT, relation), (STREAM_PORT, stream)):
+            for row in rows:
+                single.process(port, row, row[0])
+            batched.process_batch(port, list(rows), [row[0] for row in rows])
+        assert batch_sink.rows == single_sink.rows
+        assert batched.state_size() == single.state_size() == 5
+        assert ((batched.processed, batched.emitted)
+                == (single.processed, single.emitted))
+
     def test_group_window(self):
         """Watermark advancement and closed-window emission inside a batch
-        must match the per-message sequence exactly (lateness decisions
+        must match the one-by-one sequence exactly (lateness decisions
         included)."""
         rows = [[(i * 37) % 500, f"k{i % 4}", i] for i in range(60)]
         self._check(

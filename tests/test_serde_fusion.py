@@ -1,16 +1,17 @@
 """Serde fusion: column-pruned decode, re-encode elision, fused chains.
 
 The contract under test is strict observational equivalence: with
-``task.serde.fusion`` on, every byte the job writes — output records,
+``execution.serde.fusion`` on, every byte the job writes — output records,
 their keys, offsets, timestamps, and checkpoint topics — must be
-identical to the full decode/re-encode path, in every execution mode
-and across crash/replay.
+identical to the full decode/re-encode path, at every poll size,
+compiled or not, and across crash/replay.
 """
 
 import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
+from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.serde import AvroSerde
 
 from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment
@@ -46,13 +47,13 @@ def cluster_dump(dep):
     return dump
 
 
-def run_filter(fusion: str, batch: str = "true", compile_flag: str = "true",
-               sql: str = FILTER_SQL):
+def run_filter(fusion: str, poll_size: str = "200",
+               compile_flag: str = "true", sql: str = FILTER_SQL):
     dep = Deployment().with_orders(60)
     handle = dep.shell.execute(sql, containers=1, config_overrides={
-        "task.batch.execution": batch,
-        "task.compile.execution": compile_flag,
-        "task.serde.fusion": fusion,
+        "task.poll.batch.size": poll_size,
+        "execution.compile": compile_flag,
+        "execution.serde.fusion": fusion,
     })
     dep.runner.run_until_quiescent()
     return dep, handle
@@ -114,19 +115,19 @@ class TestSerdePlanAnalysis:
         _dep, handle = run_filter("true")
         tasks = fused_tasks(handle)
         assert tasks and all(t.serde_fused for t in tasks)
-        plan = tasks[0].serde_plan
-        assert plan.supported
-        assert "units" in plan.required
-        assert plan.elided  # identity projection: raw byte splice out
-        assert plan.describe().startswith("serde: decode pruned")
+        decision = tasks[0].decision
+        assert decision.path == "fused"
+        assert "units" in decision.serde.required
+        assert not decision.serde.computed  # identity projection: raw byte splice out
+        assert decision.serde_status.startswith("serde: decode pruned")
 
     def test_fusion_off_runs_decoded_path(self):
         _dep, handle = run_filter("false")
         assert all(not t.serde_fused for t in fused_tasks(handle))
 
-    def test_single_message_mode_never_fuses(self):
-        _dep, handle = run_filter("true", batch="false")
-        assert all(not t.serde_fused for t in fused_tasks(handle))
+    def test_batches_of_one_still_fuse(self):
+        _dep, handle = run_filter("true", poll_size="1")
+        assert all(t.serde_fused for t in fused_tasks(handle))
 
     def test_interpreted_chain_never_fuses(self):
         _dep, handle = run_filter("true", compile_flag="false")
@@ -136,18 +137,18 @@ class TestSerdePlanAnalysis:
 class TestByteEquivalence:
     """Fusion on vs off must leave the whole cluster byte-identical."""
 
-    @pytest.mark.parametrize("batch,compile_flag",
-                             [("true", "true"), ("true", "false"),
-                              ("false", "true"), ("false", "false")],
+    @pytest.mark.parametrize("poll_size,compile_flag",
+                             [("200", "true"), ("200", "false"),
+                              ("1", "true"), ("1", "false")],
                              ids=["batched-compiled", "batched-interpreted",
                                   "single-compiled", "single-interpreted"])
-    def test_filter_all_modes(self, batch, compile_flag):
-        dep_off, _ = run_filter("false", batch, compile_flag)
-        dep_on, handle_on = run_filter("true", batch, compile_flag)
+    def test_filter_all_modes(self, poll_size, compile_flag):
+        dep_off, _ = run_filter("false", poll_size, compile_flag)
+        dep_on, handle_on = run_filter("true", poll_size, compile_flag)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
-        if batch == "true" and compile_flag == "true":
-            # equivalence must hold *because* the fused path actually ran
-            assert all(t.serde_fused for t in fused_tasks(handle_on))
+        # equivalence must hold *because* the fused path actually ran
+        assert all(t.serde_fused is (compile_flag == "true")
+                   for t in fused_tasks(handle_on))
 
     def test_project_query(self):
         dep_off, _ = run_filter("false", sql=PROJECT_SQL)
@@ -176,7 +177,7 @@ class TestCrashMidBatchElision:
                                        config_overrides={
                                            "task.checkpoint.interval.messages": 10,
                                            "task.poll.batch.size": 8,
-                                           "task.serde.fusion": flag,
+                                           "execution.serde.fusion": flag,
                                        })
             supervisor = ChaosSupervisor(dep.runner, injector,
                                          zk=dep.shell.zk)
@@ -201,19 +202,11 @@ class TestExplainSerdeStatus:
         assert "serde: decode pruned" in report
         assert "encode elided (raw byte splice)" in report
 
-    def test_batch_off_reports_fallback(self):
-        dep = Deployment().with_orders(5)
-        report = dep.shell.execute(
-            f"EXPLAIN {FILTER_SQL}",
-            config_overrides={"task.batch.execution": "false"})
-        assert ("serde: full decode/encode (fallback: requires "
-                "execution.batch=true)" in report)
-
     def test_fusion_off_reports_fallback(self):
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(
             f"EXPLAIN {FILTER_SQL}",
-            config_overrides={"task.serde.fusion": "false"})
+            config_overrides={"execution.serde.fusion": "false"})
         assert ("serde: full decode/encode (fallback: disabled by "
                 "execution.serde.fusion=false)" in report)
 
@@ -222,3 +215,35 @@ class TestExplainSerdeStatus:
         report = dep.shell.execute(f"EXPLAIN {SLIDING_WINDOW_SQL}")
         assert "serde: full decode/encode (fallback: chain not compiled" \
             in report
+
+
+class TestExplainMatchesTasks:
+    """EXPLAIN prints the decision the tasks execute — default environment
+    (metrics on), fig 5a filter."""
+
+    SQL = "INSERT INTO Big SELECT STREAM * FROM Orders WHERE units > 50"
+    METRICS_OFF = {"metrics.reporter.interval.ms": "0"}
+    CASES = {
+        "default": ({}, "compiled"),
+        "metrics-off": (METRICS_OFF, "fused"),
+        "fusion-off": ({"execution.serde.fusion": "false"}, "compiled"),
+        "json-output": ({**METRICS_OFF,
+                         "systems.kafka.streams.Big.samza.msg.serde": "json"},
+                        "compiled"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_explain_and_tasks_agree(self, case):
+        overrides, path = self.CASES[case]
+        with SamzaSqlEnvironment() as env:
+            env.shell.register_stream("Orders", ORDERS_SCHEMA)
+            report = env.shell.execute("EXPLAIN " + self.SQL,
+                                       config_overrides=overrides)
+            handle = env.shell.execute(self.SQL, config_overrides=overrides)
+            tasks = fused_tasks(handle)
+            assert len(tasks) == 4
+            for task in tasks:
+                assert task.decision.path == path
+                assert task.serde_fused is (path == "fused")
+                assert f"tasks: 4 × {task.decision.task_status}\n" in report
+                assert report.endswith("  " + task.decision.serde_status)
