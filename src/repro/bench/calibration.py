@@ -149,11 +149,8 @@ def measure_metrics_overhead(query: str = "filter", messages: int = 4000,
     so anything that grows over the process lifetime (heap size, interned
     state) taxes both modes equally, and keeps the per-mode minimum —
     scheduler noise and GC only ever *add* time, so the minima are the
-    cleanest estimate of each mode's true cost.  Serde fusion is pinned
-    off in both modes: a sampled task always runs the full-decode path
-    (the timing sampler needs decoded messages), so leaving fusion at its
-    default would let the uninstrumented run take the fused fast path and
-    the comparison would measure fusion loss, not instrumentation cost.
+    cleanest estimate of each mode's true cost.  Both modes run the
+    default execution config, so "on" is what a default environment pays.
     Returns best elapsed seconds per mode, keyed
     ``{"off": ..., "on": ..., "overhead_percent": ...}``.
     """
@@ -164,8 +161,7 @@ def measure_metrics_overhead(query: str = "filter", messages: int = 4000,
         for mode, interval in order:
             elapsed = _measure_once(query, "samzasql", messages, partitions,
                                     containers=1, warmup=200,
-                                    metrics_interval_ms=interval,
-                                    extra_config={"execution.serde.fusion": "false"})
+                                    metrics_interval_ms=interval)
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
     best["overhead_percent"] = (best["on"] / best["off"] - 1.0) * 100.0

@@ -115,7 +115,9 @@ def profile_operators(query: str, messages: int = 4000, partitions: int = 32,
     ``__metrics`` snapshot stream (not by reaching into registries).
 
     Returns one dict per operator: messages in/out summed over partitions,
-    worst-partition p95 process time, and retained window state.
+    worst-partition p95 process time (on a compiled or fused query the
+    leaf operator carries the whole chain's timer, the others read 0),
+    and retained window state.
     """
     from repro.bench.calibration import (
         SQL_QUERIES,

@@ -12,7 +12,7 @@ is the reproduction of that loop:
 * :mod:`repro.metrics.reporter` — :class:`MetricsSnapshotReporter`, driven
   by the container run loop off the (virtual) clock;
 * :mod:`repro.metrics.instrument` — per-operator instrumentation hooks:
-  messages-in/out counters, sampled ``process-ns`` timers and
+  messages-in/out counters, ``process-ns`` timers and
   window-state-size gauges under a stable ``job/container/operator`` path.
 
 Because ``__metrics`` is registered in the SQL catalog with its fixed

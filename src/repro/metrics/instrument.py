@@ -1,16 +1,21 @@
 """Per-operator instrumentation: bind a router's operators to a registry.
 
-Called by :class:`~repro.samzasql.task.SamzaSqlTask` at init (when the
-job's reporter is enabled) and by the micro-benchmarks directly.  The
-design keeps the hot path nearly free:
+Called by :class:`~repro.samzasql.task.SamzaSqlTask` at init when the
+job's reporter is enabled.  The design keeps the hot path nearly free:
 
 * ``messages-in`` / ``messages-out`` are *live gauges over the operator's
   existing plain-int counters* — nothing extra happens per message, the
   ints are read only when a snapshot is taken;
 * ``window-state-size`` gauges call the operator's ``state_size()`` only
   at snapshot time;
-* the ``process-ns`` timer is the one true hot-path hook, and it is
-  sampled *at the task entry point*, not per operator: the
+* the ``process-ns`` timer is the one true hot-path hook, and it sits
+  where a run-time boundary really exists.  A task that runs a generated
+  function (compiled or serde-fused) has one boundary — the function
+  call — so :class:`~repro.samzasql.compile.CompiledExecutor` times each
+  delivered batch itself and records the per-message mean on the chain's
+  *leaf* operator (timers are inclusive of everything downstream); the
+  other chain operators get no timer.  An interpreted task has a
+  boundary per operator, sampled *at the task entry point*: the
   :class:`TimingSampler` counts routed messages and, for a 16-message
   burst out of every 256, flips every operator's ``receive_batch`` onto
   its timed path for just that burst.  Unsampled messages cross zero
@@ -34,13 +39,12 @@ def operator_group(op_id: str, partition_id: int) -> str:
 
 
 class TimingSampler:
-    """Routes batches, timing every operator for 1-in-16 of the messages.
+    """Routes an interpreted task's batches, timing every operator for
+    1-in-16 of the messages.
 
-    Unsampled spans go through ``route_batch`` (the task's executor);
-    sampled bursts go through ``timed_route_batch`` (the interpreted
-    router — per-operator latency needs per-operator dispatch) with each
-    timed operator's ``receive_batch`` bound to ``_timed_process_batch``
-    for the duration of that one delivery.
+    Every span goes through ``route_batch`` (the interpreted router's);
+    for a sampled burst each timed operator's ``receive_batch`` is bound
+    to ``_timed_process_batch`` for the duration of that one delivery.
     """
 
     #: A 16-message burst once per 256 messages: the 1-in-16 sampling
@@ -51,11 +55,10 @@ class TimingSampler:
     BURST_LEN = 16
     BURST_PERIOD_MASK = 255
 
-    __slots__ = ("_route_batch", "_timed_route_batch", "_timed_ops", "_tick")
+    __slots__ = ("_route_batch", "_timed_ops", "_tick")
 
-    def __init__(self, route_batch, timed_route_batch, operators):
+    def __init__(self, route_batch, operators):
         self._route_batch = route_batch
-        self._timed_route_batch = timed_route_batch
         self._timed_ops = [op for op in operators
                            if op._process_timer is not None]
         self._tick = 0
@@ -79,8 +82,8 @@ class TimingSampler:
                 for op in timed_ops:
                     op.receive_batch = op._timed_process_batch
                 try:
-                    self._timed_route_batch(stream, messages[start:stop],
-                                            timestamps[start:stop])
+                    self._route_batch(stream, messages[start:stop],
+                                      timestamps[start:stop])
                 finally:
                     for op in timed_ops:
                         op.receive_batch = op.process_batch
@@ -88,8 +91,9 @@ class TimingSampler:
 
 
 def instrument_operators(operators, registry: MetricsRegistry,
-                         partition_id: int = 0) -> None:
-    """Register metrics for every operator and attach its timer."""
+                         partition_id: int = 0, *, timed) -> None:
+    """Register metrics for every operator; attach a ``process-ns`` timer
+    to those in ``timed`` (the ones with a run-time boundary to time)."""
     for op in operators:
         group = operator_group(op.op_id or op.METRIC_KIND, partition_id)
         registry.gauge(group, "messages-in", fn=lambda op=op: op.processed)
@@ -97,4 +101,5 @@ def instrument_operators(operators, registry: MetricsRegistry,
         state_size = getattr(op, "state_size", None)
         if state_size is not None:
             registry.gauge(group, "window-state-size", fn=state_size)
-        op.enable_timing(registry.timer(group, "process-ns"))
+        if op in timed:
+            op.enable_timing(registry.timer(group, "process-ns"))

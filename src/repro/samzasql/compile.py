@@ -30,6 +30,7 @@ so metrics snapshots are indistinguishable too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 from repro.common.errors import PlannerError
 from repro.samzasql.operators.insert import InsertOperator
@@ -42,7 +43,7 @@ from repro.samzasql.physical import (
     ProjectNode,
     ScanNode,
 )
-from repro.sql.codegen import CODEGEN_NAMESPACE
+from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
 STATELESS_KINDS = frozenset({"scan", "fused_scan", "filter", "project", "insert"})
@@ -355,7 +356,7 @@ def compile_chain(plan: PhysicalPlan) -> CompiledChain:
         )
 
     namespace = _compile_namespace()
-    exec(compile(source, "<samzasql-plan-compile>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
+    exec(compile_source(source, "<samzasql-plan-compile>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
     return CompiledChain(source=source, fn=namespace["_compiled_plan"],
                          stream=stream, filter_flags=exprs.filter_flags,
                          staged=staged)
@@ -372,6 +373,12 @@ class CompiledExecutor:
     ``processed``/``emitted`` counters exactly as the interpreted path
     would, and hands the finished entries to the insert operator's
     buffer, so flush/checkpoint semantics are untouched.
+
+    With metrics on, the leaf operator carries the chain's one
+    ``process-ns`` timer (operator timers are inclusive of everything
+    downstream, so the leaf's means "the whole chain per message") and
+    each non-empty batch records its per-message mean on it — decode and
+    encode included when the function is the fused one.
     """
 
     def __init__(self, chain: CompiledChain, router):
@@ -385,6 +392,7 @@ class CompiledExecutor:
         if not isinstance(insert, InsertOperator):
             raise PlannerError("compiled chain must end in an insert operator")
         self._insert = insert
+        self._timer = operators[0]._process_timer  # None: metrics off
         self._fn = chain.fn
         self._staged = chain.staged
         self._single_filter = not chain.staged and any(chain.filter_flags)
@@ -401,10 +409,17 @@ class CompiledExecutor:
 
     def run(self, inputs: list, timestamps: list) -> None:
         """One batch of the chain's input stream through the function."""
-        if self._staged:
-            entries, stage_counts = self._fn(inputs, timestamps)
+        timer = self._timer
+        if timer is None or not inputs:
+            result = self._fn(inputs, timestamps)
         else:
-            entries = self._fn(inputs, timestamps)
+            start = perf_counter_ns()
+            result = self._fn(inputs, timestamps)
+            timer.update((perf_counter_ns() - start) // len(inputs))
+        if self._staged:
+            entries, stage_counts = result
+        else:
+            entries = result
             stage_counts = (len(entries),) if self._single_filter else ()
         count = len(inputs)
         stage = iter(stage_counts)

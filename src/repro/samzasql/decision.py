@@ -30,7 +30,7 @@ class ExecutionDecision:
     """What one task of the query runs, and why not something faster."""
 
     path: str                           # FUSED | COMPILED | INTERPRETED
-    sampled: bool                       # a TimingSampler wraps the executor
+    sampled: bool                       # metrics are on for this job
     compile_fallback: str | None = None  # why INTERPRETED
     serde_fallback: str | None = None   # why not FUSED
     serde: SerdeAnalysis | None = None  # pruned columns + encode mode (FUSED)
@@ -64,9 +64,8 @@ def decide_execution(plan: PhysicalPlan, config: Config,
     """Choose the execution path from the plan, the merged job config and
     the job's serde registry (``None`` when the host has none).
 
-    A metrics-sampled task keeps full serde: the timing sampler routes
-    its bursts through the interpreted router, which needs decoded
-    messages.
+    Metrics take no part in the choice: an executor times its own
+    batches, so ``sampled`` is recorded on the decision, never read here.
     """
     execution = ExecutionConfig.from_config(config)
     sampled = config.get_int("metrics.reporter.interval.ms", 0) > 0
@@ -83,8 +82,6 @@ def decide_execution(plan: PhysicalPlan, config: Config,
 
     if not execution.serde_fusion:
         return compiled("disabled by execution.serde.fusion=false")
-    if sampled:
-        return compiled("metrics sampling needs decoded messages")
     if serdes is None:
         return compiled("no serde registry available")
     _in_key, in_msg = serdes.resolve_stream_serdes(

@@ -43,9 +43,9 @@ class Operator:
     :meth:`process` is that convenience, for tests and timer-driven emits.
 
     Delivery goes through ``receive_batch`` — normally just a bound alias
-    of ``process_batch``.  When the job's metrics reporter is enabled, a
-    :class:`~repro.metrics.instrument.TimingSampler` at the task entry
-    point flips ``receive_batch`` to :meth:`_timed_process_batch` for
+    of ``process_batch``.  On an interpreted task whose job reports
+    metrics, a :class:`~repro.metrics.instrument.TimingSampler` at the
+    task entry point flips it to :meth:`_timed_process_batch` for
     sampled bursts, so unsampled traffic crosses no wrapper at all.  Each
     operator carries a stable ``op_id`` (assigned by the router in plan
     order) under which its metrics appear in snapshots.

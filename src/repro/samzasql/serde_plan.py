@@ -59,6 +59,7 @@ from repro.serde.avro import (
     field_write_src,
     flat_record_fields,
 )
+from repro.sql.codegen import compile_source
 
 #: Kinds whose canonical encodings are interchangeable byte-for-byte.
 #: int and long share the zigzag-varint encoding; every other kind only
@@ -407,7 +408,7 @@ def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
     lines.append(f"    return _out, ({counts}{',' if counts else ''})")
     source = "\n".join(lines)
 
-    exec(compile(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
+    exec(compile_source(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
     return CompiledChain(source=source, fn=namespace["_fused_plan"],
                          stream=build.exprs.stream,
                          filter_flags=build.exprs.filter_flags, staged=True)

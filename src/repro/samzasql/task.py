@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.common.config import Config
 from repro.common.errors import ZkSessionExpiredError
+from repro.metrics.instrument import TimingSampler, instrument_operators
 from repro.samza.system import OutgoingMessageEnvelope, SystemStream
 from repro.samza.task import (
     InitableTask,
@@ -27,6 +28,7 @@ from repro.samzasql.compile import CompiledExecutor, compile_chain
 from repro.samzasql.decision import (
     COMPILED,
     FUSED,
+    INTERPRETED,
     ExecutionDecision,
     decide_execution,
 )
@@ -95,10 +97,19 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
                                     pre_serialized=decision.path == FUSED)
         stores = {name: context.get_store(name) for name in plan.store_names}
         # The interpreted router is always built: its operators carry the
-        # counters, and it serves the metrics sampler's timed bursts.
+        # counters (and, with metrics on, the timers) either path updates.
         self._router = build_router(plan, OperatorContext(
             stores=stores, send_batch=self._sink.send_batch,
             partition_id=context.partition_id, metrics=context.metrics))
+        operators = self._router.operators
+        interpreted = decision.path == INTERPRETED
+        if decision.sampled:
+            # Before the executor is built (it picks up the leaf's timer):
+            # its one run-time boundary is the function call, timed on the
+            # chain's leaf; interpreted operators each get a timer.
+            instrument_operators(
+                operators, context.metrics, context.partition_id,
+                timed=operators if interpreted else operators[:1])
         if decision.path == FUSED:
             # One generated function spans decode→chain→encode; the
             # container delivers this task's batches undecoded.
@@ -109,16 +120,10 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             # One generated function replaces the per-operator dispatch
             # for the full stateless chain.
             self._executor = CompiledExecutor(compile_chain(plan), self._router)
-        route_batch = (self._router if self._executor is None
+        route_batch = (self._router if interpreted
                        else self._executor).route_batch
-        if decision.sampled:
-            from repro.metrics.instrument import TimingSampler, instrument_operators
-
-            instrument_operators(self._router.operators, context.metrics,
-                                 context.partition_id)
-            route_batch = TimingSampler(
-                route_batch, self._router.route_batch,
-                self._router.operators).route_batch
+        if interpreted and decision.sampled:
+            route_batch = TimingSampler(route_batch, operators).route_batch
         self._route_batch = route_batch
         self._early_emit = config.get_bool("samzasql.window.early.emit", False)
 

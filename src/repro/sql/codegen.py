@@ -16,6 +16,7 @@ Rows are Python lists (the paper's array-tuple representation, Figure 4);
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Any, Callable
@@ -209,9 +210,24 @@ def render(node: RexNode, var: str = "r", left_width: int | None = None,
     return go(node)
 
 
+@functools.lru_cache(maxsize=1024)
+def compile_source(source: str, filename: str, mode: str):
+    """``compile()`` memoized on the source text.
+
+    Every task of a job (one per input partition), a container relaunched
+    after a kill and a repeat submission of the same statement all
+    generate identical text, so they share one immutable code object;
+    each caller still ``exec``s/``eval``s it into its own namespace, so
+    no function object or constant is shared.  Keyed by what it compiles,
+    the cache never needs invalidating.
+    """
+    return compile(source, filename, mode)
+
+
 def compile_lambda(source: str, params: str = "r") -> Callable:
     """Compile rendered source into a callable; shared by planner and task."""
-    code = compile(f"lambda {params}: {source}", "<samzasql-codegen>", "eval")
+    code = compile_source(f"lambda {params}: {source}", "<samzasql-codegen>",
+                          "eval")
     return eval(code, dict(CODEGEN_NAMESPACE))  # noqa: S307 - trusted, self-generated
 
 

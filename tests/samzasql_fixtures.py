@@ -23,6 +23,13 @@ PACKETS_SCHEMA = AvroSchema.record(
 )
 
 
+def sql_tasks(handle):
+    """Every SamzaSqlTask behind a handle (one per input partition)."""
+    return [instance.task
+            for container in handle.master.samza_containers.values()
+            for instance in container.tasks.values()]
+
+
 class Deployment:
     """Cluster + YARN + shell, with helpers to feed the paper's workloads."""
 

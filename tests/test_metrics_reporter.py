@@ -21,6 +21,7 @@ from repro.samzasql.cli import SamzaSQLCli
 from repro.serde import AvroSerde
 
 from tests.helpers import ORDERS_SCHEMA, produce_orders
+from tests.samzasql_fixtures import sql_tasks
 
 
 def make_env(**kwargs):
@@ -29,12 +30,20 @@ def make_env(**kwargs):
     return SamzaSqlEnvironment(**kwargs)
 
 
-def run_filter_query(env, orders=100, partitions=4):
+def run_filter_query(env, orders=100, partitions=4, overrides=None):
     env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=partitions)
     produce_orders(env.cluster, orders, partitions=partitions)
-    handle = env.shell.execute("SELECT STREAM * FROM Orders WHERE units > 50")
+    handle = env.shell.execute("SELECT STREAM * FROM Orders WHERE units > 50",
+                               config_overrides=overrides)
     env.run_until_quiescent()
     return handle
+
+
+def operator_metrics(handle, prefix):
+    """``{(operator, part, metric): value}`` for metrics named ``prefix*``."""
+    return {(r["operator"], r["part"], r["metric"]): r["value"]
+            for r in handle.snapshots()
+            if r["operator"] and r["metric"].startswith(prefix)}
 
 
 # -- Timer math ---------------------------------------------------------------
@@ -228,6 +237,48 @@ def test_operator_snapshots_published_for_filter_query():
         if r["operator"] == "filter-1" and r["metric"] == "messages-in":
             by_metric[r["part"]] = r["value"]
     assert sum(by_metric.values()) == 100  # every order reached the filter
+
+
+def test_metrics_survive_the_fused_path():
+    """Reporting rides the generated function: exact per-operator counters,
+    one live timer on the chain's leaf, none where no boundary exists."""
+    fused = run_filter_query(make_env())
+    assert all(task.decision.path == "fused" and task.decision.sampled
+               for task in sql_tasks(fused))
+    interpreted = run_filter_query(
+        make_env(), overrides={"execution.compile": "false"})
+    assert all(task.decision.path == "interpreted"
+               for task in sql_tasks(interpreted))
+
+    counters = operator_metrics(fused, "messages-")
+    assert counters == operator_metrics(interpreted, "messages-")
+    assert {op for op, _part, _metric in counters} == {
+        "scan-2", "filter-1", "insert-0"}
+
+    timers = operator_metrics(fused, "process-ns.")
+    assert {op for op, _part, _metric in timers} == {"scan-2"}  # the leaf
+    for part in range(4):
+        assert timers["scan-2", part, "process-ns.count"] > 0
+        assert timers["scan-2", part, "process-ns.mean"] > 0
+
+
+def test_sliding_window_keeps_per_operator_timers():
+    env = make_env()
+    env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=2)
+    produce_orders(env.cluster, 50, partitions=2)
+    handle = env.shell.execute(
+        "SELECT STREAM rowtime, productId, SUM(units) OVER "
+        "(PARTITION BY productId ORDER BY rowtime "
+        "RANGE INTERVAL '5' MINUTE PRECEDING) s FROM Orders")
+    env.run_until_quiescent()
+    assert all(task.decision.path == "interpreted"
+               for task in sql_tasks(handle))
+    operators = {op for op, _part, _metric
+                 in operator_metrics(handle, "messages-in")}
+    counts = operator_metrics(handle, "process-ns.count")
+    assert {op for op, _part, _metric in counts} == operators
+    assert len(operators) >= 3
+    assert all(value > 0 for value in counts.values())
 
 
 def test_select_stream_over_metrics_stream():

@@ -16,9 +16,12 @@ from repro.common.config import Config
 from repro.common.errors import ConfigError
 from repro.common.execution import KEYS, RETIRED_KEYS, ExecutionConfig
 from repro.samzasql.compile import chain_fallback, compile_chain
+from repro.samzasql.environment import SamzaSqlEnvironment
+from repro.samzasql.serde_plan import compile_serde_fused
 from repro.serving.errors import ErrorCode, PipelineError
+from repro.sql.codegen import compile_lambda, compile_source
 
-from tests.samzasql_fixtures import Deployment
+from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment, sql_tasks
 
 FILTER_SQL = ("SELECT STREAM rowtime, productId, orderId, units "
               "FROM Orders WHERE units > 50")
@@ -27,13 +30,6 @@ WINDOW_SQL = (
     "SUM(units) OVER (PARTITION BY productId ORDER BY rowtime "
     "RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes "
     "FROM Orders")
-
-
-def sql_tasks(handle):
-    """Every SamzaSqlTask behind a handle (one per partition group)."""
-    return [instance.task
-            for container in handle.master.samza_containers.values()
-            for instance in container.tasks.values()]
 
 
 def operator_counters(handle):
@@ -180,6 +176,50 @@ class TestByteEquivalence:
         # and it is the same source compile_chain produces from the plan —
         # the task rebuilt it from the plan JSON the shell wrote to ZK
         assert compile_chain(handle.plan).source == source
+
+
+class TestCodeCache:
+    """Generated source is compiled once per process and text, then
+    exec'd into each task's own namespace."""
+
+    def test_tasks_share_code_not_functions(self):
+        compile_source.cache_clear()
+        dep = Deployment().with_orders(5)
+        handle = dep.run(FILTER_SQL)
+        assert len(sql_tasks(handle)) == 4
+        info = compile_source.cache_info()
+        # one compile per distinct source; the other three tasks only hit
+        assert info.misses == info.currsize
+        assert info.hits >= 3
+        for build in (lambda: compile_chain(handle.plan),
+                      lambda: compile_serde_fused(
+                          sql_tasks(handle)[0].decision.serde)):
+            first, second = build().fn, build().fn
+            assert first is not second
+            assert first.__globals__ is not second.__globals__
+            assert first.__code__ is second.__code__
+        assert compile_source.cache_info().misses == info.misses + 1  # the chain
+
+    def test_different_predicates_never_share_code(self):
+        low, high = compile_lambda("r[0] > 1"), compile_lambda("r[0] > 2")
+        assert low.__code__ is not high.__code__
+        assert (low([2]), high([2])) == (True, False)
+
+    def test_cache_is_bounded(self):
+        maxsize = compile_source.cache_info().maxsize
+        for i in range(maxsize + 10):
+            compile_lambda(f"r[0] + {i}")
+        assert compile_source.cache_info().currsize <= maxsize
+
+    def test_empty_batch_records_no_sample(self):
+        with SamzaSqlEnvironment() as env:
+            env.shell.register_stream("Orders", ORDERS_SCHEMA)
+            handle = env.shell.execute(FILTER_SQL)
+            for task in sql_tasks(handle):
+                task.executor.run([], [])  # and no ZeroDivisionError
+            counts = [r["value"] for r in handle.snapshots()
+                      if r["metric"] == "process-ns.count"]
+            assert counts and not any(counts)
 
 
 class TestExecutionConfigMapping:

@@ -11,10 +11,11 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
+from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.serde import AvroSerde
 
-from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment
+from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment, sql_tasks
 
 FILTER_SQL = ("SELECT STREAM rowtime, productId, orderId, units "
               "FROM Orders WHERE units > 50")
@@ -27,8 +28,17 @@ SLIDING_WINDOW_SQL = (
 )
 
 
-def chaos_sql_deployment(schedule, orders=80, partitions=2):
+def enable_metrics(dep):
+    """Give the fixture's hand-built shell a default environment's
+    reporter (``SamzaSqlEnvironment()``: on, 1 s interval)."""
+    dep.shell.metrics_interval_ms = 1_000
+    dep.shell.enable_metrics_stream()
+
+
+def chaos_sql_deployment(schedule, orders=80, partitions=2, metrics=False):
     dep = Deployment(partitions=partitions)
+    if metrics:
+        enable_metrics(dep)
     dep.with_orders(count=orders)
     injector = FaultInjector(schedule, clock=dep.clock)
     dep.cluster.install_fault_injector(injector)
@@ -37,9 +47,10 @@ def chaos_sql_deployment(schedule, orders=80, partitions=2):
 
 
 def cluster_dump(dep):
-    """Every topic's full contents: (offset, key, value, timestamp)."""
+    """Every topic's full contents: (offset, key, value, timestamp) —
+    except ``__metrics``, whose timer values are wall-clock readings."""
     dump = {}
-    for topic in sorted(dep.cluster.topics()):
+    for topic in sorted(set(dep.cluster.topics()) - {METRICS_STREAM}):
         for tp in dep.cluster.partitions_for(topic):
             msgs = dep.cluster.fetch(tp, dep.cluster.earliest_offset(tp), None)
             dump[str(tp)] = [(m.offset, m.key, m.value, m.timestamp_ms)
@@ -48,8 +59,11 @@ def cluster_dump(dep):
 
 
 def run_filter(fusion: str, poll_size: str = "200",
-               compile_flag: str = "true", sql: str = FILTER_SQL):
+               compile_flag: str = "true", sql: str = FILTER_SQL,
+               metrics: bool = False):
     dep = Deployment().with_orders(60)
+    if metrics:
+        enable_metrics(dep)
     handle = dep.shell.execute(sql, containers=1, config_overrides={
         "task.poll.batch.size": poll_size,
         "execution.compile": compile_flag,
@@ -57,12 +71,6 @@ def run_filter(fusion: str, poll_size: str = "200",
     })
     dep.runner.run_until_quiescent()
     return dep, handle
-
-
-def fused_tasks(handle):
-    return [instance.task
-            for container in handle.master.samza_containers.values()
-            for instance in container.tasks.values()]
 
 
 class TestPrunedDecoder:
@@ -113,7 +121,7 @@ class TestSerdePlanAnalysis:
 
     def test_filter_query_prunes_and_elides(self):
         _dep, handle = run_filter("true")
-        tasks = fused_tasks(handle)
+        tasks = sql_tasks(handle)
         assert tasks and all(t.serde_fused for t in tasks)
         decision = tasks[0].decision
         assert decision.path == "fused"
@@ -123,15 +131,15 @@ class TestSerdePlanAnalysis:
 
     def test_fusion_off_runs_decoded_path(self):
         _dep, handle = run_filter("false")
-        assert all(not t.serde_fused for t in fused_tasks(handle))
+        assert all(not t.serde_fused for t in sql_tasks(handle))
 
     def test_batches_of_one_still_fuse(self):
         _dep, handle = run_filter("true", poll_size="1")
-        assert all(t.serde_fused for t in fused_tasks(handle))
+        assert all(t.serde_fused for t in sql_tasks(handle))
 
     def test_interpreted_chain_never_fuses(self):
         _dep, handle = run_filter("true", compile_flag="false")
-        assert all(not t.serde_fused for t in fused_tasks(handle))
+        assert all(not t.serde_fused for t in sql_tasks(handle))
 
 
 class TestByteEquivalence:
@@ -148,7 +156,21 @@ class TestByteEquivalence:
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
         # equivalence must hold *because* the fused path actually ran
         assert all(t.serde_fused is (compile_flag == "true")
-                   for t in fused_tasks(handle_on))
+                   for t in sql_tasks(handle_on))
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    def test_filter_with_metrics_on(self, poll_size):
+        """Reporting on (what a default environment runs) changes neither
+        the path nor a byte outside ``__metrics``."""
+        dep_off, _ = run_filter("false", poll_size, metrics=True)
+        dep_on, handle_on = run_filter("true", poll_size, metrics=True)
+        assert cluster_dump(dep_off) == cluster_dump(dep_on)
+        assert cluster_dump(dep_on) == cluster_dump(
+            run_filter("true", poll_size)[0])
+        for task in sql_tasks(handle_on):
+            assert task.decision.sampled and task.serde_fused
+        assert any(r["metric"] == "process-ns.count" and r["value"] > 0
+                   for r in handle_on.snapshots())
 
     def test_project_query(self):
         dep_off, _ = run_filter("false", sql=PROJECT_SQL)
@@ -164,7 +186,7 @@ class TestByteEquivalence:
 
 
 class TestCrashMidBatchElision:
-    def test_crash_mid_batch_replays_identically(self):
+    def test_crash_mid_batch_replays_identically(self, metrics=False):
         """A crash landing inside a poll batch while the elision path is
         splicing raw bytes must recover exactly like the decoded path:
         the uncommitted suffix replays through the freshly fused plan on
@@ -172,7 +194,7 @@ class TestCrashMidBatchElision:
         outputs = {}
         for mode, flag in (("fused", "true"), ("decoded", "false")):
             schedule = FaultSchedule.script().add_crash(25)
-            dep, injector = chaos_sql_deployment(schedule)
+            dep, injector = chaos_sql_deployment(schedule, metrics=metrics)
             handle = dep.shell.execute(FILTER_SQL, containers=2,
                                        config_overrides={
                                            "task.checkpoint.interval.messages": 10,
@@ -185,7 +207,7 @@ class TestCrashMidBatchElision:
             assert supervisor.restarts == 1
             # the replacement container re-ran the fusion analysis and
             # landed on the same decision the original did
-            for task in fused_tasks(handle):
+            for task in sql_tasks(handle):
                 assert task.serde_fused is (mode == "fused")
             with injector.suspended():
                 outputs[mode] = {r["orderId"] for r in handle.results()}
@@ -193,6 +215,9 @@ class TestCrashMidBatchElision:
         expected = {i for i in range(80) if (i * 7) % 100 > 50}
         assert outputs["fused"] == expected
         assert outputs["fused"] == outputs["decoded"]
+
+    def test_crash_mid_batch_replays_identically_with_metrics_on(self):
+        self.test_crash_mid_batch_replays_identically(metrics=True)
 
 
 class TestExplainSerdeStatus:
@@ -223,13 +248,13 @@ class TestExplainMatchesTasks:
 
     SQL = "INSERT INTO Big SELECT STREAM * FROM Orders WHERE units > 50"
     METRICS_OFF = {"metrics.reporter.interval.ms": "0"}
+    JSON_OUTPUT = {"systems.kafka.streams.Big.samza.msg.serde": "json"}
     CASES = {
-        "default": ({}, "compiled"),
+        "default": ({}, "fused"),
         "metrics-off": (METRICS_OFF, "fused"),
         "fusion-off": ({"execution.serde.fusion": "false"}, "compiled"),
-        "json-output": ({**METRICS_OFF,
-                         "systems.kafka.streams.Big.samza.msg.serde": "json"},
-                        "compiled"),
+        "json-output": ({**METRICS_OFF, **JSON_OUTPUT}, "compiled"),
+        "metrics-on-json-output": (JSON_OUTPUT, "compiled"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -240,10 +265,18 @@ class TestExplainMatchesTasks:
             report = env.shell.execute("EXPLAIN " + self.SQL,
                                        config_overrides=overrides)
             handle = env.shell.execute(self.SQL, config_overrides=overrides)
-            tasks = fused_tasks(handle)
+            tasks = sql_tasks(handle)
             assert len(tasks) == 4
             for task in tasks:
                 assert task.decision.path == path
+                assert task.decision.sampled is (
+                    "metrics.reporter.interval.ms" not in overrides)
                 assert task.serde_fused is (path == "fused")
                 assert f"tasks: 4 × {task.decision.task_status}\n" in report
                 assert report.endswith("  " + task.decision.serde_status)
+            if path == "fused":
+                assert "serde: decode pruned 2/4 columns" in report
+                assert "encode elided (raw byte splice)" in report
+            elif "json" in case:
+                assert ("(fallback: input/output streams are not Avro with "
+                        "string keys)" in report)
