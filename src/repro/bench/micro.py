@@ -335,8 +335,7 @@ def _changelogged_store(write_behind: bool) -> "SerializedKeyValueStore":
     changelog: list = []
     key_serde = ObjectSerde()
     store = SerializedKeyValueStore(
-        LoggedKeyValueStore(InMemoryKeyValueStore(),
-                            lambda k, v, log=changelog: log.append((k, v))),
+        LoggedKeyValueStore(InMemoryKeyValueStore(), changelog.extend),
         key_serde, ObjectSerde())
     if write_behind:
         store = WriteBehindKeyValueStore(store, key_serde)

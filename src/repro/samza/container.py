@@ -311,11 +311,16 @@ class SamzaContainer:
                 self._restore_store(memory, topic, model.partition_id)
                 tp = TopicPartition(topic, model.partition_id)
 
-                def log_fn(key: bytes, value: bytes | None, _tp=tp) -> None:
-                    self._retry.call(lambda: self.cluster.produce(
-                        _tp, key, value, self.clock.now_ms()))
+                def log_batch(records: list, _tp=tp) -> None:
+                    # One request per store per commit.  A retry re-appends
+                    # the batch from its start: keyed upserts, one per key,
+                    # so the duplicates are idempotent under restore.
+                    now_ms = self.clock.now_ms()
+                    stamped = [(key, value, now_ms) for key, value in records]
+                    self._retry.call(
+                        lambda: self.cluster.produce_batch(_tp, stamped))
 
-                bytes_store = LoggedKeyValueStore(memory, log_fn)
+                bytes_store = LoggedKeyValueStore(memory, log_batch)
             key_serde = self.serdes.get(spec.key_serde)
             store: KeyValueStore = SerializedKeyValueStore(
                 bytes_store, key_serde, self.serdes.get(spec.msg_serde))
@@ -324,6 +329,10 @@ class SamzaContainer:
                 store = WriteBehindKeyValueStore(store, key_serde)
                 self.metrics.gauge(group, "dirty-entries",
                                    fn=lambda s=store: s.dirty_count)
+                self.metrics.gauge(group, "flushed-entries",
+                                   fn=lambda s=store: s.flushed_count)
+                self.metrics.gauge(group, "elided-entries",
+                                   fn=lambda s=store: s.elided_count)
             if spec.cached:
                 store = CachedKeyValueStore(store, spec.cache_size)
                 self.metrics.gauge(group, "cache-hits",
@@ -340,13 +349,9 @@ class SamzaContainer:
             return
         tp = TopicPartition(topic, partition)
         start = self.cluster.earliest_offset(tp)
-        for message in self._retry.call(lambda: self.cluster.fetch(tp, start)):
-            if message.key is None:
-                continue
-            if message.value is None:
-                memory.delete(message.key)
-            else:
-                memory.put(message.key, message.value)
+        messages = self._retry.call(lambda: self.cluster.fetch(tp, start))
+        memory.write_batch((message.key, message.value) for message in messages
+                           if message.key is not None)
 
     # -- output path ------------------------------------------------------------------
 

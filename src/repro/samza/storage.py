@@ -8,17 +8,23 @@ task failure."
 The stack, bottom to top:
 
 * :class:`InMemoryKeyValueStore` — bytes→bytes sorted store (the RocksDB
-  role). Range scans are needed by the sliding-window operator, which keys
-  messages by big-endian timestamps so byte order equals time order.
-* :class:`LoggedKeyValueStore` — mirrors every write to a compacted
-  changelog topic partition; restoration replays that partition.
+  role), the memtable.  Keys sort by their serialized bytes; the
+  sliding-window operator's object-serde tuple keys are *not*
+  time-ordered, so it rebuilds from one full scan, not a range.
+* :class:`LoggedKeyValueStore` — write-*ahead* mirror to a compacted
+  changelog topic partition: each batch is logged, then applied, so the
+  memtable is always the materialised changelog.  A tombstone for a key
+  the memtable does not hold is therefore a no-op on restore and is never
+  logged.  Restoration replays the partition.
 * :class:`SerializedKeyValueStore` — object API on top of a bytes store;
   every access pays the serde cost.  The paper's Figure 6 finding — sliding
   window throughput "is dominated by access to the key-value store" — falls
   out of this layer, and the Kryo-vs-Avro join gap comes from which serde
   is plugged in here.
 * :class:`WriteBehindKeyValueStore` — object-level dirty map that defers
-  the serde *and* the changelog write of every mutation until ``flush()``.
+  the serde *and* the changelog write of every mutation until ``flush()``,
+  which hands the interval's *net* change down as one batch; a row put and
+  deleted inside one interval that was never persisted costs nothing.
   The container flushes stores immediately before writing the checkpoint,
   so the changelog is exactly as current as the checkpoint it accompanies:
   a crash between commits loses only the uncommitted suffix, which
@@ -28,16 +34,35 @@ The stack, bottom to top:
 * :class:`CachedKeyValueStore` — optional object cache that absorbs
   repeated reads (Samza's cached store layer); the kv-cache ablation bench
   toggles it.
+
+Every layer has exactly one write path, ``write_batch(entries)``; ``put``
+and ``delete`` are batches of one.  Entries are ``(key, value)`` pairs, at
+most one per key; a delete is :data:`TOMBSTONE` at the object layers and
+``None`` (the changelog's own tombstone) at the bytes layers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import StateStoreError
 from repro.serde.base import Serde
+
+
+class _Tombstone:
+    """Sentinel marking a delete in an object-level ``write_batch`` entry
+    (and a deferred one in the write-behind dirty map)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<tombstone>"
+
+
+TOMBSTONE = _Tombstone()
+_MISSING = object()
 
 
 class KeyValueStore:
@@ -51,6 +76,15 @@ class KeyValueStore:
 
     def delete(self, key: Any) -> None:
         raise NotImplementedError
+
+    def write_batch(self, entries: Iterable[tuple[Any, Any]]) -> None:
+        """Apply ``(key, value)`` mutations in order, at most one per key;
+        a value of :data:`TOMBSTONE` deletes."""
+        for key, value in entries:
+            if value is TOMBSTONE:
+                self.delete(key)
+            else:
+                self.put(key, value)
 
     def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
         """Entries with ``from_key <= key < to_key`` in key order."""
@@ -83,19 +117,27 @@ class InMemoryKeyValueStore(KeyValueStore):
         return self._data.get(self._check_key(key))
 
     def put(self, key: bytes, value: bytes) -> None:
-        key = self._check_key(key)
-        if not isinstance(value, (bytes, bytearray)):
-            raise StateStoreError(f"store values must be bytes, got {type(value).__name__}")
-        if key not in self._data:
-            insort(self._sorted_keys, key)
-        self._data[key] = bytes(value)
+        self.write_batch(((key, value),))
 
     def delete(self, key: bytes) -> None:
-        key = self._check_key(key)
-        if key in self._data:
-            del self._data[key]
-            index = bisect_left(self._sorted_keys, key)
-            del self._sorted_keys[index]
+        self.write_batch(((key, None),))
+
+    def write_batch(self, entries: Iterable[tuple[bytes, bytes | None]]) -> None:
+        """Apply ``(key, value)`` records in order; ``None`` deletes (a
+        changelog tombstone) — so a restore is one batch of the log."""
+        data, sorted_keys, check_key = self._data, self._sorted_keys, self._check_key
+        for key, value in entries:
+            key = check_key(key)
+            if value is None:
+                if key in data:
+                    del data[key]
+                    del sorted_keys[bisect_left(sorted_keys, key)]
+                continue
+            if not isinstance(value, (bytes, bytearray)):
+                raise StateStoreError(f"store values must be bytes, got {type(value).__name__}")
+            if key not in data:
+                insort(sorted_keys, key)
+            data[key] = bytes(value)
 
     def range(self, from_key: bytes, to_key: bytes) -> Iterator[tuple[bytes, bytes]]:
         from_key = self._check_key(from_key)
@@ -120,12 +162,23 @@ class InMemoryKeyValueStore(KeyValueStore):
 class LoggedKeyValueStore(KeyValueStore):
     """Write-ahead mirror to a changelog sink.
 
-    ``log_fn(key, value_or_None)`` is called for every mutation; the
-    container wires it to a producer on the store's compacted changelog
-    topic partition.
+    ``log_fn(records)`` receives each batch's effective ``(key,
+    value_or_None)`` records as one list; the container wires it to one
+    produce-batch request on the store's compacted changelog topic
+    partition.
+
+    Log first, apply second: the backing store only ever holds what the
+    changelog already records, so it *is* the materialised changelog and
+    a tombstone for a key it does not hold — a no-op on restore — is
+    dropped rather than logged.  If ``log_fn`` raises, nothing was applied
+    and the same batch can be written again (records it had already
+    appended are keyed upserts, idempotent under replay); a caller that
+    gives up instead must discard the store, as the container does when a
+    commit fails.
     """
 
-    def __init__(self, backing: KeyValueStore, log_fn: Callable[[bytes, bytes | None], None]):
+    def __init__(self, backing: KeyValueStore,
+                 log_fn: Callable[[list[tuple[bytes, bytes | None]]], None]):
         self._backing = backing
         self._log = log_fn
 
@@ -133,12 +186,18 @@ class LoggedKeyValueStore(KeyValueStore):
         return self._backing.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._backing.put(key, value)
-        self._log(key, value)
+        self.write_batch(((key, value),))
 
     def delete(self, key: bytes) -> None:
-        self._backing.delete(key)
-        self._log(key, None)  # changelog tombstone
+        self.write_batch(((key, None),))
+
+    def write_batch(self, entries: Iterable[tuple[bytes, bytes | None]]) -> None:
+        held = self._backing.get
+        records = [(key, value) for key, value in entries
+                   if value is not None or held(key) is not None]
+        if records:
+            self._log(records)
+            self._backing.write_batch(records)
 
     def range(self, from_key: bytes, to_key: bytes) -> Iterator[tuple[bytes, bytes]]:
         return self._backing.range(from_key, to_key)
@@ -166,10 +225,17 @@ class SerializedKeyValueStore(KeyValueStore):
         return None if raw is None else self._value_serde.from_bytes(raw)
 
     def put(self, key: Any, value: Any) -> None:
-        self._backing.put(self._key_serde.to_bytes(key), self._value_serde.to_bytes(value))
+        self.write_batch(((key, value),))
 
     def delete(self, key: Any) -> None:
-        self._backing.delete(self._key_serde.to_bytes(key))
+        self.write_batch(((key, TOMBSTONE),))
+
+    def write_batch(self, entries: Iterable[tuple[Any, Any]]) -> None:
+        key_bytes = self._key_serde.to_bytes
+        value_bytes = self._value_serde.to_bytes
+        self._backing.write_batch(
+            (key_bytes(key), None if value is TOMBSTONE else value_bytes(value))
+            for key, value in entries)
 
     def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
         raw_from = self._key_serde.to_bytes(from_key)
@@ -188,19 +254,6 @@ class SerializedKeyValueStore(KeyValueStore):
         return len(self._backing)
 
 
-class _Tombstone:
-    """Sentinel marking a deferred delete in the write-behind dirty map."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<tombstone>"
-
-
-TOMBSTONE = _Tombstone()
-_MISSING = object()
-
-
 class WriteBehindKeyValueStore(KeyValueStore):
     """Object-level dirty map deferring serde + changelog writes to flush.
 
@@ -208,8 +261,10 @@ class WriteBehindKeyValueStore(KeyValueStore):
     (deletes as :data:`TOMBSTONE`); nothing below this layer — serde,
     changelog produce, memtable — runs until ``flush()``, which the task
     instance calls at commit time immediately before checkpointing input
-    offsets.  Per-message state maintenance therefore costs one dict write
-    instead of an O(value) serde round-trip plus a changelog produce.
+    offsets and which hands the whole dirty map down as **one**
+    ``write_batch``.  Per-message state maintenance therefore costs one
+    dict write instead of an O(value) serde round-trip plus a changelog
+    produce, and a commit costs one produce-batch request per store.
 
     Semantics:
 
@@ -224,6 +279,29 @@ class WriteBehindKeyValueStore(KeyValueStore):
       order the backing store sorts by), skipping tombstoned keys, without
       spilling anything down — scans never cause early changelog writes,
       preserving "no changelog entries between commits".
+    * **Commit pays for net change only.**  The store keeps the exact set
+      of keys it knows are live below it: empty when it opens over an
+      empty backing store, learned from the first ``all()`` scan otherwise
+      (the sliding-window and stream-join operators scan once in ``setup``
+      after a restore), and brought up to date by each successful flush.
+      Until it has opened empty or been scanned the set is *unknown* and
+      every delete is deferred as a tombstone (which the logged layer
+      still drops if the key turns out to be absent).  Once it is known,
+      ``delete`` of a key that is not in it just drops the dirty entry — a row put and purged
+      inside one commit interval never reaches the serde, the memtable or
+      the changelog — while a key that *is* live below (a persisted row,
+      or a crash orphan flushed ahead of its checkpoint) gets a real
+      tombstone.  The set holds the key objects the dirty map already
+      owned, ≈ 190 B per retained row for the window operator's
+      ``(key, ts, seq)`` tuples.  Writing to the backing store behind
+      this layer's back would break the set; nothing does.
+    * **Flush order** is dirty-map insertion order (first dirtying wins;
+      a key re-put after an elided delete counts from the re-put), so the
+      changelog byte stream is deterministic under replay.
+    * **Failed flush.**  If ``write_batch`` raises, the dirty map and the
+      key set are untouched: flush again, or discard the store (the
+      container does the latter — a failed commit kills it and the
+      replacement restores from the changelog).
     * **Crash window.**  Unflushed mutations simply vanish with the
       process; the changelog equals the last commit, the checkpoint equals
       the last commit, and replay regenerates the lost suffix — producing
@@ -238,9 +316,13 @@ class WriteBehindKeyValueStore(KeyValueStore):
         self._backing = backing
         self._key_serde = key_serde
         # key -> object value, or TOMBSTONE for a deferred delete;
-        # insertion-ordered (first dirtying wins) so flush order — and with
-        # it the changelog byte stream — is deterministic under replay.
+        # insertion-ordered so flush order — and with it the changelog
+        # byte stream — is deterministic under replay.
         self._dirty: dict[Any, Any] = {}
+        # Keys known to be live below this layer; None = unknown.
+        self._live: set | None = None if len(backing) else set()
+        self.flushed_count = 0  # entries handed down by flush()
+        self.elided_count = 0   # deletes that needed no tombstone
 
     @property
     def dirty_count(self) -> int:
@@ -263,8 +345,13 @@ class WriteBehindKeyValueStore(KeyValueStore):
             self._backing.put(key, value)
 
     def delete(self, key: Any) -> None:
+        live = self._live
         try:
-            self._dirty[key] = TOMBSTONE
+            if live is not None and key not in live:
+                self._dirty.pop(key, None)  # known absent below: no tombstone
+                self.elided_count += 1
+            else:
+                self._dirty[key] = TOMBSTONE
         except TypeError:
             self._backing.delete(key)
 
@@ -312,21 +399,35 @@ class WriteBehindKeyValueStore(KeyValueStore):
         return self._merge(self._backing.range(from_key, to_key), dirty)
 
     def all(self) -> Iterator[tuple[Any, Any]]:
+        backing_iter = self._backing.all()
+        if self._live is None:
+            # First full scan: learn which keys are live below.
+            entries = list(backing_iter)
+            try:
+                self._live = {key for key, _ in entries}
+            except TypeError:  # unhashable keys: stay unknown
+                pass
+            backing_iter = iter(entries)
         if not self._dirty:
-            return self._backing.all()
-        return self._merge(self._backing.all(), self._dirty_sorted())
+            return backing_iter
+        return self._merge(backing_iter, self._dirty_sorted())
 
     def flush(self) -> None:
-        """Push every deferred mutation down (serde + changelog run here),
-        then flush the backing stack."""
-        backing = self._backing
-        for key, value in self._dirty.items():
-            if value is TOMBSTONE:
-                backing.delete(key)
-            else:
-                backing.put(key, value)
-        self._dirty.clear()
-        backing.flush()
+        """Push the deferred mutations down as one batch (serde + changelog
+        run here), then flush the backing stack."""
+        dirty = self._dirty
+        if dirty:
+            self._backing.write_batch(dirty.items())
+            live = self._live
+            if live is not None:
+                for key, value in dirty.items():
+                    if value is TOMBSTONE:
+                        live.discard(key)
+                    else:
+                        live.add(key)
+            self.flushed_count += len(dirty)
+            dirty.clear()
+        self._backing.flush()
 
     def __len__(self) -> int:
         count = len(self._backing)

@@ -349,3 +349,30 @@ def test_cli_metrics_command_without_queries():
     cli = SamzaSQLCli(shell=env.shell, runner=env.runner, out=out)
     cli.process_line("!metrics")
     assert "no metrics snapshots" in out.getvalue()
+
+
+def test_store_flush_and_elision_counters_are_a_sql_query_away():
+    """Rows put and purged inside one commit interval never reach the
+    changelog; ``flushed-entries`` / ``elided-entries`` say so in SQL."""
+    env = make_env()
+    env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=1)
+    produce_orders(env.cluster, 50, partitions=1)
+    handle = env.shell.execute(
+        "SELECT STREAM rowtime, productId, SUM(units) OVER "
+        "(PARTITION BY productId ORDER BY rowtime ROWS 1 PRECEDING) s "
+        "FROM Orders")
+    env.run_until_quiescent()
+    handle.master.finish()  # the commit that flushes the 50-message interval
+    metrics = env.shell.execute(
+        "SELECT STREAM grp, metric, value FROM __metrics "
+        "WHERE metric = 'elided-entries' OR metric = 'flushed-entries'")
+    env.run_until_quiescent()
+    latest = {(r["grp"], r["metric"]): r["value"] for r in metrics.results()}
+    group = "store.sql-window-messages.p0"
+    # 10 products x 5 orders, 2 rows retained per product: 30 purged rows
+    assert latest[(group, "elided-entries")] == 30
+    assert latest[(group, "flushed-entries")] == 20
+    changelog = [name for name in env.cluster.topics()
+                 if "sql-window-messages" in name and "changelog" in name]
+    assert sum(env.cluster.topic(name).total_messages()
+               for name in changelog) == 20

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common import Config
+from repro.kafka.message import TopicPartition
 from repro.samza import OutgoingMessageEnvelope, SamzaJob
 from repro.samza.system import SystemStream
 from repro.samza.task import StreamTask
@@ -120,6 +121,61 @@ class TestStatefulJob:
         # through the changelog layer alongside the checkpoint.
         master.finish()
         assert cluster.topic("test-job-counts-changelog").total_messages() > 0
+
+    def test_commit_is_one_changelog_batch_per_store(self):
+        """One produce-batch request per store per commit (not one produce
+        per record), and the flush counters say what went down."""
+        cluster, rm, runner, clock = make_runtime()
+        produce_orders(cluster, 20, partitions=2)
+        requests = []
+        produce_batch = cluster.produce_batch
+
+        def recording(tp, records):
+            if tp.topic == "test-job-counts-changelog":
+                requests.append((tp.partition, len(records)))
+            return produce_batch(tp, records)
+
+        cluster.produce_batch = recording
+        master = runner.submit(self._job(cluster))
+        runner.run_until_quiescent()
+        master.finish()  # the only commit: 20 messages < the interval
+        assert sorted(partition for partition, _ in requests) == [0, 1]
+        assert sum(count for _, count in requests) == 10  # one per productId
+        [container] = master.samza_containers.values()
+        gauges = container.metrics.snapshot()
+        assert {(p, gauges[f"store.counts.p{p}"]["flushed-entries"])
+                for p in (0, 1)} == set(requests)
+        assert gauges["store.counts.p0"]["elided-entries"] == 0
+
+    def test_changelog_batch_under_faults_is_one_op_per_record(self):
+        """With a fault injector installed the broker unrolls the batch, so
+        the injector sees one produce op per changelog record; the retry
+        re-appends the batch from its start — keyed upserts, so a restore
+        from the longer log still equals the live store."""
+        from repro.chaos import FaultInjector, FaultSchedule
+
+        cluster, rm, runner, clock = make_runtime()
+        produce_orders(cluster, 20, partitions=1)
+        master = runner.submit(self._job(cluster))
+        runner.run_until_quiescent()
+        # commit = 10 changelog records then 1 checkpoint write; fail op 4
+        injector = FaultInjector(
+            FaultSchedule.script().add_produce_fault(4), clock=clock)
+        cluster.install_fault_injector(injector)
+        master.finish()
+        [container] = master.samza_containers.values()
+        assert container.retry_count == 1
+        assert injector.produce_ops == 3 + 1 + 10 + 1
+        with injector.suspended():
+            changelog = cluster.topic("test-job-counts-changelog")
+            assert changelog.total_messages() == 3 + 10
+            [task] = container.tasks.values()
+            live = dict(task.stores["counts"].all())
+            restored = {}
+            for message in cluster.fetch(
+                    TopicPartition("test-job-counts-changelog", 0), 0):
+                restored[message.key.decode()] = int(message.value)
+        assert restored == live == {str(p): 2 for p in range(10)}
 
     def test_changelog_writethrough_mode(self):
         """execution.write.behind=false restores per-mutation changelog writes."""

@@ -1,7 +1,7 @@
 """Tests for the layered key-value store stack."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import StateStoreError
@@ -13,6 +13,35 @@ from repro.samza import (
     WriteBehindKeyValueStore,
 )
 from repro.serde import JsonSerde, LongSerde, ObjectSerde, StringSerde
+
+
+class _RecordingSerializedStore(SerializedKeyValueStore):
+    """Remembers every entry a flush hands it (``written``)."""
+
+    def __init__(self, backing, key_serde, value_serde):
+        super().__init__(backing, key_serde, value_serde)
+        self.written = []
+
+    def write_batch(self, entries):
+        entries = list(entries)
+        self.written.extend(entries)
+        super().write_batch(entries)
+
+
+def _stack_over(memory, sink, serde=None):
+    """The production stack — write-behind → serialized → logged → memtable
+    — over ``memory``, logging to ``sink``; returns ``(top, serialized)``."""
+    serde = serde or ObjectSerde()
+    serialized = _RecordingSerializedStore(
+        LoggedKeyValueStore(memory, sink), serde, serde)
+    return WriteBehindKeyValueStore(serialized, serde), serialized
+
+
+def _replay(log):
+    """A changelog restore: the log applied to a fresh memtable."""
+    memory = InMemoryKeyValueStore()
+    memory.write_batch(log)
+    return memory
 
 
 class TestInMemoryStore:
@@ -93,7 +122,7 @@ class TestInMemoryStore:
 class TestLoggedStore:
     def test_mutations_logged(self):
         log = []
-        store = LoggedKeyValueStore(InMemoryKeyValueStore(), lambda k, v: log.append((k, v)))
+        store = LoggedKeyValueStore(InMemoryKeyValueStore(), log.extend)
         store.put(b"a", b"1")
         store.put(b"a", b"2")
         store.delete(b"a")
@@ -101,7 +130,7 @@ class TestLoggedStore:
 
     def test_reads_not_logged(self):
         log = []
-        store = LoggedKeyValueStore(InMemoryKeyValueStore(), lambda k, v: log.append(1))
+        store = LoggedKeyValueStore(InMemoryKeyValueStore(), log.extend)
         store.put(b"a", b"1")
         store.get(b"a")
         list(store.range(b"a", b"b"))
@@ -110,7 +139,7 @@ class TestLoggedStore:
 
     def test_replaying_log_rebuilds_store(self):
         log = []
-        store = LoggedKeyValueStore(InMemoryKeyValueStore(), lambda k, v: log.append((k, v)))
+        store = LoggedKeyValueStore(InMemoryKeyValueStore(), log.extend)
         store.put(b"a", b"1")
         store.put(b"b", b"2")
         store.delete(b"a")
@@ -209,12 +238,7 @@ class TestWriteBehindStore:
 
     def _stack(self):
         log = []
-        memory = InMemoryKeyValueStore()
-        logged = LoggedKeyValueStore(
-            memory, lambda k, v: log.append((k, v)))
-        serde = ObjectSerde()
-        serialized = SerializedKeyValueStore(logged, serde, serde)
-        wb = WriteBehindKeyValueStore(serialized, serde)
+        wb, serialized = _stack_over(InMemoryKeyValueStore(), log.extend)
         return wb, serialized, log
 
     def test_reads_see_unflushed_writes(self):
@@ -275,12 +299,85 @@ class TestWriteBehindStore:
         assert log[-1][1] is None       # changelog tombstone
 
     def test_put_then_delete_flushes_tombstone_only(self):
+        """A key that was flushed live earlier: the interval's put is
+        coalesced away, the tombstone alone goes down."""
         wb, inner, log = self._stack()
+        wb.put("k", 0)
+        wb.flush()
+        del log[:]
         wb.put("k", 1)
         wb.delete("k")
         wb.flush()
         assert inner.get("k") is None
-        assert [v for _, v in log] == [None]
+        assert log == [(ObjectSerde().to_bytes("k"), None)]
+
+    def test_put_then_delete_of_never_persisted_key_costs_nothing(self):
+        """Put and purged inside one interval, never below: nothing reaches
+        the serialized layer, nothing is logged, no serde runs for it."""
+        log, encoded = [], []
+
+        class CountingSerde(ObjectSerde):
+            def to_bytes(self, obj):
+                encoded.append(obj)
+                return super().to_bytes(obj)
+
+        wb, inner = _stack_over(
+            InMemoryKeyValueStore(), log.extend, CountingSerde())
+        wb.put("other", 1)
+        wb.put("k", 1)
+        assert wb.dirty_count == 2
+        wb.delete("k")
+        assert wb.dirty_count == 1 and wb.elided_count == 1
+        wb.delete("never-put")          # absent everywhere: same story
+        wb.flush()
+        assert inner.written == [("other", 1)]
+        assert [key for key, _ in log] == [ObjectSerde().to_bytes("other")]
+        assert "k" not in encoded and "never-put" not in encoded
+        assert wb.flushed_count == 1 and wb.elided_count == 2
+
+    def test_restart_over_nonempty_store_keeps_tombstones_until_scanned(self):
+        """Opened over a restored memtable with no scan yet, the live keys
+        are unknown: the tombstone goes down, and the logged layer drops
+        it only when the key is truly absent."""
+        serde = ObjectSerde()
+        memory = InMemoryKeyValueStore()
+        memory.put(serde.to_bytes("orphan"), serde.to_bytes(1))
+        log = []
+        wb, inner = _stack_over(memory, log.extend)
+        wb.put("orphan", 2)
+        wb.delete("orphan")             # live below: a real delete
+        wb.put("fresh", 3)
+        wb.delete("fresh")              # absent below, but not known to be
+        assert wb.elided_count == 0
+        wb.flush()
+        assert [key for key, _ in inner.written] == ["orphan", "fresh"]
+        assert log == [(serde.to_bytes("orphan"), None)]
+        assert len(memory) == 0
+        # the flush taught it nothing about *other* keys: still unknown
+        wb.put("again", 1)
+        wb.delete("again")
+        assert wb.elided_count == 0
+        # ...one complete scan does
+        assert list(wb.all()) == []
+        wb.put("again", 1)
+        wb.delete("again")
+        assert wb.elided_count == 1 and wb.dirty_count == 0
+
+    def test_scan_learns_live_keys_so_orphans_get_real_deletes(self):
+        serde = ObjectSerde()
+        memory = InMemoryKeyValueStore()
+        memory.put(serde.to_bytes("orphan"), serde.to_bytes(1))
+        log = []
+        wb, _ = _stack_over(memory, log.extend)
+        assert dict(wb.all()) == {"orphan": 1}
+        wb.put("orphan", 1)
+        wb.delete("orphan")
+        wb.put("fresh", 1)
+        wb.delete("fresh")
+        assert wb.elided_count == 1
+        wb.flush()
+        assert log == [(serde.to_bytes("orphan"), None)]
+        assert len(memory) == 0
 
     def test_scan_merges_dirty_and_backing(self):
         wb, _, log = self._stack()
@@ -381,3 +478,173 @@ class TestCachedStoreLRU:
         assert cached.misses == misses_before
         cached.get("b")
         assert cached.misses == misses_before + 1
+
+
+class TestFlushFailureOrdering:
+    """Log first, apply second: a flush whose changelog write fails leaves
+    the memtable, the dirty map and the live-key set as they were, so the
+    retried flush logs exactly what the first one owed."""
+
+    @pytest.mark.parametrize("appended_before_failing", [0, 1, 3])
+    def test_failed_flush_then_retry_restores_to_live_state(
+            self, appended_before_failing):
+        serde = ObjectSerde()
+        log, calls = [], []
+
+        def sink(records):
+            calls.append(records)
+            if len(calls) == 2:  # the first flush after the set-up one
+                log.extend(records[:appended_before_failing])
+                raise StateStoreError("changelog unavailable")
+            log.extend(records)
+
+        memory = InMemoryKeyValueStore()
+        wb, _ = _stack_over(memory, sink)
+        wb.put("persisted", 1)
+        wb.put("overwritten", 1)
+        wb.flush()
+        committed = list(memory.all())
+
+        wb.put("persisted", 2)
+        wb.delete("persisted")          # put-then-delete of a persisted key
+        wb.put("never", 1)
+        wb.delete("never")              # ...of a never-persisted key
+        wb.put("overwritten", 2)        # a plain overwrite
+        wb.put("fresh", 1)
+        with pytest.raises(StateStoreError):
+            wb.flush()
+        assert list(memory.all()) == committed      # nothing applied
+        assert wb.dirty_count == 3                  # nothing forgotten
+        assert dict(wb.all()) == {"overwritten": 2, "fresh": 1}
+
+        wb.flush()
+        assert calls[2] == calls[1]                 # the same batch again
+        assert dict(wb.all()) == {"overwritten": 2, "fresh": 1}
+        assert list(_replay(log).all()) == list(memory.all())
+        assert serde.to_bytes("never") not in [key for key, _ in log]
+
+
+_KEYS = st.integers(0, 5)
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, st.integers(0, 3)),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("get"), _KEYS),
+    st.tuples(st.just("range"), _KEYS, _KEYS),
+    st.tuples(st.sampled_from(["all", "len", "flush", "crash"])),
+)
+
+
+class _PerRecordReference:
+    """The parent commit's flush, kept as the reference: every dirty entry
+    goes down one record at a time — memtable first, changelog second —
+    and every tombstone is logged, no-op or not."""
+
+    def __init__(self):
+        self.memory = InMemoryKeyValueStore()
+        self.log = []
+        self.dirty = {}
+
+    def flush(self, serde):
+        """Returns this flush's records, no-op tombstones left out."""
+        effective = []
+        for key, value in self.dirty.items():
+            raw = serde.to_bytes(key)
+            if value is None:
+                if self.memory.get(raw) is not None:
+                    effective.append((raw, None))
+                self.memory.delete(raw)
+                self.log.append((raw, None))
+            else:
+                self.memory.put(raw, serde.to_bytes(value))
+                self.log.append((raw, serde.to_bytes(value)))
+                effective.append(self.log[-1])
+        self.dirty.clear()
+        return effective
+
+    def crash(self):
+        self.memory = _replay(self.log)
+        self.dirty.clear()
+
+
+class TestStoreStackAgainstModel:
+    """Write-behind → serialized → logged → in-memory against a plain dict,
+    over generated operation sequences with crashes and restores."""
+
+    SERDE = ObjectSerde()
+
+    def _in_store_order(self, model):
+        return sorted(model.items(), key=lambda kv: self.SERDE.to_bytes(kv[0]))
+
+    # derandomize: CI (and the tier-1 gate) must see the same examples on
+    # every run; explore locally by raising max_examples and dropping it.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    def test_reads_restores_and_changelog_match_the_model(self, ops):
+        to_bytes = self.SERDE.to_bytes
+        log = []
+        memory = InMemoryKeyValueStore()
+        wb, _ = _stack_over(memory, log.extend)
+        reference = _PerRecordReference()
+        model, flushed_model = {}, {}
+        elided_this_interval, reordered = set(), False
+
+        for op in ops:
+            kind = op[0]
+            if kind == "put":
+                _, key, value = op
+                reordered = reordered or key in elided_this_interval
+                wb.put(key, value)
+                reference.dirty[key] = value
+                model[key] = value
+            elif kind == "delete":
+                elided_before = wb.elided_count
+                wb.delete(op[1])
+                if wb.elided_count > elided_before:
+                    assert op[1] not in flushed_model  # exact, not a guess
+                    elided_this_interval.add(op[1])
+                reference.dirty[op[1]] = None
+                model.pop(op[1], None)
+            elif kind == "get":
+                assert wb.get(op[1]) == model.get(op[1])
+            elif kind == "range":
+                low, high = sorted(op[1:], key=to_bytes)
+                assert list(wb.range(low, high)) == [
+                    (key, value) for key, value in self._in_store_order(model)
+                    if to_bytes(low) <= to_bytes(key) < to_bytes(high)]
+            elif kind == "all":
+                assert list(wb.all()) == self._in_store_order(model)
+            elif kind == "len":
+                assert len(wb) == len(model)
+            elif kind == "flush":
+                logged_before = len(log)
+                wb.flush()
+                records = log[logged_before:]
+                expected = reference.flush(self.SERDE)
+                # batch == per-record, minus the no-op tombstones; a key
+                # re-put after an elided delete re-enters the dirty map at
+                # the end, so only then may the order inside a flush differ
+                assert sorted(records) == sorted(expected)
+                assert reordered or records == expected
+                assert list(memory.all()) == list(reference.memory.all())
+                flushed_model = dict(model)
+                elided_this_interval, reordered = set(), False
+            else:  # crash: unflushed writes vanish, restore from changelog
+                memory = _replay(log)
+                wb, _ = _stack_over(memory, log.extend)
+                reference.crash()
+                model = dict(flushed_model)
+                elided_this_interval, reordered = set(), False
+                # read the memtable beside the stack: a scan through ``wb``
+                # would teach it the live keys, which is the "all" op's job
+                assert dict(SerializedKeyValueStore(
+                    memory, self.SERDE, self.SERDE).all()) == flushed_model
+
+        restored = SerializedKeyValueStore(_replay(log), self.SERDE, self.SERDE)
+        assert dict(restored.all()) == flushed_model
+        live = set()
+        for key, value in log:  # every logged tombstone hits a live record
+            if value is None:
+                assert key in live
+                live.discard(key)
+            else:
+                live.add(key)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.samza.storage import InMemoryKeyValueStore, SerializedKeyValueStore
+from repro.samza.storage import (
+    InMemoryKeyValueStore,
+    LoggedKeyValueStore,
+    SerializedKeyValueStore,
+    WriteBehindKeyValueStore,
+)
 from repro.samzasql.operators import (
     FilterOperator,
     GroupWindowAggOperator,
@@ -215,6 +220,76 @@ class TestSlidingWindowOperator:
             reference.process(0, list(row), row[0])
         assert sink1.rows + sink2.rows == ref_sink.rows
         assert restored.state_size() == reference.state_size()
+
+    def test_crash_orphan_is_really_deleted_after_replay(self):
+        """Messages store flushed, bounds record not, restart: the rows of
+        the lost interval sit below as orphans.  Replay re-puts each under
+        the same key and a later message purges it inside one commit
+        interval — the store must send a real delete, not elide it as
+        "put and purged, never persisted"."""
+        names = ("sql-window-messages", "sql-window-state")
+        serde = ObjectSerde()
+
+        def open_stores(changelogs):
+            """Production stack per store, restored from its changelog."""
+            stores = {}
+            for name in names:
+                memory = InMemoryKeyValueStore()
+                memory.write_batch(changelogs[name])
+                stores[name] = WriteBehindKeyValueStore(
+                    SerializedKeyValueStore(
+                        LoggedKeyValueStore(memory, changelogs[name].extend),
+                        serde, serde), serde)
+            return stores
+
+        def feed(operator, rows):
+            for row in rows:
+                operator.process(0, list(row), row[0])
+
+        def contents(stores):
+            return {name: dict(stores[name].all()) for name in names}
+
+        committed = [[t, "k", t] for t in (0, 10, 20)]
+        lost = [[t, "k", t] for t in (30, 40)]       # interval that crashed
+        later = [[t, "k", t] for t in (200, 210)]    # purges everything before
+
+        changelogs = {name: [] for name in names}
+        stores = open_stores(changelogs)
+        first, _ = self._fresh(OperatorContext(stores, send_batch=None))
+        feed(first, committed)
+        for store in stores.values():
+            store.flush()                            # commit 1
+        feed(first, lost)
+        stores["sql-window-messages"].flush()        # crash mid-commit 2
+
+        stores = open_stores(changelogs)             # restart from changelogs
+        orphans = {key for key, _ in stores["sql-window-messages"].all()
+                   if key[1] in (30, 40)}
+        assert len(orphans) == 2
+        restored, sink = self._fresh(OperatorContext(stores, send_batch=None))
+        feed(restored, lost + later)                 # replay, then move on
+        for store in stores.values():
+            store.flush()
+
+        ref_logs = {name: [] for name in names}
+        ref_stores = open_stores(ref_logs)
+        reference, ref_sink = self._fresh(
+            OperatorContext(ref_stores, send_batch=None))
+        feed(reference, committed)
+        for store in ref_stores.values():
+            store.flush()
+        feed(reference, lost + later)
+        for store in ref_stores.values():
+            store.flush()
+
+        assert sink.rows == ref_sink.rows[len(committed):]
+        assert contents(stores) == contents(ref_stores)
+        assert not orphans & set(contents(stores)["sql-window-messages"])
+        # ...and what a second restart would restore agrees too
+        assert contents(open_stores(changelogs)) == contents(ref_stores)
+        # the rows put and purged with nothing below cost no tombstone:
+        # the uninterrupted run's second flush elided 30 and 40
+        assert ref_stores["sql-window-messages"].elided_count == 2
 
     def test_state_size_counter_matches_store(self):
         """The O(1) retained-row counter tracks the messages store exactly."""
