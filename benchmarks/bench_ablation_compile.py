@@ -1,19 +1,16 @@
-"""Ablation — whole-plan compilation, split into its two ingredients.
+"""Ablation — whole-plan compilation against the interpreted chain.
 
-The compiled path removes two distinct costs from the batched interpreted
-chain: *operator fusion* (no intermediate row/timestamp lists between
-scan, filter and insert — scan fusion already buys a slice of this at the
-operator level) and *dispatch elimination* (no per-operator
-``process_batch`` calls or batch entry/exit bookkeeping at all — the
-whole chain is one generated comprehension).  Three variants over
-identical pre-decoded batches with a discard sink isolate the shares:
+The compiled path removes two costs from the interpreted chain: the
+intermediate row/timestamp lists between scan, filter and insert, and
+the per-operator ``process_batch`` calls with their batch entry/exit
+bookkeeping — the whole chain is one generated comprehension.  Two
+variants over identical pre-decoded batches with a discard sink:
 
   A  interpreted chain, separate operators      (baseline)
-  B  interpreted chain, fused scan operator     (fusion only)
-  C  compiled whole-plan function               (fusion + no dispatch)
+  B  compiled whole-plan function
 
-``(A - B) / (A - C)`` is the share operator-level fusion recovers on its
-own; the rest is what only full compilation delivers.
+(The operator-level fused scan that used to sit between them — 29 % of
+the gain at its last measurement — is retired; see EXPERIMENTS.md.)
 """
 
 import time
@@ -37,12 +34,10 @@ BATCH_SIZE = 256
 class ChainRunner:
     """One variant of the fig5a chain, fed pre-decoded record batches."""
 
-    def __init__(self, fuse_scans: bool = False, compiled: bool = False,
-                 messages: int = 4096):
+    def __init__(self, compiled: bool = False, messages: int = 4096):
         catalog = _catalog()
         logical = QueryPlanner(catalog).plan_query(SQL_QUERIES["filter"])
-        plan = PhysicalPlanBuilder(catalog, fuse_scans=fuse_scans).build(
-            logical, "bench-output")
+        plan = PhysicalPlanBuilder(catalog).build(logical, "bench-output")
         self._stream = plan.input_streams[0]
         self.sink_count = 0
 
@@ -77,21 +72,12 @@ def interpreted():
 
 
 @pytest.fixture(scope="module")
-def fused():
-    return ChainRunner(fuse_scans=True)
-
-
-@pytest.fixture(scope="module")
 def compiled():
     return ChainRunner(compiled=True)
 
 
 def test_chain_interpreted(benchmark, interpreted):
     benchmark(interpreted.step)
-
-
-def test_chain_fused(benchmark, fused):
-    benchmark(fused.step)
 
 
 def test_chain_compiled(benchmark, compiled):
@@ -104,7 +90,6 @@ def test_ablation_compile_shares(benchmark, results_dir):
         steps = 120
         runners = {
             "interpreted": ChainRunner(),
-            "fused": ChainRunner(fuse_scans=True),
             "compiled": ChainRunner(compiled=True),
         }
         out = {name: float("inf") for name in runners}
@@ -119,19 +104,11 @@ def test_ablation_compile_shares(benchmark, results_dir):
         return out
 
     costs = benchmark.pedantic(measure, rounds=1, iterations=1)
-    total = costs["interpreted"] - costs["compiled"]
-    fusion_share = (costs["interpreted"] - costs["fused"]) / max(total, 1e-9)
     write_result(
         results_dir, "ablation_compile",
         "Whole-plan compilation ablation (fig5a chain, ms/msg):\n"
         f"  interpreted, separate operators: {costs['interpreted']:.5f}\n"
-        f"  interpreted, fused scan:         {costs['fused']:.5f}\n"
         f"  compiled whole-plan function:    {costs['compiled']:.5f}\n"
         f"  speedup compiled/interpreted:    "
-        f"{costs['interpreted'] / max(costs['compiled'], 1e-9):.2f}x\n"
-        f"  operator-level fusion recovers {fusion_share:.0%} of the gain; "
-        f"the rest is dispatch elimination only compilation delivers")
-    # fusion alone must not account for the whole win, and the compiled
-    # chain must beat both interpreted variants
-    assert costs["compiled"] < costs["fused"]
+        f"{costs['interpreted'] / max(costs['compiled'], 1e-9):.2f}x")
     assert costs["compiled"] < costs["interpreted"]

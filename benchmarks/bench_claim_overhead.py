@@ -5,9 +5,9 @@ message format transformations (AvroToArray and ArrayToAvro steps) ...
 SamzaSQL's operator router layer also adds very little overhead when
 compared with message transformation overheads."
 
-We decompose the SamzaSQL project pipeline: full pipeline, pipeline with
-the fused scan (no AvroToArray for the tuple), and the bare router layer
-(pre-converted arrays) — showing the transform steps carry the cost.
+We decompose the SamzaSQL project pipeline: full pipeline and the bare
+router layer (pre-converted arrays) — showing the transform steps carry
+the cost.
 """
 
 import time
@@ -26,17 +26,8 @@ def standard():
     return samzasql_pipeline("project")
 
 
-@pytest.fixture(scope="module")
-def fused():
-    return samzasql_pipeline("project", fuse_scans=True)
-
-
 def test_project_pipeline_standard(benchmark, standard):
     benchmark(standard.step)
-
-
-def test_project_pipeline_fused_scan(benchmark, fused):
-    benchmark(fused.step)
 
 
 def test_router_layer_alone(benchmark):

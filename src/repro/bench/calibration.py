@@ -70,8 +70,7 @@ def _feed_workload(cluster: KafkaCluster, query: str, messages: int,
 
 def _measure_once(query: str, variant: str, messages: int,
                   partitions: int, containers: int, warmup: int,
-                  metrics_interval_ms: int = 0,
-                  extra_config: dict | None = None) -> float:
+                  metrics_interval_ms: int = 0) -> float:
     env = _build_runtime(partitions, metrics_interval_ms=metrics_interval_ms)
     cluster, runner = env.cluster, env.runner
     _feed_workload(cluster, query, messages, partitions)
@@ -82,8 +81,6 @@ def _measure_once(query: str, variant: str, messages: int,
         if metrics_interval_ms > 0:
             config = config.merge(
                 {"metrics.reporter.interval.ms": metrics_interval_ms})
-        if extra_config:
-            config = config.merge(extra_config)
         job = SamzaJob(config=config, task_factory=factory, serdes=serdes)
         runner.submit(job)
     else:
@@ -93,8 +90,7 @@ def _measure_once(query: str, variant: str, messages: int,
         if query == "join":
             shell.register_table("Products", PRODUCTS_SCHEMA,
                                  key_field="productId", partitions=partitions)
-        shell.execute(SQL_QUERIES[query], containers=containers,
-                      config_overrides=extra_config)
+        shell.execute(SQL_QUERIES[query], containers=containers)
 
     # Warm the pipeline (codegen, store setup) before timing.
     for _ in range(max(warmup // 200, 1)):
@@ -165,69 +161,6 @@ def measure_metrics_overhead(query: str = "filter", messages: int = 4000,
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
     best["overhead_percent"] = (best["on"] / best["off"] - 1.0) * 100.0
-    return best
-
-
-def measure_serde_speedup(query: str = "filter", messages: int = 4000,
-                          partitions: int = 32, repeats: int = 3,
-                          containers: int = 1) -> dict[str, float]:
-    """Throughput ratio of serde-fused vs full-decode execution.
-
-    Both modes run whole-plan-compiled; only ``execution.serde.fusion``
-    is toggled, so the ratio isolates the serde bound — column-pruned
-    skip-scan decode, re-encode elision, and the fused decode→chain→encode
-    function versus full per-record decode and re-encode.  Same noise
-    discipline as :func:`measure_metrics_overhead`: GC-suspended
-    process-time runs, modes interleaved with alternating order, per-mode
-    minimum.
-    Returns ``{"plain": ..., "fused": ..., "plain_msgs_per_s": ...,
-    "fused_msgs_per_s": ..., "speedup": ...}``.
-    """
-    best: dict[str, float] = {}
-    modes = [("plain", "false"), ("fused", "true")]
-    for round_no in range(max(repeats, 1)):
-        order = modes if round_no % 2 == 0 else modes[::-1]
-        for mode, flag in order:
-            elapsed = _measure_once(
-                query, "samzasql", messages, partitions,
-                containers=containers, warmup=200,
-                extra_config={"execution.serde.fusion": flag})
-            if mode not in best or elapsed < best[mode]:
-                best[mode] = elapsed
-    best["plain_msgs_per_s"] = messages / max(best["plain"], 1e-9)
-    best["fused_msgs_per_s"] = messages / max(best["fused"], 1e-9)
-    best["speedup"] = best["plain"] / max(best["fused"], 1e-9)
-    return best
-
-
-def measure_writebehind_speedup(query: str = "window", messages: int = 4000,
-                                partitions: int = 32, repeats: int = 3,
-                                containers: int = 1) -> dict[str, float]:
-    """Throughput ratio of write-behind vs write-through state stores.
-
-    Runs one stateful query (default the fig6 sliding window, the shape the
-    paper shows "dominated by access to the key-value store") with
-    ``execution.write.behind`` toggled.  Same noise discipline as
-    :func:`measure_metrics_overhead`: GC-suspended process-time runs, modes
-    interleaved with alternating order, per-mode minimum.  Returns
-    ``{"writethrough": ..., "writebehind": ...,
-    "writethrough_msgs_per_s": ..., "writebehind_msgs_per_s": ...,
-    "speedup": ...}``.
-    """
-    best: dict[str, float] = {}
-    modes = [("writethrough", "false"), ("writebehind", "true")]
-    for round_no in range(max(repeats, 1)):
-        order = modes if round_no % 2 == 0 else modes[::-1]
-        for mode, flag in order:
-            elapsed = _measure_once(
-                query, "samzasql", messages, partitions,
-                containers=containers, warmup=200,
-                extra_config={"execution.write.behind": flag})
-            if mode not in best or elapsed < best[mode]:
-                best[mode] = elapsed
-    best["writethrough_msgs_per_s"] = messages / max(best["writethrough"], 1e-9)
-    best["writebehind_msgs_per_s"] = messages / max(best["writebehind"], 1e-9)
-    best["speedup"] = best["writethrough"] / max(best["writebehind"], 1e-9)
     return best
 
 

@@ -6,11 +6,7 @@ msgs/sec results to ``BENCH_fig5.json`` at the repo root, so tooling
 (and the next session) can diff throughput without parsing prose.
 For the stateless fig5a/b chains it also records the chain-isolated
 whole-plan compilation numbers (``chain_*_msgs_per_s`` +
-``compile_speedup``) from :func:`repro.bench.micro.measure_compile_speedup`
-and the end-to-end serde-fusion numbers (``e2e_pruned_*`` +
-``serde_fusion_speedup``) from
-:func:`repro.bench.calibration.measure_serde_speedup` — the run
-with column-pruned compiled decode and re-encode elision on vs off.
+``compile_speedup``) from :func:`repro.bench.micro.measure_compile_speedup`.
 
 Run:  python -m repro.bench.fig5_json [--messages 4000] [--out PATH]
 """
@@ -20,7 +16,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bench.calibration import measure, measure_serde_speedup
+from repro.bench.calibration import measure
 from repro.bench.micro import measure_compile_speedup
 
 #: figure label -> calibration query key
@@ -59,17 +55,6 @@ def collect(messages: int = 4000, repeats: int = 2) -> dict:
                     round(compiled["compiled_msgs_per_s"], 1),
                 "compile_speedup": round(compiled["speedup"], 3),
             })
-            # end-to-end with serde fusion: pruned compiled decode +
-            # re-encode elision vs the full decode/encode path
-            fused = measure_serde_speedup(query=query, messages=messages,
-                                          repeats=repeats)
-            figures[label].update({
-                "e2e_pruned_off_msgs_per_s":
-                    round(fused["plain_msgs_per_s"], 1),
-                "e2e_pruned_msgs_per_s":
-                    round(fused["fused_msgs_per_s"], 1),
-                "serde_fusion_speedup": round(fused["speedup"], 3),
-            })
     return {
         "messages_per_run": messages,
         "repeats": repeats,
@@ -96,10 +81,6 @@ def main(argv: list[str] | None = None) -> int:
             line += (f", compiled chain "
                      f"{row['chain_compiled_msgs_per_s']:,.0f} msgs/s "
                      f"({row['compile_speedup']:.2f}x)")
-        if "serde_fusion_speedup" in row:
-            line += (f", serde-fused "
-                     f"{row['e2e_pruned_msgs_per_s']:,.0f} msgs/s "
-                     f"({row['serde_fusion_speedup']:.2f}x)")
         print(line)
     print(f"wrote {args.out}")
     return 0

@@ -12,9 +12,9 @@ Two long-window K-way join scenarios run through the full runtime:
   reassembling the fulfilment lifecycle of each order inside windows
   anchored at the original order row.
 
-Each scenario runs the same SQL twice — multi-way collapse enabled (the
-default plan) and disabled (``execution.multiway.join=false``: the
-pairwise cascade) — and reports:
+Each scenario runs the same SQL twice — through the default planner (the
+multi-way collapse) and through a planner whose rule list omits
+``MultiJoinCollapseRule`` (the pairwise cascade) — and reports:
 
 * msgs/s over the input messages (process-time, GC suspended, variants
   interleaved, per-variant minimum over repeats — the fig5 methodology);
@@ -40,6 +40,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.samzasql.environment import SamzaSqlEnvironment
+from repro.sql.planner import QueryPlanner
+from repro.sql.rel.optimizer import Optimizer
+from repro.sql.rel.rules import DEFAULT_RULES, MultiJoinCollapseRule
 from repro.workloads.market import (
     ASKS_SCHEMA,
     BIDS_SCHEMA,
@@ -141,25 +144,28 @@ SCENARIOS = {
     "4way_orders": Scenario("4way_orders", FOUR_WAY_SQL, _setup_orders),
 }
 
-VARIANTS = (("cascade", "false"), ("multiway", "true"))
+#: variant -> does its planner collapse join chains?
+VARIANTS = (("cascade", False), ("multiway", True))
 
 
-def _launch(scenario: Scenario, multiway_flag: str, messages: int,
+def _launch(scenario: Scenario, collapse: bool, messages: int,
             partitions: int, metrics_interval_ms: int = 0):
     env = SamzaSqlEnvironment(broker_count=3, node_count=3,
                               node_mem_mb=61_000, start_ms=0,
                               metrics_interval_ms=metrics_interval_ms)
+    if not collapse:
+        env.shell.planner = QueryPlanner(env.catalog, Optimizer(rules=[
+            rule for rule in DEFAULT_RULES
+            if not isinstance(rule, MultiJoinCollapseRule)]))
     fed = scenario.setup(env, messages, partitions)
-    handle = env.shell.execute(
-        scenario.sql, containers=1,
-        config_overrides={"execution.multiway.join": multiway_flag})
+    handle = env.shell.execute(scenario.sql, containers=1)
     return env, handle, fed
 
 
-def _timed_run(scenario: Scenario, multiway_flag: str, messages: int,
+def _timed_run(scenario: Scenario, collapse: bool, messages: int,
                partitions: int) -> tuple[float, int]:
     """One throughput run: fig5 methodology (process time, GC suspended)."""
-    env, _, fed = _launch(scenario, multiway_flag, messages, partitions)
+    env, _, fed = _launch(scenario, collapse, messages, partitions)
     env.runner.run_iteration()  # warm codegen + store setup
     gc.collect()
     gc_was_enabled = gc.isenabled()
@@ -178,10 +184,10 @@ def _state_rows(env: SamzaSqlEnvironment) -> float:
                if record["metric"] == "window-state-size")
 
 
-def _state_run(scenario: Scenario, multiway_flag: str, messages: int,
+def _state_run(scenario: Scenario, collapse: bool, messages: int,
                partitions: int, sample_every: int = 8) -> tuple[float, int]:
     """Untimed pass: drive to quiescence while sampling peak join state."""
-    env, handle, _ = _launch(scenario, multiway_flag, messages, partitions,
+    env, handle, _ = _launch(scenario, collapse, messages, partitions,
                              metrics_interval_ms=1_000)
     peak = 0.0
     idle = 0
@@ -202,14 +208,14 @@ def measure_scenario(scenario: Scenario, messages: int, partitions: int = 2,
     best: dict[str, tuple[float, int]] = {}
     for round_no in range(max(repeats, 1)):
         order = VARIANTS if round_no % 2 == 0 else VARIANTS[::-1]
-        for variant, flag in order:
-            elapsed, fed = _timed_run(scenario, flag, messages, partitions)
+        for variant, collapse in order:
+            elapsed, fed = _timed_run(scenario, collapse, messages, partitions)
             if variant not in best or elapsed < best[variant][0]:
                 best[variant] = (elapsed, fed)
     result: dict = {}
-    for variant, flag in VARIANTS:
+    for variant, collapse in VARIANTS:
         elapsed, fed = best[variant]
-        peak, outputs = _state_run(scenario, flag, messages, partitions)
+        peak, outputs = _state_run(scenario, collapse, messages, partitions)
         result[variant] = {
             "input_messages": fed,
             "elapsed_s": round(elapsed, 4),

@@ -18,7 +18,7 @@ from repro.samzasql.operators.router import MessageRouter, build_router
 from repro.samzasql.plan_builder import PhysicalPlanBuilder
 from repro.serde.avro import AvroSerde
 from repro.serde.object_serde import ObjectSerde
-from repro.bench.calibration import SQL_QUERIES, measure_serde_speedup
+from repro.bench.calibration import SQL_QUERIES
 from repro.sql.catalog import Catalog
 from repro.sql.planner import QueryPlanner
 from repro.workloads.orders import OrdersGenerator, padded_orders_schema
@@ -79,14 +79,13 @@ def _encoded_orders(count: int) -> list[tuple[bytes, bytes, int]]:
     return [(value, key, ts) for key, value, ts in generator.encoded(count)]
 
 
-def samzasql_pipeline(query: str, messages: int = 8192,
-                      fuse_scans: bool = False) -> MicroPipeline:
+def samzasql_pipeline(query: str, messages: int = 8192) -> MicroPipeline:
     """The SamzaSQL-compiled pipeline: deserialize → operators → serialize,
     one message (a batch of one) per step."""
     catalog = _catalog()
     planner = QueryPlanner(catalog)
     logical = planner.plan_query(SQL_QUERIES[query])
-    builder = PhysicalPlanBuilder(catalog, fuse_scans=fuse_scans)
+    builder = PhysicalPlanBuilder(catalog)
     plan = builder.build(logical, "bench-output")
 
     from repro.samzasql.shell import sql_row_type_to_avro
@@ -250,7 +249,7 @@ def measure_compile_speedup(query: str = "filter", messages: int = 4000,
     (Same isolation discipline as :func:`measure_window_state_speedup`
     for the write-behind state layout.)
 
-    Methodology matches :func:`repro.bench.calibration.measure_serde_speedup`:
+    Methodology matches :func:`repro.bench.calibration.measure_metrics_overhead`:
     GC-suspended process-time runs, modes interleaved with alternating
     order, per-mode minimum.  Returns ``{"interpreted": ...,
     "compiled": ..., "interpreted_msgs_per_s": ...,
@@ -356,7 +355,7 @@ def measure_window_state_speedup(messages: int = 15_000,
     same pre-decoded Orders workload so the ratio isolates state
     maintenance from input/output serde.
 
-    Methodology matches :func:`repro.bench.calibration.measure_serde_speedup`:
+    Methodology matches :func:`repro.bench.calibration.measure_metrics_overhead`:
     GC-suspended process-time runs, modes interleaved with alternating
     order, per-mode minimum.  Returns ``{"legacy_ms_per_msg": ...,
     "writebehind_ms_per_msg": ..., "speedup": ...}``.
@@ -689,11 +688,6 @@ def main(argv: list[str] | None = None) -> int:
       interpreted per-operator chain's throughput, measured on the
       chain in isolation (pre-decoded records, discard sink) where
       dispatch elimination actually acts;
-    * serde fusion — with ``--serde-threshold`` set, the serde-fused
-      path (column-pruned compiled decode, re-encode elision, one
-      generated decode→chain→encode function per task) must be at
-      least that multiple of the full decode/encode path's
-      end-to-end throughput;
     * window state maintenance — the fig6 sliding window's split-layout
       write-behind state path must be at least ``--window-threshold``
       times faster per message than the legacy monolithic-blob
@@ -717,8 +711,8 @@ def main(argv: list[str] | None = None) -> int:
     gate fails.
 
     Run:  python -m repro.bench.micro [--threshold 5]
-          [--compile-threshold 1.5] [--serde-threshold 1.5]
-          [--window-threshold 2.0] [--scaling-threshold 1.4]
+          [--compile-threshold 1.5] [--window-threshold 2.0]
+          [--scaling-threshold 1.4]
     """
     import argparse
     import os
@@ -731,10 +725,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 5)")
     parser.add_argument("--compile-threshold", type=float, default=0.0,
                         help="min compiled/interpreted operator-chain "
-                             "throughput ratio (0, the default, disables "
-                             "the gate)")
-    parser.add_argument("--serde-threshold", type=float, default=0.0,
-                        help="min serde-fused/full-serde end-to-end "
                              "throughput ratio (0, the default, disables "
                              "the gate)")
     parser.add_argument("--window-threshold", type=float, default=2.0,
@@ -808,28 +798,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(threshold {args.compile_threshold:.1f}x)")
         if compiled["speedup"] < args.compile_threshold:
             print("FAIL: whole-plan compilation speedup below threshold")
-            failed = True
-
-    if args.serde_threshold > 0:
-        fused = None
-        for attempt in range(max(args.attempts, 1)):
-            measured = measure_serde_speedup(
-                query="filter", messages=args.messages,
-                repeats=min(args.repeats, 3))
-            if fused is None or measured["speedup"] > fused["speedup"]:
-                fused = measured
-            if fused["speedup"] >= args.serde_threshold:
-                break
-            print(f"attempt {attempt + 1}: serde fusion speedup "
-                  f"{measured['speedup']:.2f}x under threshold; "
-                  f"re-measuring...")
-        print("serde fusion (execution.serde.fusion=true vs false):")
-        print(f"  full serde:  {fused['plain_msgs_per_s']:,.0f} msgs/s")
-        print(f"  fused:       {fused['fused_msgs_per_s']:,.0f} msgs/s")
-        print(f"  speedup:     {fused['speedup']:.2f}x "
-              f"(threshold {args.serde_threshold:.1f}x)")
-        if fused["speedup"] < args.serde_threshold:
-            print("FAIL: serde fusion speedup below threshold")
             failed = True
 
     if args.window_threshold > 0:

@@ -28,7 +28,6 @@ from repro.common.errors import (
     ZkError,
     ZkSessionExpiredError,
 )
-from repro.common.execution import ExecutionConfig
 from repro.common.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.common.varint import (
     decode_varint,
@@ -44,7 +43,6 @@ __all__ = [
     "SystemClock",
     "VirtualClock",
     "Config",
-    "ExecutionConfig",
     "ReproError",
     "ConfigError",
     "SerdeError",

@@ -41,7 +41,6 @@ from repro.samza.task import (
     WindowableTask,
 )
 from repro.samza.storage import (
-    CachedKeyValueStore,
     InMemoryKeyValueStore,
     KeyValueStore,
     LoggedKeyValueStore,
@@ -69,7 +68,6 @@ __all__ = [
     "SerializedKeyValueStore",
     "LoggedKeyValueStore",
     "WriteBehindKeyValueStore",
-    "CachedKeyValueStore",
     "Checkpoint",
     "CheckpointManager",
     "SamzaContainer",

@@ -23,7 +23,7 @@ from repro.chaos.retry import RetryPolicy
 from repro.common.clock import Clock, SystemClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
-from repro.common.execution import ExecutionConfig
+from repro.common.execution import parallel_execution
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.consumer import Consumer
@@ -32,7 +32,6 @@ from repro.kafka.producer import Producer, hash_partitioner
 from repro.samza.checkpoint import CheckpointManager
 from repro.samza.serdes import SerdeRegistry
 from repro.samza.storage import (
-    CachedKeyValueStore,
     InMemoryKeyValueStore,
     KeyValueStore,
     LoggedKeyValueStore,
@@ -65,9 +64,9 @@ class _StoreSpec:
     changelog_stream: str | None
     key_serde: str
     msg_serde: str
-    cached: bool
-    cache_size: int
-    write_behind: bool
+
+
+_STORE_SUBKEYS = ("changelog", "key.serde", "msg.serde")
 
 
 class _Coordinator(TaskCoordinator):
@@ -142,13 +141,11 @@ class SamzaContainer:
         self._window_ms = config.get_int("task.window.ms", -1)
         self._commit_interval = config.get_int("task.checkpoint.interval.messages", 500)
         self._batch_size = config.get_int("task.poll.batch.size", 200)
-        execution = ExecutionConfig.from_config(config)
-        self._store_specs = self._parse_store_specs(
-            config, execution.write_behind)
         # Under parallel execution, task init (and with it the SQL task's
         # plan fetch + operator codegen) is deferred to the worker process
         # so compilation happens per-process from the shared plan JSON.
-        self._parallel_execution = execution.parallel
+        self._parallel_execution = parallel_execution(config)
+        self._store_specs = self._parse_store_specs(config)
         self._tasks_initialized = False
         self._messages_since_commit = 0
         self._last_window_ms = 0
@@ -189,14 +186,18 @@ class SamzaContainer:
     # -- configuration parsing ---------------------------------------------------
 
     @staticmethod
-    def _parse_store_specs(config: Config,
-                           write_behind_default: bool) -> list[_StoreSpec]:
+    def _parse_store_specs(config: Config) -> list[_StoreSpec]:
         specs: list[_StoreSpec] = []
-        names = {
-            key.split(".")[1]
-            for key in config
-            if key.startswith("stores.") and len(key.split(".")) >= 3
-        }
+        names = set()
+        for key in config:
+            parts = key.split(".", 2)
+            if parts[0] != "stores" or len(parts) < 3:
+                continue
+            if parts[2] not in _STORE_SUBKEYS:
+                raise ConfigError(
+                    f"unknown store config key {key!r}; a store accepts "
+                    f"the sub-keys {', '.join(_STORE_SUBKEYS)}")
+            names.add(parts[1])
         for name in sorted(names):
             prefix = f"stores.{name}."
             changelog = config.get(prefix + "changelog")
@@ -207,10 +208,6 @@ class SamzaContainer:
                 changelog_stream=changelog,
                 key_serde=config.get(prefix + "key.serde", "object"),
                 msg_serde=config.get(prefix + "msg.serde", "object"),
-                cached=config.get_bool(prefix + "cache.enabled", False),
-                cache_size=config.get_int(prefix + "cache.size", 1024),
-                write_behind=config.get_bool(
-                    prefix + "write.behind", write_behind_default),
             ))
         return specs
 
@@ -322,23 +319,17 @@ class SamzaContainer:
 
                 bytes_store = LoggedKeyValueStore(memory, log_batch)
             key_serde = self.serdes.get(spec.key_serde)
-            store: KeyValueStore = SerializedKeyValueStore(
-                bytes_store, key_serde, self.serdes.get(spec.msg_serde))
+            store = WriteBehindKeyValueStore(
+                SerializedKeyValueStore(
+                    bytes_store, key_serde, self.serdes.get(spec.msg_serde)),
+                key_serde)
             group = f"store.{spec.name}.p{model.partition_id}"
-            if spec.write_behind:
-                store = WriteBehindKeyValueStore(store, key_serde)
-                self.metrics.gauge(group, "dirty-entries",
-                                   fn=lambda s=store: s.dirty_count)
-                self.metrics.gauge(group, "flushed-entries",
-                                   fn=lambda s=store: s.flushed_count)
-                self.metrics.gauge(group, "elided-entries",
-                                   fn=lambda s=store: s.elided_count)
-            if spec.cached:
-                store = CachedKeyValueStore(store, spec.cache_size)
-                self.metrics.gauge(group, "cache-hits",
-                                   fn=lambda s=store: s.hits)
-                self.metrics.gauge(group, "cache-misses",
-                                   fn=lambda s=store: s.misses)
+            self.metrics.gauge(group, "dirty-entries",
+                               fn=lambda s=store: s.dirty_count)
+            self.metrics.gauge(group, "flushed-entries",
+                               fn=lambda s=store: s.flushed_count)
+            self.metrics.gauge(group, "elided-entries",
+                               fn=lambda s=store: s.elided_count)
             stores[spec.name] = store
         return stores
 

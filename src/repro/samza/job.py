@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chaos.retry import RetryPolicy
-from repro.common.clock import Clock, SystemClock, VirtualClock
+from repro.common.clock import Clock, SystemClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
-from repro.common.execution import ExecutionConfig
+from repro.common.execution import parallel_execution
 from repro.kafka.cluster import KafkaCluster
 from repro.samza.checkpoint import CheckpointManager
 from repro.samza.container import SamzaContainer, TaskModel
@@ -233,14 +233,7 @@ class JobRunner:
         self._masters: dict[str, SamzaApplicationMaster] = {}
 
     def submit(self, job: SamzaJob) -> SamzaApplicationMaster:
-        parallel = ExecutionConfig.from_config(job.config).parallel
-        if parallel and isinstance(self.clock, VirtualClock):
-            raise ConfigError(
-                "cluster.parallel.execution=true cannot share a VirtualClock "
-                "across worker processes (each fork would advance its own "
-                "copy); construct the runtime with a SystemClock — "
-                "SamzaSqlEnvironment selects one automatically when no "
-                "clock is passed")
+        parallel = parallel_execution(job.config, self.clock)
         # Checkpoint IO rides the same transient-error retry as the data
         # plane — a dropped checkpoint write must not widen the replay
         # window, and a dropped read must not fail a container restart.

@@ -30,10 +30,8 @@ The stack, bottom to top:
   a crash between commits loses only the uncommitted suffix, which
   at-least-once replay regenerates deterministically.  This is what takes
   stateful-operator state maintenance from O(state) serde per message to
-  O(1) — the cure for the Figure 6 bottleneck.
-* :class:`CachedKeyValueStore` — optional object cache that absorbs
-  repeated reads (Samza's cached store layer); the kv-cache ablation bench
-  toggles it.
+  O(1) — the cure for the Figure 6 bottleneck.  Every container store
+  has this layer on top.
 
 Every layer has exactly one write path, ``write_batch(entries)``; ``put``
 and ``delete`` are batches of one.  Entries are ``(key, value)`` pairs, at
@@ -44,7 +42,6 @@ most one per key; a delete is :data:`TOMBSTONE` at the object layers and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import StateStoreError
@@ -94,7 +91,7 @@ class KeyValueStore:
         raise NotImplementedError
 
     def flush(self) -> None:
-        """Push buffered writes down the stack (cache -> log -> memory)."""
+        """Push buffered writes down the stack (dirty map -> log -> memory)."""
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -438,73 +435,3 @@ class WriteBehindKeyValueStore(KeyValueStore):
             elif not exists:
                 count += 1
         return count
-
-
-class CachedKeyValueStore(KeyValueStore):
-    """Read/write-through object LRU cache over a (typically serialized)
-    store.
-
-    A bounded LRU cache absorbs repeated get()s of hot keys without paying
-    the serde round-trip: hits refresh recency (``move_to_end``), eviction
-    removes the least recently used entry, so a hot key is never displaced
-    by a scan of cold ones.  Writes go through immediately (no dirty
-    buffering) so the layer below stays consistent; the cache only
-    short-circuits reads.  ``hits``/``misses`` are exported as metrics
-    gauges by the hosting container.
-    """
-
-    def __init__(self, backing: KeyValueStore, capacity: int = 1024):
-        if capacity < 1:
-            raise StateStoreError("cache capacity must be positive")
-        self._backing = backing
-        self._capacity = capacity
-        self._cache: OrderedDict[Any, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def _remember(self, key: Any, value: Any) -> None:
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        elif len(self._cache) >= self._capacity:
-            self._cache.popitem(last=False)  # true LRU eviction
-        self._cache[key] = value
-
-    def get(self, key: Any) -> Any:
-        hashable = bytes(key) if isinstance(key, bytearray) else key
-        try:
-            value = self._cache[hashable]
-            self._cache.move_to_end(hashable)  # refresh recency on hit
-            self.hits += 1
-            return value
-        except (KeyError, TypeError):
-            pass
-        self.misses += 1
-        value = self._backing.get(key)
-        try:
-            self._remember(hashable, value)
-        except TypeError:
-            pass  # unhashable keys are simply not cached
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        self._backing.put(key, value)
-        try:
-            self._remember(key, value)
-        except TypeError:
-            pass
-
-    def delete(self, key: Any) -> None:
-        self._backing.delete(key)
-        self._cache.pop(key, None)
-
-    def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
-        return self._backing.range(from_key, to_key)
-
-    def all(self) -> Iterator[tuple[Any, Any]]:
-        return self._backing.all()
-
-    def flush(self) -> None:
-        self._backing.flush()
-
-    def __len__(self) -> int:
-        return len(self._backing)

@@ -36,7 +36,6 @@ from repro.common.errors import PlannerError
 from repro.samzasql.operators.insert import InsertOperator
 from repro.samzasql.physical import (
     FilterNode,
-    FusedScanNode,
     InsertNode,
     PhysicalNode,
     PhysicalPlan,
@@ -46,7 +45,7 @@ from repro.samzasql.physical import (
 from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
-STATELESS_KINDS = frozenset({"scan", "fused_scan", "filter", "project", "insert"})
+STATELESS_KINDS = frozenset({"scan", "filter", "project", "insert"})
 
 _STATEFUL_KINDS = frozenset({"sliding_window", "group_window_agg"})
 _JOIN_KINDS = frozenset(
@@ -85,7 +84,7 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
         if len(node.inputs) != 1:
             return f"multi-input operator: {kind}"
         node = node.inputs[0]
-    if not isinstance(node, (ScanNode, FusedScanNode)):
+    if not isinstance(node, ScanNode):
         return f"chain does not end at a scan: {node.kind}"
     if not isinstance(plan.root, InsertNode):
         return f"chain root is not an insert: {plan.root.kind}"
@@ -255,20 +254,6 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
             if node.rowtime_index is not None:
                 ts_expr = columns[node.rowtime_index]
             filter_flags.append(False)
-        elif isinstance(node, FusedScanNode):
-            stream = node.stream
-            is_filter = node.predicate_source is not None
-            if is_filter:
-                # Fused-scan sources already use the record-dict (`r[name]`)
-                # convention — inline verbatim.
-                conditions.append(node.predicate_source)
-            if node.rowtime_index is not None:
-                ts_expr = f"r[{node.field_names[node.rowtime_index]!r}]"
-            if node.projection_source is not None:
-                columns = _split_projection(node.projection_source)
-            else:
-                columns = [f"r[{name!r}]" for name in node.field_names]
-            filter_flags.append(is_filter)
         elif isinstance(node, FilterNode):
             conditions.append(_substitute_refs(node.predicate_source, columns))
             filter_flags.append(True)

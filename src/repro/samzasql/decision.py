@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import Config
-from repro.common.execution import ExecutionConfig
 from repro.samzasql.compile import chain_fallback
 from repro.samzasql.physical import PhysicalPlan
 from repro.samzasql.serde_plan import SerdeAnalysis, analyze_serde
@@ -61,27 +60,21 @@ class ExecutionDecision:
 
 def decide_execution(plan: PhysicalPlan, config: Config,
                      serdes) -> ExecutionDecision:
-    """Choose the execution path from the plan, the merged job config and
-    the job's serde registry (``None`` when the host has none).
-
-    Metrics take no part in the choice: an executor times its own
+    """Choose the execution path from what the plan needs: its shape, the
+    serdes the merged job config binds to its streams (``serdes`` is the
+    job's registry, ``None`` when the host has none) and their schemas.
+    No setting takes part — nor do metrics: an executor times its own
     batches, so ``sampled`` is recorded on the decision, never read here.
     """
-    execution = ExecutionConfig.from_config(config)
     sampled = config.get_int("metrics.reporter.interval.ms", 0) > 0
     reason = chain_fallback(plan)
     if reason is not None:
         return ExecutionDecision(INTERPRETED, sampled, reason,
                                  f"chain not compiled: {reason}")
-    if not execution.compile:
-        reason = "disabled by execution.compile=false"
-        return ExecutionDecision(INTERPRETED, sampled, reason, reason)
 
     def compiled(why: str) -> ExecutionDecision:
         return ExecutionDecision(COMPILED, sampled, serde_fallback=why)
 
-    if not execution.serde_fusion:
-        return compiled("disabled by execution.serde.fusion=false")
     if serdes is None:
         return compiled("no serde registry available")
     _in_key, in_msg = serdes.resolve_stream_serdes(

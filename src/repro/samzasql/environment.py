@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.common.clock import Clock, SystemClock, VirtualClock
 from repro.common.config import Config
-from repro.common.execution import ExecutionConfig
+from repro.common.execution import parallel_execution
 from repro.kafka.cluster import KafkaCluster
 from repro.samza.job import JobRunner
 from repro.samzasql.shell import SamzaSQLShell
@@ -42,22 +42,15 @@ class SamzaSqlEnvironment:
                  metrics_interval_ms: int = DEFAULT_METRICS_INTERVAL_MS,
                  start_ms: int = 1_000_000,
                  fault_injector=None,
-                 catalog: Catalog | None = None,
-                 execution: ExecutionConfig | None = None):
+                 catalog: Catalog | None = None):
         overrides = dict(config) if config is not None else {}
-        if execution is not None:
-            # The typed knobs win over any flat-key duplicates in `config`.
-            overrides.update(execution.to_overrides())
-        self.execution = ExecutionConfig.from_config(overrides)
+        parallel = parallel_execution(overrides, clock)
         if clock is None:
             # A VirtualClock cannot be shared across forked workers (each
             # process would advance its own copy), so parallel mode runs
             # on real time.
-            self.clock = (SystemClock() if self.execution.parallel
-                          else VirtualClock(start_ms))
-        else:
-            self.execution.validate(clock)
-            self.clock = clock
+            clock = SystemClock() if parallel else VirtualClock(start_ms)
+        self.clock = clock
         self.cluster = KafkaCluster(broker_count=broker_count, clock=self.clock)
         self.zk = ZkServer()
         self.rm = ResourceManager()

@@ -31,10 +31,8 @@ from repro.samzasql.operators.stream_stream_join import (
     RIGHT_PORT,
     StreamStreamJoinOperator,
 )
-from repro.samzasql.operators.fused_scan import FusedScanOperator
 from repro.samzasql.physical import (
     FilterNode,
-    FusedScanNode,
     GroupWindowAggNode,
     InsertNode,
     MultiWayStreamJoinNode,
@@ -119,7 +117,7 @@ def build_router(plan: PhysicalPlan, context: OperatorContext) -> MessageRouter:
     def build(node: PhysicalNode) -> Operator:
         operator = _instantiate(node)
         operators.append(operator)
-        if isinstance(node, (ScanNode, FusedScanNode)):
+        if isinstance(node, ScanNode):
             entries.setdefault(node.stream, []).append(_Port(operator, 0))
             return operator
         if isinstance(node, StreamStreamJoinNode):
@@ -173,11 +171,6 @@ class _PortAdapter(Operator):
 def _instantiate(node: PhysicalNode) -> Operator:
     if isinstance(node, ScanNode):
         return ScanOperator(node.stream, node.field_names, node.rowtime_index)
-    if isinstance(node, FusedScanNode):
-        return FusedScanOperator(
-            node.stream, node.field_names, node.rowtime_index,
-            node.predicate_source, node.projection_source,
-            node.output_field_names)
     if isinstance(node, FilterNode):
         return FilterOperator(node.predicate_source)
     if isinstance(node, ProjectNode):

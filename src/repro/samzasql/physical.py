@@ -193,32 +193,6 @@ class StreamRelationJoinNode(PhysicalNode):
 
 
 @dataclass
-class FusedScanNode(PhysicalNode):
-    """Scan with filter/project fused in (paper future-work item 5).
-
-    "implementing SamzaSQL specific code generation framework which avoids
-    AvroToArray and ArrayToAvro steps ... by generating expressions that
-    directly work on SamzaSQL specific message abstraction and ...
-    merging operators such as filter and project with scan operator."
-
-    The generated sources here index the record dict by field name (``r``
-    is the message), so no array-tuple is materialized for dropped rows,
-    and the projection builds the output array in one step.
-    """
-
-    stream: str
-    field_names: list[str]          # input fields (for reference)
-    rowtime_index: Optional[int]
-    predicate_source: Optional[str]  # over the record dict, or None
-    projection_source: Optional[str] # over the record dict; None = all fields
-    output_field_names: list[str]
-
-    def __post_init__(self) -> None:
-        self.kind = "fused_scan"
-        self.inputs = []
-
-
-@dataclass
 class InsertNode(PhysicalNode):
     """Root: ArrayToAvro + write to the output stream (Figure 4).
 
@@ -241,7 +215,6 @@ class InsertNode(PhysicalNode):
 
 _NODE_TYPES = {
     "scan": ScanNode,
-    "fused_scan": FusedScanNode,
     "filter": FilterNode,
     "project": ProjectNode,
     "sliding_window": SlidingWindowNode,

@@ -15,7 +15,6 @@ from repro.common.errors import PlannerError
 from repro.samzasql.physical import (
     AggSpec,
     FilterNode,
-    FusedScanNode,
     GroupWindowAggNode,
     InsertNode,
     MultiWayStreamJoinNode,
@@ -69,18 +68,10 @@ def _render_list(exprs) -> str:
 
 
 class PhysicalPlanBuilder:
-    """One-shot builder: collects job requirements while lowering.
+    """One-shot builder: collects job requirements while lowering."""
 
-    With ``fuse_scans`` enabled, Filter/Project chains directly over a
-    stream scan are merged into a single :class:`FusedScanNode` whose
-    generated expressions read the record dict by field name, skipping the
-    AvroToArray materialization for dropped rows — the optimization the
-    paper proposes as future work item 5.
-    """
-
-    def __init__(self, catalog: Catalog, fuse_scans: bool = False):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.fuse_scans = fuse_scans
         self.input_streams: list[str] = []
         self.bootstrap_streams: list[str] = []
         self.store_names: list[str] = []
@@ -134,10 +125,6 @@ class PhysicalPlanBuilder:
     # -- lowering ----------------------------------------------------------------
 
     def _lower(self, node: RelNode) -> PhysicalNode:
-        if self.fuse_scans:
-            fused = self._try_fuse(node)
-            if fused is not None:
-                return fused
         if isinstance(node, LogicalDelta):
             # Leftover Delta over a stream scan is a no-op at this layer.
             if _contains_stream(node.input):
@@ -168,40 +155,6 @@ class PhysicalPlanBuilder:
                 "ORDER BY / LIMIT is not defined over an unbounded stream; "
                 "drop the STREAM keyword to run it over the stream's history")
         raise PlannerError(f"no physical lowering for {type(node).__name__}")
-
-    def _try_fuse(self, node: RelNode) -> PhysicalNode | None:
-        """Match Project?(Filter?(Scan)) over a stream and fuse it."""
-        project: LogicalProject | None = None
-        current = node
-        if isinstance(current, LogicalProject):
-            project, current = current, current.input
-        filter_node: LogicalFilter | None = None
-        if isinstance(current, LogicalFilter):
-            filter_node, current = current, current.input
-        if not isinstance(current, LogicalScan) or not current.is_stream:
-            return None
-        if project is None and filter_node is None:
-            return None
-        definition = self.catalog.stream(current.source)
-        topic = definition.topic if definition is not None else current.source
-        self.input_streams.append(topic)
-        names = list(current.row_type.field_names)
-        predicate_source = (
-            None if filter_node is None
-            else render(filter_node.condition, ref_names=names))
-        if project is not None:
-            projection_source = "[" + ", ".join(
-                render(e, ref_names=names) for e in project.exprs) + "]"
-            output_names = list(project.names)
-        else:
-            projection_source = None
-            output_names = names
-        return FusedScanNode(
-            stream=topic, field_names=names,
-            rowtime_index=current.rowtime_index,
-            predicate_source=predicate_source,
-            projection_source=projection_source,
-            output_field_names=output_names)
 
     def _lower_scan(self, node: LogicalScan) -> PhysicalNode:
         if not node.is_stream:

@@ -48,6 +48,7 @@ from repro.samzasql.compile import (
     ChainExpressions,
     CompiledChain,
     _compile_namespace,
+    _scan_string,
     chain_expressions,
 )
 from repro.samzasql.physical import PhysicalPlan
@@ -65,22 +66,6 @@ from repro.sql.codegen import compile_source
 #: int and long share the zigzag-varint encoding; every other kind only
 #: splices onto itself.
 _VARINT_KINDS = frozenset({"int", "long"})
-
-
-def _scan_string(source: str, start: int) -> int:
-    """Index just past the string literal opening at ``start``."""
-    quote = source[start]
-    i = start + 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == quote:
-            return i + 1
-        i += 1
-    return n
 
 
 def _iter_refs(source: str, var: str = "r"):

@@ -22,6 +22,7 @@ from typing import Any, Optional
 
 from repro.common.config import Config
 from repro.common.errors import PlannerError
+from repro.common.execution import parallel_execution
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.message import TopicPartition
 from repro.metrics import (
@@ -32,6 +33,7 @@ from repro.metrics import (
 from repro.samza.job import JobRunner, SamzaApplicationMaster, SamzaJob
 from repro.samza.serdes import SerdeRegistry
 from repro.samzasql.batch import BatchExecutor
+from repro.samzasql.decision import decide_execution
 from repro.samzasql.physical import PhysicalPlan
 from repro.samzasql.plan_builder import PhysicalPlanBuilder
 from repro.samzasql.task import SamzaSqlTask
@@ -239,19 +241,11 @@ class SamzaSQLShell:
                  zk: ZkServer | None = None, catalog: Catalog | None = None,
                  metrics_interval_ms: int = 0,
                  default_overrides: dict | None = None):
-        from repro.sql.rel.optimizer import Optimizer
-        from repro.sql.rel.rules import default_rules
-
         self.cluster = cluster
         self.runner = runner
         self.zk = zk or ZkServer()
         self.catalog = catalog or Catalog()
         self.planner = QueryPlanner(self.catalog)
-        # Same catalog, multi-way collapse disabled: selected per statement
-        # when the merged config says execution.multiway.join=false.
-        self._cascade_planner = QueryPlanner(
-            self.catalog,
-            Optimizer(rules=default_rules(multiway_joins=False)))
         self._query_counter = 0
         self._masters: list[SamzaApplicationMaster] = []
         self._default_overrides = dict(default_overrides or {})
@@ -324,39 +318,31 @@ class SamzaSQLShell:
 
     def execute(self, sql: str, containers: int = 1,
                 window_ms: int = -1, config_overrides: dict | None = None,
-                fuse_scans: bool = False,
                 relation_key: list[str] | None = None):
         """Execute one statement.
 
         Returns a :class:`QueryHandle` for streaming queries, a list of row
-        dicts for batch SELECTs, and None for CREATE VIEW.  ``fuse_scans``
-        enables the scan-fusion optimization (paper future-work item 5);
+        dicts for batch SELECTs, and None for CREATE VIEW.
         ``relation_key`` turns the output into a relation stream keyed by
         the named output columns (future-work item 3).
         """
-        from repro.common.execution import ExecutionConfig
-
-        merged = Config(self._default_overrides).merge(config_overrides or {})
-        execution = ExecutionConfig.from_config(merged)
-        planner = (self.planner if execution.multiway_join
-                   else self._cascade_planner)
-        planned = planner.plan_statement(sql)
+        # A retired execution key fails the statement, EXPLAIN included.
+        parallel_execution(
+            Config(self._default_overrides).merge(config_overrides or {}))
+        planned = self.planner.plan_statement(sql)
         if planned.kind == "view":
             return None
         if planned.kind == "explain":
             return self._explain_report(planned, containers,
-                                        config_overrides or {}, fuse_scans,
-                                        relation_key)
+                                        config_overrides or {}, relation_key)
         if not planned.is_streaming:
             return self._execute_batch(planned)
         return self._submit_streaming(sql, planned, containers, window_ms,
-                                      config_overrides or {}, fuse_scans,
-                                      relation_key)
+                                      config_overrides or {}, relation_key)
 
     # -- EXPLAIN ------------------------------------------------------------------------
 
     def _explain_report(self, planned, containers: int, overrides: dict,
-                        fuse_scans: bool,
                         relation_key: list[str] | None) -> str:
         """The EXPLAIN report: logical plan, physical operator chain, and
         the per-task execution decision with its fallback reasons.
@@ -366,9 +352,6 @@ class SamzaSQLShell:
         :func:`~repro.samzasql.decision.decide_execution` call every task
         makes at init — but writes nothing to ZooKeeper and submits no job.
         """
-        from repro.common.execution import ExecutionConfig
-        from repro.samzasql.decision import decide_execution
-
         lines = ["logical plan:"]
         lines += ["  " + line for line in planned.plan.explain().splitlines()]
         if not planned.is_streaming:
@@ -377,7 +360,7 @@ class SamzaSQLShell:
             return "\n".join(lines)
 
         output_stream = planned.output_stream or "<query>-output"
-        builder = PhysicalPlanBuilder(self.catalog, fuse_scans=fuse_scans)
+        builder = PhysicalPlanBuilder(self.catalog)
         plan = builder.build(planned.plan, output_stream,
                              relation_key=relation_key)
         lines.append("physical plan:")
@@ -386,8 +369,6 @@ class SamzaSQLShell:
 
         serdes, config = self._job_config(
             "explain", plan, planned.plan.row_type, containers, -1, overrides)
-        lines.append(
-            f"execution: {ExecutionConfig.from_config(config).describe()}")
 
         # One task per input partition (GroupByPartitionId), like the job
         # would get; fall back to the container count for unknown topics.
@@ -476,13 +457,12 @@ class SamzaSQLShell:
 
     def _submit_streaming(self, sql: str, planned, containers: int,
                           window_ms: int, overrides: dict,
-                          fuse_scans: bool = False,
                           relation_key: list[str] | None = None) -> QueryHandle:
         self._query_counter += 1
         query_id = f"samzasql-query-{self._query_counter}"
         output_stream = planned.output_stream or f"{query_id}-output"
 
-        builder = PhysicalPlanBuilder(self.catalog, fuse_scans=fuse_scans)
+        builder = PhysicalPlanBuilder(self.catalog)
         plan = builder.build(planned.plan, output_stream,
                              relation_key=relation_key)
 

@@ -90,15 +90,11 @@ _ARITH = {"+": "+", "-": "-", "*": "*", "%": "%"}
 
 def render(node: RexNode, var: str = "r", left_width: int | None = None,
            left_var: str = "l", right_var: str = "r",
-           ref_names: list[str] | None = None,
            ref_sources: list[str] | None = None) -> str:
     """Render a Rex tree to Python expression source.
 
     With ``left_width`` set, input refs below it read ``left_var`` and the
     rest read ``right_var`` shifted — the join-predicate calling convention.
-    With ``ref_names``, refs index the input by *field name* instead of
-    position (``r['units']``) — the fused-scan convention, where ``r`` is
-    the record dict and no array-tuple is materialized.
     With ``ref_sources``, ref *i* renders as the pre-built source
     ``ref_sources[i]`` verbatim — the multi-way join convention, where the
     condition spans K per-input rows ``p0..p{K-1}``.
@@ -107,8 +103,6 @@ def render(node: RexNode, var: str = "r", left_width: int | None = None,
     def ref(index: int) -> str:
         if ref_sources is not None:
             return ref_sources[index]
-        if ref_names is not None:
-            return f"{var}[{ref_names[index]!r}]"
         if left_width is None:
             return f"{var}[{index}]"
         if index < left_width:
@@ -287,25 +281,6 @@ def compile_batch_scan(field_names: list[str],
     return compile_lambda(
         f"[({row_expr}, {ts_expr}) for r, t in zip(messages, timestamps)]",
         params="messages, timestamps")
-
-
-def compile_batch_fused_scan(field_names: list[str],
-                             rowtime_field: str | None,
-                             predicate_source: str | None,
-                             projection_source: str | None,
-                             ) -> Callable[[list, list], list]:
-    """Batch form of the fused scan: filter + project + rowtime extraction
-    directly over the record dicts, all in one comprehension.  Returns
-    surviving ``(row, timestamp)`` pairs."""
-    row_expr = projection_source
-    if row_expr is None:
-        row_expr = "[" + ", ".join(f"r[{name!r}]" for name in field_names) + "]"
-    ts_expr = "t" if rowtime_field is None else f"r[{rowtime_field!r}]"
-    source = f"[({row_expr}, {ts_expr}) for r, t in zip(messages, timestamps)"
-    if predicate_source is not None:
-        source += f" if ({predicate_source})"
-    source += "]"
-    return compile_lambda(source, params="messages, timestamps")
 
 
 def eval_constant(node: RexNode) -> Any:

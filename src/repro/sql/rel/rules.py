@@ -306,23 +306,14 @@ class DeltaPushRule(Rule):
         return None
 
 
-def default_rules(multiway_joins: bool = True) -> list[Rule]:
-    """The standard rule set; ``multiway_joins=False`` plans N-way join
-    chains as the pairwise cascade (used for A/B benchmarking and as the
-    ``execution.multiway.join=false`` escape hatch)."""
-    rules: list[Rule] = [
-        ConstantFoldingRule(),
-        TrueFilterRemoveRule(),
-        FilterMergeRule(),
-        FilterProjectTransposeRule(),
-        FilterJoinPushRule(),
-        ProjectMergeRule(),
-        ProjectRemoveRule(),
-        DeltaPushRule(),
-    ]
-    if multiway_joins:
-        rules.append(MultiJoinCollapseRule())
-    return rules
-
-
-DEFAULT_RULES: list[Rule] = default_rules()
+DEFAULT_RULES: list[Rule] = [
+    ConstantFoldingRule(),
+    TrueFilterRemoveRule(),
+    FilterMergeRule(),
+    FilterProjectTransposeRule(),
+    FilterJoinPushRule(),
+    ProjectMergeRule(),
+    ProjectRemoveRule(),
+    DeltaPushRule(),
+    MultiJoinCollapseRule(),
+]

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 from repro.common import SystemClock, VirtualClock
 from repro.kafka import KafkaCluster, Producer
 from repro.samza import JobRunner
 from repro.samzasql import SamzaSQLShell
+from repro.samzasql.decision import (
+    COMPILED,
+    FUSED,
+    INTERPRETED,
+    ExecutionDecision,
+    decide_execution,
+)
 from repro.serde import AvroSchema, AvroSerde
+from repro.sql.planner import QueryPlanner
+from repro.sql.rel.optimizer import Optimizer
+from repro.sql.rel.rules import DEFAULT_RULES, MultiJoinCollapseRule
 from repro.yarn import NodeManager, Resource, ResourceManager
 
 ORDERS_SCHEMA = AvroSchema.record(
@@ -30,12 +43,51 @@ def sql_tasks(handle):
             for instance in container.tasks.values()]
 
 
+@contextmanager
+def reference_arm(path: str):
+    """Run the enclosed jobs no faster than ``path``.
+
+    The runtime has no switch for this: which path a task runs comes from
+    its plan alone.  The equivalence suites still need the slower paths
+    as reference arms for queries that would fuse, so this substitutes the
+    decision where the task and ``EXPLAIN`` read it — FUSED is a no-op,
+    COMPILED downgrades a fused decision, INTERPRETED downgrades both.
+    Tasks decide at init, so keep the context open across every
+    (re)launch of the job; forked workers inherit the patch.
+    """
+    order = (INTERPRETED, COMPILED, FUSED)
+
+    def decide(plan, config, serdes):
+        decision = decide_execution(plan, config, serdes)
+        if order.index(decision.path) <= order.index(path):
+            return decision
+        reason = f"reference arm: held at {path} by the test fixture"
+        if path == INTERPRETED:
+            return ExecutionDecision(INTERPRETED, decision.sampled,
+                                     reason, reason)
+        return ExecutionDecision(COMPILED, decision.sampled,
+                                 serde_fallback=reason)
+
+    with mock.patch("repro.samzasql.task.decide_execution", decide), \
+            mock.patch("repro.samzasql.shell.decide_execution", decide):
+        yield
+
+
+def cascade_planner(catalog) -> QueryPlanner:
+    """A planner that never collapses join chains: the default rule list
+    minus ``MultiJoinCollapseRule`` — the pairwise-cascade reference arm.
+    Install with ``shell.planner = cascade_planner(shell.catalog)``."""
+    return QueryPlanner(catalog, Optimizer(rules=[
+        rule for rule in DEFAULT_RULES
+        if not isinstance(rule, MultiJoinCollapseRule)]))
+
+
 class Deployment:
     """Cluster + YARN + shell, with helpers to feed the paper's workloads."""
 
     #: Merged under every ``run``'s ``config_overrides``.  Test modules
-    #: parametrize this (e.g. over ``execution.compile``) to drive the
-    #: same end-to-end scenarios down every execution path.
+    #: parametrize this (e.g. over ``task.poll.batch.size``) to drive the
+    #: same end-to-end scenarios at every poll size / deployment setting.
     default_overrides: dict[str, str] = {}
 
     def __init__(self, partitions: int = 4, nodes: int = 2):

@@ -141,9 +141,6 @@ class TestMicroPipelines:
         pipeline.run_batch(32)
         assert pipeline.sink_count[0] == 32
 
-    def test_fused_pipeline_works(self):
-        samzasql_pipeline("filter", fuse_scans=True, messages=32).run_batch(32)
-
 
 class TestHarness:
     def test_run_figure_small(self):

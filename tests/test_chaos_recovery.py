@@ -26,7 +26,7 @@ from tests.helpers import (
     produce_orders,
     read_topic,
 )
-from tests.samzasql_fixtures import Deployment
+from tests.samzasql_fixtures import Deployment, reference_arm
 
 
 def chaos_runtime(schedule, order_count, partitions=2, broker_count=3):
@@ -187,20 +187,20 @@ class TestSqlQueryRecovery:
         freshly recompiled plan on the replacement container, and the
         surviving output set is identical either way."""
         outputs = {}
-        for mode, flag in (("compiled", "true"), ("interpreted", "false")):
+        for mode in ("compiled", "interpreted"):
             # crash at message 25 with batch 8 / checkpoint 10: mid-batch
             # and mid-checkpoint-interval, so a suffix is always replayed
             schedule = FaultSchedule.script().add_crash(25)
             dep, injector = chaos_sql_deployment(schedule)
-            handle = dep.shell.execute(FILTER_SQL, containers=2,
-                                       config_overrides={
-                                           "task.checkpoint.interval.messages": 10,
-                                           "task.poll.batch.size": 8,
-                                           "execution.compile": flag,
-                                       })
-            supervisor = ChaosSupervisor(dep.runner, injector,
-                                         zk=dep.shell.zk)
-            supervisor.run_until_quiescent()
+            with reference_arm(mode):  # held across the relaunch
+                handle = dep.shell.execute(
+                    FILTER_SQL, containers=2, config_overrides={
+                        "task.checkpoint.interval.messages": 10,
+                        "task.poll.batch.size": 8,
+                    })
+                supervisor = ChaosSupervisor(dep.runner, injector,
+                                             zk=dep.shell.zk)
+                supervisor.run_until_quiescent()
             assert supervisor.restarts == 1
             # the replacement container re-read the plan and made the same
             # compile decision the original did

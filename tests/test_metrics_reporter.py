@@ -21,7 +21,7 @@ from repro.samzasql.cli import SamzaSQLCli
 from repro.serde import AvroSerde
 
 from tests.helpers import ORDERS_SCHEMA, produce_orders
-from tests.samzasql_fixtures import sql_tasks
+from tests.samzasql_fixtures import reference_arm, sql_tasks
 
 
 def make_env(**kwargs):
@@ -30,11 +30,10 @@ def make_env(**kwargs):
     return SamzaSqlEnvironment(**kwargs)
 
 
-def run_filter_query(env, orders=100, partitions=4, overrides=None):
+def run_filter_query(env, orders=100, partitions=4):
     env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=partitions)
     produce_orders(env.cluster, orders, partitions=partitions)
-    handle = env.shell.execute("SELECT STREAM * FROM Orders WHERE units > 50",
-                               config_overrides=overrides)
+    handle = env.shell.execute("SELECT STREAM * FROM Orders WHERE units > 50")
     env.run_until_quiescent()
     return handle
 
@@ -245,8 +244,8 @@ def test_metrics_survive_the_fused_path():
     fused = run_filter_query(make_env())
     assert all(task.decision.path == "fused" and task.decision.sampled
                for task in sql_tasks(fused))
-    interpreted = run_filter_query(
-        make_env(), overrides={"execution.compile": "false"})
+    with reference_arm("interpreted"):
+        interpreted = run_filter_query(make_env())
     assert all(task.decision.path == "interpreted"
                for task in sql_tasks(interpreted))
 

@@ -1,12 +1,13 @@
-"""Whole-plan compilation: plan analysis, byte equivalence, ExecutionConfig
-mapping, EXPLAIN reporting, and the QueryHandle stopped-query contract.
+"""Whole-plan compilation: plan analysis, byte equivalence, the one
+execution setting, EXPLAIN reporting, and the QueryHandle stopped-query
+contract.
 
 The integration suite already drives every end-to-end scenario through
-the poll-size × compile modes; this module pins the *seams* — which
-plans compile and why others don't, that the compiled path's rows AND
-per-operator counters match the interpreted path's exactly, that each
-execution switch has exactly one spelling, and that EXPLAIN reports the
-per-task decision the runtime actually makes.
+the poll-size × path modes; this module pins the *seams* — which plans
+compile and why others don't, that the compiled path's rows AND
+per-operator counters match the interpreted path's exactly, that every
+retired execution key is rejected, and that EXPLAIN reports the per-task
+decision the runtime actually makes.
 """
 
 import pytest
@@ -14,14 +15,19 @@ import pytest
 from repro.common import VirtualClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
-from repro.common.execution import KEYS, RETIRED_KEYS, ExecutionConfig
+from repro.common.execution import RETIRED_KEYS, parallel_execution
 from repro.samzasql.compile import chain_fallback, compile_chain
 from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.samzasql.serde_plan import compile_serde_fused
 from repro.serving.errors import ErrorCode, PipelineError
 from repro.sql.codegen import compile_lambda, compile_source
 
-from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment, sql_tasks
+from tests.samzasql_fixtures import (
+    ORDERS_SCHEMA,
+    Deployment,
+    reference_arm,
+    sql_tasks,
+)
 
 FILTER_SQL = ("SELECT STREAM rowtime, productId, orderId, units "
               "FROM Orders WHERE units > 50")
@@ -46,10 +52,10 @@ def operator_counters(handle):
 def run_modes(sql, count=40, **kwargs):
     """The same query compiled and interpreted, over identical input."""
     handles = {}
-    for mode, flag in (("compiled", "true"), ("interpreted", "false")):
+    for mode in ("compiled", "interpreted"):
         dep = Deployment().with_orders(count)
-        handles[mode] = dep.run(
-            sql, config_overrides={"execution.compile": flag}, **kwargs)
+        with reference_arm(mode):
+            handles[mode] = dep.run(sql, **kwargs)
     return handles
 
 
@@ -104,17 +110,6 @@ class TestCompileDecision:
         finally:
             UDF_REGISTRY.clear()
 
-    def test_compile_flag_off_keeps_interpreted_router(self):
-        dep = Deployment().with_orders(5)
-        handle = dep.run(FILTER_SQL,
-                         config_overrides={"execution.compile": "false"})
-        for task in sql_tasks(handle):
-            # the plan is compilable, but the switch vetoes it per task
-            assert task.decision.compile_fallback == (
-                "disabled by execution.compile=false")
-            assert not task.compiled
-            assert task.executor is None
-
     def test_analyze_plan_on_built_physical_plan(self):
         dep = Deployment().with_orders(1)
         decisions = {}
@@ -167,8 +162,8 @@ class TestByteEquivalence:
 
     def test_generated_source_is_one_function(self):
         dep = Deployment().with_orders(5)
-        handle = dep.run(FILTER_SQL,
-                         config_overrides={"execution.serde.fusion": "false"})
+        with reference_arm("compiled"):
+            handle = dep.run(FILTER_SQL)
         [task] = [t for t in sql_tasks(handle) if t.executor is not None][:1]
         source = task.executor.source
         assert source.count("def ") == 1
@@ -222,62 +217,37 @@ class TestCodeCache:
             assert counts and not any(counts)
 
 
+#: Every retired execution key, old spellings and new.
+RETIRED_SPELLINGS = sorted(RETIRED_KEYS) + [
+    "execution.write.behind", "execution.compile", "execution.serde.fusion",
+    "execution.multiway.join", "execution.batch", "execution.parallel"]
+
+
 class TestExecutionConfigMapping:
     def test_defaults(self):
-        config = ExecutionConfig.from_config(Config({}))
-        assert config == ExecutionConfig(
-            write_behind=True, parallel=False, compile=True,
-            multiway_join=True, serde_fusion=True)
+        assert parallel_execution(Config({})) is False
+        assert parallel_execution(None) is False
+        assert parallel_execution(
+            {"cluster.parallel.execution": "true"}) is True
 
-    def test_retired_keys_raise_naming_replacement(self):
-        # a silently ignored ablation key would pass tests vacuously
-        assert set(RETIRED_KEYS) == {
-            "task.batch.execution", "execution.batch",
-            "task.compile.execution", "task.serde.fusion",
-            "plan.multiway.join", "stores.write.behind",
-            "execution.parallel"}
-        for retired, replacement in RETIRED_KEYS.items():
-            with pytest.raises(ConfigError) as excinfo:
-                ExecutionConfig.from_config(Config({retired: "false"}))
-            assert retired in str(excinfo.value)
-            assert replacement in str(excinfo.value)
+    @pytest.mark.parametrize("retired", RETIRED_SPELLINGS)
+    def test_retired_spelling_raises(self, retired):
+        # a silently ignored ablation key would pass tests vacuously: the
+        # function, a statement, EXPLAIN and the environment all refuse it
+        with pytest.raises(ConfigError, match=retired):
+            parallel_execution(Config({retired: "false"}))
         dep = Deployment().with_orders(1)
-        with pytest.raises(ConfigError, match="execution.compile"):
-            dep.shell.execute(
-                FILTER_SQL,
-                config_overrides={"task.compile.execution": "false"})
-
-    def test_key_map_pin(self):
-        # one spelling per switch, pinned in both directions
-        assert KEYS == {
-            "write_behind": "execution.write.behind",
-            "parallel": "cluster.parallel.execution",
-            "compile": "execution.compile",
-            "multiway_join": "execution.multiway.join",
-            "serde_fusion": "execution.serde.fusion",
-        }
-        value = ExecutionConfig(write_behind=True, parallel=True,
-                                compile=False)
-        overrides = value.to_overrides()
-        assert overrides == {
-            "execution.write.behind": "true",
-            "cluster.parallel.execution": "true",
-            "execution.compile": "false",
-            "execution.multiway.join": "true",
-            "execution.serde.fusion": "true",
-        }
-        # round trip: overrides reconstruct the same value
-        assert ExecutionConfig.from_config(Config(overrides)) == value
+        for sql in (FILTER_SQL, f"EXPLAIN {FILTER_SQL}"):
+            with pytest.raises(ConfigError, match=retired):
+                dep.shell.execute(sql, config_overrides={retired: "false"})
+        with pytest.raises(ConfigError, match=retired):
+            SamzaSqlEnvironment(config={retired: "true"})
 
     def test_parallel_with_virtual_clock_rejected(self):
-        config = ExecutionConfig(parallel=True)
+        config = {"cluster.parallel.execution": "true"}
         with pytest.raises(ConfigError, match="VirtualClock"):
-            config.validate(VirtualClock(0))
-        assert config.validate(None) is config
-
-    def test_describe(self):
-        assert ExecutionConfig().describe() == \
-            "write_behind=on parallel=off compile=on multiway_join=on serde_fusion=on"
+            parallel_execution(config, VirtualClock(0))
+        assert parallel_execution(config, None) is True
 
 
 class TestExplain:
@@ -287,23 +257,14 @@ class TestExplain:
         assert isinstance(report, str)
         assert "logical plan:" in report
         assert "physical plan:" in report
-        assert ("execution: write_behind=on parallel=off compile=on"
-                in report)
+        assert "execution:" not in report  # no switches left to list
         assert "tasks: 4 × compiled" in report  # one per Orders partition
+        assert "serde: decode pruned 2/4 columns" in report
 
     def test_window_reports_fallback_reason(self):
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(f"EXPLAIN {WINDOW_SQL}")
         assert ("interpreted (fallback: stateful operator: sliding_window)"
-                in report)
-
-    def test_compile_disabled_reports_why(self):
-        dep = Deployment().with_orders(5)
-        report = dep.shell.execute(
-            f"EXPLAIN {FILTER_SQL}",
-            config_overrides={"execution.compile": "false"})
-        assert "compile=off" in report
-        assert ("interpreted (fallback: disabled by execution.compile=false)"
                 in report)
 
     def test_batch_query_reports_no_job(self):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.common import Config
+from repro.common import Config, ConfigError
 from repro.kafka.message import TopicPartition
-from repro.samza import OutgoingMessageEnvelope, SamzaJob
+from repro.samza import OutgoingMessageEnvelope, SamzaContainer, SamzaJob
 from repro.samza.system import SystemStream
 from repro.samza.task import StreamTask
 from repro.serde import AvroSerde
@@ -177,21 +177,31 @@ class TestStatefulJob:
                 restored[message.key.decode()] = int(message.value)
         assert restored == live == {str(p): 2 for p in range(10)}
 
-    def test_changelog_writethrough_mode(self):
-        """execution.write.behind=false restores per-mutation changelog writes."""
+    def test_store_subkeys_parse_and_typos_are_refused(self):
+        """A misspelt ``stores.<name>.<subkey>`` used to be ignored — the
+        store silently came up unlogged and lost its state on restart."""
         cluster, rm, runner, clock = make_runtime()
-        produce_orders(cluster, 20, partitions=2)
-        config = base_config(containers=1).merge({
+        stores = {
             "stores.counts.changelog": "kafka.test-job-counts-changelog",
             "stores.counts.key.serde": "string",
             "stores.counts.msg.serde": "json",
-            "execution.write.behind": "false",
-        })
-        job = SamzaJob(config=config, task_factory=CountingTask,
-                       serdes=orders_serdes())
-        runner.submit(job)
-        runner.run_until_quiescent()
-        assert cluster.topic("test-job-counts-changelog").total_messages() > 0
+        }
+
+        def container(extra):
+            return SamzaContainer(
+                "c0", base_config(containers=1).merge(stores).merge(extra),
+                cluster, orders_serdes(), [], CountingTask, clock=clock)
+
+        [spec] = container({})._store_specs
+        assert (spec.name, spec.changelog_stream, spec.key_serde,
+                spec.msg_serde) == ("counts", "test-job-counts-changelog",
+                                    "string", "json")
+        for typo in ("stores.counts.changelogg", "stores.counts.write.behind",
+                     "stores.counts.cache.enabled", "stores.counts.cache.size"):
+            with pytest.raises(ConfigError) as excinfo:
+                container({typo: "true"})
+            assert typo in str(excinfo.value)
+            assert "changelog, key.serde, msg.serde" in str(excinfo.value)
 
     def test_state_restored_after_container_failure(self):
         """Kill a container mid-stream; the replacement must restore counts

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.common import StateStoreError
 from repro.samza import (
-    CachedKeyValueStore,
     InMemoryKeyValueStore,
     LoggedKeyValueStore,
     SerializedKeyValueStore,
@@ -186,50 +185,6 @@ class TestSerializedStore:
         for ts in (5, 1000, 3, 70):
             store.put(ts, ts)
         assert [k for k, _ in store.all()] == [3, 5, 70, 1000]
-
-
-class TestCachedStore:
-    def _stack(self, capacity=8):
-        inner = SerializedKeyValueStore(
-            InMemoryKeyValueStore(), StringSerde(), JsonSerde())
-        return CachedKeyValueStore(inner, capacity=capacity), inner
-
-    def test_read_through_and_hit(self):
-        cached, _ = self._stack()
-        cached.put("k", 1)
-        assert cached.get("k") == 1
-        assert cached.hits == 1  # put populated the cache
-
-    def test_miss_then_hit(self):
-        cached, inner = self._stack()
-        inner.put("k", 5)
-        assert cached.get("k") == 5
-        assert cached.misses == 1
-        assert cached.get("k") == 5
-        assert cached.hits == 1
-
-    def test_write_through(self):
-        cached, inner = self._stack()
-        cached.put("k", 2)
-        assert inner.get("k") == 2  # not buffered
-
-    def test_delete_invalidates(self):
-        cached, _ = self._stack()
-        cached.put("k", 1)
-        cached.delete("k")
-        assert cached.get("k") is None
-
-    def test_eviction_bounded(self):
-        cached, _ = self._stack(capacity=2)
-        for i in range(5):
-            cached.put(f"k{i}", i)
-        # oldest entries evicted; store still correct
-        assert cached.get("k0") == 0
-        assert len(cached) == 5
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(StateStoreError):
-            CachedKeyValueStore(InMemoryKeyValueStore(), capacity=0)
 
 
 class TestWriteBehindStore:
@@ -431,53 +386,6 @@ class TestWriteBehindStore:
         serde = ObjectSerde()
         restored = SerializedKeyValueStore(restored_memory, serde, serde)
         assert dict(restored.all()) == {"b": [1, 2], "c": "x"}
-
-    def test_write_behind_over_cached_composition(self):
-        """Cache above write-behind: hits come from the cache, writes stay
-        dirty until flush."""
-        wb, inner, _ = self._stack()
-        cached = CachedKeyValueStore(wb, capacity=8)
-        cached.put("k", 7)
-        assert cached.get("k") == 7
-        assert cached.hits == 1
-        assert inner.get("k") is None
-        cached.flush()
-        assert inner.get("k") == 7
-
-
-class TestCachedStoreLRU:
-    def _stack(self, capacity=3):
-        inner = InMemoryKeyValueStore()
-        serde = ObjectSerde()
-        serialized = SerializedKeyValueStore(inner, serde, serde)
-        return CachedKeyValueStore(serialized, capacity), serialized
-
-    def test_hit_refreshes_recency(self):
-        """A hot key survives a scan of cold keys (true LRU, not FIFO)."""
-        cached, _ = self._stack(capacity=2)
-        cached.put("hot", 1)
-        cached.put("cold1", 2)
-        cached.get("hot")       # refresh: cold1 is now least recent
-        cached.put("cold2", 3)  # evicts cold1, not hot
-        misses_before = cached.misses
-        cached.get("hot")
-        assert cached.misses == misses_before  # still cached
-        cached.get("cold1")
-        assert cached.misses == misses_before + 1  # was evicted
-
-    def test_eviction_is_least_recently_used(self):
-        cached, _ = self._stack(capacity=3)
-        for key in ("a", "b", "c"):
-            cached.put(key, key)
-        cached.get("a")  # order now b, c, a
-        cached.put("d", "d")  # evicts b
-        misses_before = cached.misses
-        cached.get("a")
-        cached.get("c")
-        cached.get("d")
-        assert cached.misses == misses_before
-        cached.get("b")
-        assert cached.misses == misses_before + 1
 
 
 class TestFlushFailureOrdering:

@@ -9,26 +9,29 @@ import pytest
 from repro.common import PlannerError
 from repro.serde import ObjectSerde
 
-from tests.samzasql_fixtures import Deployment
+from tests.samzasql_fixtures import Deployment, cascade_planner, reference_arm
 
 
 @pytest.fixture(autouse=True,
-                params=[("200", "true"), ("200", "false"),
-                        ("1", "true"), ("1", "false")],
+                params=[("200", "fused"), ("200", "interpreted"),
+                        ("1", "fused"), ("1", "interpreted")],
                 ids=["batched-compiled", "batched-interpreted",
                      "single-message-compiled", "single-message-interpreted"])
 def execution_mode(request, monkeypatch):
     """Run every end-to-end scenario at two poll sizes, compiled and not.
 
     A single message is a batch of one: the ``single-message`` arm polls
-    one record at a time through the same code 200-record polls take, and
-    the compiled path must be byte-identical to the interpreted DAG.
+    one record at a time through the same code 200-record polls take.
+    The ``compiled`` arm is the path the plan gets by default (the fused
+    or compiled function wherever one exists); the ``interpreted`` arm
+    holds every task on the operator DAG, and the two must be
+    byte-identical.
     """
-    poll_size, compile_flag = request.param
+    poll_size, path = request.param
     monkeypatch.setattr(Deployment, "default_overrides",
-                        {"task.poll.batch.size": poll_size,
-                         "execution.compile": compile_flag})
-    return request.param
+                        {"task.poll.batch.size": poll_size})
+    with reference_arm(path):
+        yield request.param
 
 
 class TestFilterQuery:
@@ -255,17 +258,18 @@ class TestMultiWayStreamJoin:
         deployment.feed_packet("PacketsR2", 999, 1_000_000)
         deployment.feed_packet("PacketsR1", 500, 2_000_000)
 
-    def _run(self, k, overrides=None):
+    def _run(self, k, cascade=False):
         deployment = Deployment(partitions=2).with_packets(routers=k)
+        if cascade:
+            deployment.shell.planner = cascade_planner(deployment.shell.catalog)
         self._feed(deployment, k)
-        handle = deployment.run(self._sql(k),
-                                config_overrides=overrides or {})
+        handle = deployment.run(self._sql(k))
         return sorted(tuple(sorted(r.items())) for r in handle.results())
 
     @pytest.mark.parametrize("routers", [3, 4])
     def test_output_identical_to_cascade(self, routers):
         multi = self._run(routers)
-        cascade = self._run(routers, {"execution.multiway.join": "false"})
+        cascade = self._run(routers, cascade=True)
         assert multi == cascade
         assert len(multi) == 16  # 8 packet ids x 2 matching R2 rows
 
@@ -291,18 +295,17 @@ class TestMultiWayStreamJoin:
         assert len(handle.results()) == 1
 
         cascade = Deployment(partitions=1).with_packets(routers=3)
+        cascade.shell.planner = cascade_planner(cascade.shell.catalog)
         with pytest.raises(PlannerError, match="time window"):
-            cascade.run(sql,
-                        config_overrides={"execution.multiway.join": "false"})
+            cascade.run(sql)
 
     def test_explain_reports_collapse_and_order(self):
         deployment = Deployment(partitions=1).with_packets(routers=3)
         report = deployment.shell.execute("EXPLAIN " + self._sql(3))
         assert "multi-way join: collapsed 3 inputs" in report
         assert "probe order by window_ms" in report
-        cascade = deployment.shell.execute(
-            "EXPLAIN " + self._sql(3),
-            config_overrides={"execution.multiway.join": "false"})
+        deployment.shell.planner = cascade_planner(deployment.shell.catalog)
+        cascade = deployment.shell.execute("EXPLAIN " + self._sql(3))
         assert "running the pairwise cascade" in cascade
 
 

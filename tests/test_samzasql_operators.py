@@ -20,7 +20,6 @@ from repro.samzasql.operators import (
     StreamStreamJoinOperator,
 )
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.samzasql.operators.fused_scan import FusedScanOperator
 from repro.samzasql.operators.stream_relation_join import RELATION_PORT, STREAM_PORT
 from repro.samzasql.operators.stream_stream_join import LEFT_PORT, RIGHT_PORT
 from repro.samzasql.physical import AggSpec
@@ -96,17 +95,6 @@ class TestFilterProjectInsert:
         op.process(0, [123, 9], 0)
         op.flush()
         assert sent == [({"rowtime": 123, "units": 9}, 123)]
-
-    def test_fused_scan_filter_project(self):
-        op = FusedScanOperator(
-            "Orders", ["rowtime", "units"], rowtime_index=0,
-            predicate_source="(r['units'] > 10)",
-            projection_source="[r['rowtime'], r['units'] * 2]",
-            output_field_names=["rowtime", "doubled"])
-        sink, _ = wire(op)
-        op.process(0, {"rowtime": 5, "units": 3}, 0)
-        op.process(0, {"rowtime": 6, "units": 20}, 0)
-        assert sink.rows == [([6, 40], 6)]
 
 
 class TestSlidingWindowOperator:
@@ -719,15 +707,6 @@ class TestBatchEquivalence:
         self._check(lambda: ProjectOperator("[r[0], r[1] * 2]",
                                             ["rowtime", "doubled"]),
                     rows, [o["rowtime"] for o in self.ORDERS])
-
-    def test_fused_scan(self):
-        self._check(
-            lambda: FusedScanOperator(
-                "Orders", ["rowtime", "units"], rowtime_index=0,
-                predicate_source="(r['units'] > 50)",
-                projection_source="[r['rowtime'], r['units'] * 2]",
-                output_field_names=["rowtime", "doubled"]),
-            self.ORDERS, [0] * len(self.ORDERS))
 
     def test_insert(self):
         rows = [[o["rowtime"], o["orderId"], o["units"]] for o in self.ORDERS]

@@ -5,7 +5,6 @@ import pytest
 from repro.common import PlannerError
 from repro.samzasql.physical import (
     FilterNode,
-    FusedScanNode,
     GroupWindowAggNode,
     InsertNode,
     MultiWayStreamJoinNode,
@@ -29,9 +28,9 @@ def catalog():
     return paper_catalog()
 
 
-def build(catalog, sql, fuse=False):
+def build(catalog, sql):
     logical = QueryPlanner(catalog).plan_query(sql)
-    return PhysicalPlanBuilder(catalog, fuse_scans=fuse).build(logical, "Out")
+    return PhysicalPlanBuilder(catalog).build(logical, "Out")
 
 
 class TestLowering:
@@ -169,43 +168,6 @@ class TestRejections:
                   "ON Orders.productId = Products.productId")
 
 
-class TestFusion:
-    def test_filter_project_fused(self, catalog):
-        plan = build(catalog,
-                     "SELECT STREAM rowtime, units FROM Orders WHERE units > 50",
-                     fuse=True)
-        [fused] = plan.root.inputs
-        assert isinstance(fused, FusedScanNode)
-        assert fused.predicate_source is not None
-        assert fused.projection_source is not None
-        assert fused.output_field_names == ["rowtime", "units"]
-
-    def test_filter_only_fused(self, catalog):
-        plan = build(catalog, "SELECT STREAM * FROM Orders WHERE units > 50",
-                     fuse=True)
-        [fused] = plan.root.inputs
-        assert isinstance(fused, FusedScanNode)
-        assert fused.projection_source is None
-
-    def test_fusion_uses_field_names(self, catalog):
-        plan = build(catalog, "SELECT STREAM * FROM Orders WHERE units > 50",
-                     fuse=True)
-        assert "r['units']" in plan.root.inputs[0].predicate_source
-
-    def test_no_fusion_without_flag(self, catalog):
-        plan = build(catalog, "SELECT STREAM * FROM Orders WHERE units > 50")
-        assert not isinstance(plan.root.inputs[0], FusedScanNode)
-
-    def test_window_not_fused(self, catalog):
-        plan = build(catalog,
-                     "SELECT STREAM rowtime, SUM(units) OVER (PARTITION BY "
-                     "productId ORDER BY rowtime RANGE INTERVAL '5' MINUTE "
-                     "PRECEDING) s FROM Orders", fuse=True)
-        # the window operator itself must not be swallowed
-        assert any(isinstance(node, SlidingWindowNode)
-                   for node in _walk(plan.root))
-
-
 def _walk(node):
     yield node
     for child in node.inputs:
@@ -213,14 +175,12 @@ def _walk(node):
 
 
 def build_cascade(catalog, sql):
-    """Build with the multi-way collapse rule disabled (the A/B planner
-    the shell selects for ``execution.multiway.join=false``)."""
-    from repro.sql.rel.optimizer import Optimizer
-    from repro.sql.rel.rules import default_rules
+    """Build with the multi-way collapse rule left out of the rule list
+    (the pairwise-cascade reference arm)."""
+    from tests.samzasql_fixtures import cascade_planner
 
-    planner = QueryPlanner(catalog,
-                           Optimizer(rules=default_rules(multiway_joins=False)))
-    return PhysicalPlanBuilder(catalog).build(planner.plan_query(sql), "Out")
+    return PhysicalPlanBuilder(catalog).build(
+        cascade_planner(catalog).plan_query(sql), "Out")
 
 
 def _window_join(i):
@@ -380,12 +340,6 @@ class TestSerialization:
         assert restored.input_streams == plan.input_streams
         assert restored.bootstrap_streams == plan.bootstrap_streams
         assert restored.explain() == plan.explain()
-
-    def test_json_roundtrip_fused(self, catalog):
-        plan = build(catalog, "SELECT STREAM units FROM Orders WHERE units > 1",
-                     fuse=True)
-        restored = PhysicalPlan.from_dict(plan.to_dict())
-        assert restored.to_dict() == plan.to_dict()
 
     def test_unknown_kind_rejected(self):
         from repro.samzasql.physical import node_from_dict

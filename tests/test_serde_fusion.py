@@ -1,10 +1,11 @@
 """Serde fusion: column-pruned decode, re-encode elision, fused chains.
 
-The contract under test is strict observational equivalence: with
-``execution.serde.fusion`` on, every byte the job writes — output records,
-their keys, offsets, timestamps, and checkpoint topics — must be
-identical to the full decode/re-encode path, at every poll size,
-compiled or not, and across crash/replay.
+The contract under test is strict observational equivalence: on the
+fused path (what the plan gets by default) every byte the job writes —
+output records, their keys, offsets, timestamps, and checkpoint topics —
+must be identical to the full decode/re-encode paths, compiled and
+interpreted, at every poll size and across crash/replay.  The reference
+arms are selected by ``reference_arm``; the runtime has no switch.
 """
 
 import pytest
@@ -15,7 +16,12 @@ from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.serde import AvroSerde
 
-from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment, sql_tasks
+from tests.samzasql_fixtures import (
+    ORDERS_SCHEMA,
+    Deployment,
+    reference_arm,
+    sql_tasks,
+)
 
 FILTER_SQL = ("SELECT STREAM rowtime, productId, orderId, units "
               "FROM Orders WHERE units > 50")
@@ -58,18 +64,15 @@ def cluster_dump(dep):
     return dump
 
 
-def run_filter(fusion: str, poll_size: str = "200",
-               compile_flag: str = "true", sql: str = FILTER_SQL,
-               metrics: bool = False):
+def run_filter(path: str = "fused", poll_size: str = "200",
+               sql: str = FILTER_SQL, metrics: bool = False):
     dep = Deployment().with_orders(60)
     if metrics:
         enable_metrics(dep)
-    handle = dep.shell.execute(sql, containers=1, config_overrides={
-        "task.poll.batch.size": poll_size,
-        "execution.compile": compile_flag,
-        "execution.serde.fusion": fusion,
-    })
-    dep.runner.run_until_quiescent()
+    with reference_arm(path):
+        handle = dep.shell.execute(sql, containers=1, config_overrides={
+            "task.poll.batch.size": poll_size})
+        dep.runner.run_until_quiescent()
     return dep, handle
 
 
@@ -120,7 +123,7 @@ class TestSerdePlanAnalysis:
     """The per-task analysis decision, observed through the live tasks."""
 
     def test_filter_query_prunes_and_elides(self):
-        _dep, handle = run_filter("true")
+        _dep, handle = run_filter()
         tasks = sql_tasks(handle)
         assert tasks and all(t.serde_fused for t in tasks)
         decision = tasks[0].decision
@@ -130,56 +133,60 @@ class TestSerdePlanAnalysis:
         assert decision.serde_status.startswith("serde: decode pruned")
 
     def test_fusion_off_runs_decoded_path(self):
-        _dep, handle = run_filter("false")
-        assert all(not t.serde_fused for t in sql_tasks(handle))
+        _dep, handle = run_filter("compiled")
+        assert all(t.compiled and not t.serde_fused
+                   for t in sql_tasks(handle))
 
     def test_batches_of_one_still_fuse(self):
-        _dep, handle = run_filter("true", poll_size="1")
+        _dep, handle = run_filter(poll_size="1")
         assert all(t.serde_fused for t in sql_tasks(handle))
 
     def test_interpreted_chain_never_fuses(self):
-        _dep, handle = run_filter("true", compile_flag="false")
-        assert all(not t.serde_fused for t in sql_tasks(handle))
+        _dep, handle = run_filter("interpreted")
+        assert all(not t.compiled and not t.serde_fused
+                   for t in sql_tasks(handle))
 
 
 class TestByteEquivalence:
-    """Fusion on vs off must leave the whole cluster byte-identical."""
+    """The fused path must leave the whole cluster byte-identical to
+    each reference path."""
 
-    @pytest.mark.parametrize("poll_size,compile_flag",
-                             [("200", "true"), ("200", "false"),
-                              ("1", "true"), ("1", "false")],
+    @pytest.mark.parametrize("poll_size,reference",
+                             [("200", "compiled"), ("200", "interpreted"),
+                              ("1", "compiled"), ("1", "interpreted")],
                              ids=["batched-compiled", "batched-interpreted",
                                   "single-compiled", "single-interpreted"])
-    def test_filter_all_modes(self, poll_size, compile_flag):
-        dep_off, _ = run_filter("false", poll_size, compile_flag)
-        dep_on, handle_on = run_filter("true", poll_size, compile_flag)
+    def test_filter_all_modes(self, poll_size, reference):
+        dep_off, handle_off = run_filter(reference, poll_size)
+        dep_on, handle_on = run_filter("fused", poll_size)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
-        # equivalence must hold *because* the fused path actually ran
-        assert all(t.serde_fused is (compile_flag == "true")
-                   for t in sql_tasks(handle_on))
+        # equivalence must hold *because* both paths actually ran
+        assert all(t.serde_fused for t in sql_tasks(handle_on))
+        assert all(t.decision.path == reference
+                   for t in sql_tasks(handle_off))
 
     @pytest.mark.parametrize("poll_size", ["200", "1"])
     def test_filter_with_metrics_on(self, poll_size):
         """Reporting on (what a default environment runs) changes neither
         the path nor a byte outside ``__metrics``."""
-        dep_off, _ = run_filter("false", poll_size, metrics=True)
-        dep_on, handle_on = run_filter("true", poll_size, metrics=True)
+        dep_off, _ = run_filter("compiled", poll_size, metrics=True)
+        dep_on, handle_on = run_filter("fused", poll_size, metrics=True)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
         assert cluster_dump(dep_on) == cluster_dump(
-            run_filter("true", poll_size)[0])
+            run_filter("fused", poll_size)[0])
         for task in sql_tasks(handle_on):
             assert task.decision.sampled and task.serde_fused
         assert any(r["metric"] == "process-ns.count" and r["value"] > 0
                    for r in handle_on.snapshots())
 
     def test_project_query(self):
-        dep_off, _ = run_filter("false", sql=PROJECT_SQL)
-        dep_on, _ = run_filter("true", sql=PROJECT_SQL)
+        dep_off, _ = run_filter("compiled", sql=PROJECT_SQL)
+        dep_on, _ = run_filter("fused", sql=PROJECT_SQL)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
 
     def test_results_match_decoded(self):
-        _dep, handle_on = run_filter("true")
-        _dep2, handle_off = run_filter("false")
+        _dep, handle_on = run_filter("fused")
+        _dep2, handle_off = run_filter("compiled")
         key = lambda r: r["orderId"]
         assert sorted(handle_on.results(), key=key) == \
             sorted(handle_off.results(), key=key)
@@ -192,18 +199,18 @@ class TestCrashMidBatchElision:
         the uncommitted suffix replays through the freshly fused plan on
         the replacement container and the surviving output set matches."""
         outputs = {}
-        for mode, flag in (("fused", "true"), ("decoded", "false")):
+        for mode, path in (("fused", "fused"), ("decoded", "compiled")):
             schedule = FaultSchedule.script().add_crash(25)
             dep, injector = chaos_sql_deployment(schedule, metrics=metrics)
-            handle = dep.shell.execute(FILTER_SQL, containers=2,
-                                       config_overrides={
-                                           "task.checkpoint.interval.messages": 10,
-                                           "task.poll.batch.size": 8,
-                                           "execution.serde.fusion": flag,
-                                       })
-            supervisor = ChaosSupervisor(dep.runner, injector,
-                                         zk=dep.shell.zk)
-            supervisor.run_until_quiescent()
+            with reference_arm(path):  # held across the relaunch
+                handle = dep.shell.execute(
+                    FILTER_SQL, containers=2, config_overrides={
+                        "task.checkpoint.interval.messages": 10,
+                        "task.poll.batch.size": 8,
+                    })
+                supervisor = ChaosSupervisor(dep.runner, injector,
+                                             zk=dep.shell.zk)
+                supervisor.run_until_quiescent()
             assert supervisor.restarts == 1
             # the replacement container re-ran the fusion analysis and
             # landed on the same decision the original did
@@ -227,14 +234,6 @@ class TestExplainSerdeStatus:
         assert "serde: decode pruned" in report
         assert "encode elided (raw byte splice)" in report
 
-    def test_fusion_off_reports_fallback(self):
-        dep = Deployment().with_orders(5)
-        report = dep.shell.execute(
-            f"EXPLAIN {FILTER_SQL}",
-            config_overrides={"execution.serde.fusion": "false"})
-        assert ("serde: full decode/encode (fallback: disabled by "
-                "execution.serde.fusion=false)" in report)
-
     def test_stateful_chain_reports_not_compiled(self):
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(f"EXPLAIN {SLIDING_WINDOW_SQL}")
@@ -252,7 +251,6 @@ class TestExplainMatchesTasks:
     CASES = {
         "default": ({}, "fused"),
         "metrics-off": (METRICS_OFF, "fused"),
-        "fusion-off": ({"execution.serde.fusion": "false"}, "compiled"),
         "json-output": ({**METRICS_OFF, **JSON_OUTPUT}, "compiled"),
         "metrics-on-json-output": (JSON_OUTPUT, "compiled"),
     }
