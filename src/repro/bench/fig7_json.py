@@ -14,7 +14,8 @@ Two long-window K-way join scenarios run through the full runtime:
 
 Each scenario runs the same SQL twice — through the default planner (the
 multi-way collapse) and through a planner whose rule list omits
-``MultiJoinCollapseRule`` (the pairwise cascade) — and reports:
+``MultiJoinCollapseRule`` (the pairwise cascade: a chain of K = 2
+instances of the same operator) — and reports:
 
 * msgs/s over the input messages (process-time, GC suspended, variants
   interleaved, per-variant minimum over repeats — the fig5 methodology);

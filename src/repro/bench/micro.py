@@ -26,8 +26,8 @@ from repro.workloads.products import PRODUCTS_SCHEMA, ProductsGenerator
 
 _STORE_NAMES = (
     "sql-window-messages", "sql-window-state", "sql-group-windows",
-    "sql-join-left", "sql-join-right", "sql-join-left-2", "sql-join-right-2",
     "sql-relation-products", "sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2",
+    "sql-mjoin2-0", "sql-mjoin2-1",
 )
 
 
@@ -471,8 +471,8 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
     ±``long_window_ms``, ``keys`` distinct join keys) straight into the
     operators — no router, serde, or container loop around them — so the
     ratio isolates exactly what the collapse changes: one shared-state
-    probe sequence with cheapest-side short-circuiting versus two binary
-    operators materializing and re-buffering every intermediate pair.
+    probe sequence with cheapest-side short-circuiting versus two K = 2
+    instances materializing and re-buffering every intermediate pair.
     The long third-side window keeps the two plans' output sets equal
     (nothing expires between an intermediate forming and its probe).
 
@@ -486,7 +486,6 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
     import time
 
     from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
-    from repro.samzasql.operators.stream_stream_join import StreamStreamJoinOperator
 
     rng = random.Random(7)
     key_names = [f"K{i:02d}" for i in range(keys)]
@@ -545,14 +544,24 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
                 operator.process(port, row, arrival)
         return feed, sink
 
+    def build_binary(left_width, bound_ms, field_names, store_prefix):
+        return MultiWayStreamJoinOperator(
+            widths=[left_width, 2], time_indexes=[0, 0],
+            key_sources=["r[1]"] * 2,
+            upper_bounds_ms=[[0, bound_ms], [bound_ms, 0]],
+            probe_orders=[[1], [0]],
+            condition_source=("((p0[1] == p1[1])"
+                              f" and (p0[0] - p1[0] <= {bound_ms})"
+                              f" and (p1[0] - p0[0] <= {bound_ms}))"),
+            bucket_ms=max(bound_ms // 8, 1), field_names=field_names,
+            store_prefix=store_prefix)
+
     def build_cascade():
-        first = StreamStreamJoinOperator(
-            2, 2, "(l[1] == r[1])", 0, 0, window_ms, window_ms,
-            "r[1]", "r[1]", ["ts0", "k0", "ts1", "k1"])
-        second = StreamStreamJoinOperator(
-            4, 2, "(l[1] == r[1])", 0, 0, long_window_ms, long_window_ms,
-            "r[1]", "r[1]", ["ts0", "k0", "ts1", "k1", "ts2", "k2"],
-            left_store="sql-join-left-2", right_store="sql-join-right-2")
+        first = build_binary(2, window_ms, ["ts0", "k0", "ts1", "k1"],
+                             "sql-mjoin-")
+        second = build_binary(
+            4, long_window_ms, ["ts0", "k0", "ts1", "k1", "ts2", "k2"],
+            "sql-mjoin2-")
         sink = _DiscardSink()
         first.downstream = _Port(second, 0)
         second.downstream = sink

@@ -19,8 +19,8 @@ class Broker:
     partitions are spread over more consumers.
 
     ``fault_injector`` (see :mod:`repro.chaos.faults`) is consulted before
-    each produce/fetch and may raise a transient error or add latency; the
-    default ``None`` keeps the happy path unchanged.
+    each produced record and each fetch and may raise a transient error or
+    add latency; the default ``None`` keeps the happy path unchanged.
     """
 
     def __init__(self, broker_id: int, clock: Clock | None = None,
@@ -57,31 +57,29 @@ class Broker:
 
     def produce(self, tp: TopicPartition, key: bytes | None, value: bytes | None,
                 timestamp_ms: int | None = None) -> int:
-        """Append one record; returns its offset."""
-        if self.fault_injector is not None:
-            self.fault_injector.on_produce(self.broker_id, tp)
-        self._produce_requests.inc()
-        self._messages_in.inc()
-        ts = timestamp_ms if timestamp_ms is not None else self.clock.now_ms()
-        return self._log(tp).append(key, value, ts)
+        """Append one record (a batch of one); returns its offset."""
+        return self.produce_batch(tp, [(key, value, timestamp_ms)])
 
     def produce_batch(self, tp: TopicPartition, records: list[tuple]) -> int:
         """Append many ``(key, value, timestamp_ms)`` records to one
         partition; returns the first offset (contiguous from there).
 
-        With fault injection active this falls back to per-record
-        :meth:`produce`, so the injector sees one produce op per record —
-        the same op stream sequential sends give it.  A fault raised
-        mid-batch leaves the earlier records appended; a batch-level retry
-        then re-appends them (bounded duplication, still at-least-once).
+        With fault injection active the injector is consulted once per
+        record, before that record is appended — the same op stream
+        sequential sends give it.  A fault raised mid-batch leaves the
+        earlier records appended; a batch-level retry then re-appends them
+        (bounded duplication, still at-least-once).
         """
-        if self.fault_injector is not None:
-            base = None
-            for key, value, timestamp_ms in records:
-                offset = self.produce(tp, key, value, timestamp_ms)
-                if base is None:
-                    base = offset
-            return base if base is not None else self._log(tp).end_offset
+        injector = self.fault_injector
+        if injector is None:
+            return self._append(tp, records)
+        base = self._log(tp).end_offset
+        for record in records:
+            injector.on_produce(self.broker_id, tp)
+            self._append(tp, [record])
+        return base
+
+    def _append(self, tp: TopicPartition, records: list[tuple]) -> int:
         n = len(records)
         self._produce_requests.inc(n)
         self._messages_in.inc(n)

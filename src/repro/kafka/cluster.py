@@ -105,7 +105,7 @@ class KafkaCluster:
 
     def produce(self, tp: TopicPartition, key: bytes | None, value: bytes | None,
                 timestamp_ms: int | None = None) -> int:
-        return self.leader(tp).produce(tp, key, value, timestamp_ms)
+        return self.produce_batch(tp, [(key, value, timestamp_ms)])
 
     def produce_batch(self, tp: TopicPartition, records: list[tuple]) -> int:
         """Append many ``(key, value, timestamp_ms)`` records to one

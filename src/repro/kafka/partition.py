@@ -29,18 +29,8 @@ class PartitionLog:
     # -- write path ----------------------------------------------------------
 
     def append(self, key: bytes | None, value: bytes | None, timestamp_ms: int) -> int:
-        """Append one record; returns the offset it was assigned."""
-        if key is not None and not isinstance(key, (bytes, bytearray)):
-            raise KafkaError(f"message key must be bytes, got {type(key).__name__}")
-        if value is not None and not isinstance(value, (bytes, bytearray)):
-            raise KafkaError(f"message value must be bytes, got {type(value).__name__}")
-        offset = self._next_offset
-        self._messages.append(
-            Message(offset=offset, key=key, value=value, timestamp_ms=timestamp_ms)
-        )
-        self._offsets.append(offset)
-        self._next_offset += 1
-        return offset
+        """Append one record (a batch of one); returns its offset."""
+        return self.append_batch([(key, value, timestamp_ms)])
 
     def append_batch(self, records: list[tuple], default_ts_fn=None) -> int:
         """Append many ``(key, value, timestamp_ms)`` records in order;

@@ -74,33 +74,13 @@ class Producer:
 
     def send(self, topic: str, value: bytes | None, key: bytes | None = None,
              partition: int | None = None, timestamp_ms: int | None = None) -> tuple[int, int]:
-        """Send one record; returns ``(partition, offset)``.
+        """Send one record (a batch of one); returns ``(partition, offset)``.
 
         Partition selection order: explicit ``partition`` argument, then the
         partitioner for keyed records, then round-robin for unkeyed ones.
         """
-        count = self._partition_count(topic)
-        if partition is None:
-            if key is not None:
-                partition = self._partitioner(key, count)
-            else:
-                cursor = self._round_robin.get(topic, 0)
-                partition = cursor % count
-                self._round_robin[topic] = cursor + 1
-        elif not 0 <= partition < count:
-            raise KafkaError(
-                f"partition {partition} out of range for topic {topic!r} ({count} partitions)"
-            )
-        tp = self._tps[topic][partition]
-        if self._retry is None:
-            offset = self._cluster.produce(tp, key, value, timestamp_ms)
-        else:
-            # Re-sending after a transient failure may duplicate the record
-            # (the first attempt could have landed) — at-least-once, exactly
-            # like a real producer without idempotence enabled.
-            offset = self._retry.call(
-                lambda: self._cluster.produce(tp, key, value, timestamp_ms))
-        return partition, offset
+        return self.send_batch(
+            topic, [(value, key, partition, timestamp_ms)])[0]
 
     def send_batch(
         self, topic: str,
@@ -114,10 +94,11 @@ class Producer:
         and the partitioner are resolved once for the whole batch; records
         are grouped per partition (input order preserved within each) and
         appended through one produce-batch request per partition.  Under
-        fault injection the broker unrolls a batch back into per-record
-        produce ops, so the injector still sees one op per record; a fault
-        mid-batch retries that partition's whole group (bounded
-        duplication, still at-least-once).
+        fault injection the broker consults the injector once per record,
+        so it still sees one op per record; re-sending after a transient
+        failure may duplicate records (earlier ones of the group, or one
+        whose first attempt landed) — at-least-once, exactly like a real
+        producer without idempotence enabled.
         """
         count = self._partition_count(topic)
         tps = self._tps[topic]

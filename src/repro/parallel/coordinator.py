@@ -186,7 +186,7 @@ class RunnerMesh:
         self.cluster = runner.cluster
         # The unhooked produce: every parent-side mirror/echo apply MUST
         # use this, or the ingress divert hook would re-route echoes.
-        self.direct_produce = type(runner.cluster).produce.__get__(
+        self.direct_produce_batch = type(runner.cluster).produce_batch.__get__(
             runner.cluster)
         self.routes = RouteTable(epoch=0)
         self.coordinators: list[ParallelJobCoordinator] = []
@@ -276,30 +276,24 @@ class RunnerMesh:
             return
         self._hooked = True
 
-        def diverting_produce(tp, key, value, timestamp_ms=None):
+        def diverting_produce_batch(tp, records):
+            # The route depends only on the partition: one decision per
+            # batch (a single produce is a batch of one).
             if tp.topic in self.owner_sequenced:
                 entry = self.routes.owner(tp.topic, tp.partition)
                 if entry is not None:
-                    self._enqueue_ingress(entry.gid, tp, key, value,
-                                          timestamp_ms)
+                    self._enqueue_ingress(entry.gid, tp, records)
                     return -1
-            return self.direct_produce(tp, key, value, timestamp_ms)
+            return self.direct_produce_batch(tp, records)
 
-        def diverting_produce_batch(tp, records):
-            base = None
-            for key, value, timestamp_ms in records:
-                offset = diverting_produce(tp, key, value, timestamp_ms)
-                if base is None:
-                    base = offset
-            return base if base is not None else -1
-
-        self.cluster.produce = diverting_produce
         self.cluster.produce_batch = diverting_produce_batch
 
-    def _enqueue_ingress(self, gid: str, tp, key, value, timestamp_ms) -> None:
+    def _enqueue_ingress(self, gid: str, tp, records: list[tuple]) -> None:
         link = self.ingress.setdefault(gid, _IngressLink())
-        link.pending.setdefault(tp, []).append((0, timestamp_ms, key, value))
-        link.pending_records += 1
+        link.pending.setdefault(tp, []).extend(
+            (0, timestamp_ms, key, value)
+            for key, value, timestamp_ms in records)
+        link.pending_records += len(records)
 
     # -- incarnations ----------------------------------------------------------
 
@@ -415,9 +409,7 @@ class RunnerMesh:
         if any(not c._shutdown for c in self.coordinators):
             return
         if self._hooked:
-            self.cluster.produce = self.direct_produce
-            self.cluster.produce_batch = type(
-                self.cluster).produce_batch.__get__(self.cluster)
+            self.cluster.produce_batch = self.direct_produce_batch
             self._hooked = False
         shutil.rmtree(self.meshdir, ignore_errors=True)
 
@@ -553,15 +545,15 @@ class ParallelJobCoordinator:
     # -- frame application -----------------------------------------------------
 
     def _apply_frame(self, payload: bytes, sequenced: bool = False) -> None:
-        produce = (self.cluster.produce if sequenced
-                   else self.mesh.direct_produce)
+        produce_batch = (self.cluster.produce_batch if sequenced
+                         else self.mesh.direct_produce_batch)
         for topic, partition, partition_count, records in decode_frame(payload):
             if not self.cluster.has_topic(topic):
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
-            tp = TopicPartition(topic, partition)
-            for _offset, timestamp_ms, key, value in records:
-                produce(tp, key, value, timestamp_ms)
+            produce_batch(TopicPartition(topic, partition), [
+                (key, value, timestamp_ms)
+                for _offset, timestamp_ms, key, value in records])
 
     def _dispatch(self, handle: WorkerHandle, raw: bytes) -> tuple[bytes, bytes]:
         tag, payload = parse_msg(raw)

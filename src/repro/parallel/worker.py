@@ -151,8 +151,8 @@ class _WorkerLoop:
 
         # Bound methods shadow at the instance level, so only this
         # process's cluster copy routes produces.
-        self._original_produce = type(self.cluster).produce.__get__(self.cluster)
-        self.cluster.produce = self._route_produce
+        self._original_produce_batch = type(
+            self.cluster).produce_batch.__get__(self.cluster)
         self.cluster.produce_batch = self._route_produce_batch
 
         self.endpoint = PeerEndpoint(
@@ -173,33 +173,27 @@ class _WorkerLoop:
 
     # -- produce routing -------------------------------------------------------
 
-    def _route_produce(self, tp, key, value, timestamp_ms=None):
+    def _route_produce_batch(self, tp, records):
+        """The route depends only on the partition: one decision per batch
+        (a single produce is a batch of one); own-shard and unrouted
+        batches go to the original ``produce_batch`` whole."""
         entry = self.routes.owner(tp.topic, tp.partition)
         if entry is not None:
             if entry.gid == self.gid:
                 # Own shard: apply locally; the mirror echo is the
                 # parent's (and any replacement's) durable copy.
-                return self._original_produce(tp, key, value, timestamp_ms)
-            self._link_for(entry).produce(
-                tp.topic, tp.partition,
-                self.cluster.topic(tp.topic).partition_count,
-                (0, timestamp_ms, key, value))
+                return self._original_produce_batch(tp, records)
+            link = self._link_for(entry)
+            partition_count = self.cluster.topic(tp.topic).partition_count
+            for key, value, timestamp_ms in records:
+                link.produce(tp.topic, tp.partition, partition_count,
+                             (0, timestamp_ms, key, value))
             return -1
         if tp.topic in self.routed:
-            self.outbox.append((tp, key, value, timestamp_ms))
+            self.outbox.extend((tp, key, value, timestamp_ms)
+                               for key, value, timestamp_ms in records)
             return -1
-        return self._original_produce(tp, key, value, timestamp_ms)
-
-    def _route_produce_batch(self, tp, records):
-        """Batch produce stays owner-routed: unroll through
-        :meth:`_route_produce` per record so peer/outbox routing decisions
-        apply exactly as on the single-record path."""
-        base = None
-        for key, value, timestamp_ms in records:
-            offset = self._route_produce(tp, key, value, timestamp_ms)
-            if base is None:
-                base = offset
-        return base if base is not None else -1
+        return self._original_produce_batch(tp, records)
 
     def _link_for(self, entry) -> PeerLink:
         link = self.links.get(entry.gid)
@@ -235,9 +229,9 @@ class _WorkerLoop:
             if not self.cluster.has_topic(topic):
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
-            tp = TopicPartition(topic, partition)
-            for _offset, timestamp_ms, key, value in records:
-                self._original_produce(tp, key, value, timestamp_ms)
+            self._original_produce_batch(TopicPartition(topic, partition), [
+                (key, value, timestamp_ms)
+                for _offset, timestamp_ms, key, value in records])
 
     def apply_input(self, payload: bytes) -> None:
         self.fwd_bytes += len(payload)
@@ -246,8 +240,9 @@ class _WorkerLoop:
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
             tp = TopicPartition(topic, partition)
-            for _offset, timestamp_ms, key, value in records:
-                self._original_produce(tp, key, value, timestamp_ms)
+            self._original_produce_batch(tp, [
+                (key, value, timestamp_ms)
+                for _offset, timestamp_ms, key, value in records])
             self.tap.mark_forwarded(tp, self.cluster.latest_offset(tp))
 
     def apply_ingress(self, payload: bytes) -> None:

@@ -23,12 +23,14 @@ from repro.sql.rel.nodes import (
     LogicalDelta,
     LogicalFilter,
     LogicalJoin,
+    LogicalMultiJoin,
     LogicalProject,
     LogicalScan,
     LogicalSort,
     LogicalWindowAgg,
     RelNode,
 )
+from repro.sql.rex import make_conjunction, split_conjunction
 
 RowSource = Callable[[str], list[list]]
 
@@ -59,6 +61,8 @@ class BatchExecutor:
             return [project(row) for row in rows]
         if isinstance(node, LogicalJoin):
             return self._eval_join(node)
+        if isinstance(node, LogicalMultiJoin):
+            return self._eval_multi_join(node)
         if isinstance(node, LogicalSort):
             return self._eval_sort(node)
         if isinstance(node, LogicalAggregate):
@@ -88,6 +92,24 @@ class BatchExecutor:
             for j, right in enumerate(right_rows):
                 if j not in matched_right:
                     out.append([None] * left_width + right)
+        return out
+
+    def _eval_multi_join(self, node: LogicalMultiJoin) -> list[list]:
+        """Nested loops, one input at a time; each conjunct of the combined
+        condition filters at the first level that has all its fields."""
+        pending = split_conjunction(node.condition)
+        out: list[list] = [[]]
+        width = 0
+        for child in node.join_inputs:
+            width += len(child.row_type)
+            ready = [c for c in pending
+                     if max(c.accept_fields(), default=0) < width]
+            pending = [c for c in pending if c not in ready]
+            keep = (compile_lambda(render(make_conjunction(ready)))
+                    if ready else lambda row: True)
+            rows = self._eval(child)
+            out = [joined for prefix in out for row in rows
+                   if keep(joined := prefix + row)]
         return out
 
     def _eval_sort(self, node: LogicalSort) -> list[list]:

@@ -48,8 +48,7 @@ from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 STATELESS_KINDS = frozenset({"scan", "filter", "project", "insert"})
 
 _STATEFUL_KINDS = frozenset({"sliding_window", "group_window_agg"})
-_JOIN_KINDS = frozenset(
-    {"stream_stream_join", "stream_relation_join", "multi_way_join"})
+_JOIN_KINDS = frozenset({"stream_relation_join", "multi_way_join"})
 
 
 def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:

@@ -14,7 +14,6 @@ from repro.samzasql.operators.sliding_window import SlidingWindowOperator
 from repro.samzasql.operators.group_window import GroupWindowAggOperator
 from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
 from repro.samzasql.operators.stream_relation_join import StreamRelationJoinOperator
-from repro.samzasql.operators.stream_stream_join import StreamStreamJoinOperator
 from repro.samzasql.operators.insert import InsertOperator
 from repro.samzasql.operators.router import MessageRouter, build_router
 
@@ -28,7 +27,6 @@ __all__ = [
     "GroupWindowAggOperator",
     "MultiWayStreamJoinOperator",
     "StreamRelationJoinOperator",
-    "StreamStreamJoinOperator",
     "InsertOperator",
     "MessageRouter",
     "build_router",

@@ -1,13 +1,35 @@
-"""K-way windowed stream join with one shared, time-bucketed state layout.
+"""Windowed stream-to-stream join (§3.8.1) over K >= 2 inputs with one
+shared, time-bucketed state layout.
 
-The pairwise cascade pays for every intermediate stream twice: each
-``A ⋈ B`` match is routed as a fresh message into the next join *and*
-buffered in that join's window store, so K-way state duplicates every
-prefix of the chain.  This operator (arXiv 2411.15835's multi-way method,
-incremental per-arrival probing per Fegaras) keeps exactly one window
-store per *input* and assembles output rows by probing the other K−1
-sides directly, so state is linear in the inputs regardless of how many
-matches the windows hold.
+"Sliding window join queries uses additional join condition on the tuple's
+timestamp (rowtime) to specify the window over the stream.  SamzaSQL
+assumes that the tuple's timestamp monotonically increases."
+
+This is the only stream-to-stream join operator: a binary join is the
+K = 2 case, and a join chain the optimizer cannot collapse runs as a
+cascade of K = 2 instances.  A cascade pays for every intermediate stream
+twice: each ``A ⋈ B`` match is routed as a fresh message into the next
+join *and* buffered in that join's window store, so K-way state duplicates
+every prefix of the chain.  The collapsed form (arXiv 2411.15835's
+multi-way method, incremental per-arrival probing per Fegaras) keeps
+exactly one window store per *input* and assembles output rows by probing
+the other K−1 sides directly, so state is linear in the inputs regardless
+of how many matches the windows hold.
+
+Ordering assumption: within one input *partition*, rowtime never
+decreases (the paper's, quoted above).  Watermarks and purge are built on
+it — a port's watermark is the largest rowtime it has delivered, and the
+other ports drop what that watermark has passed.  Nothing is assumed
+about the order *between* ports or partitions: a side is never purged by
+its own clock, so lagging or one-after-another consumption loses nothing.
+A row that arrives behind its own port's watermark is still probed and
+buffered, but rows of the other ports that the watermark already released
+are gone: it can miss the matches that lie within its lateness of the
+far edge of its window.  There is no allowed-lateness setting; a feed
+that is out of order within a partition loses exactly those matches.  An
+uncollapsed cascade meets this inside the plan: ``A ⋈ B`` emits in
+arrival order, so the rowtime its output carries into the next join can
+step back by up to the A–B window.
 
 State layout (PR 4 style, per input port):
 
@@ -15,7 +37,8 @@ State layout (PR 4 style, per input port):
   where ``bucket_id = ts // bucket_ms``.  Monotonic timestamps mean
   bucket ids are created in ascending order, so the dict's insertion
   order doubles as the purge order;
-* in the write-behind store ``sql-mjoin-<port>``, small per-bucket index
+* in the write-behind store ``sql-mjoin-<port>`` (``sql-mjoin<N>-<port>``
+  for the N-th join instance of a plan), small per-bucket index
   records ``("b", bucket_id) → {"count", "seq"}`` plus one row entry
   ``("r", bucket_id, seq) → [key, ts, row]`` per retained row — no
   monolithic blob is ever rebuilt.

@@ -26,11 +26,6 @@ from repro.samzasql.operators.stream_relation_join import (
     StreamRelationJoinOperator,
 )
 from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
-from repro.samzasql.operators.stream_stream_join import (
-    LEFT_PORT,
-    RIGHT_PORT,
-    StreamStreamJoinOperator,
-)
 from repro.samzasql.physical import (
     FilterNode,
     GroupWindowAggNode,
@@ -42,7 +37,6 @@ from repro.samzasql.physical import (
     ScanNode,
     SlidingWindowNode,
     StreamRelationJoinNode,
-    StreamStreamJoinNode,
 )
 
 
@@ -120,12 +114,6 @@ def build_router(plan: PhysicalPlan, context: OperatorContext) -> MessageRouter:
         if isinstance(node, ScanNode):
             entries.setdefault(node.stream, []).append(_Port(operator, 0))
             return operator
-        if isinstance(node, StreamStreamJoinNode):
-            left = build(node.inputs[0])
-            right = build(node.inputs[1])
-            left.downstream = _PortAdapter(operator, LEFT_PORT)
-            right.downstream = _PortAdapter(operator, RIGHT_PORT)
-            return operator
         if isinstance(node, MultiWayStreamJoinNode):
             for port, child_node in enumerate(node.inputs):
                 child = build(child_node)
@@ -183,13 +171,6 @@ def _instantiate(node: PhysicalNode) -> Operator:
         return GroupWindowAggOperator(
             node.window_kind, node.time_source, node.emit_ms, node.retain_ms,
             node.align_ms, node.group_key_source, node.aggs, node.field_names)
-    if isinstance(node, StreamStreamJoinNode):
-        return StreamStreamJoinOperator(
-            node.left_width, node.right_width, node.condition_source,
-            node.left_time_index, node.right_time_index,
-            node.lower_bound_ms, node.upper_bound_ms,
-            node.left_key_source, node.right_key_source, node.field_names,
-            node.left_store, node.right_store)
     if isinstance(node, MultiWayStreamJoinNode):
         return MultiWayStreamJoinOperator(
             node.widths, node.time_indexes, node.key_sources,

@@ -101,47 +101,24 @@ class GroupWindowAggNode(PhysicalNode):
 
 
 @dataclass
-class StreamStreamJoinNode(PhysicalNode):
-    """Windowed stream-to-stream join (§3.8.1).
-
-    ``inputs[0]``/``inputs[1]`` are the left/right subplans.  Time bounds
-    come from the rowtime conjuncts of the join condition:
-    ``left.rowtime`` within ``[right.rowtime - lower, right.rowtime +
-    upper]``.  The full condition is retained as the residual predicate.
-    """
-
-    left_width: int
-    right_width: int
-    condition_source: str           # over (l, r)
-    left_time_index: int
-    right_time_index: int
-    lower_bound_ms: int
-    upper_bound_ms: int
-    left_key_source: Optional[str]  # equi-key of the left row, or None
-    right_key_source: Optional[str]
-    field_names: list[str]
-    # Store names are per join instance: a plan with several binary joins
-    # (the pairwise cascade) must not share window state between them.
-    left_store: str = "sql-join-left"
-    right_store: str = "sql-join-right"
-
-    def __post_init__(self) -> None:
-        self.kind = "stream_stream_join"
-
-
-@dataclass
 class MultiWayStreamJoinNode(PhysicalNode):
-    """One K-input windowed stream join (collapsed cascade, §3.8.1 scaled).
+    """One K-input windowed stream join (§3.8.1): a binary join is K = 2,
+    a collapsed chain K >= 3.
 
     ``inputs[i]`` is the i-th stream subplan; output fields are the
     concatenation of all inputs in order.  ``upper_bounds_ms[i][j]`` is
-    the transitively-closed max of ``rowtime_i - rowtime_j``, so an
+    the transitively-closed max of ``rowtime_i - rowtime_j`` (for K = 2,
+    ``[[0, upper], [lower, 0]]`` of ``left.rowtime - right.rowtime ∈
+    [-lower, upper]``), so an
     arrival on port *i* probes port *j* for rows with
     ``t_j ∈ [t_i - upper[i][j], t_i + upper[j][i]]``.  ``probe_orders[i]``
     is the planner-chosen probe sequence for arrivals on port *i* —
     smallest expected state first, so empty sides short-circuit the
     probe before larger sides are touched.  ``condition_source`` is the
-    full residual condition over per-input rows ``p0..p{K-1}``.
+    full join condition over per-input rows ``p0..p{K-1}``, applied as the
+    residual predicate.  Store names are per join instance
+    (``store_prefix``): a plan with several joins (a cascade) must not
+    share window state between them.
     """
 
     widths: list[int]
@@ -219,7 +196,6 @@ _NODE_TYPES = {
     "project": ProjectNode,
     "sliding_window": SlidingWindowNode,
     "group_window_agg": GroupWindowAggNode,
-    "stream_stream_join": StreamStreamJoinNode,
     "multi_way_join": MultiWayStreamJoinNode,
     "stream_relation_join": StreamRelationJoinNode,
     "insert": InsertNode,

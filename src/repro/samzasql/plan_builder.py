@@ -3,7 +3,8 @@
 This is the SamzaSQL-specific physical planning step of Figure 3: map each
 logical operator onto the operator layer, render every expression to code
 (via :mod:`repro.sql.codegen`), classify joins as stream-to-stream (window
-bounds extracted from the rowtime conjuncts of the join condition, §3.8.1)
+bounds and key family read off the join condition by
+:func:`~repro.sql.rel.multi_join.analyze_multi_join`, §3.8.1)
 or stream-to-relation (relation side becomes a bootstrap changelog store,
 §4.4), and reject shapes the streaming runtime cannot execute (unwindowed
 aggregates over unbounded streams, streaming a pure table...).
@@ -24,7 +25,6 @@ from repro.samzasql.physical import (
     ScanNode,
     SlidingWindowNode,
     StreamRelationJoinNode,
-    StreamStreamJoinNode,
 )
 from repro.sql.catalog import Catalog, StreamDefinition, TableDefinition
 from repro.sql.codegen import render, render_projection
@@ -45,7 +45,6 @@ from repro.sql.rex import (
     AggCall,
     RexCall,
     RexInputRef,
-    RexLiteral,
     RexNode,
     split_conjunction,
 )
@@ -75,8 +74,7 @@ class PhysicalPlanBuilder:
         self.input_streams: list[str] = []
         self.bootstrap_streams: list[str] = []
         self.store_names: list[str] = []
-        self._join_count = 0        # binary stream-stream joins lowered
-        self._multi_join_count = 0  # multi-way joins lowered
+        self._multi_join_count = 0  # stream-to-stream joins lowered
 
     def build(self, logical: RelNode, output_stream: str,
               relation_key: list[str] | None = None) -> PhysicalPlan:
@@ -149,7 +147,8 @@ class PhysicalPlanBuilder:
         if isinstance(node, LogicalJoin):
             return self._lower_join(node)
         if isinstance(node, LogicalMultiJoin):
-            return self._lower_multi_join(node)
+            return self._lower_multi_join(
+                node.join_inputs, node.condition, node.row_type)
         if isinstance(node, LogicalSort):
             raise PlannerError(
                 "ORDER BY / LIMIT is not defined over an unbounded stream; "
@@ -217,47 +216,18 @@ class PhysicalPlanBuilder:
         left_stream = _contains_stream(node.left)
         right_stream = _contains_stream(node.right)
         if left_stream and right_stream:
-            return self._lower_stream_stream(node)
+            if node.kind != "INNER":
+                raise PlannerError("stream-to-stream joins must be INNER joins")
+            return self._lower_multi_join(
+                node.inputs, node.condition, node.row_type)
         if left_stream or right_stream:
             return self._lower_stream_relation(node, stream_is_left=left_stream)
         raise PlannerError("table-to-table joins belong to the batch executor")
 
-    def _lower_stream_stream(self, node: LogicalJoin) -> PhysicalNode:
-        if node.kind != "INNER":
-            raise PlannerError("stream-to-stream joins must be INNER joins")
-        left_width = len(node.left.row_type)
-        right_width = len(node.right.row_type)
-        left_time = self._rowtime_index(node.left, "left join input")
-        right_time = self._rowtime_index(node.right, "right join input")
-
-        lower, upper = self._extract_time_bounds(
-            node.condition, left_time, left_width + right_time, left_width)
-        left_key, right_key = self._extract_equi_keys(node.condition, left_width)
-
-        # Unique store pair per join instance; the first keeps the legacy
-        # names so single-join plans (and their changelogs) are unchanged.
-        self._join_count += 1
-        suffix = "" if self._join_count == 1 else f"-{self._join_count}"
-        physical = StreamStreamJoinNode(
-            left_width=left_width,
-            right_width=right_width,
-            condition_source=render(node.condition, left_width=left_width),
-            left_time_index=left_time,
-            right_time_index=right_time,
-            lower_bound_ms=lower,
-            upper_bound_ms=upper,
-            left_key_source=left_key,
-            right_key_source=right_key,
-            field_names=list(node.row_type.field_names),
-            left_store=f"sql-join-left{suffix}",
-            right_store=f"sql-join-right{suffix}",
-        )
-        physical.inputs = [self._lower(node.left), self._lower(node.right)]
-        self.store_names.extend([physical.left_store, physical.right_store])
-        return physical
-
-    def _lower_multi_join(self, node: LogicalMultiJoin) -> PhysicalNode:
-        """Lower a collapsed join chain onto the K-way operator.
+    def _lower_multi_join(self, inputs: tuple[RelNode, ...],
+                          condition: RexNode, row_type) -> PhysicalNode:
+        """Lower a windowed stream-to-stream join — a binary join (K = 2)
+        or a collapsed chain (K >= 3) — onto the K-way operator.
 
         The probe order per arrival port is the other inputs sorted by
         *expected state size*: each input's window span (its retention in
@@ -266,21 +236,30 @@ class PhysicalPlanBuilder:
         Smallest expected side first means an empty or sparse side
         short-circuits the probe before the big sides are touched.
         """
-        analysis = analyze_multi_join(node.join_inputs, node.condition)
-        if analysis is None:  # the collapse rule proved this; guard anyway
-            raise PlannerError("multi-join is not collapsible at lowering")
+        analysis = analyze_multi_join(inputs, condition)
+        # A collapsed chain has every rowtime (the rule proved it bounded).
+        for side, index in zip(("left", "right"), analysis.rowtime_indexes):
+            if index is None:
+                raise PlannerError(
+                    f"{side} join input has no rowtime field; stream-to-stream "
+                    f"joins need event timestamps on both sides")
+        if not analysis.bounded:
+            raise PlannerError(
+                "stream-to-stream join requires a finite time window in the "
+                "join condition, e.g. `a.rowtime BETWEEN b.rowtime - INTERVAL "
+                "'2' SECOND AND b.rowtime + INTERVAL '2' SECOND`")
         k = analysis.k
 
-        # Residual condition over per-input rows p0..p{K-1}.
+        # The full condition, as the residual over per-input rows p0..p{K-1}.
         ref_sources = []
         for i in range(k):
             ref_sources.extend(
                 f"p{i}[{local}]" for local in range(analysis.widths[i]))
-        condition_source = render(node.condition, ref_sources=ref_sources)
+        condition_source = render(condition, ref_sources=ref_sources)
 
         input_names: list[str] = []
         rates: list[float | None] = []
-        for i, child in enumerate(node.join_inputs):
+        for i, child in enumerate(inputs):
             scan = stream_scan_of(child)
             if scan is not None:
                 input_names.append(scan.source)
@@ -315,7 +294,9 @@ class PhysicalPlanBuilder:
         physical = MultiWayStreamJoinNode(
             widths=list(analysis.widths),
             time_indexes=list(analysis.rowtime_indexes),
-            key_sources=[f"r[{idx}]" for idx in analysis.key_indexes],
+            # keyless: one constant key, every buffered row is a candidate
+            key_sources=(["None"] * k if analysis.key_indexes is None else
+                         [f"r[{idx}]" for idx in analysis.key_indexes]),
             upper_bounds_ms=[list(row) for row in analysis.upper_ms],
             probe_orders=probe_orders,
             condition_source=condition_source,
@@ -323,10 +304,10 @@ class PhysicalPlanBuilder:
             input_names=input_names,
             input_weights=weights,
             order_metric=order_metric,
-            field_names=list(node.row_type.field_names),
+            field_names=list(row_type.field_names),
             store_prefix=prefix,
         )
-        physical.inputs = [self._lower(child) for child in node.join_inputs]
+        physical.inputs = [self._lower(child) for child in inputs]
         self.store_names.extend(f"{prefix}{i}" for i in range(k))
         return physical
 
@@ -378,87 +359,6 @@ class PhysicalPlanBuilder:
         return physical
 
     # -- condition analysis -------------------------------------------------------------------
-
-    @staticmethod
-    def _rowtime_index(node: RelNode, what: str) -> int:
-        row_type = node.row_type
-        for i, f in enumerate(row_type.fields):
-            if f.name.lower() == "rowtime":
-                return i
-        raise PlannerError(
-            f"{what} has no rowtime field; stream-to-stream joins need "
-            f"event timestamps on both sides")
-
-    @staticmethod
-    def _extract_time_bounds(condition: RexNode, left_time: int,
-                             right_time_global: int,
-                             left_width: int) -> tuple[int, int]:
-        """Derive d = left.rowtime - right.rowtime ∈ [-lower, upper].
-
-        Recognizes conjuncts like ``L >= R - c``, ``L <= R + c``, ``L >= R``,
-        and their mirrored forms.  Raises when no finite window results —
-        unbounded stream joins would require infinite state.
-        """
-
-        lower: int | None = None   # d >= -lower
-        upper: int | None = None   # d <= upper
-
-        def time_ref_side(rex: RexNode) -> str | None:
-            if isinstance(rex, RexInputRef):
-                if rex.index == left_time:
-                    return "L"
-                if rex.index == right_time_global:
-                    return "R"
-            return None
-
-        def shifted_time(rex: RexNode) -> tuple[str, int] | None:
-            """Match t, t + c, t - c where t is one side's rowtime."""
-            side = time_ref_side(rex)
-            if side is not None:
-                return side, 0
-            if (isinstance(rex, RexCall) and rex.op in ("+", "-")
-                    and len(rex.operands) == 2):
-                base, delta = rex.operands
-                side = time_ref_side(base)
-                if side is not None and isinstance(delta, RexLiteral) \
-                        and isinstance(delta.value, (int, float)):
-                    sign = 1 if rex.op == "+" else -1
-                    return side, sign * int(delta.value)
-            return None
-
-        def note(op: str, a: tuple[str, int], b: tuple[str, int]) -> None:
-            nonlocal lower, upper
-            (sa, ca), (sb, cb) = a, b
-            if sa == sb:
-                return
-            # normalize to L-side on the left of the comparison
-            if sa == "R":
-                a, b = b, a
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-                (sa, ca), (sb, cb) = a, b
-            # L + ca  (op)  R + cb   =>   d = L - R  (op)  cb - ca
-            bound = cb - ca
-            if op in ("<=", "<"):
-                upper = bound if upper is None else min(upper, bound)
-            elif op in (">=", ">"):
-                low = -bound
-                lower = low if lower is None else min(lower, low)
-
-        for conjunct in split_conjunction(condition):
-            if not (isinstance(conjunct, RexCall)
-                    and conjunct.op in ("<", "<=", ">", ">=")):
-                continue
-            a = shifted_time(conjunct.operands[0])
-            b = shifted_time(conjunct.operands[1])
-            if a is not None and b is not None:
-                note(conjunct.op, a, b)
-
-        if lower is None or upper is None:
-            raise PlannerError(
-                "stream-to-stream join requires a finite time window in the "
-                "join condition, e.g. `a.rowtime BETWEEN b.rowtime - INTERVAL "
-                "'2' SECOND AND b.rowtime + INTERVAL '2' SECOND`")
-        return lower, upper
 
     @staticmethod
     def _extract_equi_keys(condition: RexNode,

@@ -55,8 +55,7 @@ from repro.samzasql.physical import PhysicalPlan
 from repro.serde.avro import (
     _DOUBLE,
     _FLOAT,
-    field_read_src,
-    field_skip_src,
+    field_decode_src,
     field_write_src,
     flat_record_fields,
 )
@@ -246,28 +245,7 @@ def _decode_section(build: SerdeAnalysis) -> list[str]:
         track = i in build.span_fields
         if track:
             lines.append(f"{pad}s{i} = pos")
-        if null_index is None:
-            lines += (field_read_src(f"f{i}", kind, 3) if wanted
-                      else field_skip_src(kind, 3))
-        else:
-            null_byte = 0 if null_index == 0 else 2
-            prim_byte = 2 - null_byte
-            if wanted:
-                on_null = [f"{pad}    f{i} = None"]
-                on_prim = field_read_src(f"f{i}", kind, 4)
-            else:
-                on_null = [f"{pad}    pass"]
-                on_prim = field_skip_src(kind, 4)
-            lines += [
-                f"{pad}b = buf[pos]; pos += 1",
-                f"{pad}if b == {null_byte}:",
-                *on_null,
-                f"{pad}elif b == {prim_byte}:",
-                *on_prim,
-                f"{pad}else:",
-                f"{pad}    raise SerdeError("
-                "'union branch index out of range')",
-            ]
+        lines += field_decode_src(i, kind, null_index, wanted, 3)
         if track:
             lines.append(f"{pad}e{i} = pos")
     return lines

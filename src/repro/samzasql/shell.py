@@ -386,24 +386,23 @@ class SamzaSQLShell:
     def _describe_join_strategy(plan: PhysicalPlan) -> list[str]:
         """The multi-way collapse decision for EXPLAIN: which join chains
         collapsed into one K-way operator (and the chosen probe order), or
-        that a chain is running as the pairwise cascade."""
-        from repro.samzasql.physical import (
-            MultiWayStreamJoinNode,
-            StreamStreamJoinNode,
-        )
+        that a chain is running as the pairwise cascade (a join feeding a
+        join, each a K = 2 instance)."""
+        from repro.samzasql.physical import MultiWayStreamJoinNode
 
         lines: list[str] = []
 
         def walk(node) -> None:
-            if isinstance(node, MultiWayStreamJoinNode):
+            k = (len(node.widths)
+                 if isinstance(node, MultiWayStreamJoinNode) else 0)
+            if k >= 3:
                 order = [node.input_names[i] for i in node.state_order()]
                 lines.append(
-                    f"multi-way join: collapsed {len(node.widths)} inputs "
+                    f"multi-way join: collapsed {k} inputs "
                     f"[{', '.join(node.input_names)}]; probe order by "
                     f"{node.order_metric}: [{', '.join(order)}]")
-            elif isinstance(node, StreamStreamJoinNode) and any(
-                    isinstance(child, StreamStreamJoinNode)
-                    for child in node.inputs):
+            elif k and any(isinstance(child, MultiWayStreamJoinNode)
+                           for child in node.inputs):
                 lines.append(
                     "multi-way join: not collapsed; running the pairwise "
                     "cascade")

@@ -166,6 +166,31 @@ def field_skip_src(kind: str, level: int) -> list[str]:
     return [f"{pad}pos += {4 if kind == 'float' else 8}"]
 
 
+def field_decode_src(i: int, kind: str, null_index: int | None,
+                     wanted: bool, level: int) -> list[str]:
+    """Source lines decoding flat field ``i`` — a bare primitive, or one in
+    a two-branch null union — into ``f{i}``, or skip-scanning it when it
+    is not ``wanted``."""
+    if null_index is None:
+        return (field_read_src(f"f{i}", kind, level) if wanted
+                else field_skip_src(kind, level))
+    pad = " " * 4 * level
+    # Two-branch ["null", prim] union: branch index is a one-byte zigzag
+    # varint, 0 for branch 0 and 2 for branch 1.
+    null_byte = 0 if null_index == 0 else 2
+    prim_byte = 2 - null_byte
+    return [
+        f"{pad}b = buf[pos]; pos += 1",
+        f"{pad}if b == {null_byte}:",
+        f"{pad}    f{i} = None" if wanted else f"{pad}    pass",
+        f"{pad}elif b == {prim_byte}:",
+        *(field_read_src(f"f{i}", kind, level + 1) if wanted
+          else field_skip_src(kind, level + 1)),
+        f"{pad}else:",
+        f"{pad}    raise SerdeError('union branch index out of range')",
+    ]
+
+
 def field_write_src(var: str, kind: str, level: int,
                     prefix_byte: int | None) -> list[str]:
     """Fast-path write of ``var`` onto ``out`` at ``level``.
@@ -244,7 +269,10 @@ class AvroSchema:
         # source-generated encoder/decoder with the field loop unrolled
         # (None for any other schema shape — the closure walk is used).
         self._encode_fast: Encoder | None = self._generate_flat_encoder(definition)
-        self._decode_fast: Decoder | None = self._generate_flat_decoder(definition)
+        # The full decoder is the pruned one that wants every field.
+        self._decode_fast: Decoder | None = self.pruned_decoder(
+            {name for name, _kind, _null
+             in flat_record_fields(definition) or ()})
 
     # -- convenience constructors -------------------------------------------
 
@@ -676,56 +704,6 @@ class AvroSchema:
     # to the per-field closure encoder, which raises the canonical
     # SerdeError.
 
-    def _generate_flat_decoder(self, definition: Any) -> Decoder | None:
-        fields = flat_record_fields(definition)
-        if fields is None:
-            return None
-
-        namespace: dict[str, Any] = {
-            "SerdeError": SerdeError, "_FLOAT": _FLOAT,
-            "_DOUBLE": _DOUBLE, "_StructError": struct.error}
-        body: list[str] = []
-        for i, (_name, kind, null_index) in enumerate(fields):
-            if kind is None:
-                # Field shape the flat layout can't inline (nested record,
-                # array, map, wide union, ...): delegate to its closure
-                # decoder so the rest of the record still takes the
-                # generated path.
-                namespace[f"dec{i}"] = self._compile_decoder(
-                    definition["fields"][i]["type"])
-                body.append(f"        f{i}, pos = dec{i}(buf, pos)")
-                continue
-            if null_index is None:
-                body += field_read_src(f"f{i}", kind, 2)
-                continue
-            # Two-branch ["null", prim] union: branch index is a one-byte
-            # zigzag varint, 0 for branch 0 and 2 for branch 1.
-            null_byte = 0 if null_index == 0 else 2
-            prim_byte = 2 - null_byte
-            body += [
-                "        b = buf[pos]; pos += 1",
-                f"        if b == {null_byte}:",
-                f"            f{i} = None",
-                f"        elif b == {prim_byte}:",
-                *field_read_src(f"f{i}", kind, 3),
-                "        else:",
-                "            raise SerdeError("
-                "'union branch index out of range')",
-            ]
-        pairs = ", ".join(f"{name!r}: f{i}"
-                          for i, (name, _kind, _n) in enumerate(fields))
-        source = "\n".join([
-            "def dec(buf, pos):",
-            "    try:",
-            "        blen = len(buf)",
-            *body,
-            "        return {" + pairs + "}, pos",
-            "    except (IndexError, _StructError):",
-            "        raise SerdeError('truncated Avro datum') from None",
-        ])
-        exec(source, namespace)  # noqa: S102 - trusted generated source
-        return namespace["dec"]
-
     def pruned_decoder(self, required: "set[str] | frozenset[str]"
                        ) -> Decoder | None:
         """A generated partial decoder materializing only ``required`` fields.
@@ -758,33 +736,16 @@ class AvroSchema:
             if wanted:
                 kept.append((i, name))
             if kind is None:
+                # Field shape the flat layout can't inline (nested record,
+                # array, map, wide union, ...): delegate to its closure
+                # decoder so the rest of the record still takes the
+                # generated path.
                 namespace[f"dec{i}"] = self._compile_decoder(
                     self.definition["fields"][i]["type"])
                 target = f"f{i}" if wanted else "_"
                 body.append(f"        {target}, pos = dec{i}(buf, pos)")
-                continue
-            if null_index is None:
-                body += (field_read_src(f"f{i}", kind, 2) if wanted
-                         else field_skip_src(kind, 2))
-                continue
-            null_byte = 0 if null_index == 0 else 2
-            prim_byte = 2 - null_byte
-            if wanted:
-                inner = [f"            f{i} = None",
-                         f"        elif b == {prim_byte}:",
-                         *field_read_src(f"f{i}", kind, 3)]
             else:
-                inner = ["            pass",
-                         f"        elif b == {prim_byte}:",
-                         *field_skip_src(kind, 3)]
-            body += [
-                "        b = buf[pos]; pos += 1",
-                f"        if b == {null_byte}:",
-                *inner,
-                "        else:",
-                "            raise SerdeError("
-                "'union branch index out of range')",
-            ]
+                body += field_decode_src(i, kind, null_index, wanted, 2)
         pairs = ", ".join(f"{name!r}: f{i}" for i, name in kept)
         source = "\n".join([
             "def dec(buf, pos):",

@@ -1,27 +1,31 @@
-"""Multi-way stream-join analysis (arXiv 2411.15835's planning step).
+"""Stream-join condition analysis (arXiv 2411.15835's planning step) — the
+one reader of a windowed stream-to-stream join condition, for K >= 2 inputs.
 
-A left-deep chain of windowed stream-stream joins is collapsible into one
-N-way operator when every conjunct of the combined join condition is either
+Every conjunct of the (combined) join condition is classified as
 
-* an equi-join between two inputs' fields, with at least one equivalence
-  class (key family) touching *every* input — the shared partition key the
-  single state layout is bucketed by; or
+* an equi-join between two inputs' fields; an equivalence class (key
+  family) touching *every* input is the shared partition key the state
+  layout is bucketed by — without one the join is *keyless* (one constant
+  key: every buffered row is a candidate);
 * a rowtime-window comparison between two inputs' timestamps
-  (``a.rowtime <= b.rowtime + c`` and friends).
+  (``a.rowtime <= b.rowtime + c`` and friends); or
+* *residual* — anything else.  The operator evaluates the whole condition
+  on every candidate combination, so a residual conjunct needs no plan
+  support; it only blocks the collapse of a chain.
 
-The analysis computes the pairwise time-offset matrix ``upper[i][j]`` =
-max allowed ``t_i - t_j`` and closes it transitively (Floyd–Warshall over
+The analysis computes the time-offset matrix ``upper[i][j]`` = max allowed
+``t_i - t_j`` and closes it transitively (Floyd–Warshall over
 ``upper[i][j] <= upper[i][k] + upper[k][j]``): a 3-way query typically
 only states A–B and A–C windows, but the operator probes B from a C
 arrival too, so the derived B–C bound is what makes every probe finite.
-A chain whose closed matrix still has an unbounded pair would need
-infinite state on some side and is left to the pairwise cascade (which
-rejects it with the same planner error as before).
+A pair the closed matrix leaves unbounded would need infinite state on
+some side; the physical planner rejects it.
 
 The same analysis runs twice by design: once inside the optimizer rule as
-the collapse *decision* (returning ``None`` means "keep the cascade") and
-once in the physical planner as the *extraction* of key/time metadata for
-:class:`~repro.samzasql.physical.MultiWayStreamJoinNode`.
+the collapse *decision* (``collapsible``: K >= 3, keyed, bounded, no
+residual — anything else stays a chain of binary joins) and once in the
+physical planner as the *extraction* of key/time metadata for
+:class:`~repro.samzasql.physical.MultiWayStreamJoinNode`, whatever K is.
 """
 
 from __future__ import annotations
@@ -49,19 +53,33 @@ class MultiJoinAnalysis:
 
     widths: tuple[int, ...]          # fields per input
     offsets: tuple[int, ...]         # global index of each input's field 0
-    rowtime_indexes: tuple[int, ...]  # per-input local rowtime index
-    key_indexes: tuple[int, ...]     # per-input local equi-key index
-    upper_ms: tuple[tuple[int, ...], ...]  # max(t_i - t_j), closed matrix
+    # per-input local rowtime index; None: the input has no rowtime field
+    rowtime_indexes: tuple[int | None, ...]
+    # per-input local equi-key index; None: keyless (no all-input family)
+    key_indexes: tuple[int, ...] | None
+    # max(t_i - t_j), closed matrix; None: the pair is unbounded
+    upper_ms: tuple[tuple[int | None, ...], ...]
+    residual: bool                   # some conjunct is neither equi nor window
 
     @property
     def k(self) -> int:
         return len(self.widths)
 
+    @property
+    def bounded(self) -> bool:
+        return all(v is not None for row in self.upper_ms for v in row)
+
+    @property
+    def collapsible(self) -> bool:
+        """May a chain with this condition run as ONE K-way operator?"""
+        return (self.k >= 3 and self.key_indexes is not None
+                and self.bounded and not self.residual)
+
     def retention_ms(self, port: int) -> int:
         """How long a row buffered on ``port`` can still match a future
-        arrival on any other port.  Symmetric (like the binary operator's
-        ``max(lower, upper)``) so interleaved near-synchronous streams
-        never drop a row one direction of the window still needs."""
+        arrival on any other port.  Symmetric, so interleaved
+        near-synchronous streams never drop a row one direction of the
+        window still needs."""
         spans = [max(self.upper_ms[j][port], self.upper_ms[port][j])
                  for j in range(self.k) if j != port]
         return max(0, *spans) if spans else 0
@@ -93,32 +111,25 @@ def stream_scan_of(node: RelNode) -> LogicalScan | None:
 
 
 def _rowtime_global_indexes(inputs: tuple[RelNode, ...],
-                            offsets: tuple[int, ...]) -> list[int] | None:
-    out = []
+                            offsets: tuple[int, ...]) -> list[int | None]:
+    out: list[int | None] = []
     for node, offset in zip(inputs, offsets):
-        local = None
+        out.append(None)
         for i, f in enumerate(node.row_type.fields):
             if f.name.lower() == "rowtime":
-                local = i
+                out[-1] = offset + i
                 break
-        if local is None:
-            return None
-        out.append(offset + local)
     return out
 
 
 def analyze_multi_join(inputs: tuple[RelNode, ...],
-                       condition: RexNode) -> MultiJoinAnalysis | None:
-    """Classify a combined join condition; None means "not collapsible"."""
+                       condition: RexNode) -> MultiJoinAnalysis:
+    """Classify a (combined) join condition over K >= 2 inputs."""
     k = len(inputs)
-    if k < 3:
-        return None
     offsets = input_offsets(inputs)
     widths = tuple(len(node.row_type) for node in inputs)
     total = offsets[-1] + widths[-1]
     rowtimes = _rowtime_global_indexes(inputs, offsets)
-    if rowtimes is None:
-        return None
 
     def input_of(index: int) -> int:
         for i in range(k - 1, -1, -1):
@@ -160,8 +171,6 @@ def analyze_multi_join(inputs: tuple[RelNode, ...],
 
     def note_bound(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
         (ia, ca), (ib, cb) = a, b
-        if ia == ib:
-            return
         # t_a + ca (op) t_b + cb
         if op in (">", ">="):
             (ia, ca), (ib, cb) = (ib, cb), (ia, ca)
@@ -169,29 +178,23 @@ def analyze_multi_join(inputs: tuple[RelNode, ...],
         bound = cb - ca
         upper[ia][ib] = min(upper[ia][ib], bound)
 
-    has_equi = False
+    residual = False
     for conjunct in split_conjunction(condition):
-        if not isinstance(conjunct, RexCall):
-            return None
-        if conjunct.op == "=" and len(conjunct.operands) == 2:
+        if (isinstance(conjunct, RexCall) and conjunct.op == "="
+                and len(conjunct.operands) == 2):
             a, b = conjunct.operands
-            if not (isinstance(a, RexInputRef) and isinstance(b, RexInputRef)):
-                return None
-            if input_of(a.index) == input_of(b.index):
-                return None
-            union(a.index, b.index)
-            has_equi = True
-            continue
-        if conjunct.op in _COMPARISONS and len(conjunct.operands) == 2:
+            if (isinstance(a, RexInputRef) and isinstance(b, RexInputRef)
+                    and input_of(a.index) != input_of(b.index)):
+                union(a.index, b.index)
+                continue
+        elif (isinstance(conjunct, RexCall) and conjunct.op in _COMPARISONS
+                and len(conjunct.operands) == 2):
             a = shifted_time(conjunct.operands[0])
             b = shifted_time(conjunct.operands[1])
-            if a is None or b is None or a[0] == b[0]:
-                return None
-            note_bound(conjunct.op, a, b)
-            continue
-        return None
-    if not has_equi:
-        return None
+            if a is not None and b is not None and a[0] != b[0]:
+                note_bound(conjunct.op, a, b)
+                continue
+        residual = True
 
     # One key family must cover every input; pick the lowest field per input.
     by_root: dict[int, list[int]] = {}
@@ -208,8 +211,6 @@ def analyze_multi_join(inputs: tuple[RelNode, ...],
         if len(per_input) == k:
             key_indexes = tuple(per_input[i] - offsets[i] for i in range(k))
             break
-    if key_indexes is None:
-        return None
 
     # Transitive closure: a bound through k tightens (or creates) i->j.
     for mid in range(k):
@@ -218,15 +219,14 @@ def analyze_multi_join(inputs: tuple[RelNode, ...],
                 via = upper[i][mid] + upper[mid][j]
                 if via < upper[i][j]:
                     upper[i][j] = via
-    for i in range(k):
-        for j in range(k):
-            if upper[i][j] == _INF:
-                return None
 
     return MultiJoinAnalysis(
         widths=widths,
         offsets=offsets,
-        rowtime_indexes=tuple(rowtimes[i] - offsets[i] for i in range(k)),
+        rowtime_indexes=tuple(None if rowtimes[i] is None
+                              else rowtimes[i] - offsets[i] for i in range(k)),
         key_indexes=key_indexes,
-        upper_ms=tuple(tuple(int(v) for v in row) for row in upper),
+        upper_ms=tuple(tuple(None if v == _INF else int(v) for v in row)
+                       for row in upper),
+        residual=residual,
     )

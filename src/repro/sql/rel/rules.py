@@ -238,7 +238,8 @@ class MultiJoinCollapseRule(Rule):
     finite pairwise rowtime windows — the shapes the N-way operator's
     shared state layout can serve.  Everything else (stream-to-relation
     joins, non-equi residuals, unbounded windows, binary joins) is left
-    alone and plans as the existing pairwise cascade.
+    alone and plans as a cascade of binary joins, each a K = 2 instance
+    of the same operator.
     """
 
     name = "MultiJoinCollapse"
@@ -259,7 +260,7 @@ class MultiJoinCollapseRule(Rule):
             return None  # a relation side: stays a stream-to-relation join
         condition = make_conjunction(
             split_conjunction(inner_condition) + split_conjunction(node.condition))
-        if analyze_multi_join(inputs, condition) is None:
+        if not analyze_multi_join(inputs, condition).collapsible:
             return None
         return LogicalMultiJoin(inputs, condition)
 

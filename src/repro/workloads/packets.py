@@ -47,15 +47,19 @@ class PacketsGenerator:
         for topic in (topic_r1, topic_r2):
             cluster.create_topic(topic, partitions=partitions, if_not_exists=True)
         producer = Producer(cluster)
-        sent_r1 = sent_r2 = 0
+        arrivals: list[dict] = []
         for r1, r2 in self.pairs(count):
             producer.send(topic_r1, self.serde.to_bytes(r1),
                           key=str(r1["packetId"]).encode(),
                           timestamp_ms=r1["rowtime"])
-            sent_r1 += 1
             if r2 is not None:
-                producer.send(topic_r2, self.serde.to_bytes(r2),
-                              key=str(r2["packetId"]).encode(),
-                              timestamp_ms=r2["rowtime"])
-                sent_r2 += 1
-        return sent_r1, sent_r2
+                arrivals.append(r2)
+        # A router logs packets as they arrive: R2's topic is in R2-rowtime
+        # order, not in the order the packets left R1 (§3.8.1 assumes
+        # timestamps increase monotonically within a partition).
+        arrivals.sort(key=lambda r2: r2["rowtime"])
+        for r2 in arrivals:
+            producer.send(topic_r2, self.serde.to_bytes(r2),
+                          key=str(r2["packetId"]).encode(),
+                          timestamp_ms=r2["rowtime"])
+        return count, len(arrivals)

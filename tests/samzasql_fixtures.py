@@ -75,7 +75,9 @@ def reference_arm(path: str):
 
 def cascade_planner(catalog) -> QueryPlanner:
     """A planner that never collapses join chains: the default rule list
-    minus ``MultiJoinCollapseRule`` — the pairwise-cascade reference arm.
+    minus ``MultiJoinCollapseRule`` — the pairwise-cascade arm (a chain of
+    K = 2 instances of the one join operator; the table query is the
+    independent reference).
     Install with ``shell.planner = cascade_planner(shell.catalog)``."""
     return QueryPlanner(catalog, Optimizer(rules=[
         rule for rule in DEFAULT_RULES

@@ -111,6 +111,37 @@ class TestDataPlane:
         cluster.produce(tp, None, b"v")
         assert cluster.latest_offset(tp) == 1
 
+    def test_injected_fault_mid_batch_keeps_earlier_records(self):
+        """Under fault injection a batch is one produce op per record,
+        consulted before that record is appended — what sequential sends
+        would give the injector."""
+
+        class FailThird:
+            clock = None
+            ops = 0
+
+            def on_produce(self, broker_id, tp):
+                self.ops += 1
+                if self.ops == 3:
+                    raise KafkaError("injected")
+
+            def on_fetch(self, broker_id, tp):
+                pass
+
+        cluster = KafkaCluster()
+        cluster.create_topic("t")
+        tp = TopicPartition("t", 0)
+        injector = FailThird()
+        cluster.install_fault_injector(injector)
+        records = [(None, b"v%d" % i, None) for i in range(5)]
+        with pytest.raises(KafkaError, match="injected"):
+            cluster.produce_batch(tp, records)
+        assert [m.value for m in cluster.fetch(tp, 0)] == [b"v0", b"v1"]
+        assert cluster.produce_batch(tp, records) == 2  # the retry
+        assert injector.ops == 3 + 5
+        assert cluster.produce(tp, None, b"single") == 7
+        assert injector.ops == 3 + 5 + 1
+
     def test_fetch_counts_per_broker(self):
         cluster = KafkaCluster(broker_count=2)
         cluster.create_topic("t", partitions=2)

@@ -227,9 +227,66 @@ class TestStreamStreamJoin:
         assert results[0]["timeToTravel"] == 500
 
 
+def _row_multiset(rows):
+    return sorted(tuple(sorted(r.items())) for r in rows)
+
+
+def _join_operators(handle):
+    return [operator
+            for container in handle.master.samza_containers.values()
+            for instance in container.tasks.values()
+            for operator in instance.task.router.operators
+            if operator.METRIC_KIND == "multi-join"]
+
+
+class TestStreamJoinPurge:
+    """A join side is purged against the *other* side's watermark.  The
+    pairwise operator this suite used to run purged a side by its own
+    clock, and only when the same key recurred: it lost matches on
+    in-order feeds and never released a unique key."""
+
+    def test_in_order_join_equals_table_query(self):
+        """§3.3: the streaming join over a finite feed returns what the
+        same SQL without STREAM returns over the feed's history."""
+        from repro.workloads.market import (
+            ASKS_SCHEMA, BIDS_SCHEMA, MarketGenerator, ticker_universe)
+
+        deployment = Deployment(partitions=4)
+        MarketGenerator(interarrival_ms=5, tickers=ticker_universe(64)).produce(
+            deployment.cluster, "Bids", "Asks", 4000, partitions=4)
+        deployment.shell.register_stream("Bids", BIDS_SCHEMA, partitions=4)
+        deployment.shell.register_stream("Asks", ASKS_SCHEMA, partitions=4)
+        core = ("Bids.bidId AS bidId, Asks.askId AS askId, "
+                "Asks.rowtime - Bids.rowtime AS lag FROM Bids JOIN Asks ON "
+                "Bids.rowtime BETWEEN Asks.rowtime - INTERVAL '10' SECOND "
+                "AND Asks.rowtime + INTERVAL '10' SECOND "
+                "AND Bids.ticker = Asks.ticker")
+        streaming = deployment.run(f"SELECT STREAM {core}", containers=1)
+        table = deployment.shell.execute(f"SELECT {core}")
+        assert len(table) == 46_881
+        assert _row_multiset(streaming.results()) == _row_multiset(table)
+
+    def test_unique_keys_do_not_pin_state(self):
+        """Listing 7 in rowtime order on both topics: every packetId occurs
+        once per side, and what is retained at quiescence is the tail of
+        the feed — window + one bucket + the longest transit per side —
+        not all 2N rows."""
+        from repro.workloads import PacketsGenerator
+
+        deployment = Deployment(partitions=2).with_packets()
+        PacketsGenerator(interarrival_ms=10, max_transit_ms=1500).produce(
+            deployment.cluster, "PacketsR1", "PacketsR2", 3000, partitions=2)
+        handle = deployment.run(TestStreamStreamJoin.SQL)
+        assert len(handle.results()) == 3000
+        retained = sum(op.state_size() for op in _join_operators(handle))
+        assert 0 < retained <= 2 * (2000 + 250 + 1500) // 10
+
+
 class TestMultiWayStreamJoin:
-    """K-way windowed stream joins: the collapsed shared-state operator
-    must produce exactly the pairwise cascade's output set."""
+    """K-way windowed stream joins: the collapsed shared-state operator,
+    the cascade of K = 2 instances of it and the table query (nested
+    loops in the batch executor, sharing no code with either) must
+    produce exactly the same output multiset."""
 
     @staticmethod
     def _sql(k):
@@ -258,19 +315,24 @@ class TestMultiWayStreamJoin:
         deployment.feed_packet("PacketsR2", 999, 1_000_000)
         deployment.feed_packet("PacketsR1", 500, 2_000_000)
 
-    def _run(self, k, cascade=False):
+    def _run(self, k, cascade=False, stream=True):
         deployment = Deployment(partitions=2).with_packets(routers=k)
         if cascade:
             deployment.shell.planner = cascade_planner(deployment.shell.catalog)
         self._feed(deployment, k)
-        handle = deployment.run(self._sql(k))
-        return sorted(tuple(sorted(r.items())) for r in handle.results())
+        if not stream:
+            return _row_multiset(deployment.shell.execute(
+                self._sql(k).replace("SELECT STREAM", "SELECT")))
+        return _row_multiset(deployment.run(self._sql(k)).results())
 
     @pytest.mark.parametrize("routers", [3, 4])
     def test_output_identical_to_cascade(self, routers):
         multi = self._run(routers)
-        cascade = self._run(routers, cascade=True)
-        assert multi == cascade
+        assert multi == self._run(routers, cascade=True)
+        # the collapse rule fires on the table plan too: the batch
+        # executor evaluates the collapsed node, and the nested joins
+        assert multi == self._run(routers, stream=False)
+        assert multi == self._run(routers, cascade=True, stream=False)
         assert len(multi) == 16  # 8 packet ids x 2 matching R2 rows
 
     def test_window_chain_needs_the_multiway_operator(self):
@@ -517,11 +579,9 @@ class TestFaultTolerance:
 def _without_arrival_seq(key, value):
     """Join stores number buffered rows in arrival order, which depends on
     how the inputs interleave — exactly what the poll size changes."""
-    if isinstance(value, dict) and "rows" in value:  # stream-stream bucket
-        return key, [(ts, row) for ts, _seq, row in value["rows"]]
-    if key[0] == "r":                                # multi-way row entry
+    if key[0] == "r":                                # join row entry
         return key[:2], value
-    if key[0] == "b":                                # multi-way bucket index
+    if key[0] == "b":                                # join bucket index
         return key, value["count"]
     return key, value
 
@@ -596,12 +656,15 @@ class TestBatchSingleEquivalence:
         handle = deployment.run(
             cls.QUERIES[query], containers=containers,
             config_overrides={"task.poll.batch.size": poll_size})
-        if query == "multiway_join":
+        if query in ("join", "multiway_join"):
             # A port is purged only when *another* port advances, so what
-            # is retained at quiescence depends on arrival order; a closing
-            # packet per router moves every watermark past the feed.
-            for router in ("PacketsR1", "PacketsR2", "PacketsR3"):
-                deployment.feed_packet(router, 7000, 9_000_000)
+            # is retained at quiescence depends on arrival order; closing
+            # packets per router (ids 7000 and 7001 reach both partitions
+            # of the two-partition join) move every watermark past the feed.
+            routers = ("PacketsR1", "PacketsR2", "PacketsR3")
+            for router in routers[:2 if query == "join" else 3]:
+                for pid in (7000, 7001):
+                    deployment.feed_packet(router, pid, 9_000_000)
             deployment.runner.run_until_quiescent()
         outputs = sorted(handle.results(),
                          key=lambda r: sorted(r.items()))

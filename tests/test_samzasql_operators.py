@@ -17,11 +17,9 @@ from repro.samzasql.operators import (
     ScanOperator,
     SlidingWindowOperator,
     StreamRelationJoinOperator,
-    StreamStreamJoinOperator,
 )
 from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.samzasql.operators.stream_relation_join import RELATION_PORT, STREAM_PORT
-from repro.samzasql.operators.stream_stream_join import LEFT_PORT, RIGHT_PORT
 from repro.samzasql.physical import AggSpec
 from repro.serde import ObjectSerde
 
@@ -415,16 +413,27 @@ class TestStreamRelationJoinOperator:
         assert [row for row, _ in sink.rows] == [[1000, 8, 8, 80]]
 
 
+LEFT_PORT, RIGHT_PORT = 0, 1
+
+
+def binary_join(lower=2000, upper=2000):
+    """The windowed stream-to-stream join (§3.8.1) as the planner lowers
+    it: the K = 2 case of the multi-way operator, ``left.rowtime -
+    right.rowtime ∈ [-lower, upper]``."""
+    return MultiWayStreamJoinOperator(
+        widths=[2, 2], time_indexes=[0, 0], key_sources=["r[1]", "r[1]"],
+        upper_bounds_ms=[[0, upper], [lower, 0]], probe_orders=[[1], [0]],
+        condition_source="(p0[1] == p1[1])",
+        bucket_ms=max(1, max(lower, upper) // 8),
+        field_names=["lt", "lid", "rt", "rid"])
+
+
 class TestStreamStreamJoinOperator:
+    STORES = ("sql-mjoin-0", "sql-mjoin-1")
+
     def _operator(self, lower=2000, upper=2000):
-        operator = StreamStreamJoinOperator(
-            left_width=2, right_width=2,
-            condition_source="(l[1] == r[1])",
-            left_time_index=0, right_time_index=0,
-            lower_bound_ms=lower, upper_bound_ms=upper,
-            left_key_source="r[1]", right_key_source="r[1]",
-            field_names=["lt", "lid", "rt", "rid"])
-        sink, _ = wire(operator, ("sql-join-left", "sql-join-right"))
+        operator = binary_join(lower, upper)
+        sink, _ = wire(operator, self.STORES)
         return operator, sink
 
     def test_match_within_window(self):
@@ -462,34 +471,51 @@ class TestStreamStreamJoinOperator:
         assert len(sink.rows) == 2
 
     def test_expired_rows_purged(self):
+        """A side is purged by the *other* side's clock, never its own:
+        the left stream racing ahead must not cost the buffered left row
+        the match the right stream still owes it."""
         operator, sink = self._operator(lower=100, upper=100)
         operator.process(LEFT_PORT, [1000, "p"], 1000)
-        operator.process(LEFT_PORT, [5000, "p"], 5000)  # purges the first
+        operator.process(LEFT_PORT, [5000, "p"], 5000)
         operator.process(RIGHT_PORT, [1050, "p"], 1050)
-        # 1000 was purged by the 5000 arrival, so only in-window candidates
-        # remain; 5000 is out of window for 1050
-        assert sink.rows == []
+        assert sink.rows == [([1000, "p", 1050, "p"], 1050)]
+        operator.process(RIGHT_PORT, [4950, "p"], 4950)  # purges left@1000
+        # right@1050 goes with the next left arrival
+        assert operator.state_size() == 3
+
+    def test_feed_order_does_not_change_the_matches(self):
+        """Ten left rows 1 s apart, ten right rows 500 ms behind them,
+        ±2 s: one side fed wholly before the other finds the same 36
+        pairs as the interleaved feed (a side purging by its own clock
+        kept 9)."""
+        left = [[10_000 + 1000 * i, "p"] for i in range(10)]
+        right = [[row[0] - 500, "p"] for row in left]
+        interleaved, sink = self._operator()
+        for l_row, r_row in zip(left, right):
+            interleaved.process(RIGHT_PORT, r_row, r_row[0])
+            interleaved.process(LEFT_PORT, l_row, l_row[0])
+        expected = sorted(row for row, _ in sink.rows)
+        assert len(expected) == 36
+        one_by_one, sink = self._operator()
+        for row in left:
+            one_by_one.process(LEFT_PORT, row, row[0])
+        for row in right:
+            one_by_one.process(RIGHT_PORT, row, row[0])
+        assert sorted(row for row, _ in sink.rows) == expected
 
     def test_state_size_counter_tracks_buffer_and_purge(self):
         operator, _ = self._operator(lower=100, upper=100)
         operator.process(LEFT_PORT, [1000, "p"], 1000)
         operator.process(RIGHT_PORT, [1050, "p"], 1050)
         assert operator.state_size() == 2
-        operator.process(LEFT_PORT, [5000, "p"], 5000)  # purges left@1000
+        operator.process(LEFT_PORT, [5000, "p"], 5000)  # purges right@1050
         assert operator.state_size() == 2
 
     def test_state_size_restored_after_restart(self):
-        stores = ("sql-join-left", "sql-join-right")
-        context, _ = make_context(stores)
+        context, _ = make_context(self.STORES)
 
         def fresh():
-            operator = StreamStreamJoinOperator(
-                left_width=2, right_width=2,
-                condition_source="(l[1] == r[1])",
-                left_time_index=0, right_time_index=0,
-                lower_bound_ms=2000, upper_bound_ms=2000,
-                left_key_source="r[1]", right_key_source="r[1]",
-                field_names=["lt", "lid", "rt", "rid"])
+            operator = binary_join()
             operator.downstream = Sink()
             operator.setup(context)
             return operator
@@ -769,13 +795,7 @@ class TestBatchEquivalence:
         right = [[1005 + i * 10, f"p{i % 3}"] for i in range(20)]
 
         def make_operator():
-            return StreamStreamJoinOperator(
-                left_width=2, right_width=2,
-                condition_source="(l[1] == r[1])",
-                left_time_index=0, right_time_index=0,
-                lower_bound_ms=40, upper_bound_ms=40,
-                left_key_source="r[1]", right_key_source="r[1]",
-                field_names=["lt", "lid", "rt", "rid"])
+            return binary_join(lower=40, upper=40)
 
         def feed_single(op):
             for row in left:
@@ -788,7 +808,7 @@ class TestBatchEquivalence:
             op.process_batch(RIGHT_PORT, list(right), [r[0] for r in right])
 
         self._drain(make_operator, feed_single, feed_batch,
-                    ("sql-join-left", "sql-join-right"))
+                    TestStreamStreamJoinOperator.STORES)
 
     def test_stream_relation_join(self):
         """LEFT join over a keyed relation: relation upserts, then stream

@@ -13,7 +13,6 @@ from repro.samzasql.physical import (
     ScanNode,
     SlidingWindowNode,
     StreamRelationJoinNode,
-    StreamStreamJoinNode,
 )
 from repro.samzasql.plan_builder import PhysicalPlanBuilder
 from repro.sql import QueryPlanner
@@ -106,11 +105,12 @@ class TestStreamStreamBounds:
               AND PacketsR2.rowtime + INTERVAL '2' SECOND
             AND PacketsR1.packetId = PacketsR2.packetId""")
         join = plan.root.inputs[0].inputs[0]
-        assert isinstance(join, StreamStreamJoinNode)
-        assert join.lower_bound_ms == 2000
-        assert join.upper_bound_ms == 2000
-        assert join.left_key_source is not None
-        assert plan.store_names == ["sql-join-left", "sql-join-right"]
+        assert isinstance(join, MultiWayStreamJoinNode)
+        assert join.upper_bounds_ms == [[0, 2000], [2000, 0]]
+        assert join.probe_orders == [[1], [0]]
+        assert join.key_sources == ["r[2]", "r[2]"]  # packetId
+        assert join.bucket_ms == 250
+        assert plan.store_names == ["sql-mjoin-0", "sql-mjoin-1"]
 
     def test_asymmetric_bounds(self, catalog):
         plan = build(catalog, """
@@ -119,8 +119,8 @@ class TestStreamStreamBounds:
             AND PacketsR1.rowtime <= PacketsR2.rowtime + INTERVAL '3' SECOND
             AND PacketsR1.packetId = PacketsR2.packetId""")
         join = plan.root.inputs[0].inputs[0]
-        assert join.lower_bound_ms == 1000
-        assert join.upper_bound_ms == 3000
+        # left.rowtime - right.rowtime ∈ [-1000, 3000]
+        assert join.upper_bounds_ms == [[0, 3000], [1000, 0]]
 
     def test_missing_bounds_rejected(self, catalog):
         with pytest.raises(PlannerError, match="time window"):
@@ -141,7 +141,7 @@ class TestStreamStreamBounds:
             PacketsR1.rowtime BETWEEN PacketsR2.rowtime - INTERVAL '1' SECOND
               AND PacketsR2.rowtime + INTERVAL '1' SECOND""")
         join = plan.root.inputs[0].inputs[0]
-        assert join.left_key_source is None
+        assert join.key_sources == ["None", "None"]  # keyless: one bucket
 
 
 class TestRejections:
@@ -183,6 +183,11 @@ def build_cascade(catalog, sql):
         cascade_planner(catalog).plan_query(sql), "Out")
 
 
+def _join_widths(plan):
+    return [len(n.widths) for n in _walk(plan.root)
+            if isinstance(n, MultiWayStreamJoinNode)]
+
+
 def _window_join(i):
     """One anchored JOIN clause: R1's rowtime within ±2s of R{i}'s."""
     return (f"JOIN PacketsR{i} ON PacketsR1.rowtime BETWEEN "
@@ -214,20 +219,17 @@ class TestMultiWayCollapse:
         [join] = [n for n in _walk(plan.root)
                   if isinstance(n, MultiWayStreamJoinNode)]
         assert len(join.widths) == 4
-        assert not any(isinstance(n, StreamStreamJoinNode)
-                       for n in _walk(plan.root))
 
     def test_cascade_planner_keeps_binary_chain(self, catalog):
         plan = build_cascade(catalog, self.THREE_WAY)
         joins = [n for n in _walk(plan.root)
-                 if isinstance(n, StreamStreamJoinNode)]
-        assert len(joins) == 2
-        # each join instance gets its own store pair
-        stores = sorted(plan.store_names)
-        assert stores == ["sql-join-left", "sql-join-left-2",
-                          "sql-join-right", "sql-join-right-2"]
-        assert {j.left_store for j in joins} == {"sql-join-left",
-                                                "sql-join-left-2"}
+                 if isinstance(n, MultiWayStreamJoinNode)]
+        assert [len(j.widths) for j in joins] == [2, 2]
+        # each join instance gets its own stores
+        assert sorted(plan.store_names) == ["sql-mjoin-0", "sql-mjoin-1",
+                                            "sql-mjoin2-0", "sql-mjoin2-1"]
+        assert {j.store_prefix for j in joins} == {"sql-mjoin-",
+                                                   "sql-mjoin2-"}
 
     def test_two_way_not_collapsed(self, catalog):
         plan = build(catalog, """
@@ -235,18 +237,13 @@ class TestMultiWayCollapse:
             PacketsR1.rowtime BETWEEN PacketsR2.rowtime - INTERVAL '2' SECOND
               AND PacketsR2.rowtime + INTERVAL '2' SECOND
             AND PacketsR1.packetId = PacketsR2.packetId""")
-        [join] = [n for n in _walk(plan.root)
-                  if isinstance(n, StreamStreamJoinNode)]
-        assert join.left_store == "sql-join-left"
+        assert _join_widths(plan) == [2]
 
     def test_non_time_comparison_blocks_collapse(self, catalog):
         sql = (self.THREE_WAY
                + " AND PacketsR1.sourcetime < PacketsR2.sourcetime")
         plan = build(catalog, sql)
-        assert not any(isinstance(n, MultiWayStreamJoinNode)
-                       for n in _walk(plan.root))
-        assert sum(isinstance(n, StreamStreamJoinNode)
-                   for n in _walk(plan.root)) == 2
+        assert _join_widths(plan) == [2, 2]  # no join node with K >= 3
 
     def test_missing_key_family_blocks_collapse(self, catalog):
         # R3 is windowed against R1 but shares no equi key with anyone.
@@ -256,16 +253,14 @@ class TestMultiWayCollapse:
                "PacketsR3.rowtime - INTERVAL '2' SECOND AND "
                "PacketsR3.rowtime + INTERVAL '2' SECOND")
         plan = build(catalog, sql)
-        assert not any(isinstance(n, MultiWayStreamJoinNode)
-                       for n in _walk(plan.root))
+        assert _join_widths(plan) == [2, 2]
 
     def test_relation_input_blocks_collapse(self, catalog):
         sql = ("SELECT STREAM PacketsR1.packetId FROM PacketsR1 "
                + _window_join(2)
                + " JOIN Products ON PacketsR1.packetId = Products.productId")
         plan = build(catalog, sql)
-        assert not any(isinstance(n, MultiWayStreamJoinNode)
-                       for n in _walk(plan.root))
+        assert _join_widths(plan) == [2]
         assert any(isinstance(n, StreamRelationJoinNode)
                    for n in _walk(plan.root))
 
@@ -344,5 +339,8 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         from repro.samzasql.physical import node_from_dict
 
-        with pytest.raises(PlannerError, match="unknown physical node"):
-            node_from_dict({"kind": "teleport", "inputs": []})
+        # "stream_stream_join": a plan JSON written before the pairwise
+        # join node was retired
+        for kind in ("teleport", "stream_stream_join"):
+            with pytest.raises(PlannerError, match="unknown physical node"):
+                node_from_dict({"kind": kind, "inputs": []})
