@@ -13,7 +13,11 @@ import time
 
 import pytest
 
-from repro.samza.storage import InMemoryKeyValueStore, SerializedKeyValueStore
+from repro.samza.storage import (
+    InMemoryKeyValueStore,
+    KeyValueStore,
+    SerializedKeyValueStore,
+)
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.sliding_window import SlidingWindowOperator
 from repro.samzasql.physical import AggSpec
@@ -22,8 +26,10 @@ from repro.serde import NoOpSerde, ObjectSerde
 from benchmarks.conftest import write_result
 
 
-class _DictStore(InMemoryKeyValueStore):
-    """Object-keyed store for the no-serde variant (keys stay objects)."""
+class _DictStore(KeyValueStore):
+    """Object-keyed store for the no-serde variant: keys and values stay
+    objects, and scans visit keys in sorted order (every key of one
+    window store has the same shape)."""
 
     def __init__(self):
         self._data = {}
@@ -36,6 +42,13 @@ class _DictStore(InMemoryKeyValueStore):
 
     def delete(self, key):
         self._data.pop(key, None)
+
+    def range(self, from_key, to_key):
+        return ((key, self._data[key]) for key in sorted(self._data)
+                if from_key <= key < to_key)
+
+    def all(self):
+        return ((key, self._data[key]) for key in sorted(self._data))
 
     def __len__(self):
         return len(self._data)

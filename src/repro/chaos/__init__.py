@@ -15,8 +15,9 @@ system still produces every answer.  This package is that something:
   :class:`ChaosSupervisor` that drives jobs under a schedule, fails
   crashed containers through YARN so the application master re-launches
   them from checkpoint + changelog, and fires ZK session expirations;
-* :mod:`repro.chaos.validate` — the end-to-end at-least-once
-  verification harness (``python -m repro.chaos.validate --seed 42``).
+* :mod:`repro.chaos.validate` — the end-to-end driver over scenario rows
+  (``window``, ``multiway``, ``worker-kill``), each audited against the
+  same SQL without ``STREAM`` (``python -m repro.chaos.validate --seed 42``).
 
 Everything is deterministic under a :class:`~repro.common.clock.VirtualClock`:
 the same seed injects the byte-identical fault sequence on every run,
@@ -34,7 +35,7 @@ def __getattr__(name: str):
     if name == "ChaosSupervisor":
         from repro.chaos.supervisor import ChaosSupervisor
         return ChaosSupervisor
-    if name in ("ValidationReport", "run_validation"):
+    if name in ("SCENARIOS", "ValidationReport", "run_scenario"):
         from repro.chaos import validate
         return getattr(validate, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -46,6 +47,7 @@ __all__ = [
     "FaultSchedule",
     "RetryPolicy",
     "ChaosSupervisor",
+    "SCENARIOS",
     "ValidationReport",
-    "run_validation",
+    "run_scenario",
 ]

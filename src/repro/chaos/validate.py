@@ -1,22 +1,29 @@
-"""End-to-end at-least-once verification under a fault schedule.
+"""End-to-end chaos validation: scenario rows, one driver, one oracle.
 
-Runs the paper's benchmark shapes — a filter plus a 5-minute sliding
-window over the Orders workload — while a seeded :class:`FaultSchedule`
-injects broker errors, a container crash, and a ZooKeeper session expiry.
-When the job quiesces the harness audits delivery semantics:
+A :class:`Scenario` is data — the SQL, the streams it reads, a seeded
+feed and the :meth:`FaultSchedule.from_seed` arguments of its schedule.
+:func:`run_scenario` builds the environment, feeds it, arms the injector,
+supervises the job to quiescence and audits it:
 
-* **completeness** — every input order that satisfies the predicate must
-  appear in the output at least once (no lost input offsets);
-* **bounded duplication** — replays may duplicate outputs (that *is*
-  at-least-once), but never by more than the crash count allows;
-* **consistency** — duplicate emissions of the same order carry the same
-  input fields;
-* **replay determinism** — the fired-fault log serializes to
-  byte-identical blobs across runs of the same seed.
+* **stream ≡ table** — the distinct emitted rows must equal the same SQL
+  without ``STREAM`` over the fed history (§3.3), which the batch
+  executor evaluates with injection suspended and no streaming operator
+  code.  ``lost`` rows are in the table but were never emitted;
+  ``unexpected`` rows were emitted but are not in the table — a wrong
+  aggregate after a bad restore lands here;
+* **duplicates** — at-least-once replay may emit a row more than once;
+  the report counts the extra emissions and bounds nothing;
+* **restore** — the run meets its criteria only if the schedule's faults
+  fired, a relaunch read state back (``restored-entries`` gauges summed
+  over the job's containers > 0) and no store changelog is empty;
+* **replay determinism** — ``--replay-check`` runs the scenario twice and
+  requires identical distinct outputs and, on the virtual clock,
+  identical fired-fault logs.
 
 Usage::
 
     PYTHONPATH=src python -m repro.chaos.validate --seed 42 --replay-check
+    PYTHONPATH=src python -m repro.chaos.validate --scenario multiway
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterator
 
 from repro.chaos.faults import (
     CONTAINER_CRASH,
@@ -37,26 +46,54 @@ from repro.chaos.supervisor import ChaosSupervisor
 from repro.common.clock import SystemClock, VirtualClock
 from repro.kafka.producer import Producer
 from repro.samzasql.environment import SamzaSqlEnvironment
-from repro.serde.avro import AvroSerde
+from repro.serde.avro import AvroSchema, AvroSerde
 from repro.workloads.orders import (
     ORDERS_SCHEMA,
     OrderLifecycleGenerator,
     order_stage_schema,
 )
 
+
+@dataclass(frozen=True)
+class Scenario:
+    """One chaos run, as data."""
+
+    sql: str                                  # a SELECT STREAM query
+    streams: tuple[tuple[str, AvroSchema], ...]
+    key: str                                  # partition-key field of every stream
+    feed: Callable[[int, int], Iterator[tuple[str, dict]]]  # (seed, orders)
+    faults: dict = field(default_factory=dict)    # FaultSchedule.from_seed kwargs
+    minimum: dict = field(default_factory=dict)   # fault kind -> fired at least
+    parallel: bool = False
+    explain: str | None = None                # a line EXPLAIN must print
+
+
+def _orders_feed(seed: int, orders: int) -> Iterator[tuple[str, dict]]:
+    """Units (i*7) % 100, ten products, one order a second; seed unused."""
+    for i in range(orders):
+        yield "Orders", {"rowtime": 1_000_000 + i * 1_000, "productId": i % 10,
+                         "orderId": i, "units": (i * 7) % 100}
+
+
+def _lifecycle_feed(seed: int, orders: int) -> Iterator[tuple[str, dict]]:
+    """Each order, then its fill and shipment inside the 5 s window."""
+    return ((name, record) for name, record
+            in OrderLifecycleGenerator(seed=seed).events(orders)
+            if name != "Invoices")
+
+
 #: Filter + sliding window — the paper's two single-stream benchmark
 #: shapes composed into one query.
-VALIDATION_SQL = (
+WINDOW_SQL = (
     "SELECT STREAM rowtime, productId, orderId, units, "
     "SUM(units) OVER (PARTITION BY productId ORDER BY rowtime "
     "RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes "
-    "FROM Orders WHERE units > {threshold}"
+    "FROM Orders WHERE units > 10"
 )
 
-#: 3-way fulfilment reassembly — the multi-way join chaos shape.  Both
-#: windows anchor at the order row, so the planner collapses the chain
-#: into one shared-state operator with one changelog-backed store per
-#: input (sql-mjoin-0/1/2).
+#: 3-way fulfilment reassembly.  Both windows anchor at the order row, so
+#: the planner collapses the chain into one operator with one
+#: changelog-backed store per input (sql-mjoin-0/1/2).
 MULTIWAY_SQL = (
     "SELECT STREAM Orders.rowtime AS rowtime, Orders.orderId, "
     "Orders.units, Shipments.rowtime - Orders.rowtime AS fulfilmentMs "
@@ -71,532 +108,212 @@ MULTIWAY_SQL = (
     "AND Fills.orderId = Shipments.orderId"
 )
 
+_BROKER_CHAOS = {"transient": 5, CONTAINER_CRASH: 1, ZK_EXPIRE: 1}
+
+SCENARIOS: dict[str, Scenario] = {
+    # Broker errors, latency, an unavailable partition, a container
+    # crash and a ZooKeeper session expiry against the window query.
+    "window": Scenario(
+        WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId", _orders_feed,
+        minimum=_BROKER_CHAOS),
+    # The same schedule against the collapsed 3-way join's shared stores.
+    "multiway": Scenario(
+        MULTIWAY_SQL,
+        (("Orders", ORDERS_SCHEMA),)
+        + tuple((s, order_stage_schema(s)) for s in ("Fills", "Shipments")),
+        "orderId", _lifecycle_feed, minimum=_BROKER_CHAOS,
+        explain="multi-way join: collapsed 3 inputs"),
+    # SIGKILL forked workers mid-run; the process boundary is the system
+    # under test, so the brokers stay healthy.
+    "worker-kill": Scenario(
+        WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId", _orders_feed,
+        faults=dict(transient_faults=0, latency_faults=0, crashes=0,
+                    zk_expiries=0, unavailability_windows=0,
+                    worker_kills=2, worker_kill_range=(2, 8)),
+        minimum={WORKER_KILL: 1}, parallel=True),
+}
+
 
 @dataclass
 class ValidationReport:
-    """Delivery-semantics audit of one chaos run."""
+    """Audit of one chaos run against the table query."""
 
+    scenario: str
     seed: int
-    sql: str
-    input_count: int
-    expected_count: int          # inputs satisfying the predicate
-    output_records: int          # total emissions, duplicates included
-    distinct_outputs: int
-    lost_order_ids: list[int]
-    duplicated_order_ids: int    # distinct orders emitted more than once
-    duplicate_records: int       # emissions beyond the first, summed
-    max_duplication: int         # highest emissions seen for one order
-    inconsistent_order_ids: list[int]
-    fault_counts: dict[str, int]
-    transient_faults: int
-    container_restarts: int
-    zk_expirations: int
-    iterations: int
+    inputs: int
+    table_rows: int              # rows of the same SQL without STREAM
+    distinct: int                # distinct emitted rows
+    lost: list[str]              # table rows never emitted (canonical JSON)
+    unexpected: list[str]        # emitted rows the table query does not return
+    duplicates: int              # emissions beyond the first of each row
+    faults: dict[str, int]       # fired, per kind, plus the "transient" total
+    minimum: dict[str, int]
+    restarts: int
+    restored_entries: int        # store entries the relaunches restored
+    changelogs: dict[str, int]   # records in each store changelog, by topic
+    explained: bool              # EXPLAIN printed the scenario's line
     fingerprint: str
     events_blob: bytes = field(repr=False)
-    snapshot_counters: dict[str, float] = field(default_factory=dict)
-    worker_kills: int = 0
-    # Canonical serialization of the *distinct* output rows.  The
-    # worker-kill replay check compares this instead of the event log:
-    # under real SIGKILL on a SystemClock the kill victims and relaunch
-    # timing are nondeterministic, but the at-least-once output content
-    # must not be.
-    outputs_blob: bytes = field(default=b"", repr=False)
-    # Multi-way join scenario only: did the planner collapse the chain,
-    # and how many changelog records back each of the K shared stores.
-    plan_collapsed: bool | None = None
-    join_store_changelogs: dict[str, int] = field(default_factory=dict)
+    outputs_blob: bytes = field(repr=False)
+    replay_identical: bool | None = None  # set by a --replay-check rerun
 
     @property
-    def at_least_once(self) -> bool:
-        return not self.lost_order_ids and not self.inconsistent_order_ids
+    def table_equal(self) -> bool:
+        return not self.lost and not self.unexpected
 
-    def meets_criteria(self, min_transient: int = 5, min_crashes: int = 1,
-                       min_zk_expiries: int = 1) -> bool:
-        """Did the schedule actually exercise the system hard enough?"""
-        return (self.transient_faults >= min_transient
-                and self.fault_counts.get(CONTAINER_CRASH, 0) >= min_crashes
-                and self.fault_counts.get(ZK_EXPIRE, 0) >= min_zk_expiries)
+    def meets_criteria(self) -> bool:
+        """Did the faults fire, a relaunch restore state, every store log?"""
+        return (self.explained and self.restarts >= 1
+                and self.restored_entries > 0
+                and all(records > 0 for records in self.changelogs.values())
+                and all(self.faults.get(kind, 0) >= count
+                        for kind, count in self.minimum.items()))
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "sql": self.sql,
-            "input_count": self.input_count,
-            "expected_count": self.expected_count,
-            "output_records": self.output_records,
-            "distinct_outputs": self.distinct_outputs,
-            "lost_order_ids": self.lost_order_ids,
-            "duplicated_order_ids": self.duplicated_order_ids,
-            "duplicate_records": self.duplicate_records,
-            "max_duplication": self.max_duplication,
-            "inconsistent_order_ids": self.inconsistent_order_ids,
-            "fault_counts": self.fault_counts,
-            "transient_faults": self.transient_faults,
-            "container_restarts": self.container_restarts,
-            "zk_expirations": self.zk_expirations,
-            "iterations": self.iterations,
-            "fingerprint": self.fingerprint,
-            "at_least_once": self.at_least_once,
-            "snapshot_counters": self.snapshot_counters,
-            "worker_kills": self.worker_kills,
-            "plan_collapsed": self.plan_collapsed,
-            "join_store_changelogs": self.join_store_changelogs,
-        }
+        payload = {name: value for name, value in asdict(self).items()
+                   if not name.endswith("_blob")}
+        payload.update(table_equal=self.table_equal,
+                       meets_criteria=self.meets_criteria())
+        return payload
 
     def summary(self) -> str:
-        verdict = ("at-least-once VERIFIED" if self.at_least_once
-                   else "DELIVERY VIOLATION")
-        lines = [
-            f"chaos validation (seed {self.seed}): {verdict}",
-            f"  inputs: {self.input_count} "
-            f"({self.expected_count} satisfy the predicate)",
-            f"  outputs: {self.output_records} emissions, "
-            f"{self.distinct_outputs} distinct "
-            f"({self.duplicate_records} duplicate emissions over "
-            f"{self.duplicated_order_ids} orders, worst x{self.max_duplication})",
-            f"  lost inputs: {len(self.lost_order_ids)}"
-            + (f" {self.lost_order_ids[:10]}" if self.lost_order_ids else ""),
-            f"  faults fired: {self.fault_counts or '{}'} "
-            f"({self.transient_faults} transient)",
-            f"  recovery: {self.container_restarts} container restart(s), "
-            f"{self.zk_expirations} zk expiry event(s), "
-            f"{self.iterations} supervisor iterations",
+        verdict = "VERIFIED" if self.table_equal else "VIOLATION"
+        replay = {None: [], True: ["  replay determinism: byte-identical"],
+                  False: ["  replay determinism: MISMATCH"]}
+        return "\n".join([
+            f"chaos validation ({self.scenario}, seed {self.seed}): "
+            f"stream = table {verdict}",
+            f"  inputs: {self.inputs}; table query: {self.table_rows} rows",
+            f"  outputs: {self.distinct + self.duplicates} emissions, "
+            f"{self.distinct} distinct ({self.duplicates} duplicate emissions)",
+            f"  lost: {len(self.lost)}, unexpected: {len(self.unexpected)}"
+            + "".join(f"\n    - {row}" for row in self.lost[:3])
+            + "".join(f"\n    + {row}" for row in self.unexpected[:3]),
+            f"  faults fired: {self.faults}",
+            f"  recovery: {self.restarts} container restart(s), "
+            f"{self.restored_entries} restored entries",
+            f"  changelog records: {self.changelogs}",
+            f"  criteria {'met' if self.meets_criteria() else 'UNMET'}: "
+            f"faults {self.minimum}, a restart, a restore, no empty changelog"
+            + ("" if self.explained else "; the EXPLAIN line is MISSING"),
             f"  schedule fingerprint: {self.fingerprint[:16]}…",
-        ]
-        if self.worker_kills:
-            lines.insert(-1, f"  worker SIGKILLs: {self.worker_kills} "
-                             "(process-backed execution)")
-        if self.join_store_changelogs:
-            backing = ", ".join(f"{store}={count}" for store, count
-                                in sorted(self.join_store_changelogs.items()))
-            lines.insert(-1, "  multi-way join: plan "
-                         + ("collapsed" if self.plan_collapsed
-                            else "NOT COLLAPSED")
-                         + f", changelog records {backing}")
-        if self.snapshot_counters:
-            lines.append(
-                "  __metrics counters: "
-                f"retries={self.snapshot_counters.get('retries', 0):.0f}, "
-                "checkpoint resets="
-                f"{self.snapshot_counters.get('checkpoint.reset', 0):.0f}, "
-                f"commits={self.snapshot_counters.get('commits', 0):.0f}")
-        return "\n".join(lines)
+        ] + replay[self.replay_identical])
 
 
-def _outputs_blob(emissions: dict[int, list[dict]]) -> bytes:
-    """Canonical bytes for the distinct output rows (duplicates folded)."""
-    rows = sorted(
-        {json.dumps(copy, sort_keys=True, separators=(",", ":"))
-         for copies in emissions.values() for copy in copies})
-    return "\n".join(rows).encode("utf-8")
+def _canonical(row: dict) -> str:
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def run_validation(seed: int = 42, orders: int = 300, containers: int = 2,
-                   partitions: int = 4, units_threshold: int = 10,
-                   schedule: FaultSchedule | None = None,
-                   commit_interval: int = 40,
-                   batch_size: int = 25) -> ValidationReport:
-    """One full chaos run: build, inject, recover, audit."""
-    clock = VirtualClock(0)
-    if schedule is None:
-        schedule = FaultSchedule.from_seed(seed, partitions=partitions)
+def restored_entries(master) -> int:
+    """Store entries the job's containers restored from changelogs when
+    they opened — under parallel execution a relaunch restores into the
+    parent-side container before the fork, so those count too."""
+    return int(sum(gauge.value for container in master.samza_containers.values()
+                   for _, metric, gauge in container.metrics.gauges()
+                   if metric == "restored-entries"))
+
+
+def run_scenario(name: str = "window", seed: int = 42, orders: int = 300,
+                 containers: int = 2, partitions: int = 4) -> ValidationReport:
+    """One full chaos run of ``SCENARIOS[name]``: build, feed, inject,
+    supervise, audit against the table query."""
+    scenario = SCENARIOS[name]
+    clock = SystemClock() if scenario.parallel else VirtualClock(0)
+    schedule = FaultSchedule.from_seed(seed, partitions=partitions,
+                                       **scenario.faults)
     injector = FaultInjector(schedule, clock=clock)
-    env = SamzaSqlEnvironment(broker_count=3, node_count=2,
-                              node_mem_mb=61_000, clock=clock,
-                              fault_injector=injector,
-                              metrics_interval_ms=1_000)
-    cluster, runner, shell, zk = env.cluster, env.runner, env.shell, env.zk
-
-    # Deterministic Orders workload (the fixture distribution: units cycle
-    # through (i*7) % 100, ten products, one order per second).
-    shell.register_stream("Orders", ORDERS_SCHEMA, partitions=partitions)
-    serde = AvroSerde(ORDERS_SCHEMA)
-    producer = Producer(cluster)
-    inputs: list[dict] = []
-    for i in range(orders):
-        record = {"rowtime": 1_000_000 + i * 1_000, "productId": i % 10,
-                  "orderId": i, "units": (i * 7) % 100}
-        producer.send("Orders", serde.to_bytes(record),
-                      key=str(record["productId"]).encode(),
-                      timestamp_ms=record["rowtime"])
-        inputs.append(record)
-
-    # Arm the brokers only now: the workload feed is part of the fixture,
-    # not the system under test.
-    cluster.install_fault_injector(injector)
-
-    sql = VALIDATION_SQL.format(threshold=units_threshold)
-    handle = shell.execute(sql, containers=containers, config_overrides={
-        "task.checkpoint.interval.messages": commit_interval,
-        "task.poll.batch.size": batch_size,
-    })
-    supervisor = ChaosSupervisor(runner, injector, zk=zk)
-    supervisor.run_until_quiescent()
-
-    with injector.suspended():
-        results = handle.results()
-        # Recovery counters read back from the __metrics stream: the
-        # snapshots are the audit trail, not the in-process registries.
-        snapshot_counters: dict[str, float] = {}
-        for record in shell.latest_snapshots(job=handle.query_id, force=True):
-            if record["kind"] == "counter":
-                snapshot_counters[record["metric"]] = (
-                    snapshot_counters.get(record["metric"], 0.0)
-                    + record["value"])
-
-    expected = {r["orderId"]: r for r in inputs if r["units"] > units_threshold}
-    emissions: dict[int, list[dict]] = {}
-    for record in results:
-        emissions.setdefault(record["orderId"], []).append(record)
-
-    lost = sorted(set(expected) - set(emissions))
-    inconsistent = sorted(
-        order_id for order_id, copies in emissions.items()
-        if len({(c["rowtime"], c["productId"], c["units"]) for c in copies}) > 1
-    )
-    dup_counts = [len(copies) for copies in emissions.values()]
-    return ValidationReport(
-        seed=seed,
-        sql=sql,
-        input_count=len(inputs),
-        expected_count=len(expected),
-        output_records=len(results),
-        distinct_outputs=len(emissions),
-        lost_order_ids=lost,
-        duplicated_order_ids=sum(1 for n in dup_counts if n > 1),
-        duplicate_records=sum(n - 1 for n in dup_counts),
-        max_duplication=max(dup_counts, default=0),
-        inconsistent_order_ids=inconsistent,
-        fault_counts=injector.fault_counts(),
-        transient_faults=injector.transient_fault_count(),
-        container_restarts=supervisor.restarts,
-        zk_expirations=supervisor.zk_expirations,
-        iterations=supervisor.iterations,
-        fingerprint=injector.fingerprint(),
-        events_blob=injector.events_blob(),
-        snapshot_counters=snapshot_counters,
-        outputs_blob=_outputs_blob(emissions),
-    )
-
-
-def run_multiway_join_validation(seed: int = 42, orders: int = 300,
-                                 containers: int = 2, partitions: int = 4,
-                                 schedule: FaultSchedule | None = None,
-                                 commit_interval: int = 40,
-                                 batch_size: int = 25) -> ValidationReport:
-    """Chaos run over the collapsed 3-way join (K shared stores).
-
-    Same seeded fault mix as :func:`run_validation`, but the job is the
-    order-fulfilment reassembly: Orders x Fills x Shipments joined on
-    ``orderId`` inside a rowtime window anchored at the order.  The
-    collapsed operator keeps one changelog-backed store per input, so a
-    container crash mid-run only recovers if *all three* stores restore
-    consistently from their changelogs plus the input checkpoint — a
-    buffered row lost on any one side silently drops that order's output
-    row, which the completeness audit catches (every order gains exactly
-    one fill and one shipment inside the window, so the expected output
-    is the full order set).
-    """
-    clock = VirtualClock(0)
-    if schedule is None:
-        schedule = FaultSchedule.from_seed(seed, partitions=partitions)
-    injector = FaultInjector(schedule, clock=clock)
-    env = SamzaSqlEnvironment(broker_count=3, node_count=2,
-                              node_mem_mb=61_000, clock=clock,
-                              fault_injector=injector,
-                              metrics_interval_ms=1_000)
-    cluster, runner, shell, zk = env.cluster, env.runner, env.shell, env.zk
-
-    shell.register_stream("Orders", ORDERS_SCHEMA, partitions=partitions)
-    for stage in ("Fills", "Shipments"):
-        shell.register_stream(stage, order_stage_schema(stage),
-                              partitions=partitions)
-
-    # Deterministic interleaved lifecycle feed, every topic keyed by
-    # orderId (co-partitioned join sides).  Track the expected joined row
-    # per order while producing.
-    generator = OrderLifecycleGenerator(seed=seed)
-    producer = Producer(cluster)
-    expected: dict[int, tuple[int, int, int]] = {}  # rowtime, units, lag
-    order_rows: dict[int, dict] = {}
-    input_count = 0
-    for name, record in generator.events(orders):
-        if name == "Invoices":
-            continue
-        producer.send(name, generator.serdes[name].to_bytes(record),
-                      key=str(record["orderId"]).encode(),
-                      timestamp_ms=record["rowtime"])
-        input_count += 1
-        if name == "Orders":
-            order_rows[record["orderId"]] = record
-        elif name == "Shipments":
-            order = order_rows[record["orderId"]]
-            expected[record["orderId"]] = (
-                order["rowtime"], order["units"],
-                record["rowtime"] - order["rowtime"])
-
-    # Plan inspection happens before the brokers are armed: EXPLAIN is
-    # part of the fixture setup, not the system under test.
-    plan_collapsed = "multi-way join: collapsed 3 inputs" in shell.execute(
-        "EXPLAIN " + MULTIWAY_SQL)
-    cluster.install_fault_injector(injector)
-
-    handle = shell.execute(MULTIWAY_SQL, containers=containers,
-                           config_overrides={
-                               "task.checkpoint.interval.messages":
-                                   commit_interval,
-                               "task.poll.batch.size": batch_size,
-                           })
-    supervisor = ChaosSupervisor(runner, injector, zk=zk)
-    supervisor.run_until_quiescent()
-
-    with injector.suspended():
-        results = handle.results()
-        snapshot_counters: dict[str, float] = {}
-        for record in shell.latest_snapshots(job=handle.query_id, force=True):
-            if record["kind"] == "counter":
-                snapshot_counters[record["metric"]] = (
-                    snapshot_counters.get(record["metric"], 0.0)
-                    + record["value"])
-        # Each of the K shared stores must be mirrored: an empty (or
-        # missing) changelog means crashes restored that side from
-        # nothing and completeness only held by luck.
-        join_store_changelogs: dict[str, int] = {}
-        for port in range(3):
-            store = f"sql-mjoin-{port}"
-            topic = f"{handle.query_id}-{store}-changelog"
-            records = 0
-            if cluster.has_topic(topic):
-                for tp in cluster.partitions_for(topic):
-                    records += (cluster.latest_offset(tp)
-                                - cluster.earliest_offset(tp))
-            join_store_changelogs[store] = records
-
-    emissions: dict[int, list[dict]] = {}
-    for record in results:
-        emissions.setdefault(record["orderId"], []).append(record)
-
-    def _fields(row: dict) -> tuple[int, int, int]:
-        return (row["rowtime"], row["units"], row["fulfilmentMs"])
-
-    lost = sorted(set(expected) - set(emissions))
-    # Inconsistent if duplicates disagree with each other *or* any copy
-    # disagrees with the independently computed join result.
-    inconsistent = sorted(
-        order_id for order_id, copies in emissions.items()
-        if len({_fields(c) for c in copies}) > 1
-        or (order_id in expected
-            and _fields(copies[0]) != expected[order_id]))
-    dup_counts = [len(copies) for copies in emissions.values()]
-    return ValidationReport(
-        seed=seed,
-        sql=MULTIWAY_SQL,
-        input_count=input_count,
-        expected_count=len(expected),
-        output_records=len(results),
-        distinct_outputs=len(emissions),
-        lost_order_ids=lost,
-        duplicated_order_ids=sum(1 for n in dup_counts if n > 1),
-        duplicate_records=sum(n - 1 for n in dup_counts),
-        max_duplication=max(dup_counts, default=0),
-        inconsistent_order_ids=inconsistent,
-        fault_counts=injector.fault_counts(),
-        transient_faults=injector.transient_fault_count(),
-        container_restarts=supervisor.restarts,
-        zk_expirations=supervisor.zk_expirations,
-        iterations=supervisor.iterations,
-        fingerprint=injector.fingerprint(),
-        events_blob=injector.events_blob(),
-        snapshot_counters=snapshot_counters,
-        outputs_blob=_outputs_blob(emissions),
-        plan_collapsed=plan_collapsed,
-        join_store_changelogs=join_store_changelogs,
-    )
-
-
-def run_worker_kill_validation(seed: int = 42, orders: int = 300,
-                               containers: int = 2, partitions: int = 4,
-                               units_threshold: int = 10,
-                               kills: int = 2) -> ValidationReport:
-    """One chaos run against the process-backed execution mode.
-
-    The only scheduled fault is the new one: SIGKILL a live worker
-    process mid-run and require the supervisor/coordinator to relaunch
-    it from the mirrored changelog + checkpoint, with the same
-    at-least-once audit as the in-process run.  Broker faults stay
-    disarmed — the process boundary is the system under test here.
-    """
-    import random
-
-    clock = SystemClock()
-    rng = random.Random(seed)
-    schedule = FaultSchedule.script().add_worker_kill(
-        *sorted(rng.randint(2, 8) for _ in range(kills)))
-    injector = FaultInjector(schedule, clock=clock)
-    env = SamzaSqlEnvironment(broker_count=3, node_count=2,
-                              node_mem_mb=61_000, clock=clock,
-                              metrics_interval_ms=1_000,
-                              config={"cluster.parallel.execution": "true"})
-    cluster, runner, shell, zk = env.cluster, env.runner, env.shell, env.zk
-
-    shell.register_stream("Orders", ORDERS_SCHEMA, partitions=partitions)
-    serde = AvroSerde(ORDERS_SCHEMA)
-    producer = Producer(cluster)
-    inputs: list[dict] = []
-    for i in range(orders):
-        record = {"rowtime": 1_000_000 + i * 1_000, "productId": i % 10,
-                  "orderId": i, "units": (i * 7) % 100}
-        producer.send("Orders", serde.to_bytes(record),
-                      key=str(record["productId"]).encode(),
-                      timestamp_ms=record["rowtime"])
-        inputs.append(record)
-
-    sql = VALIDATION_SQL.format(threshold=units_threshold)
-    handle = shell.execute(sql, containers=containers, config_overrides={
-        "task.checkpoint.interval.messages": 40,
-        "task.poll.batch.size": 25,
-    })
-    supervisor = ChaosSupervisor(runner, injector, zk=zk)
+    # Worker kills fire from the supervisor alone; an armed broker appends
+    # one record at a time, off the batched path the mesh uses.
+    armed = replace(schedule, worker_kills=()) != FaultSchedule()
+    env = SamzaSqlEnvironment(
+        broker_count=3, node_count=2, node_mem_mb=61_000, clock=clock,
+        fault_injector=injector if armed else None, metrics_interval_ms=1_000,
+        config={"cluster.parallel.execution": str(scenario.parallel).lower()})
+    shell = env.shell
     try:
+        serdes = {}
+        for stream, schema in scenario.streams:
+            shell.register_stream(stream, schema, partitions=partitions)
+            serdes[stream] = AvroSerde(schema)
+        producer = Producer(env.cluster)
+        feed = list(scenario.feed(seed, orders))
+        for stream, record in feed:
+            producer.send(stream, serdes[stream].to_bytes(record),
+                          key=str(record[scenario.key]).encode(),
+                          timestamp_ms=record["rowtime"])
+        # EXPLAIN and the feed are fixture set-up: arm the brokers after.
+        explained = (scenario.explain is None or scenario.explain
+                     in shell.execute("EXPLAIN " + scenario.sql))
+        if armed:
+            env.cluster.install_fault_injector(injector)
+
+        # Commit every 10 messages, so a relaunch has logged state to restore.
+        handle = shell.execute(scenario.sql, containers=containers,
+                               config_overrides={
+                                   "task.checkpoint.interval.messages": 10,
+                                   "task.poll.batch.size": 25,
+                               })
+        supervisor = ChaosSupervisor(env.runner, injector, zk=env.zk)
         supervisor.run_until_quiescent(max_iterations=1_000_000)
 
-        results = handle.results()
-        snapshot_counters: dict[str, float] = {}
-        for record in shell.latest_snapshots(job=handle.query_id, force=True):
-            if record["kind"] == "counter":
-                snapshot_counters[record["metric"]] = (
-                    snapshot_counters.get(record["metric"], 0.0)
-                    + record["value"])
+        with injector.suspended():
+            emitted = [_canonical(row) for row in handle.results()]
+            table = {_canonical(row) for row in shell.execute(
+                scenario.sql.replace("SELECT STREAM", "SELECT", 1))}
+        restored = restored_entries(handle.master)
+        changelogs = {topic: sum(
+            env.cluster.latest_offset(tp) - env.cluster.earliest_offset(tp)
+            for tp in env.cluster.partitions_for(topic))
+            for topic in handle.master.job.changelog_topics()}
     finally:
-        # Reap the worker processes before anything else runs (a replay
-        # pass would otherwise inherit idle forks).
         env.close()
 
-    expected = {r["orderId"]: r for r in inputs if r["units"] > units_threshold}
-    emissions: dict[int, list[dict]] = {}
-    for record in results:
-        emissions.setdefault(record["orderId"], []).append(record)
-
-    lost = sorted(set(expected) - set(emissions))
-    inconsistent = sorted(
-        order_id for order_id, copies in emissions.items()
-        if len({(c["rowtime"], c["productId"], c["units"]) for c in copies}) > 1
-    )
-    dup_counts = [len(copies) for copies in emissions.values()]
+    distinct = set(emitted)
+    faults = injector.fault_counts()
+    faults["transient"] = injector.transient_fault_count()
     return ValidationReport(
-        seed=seed,
-        sql=sql,
-        input_count=len(inputs),
-        expected_count=len(expected),
-        output_records=len(results),
-        distinct_outputs=len(emissions),
-        lost_order_ids=lost,
-        duplicated_order_ids=sum(1 for n in dup_counts if n > 1),
-        duplicate_records=sum(n - 1 for n in dup_counts),
-        max_duplication=max(dup_counts, default=0),
-        inconsistent_order_ids=inconsistent,
-        fault_counts=injector.fault_counts(),
-        transient_faults=injector.transient_fault_count(),
-        container_restarts=supervisor.restarts,
-        zk_expirations=supervisor.zk_expirations,
-        iterations=supervisor.iterations,
-        fingerprint=injector.fingerprint(),
-        events_blob=injector.events_blob(),
-        snapshot_counters=snapshot_counters,
-        worker_kills=supervisor.worker_kills,
-        outputs_blob=_outputs_blob(emissions),
-    )
+        scenario=name, seed=seed, inputs=len(feed),
+        table_rows=len(table), distinct=len(distinct),
+        lost=sorted(table - distinct), unexpected=sorted(distinct - table),
+        duplicates=len(emitted) - len(distinct), faults=faults,
+        minimum=dict(scenario.minimum), restarts=supervisor.restarts,
+        restored_entries=restored, changelogs=changelogs, explained=explained,
+        fingerprint=injector.fingerprint(), events_blob=injector.events_blob(),
+        outputs_blob="\n".join(sorted(distinct)).encode("utf-8"))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos.validate",
-        description="At-least-once verification under seeded fault injection.")
+        description="Streaming output under seeded fault injection, "
+                    "audited against the same SQL without STREAM.")
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS),
+                        default="window")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--orders", type=int, default=300)
     parser.add_argument("--containers", type=int, default=2)
     parser.add_argument("--partitions", type=int, default=4)
     parser.add_argument("--replay-check", action="store_true",
-                        help="run the schedule twice and require "
-                             "byte-identical fault logs (distinct-output "
-                             "blobs under --worker-kill)")
-    parser.add_argument("--worker-kill", action="store_true",
-                        help="validate the process-backed execution mode: "
-                             "SIGKILL workers mid-run, require relaunch "
-                             "and at-least-once output")
-    parser.add_argument("--multiway", action="store_true",
-                        help="validate the collapsed multi-way join: the "
-                             "3-way fulfilment join must survive the fault "
-                             "schedule with all K shared stores restored "
-                             "from changelog+checkpoint")
+                        help="run the scenario twice and require identical "
+                             "distinct outputs and (virtual clock) fault logs")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")
     args = parser.parse_args(argv)
-    if args.worker_kill and args.multiway:
-        parser.error("--worker-kill and --multiway are separate scenarios")
-
-    if args.worker_kill:
-        run = lambda: run_worker_kill_validation(  # noqa: E731
-            seed=args.seed, orders=args.orders,
-            containers=args.containers, partitions=args.partitions)
-    elif args.multiway:
-        run = lambda: run_multiway_join_validation(  # noqa: E731
-            seed=args.seed, orders=args.orders,
-            containers=args.containers, partitions=args.partitions)
-    else:
-        run = lambda: run_validation(  # noqa: E731
-            seed=args.seed, orders=args.orders,
-            containers=args.containers, partitions=args.partitions)
-
+    run = partial(run_scenario, args.scenario, seed=args.seed,
+                  orders=args.orders, containers=args.containers,
+                  partitions=args.partitions)
     report = run()
-    if args.worker_kill:
-        meets = (report.fault_counts.get(WORKER_KILL, 0) >= 1
-                 and report.container_restarts >= 1)
-        criteria_bar = ">=1 worker SIGKILL fired, >=1 relaunch"
-    elif args.multiway:
-        meets = (report.meets_criteria()
-                 and bool(report.plan_collapsed)
-                 and len(report.join_store_changelogs) == 3
-                 and all(n > 0
-                         for n in report.join_store_changelogs.values()))
-        criteria_bar = (">=5 transient, >=1 crash, >=1 zk expiry, "
-                        "collapsed plan, 3 non-empty join-store changelogs")
-    else:
-        meets = report.meets_criteria()
-        criteria_bar = ">=5 transient, >=1 crash, >=1 zk expiry"
-    ok = report.at_least_once and meets
-
-    replay_ok = True
     if args.replay_check:
         second = run()
-        if args.worker_kill:
-            # Kill timing is real-time nondeterministic; the *content*
-            # of the distinct outputs is what must replay identically.
-            replay_ok = second.outputs_blob == report.outputs_blob
-        elif args.multiway:
-            # Virtual clock: both the fault log and the restored-state
-            # outputs must replay byte-identically.
-            replay_ok = (second.events_blob == report.events_blob
-                         and second.outputs_blob == report.outputs_blob)
-        else:
-            replay_ok = second.events_blob == report.events_blob
-
-    if args.json:
-        payload = report.to_dict()
-        payload["meets_criteria"] = meets
-        if args.replay_check:
-            payload["replay_identical"] = replay_ok
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.summary())
-        if not meets:
-            print("  WARNING: schedule fired fewer faults than the "
-                  f"acceptance bar ({criteria_bar})")
-        if args.replay_check:
-            print(f"  replay determinism: "
-                  f"{'byte-identical' if replay_ok else 'MISMATCH'}")
-    return 0 if (ok and replay_ok) else 1
+        # SIGKILL timing is real time; only the output content must replay.
+        report.replay_identical = (
+            second.outputs_blob == report.outputs_blob
+            and (SCENARIOS[args.scenario].parallel
+                 or second.events_blob == report.events_blob))
+    print(json.dumps(report.to_dict(), indent=2) if args.json
+          else report.summary())
+    return 0 if (report.table_equal and report.meets_criteria()
+                 and report.replay_identical is not False) else 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ that mirrored copy is the durable store a relaunched worker restores
 from: a SIGKILLed worker's partitions reassign to a replacement
 incarnation, surviving workers retarget their peer links from the
 re-pushed route table, and the job keeps running — at-least-once across
-SIGKILL, verified by ``repro.chaos.validate --worker-kill``.
+SIGKILL, verified by ``repro.chaos.validate --scenario worker-kill``.
 """
 
 from repro.parallel.coordinator import ParallelJobCoordinator, RunnerMesh

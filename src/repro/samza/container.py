@@ -303,9 +303,10 @@ class SamzaContainer:
         for spec in self._store_specs:
             memory = InMemoryKeyValueStore()
             bytes_store: KeyValueStore = memory
+            restored = 0
             if spec.changelog_stream is not None:
                 topic = spec.changelog_stream
-                self._restore_store(memory, topic, model.partition_id)
+                restored = self._restore_store(memory, topic, model.partition_id)
                 tp = TopicPartition(topic, model.partition_id)
 
                 def log_batch(records: list, _tp=tp) -> None:
@@ -330,19 +331,25 @@ class SamzaContainer:
                                fn=lambda s=store: s.flushed_count)
             self.metrics.gauge(group, "elided-entries",
                                fn=lambda s=store: s.elided_count)
+            # Entries the changelog restored when this container opened
+            # the store: 0 on a first start, the recovered state after a
+            # relaunch.
+            self.metrics.gauge(group, "restored-entries", initial=restored)
             stores[spec.name] = store
         return stores
 
     def _restore_store(self, memory: InMemoryKeyValueStore, topic: str,
-                       partition: int) -> None:
-        """Replay the changelog partition into the store (state restore)."""
+                       partition: int) -> int:
+        """Replay the changelog partition into the (empty) store — state
+        restore; returns the number of entries the store then holds."""
         if not self.cluster.has_topic(topic):
-            return
+            return 0
         tp = TopicPartition(topic, partition)
         start = self.cluster.earliest_offset(tp)
         messages = self._retry.call(lambda: self.cluster.fetch(tp, start))
         memory.write_batch((message.key, message.value) for message in messages
                            if message.key is not None)
+        return len(memory)
 
     # -- output path ------------------------------------------------------------------
 

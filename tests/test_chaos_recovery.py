@@ -8,12 +8,16 @@ checkpoint — for both a stateless filter and stateful windowed
 aggregation, at the raw-Samza and SQL layers.
 """
 
+import json
+
 import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
-from repro.chaos.validate import run_validation
+from repro.chaos.validate import main as validate_main
+from repro.chaos.validate import restored_entries, run_scenario
 from repro.samza import SamzaJob
+from repro.samza.container import SamzaContainer
 from repro.serde import AvroSerde
 
 from tests.helpers import (
@@ -215,6 +219,10 @@ class TestSqlQueryRecovery:
         assert outputs["compiled"] == outputs["interpreted"]
 
     def test_windowed_aggregate_survives_crash_and_zk_expiry(self):
+        """Every distinct emitted row — aggregate included — is a row of
+        the same SQL without STREAM, and vice versa.  At commit interval 8
+        the relaunch restores window state; a no-op restore emits 26 rows
+        the table query does not return."""
         schedule = (FaultSchedule.script()
                     .add_crash(35)
                     .add_zk_expiry(2)
@@ -222,25 +230,22 @@ class TestSqlQueryRecovery:
         dep, injector = chaos_sql_deployment(schedule)
         handle = dep.shell.execute(
             SLIDING_WINDOW_SQL, containers=2, config_overrides={
-                "task.checkpoint.interval.messages": 12,
+                "task.checkpoint.interval.messages": 8,
                 "task.poll.batch.size": 10,
             })
         supervisor = ChaosSupervisor(dep.runner, injector, zk=dep.shell.zk)
         supervisor.run_until_quiescent()
         with injector.suspended():
             rows = handle.results()
+            table = dep.shell.execute(
+                SLIDING_WINDOW_SQL.replace("SELECT STREAM", "SELECT"))
 
         assert supervisor.restarts == 1
         assert supervisor.zk_expirations == 1
-        expected = {i for i in range(80) if (i * 7) % 100 > 10}
-        emissions = {}
-        for row in rows:
-            emissions.setdefault(row["orderId"], []).append(row)
-        assert set(emissions) == expected  # no lost inputs
-        # duplicate emissions must agree on the input fields
-        for copies in emissions.values():
-            assert len({(c["rowtime"], c["productId"], c["units"])
-                        for c in copies}) == 1
+        assert restored_entries(handle.master) > 0
+        assert len(table) == sum(1 for i in range(80) if (i * 7) % 100 > 10)
+        assert ({tuple(sorted(r.items())) for r in rows}
+                == {tuple(sorted(r.items())) for r in table})
 
     def test_writebehind_crash_replays_byte_identical_aggregates(self):
         """Crash a container mid-commit-interval, while the write-behind
@@ -255,7 +260,7 @@ class TestSqlQueryRecovery:
         write to commit without weakening at-least-once recovery.
         """
         overrides = {
-            "task.checkpoint.interval.messages": 12,
+            "task.checkpoint.interval.messages": 8,
             "task.poll.batch.size": 10,
         }
 
@@ -271,9 +276,9 @@ class TestSqlQueryRecovery:
         # fault-free sliding window emits exactly once per input
         assert all(len(v) == 1 for v in ref_by_order.values())
 
-        # chaos: crash 35 messages in — 11 past the last commit at 24, so
-        # the write-behind dirty maps are mid-interval when the container
-        # dies
+        # chaos: crash 35 messages in — the victim is 5 messages past its
+        # last commit, so its write-behind dirty maps hold 5 entries per
+        # store when it dies, and the relaunch restores committed state
         schedule = FaultSchedule.script().add_crash(35)
         dep, injector = chaos_sql_deployment(schedule)
         handle = dep.shell.execute(SLIDING_WINDOW_SQL, containers=2,
@@ -284,6 +289,7 @@ class TestSqlQueryRecovery:
             rows = handle.results()
 
         assert supervisor.restarts == 1
+        assert restored_entries(handle.master) > 0
         emissions = {}
         for row in rows:
             emissions.setdefault(row["orderId"], set()).add(
@@ -293,47 +299,94 @@ class TestSqlQueryRecovery:
         assert emissions == ref_by_order
 
 
+def noop_restore(self, memory, topic, partition):
+    """A ``SamzaContainer._restore_store`` that reads nothing back."""
+    return 0
+
+
+def lying_restore(self, memory, topic, partition):
+    """Reads nothing back but reports a restored entry, so only the
+    emitted rows can give it away."""
+    return 1
+
+
 class TestValidationHarness:
     def test_seed_42_meets_acceptance_bar(self):
-        report = run_validation(seed=42)
-        assert report.at_least_once
-        assert report.lost_order_ids == []
-        assert report.meets_criteria(min_transient=5, min_crashes=1,
-                                     min_zk_expiries=1)
-        assert report.container_restarts >= 1
+        report = run_scenario("window", seed=42)
+        assert report.table_equal
+        assert report.lost == [] and report.unexpected == []
+        assert report.distinct == report.table_rows == 267
+        assert report.meets_criteria()
+        assert report.restarts >= 1
+        assert report.restored_entries > 0
+        # a store whose changelog stayed empty would restore from nothing
+        report.changelogs[next(iter(report.changelogs))] = 0
+        assert not report.meets_criteria()
 
     def test_replay_is_byte_identical(self):
-        first = run_validation(seed=42)
-        second = run_validation(seed=42)
+        first = run_scenario("window", seed=42)
+        second = run_scenario("window", seed=42)
         assert first.events_blob == second.events_blob
-        assert first.fingerprint == second.fingerprint
+        assert first.outputs_blob == second.outputs_blob
         assert first.to_dict() == second.to_dict()
 
     def test_report_serializes(self):
-        report = run_validation(seed=7, orders=120)
-        payload = report.to_dict()
-        assert payload["at_least_once"] is True
-        assert payload["input_count"] == 120
-        assert "chaos validation" in report.summary()
+        report = run_scenario("window", seed=7, orders=120)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["table_equal"] is True
+        assert payload["meets_criteria"] is True
+        assert payload["inputs"] == 120
+        assert "chaos validation (window, seed 7)" in report.summary()
 
     def test_multiway_join_recovers_all_three_stores(self):
         """Crash mid-run over the collapsed 3-way join: every order must
-        still reassemble, which requires all K shared stores to restore
-        from their changelogs (a lost buffered row on any one side drops
-        that order's output)."""
-        from repro.chaos.validate import run_multiway_join_validation
+        still reassemble, and each of the K shared stores must have logged
+        its buffered rows to its own changelog — a side with an empty
+        changelog would be restored from nothing."""
+        report = run_scenario("multiway", seed=42, orders=150)
+        assert report.explained  # EXPLAIN: multi-way join: collapsed 3 inputs
+        assert report.table_equal
+        assert report.distinct == report.table_rows == 150
+        assert report.restarts >= 1
+        assert report.restored_entries > 0
+        assert len(report.changelogs) == 3
+        for port in range(3):
+            [records] = [n for topic, n in report.changelogs.items()
+                         if topic.endswith(f"-sql-mjoin-{port}-changelog")]
+            assert records > 0
+        assert report.meets_criteria()
 
-        report = run_multiway_join_validation(seed=42, orders=150)
-        assert report.plan_collapsed
-        assert report.at_least_once
-        assert report.lost_order_ids == []
-        assert report.inconsistent_order_ids == []
-        assert report.distinct_outputs == 150
-        assert report.container_restarts >= 1
-        assert sorted(report.join_store_changelogs) == [
-            "sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2"]
-        assert all(n > 0 for n in report.join_store_changelogs.values())
-        assert "multi-way join: plan collapsed" in report.summary()
+    def test_noop_restore_fails_the_window_audit(self, monkeypatch):
+        """The mutant the audit exists to catch: a relaunch that restores
+        nothing re-emits window rows with wrong aggregates.  The table
+        query rejects them and the restore criterion fails."""
+        monkeypatch.setattr(SamzaContainer, "_restore_store", noop_restore)
+        report = run_scenario("window", seed=42)
+        assert len(report.unexpected) > 0
+        assert not report.table_equal
+        assert report.restored_entries == 0
+        assert not report.meets_criteria()
+        assert validate_main(["--seed", "42"]) == 1
+
+    def test_lying_restore_fails_the_window_audit(self, monkeypatch):
+        """A restore that reports entries it never applied passes the
+        restore criterion; the table query still rejects its rows."""
+        monkeypatch.setattr(SamzaContainer, "_restore_store", lying_restore)
+        report = run_scenario("window", seed=42)
+        assert report.restored_entries > 0
+        assert len(report.unexpected) > 0
+        assert not report.table_equal
+
+    def test_lying_restore_fails_the_sql_recovery_tests(self, monkeypatch):
+        """Both SQL recovery tests above run at commit interval 8, where
+        the relaunch restores state.  The mutant reports a restored entry,
+        so each test can fail only on its row comparison."""
+        monkeypatch.setattr(SamzaContainer, "_restore_store", lying_restore)
+        recovery = TestSqlQueryRecovery()
+        for test in (recovery.test_windowed_aggregate_survives_crash_and_zk_expiry,
+                     recovery.test_writebehind_crash_replays_byte_identical_aggregates):
+            with pytest.raises(AssertionError):
+                test()
 
 
 class TestMidBatchCrash:

@@ -185,3 +185,53 @@ class TestProperties:
                 and row[0] - window <= other[0]
                 and (other[0], rank[j]) <= (row[0], rank[i]))
             assert by_id[row[2]] == expected
+
+
+#: Streaming-side modules the oracle must not import: the batch executor
+#: is the independent reference streaming output is audited against.
+STREAMING_MODULES = (
+    "repro.samzasql.operators", "repro.samzasql.compile",
+    "repro.samzasql.serde_plan", "repro.samzasql.decision",
+    "repro.samzasql.task", "repro.samza",
+)
+
+
+def imported_modules(path):
+    """Every module an ``import`` statement in ``path`` names, nested and
+    relative imports included (``from a import b`` names ``a`` and ``a.b``)."""
+    import ast
+
+    package = "repro.samzasql"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+class TestOracleIndependence:
+    def test_batch_executor_imports_no_streaming_code(self):
+        """Checked on the source, not ``sys.modules``: importing
+        ``repro.samzasql.batch`` runs ``repro/samzasql/__init__.py``, which
+        loads the streaming side anyway."""
+        from pathlib import Path
+
+        import repro.samzasql.batch as batch
+
+        offending = sorted(
+            module for module in set(imported_modules(Path(batch.__file__)))
+            if any(module == banned or module.startswith(banned + ".")
+                   for banned in STREAMING_MODULES))
+        assert offending == []
+
+    def test_guard_sees_a_streaming_import(self, tmp_path):
+        source = tmp_path / "mutant.py"
+        source.write_text("def f():\n"
+                          "    from .operators.scan import ScanOperator\n"
+                          "    from repro.samza import storage\n")
+        names = set(imported_modules(source))
+        assert "repro.samzasql.operators.scan" in names
+        assert "repro.samza.storage" in names
