@@ -56,7 +56,7 @@ class _DictStore(KeyValueStore):
 
 def _window_operator(stores) -> SlidingWindowOperator:
     operator = SlidingWindowOperator(
-        partition_key_source="[r[1]]", order_source="r[0]",
+        partition_key_source="(r[1],)", order_source="r[0]",
         frame_mode="RANGE", preceding_ms=300_000, preceding_rows=None,
         aggs=[AggSpec(func="SUM", arg_source="r[3]")],
         field_names=["rowtime", "productId", "orderId", "units", "sum"])

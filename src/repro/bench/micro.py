@@ -32,6 +32,9 @@ _STORE_NAMES = (
 
 
 def _make_stores() -> dict:
+    """The paper-faithful SQL state: every store behind the generic
+    object serde (the Kryo model), where a job's stores get codecs
+    derived from its plan."""
     return {
         name: SerializedKeyValueStore(InMemoryKeyValueStore(),
                                       ObjectSerde(), ObjectSerde())

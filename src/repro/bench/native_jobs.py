@@ -12,7 +12,8 @@ SQL-generated pipeline:
   record ("we create Avro messages directly from incoming Avro messages"),
   no array-tuple detour;
 * **join** — caches the Products relation with an *Avro* value serde
-  (SamzaSQL uses the generic object serde, its measured 2x handicap);
+  (the paper's SamzaSQL used Kryo, its measured 2x handicap; the bench
+  harness's SQL pipeline models it with the generic object serde);
 * **sliding window** — the same Algorithm-1 state layout as the SQL
   operator, on the same store stack (both implementations are dominated by
   KV-store access, Figure 6).

@@ -8,9 +8,10 @@ task failure."
 The stack, bottom to top:
 
 * :class:`InMemoryKeyValueStore` — bytes→bytes sorted store (the RocksDB
-  role), the memtable.  Keys sort by their serialized bytes; the
-  sliding-window operator's object-serde tuple keys are *not*
-  time-ordered, so it rebuilds from one full scan, not a range.
+  role), the memtable.  Keys sort by their serialized bytes, so a scan
+  is in key order exactly when the key serde preserves order: the SQL
+  operators' stores use :mod:`repro.serde.state_codecs`, whose keys do,
+  and rebuild each window or join buffer from one ordered scan.
 * :class:`LoggedKeyValueStore` — write-*ahead* mirror to a compacted
   changelog topic partition: each batch is logged, then applied, so the
   memtable is always the materialised changelog.  A tombstone for a key
@@ -19,8 +20,9 @@ The stack, bottom to top:
 * :class:`SerializedKeyValueStore` — object API on top of a bytes store;
   every access pays the serde cost.  The paper's Figure 6 finding — sliding
   window throughput "is dominated by access to the key-value store" — falls
-  out of this layer, and the Kryo-vs-Avro join gap comes from which serde
-  is plugged in here.
+  out of this layer, and its Kryo-vs-Avro join gap comes from which serde
+  is plugged in here (the generic object serde models Kryo; SQL stores
+  get codecs derived from their plan).
 * :class:`WriteBehindKeyValueStore` — object-level dirty map that defers
   the serde *and* the changelog write of every mutation until ``flush()``,
   which hands the interval's *net* change down as one batch; a row put and
@@ -289,8 +291,8 @@ class WriteBehindKeyValueStore(KeyValueStore):
       the changelog — while a key that *is* live below (a persisted row,
       or a crash orphan flushed ahead of its checkpoint) gets a real
       tombstone.  The set holds the key objects the dirty map already
-      owned, ≈ 190 B per retained row for the window operator's
-      ``(key, ts, seq)`` tuples.  Writing to the backing store behind
+      owned — for the window operator, one ``(*partition_key, seq)``
+      tuple per retained row.  Writing to the backing store behind
       this layer's back would break the set; nothing does.
     * **Flush order** is dirty-map insertion order (first dirtying wins;
       a key re-put after an elided delete counts from the re-put), so the

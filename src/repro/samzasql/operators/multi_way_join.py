@@ -38,10 +38,12 @@ State layout (PR 4 style, per input port):
   bucket ids are created in ascending order, so the dict's insertion
   order doubles as the purge order;
 * in the write-behind store ``sql-mjoin-<port>`` (``sql-mjoin<N>-<port>``
-  for the N-th join instance of a plan), small per-bucket index
-  records ``("b", bucket_id) → {"count", "seq"}`` plus one row entry
-  ``("r", bucket_id, seq) → [key, ts, row]`` per retained row — no
-  monolithic blob is ever rebuilt.
+  for the N-th join instance of a plan), one row entry
+  ``(bucket_id, seq) → row`` per retained row plus a small per-bucket
+  index record ``(bucket_id, -1) → {"count", "seq"}``, which the ordered
+  key codec sorts just ahead of its bucket's rows — no monolithic blob is
+  ever rebuilt.  A row's key and timestamp are functions of the row, so
+  only the row is stored.
 
 Purge drops whole expired time buckets from the front of the dict:
 amortized O(1) per row (each row entry is deleted from the store exactly
@@ -68,6 +70,8 @@ from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.sql.codegen import compile_lambda
 
 STORE_PREFIX = "sql-mjoin-"
+#: The seq of a bucket's index record in its store key: below every row's.
+INDEX_SEQ = -1
 
 
 def store_names(k: int, prefix: str = STORE_PREFIX) -> list[str]:
@@ -122,34 +126,33 @@ class MultiWayStreamJoinOperator(Operator):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Reconstruct the live buffers from the (restored) stores.
+        """Reconstruct the live buffers from the (restored) stores, one
+        ordered scan per port.
 
-        Row entries with ``seq >= record["seq"]`` were flushed ahead of an
-        index record that never made it (crash mid-commit); they are
-        skipped and regenerated identically by at-least-once replay —
-        the same partial-flush guard the sliding-window operator uses.
+        Keys are ordered ``(bucket_id, seq)``, so the scan meets buckets
+        in ascending order — the buffers' purge order — each led by its
+        index record and followed by its rows in seq (arrival) order.  Row
+        entries with ``seq >= record["seq"]``, or with no index record,
+        were flushed ahead of an index record that never made it (crash
+        mid-commit); they are skipped and regenerated identically by
+        at-least-once replay — the same partial-flush guard the
+        sliding-window operator uses.
         """
         for port in range(self.k):
-            index: dict[int, dict] = {}
-            rows: dict[int, list] = {}
-            for key, value in self._stores[port].all():
-                if key[0] == "b":
-                    index[key[1]] = value
-                else:
-                    rows.setdefault(key[1], []).append((key[2], value))
-            buckets = self._buckets[port]
-            for bucket_id in sorted(index):
-                record = index[bucket_id]
-                entries = sorted(e for e in rows.get(bucket_id, [])
-                                 if e[0] < record["seq"])
-                bucket: dict = {}
-                for seq, payload in entries:
-                    key, ts, row = payload
-                    bucket.setdefault(key, []).append((ts, seq, row))
-                buckets[bucket_id] = bucket
-                self._index[port][bucket_id] = record
-                self._retained[port] += len(entries)
-                self._seq = max(self._seq, record["seq"])
+            time_index = self.time_indexes[port]
+            key_fn = self._key_fns[port]
+            buckets, index = self._buckets[port], self._index[port]
+            current = fence = bucket = None
+            for (bucket_id, seq), value in self._stores[port].all():
+                if seq == INDEX_SEQ:
+                    index[bucket_id] = value
+                    bucket = buckets[bucket_id] = {}
+                    current, fence = bucket_id, value["seq"]
+                    self._seq = max(self._seq, fence)
+                elif bucket_id == current and seq < fence:
+                    bucket.setdefault(key_fn(value), []).append(
+                        (value[time_index], seq, value))
+                    self._retained[port] += 1
 
     def state_size(self) -> int:
         """Rows buffered across all K sides; backs ``window-state-size``."""
@@ -222,7 +225,7 @@ class MultiWayStreamJoinOperator(Operator):
         record["count"] += 1
         record["seq"] = seq + 1
         self._retained[port] += 1
-        self._stores[port].put(("r", bucket_id, seq), [key, ts, row])
+        self._stores[port].put((bucket_id, seq), row)
         return record
 
     def _advance(self, port: int, ts: int) -> None:
@@ -264,8 +267,8 @@ class MultiWayStreamJoinOperator(Operator):
             for rows in dropped.values():
                 count += len(rows)
                 for _ts, seq, _row in rows:
-                    store.delete(("r", oldest, seq))
-            store.delete(("b", oldest))
+                    store.delete((oldest, seq))
+            store.delete((oldest, INDEX_SEQ))
             self._retained[port] -= count
 
     # -- processing --------------------------------------------------------------
@@ -294,7 +297,7 @@ class MultiWayStreamJoinOperator(Operator):
                 max_ts = ts
         store_put = self._stores[port].put
         for bucket_id, record in touched.items():
-            store_put(("b", bucket_id), record)
+            store_put((bucket_id, INDEX_SEQ), record)
         if max_ts is not None:
             self._advance(port, max_ts)
         self.emit_batch(out_rows, out_ts)

@@ -23,6 +23,7 @@ from repro.samzasql.operators.sliding_window import SlidingWindowOperator
 from repro.samzasql.operators.stream_relation_join import (
     RELATION_PORT,
     STREAM_PORT,
+    ChangelogTombstone,
     StreamRelationJoinOperator,
 )
 from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
@@ -54,8 +55,10 @@ class _Port:
     def deliver_batch(self, messages: list, timestamps: list) -> None:
         names = self.field_names
         if names is not None:
-            # relation changelog records arrive as dicts: convert to arrays
-            messages = [[message[name] for name in names]
+            # relation changelog records arrive as dicts: convert to
+            # arrays; tombstones pass as they are
+            messages = [message if message.__class__ is ChangelogTombstone
+                        else [message[name] for name in names]
                         for message in messages]
         self.operator.receive_batch(self.port, messages, timestamps)
 
@@ -101,6 +104,21 @@ class MessageRouter:
 
     def operator_chain(self) -> str:
         return " -> ".join(op.describe() for op in self.operators)
+
+
+def changelog_key_types(plan: PhysicalPlan) -> dict[str, str]:
+    """Relation changelog topic → SQL type of the relation's key field,
+    for every stream-to-relation join of the plan: how a tombstone's
+    changelog key becomes the primary key it deletes."""
+    out: dict[str, str] = {}
+    pending = [plan.root]
+    while pending:
+        node = pending.pop()
+        pending.extend(node.inputs)
+        if isinstance(node, StreamRelationJoinNode):
+            layout = plan.stores[node.store_name]
+            out[node.relation_stream] = layout.row[node.relation_key_index][1]
+    return out
 
 
 def build_router(plan: PhysicalPlan, context: OperatorContext) -> MessageRouter:

@@ -10,12 +10,19 @@ Per incoming tuple::
     compute new aggregate values adding current tuple
     send latest aggregate values downstream
 
-State lives in two task-local key-value stores, exactly as described:
+State lives in two task-local key-value stores, as described:
 
 * ``sql-window-messages`` — every retained message, keyed
-  ``(partition_key, timestamp, seq)`` (purged rows are deleted);
-* ``sql-window-state`` — per partition-key bounds record:
-  ``{"seq", "lower", "upper"}``.
+  ``(*partition_key, seq)`` (purged rows are deleted).  The value is
+  ``[order_value, *aggregate_arguments]``: the columns a rebuild reads,
+  not the whole input row;
+* ``sql-window-state`` — per partition key, ``{"seq"}``: the seq the
+  key's next message gets.
+
+The partition key is a tuple: the PARTITION BY values themselves, or
+their ``repr`` when one of them is of a type the ordered key codec does
+not hold (the planner renders which).  The window bounds of Algorithm 1
+are the retained rows' own order values, so nothing else is persisted.
 
 The paper's Figure 6 finding — sliding-window throughput "is dominated by
 access to the key-value store" — came from round-tripping the *entire*
@@ -23,17 +30,17 @@ window (all retained row references plus accumulators) through the store's
 serde on every message.  This implementation keeps the live window in
 operator memory (a deque of row references, running accumulators, and
 monotonic MIN/MAX deques) and persists only the two O(1)-sized pieces per
-message: the row itself under its own key, and the small bounds record.
-Under the write-behind store layer both are dict writes until commit, so
-per-message state maintenance is O(1) serde (amortised to the commit
-interval) instead of O(window).
+message: the row's stored columns under their own key, and the small seq
+record.  Under the write-behind store layer both are dict writes until
+commit, so per-message state maintenance is O(1) serde (amortised to the
+commit interval) instead of O(window).
 
-Durability is unchanged: the retained-row entries and the bounds record
+Durability is unchanged: the retained-row entries and the seq record
 fully determine the in-memory window, so :meth:`setup` rebuilds it
 deterministically from the stores after a changelog restore — re-pushing
 the retained rows in seq order reproduces the accumulators and the
 monotonic deques exactly (a monotonic deque is a pure function of the
-retained-row sequence).  Rows found without a covering bounds record
+retained-row sequence).  Rows found without a covering seq record
 (flushed ahead of a crash) are ignored; at-least-once replay regenerates
 them with the same keys and values.
 """
@@ -56,9 +63,9 @@ class _WindowState:
     ``rows`` holds ``(order_value, seq, arg_values)`` references in arrival
     order; ``accs`` the running ``[sum, count]`` pairs; ``minmax`` one
     monotonic deque per MIN/MAX aggregate (else ``None``); ``record`` the
-    small persisted dict (``{"seq", "lower", "upper"}``) — mutated in place
-    and re-put per message, so the write-behind layer serializes only its
-    commit-time value.
+    small persisted dict (``{"seq"}``) — mutated in place and re-put per
+    batch, so the write-behind layer serializes only its commit-time
+    value.
     """
 
     __slots__ = ("rows", "accs", "minmax", "record")
@@ -186,7 +193,7 @@ class SlidingWindowOperator(Operator):
                             else None)
         self._messages = None
         self._state = None
-        self._windows: dict[str, _WindowState] = {}
+        self._windows: dict[tuple, _WindowState] = {}
         self._retained = 0
 
     def setup(self, context: OperatorContext) -> None:
@@ -197,35 +204,34 @@ class SlidingWindowOperator(Operator):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Reconstruct every live window from the (restored) stores.
+        """Reconstruct every live window from the (restored) stores in one
+        ordered scan of the messages store.
 
-        One full walk of the messages store groups retained rows by
-        partition key (the object serde is not byte-order-preserving, so
-        there is no per-key range scan to lean on); re-adding them in seq
-        order replays exactly the add sequence that produced the committed
-        accumulators and monotonic deques.  Rows with ``seq >= record.seq``
-        were flushed ahead of a bounds record that never made it — they are
-        skipped here and regenerated identically by at-least-once replay.
+        Its keys are ordered ``(*partition_key, seq)``, so the scan meets
+        each key's retained rows together and in seq order: re-adding them
+        as they come replays exactly the add sequence that produced the
+        committed accumulators and monotonic deques, with no grouping and
+        no sort.  Rows with ``seq >= record["seq"]`` were flushed ahead of
+        a seq record that never made it — they are skipped here and
+        regenerated identically by at-least-once replay.
         """
-        by_key: dict[str, list] = {}
-        for (key, order_value, seq), row in self._messages.all():
-            by_key.setdefault(key, []).append((seq, order_value, row))
+        windows = self._windows
+        accumulators = self._accumulators
         for key, record in self._state.all():
-            window = _WindowState(self._accumulators.fresh(),
-                                  self._accumulators.minmax_fresh(), record)
-            self._windows[key] = window
-            entries = sorted(entry for entry in by_key.get(key, [])
-                             if entry[0] < record["seq"])
-            for seq, order_value, row in entries:
-                arg_values = [None if fn is None else fn(row)
-                              for fn in self._arg_fns]
-                window.rows.append((order_value, seq, arg_values))
-                self._accumulators.add(window, order_value, seq, arg_values)
-            self._retained += len(entries)
+            windows[key] = _WindowState(accumulators.fresh(),
+                                        accumulators.minmax_fresh(), record)
+        for store_key, (order_value, *arg_values) in self._messages.all():
+            seq = store_key[-1]
+            window = windows.get(store_key[:-1])
+            if window is None or seq >= window.record["seq"]:
+                continue
+            window.rows.append((order_value, seq, arg_values))
+            accumulators.add(window, order_value, seq, arg_values)
+            self._retained += 1
 
     # -- Algorithm 1, step by step ----------------------------------------
 
-    def _advance(self, key: str, order_value, row: list) -> list:
+    def _advance(self, key: tuple, order_value, row: list) -> list:
         """Admit one row into its window; returns the new aggregate values.
 
         The caller persists ``window.record`` (once per touched key per
@@ -234,28 +240,22 @@ class SlidingWindowOperator(Operator):
         if window is None:
             window = _WindowState(
                 self._accumulators.fresh(), self._accumulators.minmax_fresh(),
-                {"seq": 0, "lower": order_value, "upper": order_value})
+                {"seq": 0})
             self._windows[key] = window
         record = window.record
         seq = record["seq"]
         record["seq"] = seq + 1
 
-        # save message in message store
-        self._messages.put((key, order_value, seq), row)
-
-        # update window bounds
-        if order_value > record["upper"]:
-            record["upper"] = order_value
-
+        # save message in message store: the columns a rebuild reads
         arg_values = [None if fn is None else fn(row) for fn in self._arg_fns]
-        rows = window.rows
+        self._messages.put(key + (seq,), [order_value, *arg_values])
 
-        # purge messages and adjust aggregate values
+        # update window bounds: purge messages and adjust aggregate values
+        rows = window.rows
         if self._range_ms is not None:
             cutoff = order_value - self._range_ms
             while rows and rows[0][0] < cutoff:
                 self._purge(key, window, rows.popleft())
-            record["lower"] = cutoff
 
         # compute new aggregate values adding current tuple
         rows.append((order_value, seq, arg_values))
@@ -268,22 +268,22 @@ class SlidingWindowOperator(Operator):
 
         return self._accumulators.results(window)
 
-    def _purge(self, key: str, window: _WindowState, entry: tuple) -> None:
+    def _purge(self, key: tuple, window: _WindowState, entry: tuple) -> None:
         self._accumulators.remove(window, entry)
-        self._messages.delete((key, entry[0], entry[1]))
+        self._messages.delete(key + (entry[1],))
         self._retained -= 1
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """Per-row window maintenance in input order, with the
-        bounds-record put deferred to once per (key, batch)."""
+        """Per-row window maintenance in input order, with the seq-record
+        put deferred to once per (key, batch)."""
         self.processed += len(rows)
         key_fn = self._key_fn
         order_fn = self._order_fn
         advance = self._advance
-        touched: dict[str, None] = {}
+        touched: dict[tuple, None] = {}
         out = []
         for row in rows:
-            key = repr(key_fn(row))
+            key = key_fn(row)
             out.append(row + advance(key, order_fn(row), row))
             touched[key] = None
         state_put = self._state.put

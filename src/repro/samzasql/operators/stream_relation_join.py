@@ -3,22 +3,55 @@
 The relation "is available as a change log stream"; Samza delivers that
 stream as a *bootstrap* input, fully consumed before any stream message.
 This operator caches the relation partition assigned to the task in a
-task-local store keyed by the relation's primary key (changelog upserts
-and tombstones keep it current), then performs the join on each arriving
+task-local store keyed by the ``repr`` of the relation row's join key
+(its primary key unless the join says otherwise); changelog upserts and
+tombstones keep it current.  It then performs the join on each arriving
 stream tuple by store lookup.
 
-The relation store's value serde is the generic object serde (the paper's
-Kryo role) — the deserialization cost on every lookup is what makes
-SamzaSQL's join ≈2x slower than the hand-written Samza job (§5.1).
+The paper's prototype stored the relation with Kryo, and the
+deserialization on every lookup made its join ≈2x slower than the
+hand-written Samza job (§5.1).  Here the store's value codec is compiled
+from the relation's row type, like the stream's own Avro decoder.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.sql.codegen import compile_lambda
+from repro.sql.types import SqlType
 
 STREAM_PORT = 0
 RELATION_PORT = 1
+
+_INT_TYPES = {SqlType.INTEGER.value, SqlType.BIGINT.value,
+              SqlType.TIMESTAMP.value, SqlType.INTERVAL.value}
+
+
+class ChangelogTombstone:
+    """A relation changelog delete on the relation port: the record's
+    primary key, typed like the key field (``None`` when the changelog key
+    is missing or does not parse as that type — it then names no row)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any):
+        self.key = key
+
+    @staticmethod
+    def typed(raw_key: str | None, sql_type: str) -> "ChangelogTombstone":
+        """The tombstone for a changelog key as the stream's key serde
+        decoded it: ``"1"`` of an INTEGER key is ``1``, of a VARCHAR key
+        ``"1"``."""
+        try:
+            if raw_key is not None and sql_type in _INT_TYPES:
+                return ChangelogTombstone(int(raw_key))
+            if raw_key is not None and sql_type == SqlType.DOUBLE.value:
+                return ChangelogTombstone(float(raw_key))
+        except ValueError:
+            return ChangelogTombstone(None)
+        return ChangelogTombstone(raw_key)
 
 
 class StreamRelationJoinOperator(Operator):
@@ -45,6 +78,9 @@ class StreamRelationJoinOperator(Operator):
                             else compile_lambda(stream_key_source))
         self._relation_key = (None if relation_key_source is None
                               else compile_lambda(relation_key_source))
+        # Store keys are primary keys unless the join keys on another field.
+        self._keyed_by_primary_key = relation_key_source in (
+            None, f"r[{relation_key_index}]")
         self._store = None
         self.store_name = f"sql-relation-{relation.lower()}"
 
@@ -67,9 +103,10 @@ class StreamRelationJoinOperator(Operator):
             self._join(row, ts, out_rows, out_ts)
         self.emit_batch(out_rows, out_ts)
 
-    def _apply_changelog(self, row: list) -> None:
-        """Upsert (or delete, for tombstones) a relation row."""
-        if row is None:
+    def _apply_changelog(self, row) -> None:
+        """Upsert a relation row, or delete the one a tombstone names."""
+        if row.__class__ is ChangelogTombstone:
+            self._delete(row.key)
             return
         if self._relation_key is not None:
             key = repr(self._relation_key(row))
@@ -77,8 +114,16 @@ class StreamRelationJoinOperator(Operator):
             key = repr(row[self.relation_key_index])
         self._store.put(key, row)
 
-    def delete_relation_key(self, key_value) -> None:
-        self._store.delete(repr(key_value))
+    def _delete(self, primary_key) -> None:
+        if primary_key is None:
+            return
+        if self._keyed_by_primary_key:
+            self._store.delete(repr(primary_key))
+            return
+        index = self.relation_key_index
+        for store_key, row in list(self._store.all()):
+            if row[index] == primary_key:
+                self._store.delete(store_key)
 
     def _join(self, stream_row: list, timestamp_ms: int, out_rows: list,
               out_ts: list) -> None:

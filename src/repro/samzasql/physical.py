@@ -15,6 +15,78 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from repro.common.errors import PlannerError
+from repro.serde.base import Serde
+from repro.serde.state_codecs import ordered_key_serde, positional_value_serde
+from repro.sql.types import SQL_TO_AVRO, SqlType
+
+#: Avro kind a stored SQL value is written as.  State holds Python ints,
+#: so INTEGER is written as a long: no int32 range check at commit.
+_STATE_AVRO = {**SQL_TO_AVRO, SqlType.INTEGER: "long"}
+
+
+@dataclass
+class StoreLayout:
+    """How one operator store is typed, as the planner derives it.
+
+    ``key`` is the key's component kinds — one kind for scalar keys, a
+    list for tuple keys (see :mod:`repro.serde.state_codecs`).  Values are
+    rows (``row``: ``[name, SQL type]`` per list position), records
+    (``record``: ``[name, SQL type]`` per dict field), or either one in a
+    store that holds both.  ``fallback`` says why the values keep the
+    object serde: a field the SQL → Avro mapping cannot type, or values
+    that are not rows at all.  The key always gets the ordered codec.
+    The codecs' names in the job config are the layouts themselves, so
+    config and ``EXPLAIN`` read alike.
+    """
+
+    key: Any
+    row: Optional[list[list[str]]] = None
+    record: Optional[list[list[str]]] = None
+    fallback: Optional[str] = None
+
+    @staticmethod
+    def typed(key: Any, row: list | None = None,
+              record: list | None = None) -> "StoreLayout":
+        """A layout over typed fields; falls back to the object serde
+        for its values when one of them has no Avro mapping."""
+        untyped = [f"field {name!r} is {sql_type}"
+                   for name, sql_type in [*(row or ()), *(record or ())]
+                   if SqlType(sql_type) not in _STATE_AVRO]
+        return StoreLayout(key, row, record,
+                           untyped[0] if untyped else None)
+
+    @property
+    def key_serde_name(self) -> str:
+        if isinstance(self.key, str):
+            return f"ordered:{self.key}"
+        kinds = ", ".join(self.key)
+        return f"ordered:({kinds}{',' if len(self.key) == 1 else ''})"
+
+    @property
+    def msg_serde_name(self) -> str:
+        """``object``, or the value layout: ``row(...)``, ``record(...)``
+        or both joined by ``|``."""
+        if self.fallback is not None:
+            return "object"
+        shapes = [f"{shape}({', '.join(f'{n} {t}' for n, t in fields)})"
+                  for shape, fields in (("row", self.row),
+                                        ("record", self.record))
+                  if fields is not None]
+        return "|".join(shapes)
+
+    def key_serde(self) -> Serde:
+        return ordered_key_serde(
+            self.key if isinstance(self.key, str) else tuple(self.key))
+
+    def msg_serde(self) -> Serde | None:
+        """The typed value codec, or None when the values keep ``object``."""
+        if self.fallback is not None:
+            return None
+        return positional_value_serde(
+            None if self.row is None
+            else tuple(_STATE_AVRO[SqlType(t)] for _n, t in self.row),
+            None if self.record is None
+            else tuple((n, _STATE_AVRO[SqlType(t)]) for n, t in self.record))
 
 
 @dataclass
@@ -71,7 +143,7 @@ class ProjectNode(PhysicalNode):
 class SlidingWindowNode(PhysicalNode):
     """Algorithm 1: per-tuple advance + emit over changelog-backed state."""
 
-    partition_key_source: str       # renders to a list (the PARTITION BY values)
+    partition_key_source: str       # renders the partition key's tuple
     order_source: str               # renders the ORDER BY timestamp
     frame_mode: str                 # RANGE or ROWS
     preceding_ms: Optional[int]
@@ -168,6 +240,11 @@ class StreamRelationJoinNode(PhysicalNode):
     def __post_init__(self) -> None:
         self.kind = "stream_relation_join"
 
+    @property
+    def store_name(self) -> str:
+        """The task-local store caching the relation."""
+        return f"sql-relation-{self.relation.lower()}"
+
 
 @dataclass
 class InsertNode(PhysicalNode):
@@ -224,16 +301,21 @@ class PhysicalPlan:
     root: PhysicalNode
     input_streams: list[str]
     bootstrap_streams: list[str]
-    store_names: list[str]
+    stores: dict[str, StoreLayout]  # every operator store, by name
     output_stream: str
     relation_output: bool = False  # output topic is a compacted changelog
+
+    @property
+    def store_names(self) -> list[str]:
+        return list(self.stores)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "root": self.root.to_dict(),
             "input_streams": self.input_streams,
             "bootstrap_streams": self.bootstrap_streams,
-            "store_names": self.store_names,
+            "stores": {name: asdict(layout)
+                       for name, layout in self.stores.items()},
             "output_stream": self.output_stream,
             "relation_output": self.relation_output,
         }
@@ -244,7 +326,8 @@ class PhysicalPlan:
             root=node_from_dict(payload["root"]),
             input_streams=list(payload["input_streams"]),
             bootstrap_streams=list(payload["bootstrap_streams"]),
-            store_names=list(payload["store_names"]),
+            stores={name: StoreLayout(**layout)
+                    for name, layout in payload["stores"].items()},
             output_stream=payload["output_stream"],
             relation_output=bool(payload.get("relation_output", False)),
         )

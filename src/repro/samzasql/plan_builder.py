@@ -7,7 +7,9 @@ bounds and key family read off the join condition by
 :func:`~repro.sql.rel.multi_join.analyze_multi_join`, §3.8.1)
 or stream-to-relation (relation side becomes a bootstrap changelog store,
 §4.4), and reject shapes the streaming runtime cannot execute (unwindowed
-aggregates over unbounded streams, streaming a pure table...).
+aggregates over unbounded streams, streaming a pure table...).  Each
+operator store gets a :class:`~repro.samzasql.physical.StoreLayout` from
+the row types at hand, which picks its codecs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.samzasql.physical import (
     ProjectNode,
     ScanNode,
     SlidingWindowNode,
+    StoreLayout,
     StreamRelationJoinNode,
 )
 from repro.sql.catalog import Catalog, StreamDefinition, TableDefinition
@@ -51,6 +54,20 @@ from repro.sql.rex import (
 from repro.sql.types import SqlType
 
 
+#: The ordered-key component each SQL type is stored as (see
+#: :mod:`repro.serde.state_codecs`); other types have none.
+_KEY_KINDS = {
+    SqlType.VARCHAR: "str",
+    SqlType.INTEGER: "int",
+    SqlType.BIGINT: "int",
+    SqlType.TIMESTAMP: "int",
+    SqlType.INTERVAL: "int",
+}
+
+#: A multi-way join bucket's index record: rows buffered, next seq.
+_JOIN_INDEX_RECORD = [["count", "BIGINT"], ["seq", "BIGINT"]]
+
+
 def _contains_stream(node: RelNode) -> bool:
     if isinstance(node, LogicalScan):
         return node.is_stream
@@ -66,6 +83,20 @@ def _render_list(exprs) -> str:
     return "[" + ", ".join(render(e) for e in exprs) + "]"
 
 
+def _row_fields(row_type) -> list[list[str]]:
+    return [[f.name, f.type.value] for f in row_type.fields]
+
+
+def _field(expr: RexNode | None, row_type, name: str) -> list[str]:
+    """``[name, SQL type]`` of a stored expression: an input field keeps
+    its own name; COUNT(*)'s absent argument is an always-null BIGINT."""
+    if expr is None:
+        return [name, SqlType.BIGINT.value]
+    if isinstance(expr, RexInputRef):
+        name = row_type.fields[expr.index].name
+    return [name, expr.type.value]
+
+
 class PhysicalPlanBuilder:
     """One-shot builder: collects job requirements while lowering."""
 
@@ -73,7 +104,7 @@ class PhysicalPlanBuilder:
         self.catalog = catalog
         self.input_streams: list[str] = []
         self.bootstrap_streams: list[str] = []
-        self.store_names: list[str] = []
+        self.stores: dict[str, StoreLayout] = {}
         self._multi_join_count = 0  # stream-to-stream joins lowered
 
     def build(self, logical: RelNode, output_stream: str,
@@ -115,7 +146,7 @@ class PhysicalPlanBuilder:
             root=insert,
             input_streams=list(dict.fromkeys(self.input_streams)),
             bootstrap_streams=list(dict.fromkeys(self.bootstrap_streams)),
-            store_names=list(dict.fromkeys(self.store_names)),
+            stores=dict(self.stores),
             output_stream=output_stream,
             relation_output=key_indexes is not None,
         )
@@ -170,8 +201,23 @@ class PhysicalPlanBuilder:
         )
 
     def _lower_sliding_window(self, node: LogicalWindowAgg) -> PhysicalNode:
+        """The window's stores: ``sql-window-messages`` holds ``(partition
+        key..., seq) → [order value, *aggregate arguments]`` — what a
+        rebuild reads, not the whole input row — and ``sql-window-state``
+        holds ``(partition key...) → {seq}``.  The partition key is its
+        typed values when each has an ordered-key kind, else one string
+        (their ``repr``)."""
+        exprs = node.partition_exprs
+        kinds = [_KEY_KINDS.get(expr.type) for expr in exprs]
+        if all(kinds):
+            partition_source = "(" + "".join(
+                render(expr) + ", " for expr in exprs) + ")"
+        else:
+            partition_source = f"(repr({_render_list(exprs)}),)"
+            kinds = ["str"]
+        input_type = node.input.row_type
         physical = SlidingWindowNode(
-            partition_key_source=_render_list(node.partition_exprs),
+            partition_key_source=partition_source,
             order_source=render(node.order_expr),
             frame_mode=node.frame_mode,
             preceding_ms=node.preceding_ms,
@@ -180,7 +226,13 @@ class PhysicalPlanBuilder:
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
-        self.store_names.extend(["sql-window-messages", "sql-window-state"])
+        self.stores["sql-window-messages"] = StoreLayout.typed(
+            [*kinds, "int"],
+            row=[_field(node.order_expr, input_type, "order"),
+                 *(_field(call.arg, input_type, call.name)
+                   for call in node.agg_calls)])
+        self.stores["sql-window-state"] = StoreLayout.typed(
+            kinds, record=[["seq", SqlType.BIGINT.value]])
         return physical
 
     def _lower_aggregate(self, node: LogicalAggregate) -> PhysicalNode:
@@ -207,7 +259,8 @@ class PhysicalPlanBuilder:
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
-        self.store_names.append("sql-group-windows")
+        self.stores["sql-group-windows"] = StoreLayout(
+            "str", fallback="accumulators and the meta record are not rows")
         return physical
 
     # -- joins ---------------------------------------------------------------------------
@@ -308,7 +361,12 @@ class PhysicalPlanBuilder:
             store_prefix=prefix,
         )
         physical.inputs = [self._lower(child) for child in inputs]
-        self.store_names.extend(f"{prefix}{i}" for i in range(k))
+        # (bucket, seq) → buffered row; (bucket, -1) → the bucket's index
+        # record, which sorts ahead of its rows
+        for i, child in enumerate(inputs):
+            self.stores[f"{prefix}{i}"] = StoreLayout.typed(
+                ["int", "int"], row=_row_fields(child.row_type),
+                record=_JOIN_INDEX_RECORD)
         return physical
 
     def _lower_stream_relation(self, node: LogicalJoin,
@@ -355,7 +413,8 @@ class PhysicalPlanBuilder:
         physical.inputs = [self._lower(stream_side)]
         self.input_streams.append(definition.changelog_topic)
         self.bootstrap_streams.append(definition.changelog_topic)
-        self.store_names.append(f"sql-relation-{definition.name.lower()}")
+        self.stores[physical.store_name] = StoreLayout.typed(
+            "str", row=_row_fields(definition.row_type))
         return physical
 
     # -- condition analysis -------------------------------------------------------------------

@@ -10,8 +10,8 @@ a custom JDBC driver).  ``execute`` takes one statement and:
   *first* planning phase: logical planning + optimization, lowering to the
   physical plan, writing the plan JSON to ZooKeeper, generating the Samza
   job configuration (input streams, bootstrap flags, serdes, stores with
-  changelogs), and submitting the job through the YARN client.  Returns a
-  :class:`QueryHandle`.
+  changelogs and plan-derived codecs), and submitting the job through the
+  YARN client.  Returns a :class:`QueryHandle`.
 """
 
 from __future__ import annotations
@@ -41,19 +41,9 @@ from repro.serde.avro import AvroSchema, AvroSerde
 from repro.serde.json_serde import JsonSerde
 from repro.sql.catalog import Catalog, StreamDefinition, TableDefinition
 from repro.sql.planner import QueryPlanner
-from repro.sql.types import RowType, SqlType
+from repro.sql.types import SQL_TO_AVRO, RowType
 from repro.zk.client import ZkClient
 from repro.zk.server import ZkServer
-
-_SQL_TO_AVRO = {
-    SqlType.BOOLEAN: "boolean",
-    SqlType.INTEGER: "int",
-    SqlType.BIGINT: "long",
-    SqlType.DOUBLE: "double",
-    SqlType.VARCHAR: "string",
-    SqlType.TIMESTAMP: "long",
-    SqlType.INTERVAL: "long",
-}
 
 
 def _nullable_row_type(schema: AvroSchema) -> RowType:
@@ -70,7 +60,7 @@ def sql_row_type_to_avro(name: str, row_type: RowType) -> AvroSchema | None:
     """
     fields = []
     for f in row_type.fields:
-        avro_type = _SQL_TO_AVRO.get(f.type)
+        avro_type = SQL_TO_AVRO.get(f.type)
         if avro_type is None:
             return None
         fields.append((f.name, ["null", avro_type]))
@@ -344,8 +334,10 @@ class SamzaSQLShell:
 
     def _explain_report(self, planned, containers: int, overrides: dict,
                         relation_key: list[str] | None) -> str:
-        """The EXPLAIN report: logical plan, physical operator chain, and
-        the per-task execution decision with its fallback reasons.
+        """The EXPLAIN report: logical plan, physical operator chain, the
+        serdes each operator store is configured with (and why its values
+        fell back to ``object``), and the per-task execution decision
+        with its fallback reasons.
 
         Runs the exact planning pipeline a submission would — physical
         lowering, job config, and the same
@@ -369,6 +361,13 @@ class SamzaSQLShell:
 
         serdes, config = self._job_config(
             "explain", plan, planned.plan.row_type, containers, -1, overrides)
+        for store, layout in plan.stores.items():
+            prefix = f"stores.{store}."
+            lines.append(
+                f"store {store}: key.serde={config.get(prefix + 'key.serde')}"
+                f", msg.serde={config.get(prefix + 'msg.serde')}"
+                + (f" (fallback: {layout.fallback})" if layout.fallback
+                   else ""))
 
         # One task per input partition (GroupByPartitionId), like the job
         # would get; fall back to the container count for unknown topics.
@@ -539,12 +538,17 @@ class SamzaSQLShell:
         config[prefix + "msg.serde"] = output_serde_name
         config[prefix + "key.serde"] = "string"
 
-        # Stores: changelog-backed, generic-object ("Kryo") serdes — the
-        # deserialization cost the paper measures in the join benchmark.
-        for store in plan.store_names:
+        # Stores: changelog-backed, with the codecs each store's layout
+        # names — ordered keys, positional values; values that are not
+        # typed rows keep the generic object serde.
+        for store, layout in plan.stores.items():
             config[f"stores.{store}.changelog"] = f"kafka.{query_id}-{store}-changelog"
-            config[f"stores.{store}.key.serde"] = "object"
-            config[f"stores.{store}.msg.serde"] = "object"
+            serdes.register(layout.key_serde_name, layout.key_serde())
+            config[f"stores.{store}.key.serde"] = layout.key_serde_name
+            msg_serde = layout.msg_serde()
+            if msg_serde is not None:
+                serdes.register(layout.msg_serde_name, msg_serde)
+            config[f"stores.{store}.msg.serde"] = layout.msg_serde_name
 
         # Monitoring: every job reports snapshots — except jobs that *consume*
         # __metrics, which must not also produce to it (feedback loop).

@@ -34,7 +34,8 @@ from repro.samzasql.decision import (
 )
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.group_window import GroupWindowAggOperator
-from repro.samzasql.operators.router import build_router
+from repro.samzasql.operators.router import build_router, changelog_key_types
+from repro.samzasql.operators.stream_relation_join import ChangelogTombstone
 from repro.samzasql.physical import PhysicalPlan
 from repro.samzasql.serde_plan import compile_serde_fused
 from repro.zk.client import ZkClient
@@ -77,6 +78,7 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         self._early_emit = False
         self._executor = None
         self._decision: ExecutionDecision | None = None
+        self._changelog_key_types: dict[str, str] = {}
         #: Streams the container should deliver *undecoded* (the
         #: serde-fused fast path); empty when the fallback path runs.
         self.raw_input_streams: frozenset[str] = frozenset()
@@ -125,7 +127,18 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         if interpreted and decision.sampled:
             route_batch = TimingSampler(route_batch, operators).route_batch
         self._route_batch = route_batch
+        self._changelog_key_types = changelog_key_types(plan)
         self._early_emit = config.get_bool("samzasql.window.early.emit", False)
+
+    def _tombstones(self, stream: str, keys: list, messages: list) -> list:
+        """A relation changelog's null records as the
+        :class:`ChangelogTombstone` s of their keys; other streams, and
+        batches without one, pass unchanged."""
+        key_type = self._changelog_key_types.get(stream)
+        if key_type is None or None not in messages:
+            return messages
+        return [ChangelogTombstone.typed(key, key_type) if message is None
+                else message for key, message in zip(keys, messages)]
 
     def process_batch_raw(self, ssp, records: list,
                           collector: MessageCollector,
@@ -145,8 +158,9 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
                 coordinator: TaskCoordinator) -> None:
         """One decoded message: a batch of one."""
         self._sink.collector = collector
-        self._route_batch(envelope.stream, [envelope.message],
-                          [envelope.timestamp_ms])
+        self._route_batch(envelope.stream, self._tombstones(
+            envelope.stream, [envelope.key], [envelope.message]),
+            [envelope.timestamp_ms])
         self._router.flush_sinks()
 
     def process_batch(self, ssp, records: list, keys: list, messages: list,
@@ -160,7 +174,8 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         """
         self._sink.collector = collector
         timestamps = [record.timestamp_ms for record in records]
-        self._route_batch(ssp.stream, messages, timestamps)
+        self._route_batch(ssp.stream, self._tombstones(
+            ssp.stream, keys, messages), timestamps)
         self._router.flush_sinks()
 
     def window(self, collector: MessageCollector,

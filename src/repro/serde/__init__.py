@@ -10,6 +10,9 @@ SamzaSQL paper's evaluation hinges on the relative cost of two of them:
 
 The paper attributes SamzaSQL's join slowdown to generic deserialisation
 being >2x slower than Avro; the two codecs here reproduce that mechanism.
+SQL operator state does not pay it: :mod:`repro.serde.state_codecs`
+compiles an order-preserving key codec and a positional value codec per
+store layout the planner derives.
 """
 
 from repro.serde.base import (

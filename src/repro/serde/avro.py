@@ -250,6 +250,25 @@ def field_write_src(var: str, kind: str, level: int,
     ]
 
 
+def field_encode_src(i: int, var: str, kind: str, null_index: int | None,
+                     level: int) -> list[str]:
+    """Source lines writing flat field ``i``, held in ``var`` — a bare
+    primitive, or one in a two-branch null union — through the
+    :func:`field_write_src` fast path, with the gate closed by a call to
+    the field's closure encoder ``slow{i}(var, out)``."""
+    pad = " " * 4 * level
+    slow = [f"{pad}else:", f"{pad}    slow{i}({var}, out)"]
+    if null_index is None:
+        return field_write_src(var, kind, level, None) + slow
+    null_byte = 0 if null_index == 0 else 2
+    gate = field_write_src(var, kind, level, 2 - null_byte)
+    return [f"{pad}if {var} is None:",
+            f"{pad}    out.append({null_byte})",
+            f"{pad}el{gate[0].lstrip()}",
+            *gate[1:],
+            *slow]
+
+
 class AvroSchema:
     """A parsed, compiled Avro schema.
 
@@ -780,21 +799,8 @@ class AvroSchema:
                 # No inline fast path for this field shape — always its
                 # closure encoder.
                 body.append(f"        slow{i}(v, out)")
-            elif null_index is None:
-                body += field_write_src("v", kind, 2, None)
-                body += ["        else:", f"            slow{i}(v, out)"]
             else:
-                null_byte = 0 if null_index == 0 else 2
-                prim_byte = 2 - null_byte
-                body += [
-                    "        if v is None:",
-                    f"            out.append({null_byte})",
-                    *(f"        el{line.lstrip()}" if n == 0 else line
-                      for n, line in enumerate(
-                          field_write_src("v", kind, 2, prim_byte))),
-                    "        else:",
-                    f"            slow{i}(v, out)",
-                ]
+                body += field_encode_src(i, "v", kind, null_index, 2)
         source = "\n".join([
             "def enc(datum, out):",
             "    if not isinstance(datum, dict):",

@@ -16,11 +16,11 @@ Rows are Python lists (the paper's array-tuple representation, Figure 4);
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import Any, Callable
 
+from repro.common.codegen import compile_source
 from repro.common.errors import PlannerError
 from repro.sql.rex import RexCall, RexInputRef, RexLiteral, RexNode
 from repro.sql.types import SqlType
@@ -81,7 +81,7 @@ CODEGEN_NAMESPACE: dict[str, Any] = {
     "_sqrt": math.sqrt,
     "__builtins__": {"abs": abs, "max": max, "min": min, "len": len,
                      "str": str, "float": float, "bool": bool, "int": int,
-                     "zip": zip},
+                     "zip": zip, "repr": repr},
 }
 
 _COMPARISON = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -202,20 +202,6 @@ def render(node: RexNode, var: str = "r", left_width: int | None = None,
         raise PlannerError(f"no code generation rule for operator {op!r}")
 
     return go(node)
-
-
-@functools.lru_cache(maxsize=1024)
-def compile_source(source: str, filename: str, mode: str):
-    """``compile()`` memoized on the source text.
-
-    Every task of a job (one per input partition), a container relaunched
-    after a kill and a repeat submission of the same statement all
-    generate identical text, so they share one immutable code object;
-    each caller still ``exec``s/``eval``s it into its own namespace, so
-    no function object or constant is shared.  Keyed by what it compiles,
-    the cache never needs invalidating.
-    """
-    return compile(source, filename, mode)
 
 
 def compile_lambda(source: str, params: str = "r") -> Callable:

@@ -30,6 +30,18 @@ class SqlType(enum.Enum):
         return self is SqlType.TIMESTAMP
 
 
+#: The Avro primitive each SQL type is written as; ANY has none.
+SQL_TO_AVRO = {
+    SqlType.BOOLEAN: "boolean",
+    SqlType.INTEGER: "int",
+    SqlType.BIGINT: "long",
+    SqlType.DOUBLE: "double",
+    SqlType.VARCHAR: "string",
+    SqlType.TIMESTAMP: "long",
+    SqlType.INTERVAL: "long",
+}
+
+
 def common_numeric_type(a: SqlType, b: SqlType) -> SqlType:
     """Result type for arithmetic between two numeric operands."""
     if not (a.is_numeric or a is SqlType.ANY) or not (b.is_numeric or b is SqlType.ANY):

@@ -179,7 +179,7 @@ FILTER_PLAN_GOLDEN = (
     '"rowtime_index":0,"stream":"Orders"}],"kind":"filter",'
     '"predicate_source":"(r[3] > 50)"}],"key_field_indexes":null,"kind":'
     '"insert","output_stream":"out","partition_key_index":null,'
-    '"rowtime_index":0},"store_names":[]}'
+    '"rowtime_index":0},"stores":{}}'
 )
 
 

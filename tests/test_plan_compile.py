@@ -267,6 +267,53 @@ class TestExplain:
         assert ("interpreted (fallback: stateful operator: sliding_window)"
                 in report)
 
+    STATEFUL = {
+        "window": WINDOW_SQL,
+        "relation-join": (
+            "SELECT STREAM Orders.rowtime, Orders.orderId, Products.supplierId "
+            "FROM Orders JOIN Products ON Orders.productId = Products.productId"),
+        "group-window": (
+            "SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c FROM Orders "
+            "GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)"),
+    }
+
+    @pytest.mark.parametrize("query", sorted(STATEFUL))
+    def test_store_lines_name_the_serdes_containers_resolve(self, query):
+        """One line per store: the key codec, the value layout or
+        ``object`` with the reason — the names the job config gives the
+        store, which the containers resolve to the codecs they run."""
+        from repro.serde import ObjectSerde
+        from repro.serde.state_codecs import (
+            OrderedKeySerde,
+            PositionalValueSerde,
+        )
+
+        dep = Deployment().with_orders(5).with_products(3)
+        report = dep.shell.execute("EXPLAIN " + self.STATEFUL[query])
+        handle = dep.run(self.STATEFUL[query])
+        store_lines = [line for line in report.splitlines()
+                       if line.startswith("store ")]
+        assert len(store_lines) == len(handle.plan.stores)
+        for container in handle.master.samza_containers.values():
+            for store, layout in handle.plan.stores.items():
+                key_name = container.config.get(f"stores.{store}.key.serde")
+                msg_name = container.config.get(f"stores.{store}.msg.serde")
+                assert (f"store {store}: key.serde={key_name}, "
+                        f"msg.serde={msg_name}") in store_lines[
+                            list(handle.plan.stores).index(store)]
+                assert isinstance(container.serdes.get(key_name),
+                                  OrderedKeySerde)
+                msg_serde = container.serdes.get(msg_name)
+                if layout.fallback is None:
+                    assert isinstance(msg_serde, PositionalValueSerde)
+                else:
+                    assert isinstance(msg_serde, ObjectSerde)
+                    assert f"(fallback: {layout.fallback})" in report
+        if query == "window":
+            assert ("store sql-window-messages: key.serde=ordered:(int, int), "
+                    "msg.serde=row(rowtime TIMESTAMP, units INTEGER)"
+                    in store_lines)
+
     def test_batch_query_reports_no_job(self):
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(

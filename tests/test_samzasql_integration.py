@@ -6,8 +6,9 @@ YARN submission, Samza containers, and the operator layer.
 
 import pytest
 
+from repro.chaos.validate import restored_entries
 from repro.common import PlannerError
-from repro.serde import ObjectSerde
+from repro.samzasql.operators.multi_way_join import INDEX_SEQ
 
 from tests.samzasql_fixtures import Deployment, cascade_planner, reference_arm
 
@@ -132,6 +133,27 @@ class TestStreamRelationJoin:
         assert after[203] == 99          # new order sees the update
         assert after[3] == before[3] == 0  # old output unchanged
 
+    def test_relation_tombstone_deletes_the_row(self):
+        """A changelog tombstone removes the product from the cache (it
+        used to crash the container, and every relaunch replayed it):
+        orders fed after it join exactly as the same SQL without STREAM
+        joins them against the table's latest state."""
+        deployment = Deployment().with_orders(10).with_products(10)
+        handle = deployment.run(self.SQL)
+        deployment.producer.send("Products-changelog", None, key=b"1")
+        deployment.runner.run_until_quiescent()
+        deployment.feed_orders(20, start_ts=5_000_000, start_id=200)
+        deployment.runner.run_until_quiescent()
+
+        def later(rows):
+            return sorted((row for row in rows if row["orderId"] >= 200),
+                          key=lambda row: row["orderId"])
+
+        streamed = later(handle.results())
+        assert streamed == later(deployment.shell.execute(
+            self.SQL.replace("SELECT STREAM", "SELECT")))
+        assert len(streamed) == 18              # product 1's two orders gone
+
     def test_bootstrap_happens_before_stream(self):
         """Orders produced before the job starts must still all join — the
         relation is fully bootstrapped before stream processing."""
@@ -164,6 +186,25 @@ class TestSlidingWindowQuery:
                 if pid == record["productId"]
                 and record["rowtime"] - window_ms <= ts <= record["rowtime"])
             assert record["unitsLastFiveMinutes"] == expected
+
+    def test_partition_by_a_boolean_matches_the_table_query(self):
+        """A BOOLEAN has no ordered-key kind, so this window's partition
+        key is stored as one repr string; what it computes must not
+        change, and a replacement container must rebuild from it."""
+        sql = ("SELECT STREAM rowtime, orderId, COUNT(*) OVER (PARTITION BY "
+               "productId, units > 50 ORDER BY rowtime RANGE INTERVAL "
+               "'5' MINUTE PRECEDING) c FROM Orders")
+        deployment = Deployment(partitions=2).with_orders(40, step_ms=20_000)
+        handle = deployment.run(sql, containers=2, config_overrides={
+            "task.checkpoint.interval.messages": "7"})
+        deployment.runner.kill_container(handle.master, index=0)
+        deployment.feed_orders(40, start_ts=1_800_000, step_ms=20_000,
+                               start_id=100)
+        deployment.runner.run_until_quiescent()
+        assert restored_entries(handle.master) > 0
+        streamed = {r["orderId"]: r for r in handle.results()}  # dedup replays
+        table = deployment.shell.execute(sql.replace("SELECT STREAM", "SELECT"))
+        assert streamed == {r["orderId"]: r for r in table}
 
     def test_old_rows_leave_the_window(self):
         deployment = Deployment(partitions=1)
@@ -576,14 +617,14 @@ class TestFaultTolerance:
             assert record["unitsLastFiveMinutes"] == expected
 
 
-def _without_arrival_seq(key, value):
+def _without_arrival_seq(store, key, value):
     """Join stores number buffered rows in arrival order, which depends on
     how the inputs interleave — exactly what the poll size changes."""
-    if key[0] == "r":                                # join row entry
-        return key[:2], value
-    if key[0] == "b":                                # join bucket index
+    if not store.startswith("sql-mjoin"):
+        return key, value
+    if key[1] == INDEX_SEQ:                          # join bucket index
         return key, value["count"]
-    return key, value
+    return key[:1], value                            # join row entry
 
 
 class TestBatchSingleEquivalence:
@@ -635,18 +676,22 @@ class TestBatchSingleEquivalence:
     @staticmethod
     def _restored_stores(deployment: Deployment, handle) -> dict:
         """What a replacement container would restore: each changelog
-        partition replayed (latest value per key, None is a tombstone)."""
-        serde = ObjectSerde()
+        partition replayed (latest value per key, None is a tombstone) and
+        decoded with the store serdes the job configures."""
+        job = handle.master.job
         cluster = deployment.cluster
         restored = {}
         for store in handle.plan.store_names:
+            key_serde = job.serdes.get(job.config[f"stores.{store}.key.serde"])
+            msg_serde = job.serdes.get(job.config[f"stores.{store}.msg.serde"])
             topic = f"{handle.query_id}-{store}-changelog"
             for tp in cluster.partitions_for(topic):
                 latest = {message.key: message.value for message
                           in cluster.fetch(tp, cluster.earliest_offset(tp))}
                 restored[store, tp.partition] = sorted(
-                    repr(_without_arrival_seq(serde.from_bytes(key),
-                                              serde.from_bytes(value)))
+                    repr(_without_arrival_seq(store,
+                                              key_serde.from_bytes(key),
+                                              msg_serde.from_bytes(value)))
                     for key, value in latest.items() if value is not None)
         return restored
 

@@ -19,8 +19,13 @@ from repro.samzasql.operators import (
     StreamRelationJoinOperator,
 )
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.samzasql.operators.stream_relation_join import RELATION_PORT, STREAM_PORT
-from repro.samzasql.physical import AggSpec
+from repro.samzasql.operators.multi_way_join import INDEX_SEQ
+from repro.samzasql.operators.stream_relation_join import (
+    RELATION_PORT,
+    STREAM_PORT,
+    ChangelogTombstone,
+)
+from repro.samzasql.physical import AggSpec, StoreLayout
 from repro.serde import ObjectSerde
 
 
@@ -35,12 +40,47 @@ class Sink(Operator):
         self.rows.extend(zip(rows, timestamps))
 
 
-def make_context(store_names=()):
-    stores = {
-        name: SerializedKeyValueStore(InMemoryKeyValueStore(),
-                                      ObjectSerde(), ObjectSerde())
-        for name in store_names
+# -- the stores, typed as the planner types them for these tests' rows -------
+
+
+def window_stores(aggs, partition_kind="str"):
+    """``(key, rowtime, value)`` rows partitioned by ``r[1]``: messages
+    hold ``[order, *arguments]``, the state record the next seq."""
+    return {
+        "sql-window-messages": StoreLayout.typed(
+            [partition_kind, "int"],
+            row=[["rowtime", "TIMESTAMP"],
+                 *([spec.func, "BIGINT"] for spec in aggs)]),
+        "sql-window-state": StoreLayout.typed(
+            [partition_kind], record=[["seq", "BIGINT"]]),
     }
+
+
+def join_stores(k):
+    """``[ts, key]`` rows per port, and each bucket's index record."""
+    return {
+        f"sql-mjoin-{port}": StoreLayout.typed(
+            ["int", "int"], row=[["ts", "TIMESTAMP"], ["key", "VARCHAR"]],
+            record=[["count", "BIGINT"], ["seq", "BIGINT"]])
+        for port in range(k)
+    }
+
+
+RELATION_STORES = {"sql-relation-products": StoreLayout.typed(
+    "str", row=[["productId", "INTEGER"], ["supplierId", "INTEGER"]])}
+GROUP_STORES = {"sql-group-windows": StoreLayout("str", fallback="test")}
+
+
+def typed_store(layout, backing=None):
+    """The serialized layer over ``backing`` with ``layout``'s codecs."""
+    return SerializedKeyValueStore(
+        InMemoryKeyValueStore() if backing is None else backing,
+        layout.key_serde(), layout.msg_serde() or ObjectSerde())
+
+
+def make_context(layouts=None):
+    stores = {name: typed_store(layout)
+              for name, layout in (layouts or {}).items()}
     sent = []
     context = OperatorContext(
         stores, send_batch=lambda entries: sent.extend(
@@ -48,8 +88,8 @@ def make_context(store_names=()):
     return context, sent
 
 
-def wire(operator, store_names=()):
-    context, sent = make_context(store_names)
+def wire(operator, layouts=None):
+    context, sent = make_context(layouts)
     operator.setup(context)
     sink = Sink()
     operator.downstream = sink
@@ -98,13 +138,13 @@ class TestFilterProjectInsert:
 class TestSlidingWindowOperator:
     def _operator(self, preceding_ms=10_000, frame="RANGE", preceding_rows=None,
                   aggs=None):
+        aggs = aggs or [AggSpec(func="SUM", arg_source="r[2]")]
         operator = SlidingWindowOperator(
-            partition_key_source="[r[1]]", order_source="r[0]",
+            partition_key_source="(r[1],)", order_source="r[0]",
             frame_mode=frame, preceding_ms=preceding_ms,
-            preceding_rows=preceding_rows,
-            aggs=aggs or [AggSpec(func="SUM", arg_source="r[2]")],
+            preceding_rows=preceding_rows, aggs=aggs,
             field_names=["rowtime", "key", "value", "agg"])
-        sink, _ = wire(operator, ("sql-window-messages", "sql-window-state"))
+        sink, _ = wire(operator, window_stores(aggs))
         return operator, sink
 
     def test_running_sum_within_range(self):
@@ -159,7 +199,7 @@ class TestSlidingWindowOperator:
             operator.process(0, [ts, "k", value], ts)
         first_final = sink.rows[-1][0][-1]
         # replay the last message (re-delivery after a failure)
-        operator.process(0, [3000, 2, 2], 3000)  # note: same ts, same seq? no
+        operator.process(0, [3000, "k", 2], 3000)  # note: same ts, same seq? no
         # a true replay re-runs with the same content:
         operator2, sink2 = self._operator()
         for ts, value in inputs + [(3000, 2)]:
@@ -172,9 +212,11 @@ class TestSlidingWindowOperator:
             AggSpec(func="MAX", arg_source="r[2]"),
             AggSpec(func="AVG", arg_source="r[2]")]
 
+    STORES = window_stores(AGGS)
+
     def _fresh(self, context):
         operator = SlidingWindowOperator(
-            partition_key_source="[r[1]]", order_source="r[0]",
+            partition_key_source="(r[1],)", order_source="r[0]",
             frame_mode="RANGE", preceding_ms=50, preceding_rows=None,
             aggs=self.AGGS,
             field_names=["rowtime", "key", "value", "s", "c", "mn", "mx", "a"])
@@ -187,20 +229,22 @@ class TestSlidingWindowOperator:
         """A new operator instance over the same stores (changelog-restore
         stand-in) continues producing exactly what an uninterrupted one
         would — accumulators, monotonic MIN/MAX deques and seq counters are
-        all rebuilt from the retained rows and the bounds record."""
-        inputs = [[i * 7 % 120, f"k{i % 3}", (i * 31) % 17] for i in range(40)]
-        stores = ("sql-window-messages", "sql-window-state")
-        context, _ = make_context(stores)
+        all rebuilt from the retained rows and the seq record.  Each key
+        retains rows past seq 127, where a byte order that is not key
+        order would replay them out of order."""
+        inputs = [[i // 10 + i * 7 % 5, f"k{i % 3}", (i * 31) % 17]
+                  for i in range(600)]
+        context, _ = make_context(self.STORES)
         first, sink1 = self._fresh(context)
-        for row in inputs[:25]:
+        for row in inputs[:500]:
             first.process(0, list(row), row[0])
         # "crash": fresh operator, same (already flushed-through) stores
         restored, sink2 = self._fresh(context)
         assert restored.state_size() == first.state_size()
-        for row in inputs[25:]:
+        for row in inputs[500:]:
             restored.process(0, list(row), row[0])
         # reference: one uninterrupted run on fresh stores
-        ref_context, _ = make_context(stores)
+        ref_context, _ = make_context(self.STORES)
         reference, ref_sink = self._fresh(ref_context)
         for row in inputs:
             reference.process(0, list(row), row[0])
@@ -208,24 +252,23 @@ class TestSlidingWindowOperator:
         assert restored.state_size() == reference.state_size()
 
     def test_crash_orphan_is_really_deleted_after_replay(self):
-        """Messages store flushed, bounds record not, restart: the rows of
+        """Messages store flushed, seq record not, restart: the rows of
         the lost interval sit below as orphans.  Replay re-puts each under
         the same key and a later message purges it inside one commit
         interval — the store must send a real delete, not elide it as
         "put and purged, never persisted"."""
-        names = ("sql-window-messages", "sql-window-state")
-        serde = ObjectSerde()
+        names = tuple(self.STORES)
 
         def open_stores(changelogs):
             """Production stack per store, restored from its changelog."""
             stores = {}
-            for name in names:
+            for name, layout in self.STORES.items():
                 memory = InMemoryKeyValueStore()
                 memory.write_batch(changelogs[name])
                 stores[name] = WriteBehindKeyValueStore(
-                    SerializedKeyValueStore(
-                        LoggedKeyValueStore(memory, changelogs[name].extend),
-                        serde, serde), serde)
+                    typed_store(layout, LoggedKeyValueStore(
+                        memory, changelogs[name].extend)),
+                    layout.key_serde())
             return stores
 
         def feed(operator, rows):
@@ -250,7 +293,7 @@ class TestSlidingWindowOperator:
 
         stores = open_stores(changelogs)             # restart from changelogs
         orphans = {key for key, _ in stores["sql-window-messages"].all()
-                   if key[1] in (30, 40)}
+                   if key[1] in (3, 4)}                # the rows of 30, 40
         assert len(orphans) == 2
         restored, sink = self._fresh(OperatorContext(stores, send_batch=None))
         feed(restored, lost + later)                 # replay, then move on
@@ -279,8 +322,7 @@ class TestSlidingWindowOperator:
 
     def test_state_size_counter_matches_store(self):
         """The O(1) retained-row counter tracks the messages store exactly."""
-        stores = ("sql-window-messages", "sql-window-state")
-        context, _ = make_context(stores)
+        context, _ = make_context(self.STORES)
         operator, _sink = self._fresh(context)
         messages = context.get_store("sql-window-messages")
         for i in range(60):
@@ -296,7 +338,7 @@ class TestGroupWindowOperator:
             aggs=[AggSpec(func="COUNT", arg_source=None),
                   AggSpec(func="SUM", arg_source="r[2]")],
             field_names=["wstart", "wend", "key", "c", "s"])
-        sink, _ = wire(operator, ("sql-group-windows",))
+        sink, _ = wire(operator, GROUP_STORES)
         return operator, sink
 
     def test_tumble_emits_on_watermark(self):
@@ -368,19 +410,42 @@ class TestGroupWindowOperator:
 
 
 class TestStreamRelationJoinOperator:
-    def _operator(self, kind="INNER", with_keys=True):
+    def _operator(self, kind="INNER", with_keys=True, join_field=0):
         operator = StreamRelationJoinOperator(
             relation="Products",
             relation_field_names=["productId", "supplierId"],
             relation_key_index=0, stream_is_left=True,
             stream_width=2, relation_width=2,
-            condition_source="(l[1] == r[0])",
+            condition_source=f"(l[1] == r[{join_field}])",
             stream_key_source="r[1]" if with_keys else None,
-            relation_key_source="r[0]" if with_keys else None,
+            relation_key_source=f"r[{join_field}]" if with_keys else None,
             join_kind=kind,
             field_names=["rowtime", "productId", "productId0", "supplierId"])
-        sink, _ = wire(operator, (operator.store_name,))
+        sink, _ = wire(operator, RELATION_STORES)
         return operator, sink
+
+    @pytest.mark.parametrize("join_field", [0, 1],
+                             ids=["primary-key", "other-field"])
+    def test_tombstone_deletes_the_cached_row(self, join_field):
+        """A tombstone names the row by its primary key, whatever field
+        the cache is keyed by."""
+        operator, sink = self._operator(join_field=join_field)
+        operator.process_batch(RELATION_PORT, [
+            [7, 70], [8, 80], ChangelogTombstone(7),
+            ChangelogTombstone(None), ChangelogTombstone(9)], [0] * 5)
+        assert operator.state_size() == 1
+        for probe in (7, 70, 8, 80):
+            operator.process(STREAM_PORT, [1000, probe], 1000)
+        assert [row for row, _ in sink.rows] == [[1000, 8, 8, 80]
+                                                 if join_field == 0 else
+                                                 [1000, 80, 8, 80]]
+
+    def test_tombstone_key_is_typed_like_the_key_field(self):
+        assert ChangelogTombstone.typed("1", "INTEGER").key == 1
+        assert ChangelogTombstone.typed("1", "VARCHAR").key == "1"
+        assert ChangelogTombstone.typed("2.5", "DOUBLE").key == 2.5
+        assert ChangelogTombstone.typed("x", "BIGINT").key is None
+        assert ChangelogTombstone.typed(None, "INTEGER").key is None
 
     def test_inner_join_matches(self):
         operator, sink = self._operator()
@@ -429,7 +494,7 @@ def binary_join(lower=2000, upper=2000):
 
 
 class TestStreamStreamJoinOperator:
-    STORES = ("sql-mjoin-0", "sql-mjoin-1")
+    STORES = join_stores(2)
 
     def _operator(self, lower=2000, upper=2000):
         operator = binary_join(lower, upper)
@@ -530,7 +595,7 @@ class TestStreamStreamJoinOperator:
 
 
 class TestMultiWayStreamJoinOperator:
-    STORES = ("sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2")
+    STORES = join_stores(3)
 
     def _make(self, bound=2000, bucket_ms=500):
         k = 3
@@ -637,15 +702,18 @@ class TestMultiWayStreamJoinOperator:
         first.downstream = Sink()
         first.setup(context)
         first.process(0, [1000, "p"], 1000)
-        # simulate an orphan row entry past the index record's seq fence
+        # simulate orphan row entries past the index record's seq fence,
+        # and in a bucket with no index record at all
         bucket_id = 1000 // first.bucket_ms
-        context.get_store("sql-mjoin-0").put(
-            ("r", bucket_id, 999), ["p", 1010, [1010, "p"]])
+        store = context.get_store("sql-mjoin-0")
+        store.put((bucket_id, 999), [1010, "p"])
+        store.put((bucket_id + 1, 2), [1510, "p"])
 
         second = self._make()
         second.downstream = Sink()
         second.setup(context)
         assert second.state_size() == 1
+        assert list(second._index[0]) == [bucket_id]
 
     def test_batch_path_equivalent_to_single(self):
         """One batch per run of same-port rows vs batches of one."""
@@ -688,12 +756,12 @@ class TestBatchEquivalence:
                "orderId": i, "units": (i * 7) % 100} for i in range(50)]
 
     @staticmethod
-    def _drain(make_operator, feed_single, feed_batch, store_names=()):
+    def _drain(make_operator, feed_single, feed_batch, layouts=None):
         single_op = make_operator()
-        single_sink, single_sent = wire(single_op, store_names)
+        single_sink, single_sent = wire(single_op, layouts)
         feed_single(single_op)
         batch_op = make_operator()
-        batch_sink, batch_sent = wire(batch_op, store_names)
+        batch_sink, batch_sent = wire(batch_op, layouts)
         feed_batch(batch_op)
         for op in (single_op, batch_op):
             if isinstance(op, InsertOperator):
@@ -703,7 +771,7 @@ class TestBatchEquivalence:
         assert batch_op.processed == single_op.processed
         assert batch_op.emitted == single_op.emitted
 
-    def _check(self, make_operator, rows, timestamps, store_names=()):
+    def _check(self, make_operator, rows, timestamps, layouts=None):
         def feed_single(op):
             for row, ts in zip(rows, timestamps):
                 op.process(0, row, ts)
@@ -711,7 +779,7 @@ class TestBatchEquivalence:
         def feed_batch(op):
             op.process_batch(0, list(rows), list(timestamps))
 
-        self._drain(make_operator, feed_single, feed_batch, store_names)
+        self._drain(make_operator, feed_single, feed_batch, layouts)
 
     def test_scan(self):
         self._check(
@@ -760,32 +828,29 @@ class TestBatchEquivalence:
         """Row for row, including the incremental MIN/MAX deque results
         across purges."""
         rows = [[o["rowtime"], o["productId"], o["units"]] for o in self.ORDERS]
+        aggs = TestSlidingWindowOperator.AGGS
         self._check(
             lambda: SlidingWindowOperator(
-                partition_key_source="[r[1]]", order_source="r[0]",
+                partition_key_source="(r[1],)", order_source="r[0]",
                 frame_mode="RANGE", preceding_ms=20,
-                preceding_rows=None,
-                aggs=[AggSpec(func="SUM", arg_source="r[2]"),
-                      AggSpec(func="COUNT", arg_source=None),
-                      AggSpec(func="MIN", arg_source="r[2]"),
-                      AggSpec(func="MAX", arg_source="r[2]"),
-                      AggSpec(func="AVG", arg_source="r[2]")],
+                preceding_rows=None, aggs=aggs,
                 field_names=["rowtime", "productId", "units",
                              "s", "c", "mn", "mx", "a"]),
             rows, [o["rowtime"] for o in self.ORDERS],
-            store_names=("sql-window-messages", "sql-window-state"))
+            window_stores(aggs, partition_kind="int"))
 
     def test_sliding_window_rows_frame(self):
         rows = [[o["rowtime"], o["productId"], o["units"]] for o in self.ORDERS]
+        aggs = [AggSpec(func="SUM", arg_source="r[2]"),
+                AggSpec(func="MIN", arg_source="r[2]")]
         self._check(
             lambda: SlidingWindowOperator(
-                partition_key_source="[r[1]]", order_source="r[0]",
+                partition_key_source="(r[1],)", order_source="r[0]",
                 frame_mode="ROWS", preceding_ms=None, preceding_rows=2,
-                aggs=[AggSpec(func="SUM", arg_source="r[2]"),
-                      AggSpec(func="MIN", arg_source="r[2]")],
+                aggs=aggs,
                 field_names=["rowtime", "productId", "units", "s", "mn"]),
             rows, [o["rowtime"] for o in self.ORDERS],
-            store_names=("sql-window-messages", "sql-window-state"))
+            window_stores(aggs, partition_kind="int"))
 
     def test_stream_stream_join(self):
         """Per-port batches in the same port order as the one-by-one feed
@@ -841,8 +906,7 @@ class TestBatchEquivalence:
                       AggSpec(func="MIN", arg_source="r[2]"),
                       AggSpec(func="MAX", arg_source="r[2]")],
                 field_names=["wstart", "wend", "key", "c", "s", "mn", "mx"]),
-            rows, [r[0] for r in rows],
-            store_names=("sql-group-windows",))
+            rows, [r[0] for r in rows], GROUP_STORES)
 
     def test_group_window_late_dropped_matches(self):
         rows = [[(i * 37) % 500, f"k{i % 4}", i] for i in range(60)]
@@ -855,10 +919,10 @@ class TestBatchEquivalence:
                 field_names=["wstart", "wend", "key", "c"])
 
         single = make_operator()
-        wire(single, ("sql-group-windows",))
+        wire(single, GROUP_STORES)
         for row in rows:
             single.process(0, row, row[0])
         batched = make_operator()
-        wire(batched, ("sql-group-windows",))
+        wire(batched, GROUP_STORES)
         batched.process_batch(0, list(rows), [r[0] for r in rows])
         assert batched.late_dropped == single.late_dropped

@@ -97,6 +97,92 @@ class TestLowering:
         assert plan.root.rowtime_index is None
 
 
+def window_sql(partition, aggregate="SUM(units)", stream="Orders"):
+    return (f"SELECT STREAM rowtime, {aggregate} OVER (PARTITION BY "
+            f"{partition} ORDER BY rowtime RANGE INTERVAL '5' MINUTE "
+            f"PRECEDING) s FROM {stream}")
+
+
+class TestStoreLayouts:
+    """Each store's layout comes from the row types the builder holds, and
+    travels in the plan JSON."""
+
+    def test_window_persists_order_value_and_arguments(self, catalog):
+        over = ("OVER (PARTITION BY productId ORDER BY rowtime "
+                "RANGE INTERVAL '5' MINUTE PRECEDING)")
+        plan = build(catalog, f"SELECT STREAM rowtime, SUM(units) {over} s, "
+                              f"COUNT(*) {over} c FROM Orders")
+        window = plan.root.inputs[0].inputs[0]
+        assert window.partition_key_source == "(r[1], )"
+        messages = plan.stores["sql-window-messages"]
+        assert messages.key == ["int", "int"]
+        assert messages.row == [["rowtime", "TIMESTAMP"],
+                                ["units", "INTEGER"],
+                                ["wcount$1", "BIGINT"]]   # COUNT(*): null
+        assert messages.fallback is None
+        state = plan.stores["sql-window-state"]
+        assert (state.key, state.record) == (["int"], [["seq", "BIGINT"]])
+
+    def test_window_key_without_an_ordered_kind_is_one_string(self, catalog):
+        """A PARTITION BY value of a type the ordered key codec does not
+        hold — DOUBLE, BOOLEAN — makes the whole partition key its repr."""
+        plan = build(catalog, window_sql("productId, units > 5"))
+        window = plan.root.inputs[0].inputs[0]
+        assert window.partition_key_source == "(repr([r[1], (r[3] > 5)]),)"
+        assert plan.stores["sql-window-messages"].key == ["str", "int"]
+        assert plan.stores["sql-window-state"].key == ["str"]
+
+    def test_untyped_argument_keeps_object_values(self, catalog):
+        catalog.register_stream(StreamDefinition("Events", RowType([
+            ("rowtime", SqlType.TIMESTAMP), ("k", SqlType.VARCHAR),
+            ("payload", SqlType.ANY)])))
+        plan = build(catalog, window_sql("k", "MAX(payload)", "Events"))
+        messages = plan.stores["sql-window-messages"]
+        assert messages.key == ["str", "int"]
+        assert messages.fallback == "field 'payload' is ANY"
+        assert messages.msg_serde_name == "object"
+        assert plan.stores["sql-window-state"].fallback is None
+
+    def test_join_stores_hold_input_rows_and_index_records(self, catalog):
+        plan = build(catalog, """
+            SELECT STREAM PacketsR1.packetId FROM PacketsR1 JOIN PacketsR2 ON
+            PacketsR1.rowtime BETWEEN PacketsR2.rowtime - INTERVAL '2' SECOND
+              AND PacketsR2.rowtime + INTERVAL '2' SECOND
+            AND PacketsR1.packetId = PacketsR2.packetId""")
+        for store in ("sql-mjoin-0", "sql-mjoin-1"):
+            layout = plan.stores[store]
+            assert layout.key == ["int", "int"]
+            assert layout.row == [["rowtime", "TIMESTAMP"],
+                                  ["sourcetime", "TIMESTAMP"],
+                                  ["packetId", "BIGINT"]]
+            assert layout.record == [["count", "BIGINT"], ["seq", "BIGINT"]]
+            assert layout.msg_serde_name == (
+                "row(rowtime TIMESTAMP, sourcetime TIMESTAMP, packetId "
+                "BIGINT)|record(count BIGINT, seq BIGINT)")
+
+    def test_relation_store_holds_the_relation_row(self, catalog):
+        plan = build(catalog,
+                     "SELECT STREAM Orders.units, Products.supplierId "
+                     "FROM Orders JOIN Products "
+                     "ON Orders.productId = Products.productId")
+        layout = plan.stores["sql-relation-products"]
+        assert (layout.key, layout.key_serde_name) == ("str", "ordered:str")
+        assert layout.row == [["productId", "INTEGER"], ["name", "VARCHAR"],
+                              ["supplierId", "INTEGER"]]
+
+    def test_group_window_values_stay_object(self, catalog):
+        plan = build(catalog,
+                     "SELECT STREAM START(rowtime), COUNT(*) FROM Orders "
+                     "GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR)")
+        layout = plan.stores["sql-group-windows"]
+        assert layout.key_serde_name == "ordered:str"
+        assert layout.msg_serde() is None and layout.fallback
+
+    def test_layouts_round_trip_through_plan_json(self, catalog):
+        plan = build(catalog, window_sql("productId"))
+        assert PhysicalPlan.from_dict(plan.to_dict()).stores == plan.stores
+
+
 class TestStreamStreamBounds:
     def test_symmetric_between(self, catalog):
         plan = build(catalog, """
