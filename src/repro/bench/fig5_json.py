@@ -3,10 +3,7 @@
 Runs the four §5.1 benchmark queries — fig5a filter, fig5b project,
 fig5c join, fig6 sliding window — through the full runtime and writes the
 msgs/sec results to ``BENCH_fig5.json`` at the repo root, so tooling
-(and the next session) can diff throughput without parsing prose.
-For the stateless fig5a/b chains it also records the chain-isolated
-whole-plan compilation numbers (``chain_*_msgs_per_s`` +
-``compile_speedup``) from :func:`repro.bench.micro.measure_compile_speedup`.
+can diff throughput without parsing prose.
 
 Run:  python -m repro.bench.fig5_json [--messages 4000] [--out PATH]
 """
@@ -17,7 +14,6 @@ import json
 import pathlib
 
 from repro.bench.calibration import measure
-from repro.bench.micro import measure_compile_speedup
 
 #: figure label -> calibration query key
 FIGURES = {
@@ -26,9 +22,6 @@ FIGURES = {
     "fig5c_join": "join",
     "fig6_sliding_window": "window",
 }
-
-#: figures whose stateless chains whole-plan compilation covers
-COMPILED_FIGURES = ("fig5a_filter", "fig5b_project")
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parents[3] / "BENCH_fig5.json"
 
@@ -42,19 +35,6 @@ def collect(messages: int = 4000, repeats: int = 2) -> dict:
         figures[label] = {
             "batch_msgs_per_s": round(measured.throughput_msgs_per_s, 1),
         }
-        if label in COMPILED_FIGURES:
-            # chain-isolated (pre-decoded records, discard sink): end-to-end
-            # throughput is serde-bound, so the compiled-vs-interpreted
-            # ratio is reported where dispatch elimination actually acts
-            compiled = measure_compile_speedup(query=query, messages=messages,
-                                               repeats=repeats)
-            figures[label].update({
-                "chain_interpreted_msgs_per_s":
-                    round(compiled["interpreted_msgs_per_s"], 1),
-                "chain_compiled_msgs_per_s":
-                    round(compiled["compiled_msgs_per_s"], 1),
-                "compile_speedup": round(compiled["speedup"], 3),
-            })
     return {
         "messages_per_run": messages,
         "repeats": repeats,
@@ -76,12 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = collect(messages=args.messages, repeats=args.repeats)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for label, row in payload["figures"].items():
-        line = f"{label}: {row['batch_msgs_per_s']:,.0f} msgs/s"
-        if "compile_speedup" in row:
-            line += (f", compiled chain "
-                     f"{row['chain_compiled_msgs_per_s']:,.0f} msgs/s "
-                     f"({row['compile_speedup']:.2f}x)")
-        print(line)
+        print(f"{label}: {row['batch_msgs_per_s']:,.0f} msgs/s")
     print(f"wrote {args.out}")
     return 0
 

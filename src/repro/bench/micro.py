@@ -237,95 +237,6 @@ def native_pipeline(query: str, messages: int = 8192) -> MicroPipeline:
     raise ValueError(f"unknown query {query!r}")
 
 
-def measure_compile_speedup(query: str = "filter", messages: int = 4000,
-                            repeats: int = 3,
-                            batch_size: int = 256) -> dict[str, float]:
-    """Operator-chain cost: whole-plan compiled vs interpreted dispatch.
-
-    Both modes run the batched path over *pre-decoded* records with a
-    discard insert sink, so the ratio isolates exactly what
-    ``exec``-compiling the chain replaces — per-operator
-    ``process_batch`` dispatch, the intermediate row/timestamp lists
-    between operators, and the final ``dict(zip(...))`` record
-    construction — from input/output serde and the container loop, which
-    dominate end-to-end throughput and are identical in both modes.
-    (Same isolation discipline as :func:`measure_window_state_speedup`
-    for the write-behind state layout.)
-
-    Methodology matches :func:`repro.bench.calibration.measure_metrics_overhead`:
-    GC-suspended process-time runs, modes interleaved with alternating
-    order, per-mode minimum.  Returns ``{"interpreted": ...,
-    "compiled": ..., "interpreted_msgs_per_s": ...,
-    "compiled_msgs_per_s": ..., "speedup": ...}`` (elapsed seconds per
-    mode plus derived rates).
-    """
-    import gc
-    import time
-
-    from repro.samzasql.compile import (CompiledExecutor, chain_fallback,
-                                        compile_chain)
-
-    catalog = _catalog()
-    logical = QueryPlanner(catalog).plan_query(SQL_QUERIES[query])
-    plan = PhysicalPlanBuilder(catalog).build(logical, "bench-output")
-    reason = chain_fallback(plan)
-    if reason is not None:
-        raise ValueError(f"query {query!r} does not compile: {reason}")
-    stream = plan.input_streams[0]
-
-    generator = OrdersGenerator(interarrival_ms=1000)
-    records = [(record, record["rowtime"])
-               for record in generator.records(messages)]
-    chunks = [([record for record, _ts in records[i:i + batch_size]],
-               [ts for _record, ts in records[i:i + batch_size]])
-              for i in range(0, len(records), batch_size)]
-    sink_count = [0]
-
-    def send_batch(entries: list) -> None:
-        sink_count[0] += len(entries)
-
-    def make_router() -> MessageRouter:
-        return build_router(plan, OperatorContext({}, send_batch))
-
-    def timed(route_batch, router) -> float:
-        # one untimed pass warms allocators and any lazy setup
-        for batch_records, timestamps in chunks[:2]:
-            route_batch(stream, batch_records, timestamps)
-        router.flush_sinks()
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            started = time.process_time_ns()
-            for batch_records, timestamps in chunks:
-                route_batch(stream, batch_records, timestamps)
-                router.flush_sinks()
-            return (time.process_time_ns() - started) / 1e9
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def run_interpreted() -> float:
-        router = make_router()
-        return timed(router.route_batch, router)
-
-    def run_compiled() -> float:
-        router = make_router()
-        executor = CompiledExecutor(compile_chain(plan), router)
-        return timed(executor.route_batch, router)
-
-    best = {"interpreted": float("inf"), "compiled": float("inf")}
-    modes = [("interpreted", run_interpreted), ("compiled", run_compiled)]
-    for round_no in range(max(repeats, 1)):
-        order = modes if round_no % 2 == 0 else modes[::-1]
-        for mode, run in order:
-            best[mode] = min(best[mode], run())
-    best["interpreted_msgs_per_s"] = messages / max(best["interpreted"], 1e-9)
-    best["compiled_msgs_per_s"] = messages / max(best["compiled"], 1e-9)
-    best["speedup"] = best["interpreted"] / max(best["compiled"], 1e-9)
-    return best
-
-
 # Runtime default of ``task.checkpoint.interval.messages`` — how often the
 # container commits, i.e. how often write-behind state actually flushes.
 COMMIT_INTERVAL = 500
@@ -479,7 +390,7 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
     The long third-side window keeps the two plans' output sets equal
     (nothing expires between an intermediate forming and its probe).
 
-    Methodology matches :func:`measure_compile_speedup`: GC-suspended
+    Methodology matches :func:`measure_window_state_speedup`: GC-suspended
     process-time runs, modes interleaved with alternating order, per-mode
     minimum.  Returns microseconds per arrival per mode, the speedup, and
     each mode's output-row count (they must agree).
@@ -695,11 +606,6 @@ def main(argv: list[str] | None = None) -> int:
 
     * metrics overhead — snapshot reporter off vs on must cost no more
       than ``--threshold`` percent;
-    * compile speedup — with ``--compile-threshold`` set, whole-plan
-      ``exec``-compilation must be at least that multiple of the
-      interpreted per-operator chain's throughput, measured on the
-      chain in isolation (pre-decoded records, discard sink) where
-      dispatch elimination actually acts;
     * window state maintenance — the fig6 sliding window's split-layout
       write-behind state path must be at least ``--window-threshold``
       times faster per message than the legacy monolithic-blob
@@ -723,8 +629,7 @@ def main(argv: list[str] | None = None) -> int:
     gate fails.
 
     Run:  python -m repro.bench.micro [--threshold 5]
-          [--compile-threshold 1.5] [--window-threshold 2.0]
-          [--scaling-threshold 1.4]
+          [--window-threshold 2.0] [--scaling-threshold 1.4]
     """
     import argparse
     import os
@@ -735,10 +640,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threshold", type=float, default=5.0,
                         help="max tolerated metrics overhead, percent "
                              "(default 5)")
-    parser.add_argument("--compile-threshold", type=float, default=0.0,
-                        help="min compiled/interpreted operator-chain "
-                             "throughput ratio (0, the default, disables "
-                             "the gate)")
     parser.add_argument("--window-threshold", type=float, default=2.0,
                         help="min fig6 state-maintenance speedup of the "
                              "write-behind layout over the legacy blob "
@@ -788,29 +689,6 @@ def main(argv: list[str] | None = None) -> int:
     if result["overhead_percent"] > args.threshold:
         print("FAIL: metrics instrumentation overhead above threshold")
         failed = True
-
-    if args.compile_threshold > 0:
-        compiled = None
-        for attempt in range(max(args.attempts, 1)):
-            measured = measure_compile_speedup(
-                query="filter", messages=args.messages,
-                repeats=min(args.repeats, 3))
-            if compiled is None or measured["speedup"] > compiled["speedup"]:
-                compiled = measured
-            if compiled["speedup"] >= args.compile_threshold:
-                break
-            print(f"attempt {attempt + 1}: compile speedup "
-                  f"{measured['speedup']:.2f}x under threshold; "
-                  f"re-measuring...")
-        print("whole-plan compilation (fig5a operator chain, compiled vs "
-              "interpreted dispatch):")
-        print(f"  interpreted: {compiled['interpreted_msgs_per_s']:,.0f} msgs/s")
-        print(f"  compiled:    {compiled['compiled_msgs_per_s']:,.0f} msgs/s")
-        print(f"  speedup:     {compiled['speedup']:.2f}x "
-              f"(threshold {args.compile_threshold:.1f}x)")
-        if compiled["speedup"] < args.compile_threshold:
-            print("FAIL: whole-plan compilation speedup below threshold")
-            failed = True
 
     if args.window_threshold > 0:
         window = None

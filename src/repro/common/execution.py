@@ -1,8 +1,8 @@
 """The one execution setting: ``cluster.parallel.execution``.
 
 The runtime has no execution modes.  Which path a task runs — the
-serde-fused function, the compiled chain or the interpreted operator
-DAG — is chosen from the plan, the stream serdes and the schemas
+serde-fused function or the interpreted operator DAG — is chosen from
+the plan, the stream serdes and the schemas
 (:func:`repro.samzasql.decision.decide_execution`); container stores are
 always write-behind; join chains collapse whenever the collapse rule
 accepts them.  What a deployment does set is whether containers run in

@@ -9,8 +9,8 @@ job's reporter is enabled.  The design keeps the hot path nearly free:
 * ``window-state-size`` gauges call the operator's ``state_size()`` only
   at snapshot time;
 * the ``process-ns`` timer is the one true hot-path hook, and it sits
-  where a run-time boundary really exists.  A task that runs a generated
-  function (compiled or serde-fused) has one boundary — the function
+  where a run-time boundary really exists.  A task that runs the
+  generated serde-fused function has one boundary — the function
   call — so :class:`~repro.samzasql.compile.CompiledExecutor` times each
   delivered batch itself and records the per-message mean on the chain's
   *leaf* operator (timers are inclusive of everything downstream); the

@@ -43,11 +43,9 @@ from __future__ import annotations
 import collections
 import json
 import threading
-import time
 
 from repro.common.errors import SerdeError
 from repro.common.varint import encode_varint, read_varint
-from repro.kafka.routing import RouteTable  # noqa: F401  (re-export for workers)
 
 # -- peer connection message tags ---------------------------------------------
 PEER_HELLO = b"h"    # JSON {gid, epoch} — first message on a connection
@@ -470,7 +468,6 @@ class PeerEndpoint:
             wm = self.watermarks.get(sender_gid)
             fresh = (wm is None or epoch > wm[0]
                      or (epoch == wm[0] and seq > wm[1]))
-            stale_epoch = wm is not None and epoch < wm[0]
             if fresh:
                 self._apply_fn(frame)
                 self.watermarks[sender_gid] = [epoch, seq]
@@ -483,7 +480,6 @@ class PeerEndpoint:
             # frame consumed window on the sender too.  (A stale-epoch
             # frame is safe to drop: its sender died, and the replacement
             # replays everything unacknowledged under a fresh epoch.)
-            del stale_epoch
             self._send_credit(conn, sender_gid, grant=len(frame))
         return applied
 
@@ -591,13 +587,3 @@ class PeerEndpoint:
             except OSError:
                 pass
 
-
-def wait_for(predicate, service, timeout_s: float, poll_s: float = 0.001) -> bool:
-    """Drive ``service()`` until ``predicate()`` or timeout (commit gates)."""
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() >= deadline:
-            return False
-        service()
-        time.sleep(poll_s)
-    return True

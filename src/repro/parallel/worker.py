@@ -81,6 +81,9 @@ IDLE_POLL_S = 0.002
 #: below the parent's 60 s control-barrier timeout: a stuck gate crashes
 #: this worker (and relaunches it) instead of wedging the barrier.
 GATE_TIMEOUT_S = 30.0
+#: Commands that commit, report or stop the container: not reentrant
+#: inside a commit gate, so the gate defers them to the main loop.
+_NOT_REENTRANT = frozenset({MSG_COMMIT, MSG_METRICS, MSG_SHUTDOWN})
 
 
 class ClusterTap:
@@ -323,10 +326,12 @@ class _WorkerLoop:
                 self.flush()
                 # Two gated workers draining into each other make progress
                 # because each gate round applies the other's frames and
-                # returns credit; commands that can't run mid-commit are
-                # deferred to the main loop.
+                # returns credit.  Commands keep being served, status
+                # requests included: the parent blocks on each status
+                # reply, and a peer it has not forked yet can only drain
+                # this gate once the parent moves on.
                 if self.cmd_conn.poll(0.0005):
-                    self._gate_command(self.cmd_conn.recv_bytes())
+                    self.handle_command(self.cmd_conn.recv_bytes())
                 if time.monotonic() > deadline:
                     pending = {gid: link.stats()
                                for gid, link in self.links.items()
@@ -337,27 +342,14 @@ class _WorkerLoop:
         finally:
             self._in_gate = False
 
-    def _gate_command(self, raw: bytes) -> None:
-        tag, payload = parse_msg(raw)
-        if tag == MSG_MULTI:
-            for inner in unpack_msgs(payload):
-                self._gate_command(inner)
-        elif tag == MSG_INPUT:
-            self.apply_input(payload)
-        elif tag == MSG_INGRESS:
-            self.apply_ingress(payload)
-        elif tag == MSG_ROUTES:
-            self.apply_routes(payload)
-        else:
-            # STATUS_REQ / COMMIT / METRICS / SHUTDOWN are not reentrant
-            # inside a commit; the main loop replays them after the gate.
-            self._deferred.append(raw)
-
     # -- command handling ------------------------------------------------------
 
     def handle_command(self, raw: bytes) -> None:
         tag, payload = parse_msg(raw)
-        if tag == MSG_MULTI:
+        if self._in_gate and tag in _NOT_REENTRANT:
+            # Inside a commit gate: the main loop replays it after the gate.
+            self._deferred.append(raw)
+        elif tag == MSG_MULTI:
             for inner in unpack_msgs(payload):
                 self.handle_command(inner)
                 if self.stopping:

@@ -11,7 +11,7 @@ carry structured codes plus source positions.  Statements end with
 ``;``.  Bang-commands:
 
 * ``!tables`` — list catalog objects
-* ``!explain <query>`` — logical + physical plan, compiled/interpreted status
+* ``!explain <query>`` — logical + physical plan, fused/interpreted status
 * ``!queries`` — running streaming queries
 * ``!results <n>`` — sample output of query *n*
 * ``!metrics [n]`` — latest operator metrics snapshots (all jobs, or query *n*)

@@ -1,26 +1,23 @@
 """Whole-plan query compilation (Calcite's enumerable codegen, §4.2 scaled up).
 
-PR 3 established that ``exec``-compiling straight-line Python beats
-interpreted dispatch for serdes; this module applies the same move to the
-operator DAG itself.  For the *stateless prefix* of a plan — the
-``scan → filter → project → insert`` chain that the paper's fig5a/b
-queries consist of entirely — the per-operator ``process_batch`` hops,
-the intermediate row/timestamp list materializations between operators,
-and the final ``dict(zip(...))`` record construction all disappear into
-ONE generated function: a single comprehension (or counting loop, when
-per-stage counters require it) that takes the decoded message batch and
-returns ready-to-send ``(message, timestamp_ms, key)`` entries.
+For the *stateless prefix* of a plan — the ``scan → filter → project →
+insert`` chain that the paper's fig5a/b queries consist of entirely —
+this module renders every node down to composed expression sources
+(:func:`chain_expressions`), from which
+:func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
+function spanning decode → chain → encode.  :class:`CompiledExecutor`
+runs that function in place of the router's per-operator dispatch.
 
 Expression sources are the ones the existing :mod:`repro.sql.codegen`
 rex compiler rendered into the plan JSON; positional references
 (``r[2]``) are substituted with the scan's per-field expressions over the
-record dict, so the whole chain works tuple-at-a-time directly on the
+record, so the whole chain works tuple-at-a-time directly on the
 incoming message — no array-tuple is ever materialized (the paper's
 future-work item 5, taken to its endpoint).
 
 Unsupported shapes — stateful operators (windows, aggregations), joins,
-and UDF calls (resolved through a live registry) — fall back to the
-interpreted router, selected per task at plan time
+and UDF calls (resolved through a live registry) — run the interpreted
+router, selected per task at plan time
 (:func:`repro.samzasql.decision.decide_execution`).  Byte equivalence
 between the two paths is enforced by the integration suite; the
 per-operator ``processed``/``emitted`` counters are maintained exactly,
@@ -42,7 +39,6 @@ from repro.samzasql.physical import (
     ProjectNode,
     ScanNode,
 )
-from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
 STATELESS_KINDS = frozenset({"scan", "filter", "project", "insert"})
@@ -200,18 +196,9 @@ class CompiledChain:
     """The generated function plus the bookkeeping the executor needs."""
 
     source: str            # generated Python, kept for EXPLAIN / debugging
-    fn: object             # f(inputs, timestamps) -> entries | (entries, counts)
+    fn: object             # f(values, timestamps) -> (entries, stage_counts)
     stream: str            # the single input stream the chain consumes
     filter_flags: list     # per chain node (leaf->root): is it a filter stage?
-    staged: bool           # True when fn returns (entries, stage_counts)
-
-
-def _compile_namespace() -> dict:
-    namespace = dict(CODEGEN_NAMESPACE)
-    builtins = dict(namespace["__builtins__"])
-    builtins["repr"] = repr  # the relation-output key is a repr-join
-    namespace["__builtins__"] = builtins
-    return namespace
 
 
 @dataclass(frozen=True)
@@ -219,9 +206,9 @@ class ChainExpressions:
     """A compilable chain rendered down to expression sources.
 
     All expressions are over the record dict ``r`` (``r['name']`` field
-    refs) and the wire timestamp ``t``.  This is the shared analysis both
-    :func:`compile_chain` and the serde-fused codegen in
-    :mod:`repro.samzasql.serde_plan` build their generated functions from.
+    refs) and the wire timestamp ``t``.  This is the analysis the
+    serde-fused codegen in :mod:`repro.samzasql.serde_plan` builds its
+    generated function from.
     """
 
     stream: str          # the single input stream the chain consumes
@@ -291,69 +278,13 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
                             insert=insert)
 
 
-def compile_chain(plan: PhysicalPlan) -> CompiledChain:
-    """Fuse the whole stateless chain into one generated function.
-
-    The function takes the decoded message batch (record dicts ``r`` and
-    wire timestamps ``t``) and returns output entries
-    ``(message_dict, timestamp_ms, key)`` — everything between decode and
-    send in a single pass, with zero per-operator dispatch.
-    """
-    exprs = chain_expressions(plan)
-    stream = exprs.stream
-    conditions = exprs.conditions
-    ts_expr = exprs.ts_expr
-    key_expr = exprs.key_expr
-    msg_expr = ("{" + ", ".join(
-        f"{name!r}: {column}"
-        for name, column in zip(exprs.insert.field_names, exprs.columns))
-        + "}")
-
-    staged = len(conditions) > 1
-    if staged:
-        # Two or more filter stages: per-stage survivor counts feed the
-        # operators' exact `emitted` counters, so a counting loop it is.
-        lines = ["def _compiled_plan(messages, timestamps):",
-                 "    _out = []",
-                 "    _append = _out.append"]
-        lines += [f"    _n{i} = 0" for i in range(len(conditions))]
-        lines.append("    for r, t in zip(messages, timestamps):")
-        for i, condition in enumerate(conditions):
-            lines.append(f"        if not ({condition}):")
-            lines.append("            continue")
-            lines.append(f"        _n{i} += 1")
-        lines.append(f"        _append(({msg_expr}, {ts_expr}, {key_expr}))")
-        counts = ", ".join(f"_n{i}" for i in range(len(conditions)))
-        lines.append(f"    return _out, ({counts},)")
-        source = "\n".join(lines)
-    else:
-        condition = f"\n        if ({conditions[0]})" if conditions else ""
-        source = (
-            "def _compiled_plan(messages, timestamps):\n"
-            "    return [\n"
-            f"        ({msg_expr},\n"
-            f"         {ts_expr},\n"
-            f"         {key_expr})\n"
-            f"        for r, t in zip(messages, timestamps)"
-            f"{condition}\n"
-            "    ]"
-        )
-
-    namespace = _compile_namespace()
-    exec(compile_source(source, "<samzasql-plan-compile>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
-    return CompiledChain(source=source, fn=namespace["_compiled_plan"],
-                         stream=stream, filter_flags=exprs.filter_flags,
-                         staged=staged)
-
-
 class CompiledExecutor:
     """Runs a :class:`CompiledChain` in place of the router's dispatch.
 
-    The chain is either :func:`compile_chain`'s (decoded record dicts in,
-    message dicts out) or the serde-fused one from
+    The chain is the serde-fused one from
     :func:`repro.samzasql.serde_plan.compile_serde_fused` (raw value bytes
-    in, encoded bytes out).  Either way the executor runs the generated
-    function over each delivered batch, maintains the chain operators'
+    in, encoded bytes out).  The executor runs the generated function over
+    each delivered batch, maintains the chain operators'
     ``processed``/``emitted`` counters exactly as the interpreted path
     would, and hands the finished entries to the insert operator's
     buffer, so flush/checkpoint semantics are untouched.
@@ -361,8 +292,8 @@ class CompiledExecutor:
     With metrics on, the leaf operator carries the chain's one
     ``process-ns`` timer (operator timers are inclusive of everything
     downstream, so the leaf's means "the whole chain per message") and
-    each non-empty batch records its per-message mean on it — decode and
-    encode included when the function is the fused one.
+    each non-empty batch records its per-message mean on it, decode and
+    encode included.
     """
 
     def __init__(self, chain: CompiledChain, router):
@@ -378,8 +309,6 @@ class CompiledExecutor:
         self._insert = insert
         self._timer = operators[0]._process_timer  # None: metrics off
         self._fn = chain.fn
-        self._staged = chain.staged
-        self._single_filter = not chain.staged and any(chain.filter_flags)
         self.stream = chain.stream
         #: The generated Python source (EXPLAIN, tests, debugging).
         self.source = chain.source
@@ -395,16 +324,11 @@ class CompiledExecutor:
         """One batch of the chain's input stream through the function."""
         timer = self._timer
         if timer is None or not inputs:
-            result = self._fn(inputs, timestamps)
+            entries, stage_counts = self._fn(inputs, timestamps)
         else:
             start = perf_counter_ns()
-            result = self._fn(inputs, timestamps)
+            entries, stage_counts = self._fn(inputs, timestamps)
             timer.update((perf_counter_ns() - start) // len(inputs))
-        if self._staged:
-            entries, stage_counts = result
-        else:
-            entries = result
-            stage_counts = (len(entries),) if self._single_filter else ()
         count = len(inputs)
         stage = iter(stage_counts)
         for operator, is_filter in self._counters:

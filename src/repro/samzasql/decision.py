@@ -1,11 +1,15 @@
 """The one plan-time decision: which path a query's tasks execute.
 
-:func:`decide_execution` is the only place that chooses between the
-serde-fused function, the compiled chain and the interpreted operator
-DAG.  :class:`~repro.samzasql.task.SamzaSqlTask` builds exactly the
-executor the returned :class:`ExecutionDecision` names, and ``EXPLAIN``
-prints that same object computed from the same merged job config — so
-the report cannot drift from what runs.
+:func:`decide_execution` is the only place that chooses between the two
+paths: the serde-fused function (decode → chain → encode generated as
+one function over raw bytes) and the interpreted operator DAG (the
+reference router, full decode/encode).  A stateless chain fuses when
+:func:`~repro.samzasql.serde_plan.analyze_serde` can inline both of its
+serdes; everything else is interpreted, with one ``fallback`` reason.
+:class:`~repro.samzasql.task.SamzaSqlTask` builds exactly the executor
+the returned :class:`ExecutionDecision` names, and ``EXPLAIN`` prints
+that same object computed from the same merged job config — so the
+report cannot drift from what runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from repro.serde.avro import AvroSerde
 from repro.serde.base import StringSerde
 
 FUSED = "fused"
-COMPILED = "compiled"
 INTERPRETED = "interpreted"
 
 
@@ -28,17 +31,16 @@ INTERPRETED = "interpreted"
 class ExecutionDecision:
     """What one task of the query runs, and why not something faster."""
 
-    path: str                           # FUSED | COMPILED | INTERPRETED
+    path: str                           # FUSED | INTERPRETED
     sampled: bool                       # metrics are on for this job
-    compile_fallback: str | None = None  # why INTERPRETED
-    serde_fallback: str | None = None   # why not FUSED
+    fallback: str | None = None         # why INTERPRETED
     serde: SerdeAnalysis | None = None  # pruned columns + encode mode (FUSED)
 
     @property
     def task_status(self) -> str:
         """``compiled`` / ``interpreted (fallback: <reason>)`` for EXPLAIN."""
         if self.path == INTERPRETED:
-            return f"interpreted (fallback: {self.compile_fallback})"
+            return f"interpreted (fallback: {self.fallback})"
         return "compiled"
 
     @property
@@ -46,7 +48,7 @@ class ExecutionDecision:
         """The EXPLAIN line: pruned columns + decode/encode status."""
         serde = self.serde
         if serde is None:
-            return f"serde: full decode/encode (fallback: {self.serde_fallback})"
+            return "serde: full decode/encode"
         total = len(serde.required) + len(serde.pruned)
         skip = ", ".join(serde.pruned) if serde.pruned else "none"
         if serde.computed:
@@ -67,24 +69,23 @@ def decide_execution(plan: PhysicalPlan, config: Config,
     batches, so ``sampled`` is recorded on the decision, never read here.
     """
     sampled = config.get_int("metrics.reporter.interval.ms", 0) > 0
+
+    def interpreted(why: str) -> ExecutionDecision:
+        return ExecutionDecision(INTERPRETED, sampled, fallback=why)
+
     reason = chain_fallback(plan)
     if reason is not None:
-        return ExecutionDecision(INTERPRETED, sampled, reason,
-                                 f"chain not compiled: {reason}")
-
-    def compiled(why: str) -> ExecutionDecision:
-        return ExecutionDecision(COMPILED, sampled, serde_fallback=why)
-
+        return interpreted(reason)
     if serdes is None:
-        return compiled("no serde registry available")
+        return interpreted("no serde registry available")
     _in_key, in_msg = serdes.resolve_stream_serdes(
         config, "kafka", plan.input_streams[0])
     out_key, out_msg = serdes.resolve_stream_serdes(
         config, "kafka", plan.output_stream)
     if not (isinstance(in_msg, AvroSerde) and isinstance(out_msg, AvroSerde)
             and isinstance(out_key, StringSerde)):
-        return compiled("input/output streams are not Avro with string keys")
+        return interpreted("input/output streams are not Avro with string keys")
     reason, analysis = analyze_serde(plan, in_msg.schema, out_msg.schema)
     if reason is not None:
-        return compiled(reason)
+        return interpreted(reason)
     return ExecutionDecision(FUSED, sampled, serde=analysis)

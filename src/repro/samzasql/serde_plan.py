@@ -2,14 +2,13 @@
 
 The relational plan knows exactly which columns a query touches, so the
 runtime should never decode the rest (*One SQL to Rule Them All*'s
-plan-driven premise applied to the wire format).  This module closes the
-last gap between the PR 7 compiled chain (~3M msgs/s in isolation) and
-the end-to-end numbers (~124k msgs/s): nearly all remaining wall-clock
-is Avro decode/encode of columns the query never looks at.
+plan-driven premise applied to the wire format).  Once per-operator
+dispatch is compiled away, nearly all remaining wall-clock of a stateless
+query is Avro decode/encode of columns the query never looks at.
 
 Three layers, all decided at plan time:
 
-1. **Column pruning** — a required-columns pass over the compiled chain's
+1. **Column pruning** — a required-columns pass over the chain's
    expression sources (:func:`repro.samzasql.compile.chain_expressions`)
    determines which input fields feed predicates, projections, the
    output timestamp, or the output key.  Everything else is *skip-
@@ -31,10 +30,12 @@ Three layers, all decided at plan time:
    ``(bytes, timestamp_ms, key)`` entries.  The container feeds it
    undecoded consumer records and the producer takes the bytes as-is.
 
-Anything the analysis cannot prove safe — unsupported schema shapes,
-expressions over unknown columns — keeps the byte-identical full-decode
-path, and EXPLAIN reports why.  The analysis assumes a compilable chain;
-:func:`repro.samzasql.decision.decide_execution` gates on that first.
+Fusion is the only compiled path.  Anything the analysis cannot prove
+safe — non-Avro serdes, unsupported schema shapes, expressions over
+unknown columns — runs the interpreted router with full decode/encode,
+byte-identical, and EXPLAIN reports why.  The analysis assumes a
+compilable chain; :func:`repro.samzasql.decision.decide_execution` gates
+on that first.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.common.errors import SerdeError
 from repro.samzasql.compile import (
     ChainExpressions,
     CompiledChain,
-    _compile_namespace,
     _scan_string,
     chain_expressions,
 )
@@ -59,7 +59,7 @@ from repro.serde.avro import (
     field_write_src,
     flat_record_fields,
 )
-from repro.sql.codegen import compile_source
+from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 
 #: Kinds whose canonical encodings are interchangeable byte-for-byte.
 #: int and long share the zigzag-varint encoding; every other kind only
@@ -286,11 +286,10 @@ def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
     ts_expr = substitute_named_refs(build.exprs.ts_expr, fvars)
     key_expr = substitute_named_refs(build.exprs.key_expr, fvars)
 
-    namespace = _compile_namespace()
-    builtins = dict(namespace["__builtins__"])
-    builtins["bytes"] = bytes
-    builtins["bytearray"] = bytearray
-    namespace["__builtins__"] = builtins
+    namespace = dict(CODEGEN_NAMESPACE)
+    # repr: the relation-output key is a repr-join
+    namespace["__builtins__"] = {**namespace["__builtins__"], "repr": repr,
+                                 "bytes": bytes, "bytearray": bytearray}
     namespace.update({"SerdeError": SerdeError, "_FLOAT": _FLOAT,
                       "_DOUBLE": _DOUBLE, "_StructError": struct.error,
                       "_join": b"".join})
@@ -374,4 +373,4 @@ def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
     exec(compile_source(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
     return CompiledChain(source=source, fn=namespace["_fused_plan"],
                          stream=build.exprs.stream,
-                         filter_flags=build.exprs.filter_flags, staged=True)
+                         filter_flags=build.exprs.filter_flags)

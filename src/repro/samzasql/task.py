@@ -24,14 +24,8 @@ from repro.samza.task import (
     TaskCoordinator,
     WindowableTask,
 )
-from repro.samzasql.compile import CompiledExecutor, compile_chain
-from repro.samzasql.decision import (
-    COMPILED,
-    FUSED,
-    INTERPRETED,
-    ExecutionDecision,
-    decide_execution,
-)
+from repro.samzasql.compile import CompiledExecutor
+from repro.samzasql.decision import FUSED, ExecutionDecision, decide_execution
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.group_window import GroupWindowAggOperator
 from repro.samzasql.operators.router import build_router, changelog_key_types
@@ -95,8 +89,8 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         plan = PhysicalPlan.from_dict(payload)
         decision = decide_execution(plan, config, context.serdes)
         self._decision = decision
-        self._sink = _CollectorSink(plan.output_stream,
-                                    pre_serialized=decision.path == FUSED)
+        fused = decision.path == FUSED
+        self._sink = _CollectorSink(plan.output_stream, pre_serialized=fused)
         stores = {name: context.get_store(name) for name in plan.store_names}
         # The interpreted router is always built: its operators carry the
         # counters (and, with metrics on, the timers) either path updates.
@@ -104,29 +98,25 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             stores=stores, send_batch=self._sink.send_batch,
             partition_id=context.partition_id, metrics=context.metrics))
         operators = self._router.operators
-        interpreted = decision.path == INTERPRETED
         if decision.sampled:
             # Before the executor is built (it picks up the leaf's timer):
             # its one run-time boundary is the function call, timed on the
             # chain's leaf; interpreted operators each get a timer.
             instrument_operators(
                 operators, context.metrics, context.partition_id,
-                timed=operators if interpreted else operators[:1])
-        if decision.path == FUSED:
+                timed=operators[:1] if fused else operators)
+        if fused:
             # One generated function spans decode→chain→encode; the
             # container delivers this task's batches undecoded.
             self._executor = CompiledExecutor(
                 compile_serde_fused(decision.serde), self._router)
             self.raw_input_streams = frozenset(plan.input_streams)
-        elif decision.path == COMPILED:
-            # One generated function replaces the per-operator dispatch
-            # for the full stateless chain.
-            self._executor = CompiledExecutor(compile_chain(plan), self._router)
-        route_batch = (self._router if interpreted
-                       else self._executor).route_batch
-        if interpreted and decision.sampled:
-            route_batch = TimingSampler(route_batch, operators).route_batch
-        self._route_batch = route_batch
+            self._route_batch = self._executor.route_batch
+        elif decision.sampled:
+            self._route_batch = TimingSampler(
+                self._router.route_batch, operators).route_batch
+        else:
+            self._route_batch = self._router.route_batch
         self._changelog_key_types = changelog_key_types(plan)
         self._early_emit = config.get_bool("samzasql.window.early.emit", False)
 
@@ -206,7 +196,7 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
 
     @property
     def compiled(self) -> bool:
-        """True when this task runs an exec-compiled whole-plan function."""
+        """True when this task runs the exec-compiled fused function."""
         return self._executor is not None
 
     @property

@@ -10,7 +10,6 @@ from repro.kafka import KafkaCluster, Producer
 from repro.samza import JobRunner
 from repro.samzasql import SamzaSQLShell
 from repro.samzasql.decision import (
-    COMPILED,
     FUSED,
     INTERPRETED,
     ExecutionDecision,
@@ -45,28 +44,25 @@ def sql_tasks(handle):
 
 @contextmanager
 def reference_arm(path: str):
-    """Run the enclosed jobs no faster than ``path``.
+    """Run the enclosed jobs on ``path``: ``"fused"`` (a no-op) or
+    ``"interpreted"``.
 
     The runtime has no switch for this: which path a task runs comes from
-    its plan alone.  The equivalence suites still need the slower paths
-    as reference arms for queries that would fuse, so this substitutes the
-    decision where the task and ``EXPLAIN`` read it — FUSED is a no-op,
-    COMPILED downgrades a fused decision, INTERPRETED downgrades both.
-    Tasks decide at init, so keep the context open across every
-    (re)launch of the job; forked workers inherit the patch.
+    its plan alone.  The equivalence suites still need the reference
+    router for queries that would fuse, so this substitutes the decision
+    where the task and ``EXPLAIN`` read it.  Tasks decide at init, so keep
+    the context open across every (re)launch of the job; forked workers
+    inherit the patch.
     """
-    order = (INTERPRETED, COMPILED, FUSED)
+    assert path in (FUSED, INTERPRETED), path
 
     def decide(plan, config, serdes):
         decision = decide_execution(plan, config, serdes)
-        if order.index(decision.path) <= order.index(path):
+        if path != INTERPRETED or decision.path == INTERPRETED:
             return decision
-        reason = f"reference arm: held at {path} by the test fixture"
-        if path == INTERPRETED:
-            return ExecutionDecision(INTERPRETED, decision.sampled,
-                                     reason, reason)
-        return ExecutionDecision(COMPILED, decision.sampled,
-                                 serde_fallback=reason)
+        return ExecutionDecision(
+            INTERPRETED, decision.sampled,
+            fallback="reference arm: held at interpreted by the test fixture")
 
     with mock.patch("repro.samzasql.task.decide_execution", decide), \
             mock.patch("repro.samzasql.shell.decide_execution", decide):

@@ -186,12 +186,12 @@ class TestSqlQueryRecovery:
 
     def test_compiled_filter_crash_mid_batch_matches_interpreted(self):
         """A crash landing *inside* a poll batch while the task runs the
-        compiled whole-plan function must recover exactly like the
+        compiled (fused) whole-plan function must recover exactly like the
         interpreted chain: the uncommitted suffix replays through the
         freshly recompiled plan on the replacement container, and the
         surviving output set is identical either way."""
         outputs = {}
-        for mode in ("compiled", "interpreted"):
+        for mode in ("fused", "interpreted"):
             # crash at message 25 with batch 8 / checkpoint 10: mid-batch
             # and mid-checkpoint-interval, so a suffix is always replayed
             schedule = FaultSchedule.script().add_crash(25)
@@ -210,13 +210,13 @@ class TestSqlQueryRecovery:
             # compile decision the original did
             for container in handle.master.samza_containers.values():
                 for instance in container.tasks.values():
-                    assert instance.task.compiled is (mode == "compiled")
+                    assert instance.task.compiled is (mode == "fused")
             with injector.suspended():
                 outputs[mode] = {r["orderId"] for r in handle.results()}
 
         expected = {i for i in range(80) if (i * 7) % 100 > 50}
-        assert outputs["compiled"] == expected
-        assert outputs["compiled"] == outputs["interpreted"]
+        assert outputs["fused"] == expected
+        assert outputs["fused"] == outputs["interpreted"]
 
     def test_windowed_aggregate_survives_crash_and_zk_expiry(self):
         """Every distinct emitted row — aggregate included — is a row of

@@ -14,6 +14,7 @@ in-process against a real AF_UNIX listener.
 """
 
 import json
+import time
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.parallel.peer import (
     MIN_CREDIT_BYTES,
     PeerEndpoint,
     PeerLink,
-    wait_for,
 )
 
 from tests.samzasql_fixtures import Deployment
@@ -85,6 +85,24 @@ def expected_ids(ids):
     return {i for i in ids if 50 < (i * 7) % 100 < 90}
 
 
+def wait_for(predicate, service, timeout_s: float, poll_s: float = 0.001) -> bool:
+    """Drive ``service()`` until ``predicate()`` or timeout."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        service()
+        time.sleep(poll_s)
+    return True
+
+
+def assert_no_relaunch(*handles):
+    """No worker died: a commit gate that timed out relaunches its worker
+    and still ends with exact output, so results alone cannot tell."""
+    for handle in handles:
+        assert handle.master.parallel_coordinator.relaunches == 0
+
+
 def all_links(coordinator):
     return [link
             for worker in coordinator.peer_link_stats().values()
@@ -124,6 +142,7 @@ class TestPeerRoutedPipeline:
         results = q2.results()
         assert {r["orderId"] for r in results} == expected_ids(range(300))
         assert all(50 < r["units"] < 90 for r in results)
+        assert_no_relaunch(q1, q2)
 
     def test_route_table_covers_every_intermediate_partition(self):
         deployment = Deployment(partitions=4).with_orders(0)
@@ -140,6 +159,7 @@ class TestPeerRoutedPipeline:
         deployment.feed_orders(40)
         deployment.runner.run_until_quiescent(max_iterations=1_000_000)
         assert {r["orderId"] for r in q2.results()} == expected_ids(range(40))
+        assert_no_relaunch(q1, q2)
 
 
 # -- backpressure -------------------------------------------------------------
@@ -150,7 +170,7 @@ class TestBackpressure:
         """A tiny credit window forces the producers to plateau instead of
         buffering without bound, while mid-run commit barriers exercise
         the drain gate — the run must still quiesce (no deadlock) and
-        produce exact results."""
+        produce exact results, with no worker relaunched along the way."""
         credit = 2048
         deployment = Deployment(partitions=4).with_orders(0)
         q1, q2 = build_pipeline(deployment, q1_overrides={
@@ -180,6 +200,7 @@ class TestBackpressure:
 
         results = q2.results()
         assert {r["orderId"] for r in results} == expected_ids(range(600))
+        assert_no_relaunch(q1, q2)
 
 
 # -- elastic rebalance --------------------------------------------------------

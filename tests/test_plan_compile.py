@@ -4,7 +4,7 @@ contract.
 
 The integration suite already drives every end-to-end scenario through
 the poll-size × path modes; this module pins the *seams* — which plans
-compile and why others don't, that the compiled path's rows AND
+compile and why others don't, that the fused path's rows AND
 per-operator counters match the interpreted path's exactly, that every
 retired execution key is rejected, and that EXPLAIN reports the per-task
 decision the runtime actually makes.
@@ -16,7 +16,8 @@ from repro.common import VirtualClock
 from repro.common.config import Config
 from repro.common.errors import ConfigError
 from repro.common.execution import RETIRED_KEYS, parallel_execution
-from repro.samzasql.compile import chain_fallback, compile_chain
+from repro.samzasql.compile import chain_fallback
+from repro.samzasql.decision import decide_execution
 from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.samzasql.serde_plan import compile_serde_fused
 from repro.serving.errors import ErrorCode, PipelineError
@@ -50,9 +51,9 @@ def operator_counters(handle):
 
 
 def run_modes(sql, count=40, **kwargs):
-    """The same query compiled and interpreted, over identical input."""
+    """The same query fused and interpreted, over identical input."""
     handles = {}
-    for mode in ("compiled", "interpreted"):
+    for mode in ("fused", "interpreted"):
         dep = Deployment().with_orders(count)
         with reference_arm(mode):
             handles[mode] = dep.run(sql, **kwargs)
@@ -65,7 +66,7 @@ class TestCompileDecision:
         handle = dep.run(FILTER_SQL)
         for task in sql_tasks(handle):
             assert task.compiled
-            assert task.decision.compile_fallback is None
+            assert task.decision.fallback is None
             assert task.decision.task_status == "compiled"
 
     def test_projection_chain_compiles(self):
@@ -81,7 +82,7 @@ class TestCompileDecision:
             assert not task.compiled
             decision = task.decision
             assert decision.path == "interpreted"
-            assert decision.compile_fallback == (
+            assert decision.fallback == (
                 "stateful operator: sliding_window")
             assert decision.task_status == (
                 "interpreted (fallback: stateful operator: sliding_window)")
@@ -93,7 +94,7 @@ class TestCompileDecision:
             "FROM Orders o JOIN Products p ON o.productId = p.productId")
         for task in sql_tasks(handle):
             assert not task.compiled
-            assert "join operator" in task.decision.compile_fallback
+            assert "join operator" in task.decision.fallback
 
     def test_udf_falls_back_with_reason(self):
         from repro.sql.udf import UDF_REGISTRY, register_scalar_udf
@@ -106,7 +107,7 @@ class TestCompileDecision:
                              "PLAN_COMPILE_T(units) AS u FROM Orders")
             for task in sql_tasks(handle):
                 assert not task.compiled
-                assert "UDF" in task.decision.compile_fallback
+                assert "UDF" in task.decision.fallback
         finally:
             UDF_REGISTRY.clear()
 
@@ -127,15 +128,15 @@ class TestByteEquivalence:
         rows = {mode: sorted((r["orderId"], r["units"])
                              for r in handle.results())
                 for mode, handle in handles.items()}
-        assert rows["compiled"] == rows["interpreted"]
-        assert len(rows["compiled"]) == sum(
+        assert rows["fused"] == rows["interpreted"]
+        assert len(rows["fused"]) == sum(
             1 for i in range(40) if (i * 7) % 100 > 50)
         # metric parity: every operator's processed/emitted counts match,
         # so snapshots are indistinguishable between the two paths
         counters = {mode: operator_counters(handle)
                     for mode, handle in handles.items()}
-        assert counters["compiled"] == counters["interpreted"]
-        assert any(op.startswith("filter") for op in counters["compiled"])
+        assert counters["fused"] == counters["interpreted"]
+        assert any(op.startswith("filter") for op in counters["fused"])
 
     def test_projection_rows_identical(self):
         handles = run_modes("SELECT STREAM rowtime, orderId, "
@@ -143,34 +144,36 @@ class TestByteEquivalence:
         rows = {mode: sorted((r["orderId"], r["poly"])
                              for r in handle.results())
                 for mode, handle in handles.items()}
-        assert rows["compiled"] == rows["interpreted"]
-        assert rows["compiled"][3] == (3, ((3 * 7) % 100) ** 2 + 1)
+        assert rows["fused"] == rows["interpreted"]
+        assert rows["fused"][3] == (3, ((3 * 7) % 100) ** 2 + 1)
 
     def test_multi_filter_staged_counters_identical(self):
-        # two filter stages force the compiler's counting-loop shape;
-        # per-stage emitted counts must still match the interpreted chain
+        # two filter stages: the fused function's per-stage survivor
+        # counts must still match the interpreted chain's emitted counts
         sql = ("SELECT STREAM orderId, units FROM "
                "(SELECT STREAM orderId, units FROM Orders WHERE units > 20) "
                "WHERE units < 80")
         handles = run_modes(sql)
         rows = {mode: sorted(r["orderId"] for r in handle.results())
                 for mode, handle in handles.items()}
-        assert rows["compiled"] == rows["interpreted"]
+        assert rows["fused"] == rows["interpreted"]
         counters = {mode: operator_counters(handle)
                     for mode, handle in handles.items()}
-        assert counters["compiled"] == counters["interpreted"]
+        assert counters["fused"] == counters["interpreted"]
 
     def test_generated_source_is_one_function(self):
         dep = Deployment().with_orders(5)
-        with reference_arm("compiled"):
-            handle = dep.run(FILTER_SQL)
-        [task] = [t for t in sql_tasks(handle) if t.executor is not None][:1]
+        handle = dep.run(FILTER_SQL)
+        task = sql_tasks(handle)[0]
         source = task.executor.source
         assert source.count("def ") == 1
         assert "process_batch" not in source
-        # and it is the same source compile_chain produces from the plan —
+        # and it is the same source the shell's own plan compiles to —
         # the task rebuilt it from the plan JSON the shell wrote to ZK
-        assert compile_chain(handle.plan).source == source
+        [container] = handle.master.samza_containers.values()
+        decision = decide_execution(handle.plan, container.config,
+                                    container.serdes)
+        assert compile_serde_fused(decision.serde).source == source
 
 
 class TestCodeCache:
@@ -186,14 +189,14 @@ class TestCodeCache:
         # one compile per distinct source; the other three tasks only hit
         assert info.misses == info.currsize
         assert info.hits >= 3
-        for build in (lambda: compile_chain(handle.plan),
-                      lambda: compile_serde_fused(
-                          sql_tasks(handle)[0].decision.serde)):
-            first, second = build().fn, build().fn
-            assert first is not second
-            assert first.__globals__ is not second.__globals__
-            assert first.__code__ is second.__code__
-        assert compile_source.cache_info().misses == info.misses + 1  # the chain
+        analysis = sql_tasks(handle)[0].decision.serde
+        first = compile_serde_fused(analysis).fn
+        second = compile_serde_fused(analysis).fn
+        assert first is not second
+        assert first.__globals__ is not second.__globals__
+        assert first.__code__ is second.__code__
+        # the tasks already compiled that source: both builds were hits
+        assert compile_source.cache_info().misses == info.misses
 
     def test_different_predicates_never_share_code(self):
         low, high = compile_lambda("r[0] > 1"), compile_lambda("r[0] > 2")

@@ -24,7 +24,7 @@ def execution_mode(request, monkeypatch):
     A single message is a batch of one: the ``single-message`` arm polls
     one record at a time through the same code 200-record polls take.
     The ``compiled`` arm is the path the plan gets by default (the fused
-    or compiled function wherever one exists); the ``interpreted`` arm
+    function wherever one exists); the ``interpreted`` arm
     holds every task on the operator DAG, and the two must be
     byte-identical.
     """

@@ -3,9 +3,9 @@
 The contract under test is strict observational equivalence: on the
 fused path (what the plan gets by default) every byte the job writes —
 output records, their keys, offsets, timestamps, and checkpoint topics —
-must be identical to the full decode/re-encode paths, compiled and
-interpreted, at every poll size and across crash/replay.  The reference
-arms are selected by ``reference_arm``; the runtime has no switch.
+must be identical to the interpreted full decode/re-encode path, at
+every poll size and across crash/replay.  The reference arm is selected
+by ``reference_arm``; the runtime has no switch.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
 from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
-from repro.serde import AvroSerde
+from repro.serde import AvroSerde, JsonSerde
 
 from tests.samzasql_fixtures import (
     ORDERS_SCHEMA,
@@ -26,6 +26,10 @@ from tests.samzasql_fixtures import (
 FILTER_SQL = ("SELECT STREAM rowtime, productId, orderId, units "
               "FROM Orders WHERE units > 50")
 PROJECT_SQL = "SELECT STREAM orderId, units FROM Orders WHERE units > 50"
+#: The fig 5a filter into a named sink that a user override makes JSON.
+JSON_SINK_SQL = "INSERT INTO Big SELECT STREAM * FROM Orders WHERE units > 50"
+JSON_SINK = {"systems.kafka.streams.Big.samza.msg.serde": "json"}
+JSON_SINK_REASON = "input/output streams are not Avro with string keys"
 SLIDING_WINDOW_SQL = (
     "SELECT STREAM rowtime, productId, orderId, units, "
     "SUM(units) OVER (PARTITION BY productId ORDER BY rowtime "
@@ -133,9 +137,13 @@ class TestSerdePlanAnalysis:
         assert decision.serde_status.startswith("serde: decode pruned")
 
     def test_fusion_off_runs_decoded_path(self):
-        _dep, handle = run_filter("compiled")
-        assert all(t.compiled and not t.serde_fused
-                   for t in sql_tasks(handle))
+        """A sink serde the generator cannot inline (JSON) keeps the whole
+        task on the decoded path: the interpreted router."""
+        dep = Deployment().with_orders(5)
+        handle = dep.run(JSON_SINK_SQL, config_overrides=JSON_SINK)
+        for task in sql_tasks(handle):
+            assert not task.compiled and not task.serde_fused
+            assert task.decision.fallback == JSON_SINK_REASON
 
     def test_batches_of_one_still_fuse(self):
         _dep, handle = run_filter(poll_size="1")
@@ -151,25 +159,22 @@ class TestByteEquivalence:
     """The fused path must leave the whole cluster byte-identical to
     each reference path."""
 
-    @pytest.mark.parametrize("poll_size,reference",
-                             [("200", "compiled"), ("200", "interpreted"),
-                              ("1", "compiled"), ("1", "interpreted")],
-                             ids=["batched-compiled", "batched-interpreted",
-                                  "single-compiled", "single-interpreted"])
-    def test_filter_all_modes(self, poll_size, reference):
-        dep_off, handle_off = run_filter(reference, poll_size)
+    @pytest.mark.parametrize("poll_size", ["200", "1"],
+                             ids=["batched-interpreted", "single-interpreted"])
+    def test_filter_all_modes(self, poll_size):
+        dep_off, handle_off = run_filter("interpreted", poll_size)
         dep_on, handle_on = run_filter("fused", poll_size)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
         # equivalence must hold *because* both paths actually ran
         assert all(t.serde_fused for t in sql_tasks(handle_on))
-        assert all(t.decision.path == reference
+        assert all(t.decision.path == "interpreted"
                    for t in sql_tasks(handle_off))
 
     @pytest.mark.parametrize("poll_size", ["200", "1"])
     def test_filter_with_metrics_on(self, poll_size):
         """Reporting on (what a default environment runs) changes neither
         the path nor a byte outside ``__metrics``."""
-        dep_off, _ = run_filter("compiled", poll_size, metrics=True)
+        dep_off, _ = run_filter("interpreted", poll_size, metrics=True)
         dep_on, handle_on = run_filter("fused", poll_size, metrics=True)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
         assert cluster_dump(dep_on) == cluster_dump(
@@ -180,13 +185,13 @@ class TestByteEquivalence:
                    for r in handle_on.snapshots())
 
     def test_project_query(self):
-        dep_off, _ = run_filter("compiled", sql=PROJECT_SQL)
+        dep_off, _ = run_filter("interpreted", sql=PROJECT_SQL)
         dep_on, _ = run_filter("fused", sql=PROJECT_SQL)
         assert cluster_dump(dep_off) == cluster_dump(dep_on)
 
     def test_results_match_decoded(self):
         _dep, handle_on = run_filter("fused")
-        _dep2, handle_off = run_filter("compiled")
+        _dep2, handle_off = run_filter("interpreted")
         key = lambda r: r["orderId"]
         assert sorted(handle_on.results(), key=key) == \
             sorted(handle_off.results(), key=key)
@@ -199,7 +204,7 @@ class TestCrashMidBatchElision:
         the uncommitted suffix replays through the freshly fused plan on
         the replacement container and the surviving output set matches."""
         outputs = {}
-        for mode, path in (("fused", "fused"), ("decoded", "compiled")):
+        for mode, path in (("fused", "fused"), ("decoded", "interpreted")):
             schedule = FaultSchedule.script().add_crash(25)
             dep, injector = chaos_sql_deployment(schedule, metrics=metrics)
             with reference_arm(path):  # held across the relaunch
@@ -227,6 +232,29 @@ class TestCrashMidBatchElision:
         self.test_crash_mid_batch_replays_identically(metrics=True)
 
 
+class TestJsonSink:
+    """A stateless query into a JSON sink does not fuse; the interpreted
+    router it runs instead must still emit what the table query returns."""
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    def test_stream_output_equals_table_query(self, poll_size):
+        dep = Deployment().with_orders(60)
+        handle = dep.run(JSON_SINK_SQL, config_overrides={
+            **JSON_SINK, "task.poll.batch.size": poll_size})
+        assert all(t.decision.path == "interpreted"
+                   for t in sql_tasks(handle))
+        # handle.results() decodes with the planned Avro schema; the
+        # override made the sink JSON, so read the topic as JSON.
+        emitted = [JsonSerde().from_bytes(m.value)
+                   for tp in dep.cluster.partitions_for(handle.output_stream)
+                   for m in dep.cluster.fetch(
+                       tp, dep.cluster.earliest_offset(tp), None)]
+        table = dep.shell.execute("SELECT * FROM Orders WHERE units > 50")
+        key = lambda r: r["orderId"]
+        assert sorted(emitted, key=key) == sorted(table, key=key)
+        assert len(table) == sum(1 for i in range(60) if (i * 7) % 100 > 50)
+
+
 class TestExplainSerdeStatus:
     def test_filter_reports_pruned_and_elided(self):
         dep = Deployment().with_orders(5)
@@ -237,22 +265,21 @@ class TestExplainSerdeStatus:
     def test_stateful_chain_reports_not_compiled(self):
         dep = Deployment().with_orders(5)
         report = dep.shell.execute(f"EXPLAIN {SLIDING_WINDOW_SQL}")
-        assert "serde: full decode/encode (fallback: chain not compiled" \
-            in report
+        assert ("× interpreted (fallback: stateful operator: sliding_window)"
+                "\n  serde: full decode/encode") in report
 
 
 class TestExplainMatchesTasks:
     """EXPLAIN prints the decision the tasks execute — default environment
     (metrics on), fig 5a filter."""
 
-    SQL = "INSERT INTO Big SELECT STREAM * FROM Orders WHERE units > 50"
+    SQL = JSON_SINK_SQL
     METRICS_OFF = {"metrics.reporter.interval.ms": "0"}
-    JSON_OUTPUT = {"systems.kafka.streams.Big.samza.msg.serde": "json"}
     CASES = {
         "default": ({}, "fused"),
         "metrics-off": (METRICS_OFF, "fused"),
-        "json-output": ({**METRICS_OFF, **JSON_OUTPUT}, "compiled"),
-        "metrics-on-json-output": (JSON_OUTPUT, "compiled"),
+        "json-output": ({**METRICS_OFF, **JSON_SINK}, "interpreted"),
+        "metrics-on-json-output": (JSON_SINK, "interpreted"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -275,6 +302,6 @@ class TestExplainMatchesTasks:
             if path == "fused":
                 assert "serde: decode pruned 2/4 columns" in report
                 assert "encode elided (raw byte splice)" in report
-            elif "json" in case:
-                assert ("(fallback: input/output streams are not Avro with "
-                        "string keys)" in report)
+            else:
+                assert (f"× interpreted (fallback: {JSON_SINK_REASON})"
+                        in report)
