@@ -410,7 +410,11 @@ class _WorkerLoop:
         while not self.stopping:
             while self._deferred and not self.stopping:
                 self.handle_command(self._deferred.popleft())
-            while not self.stopping and cmd_conn.poll(0):
+            # One command per round (a pump's traffic is one MSG_MULTI),
+            # then an iteration: the parent sends its next status request
+            # as soon as a reply lands, so draining until the pipe is empty
+            # can keep the container from ever running again.
+            if not self.stopping and cmd_conn.poll(0):
                 self.handle_command(cmd_conn.recv_bytes())
             if self.stopping:
                 break

@@ -1,8 +1,9 @@
 """Whole-plan query compilation (Calcite's enumerable codegen, §4.2 scaled up).
 
-For the *stateless prefix* of a plan — the ``scan → filter → project →
-insert`` chain that the paper's fig5a/b queries consist of entirely —
-this module renders every node down to composed expression sources
+For the *chain* of a plan — ``scan → filter → project → insert``, the
+whole of the paper's fig5a/b queries, with any number of equi-key
+stream-to-relation joins (fig 5c, §4.4) as stages of it — this module
+renders every node down to composed expression sources
 (:func:`chain_expressions`), from which
 :func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
 function spanning decode → chain → encode.  :class:`CompiledExecutor`
@@ -13,15 +14,18 @@ rex compiler rendered into the plan JSON; positional references
 (``r[2]``) are substituted with the scan's per-field expressions over the
 record, so the whole chain works tuple-at-a-time directly on the
 incoming message — no array-tuple is ever materialized (the paper's
-future-work item 5, taken to its endpoint).
+future-work item 5, taken to its endpoint).  A relation join is one
+more expression: a :class:`RelationLookup` reads the looked-up row's
+columns as ``_rel<k>[i]``.
 
-Unsupported shapes — stateful operators (windows, aggregations), joins,
-and UDF calls (resolved through a live registry) — run the interpreted
-router, selected per task at plan time
-(:func:`repro.samzasql.decision.decide_execution`).  Byte equivalence
-between the two paths is enforced by the integration suite; the
-per-operator ``processed``/``emitted`` counters are maintained exactly,
-so metrics snapshots are indistinguishable too.
+Unsupported shapes — stateful operators (windows, aggregations), the
+windowed stream-to-stream join, a relation join without an equi-key (it
+scans the whole store per message), and UDF calls (resolved through a
+live registry) — run the interpreted router, selected per task at plan
+time (:func:`repro.samzasql.decision.decide_execution`).  Byte
+equivalence between the two paths is enforced by the integration suite;
+the per-operator ``processed``/``emitted`` counters are maintained
+exactly, so metrics snapshots are indistinguishable too.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ from repro.samzasql.physical import (
     PhysicalPlan,
     ProjectNode,
     ScanNode,
+    StreamRelationJoinNode,
 )
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
-STATELESS_KINDS = frozenset({"scan", "filter", "project", "insert"})
+CHAIN_KINDS = frozenset({"scan", "filter", "project", "stream_relation_join",
+                         "insert"})
 
 _STATEFUL_KINDS = frozenset({"sliding_window", "group_window_agg"})
-_JOIN_KINDS = frozenset({"stream_relation_join", "multi_way_join"})
 
 
 def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
@@ -67,10 +72,13 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
         kind = node.kind
         if kind in _STATEFUL_KINDS:
             return f"stateful operator: {kind}"
-        if kind in _JOIN_KINDS:
+        if kind == "multi_way_join":
             return f"join operator: {kind}"
-        if kind not in STATELESS_KINDS:
+        if kind not in CHAIN_KINDS:
             return f"unsupported operator: {kind}"
+        if (isinstance(node, StreamRelationJoinNode)
+                and node.stream_key_source is None):
+            return "relation join without an equi-key"
         for source in _expression_sources(node):
             if "_udf_call(" in source:
                 return "expression calls a UDF (resolved via live registry)"
@@ -88,7 +96,7 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
 
 def _expression_sources(node: PhysicalNode) -> list[str]:
     sources: list[str] = []
-    for attr in ("predicate_source", "projection_source"):
+    for attr in ("predicate_source", "projection_source", "condition_source"):
         value = getattr(node, attr, None)
         if value is not None:
             sources.append(value)
@@ -198,7 +206,21 @@ class CompiledChain:
     source: str            # generated Python, kept for EXPLAIN / debugging
     fn: object             # f(values, timestamps) -> (entries, stage_counts)
     stream: str            # the single input stream the chain consumes
-    filter_flags: list     # per chain node (leaf->root): is it a filter stage?
+    stage_flags: list      # per chain node (leaf->root): a counted stage?
+
+
+@dataclass(frozen=True)
+class RelationLookup:
+    """A stream-to-relation join as a stage of the chain: one ``get`` on
+    the relation's task-local store per record, under the key the
+    operator would use (the ``repr`` of the stream-side equi-key)."""
+
+    row: str             # the looked-up row's name in the generated body
+    store: str           # the task-local store caching the relation
+    key_expr: str        # the stream-side equi-key
+    condition: str       # the full join condition
+    outer: bool          # LEFT: no matching row pads with nulls
+    width: int           # relation columns
 
 
 @dataclass(frozen=True)
@@ -206,22 +228,22 @@ class ChainExpressions:
     """A compilable chain rendered down to expression sources.
 
     All expressions are over the record dict ``r`` (``r['name']`` field
-    refs) and the wire timestamp ``t``.  This is the analysis the
-    serde-fused codegen in :mod:`repro.samzasql.serde_plan` builds its
-    generated function from.
+    refs), the wire timestamp ``t`` and the rows relation lookups found
+    (``_rel<k>[i]``).  This is the analysis the serde-fused codegen in
+    :mod:`repro.samzasql.serde_plan` builds its generated function from.
     """
 
     stream: str          # the single input stream the chain consumes
     columns: list        # one expression per output field
-    conditions: list     # filter-stage predicates, in execution order
+    stages: list         # filter predicates and RelationLookups, in order
     ts_expr: str         # output timestamp (insert rowtime fallback folded in)
     key_expr: str        # output key expression ("None" when unkeyed)
-    filter_flags: list   # per chain node (leaf->root): is it a filter stage?
+    stage_flags: list    # per chain node (leaf->root): a counted stage?
     insert: InsertNode   # the chain's root
 
 
 def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
-    """Render the stateless chain's nodes into composed expressions."""
+    """Render the chain's nodes into composed expressions."""
     reason = chain_fallback(plan)
     if reason is not None:
         raise PlannerError(f"plan does not compile: {reason}")
@@ -229,8 +251,8 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
 
     columns: list[str] = []
     ts_expr = "t"
-    conditions: list[str] = []   # filter stages, in execution order
-    filter_flags: list[bool] = []
+    stages: list = []            # filters and lookups, in execution order
+    stage_flags: list[bool] = []
     stream = ""
 
     for node in nodes:
@@ -239,18 +261,33 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
             columns = [f"r[{name!r}]" for name in node.field_names]
             if node.rowtime_index is not None:
                 ts_expr = columns[node.rowtime_index]
-            filter_flags.append(False)
+            stage_flags.append(False)
         elif isinstance(node, FilterNode):
-            conditions.append(_substitute_refs(node.predicate_source, columns))
-            filter_flags.append(True)
+            stages.append(_substitute_refs(node.predicate_source, columns))
+            stage_flags.append(True)
         elif isinstance(node, ProjectNode):
             columns = [
                 _substitute_refs(element, columns)
                 for element in _split_projection(node.projection_source)
             ]
-            filter_flags.append(False)
+            stage_flags.append(False)
+        elif isinstance(node, StreamRelationJoinNode):
+            row = f"_rel{len(stages)}"
+            relation = [f"{row}[{i}]" for i in range(node.relation_width)]
+            left, right = ((columns, relation) if node.stream_is_left
+                           else (relation, columns))
+            # r[i] before l[i]: the stream's columns render as r['name']
+            condition = _substitute_refs(
+                _substitute_refs(node.condition_source, right), left, "l")
+            stages.append(RelationLookup(
+                row=row, store=node.store_name,
+                key_expr=_substitute_refs(node.stream_key_source, columns),
+                condition=condition, outer=node.join_kind == "LEFT",
+                width=node.relation_width))
+            columns = left + right
+            stage_flags.append(True)
         elif isinstance(node, InsertNode):
-            filter_flags.append(False)
+            stage_flags.append(False)
         else:  # pragma: no cover - chain_fallback already rejected it
             raise PlannerError(f"cannot compile node kind {node.kind!r}")
 
@@ -273,8 +310,8 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
         key_expr = f'"|".join(({reprs}))'
 
     return ChainExpressions(stream=stream, columns=columns,
-                            conditions=conditions, ts_expr=ts_expr,
-                            key_expr=key_expr, filter_flags=filter_flags,
+                            stages=stages, ts_expr=ts_expr,
+                            key_expr=key_expr, stage_flags=stage_flags,
                             insert=insert)
 
 
@@ -287,7 +324,10 @@ class CompiledExecutor:
     each delivered batch, maintains the chain operators'
     ``processed``/``emitted`` counters exactly as the interpreted path
     would, and hands the finished entries to the insert operator's
-    buffer, so flush/checkpoint semantics are untouched.
+    buffer, so flush/checkpoint semantics are untouched.  A relation join
+    is counted like a filter stage: its stream rows in, its matches (all
+    of them, for LEFT) out; the rows its relation port takes keep going
+    through the router, which counts them.
 
     With metrics on, the leaf operator carries the chain's one
     ``process-ns`` timer (operator timers are inclusive of everything
@@ -298,11 +338,11 @@ class CompiledExecutor:
 
     def __init__(self, chain: CompiledChain, router):
         operators = list(router.operators)  # leaf-to-root, like the chain
-        if len(operators) != len(chain.filter_flags):
+        if len(operators) != len(chain.stage_flags):
             raise PlannerError(
                 "router operator count does not match the compiled chain "
-                f"({len(operators)} vs {len(chain.filter_flags)})")
-        self._counters = list(zip(operators, chain.filter_flags))
+                f"({len(operators)} vs {len(chain.stage_flags)})")
+        self._counters = list(zip(operators, chain.stage_flags))
         insert = operators[-1]
         if not isinstance(insert, InsertOperator):
             raise PlannerError("compiled chain must end in an insert operator")
@@ -331,9 +371,9 @@ class CompiledExecutor:
             timer.update((perf_counter_ns() - start) // len(inputs))
         count = len(inputs)
         stage = iter(stage_counts)
-        for operator, is_filter in self._counters:
+        for operator, is_stage in self._counters:
             operator.processed += count
-            if is_filter:
+            if is_stage:
                 count = next(stage)
             operator.emitted += count
         if entries:

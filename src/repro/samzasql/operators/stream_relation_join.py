@@ -12,6 +12,17 @@ The paper's prototype stored the relation with Kryo, and the
 deserialization on every lookup made its join ≈2x slower than the
 hand-written Samza job (§5.1).  Here the store's value codec is compiled
 from the relation's row type, like the stream's own Avro decoder.
+
+A join with an equi-key normally does not run :meth:`_join` at all: it
+is a stage of the task's fused function
+(:class:`~repro.samzasql.compile.RelationLookup`), which makes the same
+one ``get`` per stream row.  This operator still owns the store, applies
+the changelog on the relation port, and carries the counters; its stream
+port is the interpreted reference, and the only path for a join without
+an equi-key (a scan of the whole store per row).  A task holds one
+partition of the relation, so the planner refuses a join that could
+need another's: one without an equi-key, or keyed on anything but a
+stream column, on more than one task.
 """
 
 from __future__ import annotations

@@ -10,11 +10,16 @@ or stream-to-relation (relation side becomes a bootstrap changelog store,
 aggregates over unbounded streams, streaming a pure table...).  Each
 operator store gets a :class:`~repro.samzasql.physical.StoreLayout` from
 the row types at hand, which picks its codecs.
+:func:`single_task_relation_joins` names the relation joins a job may only
+run on one task; the shell refuses them on more.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.common.errors import PlannerError
+from repro.samzasql.compile import _split_projection
 from repro.samzasql.physical import (
     AggSpec,
     FilterNode,
@@ -66,6 +71,72 @@ _KEY_KINDS = {
 
 #: A multi-way join bucket's index record: rows buffered, next seq.
 _JOIN_INDEX_RECORD = [["count", "BIGINT"], ["seq", "BIGINT"]]
+
+#: A rendered bare input reference: ``r[3]``.
+_BARE_REF = re.compile(r"r\[(\d+)\]")
+
+
+def _scan_column(node: PhysicalNode, index: int) -> bool:
+    """Whether column ``index`` of ``node``'s output is a stream scan's
+    column, passed through unchanged (not computed, not a relation's)."""
+    while not isinstance(node, ScanNode):
+        if isinstance(node, (ProjectNode, GroupWindowAggNode)):
+            if isinstance(node, ProjectNode):
+                elements = _split_projection(node.projection_source)
+            else:  # window start, window end, the group keys, aggregates
+                elements = ["", ""] + _split_projection(node.group_key_source)
+            match = (_BARE_REF.fullmatch(elements[index])
+                     if index < len(elements) else None)
+            if match is None:
+                return False
+            index = int(match.group(1))
+        elif isinstance(node, StreamRelationJoinNode):
+            if not node.stream_is_left:
+                index -= node.relation_width
+            if not 0 <= index < node.stream_width:
+                return False
+        elif isinstance(node, MultiWayStreamJoinNode):
+            port = 0
+            while index >= node.widths[port]:
+                index -= node.widths[port]
+                port += 1
+            node = node.inputs[port]
+            continue
+        elif isinstance(node, SlidingWindowNode):
+            if index >= len(node.field_names) - len(node.aggs):
+                return False
+        elif not isinstance(node, FilterNode):
+            return False
+        node = node.inputs[0]
+    return True
+
+
+def single_task_relation_joins(plan: PhysicalPlan):
+    """Each relation join that is only right on a single task, as
+    ``(join, stream-side key field)`` — the key is ``None`` for a join
+    without an equi-key.
+
+    A task bootstraps only its own partition of a relation's changelog,
+    which is hashed by the relation's key; only a stream column can be
+    co-partitioned with it.  A key read off another relation (``Orders ⋈
+    Products ⋈ Suppliers ON p.supplierId = s.supplierId``) or computed
+    finds its row in some other task's partition, and a join without an
+    equi-key sees one partition of the relation.
+    """
+    pending = [plan.root]
+    while pending:
+        node = pending.pop()
+        pending.extend(node.inputs)
+        if not isinstance(node, StreamRelationJoinNode):
+            continue
+        match = _BARE_REF.fullmatch(node.stream_key_source or "")
+        if match is None:
+            yield node, None
+            continue
+        index = int(match.group(1))
+        if not _scan_column(node.inputs[0], index):
+            offset = 0 if node.stream_is_left else node.relation_width
+            yield node, node.field_names[offset + index]
 
 
 def _contains_stream(node: RelNode) -> bool:

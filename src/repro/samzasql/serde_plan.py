@@ -25,10 +25,15 @@ Three layers, all decided at plan time:
    span; when every column forwards this way the encode step is fully
    elided into one ``b"".join``.
 
-3. **Fusion** — decode, predicate evaluation, and encode are generated
-   into ONE function over the raw value batch, returning ready-to-send
-   ``(bytes, timestamp_ms, key)`` entries.  The container feeds it
-   undecoded consumer records and the producer takes the bytes as-is.
+3. **Fusion** — decode, predicate evaluation, relation lookups, and
+   encode are generated into ONE function over the raw value batch,
+   returning ready-to-send ``(bytes, timestamp_ms, key)`` entries.  The
+   container feeds it undecoded consumer records and the producer takes
+   the bytes as-is.  A stream-to-relation join stage is one ``get`` on
+   the relation's store through its object API (looked up per batch, so
+   whatever wraps the store's class sees every call); an INNER miss
+   skips the record, a LEFT miss reads a row of nulls.  Relation columns
+   are always re-encoded; stream columns still splice.
 
 Fusion is the only compiled path.  Anything the analysis cannot prove
 safe — non-Avro serdes, unsupported schema shapes, expressions over
@@ -48,10 +53,9 @@ from repro.common.errors import SerdeError
 from repro.samzasql.compile import (
     ChainExpressions,
     CompiledChain,
+    RelationLookup,
     _scan_string,
-    chain_expressions,
 )
-from repro.samzasql.physical import PhysicalPlan
 from repro.serde.avro import (
     _DOUBLE,
     _FLOAT,
@@ -155,10 +159,11 @@ class SerdeAnalysis:
     computed: tuple = ()   # output columns re-encoded from values
 
 
-def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
+def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
                   ) -> tuple[str | None, SerdeAnalysis | None]:
-    """Decide whether a compilable single-input chain serde-fuses:
-    ``(None, analysis)`` when it does, ``(reason, None)`` when not."""
+    """Decide whether a compilable chain serde-fuses over its stream's
+    schema: ``(None, analysis)`` when it does, ``(reason, None)`` when
+    not."""
     in_def = getattr(input_schema, "definition", None)
     in_fields = flat_record_fields(in_def)
     if in_fields is None:
@@ -180,7 +185,6 @@ def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
             return (f"output field {name!r} has a non-canonical union "
                     "ordering"), None
 
-    exprs = chain_expressions(plan)
     if len(out_fields) != len(exprs.columns):
         return "output schema width does not match the chain", None
     if [name for name, _k, _n in out_fields] != list(exprs.insert.field_names):
@@ -190,8 +194,14 @@ def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
                           in_fields=in_fields)
     needed: set = set()
     # Columns whose *values* the generated function needs: predicates,
-    # the output timestamp, the output key, and any re-encoded column.
-    value_sources = list(exprs.conditions) + [exprs.ts_expr, exprs.key_expr]
+    # lookup keys and join conditions, the output timestamp, the output
+    # key, and any re-encoded column.
+    value_sources = [exprs.ts_expr, exprs.key_expr]
+    for stage in exprs.stages:
+        if isinstance(stage, RelationLookup):
+            value_sources += [stage.key_expr, stage.condition]
+        else:
+            value_sources.append(stage)
 
     for column, (oname, okind, onull) in zip(exprs.columns, out_fields):
         ref = _bare_ref(column)
@@ -272,17 +282,20 @@ def _splice_pieces(build: SerdeAnalysis) -> list[tuple]:
     return pieces
 
 
-def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
+def compile_serde_fused(build: SerdeAnalysis,
+                        stores: dict | None = None) -> CompiledChain:
     """Generate one function spanning decode → chain → encode.
 
     The function takes the *raw* value batch (encoded Avro datums and
     wire timestamps) and returns ``(entries, stage_counts)`` where each
     entry is ``(message_bytes, timestamp_ms, key)`` ready for a
-    pre-serialized send, and ``stage_counts`` carries the per-filter
-    survivor counts the operator counters need.
+    pre-serialized send, and ``stage_counts`` carries the per-stage
+    survivor counts (filters and relation lookups) the operator counters
+    need.  ``stores`` maps store names to the task's stores; a chain
+    with relation lookups reads its relations there.
     """
     fvars = {name: f"f{i}" for i, (name, _k, _n) in enumerate(build.in_fields)}
-    conditions = [substitute_named_refs(c, fvars) for c in build.exprs.conditions]
+    stages = build.exprs.stages
     ts_expr = substitute_named_refs(build.exprs.ts_expr, fvars)
     key_expr = substitute_named_refs(build.exprs.key_expr, fvars)
 
@@ -345,7 +358,27 @@ def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
     lines = ["def _fused_plan(values, timestamps):",
              "    _out = []",
              "    _append = _out.append"]
-    lines += [f"    _n{i} = 0" for i in range(len(conditions))]
+    stage_lines: list[str] = []
+    for i, stage in enumerate(stages):
+        if not isinstance(stage, RelationLookup):
+            stage_lines += [
+                f"        if not ({substitute_named_refs(stage, fvars)}):",
+                "            continue"]
+        else:
+            namespace[f"_store{i}"] = stores[stage.store]
+            namespace[f"_null{i}"] = (None,) * stage.width
+            # the store's own get, bound per batch: whatever wraps the
+            # store's class sees every lookup
+            lines.append(f"    _get{i} = _store{i}.get")
+            key = substitute_named_refs(stage.key_expr, fvars)
+            condition = substitute_named_refs(stage.condition, fvars)
+            stage_lines += [
+                f"        {stage.row} = _get{i}(repr({key}))",
+                f"        if {stage.row} is None or not ({condition}):",
+                (f"            {stage.row} = _null{i}" if stage.outer
+                 else "            continue")]
+        stage_lines.append(f"        _n{i} += 1")
+    lines += [f"    _n{i} = 0" for i in range(len(stages))]
     lines.append("    for buf, t in zip(values, timestamps):")
     lines.append("        blen = len(buf)")
     lines.append("        pos = 0")
@@ -360,17 +393,14 @@ def compile_serde_fused(build: SerdeAnalysis) -> CompiledChain:
         "            raise SerdeError("
         "'trailing bytes after Avro datum: %d' % (blen - pos))",
     ]
-    for i, condition in enumerate(conditions):
-        lines.append(f"        if not ({condition}):")
-        lines.append("            continue")
-        lines.append(f"        _n{i} += 1")
+    lines += stage_lines
     lines += encode_lines
     lines.append(f"        _append(({msg_expr}, {ts_expr}, {key_expr}))")
-    counts = ", ".join(f"_n{i}" for i in range(len(conditions)))
+    counts = ", ".join(f"_n{i}" for i in range(len(stages)))
     lines.append(f"    return _out, ({counts}{',' if counts else ''})")
     source = "\n".join(lines)
 
     exec(compile_source(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
     return CompiledChain(source=source, fn=namespace["_fused_plan"],
                          stream=build.exprs.stream,
-                         filter_flags=build.exprs.filter_flags)
+                         stage_flags=build.exprs.stage_flags)

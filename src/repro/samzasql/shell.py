@@ -35,7 +35,10 @@ from repro.samza.serdes import SerdeRegistry
 from repro.samzasql.batch import BatchExecutor
 from repro.samzasql.decision import decide_execution
 from repro.samzasql.physical import PhysicalPlan
-from repro.samzasql.plan_builder import PhysicalPlanBuilder
+from repro.samzasql.plan_builder import (
+    PhysicalPlanBuilder,
+    single_task_relation_joins,
+)
 from repro.samzasql.task import SamzaSqlTask
 from repro.serde.avro import AvroSchema, AvroSerde
 from repro.serde.json_serde import JsonSerde
@@ -463,6 +466,9 @@ class SamzaSQLShell:
         builder = PhysicalPlanBuilder(self.catalog)
         plan = builder.build(planned.plan, output_stream,
                              relation_key=relation_key)
+        serdes, config = self._job_config(
+            query_id, plan, planned.plan.row_type, containers, window_ms,
+            overrides)
 
         # Output topic, co-partitioned with the widest input; relation
         # streams are compacted (the topic IS the relation's changelog).
@@ -477,10 +483,6 @@ class SamzaSQLShell:
         zk_path = f"/samza-sql/queries/{query_id}/plan"
         shell_zk = ZkClient(self.zk)
         shell_zk.write_json(zk_path, plan.to_dict())
-
-        serdes, config = self._job_config(
-            query_id, plan, planned.plan.row_type, containers, window_ms,
-            overrides)
 
         job = SamzaJob(
             config=config,
@@ -504,7 +506,20 @@ class SamzaSQLShell:
                     ) -> tuple[SerdeRegistry, Config]:
         """The job's serde registry and merged config: what the shell
         derives from the plan, then the shell's default overrides, then
-        the statement's."""
+        the statement's.  Refuses a relation join that would lose rows on
+        the job's tasks (EXPLAIN and submission alike)."""
+        for join, key in single_task_relation_joins(plan):
+            tasks = max((self.cluster.topic(s).partition_count
+                         for s in plan.input_streams
+                         if self.cluster.has_topic(s)), default=1)
+            if tasks > 1:
+                on = (f"on {key!r}, which is not a column of the stream"
+                      if key is not None else "without an equi-key")
+                raise PlannerError(
+                    f"relation {join.relation} is joined {on}: each of the "
+                    f"{tasks} tasks bootstraps only its own partition of "
+                    f"{join.relation_stream}, so rows would be lost; join "
+                    f"on a stream column, or use one partition per input")
         serdes = SerdeRegistry()
         config: dict[str, Any] = {
             "job.name": query_id,

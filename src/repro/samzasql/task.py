@@ -73,8 +73,8 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         self._executor = None
         self._decision: ExecutionDecision | None = None
         self._changelog_key_types: dict[str, str] = {}
-        #: Streams the container should deliver *undecoded* (the
-        #: serde-fused fast path); empty when the fallback path runs.
+        #: Streams the container should deliver *undecoded*: the fused
+        #: chain's stream; empty when the interpreted path runs.
         self.raw_input_streams: frozenset[str] = frozenset()
 
     def init(self, config: Config, context: TaskContext) -> None:
@@ -107,11 +107,13 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
                 timed=operators[:1] if fused else operators)
         if fused:
             # One generated function spans decode→chain→encode; the
-            # container delivers this task's batches undecoded.
+            # container delivers the chain's stream undecoded.  Relation
+            # changelogs stay decoded: they reach the join's relation
+            # port through the router, tombstones included.
             self._executor = CompiledExecutor(
-                compile_serde_fused(decision.serde), self._router)
-            self.raw_input_streams = frozenset(plan.input_streams)
-            self._route_batch = self._executor.route_batch
+                compile_serde_fused(decision.serde, stores), self._router)
+            self.raw_input_streams = frozenset({self._executor.stream})
+            self._route_batch = self._router.route_batch
         elif decision.sampled:
             self._route_batch = TimingSampler(
                 self._router.route_batch, operators).route_batch

@@ -29,6 +29,8 @@ PRODUCTS_SCHEMA = AvroSchema.record(
     "Products",
     [("productId", "int"), ("name", "string"), ("supplierId", "int")],
 )
+SUPPLIERS_SCHEMA = AvroSchema.record(
+    "Suppliers", [("supplierId", "int"), ("city", "string")])
 PACKETS_SCHEMA = AvroSchema.record(
     "Packets",
     [("rowtime", "long"), ("sourcetime", "long"), ("packetId", "long")],
@@ -40,6 +42,17 @@ def sql_tasks(handle):
     return [instance.task
             for container in handle.master.samza_containers.values()
             for instance in container.tasks.values()]
+
+
+def operator_counters(handle):
+    """{op_id: (processed, emitted)} summed across the handle's tasks."""
+    totals = {}
+    for task in sql_tasks(handle):
+        for op in task.router.operators:
+            processed, emitted = totals.get(op.op_id, (0, 0))
+            totals[op.op_id] = (processed + op.processed,
+                                emitted + op.emitted)
+    return totals
 
 
 @contextmanager
@@ -125,15 +138,28 @@ class Deployment:
             written.append(record)
         return written
 
-    def with_products(self, count: int = 10):
+    def with_products(self, count: int = 10, suppliers: int = 3):
         self.shell.register_table("Products", PRODUCTS_SCHEMA,
                                   key_field="productId", partitions=self.partitions)
-        serde = AvroSerde(PRODUCTS_SCHEMA)
         for pid in range(count):
-            record = {"productId": pid, "name": f"product-{pid}",
-                      "supplierId": pid % 3}
-            self.producer.send("Products-changelog", serde.to_bytes(record),
-                               key=str(pid).encode())
+            self.send_product(pid, pid % suppliers)
+        return self
+
+    def send_product(self, pid: int, supplier: int | None) -> None:
+        """Upsert product ``pid``; ``supplier=None`` sends its tombstone."""
+        value = None if supplier is None else AvroSerde(PRODUCTS_SCHEMA).to_bytes(
+            {"productId": pid, "name": f"product-{pid}", "supplierId": supplier})
+        self.producer.send("Products-changelog", value, key=str(pid).encode())
+
+    def with_suppliers(self, count: int = 3):
+        self.shell.register_table("Suppliers", SUPPLIERS_SCHEMA,
+                                  key_field="supplierId", partitions=self.partitions)
+        serde = AvroSerde(SUPPLIERS_SCHEMA)
+        for sid in range(count):
+            self.producer.send(
+                "Suppliers-changelog",
+                serde.to_bytes({"supplierId": sid, "city": f"city-{sid}"}),
+                key=str(sid).encode())
         return self
 
     def with_packets(self, routers: int = 2,

@@ -137,6 +137,43 @@ class TestWorkerRelaunch:
             assert previous == r
 
 
+# -- worker loop ---------------------------------------------------------------
+
+
+class TestWorkerLoop:
+    def test_a_pipe_that_is_never_empty_does_not_starve_the_container(self):
+        """The parent sends its next status request as soon as a reply
+        lands; on two CPUs it is often queued before the worker looks, and
+        a worker that drained its pipe before iterating answered status
+        requests forever without processing a record."""
+        import collections
+        from types import SimpleNamespace
+
+        from repro.parallel.worker import _WorkerLoop
+
+        commands, iterations = [], []
+
+        class BusyPipe:
+            def poll(self, _timeout=0):
+                return True
+
+            def recv_bytes(self):
+                return b"status request"
+
+        def handle_command(raw):
+            commands.append(raw)
+            loop.stopping = len(commands) == 50
+
+        loop = SimpleNamespace(
+            stopping=False, _deferred=collections.deque(),
+            cmd_conn=BusyPipe(), handle_command=handle_command,
+            service_peers=lambda: 0, flush=lambda: None,
+            container=SimpleNamespace(
+                run_iteration=lambda: iterations.append(1) or 1))
+        _WorkerLoop.run(loop)
+        assert len(iterations) == len(commands) - 1 == 49
+
+
 # -- frame codec --------------------------------------------------------------
 
 

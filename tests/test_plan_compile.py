@@ -26,6 +26,7 @@ from repro.sql.codegen import compile_lambda, compile_source
 from tests.samzasql_fixtures import (
     ORDERS_SCHEMA,
     Deployment,
+    operator_counters,
     reference_arm,
     sql_tasks,
 )
@@ -37,17 +38,6 @@ WINDOW_SQL = (
     "SUM(units) OVER (PARTITION BY productId ORDER BY rowtime "
     "RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes "
     "FROM Orders")
-
-
-def operator_counters(handle):
-    """{op_id: (processed, emitted)} summed across the handle's tasks."""
-    totals = {}
-    for task in sql_tasks(handle):
-        for op in task.router.operators:
-            processed, emitted = totals.get(op.op_id, (0, 0))
-            totals[op.op_id] = (processed + op.processed,
-                                emitted + op.emitted)
-    return totals
 
 
 def run_modes(sql, count=40, **kwargs):
@@ -88,13 +78,27 @@ class TestCompileDecision:
                 "interpreted (fallback: stateful operator: sliding_window)")
 
     def test_join_falls_back_with_reason(self):
+        """An equi-key relation join is a stage of the fused chain; one
+        without an equi-key scans the whole store per message and runs
+        interpreted — the tasks and EXPLAIN say so alike.  (It sees one
+        partition of the relation per task, so it runs on one.)"""
         dep = Deployment().with_orders(5).with_products()
-        handle = dep.run(
-            "SELECT STREAM o.rowtime, o.orderId, p.name "
-            "FROM Orders o JOIN Products p ON o.productId = p.productId")
-        for task in sql_tasks(handle):
+        equi = ("SELECT STREAM o.rowtime, o.orderId, p.name "
+                "FROM Orders o JOIN Products p ON o.productId = p.productId")
+        report = dep.shell.execute(f"EXPLAIN {equi}")
+        assert "tasks: 4 × compiled\n  serde: decode pruned" in report
+        for task in sql_tasks(dep.run(equi)):
+            assert task.compiled and task.decision.fallback is None
+
+        dep = Deployment(partitions=1).with_orders(5).with_products()
+        theta = ("SELECT STREAM o.orderId, p.name FROM Orders o "
+                 "JOIN Products p ON o.units > p.supplierId")
+        reason = "relation join without an equi-key"
+        report = dep.shell.execute(f"EXPLAIN {theta}")
+        assert f"tasks: 1 × interpreted (fallback: {reason})" in report
+        for task in sql_tasks(dep.run(theta)):
             assert not task.compiled
-            assert "join operator" in task.decision.fallback
+            assert task.decision.fallback == reason
 
     def test_udf_falls_back_with_reason(self):
         from repro.sql.udf import UDF_REGISTRY, register_scalar_udf

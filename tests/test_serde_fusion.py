@@ -12,13 +12,16 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
+from repro.common import PlannerError
 from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
 from repro.serde import AvroSerde, JsonSerde
 
 from tests.samzasql_fixtures import (
     ORDERS_SCHEMA,
+    PRODUCTS_SCHEMA,
     Deployment,
+    operator_counters,
     reference_arm,
     sql_tasks,
 )
@@ -36,6 +39,10 @@ SLIDING_WINDOW_SQL = (
     "RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes "
     "FROM Orders WHERE units > 10"
 )
+#: The fig 5c join (Listing 8).
+JOIN_SQL = ("SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
+            "Orders.units, Products.supplierId FROM Orders JOIN Products "
+            "ON Orders.productId = Products.productId")
 
 
 def enable_metrics(dep):
@@ -45,11 +52,14 @@ def enable_metrics(dep):
     dep.shell.enable_metrics_stream()
 
 
-def chaos_sql_deployment(schedule, orders=80, partitions=2, metrics=False):
+def chaos_sql_deployment(schedule, orders=80, partitions=2, metrics=False,
+                         products=0):
     dep = Deployment(partitions=partitions)
     if metrics:
         enable_metrics(dep)
     dep.with_orders(count=orders)
+    if products:
+        dep.with_products(products)
     injector = FaultInjector(schedule, clock=dep.clock)
     dep.cluster.install_fault_injector(injector)
     dep.runner.fault_injector = injector
@@ -231,6 +241,192 @@ class TestCrashMidBatchElision:
     def test_crash_mid_batch_replays_identically_with_metrics_on(self):
         self.test_crash_mid_batch_replays_identically(metrics=True)
 
+    def test_fused_join_restores_its_relation(self):
+        """A crash inside a poll batch of the fused join: the relaunch
+        restores ``sql-relation-products`` from its changelog, looks the
+        replayed suffix up in it, and emits what the interpreted arm
+        emits."""
+        outputs = {}
+        for path in ("fused", "interpreted"):
+            # past the crashing container's first commit, inside a batch
+            schedule = FaultSchedule.script().add_crash(35)
+            dep, injector = chaos_sql_deployment(schedule, products=10)
+            with reference_arm(path):  # held across the relaunch
+                handle = dep.shell.execute(
+                    JOIN_SQL, containers=2, config_overrides={
+                        "task.checkpoint.interval.messages": 10,
+                        "task.poll.batch.size": 8,
+                    })
+                supervisor = ChaosSupervisor(dep.runner, injector,
+                                             zk=dep.shell.zk)
+                supervisor.run_until_quiescent()
+            assert supervisor.restarts == 1
+            assert all(task.decision.path == path
+                       for task in sql_tasks(handle))
+            restored = sum(
+                gauge.value
+                for container in handle.master.samza_containers.values()
+                for group, metric, gauge in container.metrics.gauges()
+                if metric == "restored-entries"
+                and group.startswith("store.sql-relation-products."))
+            assert restored > 0
+            with injector.suspended():
+                outputs[path] = {(r["orderId"], r["supplierId"])
+                                 for r in handle.results()}
+        assert outputs["fused"] == outputs["interpreted"]
+        assert outputs["fused"] == {(i, i % 10 % 3) for i in range(80)}
+
+
+#: Orders carry productId 0..9; products 0..7 exist (8 and 9 never
+#: match), supplierId = productId % 5 (a residual on it is selective);
+#: suppliers 0..3 exist (supplier 4 never matches).
+JOIN_ORDERS, JOIN_PRODUCTS, JOIN_SUPPLIERS = 40, 8, 4
+FUSED_JOINS = {
+    "inner": "SELECT STREAM o.rowtime, o.orderId, o.productId, p.name, "
+             "p.supplierId FROM Orders o JOIN Products p "
+             "ON o.productId = p.productId",
+    "left": "SELECT STREAM o.rowtime, o.orderId, o.productId, p.name, "
+            "p.supplierId FROM Orders o LEFT JOIN Products p "
+            "ON o.productId = p.productId",
+    "residual": "SELECT STREAM o.orderId, p.supplierId FROM Orders o "
+                "JOIN Products p ON o.productId = p.productId "
+                "AND p.supplierId > 2",
+    "filter-above": "SELECT STREAM o.orderId, o.units, p.name FROM Orders o "
+                    "JOIN Products p ON o.productId = p.productId "
+                    "WHERE o.units > p.supplierId * 20",
+    "relation-left": "SELECT STREAM p.name, o.orderId, o.rowtime "
+                     "FROM Products p JOIN Orders o "
+                     "ON p.productId = o.productId",
+    "two-relations": "SELECT STREAM o.orderId, p.name, s.city FROM Orders o "
+                     "JOIN Products p ON o.productId = p.productId "
+                     "JOIN Suppliers s ON p.supplierId = s.supplierId",
+}
+
+
+def run_join(path, poll_size, sql, between=None):
+    """``sql`` over the join feed on ``path``.  With ``between``, it changes
+    the relations after the first stream batch, and a second batch
+    (orderId 200..) follows."""
+    # a key read off a relation is only co-partitioned on one partition
+    dep = Deployment(partitions=1 if "Suppliers" in sql else 4)
+    dep.with_orders(JOIN_ORDERS).with_products(JOIN_PRODUCTS, suppliers=5)
+    dep.with_suppliers(JOIN_SUPPLIERS)
+    with reference_arm(path):
+        handle = dep.shell.execute(sql, config_overrides={
+            "task.poll.batch.size": poll_size})
+        dep.runner.run_until_quiescent()
+        if between is not None:
+            between(dep)
+            dep.runner.run_until_quiescent()
+            dep.feed_orders(JOIN_ORDERS, start_ts=5_000_000, start_id=200)
+            dep.runner.run_until_quiescent()
+    assert all(task.decision.path == path for task in sql_tasks(handle))
+    return dep, handle
+
+
+def table_rows(dep, sql):
+    """The same SQL without STREAM, over the feed's history."""
+    return dep.shell.execute(sql.replace("SELECT STREAM", "SELECT"))
+
+
+class TestFusedRelationJoin:
+    """Equi-key relation joins run as stages of the fused chain: every
+    byte, and every operator counter, as the interpreted router leaves
+    them, and the rows the table query returns."""
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    @pytest.mark.parametrize("case", sorted(FUSED_JOINS))
+    def test_fused_equals_interpreted_and_table(self, case, poll_size):
+        sql = FUSED_JOINS[case]
+        dep_on, fused = run_join("fused", poll_size, sql)
+        dep_off, interpreted = run_join("interpreted", poll_size, sql)
+        assert cluster_dump(dep_on) == cluster_dump(dep_off)
+        counters = operator_counters(fused)
+        assert counters == operator_counters(interpreted)
+        assert sorted(fused.results(), key=repr) == sorted(
+            table_rows(dep_on, sql), key=repr)
+        if case in ("inner", "left"):
+            # the join counts its relation rows too, and INNER drops the
+            # orders of the two missing products
+            [join] = [c for op, c in counters.items()
+                      if op.startswith("relation-join")]
+            matched = sum(1 for i in range(JOIN_ORDERS)
+                          if i % 10 < JOIN_PRODUCTS)
+            assert join == (JOIN_ORDERS + JOIN_PRODUCTS,
+                            matched if case == "inner" else JOIN_ORDERS)
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    @pytest.mark.parametrize("case", ["inner", "left"])
+    def test_relation_changes_between_stream_batches(self, case, poll_size):
+        def change(dep):
+            dep.send_product(3, 4)     # upsert: a new supplier
+            dep.send_product(1, None)  # tombstone: product 1 is gone
+            dep.send_product(9, 2)     # a key no earlier order matched
+
+        sql = FUSED_JOINS[case]
+        dep_on, fused = run_join("fused", poll_size, sql, between=change)
+        dep_off, interpreted = run_join("interpreted", poll_size, sql,
+                                        between=change)
+        assert cluster_dump(dep_on) == cluster_dump(dep_off)
+        assert operator_counters(fused) == operator_counters(interpreted)
+
+        def later(rows):
+            return sorted((r for r in rows if r["orderId"] >= 200), key=repr)
+
+        streamed = later(fused.results())
+        assert streamed == later(table_rows(dep_on, sql))
+        by_product = {r["productId"]: r["supplierId"] for r in streamed}
+        assert by_product[3] == 4 and by_product[9] == 2
+        assert by_product.get(1) is None
+
+
+class TestRelationJoinPartitioning:
+    """Each task bootstraps its own partition of a relation's changelog,
+    so a relation join is only right on many tasks when its key is a
+    column of the stream — the partitioning both topics share."""
+
+    SQL = FUSED_JOINS["two-relations"]
+
+    def test_key_off_the_stream_is_refused(self):
+        dep = Deployment().with_orders(20).with_products(10).with_suppliers()
+        for sql in (f"EXPLAIN {self.SQL}", self.SQL):
+            with pytest.raises(PlannerError, match=(
+                    "relation Suppliers is joined on 'supplierId', which is "
+                    "not a column of the stream: each of the 4 tasks")):
+                dep.shell.execute(sql)
+        with pytest.raises(PlannerError, match="without an equi-key"):
+            dep.shell.execute("SELECT STREAM o.orderId FROM Orders o "
+                              "JOIN Products p ON o.units > p.supplierId")
+        assert dep.shell._masters == []
+        assert not any(topic.endswith("-output")
+                       for topic in dep.cluster.topics())
+
+    def test_the_key_is_followed_down_to_the_stream(self):
+        dep = Deployment().with_orders(5).with_products()
+        grouped = ("SELECT STREAM g.productId, g.c, p.name FROM "
+                   "(SELECT STREAM START(rowtime) AS ws, productId, "
+                   "COUNT(*) AS c FROM Orders GROUP BY "
+                   "TUMBLE(rowtime, INTERVAL '1' MINUTE), productId) g "
+                   "JOIN Products p ON g.{} = p.productId")
+        assert "tasks: 4 ×" in dep.shell.execute(
+            "EXPLAIN " + grouped.format("productId"))
+        for sql, key in ((grouped.format("c"), "c"), (
+                "SELECT STREAM o.orderId, p.name FROM (SELECT STREAM "
+                "orderId, productId + 1 AS pid FROM Orders) o "
+                "JOIN Products p ON o.pid = p.productId", "pid")):
+            with pytest.raises(PlannerError, match=f"joined on '{key}'"):
+                dep.shell.execute(f"EXPLAIN {sql}")
+
+    def test_one_partition_runs_fused_and_equals_the_table(self):
+        dep = Deployment(partitions=1).with_orders(20).with_products(10)
+        dep.with_suppliers()
+        handle = dep.run(self.SQL)
+        assert all(task.decision.path == "fused"
+                   for task in sql_tasks(handle))
+        table = table_rows(dep, self.SQL)
+        assert len(table) == 20
+        assert sorted(handle.results(), key=repr) == sorted(table, key=repr)
+
 
 class TestJsonSink:
     """A stateless query into a JSON sink does not fuse; the interpreted
@@ -271,7 +467,7 @@ class TestExplainSerdeStatus:
 
 class TestExplainMatchesTasks:
     """EXPLAIN prints the decision the tasks execute — default environment
-    (metrics on), fig 5a filter."""
+    (metrics on), fig 5a filter and fig 5c join."""
 
     SQL = JSON_SINK_SQL
     METRICS_OFF = {"metrics.reporter.interval.ms": "0"}
@@ -280,16 +476,20 @@ class TestExplainMatchesTasks:
         "metrics-off": (METRICS_OFF, "fused"),
         "json-output": ({**METRICS_OFF, **JSON_SINK}, "interpreted"),
         "metrics-on-json-output": (JSON_SINK, "interpreted"),
+        "relation-join": ({}, "fused"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_explain_and_tasks_agree(self, case):
         overrides, path = self.CASES[case]
+        sql = JOIN_SQL if case == "relation-join" else self.SQL
         with SamzaSqlEnvironment() as env:
             env.shell.register_stream("Orders", ORDERS_SCHEMA)
-            report = env.shell.execute("EXPLAIN " + self.SQL,
+            env.shell.register_table("Products", PRODUCTS_SCHEMA,
+                                     key_field="productId")
+            report = env.shell.execute("EXPLAIN " + sql,
                                        config_overrides=overrides)
-            handle = env.shell.execute(self.SQL, config_overrides=overrides)
+            handle = env.shell.execute(sql, config_overrides=overrides)
             tasks = sql_tasks(handle)
             assert len(tasks) == 4
             for task in tasks:
@@ -299,7 +499,13 @@ class TestExplainMatchesTasks:
                 assert task.serde_fused is (path == "fused")
                 assert f"tasks: 4 × {task.decision.task_status}\n" in report
                 assert report.endswith("  " + task.decision.serde_status)
-            if path == "fused":
+            if case == "relation-join":
+                # the relation's changelog is the join's, decoded
+                assert task.raw_input_streams == {"Orders"}
+                assert ("serde: decode pruned 2/4 columns (skip-scan: "
+                        "orderId, units), encode fused (4 spliced, "
+                        "1 re-encoded)") in report
+            elif path == "fused":
                 assert "serde: decode pruned 2/4 columns" in report
                 assert "encode elided (raw byte splice)" in report
             else:
