@@ -112,10 +112,11 @@ _BROKER_CHAOS = {"transient": 5, CONTAINER_CRASH: 1, ZK_EXPIRE: 1}
 
 SCENARIOS: dict[str, Scenario] = {
     # Broker errors, latency, an unavailable partition, a container
-    # crash and a ZooKeeper session expiry against the window query.
+    # crash and a ZooKeeper session expiry against the window query, run
+    # as a stage of the fused function.
     "window": Scenario(
         WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId", _orders_feed,
-        minimum=_BROKER_CHAOS),
+        minimum=_BROKER_CHAOS, explain="× compiled"),
     # The same schedule against the collapsed 3-way join's shared stores.
     "multiway": Scenario(
         MULTIWAY_SQL,
@@ -130,7 +131,7 @@ SCENARIOS: dict[str, Scenario] = {
         faults=dict(transient_faults=0, latency_faults=0, crashes=0,
                     zk_expiries=0, unavailability_windows=0,
                     worker_kills=2, worker_kill_range=(2, 8)),
-        minimum={WORKER_KILL: 1}, parallel=True),
+        minimum={WORKER_KILL: 1}, parallel=True, explain="× compiled"),
 }
 
 

@@ -2,10 +2,10 @@
 
 For the *chain* of a plan — ``scan → filter → project → insert``, the
 whole of the paper's fig5a/b queries, with any number of equi-key
-stream-to-relation joins (fig 5c, §4.4) as stages of it — this module
-renders every node down to composed expression sources
-(:func:`chain_expressions`), from which
-:func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
+stream-to-relation joins (fig 5c, §4.4) and a sliding window (fig 6,
+Algorithm 1 of §4.3) as stages of it — this module renders every node
+down to composed expression sources (:func:`chain_expressions`), from
+which :func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
 function spanning decode → chain → encode.  :class:`CompiledExecutor`
 runs that function in place of the router's per-operator dispatch.
 
@@ -16,13 +16,17 @@ record, so the whole chain works tuple-at-a-time directly on the
 incoming message — no array-tuple is ever materialized (the paper's
 future-work item 5, taken to its endpoint).  A relation join is one
 more expression: a :class:`RelationLookup` reads the looked-up row's
-columns as ``_rel<k>[i]``.
+columns as ``_rel<k>[i]``.  So is a sliding window: a
+:class:`WindowAdvance` advances the record's partition in the window
+operator's own state and exposes the aggregates as ``_win<k>[j]``.
 
-Unsupported shapes — stateful operators (windows, aggregations), the
+Unsupported shapes — the group window (a hopping/tumbling GROUP BY), the
 windowed stream-to-stream join, a relation join without an equi-key (it
-scans the whole store per message), and UDF calls (resolved through a
-live registry) — run the interpreted router, selected per task at plan
-time (:func:`repro.samzasql.decision.decide_execution`).  Byte
+scans the whole store per message), a window over a UDAF or a second
+window in the chain (the two would share the window stores), and UDF
+calls (resolved through a live registry) — run the interpreted router,
+selected per task at plan time
+(:func:`repro.samzasql.decision.decide_execution`).  Byte
 equivalence between the two paths is enforced by the integration suite;
 the per-operator ``processed``/``emitted`` counters are maintained
 exactly, so metrics snapshots are indistinguishable too.
@@ -35,6 +39,7 @@ from time import perf_counter_ns
 
 from repro.common.errors import PlannerError
 from repro.samzasql.operators.insert import InsertOperator
+from repro.samzasql.operators.sliding_window import BUILTIN_AGGREGATES
 from repro.samzasql.physical import (
     FilterNode,
     InsertNode,
@@ -42,14 +47,15 @@ from repro.samzasql.physical import (
     PhysicalPlan,
     ProjectNode,
     ScanNode,
+    SlidingWindowNode,
     StreamRelationJoinNode,
 )
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
-CHAIN_KINDS = frozenset({"scan", "filter", "project", "stream_relation_join",
-                         "insert"})
+CHAIN_KINDS = frozenset({"scan", "filter", "project", "sliding_window",
+                         "stream_relation_join", "insert"})
 
-_STATEFUL_KINDS = frozenset({"sliding_window", "group_window_agg"})
+_STATEFUL_KINDS = frozenset({"group_window_agg"})
 
 
 def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
@@ -68,6 +74,7 @@ def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
 def chain_fallback(plan: PhysicalPlan) -> str | None:
     """Why the plan's chain does not exec-compile; None when it does."""
     node: PhysicalNode = plan.root
+    windows = 0
     while True:
         kind = node.kind
         if kind in _STATEFUL_KINDS:
@@ -79,6 +86,13 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
         if (isinstance(node, StreamRelationJoinNode)
                 and node.stream_key_source is None):
             return "relation join without an equi-key"
+        if isinstance(node, SlidingWindowNode):
+            windows += 1
+            if windows > 1:
+                return "more than one sliding window (they share the stores)"
+            for spec in node.aggs:
+                if spec.func not in BUILTIN_AGGREGATES:
+                    return f"window aggregate is a UDAF: {spec.func}"
         for source in _expression_sources(node):
             if "_udf_call(" in source:
                 return "expression calls a UDF (resolved via live registry)"
@@ -96,10 +110,13 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
 
 def _expression_sources(node: PhysicalNode) -> list[str]:
     sources: list[str] = []
-    for attr in ("predicate_source", "projection_source", "condition_source"):
+    for attr in ("predicate_source", "projection_source", "condition_source",
+                 "partition_key_source", "order_source"):
         value = getattr(node, attr, None)
         if value is not None:
             sources.append(value)
+    sources += [spec.arg_source for spec in getattr(node, "aggs", ())
+                if spec.arg_source is not None]
     return sources
 
 
@@ -120,6 +137,23 @@ def _scan_string(source: str, start: int) -> int:
             return i + 1
         i += 1
     return n
+
+
+def strip_parens(source: str) -> str:
+    """``source`` without the redundant parentheses that enclose all of
+    it (``((r['a']))`` → ``r['a']``; ``(a) + (b)`` stays as it is)."""
+    s = source.strip()
+    while s.startswith("(") and s.endswith(")"):
+        depth = 0
+        for idx, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and idx != len(s) - 1:
+                    return s
+        s = s[1:-1].strip()
+    return s
 
 
 def _substitute_refs(source: str, columns: list[str], var: str = "r") -> str:
@@ -224,18 +258,34 @@ class RelationLookup:
 
 
 @dataclass(frozen=True)
+class WindowAdvance:
+    """A sliding window as a stage of the chain: each record advances its
+    partition's window in the window operator's own state (Algorithm 1,
+    rendered by
+    :meth:`~repro.samzasql.operators.sliding_window.SlidingWindowOperator.render_advance`),
+    and its aggregates read as ``<row>[j]``."""
+
+    row: str             # the aggregates' tuple in the generated body
+    operator: int        # the window operator's chain position (leaf = 0)
+    key_expr: str        # the partition key tuple
+    order_expr: str      # the ORDER BY value
+    arg_exprs: tuple     # per aggregate: its argument (None: COUNT(*))
+
+
+@dataclass(frozen=True)
 class ChainExpressions:
     """A compilable chain rendered down to expression sources.
 
     All expressions are over the record dict ``r`` (``r['name']`` field
-    refs), the wire timestamp ``t`` and the rows relation lookups found
-    (``_rel<k>[i]``).  This is the analysis the serde-fused codegen in
-    :mod:`repro.samzasql.serde_plan` builds its generated function from.
+    refs), the wire timestamp ``t``, the rows relation lookups found
+    (``_rel<k>[i]``) and a window's aggregates (``_win<k>[j]``).  This is
+    the analysis the serde-fused codegen in :mod:`repro.samzasql.serde_plan`
+    builds its generated function from.
     """
 
     stream: str          # the single input stream the chain consumes
     columns: list        # one expression per output field
-    stages: list         # filter predicates and RelationLookups, in order
+    stages: list         # predicates, RelationLookups, WindowAdvances
     ts_expr: str         # output timestamp (insert rowtime fallback folded in)
     key_expr: str        # output key expression ("None" when unkeyed)
     stage_flags: list    # per chain node (leaf->root): a counted stage?
@@ -251,7 +301,7 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
 
     columns: list[str] = []
     ts_expr = "t"
-    stages: list = []            # filters and lookups, in execution order
+    stages: list = []            # filters, lookups, windows: execution order
     stage_flags: list[bool] = []
     stream = ""
 
@@ -286,6 +336,19 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
                 width=node.relation_width))
             columns = left + right
             stage_flags.append(True)
+        elif isinstance(node, SlidingWindowNode):
+            row = f"_win{len(stages)}"
+            stages.append(WindowAdvance(
+                row=row, operator=len(stage_flags),
+                key_expr=_substitute_refs(node.partition_key_source, columns),
+                order_expr=_substitute_refs(node.order_source, columns),
+                arg_exprs=tuple(
+                    None if spec.arg_source is None
+                    else _substitute_refs(spec.arg_source, columns)
+                    for spec in node.aggs)))
+            columns = columns + [f"{row}[{j}]" for j in range(len(node.aggs))]
+            # a stage that passes every record: its count is its input's
+            stage_flags.append(True)
         elif isinstance(node, InsertNode):
             stage_flags.append(False)
         else:  # pragma: no cover - chain_fallback already rejected it
@@ -295,10 +358,11 @@ def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
     assert isinstance(insert, InsertNode)
     if insert.rowtime_index is not None:
         rt_col = columns[insert.rowtime_index]
-        if rt_col != ts_expr:
+        if strip_parens(rt_col) != strip_parens(ts_expr):
             # Interpreted insert keeps the upstream timestamp when the
-            # rowtime value is NULL; when the two expressions are textually
-            # identical the branch is a no-op and is elided.
+            # rowtime value is NULL; when the two expressions are the same
+            # up to redundant parentheses the branch is a no-op and is
+            # elided.
             ts_expr = f"(({ts_expr}) if ({rt_col}) is None else ({rt_col}))"
     if insert.key_field_indexes is None:
         key_expr = "None"
@@ -327,7 +391,8 @@ class CompiledExecutor:
     buffer, so flush/checkpoint semantics are untouched.  A relation join
     is counted like a filter stage: its stream rows in, its matches (all
     of them, for LEFT) out; the rows its relation port takes keep going
-    through the router, which counts them.
+    through the router, which counts them.  A window stage passes every
+    record it advances.
 
     With metrics on, the leaf operator carries the chain's one
     ``process-ns`` timer (operator timers are inclusive of everything

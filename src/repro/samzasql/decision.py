@@ -4,7 +4,8 @@
 paths: the serde-fused function (decode → chain → encode generated as
 one function over raw bytes) and the interpreted operator DAG (the
 reference router, full decode/encode).  A chain — stateless operators
-plus equi-key stream-to-relation joins — fuses when
+plus equi-key stream-to-relation joins and a sliding window over
+built-in aggregates — fuses when
 :func:`~repro.samzasql.serde_plan.analyze_serde` can inline the serdes
 of the stream it consumes and of its output; a relation's changelog
 stays decoded, whatever its serde.  Everything else is interpreted,

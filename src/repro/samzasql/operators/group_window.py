@@ -125,7 +125,8 @@ class GroupWindowAggOperator(Operator):
                     state = store.get(store_key)
                     if state is None:
                         state = {"wstart": wstart, "keys": key_values,
-                                 "accs": [([None, 0, None, None] if udaf is None
+                                 "accs": [([None, 0, None, None, 0]
+                                           if udaf is None
                                            else [udaf.create()])
                                           for udaf in self._udafs]}
                         meta["open"][store_key] = wend
@@ -136,9 +137,10 @@ class GroupWindowAggOperator(Operator):
                     if udaf is not None:
                         acc[0] = udaf.add(acc[0], value)
                         continue
-                    # acc = [sum, count, min, max]
+                    # acc = [sum, rows, min, max, non-null rows]
                     acc[1] += 1
                     if value is not None:
+                        acc[4] += 1
                         acc[0] = value if acc[0] is None else acc[0] + value
                         acc[2] = value if acc[2] is None else min(acc[2], value)
                         acc[3] = value if acc[3] is None else max(acc[3], value)
@@ -213,7 +215,7 @@ class GroupWindowAggOperator(Operator):
             elif func == "SUM":
                 results.append(acc[0])
             elif func == "AVG":
-                results.append(None if acc[0] is None else acc[0] / acc[1])
+                results.append(None if acc[0] is None else acc[0] / acc[4])
             elif func == "MIN":
                 results.append(acc[2])
             elif func == "MAX":

@@ -43,6 +43,16 @@ monotonic deques exactly (a monotonic deque is a pure function of the
 retained-row sequence).  Rows found without a covering seq record
 (flushed ahead of a crash) are ignored; at-least-once replay regenerates
 them with the same keys and values.
+
+Algorithm 1 exists here in two forms.  :meth:`SlidingWindowOperator._advance`
+is the interpreted one, run per batch by :meth:`process_batch` (the
+reference arm).  :meth:`SlidingWindowOperator.render_advance` renders the
+same steps as source lines for the serde-fused function
+(:func:`repro.samzasql.serde_plan.compile_serde_fused`), inlined per
+record with one block per aggregate over the same ``_windows`` dict, the
+same stores and the same ``_retained`` counter — so setup, rebuild,
+restore and the ``window-state-size`` gauge serve both, and the two
+forms leave identical store operations in identical order.
 """
 
 from __future__ import annotations
@@ -56,12 +66,17 @@ from repro.sql.codegen import compile_lambda
 MESSAGES_STORE = "sql-window-messages"
 STATE_STORE = "sql-window-state"
 
+#: The aggregates both forms of Algorithm 1 maintain incrementally; any
+#: other is a UDAF, re-folded at emit, and keeps a task interpreted.
+BUILTIN_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
 
 class _WindowState:
     """One partition key's live window.
 
     ``rows`` holds ``(order_value, seq, arg_values)`` references in arrival
-    order; ``accs`` the running ``[sum, count]`` pairs; ``minmax`` one
+    order; ``accs`` the running ``[sum, rows, non-null rows]`` per
+    aggregate; ``minmax`` one
     monotonic deque per MIN/MAX aggregate (else ``None``); ``record`` the
     small persisted dict (``{"seq"}``) — mutated in place and re-put per
     batch, so the write-behind layer serializes only its commit-time
@@ -80,7 +95,9 @@ class _WindowState:
 class _Accumulators:
     """Incrementally maintained aggregate values over the window rows.
 
-    SUM/AVG/COUNT keep running [sum, count] pairs; MIN/MAX keep monotonic
+    SUM/AVG/COUNT keep running ``[sum, rows, non-null rows]``: COUNT
+    reads the rows, SUM and AVG the sum over the non-null ones (NULL when
+    there are none, as the table query has it).  MIN/MAX keep monotonic
     deques of ``(order_value, seq, value)`` so the current extreme is the
     deque front — add pops dominated tail entries, purge pops the front
     when it is the purged row, and emit is O(1) with no re-fold.  UDAFs
@@ -96,7 +113,7 @@ class _Accumulators:
                         for spec in specs]
 
     def fresh(self) -> list:
-        return [[0, 0] for _ in self.specs]  # [running_sum, count] per agg
+        return [[0, 0, 0] for _ in self.specs]
 
     def minmax_fresh(self) -> list:
         return [None if func is None else deque() for func in self._minmax]
@@ -107,10 +124,13 @@ class _Accumulators:
                                                     self._minmax)):
             value = values[index]
             acc = window.accs[index]
-            if summing and value is not None:
-                acc[0] += value
             acc[1] += 1
-            if func is not None and value is not None:
+            if value is None:
+                continue
+            acc[2] += 1
+            if summing:
+                acc[0] += value
+            if func is not None:
                 dq = window.minmax[index]
                 if func == "MIN":
                     while dq and dq[-1][2] >= value:
@@ -126,9 +146,11 @@ class _Accumulators:
                                                     self._minmax)):
             value = values[index]
             acc = window.accs[index]
-            if summing and value is not None:
-                acc[0] -= value
             acc[1] -= 1
+            if value is not None:
+                acc[2] -= 1
+                if summing:
+                    acc[0] -= value
             if func is not None:
                 dq = window.minmax[index]
                 if dq and dq[0][0] == order_value and dq[0][1] == seq:
@@ -141,9 +163,9 @@ class _Accumulators:
             if func == "COUNT":
                 out.append(acc[1])
             elif func == "SUM":
-                out.append(acc[0] if acc[1] else None)
+                out.append(acc[0] if acc[2] else None)
             elif func == "AVG":
-                out.append(acc[0] / acc[1] if acc[1] else None)
+                out.append(acc[0] / acc[2] if acc[2] else None)
             elif func in ("MIN", "MAX"):
                 dq = window.minmax[index]
                 out.append(dq[0][2] if dq else None)
@@ -292,6 +314,99 @@ class SlidingWindowOperator(Operator):
             state_put(key, windows[key].record)
         # send latest aggregate values downstream
         self.emit_batch(out, list(timestamps))
+
+    def render_advance(self, i: int, row: str, key: str, order: str,
+                       args: list) -> tuple[dict, list, list, list]:
+        """Algorithm 1 as source for stage ``i`` of the fused function:
+        ``(namespace, batch_lines, record_lines, end_lines)``.
+
+        ``key``, ``order`` and ``args`` (``None`` for COUNT(*)) are
+        expressions over the decoded record; the record lines leave its
+        aggregate values in the tuple ``row``.  Per record they do what
+        :meth:`_advance` does, in the same order — message put, purge
+        (RANGE before the add, ROWS after), accumulator upkeep — with one
+        inlined block per aggregate.  Per batch, the end lines put each
+        touched key's seq record in first-touch order, as
+        :meth:`process_batch` does, and add the ``_retained`` delta.  The
+        store methods are bound per batch, never here: whatever wraps
+        the stores' classes sees every write.
+        """
+        funcs = [spec.func for spec in self.aggs]
+        values = [f"_v{i}_{j}" for j in range(len(funcs))]
+        # literal lists: the generated namespace has no range()
+        fresh = (", ".join("[0, 0, 0]" for _ in funcs),
+                 ", ".join("_deque()" if func in ("MIN", "MAX") else "None"
+                           for func in funcs))
+        namespace = {f"_op{i}": self, "_WindowState": _WindowState,
+                     "_deque": deque}
+        batch = [f"    _windows{i} = _op{i}._windows",
+                 f"    _mput{i} = _op{i}._messages.put",
+                 f"    _mdel{i} = _op{i}._messages.delete",
+                 f"    _sput{i} = _op{i}._state.put",
+                 f"    _touched{i} = {{}}",
+                 f"    _ret{i} = 0"]
+        body = [f"_k{i} = {key}",
+                f"_w{i} = _windows{i}.get(_k{i})",
+                f"if _w{i} is None:",
+                f"    _w{i} = _windows{i}[_k{i}] = _WindowState("
+                f"[{fresh[0]}], [{fresh[1]}], {{'seq': 0}})",
+                f"_s{i} = _w{i}.record",
+                f"_q{i} = _s{i}['seq']",
+                f"_s{i}['seq'] = _q{i} + 1",
+                f"_touched{i}[_k{i}] = _s{i}",
+                f"_o{i} = {order}",
+                *(f"{value} = {'None' if arg is None else arg}"
+                  for value, arg in zip(values, args)),
+                f"_mput{i}(_k{i} + (_q{i},), [_o{i}, {', '.join(values)}])",
+                f"_rows{i} = _w{i}.rows"]
+        add: list[str] = []
+        purge = [f"_e = _rows{i}.popleft()"]
+        results: list[str] = []
+        for j, (func, value) in enumerate(zip(funcs, values)):
+            if func in ("MIN", "MAX"):
+                dq = f"_d{i}_{j}"
+                body.append(f"{dq} = _w{i}.minmax[{j}]")
+                dominated = ">=" if func == "MIN" else "<="
+                add += [f"if {value} is not None:",
+                        f"    while {dq} and {dq}[-1][2] {dominated} {value}:",
+                        f"        {dq}.pop()",
+                        f"    {dq}.append((_o{i}, _q{i}, {value}))"]
+                purge += [f"if {dq} and {dq}[0][1] == _e[1]:",
+                          f"    {dq}.popleft()"]
+                results.append(f"({dq}[0][2] if {dq} else None)")
+                continue
+            acc = f"_x{i}_{j}"
+            body.append(f"{acc} = _w{i}.accs[{j}]")
+            if func == "COUNT":
+                add.append(f"{acc}[1] += 1")
+                purge.append(f"{acc}[1] -= 1")
+                results.append(f"{acc}[1]")
+                continue
+            add += [f"if {value} is not None:",
+                    f"    {acc}[0] += {value}",
+                    f"    {acc}[2] += 1"]
+            purge += [f"_v = _e[2][{j}]",
+                      "if _v is not None:",
+                      f"    {acc}[0] -= _v",
+                      f"    {acc}[2] -= 1"]
+            results.append(f"({acc}[0] if {acc}[2] else None)"
+                           if func == "SUM" else
+                           f"({acc}[0] / {acc}[2] if {acc}[2] else None)")
+        purge += [f"_mdel{i}(_k{i} + (_e[1],))", f"_ret{i} -= 1"]
+        loop = [f"    {line}" for line in purge]
+        if self._range_ms is not None:
+            body += [f"_cut{i} = _o{i} - {self._range_ms}",
+                     f"while _rows{i} and _rows{i}[0][0] < _cut{i}:", *loop]
+        body += [f"_rows{i}.append((_o{i}, _q{i}, "
+                 f"({''.join(v + ', ' for v in values)})))",
+                 f"_ret{i} += 1", *add]
+        if self._rows_limit is not None:
+            body += [f"while len(_rows{i}) > {self._rows_limit}:", *loop]
+        body.append(f"{row} = ({''.join(r + ', ' for r in results)})")
+        end = [f"    for _key, _record in _touched{i}.items():",
+               f"        _sput{i}(_key, _record)",
+               f"    _op{i}._retained += _ret{i}"]
+        return namespace, batch, [" " * 8 + line for line in body], end
 
     def state_size(self) -> int:
         """Messages currently retained in open windows — an O(1) counter

@@ -10,10 +10,11 @@ Three layers, all decided at plan time:
 
 1. **Column pruning** — a required-columns pass over the chain's
    expression sources (:func:`repro.samzasql.compile.chain_expressions`)
-   determines which input fields feed predicates, projections, the
-   output timestamp, or the output key.  Everything else is *skip-
-   scanned*: the generated decoder advances the cursor with varint/
-   length skips and never builds a Python object.
+   determines which input fields feed predicates, projections, a
+   window's partition key, order and arguments, the output timestamp,
+   or the output key.  Everything else is *skip-scanned*: the generated
+   decoder advances the cursor with varint/length skips and never
+   builds a Python object.
 
 2. **Re-encode elision** — output columns that are bare references to
    input columns of a byte-compatible kind are forwarded as raw byte
@@ -33,7 +34,12 @@ Three layers, all decided at plan time:
    the relation's store through its object API (looked up per batch, so
    whatever wraps the store's class sees every call); an INNER miss
    skips the record, a LEFT miss reads a row of nulls.  Relation columns
-   are always re-encoded; stream columns still splice.
+   are always re-encoded; stream columns still splice.  A sliding-window
+   stage is Algorithm 1 inlined, as the window operator renders it
+   (:meth:`~repro.samzasql.operators.sliding_window.SlidingWindowOperator.render_advance`):
+   the record advances its partition's window in the operator's own
+   state, writing through the stores' own put/delete (bound per batch),
+   and the aggregate columns are encoded while the input columns splice.
 
 Fusion is the only compiled path.  Anything the analysis cannot prove
 safe — non-Avro serdes, unsupported schema shapes, expressions over
@@ -54,7 +60,9 @@ from repro.samzasql.compile import (
     ChainExpressions,
     CompiledChain,
     RelationLookup,
+    WindowAdvance,
     _scan_string,
+    strip_parens,
 )
 from repro.serde.avro import (
     _DOUBLE,
@@ -117,21 +125,7 @@ def substitute_named_refs(source: str, mapping: dict) -> str:
 def _bare_ref(source: str) -> str | None:
     """The column name when ``source`` is exactly one (possibly
     parenthesized) input reference, else ``None``."""
-    s = source.strip()
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        matched = True
-        for idx, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and idx != len(s) - 1:
-                    matched = False
-                    break
-        if not matched:
-            break
-        s = s[1:-1].strip()
+    s = strip_parens(source)
     refs = list(_iter_refs(s))
     if len(refs) == 1 and refs[0][0] == 0 and refs[0][1] == len(s):
         return refs[0][2]
@@ -194,12 +188,17 @@ def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
                           in_fields=in_fields)
     needed: set = set()
     # Columns whose *values* the generated function needs: predicates,
-    # lookup keys and join conditions, the output timestamp, the output
-    # key, and any re-encoded column.
+    # lookup keys and join conditions, a window's partition key, order
+    # and arguments, the output timestamp, the output key, and any
+    # re-encoded column.
     value_sources = [exprs.ts_expr, exprs.key_expr]
     for stage in exprs.stages:
         if isinstance(stage, RelationLookup):
             value_sources += [stage.key_expr, stage.condition]
+        elif isinstance(stage, WindowAdvance):
+            value_sources += [stage.key_expr, stage.order_expr,
+                              *(arg for arg in stage.arg_exprs
+                                if arg is not None)]
         else:
             value_sources.append(stage)
 
@@ -282,17 +281,19 @@ def _splice_pieces(build: SerdeAnalysis) -> list[tuple]:
     return pieces
 
 
-def compile_serde_fused(build: SerdeAnalysis,
-                        stores: dict | None = None) -> CompiledChain:
+def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
+                        operators: list | None = None) -> CompiledChain:
     """Generate one function spanning decode → chain → encode.
 
     The function takes the *raw* value batch (encoded Avro datums and
     wire timestamps) and returns ``(entries, stage_counts)`` where each
     entry is ``(message_bytes, timestamp_ms, key)`` ready for a
     pre-serialized send, and ``stage_counts`` carries the per-stage
-    survivor counts (filters and relation lookups) the operator counters
-    need.  ``stores`` maps store names to the task's stores; a chain
-    with relation lookups reads its relations there.
+    survivor counts (filters, relation lookups, windows) the operator
+    counters need.  ``stores`` maps store names to the task's stores; a
+    chain with relation lookups reads its relations there.  ``operators``
+    is the task's chain of operators, leaf first; a window stage advances
+    its operator's state, rendered by the operator itself.
     """
     fvars = {name: f"f{i}" for i, (name, _k, _n) in enumerate(build.in_fields)}
     stages = build.exprs.stages
@@ -359,8 +360,19 @@ def compile_serde_fused(build: SerdeAnalysis,
              "    _out = []",
              "    _append = _out.append"]
     stage_lines: list[str] = []
+    end_lines: list[str] = []
     for i, stage in enumerate(stages):
-        if not isinstance(stage, RelationLookup):
+        if isinstance(stage, WindowAdvance):
+            scope, batch, body, end = operators[stage.operator].render_advance(
+                i, stage.row, substitute_named_refs(stage.key_expr, fvars),
+                substitute_named_refs(stage.order_expr, fvars),
+                [None if arg is None else substitute_named_refs(arg, fvars)
+                 for arg in stage.arg_exprs])
+            namespace.update(scope)
+            lines += batch
+            stage_lines += body
+            end_lines += end
+        elif not isinstance(stage, RelationLookup):
             stage_lines += [
                 f"        if not ({substitute_named_refs(stage, fvars)}):",
                 "            continue"]
@@ -396,6 +408,7 @@ def compile_serde_fused(build: SerdeAnalysis,
     lines += stage_lines
     lines += encode_lines
     lines.append(f"        _append(({msg_expr}, {ts_expr}, {key_expr}))")
+    lines += end_lines
     counts = ", ".join(f"_n{i}" for i in range(len(stages)))
     lines.append(f"    return _out, ({counts}{',' if counts else ''})")
     source = "\n".join(lines)

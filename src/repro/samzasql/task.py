@@ -109,9 +109,11 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             # One generated function spans decode→chain→encode; the
             # container delivers the chain's stream undecoded.  Relation
             # changelogs stay decoded: they reach the join's relation
-            # port through the router, tombstones included.
+            # port through the router, tombstones included.  A window
+            # stage advances its operator's state, rebuilt at setup.
             self._executor = CompiledExecutor(
-                compile_serde_fused(decision.serde, stores), self._router)
+                compile_serde_fused(decision.serde, stores, operators),
+                self._router)
             self.raw_input_streams = frozenset({self._executor.stream})
             self._route_batch = self._router.route_batch
         elif decision.sampled:

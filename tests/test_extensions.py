@@ -14,7 +14,7 @@ from repro.serde import AvroSerde
 from repro.sql.types import SqlType
 from repro.sql.udf import UDF_REGISTRY, Udaf, register_scalar_udf, register_udaf
 
-from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment
+from tests.samzasql_fixtures import ORDERS_SCHEMA, Deployment, sql_tasks
 
 
 @pytest.fixture(autouse=True)
@@ -255,6 +255,10 @@ class TestUdaf:
         by_id = {r["orderId"]: r["g"] for r in handle.results()}
         assert by_id[1] == pytest.approx(4.0)       # geomean(2, 8)
         assert by_id[2] == pytest.approx(4.0)       # geomean(2, 8, 4)
+        # a UDAF re-folds the retained rows at emit: no fused stage
+        assert all(task.decision.fallback
+                   == "window aggregate is a UDAF: GEOMEAN"
+                   for task in sql_tasks(handle))
 
     def test_udaf_in_batch(self):
         register_udaf(GeometricMean())

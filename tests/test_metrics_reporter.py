@@ -261,14 +261,25 @@ def test_metrics_survive_the_fused_path():
         assert timers["scan-2", part, "process-ns.mean"] > 0
 
 
-def test_sliding_window_keeps_per_operator_timers():
+#: The fig 6 window: a stage of the fused function.
+SLIDING_WINDOW_SQL = (
+    "SELECT STREAM rowtime, productId, SUM(units) OVER "
+    "(PARTITION BY productId ORDER BY rowtime "
+    "RANGE INTERVAL '5' MINUTE PRECEDING) s FROM Orders")
+
+
+def test_group_window_keeps_per_operator_timers():
     env = make_env()
     env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=2)
-    produce_orders(env.cluster, 50, partitions=2)
+    # a minute of event time per wave: windows close inside the first
+    # sampled burst, so every operator downstream of the window is timed
+    for minute in range(4):
+        produce_orders(env.cluster, 10, partitions=2,
+                       start_ts=1_000_000 + minute * 60_000)
     handle = env.shell.execute(
-        "SELECT STREAM rowtime, productId, SUM(units) OVER "
-        "(PARTITION BY productId ORDER BY rowtime "
-        "RANGE INTERVAL '5' MINUTE PRECEDING) s FROM Orders")
+        "SELECT STREAM START(rowtime) AS ws, productId, COUNT(*) AS c "
+        "FROM Orders GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE), "
+        "productId")
     env.run_until_quiescent()
     assert all(task.decision.path == "interpreted"
                for task in sql_tasks(handle))
@@ -278,6 +289,32 @@ def test_sliding_window_keeps_per_operator_timers():
     assert {op for op, _part, _metric in counts} == operators
     assert len(operators) >= 3
     assert all(value > 0 for value in counts.values())
+
+
+def test_fused_window_times_on_the_leaf():
+    """A fused window task has one run-time boundary, the function call:
+    the leaf carries the one ``process-ns`` timer; counters and the
+    ``window-state-size`` gauge read as on the interpreted router."""
+
+    def run():
+        env = make_env()
+        env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=2)
+        produce_orders(env.cluster, 50, partitions=2)
+        handle = env.shell.execute(SLIDING_WINDOW_SQL)
+        env.run_until_quiescent()
+        return handle
+
+    fused = run()
+    assert all(task.decision.path == "fused" and task.decision.sampled
+               for task in sql_tasks(fused))
+    with reference_arm("interpreted"):
+        interpreted = run()
+    for prefix in ("messages-", "window-state-size"):
+        assert operator_metrics(fused, prefix) == operator_metrics(
+            interpreted, prefix)
+    timers = operator_metrics(fused, "process-ns.count")
+    assert {op for op, _part, _metric in timers} == {"scan-3"}
+    assert all(value > 0 for value in timers.values())
 
 
 def test_select_stream_over_metrics_stream():

@@ -38,6 +38,10 @@ WINDOW_SQL = (
     "SUM(units) OVER (PARTITION BY productId ORDER BY rowtime "
     "RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes "
     "FROM Orders")
+GROUP_WINDOW_SQL = (
+    "SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c FROM Orders "
+    "GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)")
+GROUP_WINDOW_REASON = "stateful operator: group_window_agg"
 
 
 def run_modes(sql, count=40, **kwargs):
@@ -66,16 +70,52 @@ class TestCompileDecision:
         assert all(task.compiled for task in sql_tasks(handle))
 
     def test_window_falls_back_with_reason(self):
+        """The sliding window is a stage of the fused chain; the group
+        window still runs interpreted, and says why."""
         dep = Deployment().with_orders(5)
-        handle = dep.run(WINDOW_SQL)
+        for task in sql_tasks(dep.run(WINDOW_SQL)):
+            assert task.compiled and task.decision.fallback is None
+        handle = dep.run(GROUP_WINDOW_SQL)
         for task in sql_tasks(handle):
             assert not task.compiled
             decision = task.decision
             assert decision.path == "interpreted"
-            assert decision.fallback == (
-                "stateful operator: sliding_window")
+            assert decision.fallback == GROUP_WINDOW_REASON
             assert decision.task_status == (
-                "interpreted (fallback: stateful operator: sliding_window)")
+                f"interpreted (fallback: {GROUP_WINDOW_REASON})")
+
+    def test_window_fallback_reasons(self):
+        """A window whose key, order or argument calls a UDF, or whose
+        aggregate is a UDAF, stays interpreted with its reason — and so
+        does a second window in the chain (the two share the stores)."""
+        from repro.sql.udf import UDF_REGISTRY, register_scalar_udf
+
+        UDF_REGISTRY.clear()
+        register_scalar_udf("PLAN_COMPILE_W", lambda x: x)
+        udf = "expression calls a UDF (resolved via live registry)"
+        over = ("OVER (PARTITION BY {key} ORDER BY {order} "
+                "ROWS 2 PRECEDING) w FROM Orders")
+        cases = {
+            "key": ("SUM(units)", "PLAN_COMPILE_W(productId)", "rowtime"),
+            "order": ("SUM(units)", "productId", "PLAN_COMPILE_W(rowtime)"),
+            "argument": ("SUM(PLAN_COMPILE_W(units))", "productId",
+                         "rowtime"),
+        }
+        try:
+            dep = Deployment().with_orders(5)
+            for agg, key, order in cases.values():
+                sql = (f"SELECT STREAM rowtime, units, {agg} "
+                       + over.format(key=key, order=order))
+                assert chain_fallback(dep.shell.execute(sql).plan) == udf
+            nested = ("SELECT STREAM rowtime, productId, SUM(w) OVER "
+                      "(PARTITION BY productId ORDER BY rowtime ROWS 2 "
+                      "PRECEDING) v FROM (SELECT STREAM rowtime, productId, "
+                      "units, SUM(units) "
+                      + over.format(key="productId", order="rowtime") + ")")
+            assert chain_fallback(dep.shell.execute(nested).plan) == (
+                "more than one sliding window (they share the stores)")
+        finally:
+            UDF_REGISTRY.clear()
 
     def test_join_falls_back_with_reason(self):
         """An equi-key relation join is a stage of the fused chain; one
@@ -118,12 +158,13 @@ class TestCompileDecision:
     def test_analyze_plan_on_built_physical_plan(self):
         dep = Deployment().with_orders(1)
         decisions = {}
-        for sql in (FILTER_SQL, WINDOW_SQL):
+        for sql in (FILTER_SQL, WINDOW_SQL, GROUP_WINDOW_SQL):
             handle = dep.shell.execute(sql)
             decisions[sql] = chain_fallback(handle.plan)
             handle.stop()
         assert decisions[FILTER_SQL] is None
-        assert decisions[WINDOW_SQL] == "stateful operator: sliding_window"
+        assert decisions[WINDOW_SQL] is None
+        assert decisions[GROUP_WINDOW_SQL] == GROUP_WINDOW_REASON
 
 
 class TestByteEquivalence:
@@ -270,18 +311,17 @@ class TestExplain:
 
     def test_window_reports_fallback_reason(self):
         dep = Deployment().with_orders(5)
+        report = dep.shell.execute(f"EXPLAIN {GROUP_WINDOW_SQL}")
+        assert f"interpreted (fallback: {GROUP_WINDOW_REASON})" in report
         report = dep.shell.execute(f"EXPLAIN {WINDOW_SQL}")
-        assert ("interpreted (fallback: stateful operator: sliding_window)"
-                in report)
+        assert "tasks: 4 × compiled\n  serde: decode pruned 3/4" in report
 
     STATEFUL = {
         "window": WINDOW_SQL,
         "relation-join": (
             "SELECT STREAM Orders.rowtime, Orders.orderId, Products.supplierId "
             "FROM Orders JOIN Products ON Orders.productId = Products.productId"),
-        "group-window": (
-            "SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c FROM Orders "
-            "GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)"),
+        "group-window": GROUP_WINDOW_SQL,
     }
 
     @pytest.mark.parametrize("query", sorted(STATEFUL))

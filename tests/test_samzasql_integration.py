@@ -463,6 +463,34 @@ class TestGroupWindows:
         interior = [r for r in results if r["c"] == 2]
         assert len(interior) >= 3
 
+    def test_sum_and_avg_skip_null_arguments(self):
+        """AVG divides by the non-null rows, and a group of NULLs sums to
+        NULL — the table query's answer."""
+        from repro.serde import AvroSchema, AvroSerde
+
+        schema = AvroSchema.record("Readings", [
+            ("rowtime", "long"), ("k", "int"), ("v", ["null", "int"])])
+        deployment = Deployment(partitions=1)
+        deployment.shell.register_stream("Readings", schema, partitions=1)
+        hour = 3_600_000
+        serde = AvroSerde(schema)
+        # the k = 3 row in hour 4 moves the watermark past hour 1
+        for i, (k, v) in enumerate([(1, None), (1, 4), (1, None), (2, None),
+                                    (3, 1)]):
+            ts = 4 * hour if k == 3 else hour + i
+            deployment.producer.send(
+                "Readings", serde.to_bytes({"rowtime": ts, "k": k, "v": v}),
+                key=str(k).encode(), timestamp_ms=ts)
+        sql = ("SELECT STREAM START(rowtime) AS ws, k, SUM(v) AS s, "
+               "AVG(v) AS a FROM Readings "
+               "GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), k")
+        streamed = sorted(deployment.run(sql).results(), key=lambda r: r["k"])
+        table = deployment.shell.execute(sql.replace("SELECT STREAM", "SELECT"))
+        assert [(r["k"], r["s"], r["a"]) for r in streamed] == [
+            (1, 4, 4.0), (2, None, None)]
+        assert streamed == sorted((r for r in table if r["ws"] == hour),
+                                  key=lambda r: r["k"])
+
     def test_floor_group_by_is_hourly_tumble(self):
         """Listing 3's FLOOR(rowtime TO HOUR) GROUP BY idiom."""
         deployment = Deployment(partitions=1)

@@ -12,10 +12,11 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
+from repro.chaos.validate import restored_entries
 from repro.common import PlannerError
 from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
-from repro.serde import AvroSerde, JsonSerde
+from repro.serde import AvroSchema, AvroSerde, JsonSerde
 
 from tests.samzasql_fixtures import (
     ORDERS_SCHEMA,
@@ -428,6 +429,164 @@ class TestRelationJoinPartitioning:
         assert sorted(handle.results(), key=repr) == sorted(table, key=repr)
 
 
+RANGE = ("PARTITION BY productId ORDER BY rowtime "
+         "RANGE INTERVAL '30' SECOND PRECEDING")
+ROWS = "PARTITION BY productId ORDER BY rowtime ROWS 2 PRECEDING"
+ALL_AGGREGATES = ("SUM(units) OVER ({w}) s, COUNT(*) OVER ({w}) c, "
+                  "AVG(units) OVER ({w}) a, MIN(units) OVER ({w}) mn, "
+                  "MAX(units) OVER ({w}) mx")
+#: Nullable readings: ``v`` is NULL in three of the four rows.
+READINGS_SCHEMA = AvroSchema.record(
+    "Readings", [("rowtime", "long"), ("k", "int"), ("v", ["null", "int"])])
+NULL_FEED = [(1, None), (1, 4), (1, None), (2, None)]
+NULL_WINDOW = ("PARTITION BY k ORDER BY rowtime "
+               "RANGE INTERVAL '5' MINUTE PRECEDING")
+#: Orders carry one order a second over ten products, so a 30 s RANGE
+#: frame holds up to four rows of a product and ROWS 2 PRECEDING three.
+FUSED_WINDOWS = {
+    "range-all-aggregates": ("SELECT STREAM rowtime, productId, units, "
+                             + ALL_AGGREGATES.format(w=RANGE)
+                             + " FROM Orders"),
+    "rows-all-aggregates": ("SELECT STREAM rowtime, productId, units, "
+                            + ALL_AGGREGATES.format(w=ROWS) + " FROM Orders"),
+    "two-column-key": ("SELECT STREAM rowtime, orderId, units, SUM(units) "
+                       "OVER (PARTITION BY productId, orderId % 2 ORDER BY "
+                       "rowtime RANGE INTERVAL '30' SECOND PRECEDING) s "
+                       "FROM Orders"),
+    # a BOOLEAN has no ordered-key kind: the key is one repr string
+    "repr-key": ("SELECT STREAM rowtime, orderId, COUNT(*) OVER (PARTITION "
+                 "BY productId, units > 50 ORDER BY rowtime ROWS 2 "
+                 "PRECEDING) c FROM Orders"),
+    "filter-below": SLIDING_WINDOW_SQL,
+    # every output column splices: the encode is elided, the state kept
+    "aggregate-projected-away": (
+        "SELECT STREAM rowtime, units FROM (SELECT STREAM rowtime, "
+        f"productId, units, SUM(units) OVER ({RANGE}) s FROM Orders)"),
+    "filter-below-and-above": (
+        "SELECT STREAM rowtime, orderId, s FROM (SELECT STREAM rowtime, "
+        f"orderId, units, SUM(units) OVER ({RANGE}) s FROM Orders "
+        "WHERE units > 10) WHERE s > 100"),
+    "null-arguments": (f"SELECT STREAM rowtime, k, v, SUM(v) OVER "
+                       f"({NULL_WINDOW}) s, AVG(v) OVER ({NULL_WINDOW}) a "
+                       "FROM Readings"),
+}
+
+
+def window_deployment(sql, partitions=4, orders=60):
+    dep = Deployment(partitions=partitions).with_orders(orders)
+    if "Readings" in sql:
+        dep.shell.register_stream("Readings", READINGS_SCHEMA,
+                                  partitions=partitions)
+        serde = AvroSerde(READINGS_SCHEMA)
+        for i, (k, v) in enumerate(NULL_FEED):
+            dep.producer.send("Readings", serde.to_bytes(
+                {"rowtime": 1_000_000 + i * 1_000, "k": k, "v": v}),
+                key=str(k).encode(), timestamp_ms=1_000_000 + i * 1_000)
+    return dep
+
+
+def window_operators(handle):
+    return [op for task in sql_tasks(handle) for op in task.router.operators
+            if op.METRIC_KIND == "sliding-window"]
+
+
+class TestFusedSlidingWindow:
+    """The fig 6 window as a stage of the fused chain: every byte (rows,
+    both window stores' changelogs, checkpoints), every operator counter
+    and the retained state as the interpreted router leaves them, and the
+    rows the same SQL without STREAM returns."""
+
+    @staticmethod
+    def run(path, poll_size, sql):
+        dep = window_deployment(sql)
+        with reference_arm(path):
+            handle = dep.shell.execute(sql, config_overrides={
+                "task.poll.batch.size": poll_size,
+                "task.checkpoint.interval.messages": "3"})
+            dep.runner.run_until_quiescent()
+        assert all(task.decision.path == path for task in sql_tasks(handle))
+        return dep, handle
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    @pytest.mark.parametrize("case", sorted(FUSED_WINDOWS))
+    def test_fused_equals_interpreted_and_table(self, case, poll_size):
+        sql = FUSED_WINDOWS[case]
+        dep_on, fused = self.run("fused", poll_size, sql)
+        dep_off, interpreted = self.run("interpreted", poll_size, sql)
+        dump = cluster_dump(dep_on)
+        assert dump == cluster_dump(dep_off)
+        assert any("sql-window-messages-changelog" in tp and records
+                   for tp, records in dump.items())
+        assert operator_counters(fused) == operator_counters(interpreted)
+        retained = [op.state_size() for op in window_operators(fused)]
+        assert retained == [op.state_size()
+                            for op in window_operators(interpreted)]
+        assert sum(retained) > 0
+        assert sorted(fused.results(), key=repr) == sorted(
+            table_rows(dep_on, sql), key=repr)
+        if case == "null-arguments":
+            # SUM/AVG read the frame's non-null rows; none read NULL
+            rows = sorted(fused.results(), key=lambda r: r["rowtime"])
+            assert [(r["s"], r["a"]) for r in rows] == [
+                (None, None), (4, 4.0), (4, 4.0), (None, None)]
+
+    def test_store_writes_reach_the_store_class(self, monkeypatch):
+        """The fused stage writes through the stores' own put/delete, so
+        whatever wraps the store class (a tracer) counts every write —
+        the same writes, in the same order, as the interpreted arm."""
+        from repro.samza.storage import WriteBehindKeyValueStore
+
+        writes = []
+        for name in ("put", "delete"):
+            method = getattr(WriteBehindKeyValueStore, name)
+            monkeypatch.setattr(
+                WriteBehindKeyValueStore, name,
+                lambda self, key, *value, _m=method, _n=name: (
+                    writes.append((_n, key)), _m(self, key, *value))[1])
+        logs = {}
+        for path in ("fused", "interpreted"):
+            writes.clear()
+            _dep, handle = self.run(
+                path, "200", FUSED_WINDOWS["filter-below-and-above"])
+            logs[path] = list(writes)
+            if path == "fused":
+                source = sql_tasks(handle)[0].executor.source
+                assert "    _mput1 = _op1._messages.put" in source
+        assert logs["fused"] == logs["interpreted"]
+        assert {name for name, _key in logs["fused"]} == {"put", "delete"}
+
+    @pytest.mark.parametrize("poll_size", ["8", "1"])
+    def test_crash_mid_feed_rebuilds_then_continues_fused(self, poll_size):
+        """A crash past the first commit: the relaunch restores both
+        window stores, rebuilds the windows at setup, and the replayed
+        suffix runs through the fused stage — every byte as the
+        interpreted arm writes it, and the table query's rows."""
+        dumps, outputs = {}, {}
+        for path in ("fused", "interpreted"):
+            dep, injector = chaos_sql_deployment(
+                FaultSchedule.script().add_crash(35))
+            with reference_arm(path):  # held across the relaunch
+                handle = dep.shell.execute(
+                    SLIDING_WINDOW_SQL, containers=2, config_overrides={
+                        "task.checkpoint.interval.messages": 10,
+                        "task.poll.batch.size": poll_size})
+                supervisor = ChaosSupervisor(dep.runner, injector,
+                                             zk=dep.shell.zk)
+                supervisor.run_until_quiescent()
+            assert supervisor.restarts == 1
+            assert all(task.decision.path == path
+                       for task in sql_tasks(handle))
+            assert restored_entries(handle.master) > 0
+            with injector.suspended():
+                dumps[path] = cluster_dump(dep)
+                outputs[path] = {repr(sorted(r.items()))
+                                 for r in handle.results()}
+                table = {repr(sorted(r.items()))
+                         for r in table_rows(dep, SLIDING_WINDOW_SQL)}
+        assert dumps["fused"] == dumps["interpreted"]
+        assert outputs["fused"] == table
+
+
 class TestJsonSink:
     """A stateless query into a JSON sink does not fuse; the interpreted
     router it runs instead must still emit what the table query returns."""
@@ -460,9 +619,32 @@ class TestExplainSerdeStatus:
 
     def test_stateful_chain_reports_not_compiled(self):
         dep = Deployment().with_orders(5)
+        report = dep.shell.execute(
+            "EXPLAIN SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c "
+            "FROM Orders GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)")
+        assert ("× interpreted (fallback: stateful operator: "
+                "group_window_agg)\n  serde: full decode/encode") in report
+
+    def test_sliding_window_reports_fused(self):
+        """The window decodes what its key, order, argument and the filter
+        read; every input column splices, only the aggregate is
+        re-encoded."""
+        dep = Deployment().with_orders(5)
         report = dep.shell.execute(f"EXPLAIN {SLIDING_WINDOW_SQL}")
-        assert ("× interpreted (fallback: stateful operator: sliding_window)"
-                "\n  serde: full decode/encode") in report
+        assert ("× compiled\n  serde: decode pruned 3/4 columns (skip-scan: "
+                "orderId), encode fused (4 spliced, 1 re-encoded)") in report
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT STREAM rowtime, orderId FROM Orders WHERE units > 5",
+        JOIN_SQL])
+    def test_projected_rowtime_has_no_null_fallback(self, sql):
+        """The insert's rowtime fallback is a no-op when the projected
+        rowtime is the wire timestamp's own column, parenthesised or not:
+        the generated function stamps the decoded value, unbranched."""
+        dep = Deployment().with_orders(5).with_products()
+        source = sql_tasks(dep.run(sql))[0].executor.source
+        assert "is None else" not in source
+        assert ", f0, None))" in source
 
 
 class TestExplainMatchesTasks:
