@@ -59,7 +59,8 @@ def _window_operator(stores) -> SlidingWindowOperator:
         partition_key_source="(r[1],)", order_source="r[0]",
         frame_mode="RANGE", preceding_ms=300_000, preceding_rows=None,
         aggs=[AggSpec(func="SUM", arg_source="r[3]")],
-        field_names=["rowtime", "productId", "orderId", "units", "sum"])
+        field_names=["rowtime", "productId", "orderId", "units", "sum"],
+        stores=list(stores))
     operator.setup(OperatorContext(stores, send_batch=lambda _entries: None))
 
     class _Sink:

@@ -448,7 +448,8 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
                 f" and (p0[0] - p2[0] <= {long_window_ms})"
                 f" and (p2[0] - p0[0] <= {long_window_ms}))"),
             bucket_ms=max(derived // 8, 1),
-            field_names=["ts0", "k0", "ts1", "k1", "ts2", "k2"])
+            field_names=["ts0", "k0", "ts1", "k1", "ts2", "k2"],
+            stores=["sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2"])
         sink = _DiscardSink()
         operator.downstream = sink
         operator.setup(OperatorContext(_make_stores(), lambda _entries: None))
@@ -458,7 +459,7 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
                 operator.process(port, row, arrival)
         return feed, sink
 
-    def build_binary(left_width, bound_ms, field_names, store_prefix):
+    def build_binary(left_width, bound_ms, field_names, prefix):
         return MultiWayStreamJoinOperator(
             widths=[left_width, 2], time_indexes=[0, 0],
             key_sources=["r[1]"] * 2,
@@ -468,7 +469,7 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
                               f" and (p0[0] - p1[0] <= {bound_ms})"
                               f" and (p1[0] - p0[0] <= {bound_ms}))"),
             bucket_ms=max(bound_ms // 8, 1), field_names=field_names,
-            store_prefix=store_prefix)
+            stores=[f"{prefix}0", f"{prefix}1"])
 
     def build_cascade():
         first = build_binary(2, window_ms, ["ts0", "k0", "ts1", "k1"],

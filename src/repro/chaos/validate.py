@@ -24,6 +24,7 @@ Usage::
 
     PYTHONPATH=src python -m repro.chaos.validate --seed 42 --replay-check
     PYTHONPATH=src python -m repro.chaos.validate --scenario multiway
+    PYTHONPATH=src python -m repro.chaos.validate --scenario nested-window
 """
 
 from __future__ import annotations
@@ -91,6 +92,18 @@ WINDOW_SQL = (
     "FROM Orders WHERE units > 10"
 )
 
+_FIVE_MINUTES = ("OVER (PARTITION BY productId ORDER BY rowtime "
+                 "RANGE INTERVAL '5' MINUTE PRECEDING)")
+
+#: A sliding window over a sliding window's output: two window instances,
+#: each restored from its own stores (sql-window-*, sql-window2-*), run
+#: as two stages of one fused function.
+NESTED_WINDOW_SQL = (
+    f"SELECT STREAM rowtime, productId, orderId, w, SUM(w) {_FIVE_MINUTES} ww "
+    f"FROM (SELECT STREAM rowtime, productId, orderId, units, "
+    f"SUM(units) {_FIVE_MINUTES} w FROM Orders)"
+)
+
 #: 3-way fulfilment reassembly.  Both windows anchor at the order row, so
 #: the planner collapses the chain into one operator with one
 #: changelog-backed store per input (sql-mjoin-0/1/2).
@@ -117,6 +130,10 @@ SCENARIOS: dict[str, Scenario] = {
     "window": Scenario(
         WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId", _orders_feed,
         minimum=_BROKER_CHAOS, explain="× compiled"),
+    # The same schedule against two windows in one fused chain.
+    "nested-window": Scenario(
+        NESTED_WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId",
+        _orders_feed, minimum=_BROKER_CHAOS, explain="× compiled"),
     # The same schedule against the collapsed 3-way join's shared stores.
     "multiway": Scenario(
         MULTIWAY_SQL,

@@ -1,31 +1,31 @@
 """Whole-plan query compilation (Calcite's enumerable codegen, §4.2 scaled up).
 
 For the *chain* of a plan — ``scan → filter → project → insert``, the
-whole of the paper's fig5a/b queries, with any number of equi-key
-stream-to-relation joins (fig 5c, §4.4) and a sliding window (fig 6,
+whole of the paper's fig5a/b queries, with any number of stream-to-relation
+joins on the relation's key (fig 5c, §4.4) and sliding windows (fig 6,
 Algorithm 1 of §4.3) as stages of it — this module renders every node
-down to composed expression sources (:func:`chain_expressions`), from
-which :func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
+down to composed expressions (:func:`chain_expressions`), from which
+:func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
 function spanning decode → chain → encode.  :class:`CompiledExecutor`
 runs that function in place of the router's per-operator dispatch.
 
 Expression sources are the ones the existing :mod:`repro.sql.codegen`
 rex compiler rendered into the plan JSON; positional references
-(``r[2]``) are substituted with the scan's per-field expressions over the
-record, so the whole chain works tuple-at-a-time directly on the
-incoming message — no array-tuple is ever materialized (the paper's
-future-work item 5, taken to its endpoint).  A relation join is one
-more expression: a :class:`RelationLookup` reads the looked-up row's
-columns as ``_rel<k>[i]``.  So is a sliding window: a
-:class:`WindowAdvance` advances the record's partition in the window
-operator's own state and exposes the aggregates as ``_win<k>[j]``.
+(``r[2]``) are substituted, once, with the scan's per-field expressions —
+the decoded input fields ``f<k>`` themselves — so the whole chain works
+tuple-at-a-time directly on the incoming message, no array-tuple is ever
+materialized (the paper's future-work item 5, taken to its endpoint), and
+each :class:`Expr` knows the input fields it reads.  Each counted node is
+one :class:`Stage`: a filter is its predicate; a relation join or a
+sliding window is rendered by its own operator (``render_stage``), and
+leaves a tuple downstream columns read — the looked-up row as
+``_rel<i>[j]``, the window's aggregates as ``_win<i>[j]``.
 
 Unsupported shapes — the group window (a hopping/tumbling GROUP BY), the
-windowed stream-to-stream join, a relation join without an equi-key (it
-scans the whole store per message), a window over a UDAF or a second
-window in the chain (the two would share the window stores), and UDF
-calls (resolved through a live registry) — run the interpreted router,
-selected per task at plan time
+windowed stream-to-stream join, a relation join not on the relation's
+key (it scans the whole store per message), a window over a UDAF, and
+UDF calls (resolved through a live registry) — run the interpreted
+router, selected per task at plan time
 (:func:`repro.samzasql.decision.decide_execution`).  Byte
 equivalence between the two paths is enforced by the integration suite;
 the per-operator ``processed``/``emitted`` counters are maintained
@@ -58,8 +58,10 @@ CHAIN_KINDS = frozenset({"scan", "filter", "project", "sliding_window",
 _STATEFUL_KINDS = frozenset({"group_window_agg"})
 
 
-def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
-    """The plan's operator chain in leaf-to-root (execution) order."""
+def chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
+    """The plan's operator chain in leaf-to-root (execution) order: a
+    node's chain position is its index here, and in the router's
+    operators."""
     nodes: list[PhysicalNode] = []
     node: PhysicalNode | None = plan.root
     while node is not None:
@@ -74,7 +76,6 @@ def _chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
 def chain_fallback(plan: PhysicalPlan) -> str | None:
     """Why the plan's chain does not exec-compile; None when it does."""
     node: PhysicalNode = plan.root
-    windows = 0
     while True:
         kind = node.kind
         if kind in _STATEFUL_KINDS:
@@ -85,17 +86,15 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
             return f"unsupported operator: {kind}"
         if (isinstance(node, StreamRelationJoinNode)
                 and node.stream_key_source is None):
-            return "relation join without an equi-key"
+            return "relation join not on the relation's key"
         if isinstance(node, SlidingWindowNode):
-            windows += 1
-            if windows > 1:
-                return "more than one sliding window (they share the stores)"
             for spec in node.aggs:
                 if spec.func not in BUILTIN_AGGREGATES:
                     return f"window aggregate is a UDAF: {spec.func}"
-        for source in _expression_sources(node):
-            if "_udf_call(" in source:
-                return "expression calls a UDF (resolved via live registry)"
+        # every expression source the node carries, whatever its kind
+        if "_udf_call(" in repr([value for name, value in vars(node).items()
+                                 if name != "inputs"]):
+            return "expression calls a UDF (resolved via live registry)"
         if not node.inputs:
             break
         if len(node.inputs) != 1:
@@ -106,18 +105,6 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
     if not isinstance(plan.root, InsertNode):
         return f"chain root is not an insert: {plan.root.kind}"
     return None
-
-
-def _expression_sources(node: PhysicalNode) -> list[str]:
-    sources: list[str] = []
-    for attr in ("predicate_source", "projection_source", "condition_source",
-                 "partition_key_source", "order_source"):
-        value = getattr(node, attr, None)
-        if value is not None:
-            sources.append(value)
-    sources += [spec.arg_source for spec in getattr(node, "aggs", ())
-                if spec.arg_source is not None]
-    return sources
 
 
 # -- source manipulation ------------------------------------------------------
@@ -141,7 +128,7 @@ def _scan_string(source: str, start: int) -> int:
 
 def strip_parens(source: str) -> str:
     """``source`` without the redundant parentheses that enclose all of
-    it (``((r['a']))`` → ``r['a']``; ``(a) + (b)`` stays as it is)."""
+    it (``((f1))`` → ``f1``; ``(a) + (b)`` stays as it is)."""
     s = source.strip()
     while s.startswith("(") and s.endswith(")"):
         depth = 0
@@ -156,16 +143,41 @@ def strip_parens(source: str) -> str:
     return s
 
 
-def _substitute_refs(source: str, columns: list[str], var: str = "r") -> str:
-    """Replace positional refs ``r[<int>]`` with the column expressions.
+@dataclass(frozen=True)
+class Expr:
+    """One rendered expression of the chain, and the input fields it reads.
+
+    ``source`` is Python over the decoded input fields ``f<k>`` (``k``:
+    the field's index in the input record schema), the wire timestamp
+    ``t`` and the tuples earlier stages leave (``_rel<i>``, ``_win<i>``).
+    ``fields`` holds each ``k`` it reads — or, for a scan column the input
+    schema lacks, the column's name: reading one keeps the task
+    interpreted."""
+
+    source: str
+    fields: frozenset = frozenset()
+
+    @property
+    def field(self) -> int | None:
+        """``k`` when the expression is the input field ``f<k>`` alone."""
+        if len(self.fields) == 1:
+            [k] = self.fields
+            if isinstance(k, int) and strip_parens(self.source) == f"f{k}":
+                return k
+        return None
+
+
+def _substitute_refs(source: str, refs: dict[str, list[Expr]]) -> Expr:
+    """Replace each positional reference ``<var>[<int>]`` — ``r[2]``, and
+    ``l[0]`` in a join condition — with its column's expression.
 
     A character scanner rather than a regex so that string literals in
     the expression (``_like(r[1], '%r[0]%')``) are never rewritten.
     """
     out: list[str] = []
+    fields: set = set()
     i = 0
     n = len(source)
-    vlen = len(var)
     while i < n:
         ch = source[i]
         if ch in ("'", '"'):
@@ -173,11 +185,12 @@ def _substitute_refs(source: str, columns: list[str], var: str = "r") -> str:
             out.append(source[i:j])
             i = j
             continue
-        if (source.startswith(var, i)
+        columns = refs.get(ch)
+        if (columns is not None
                 and (i == 0 or not (source[i - 1].isalnum()
                                     or source[i - 1] == "_"))
-                and i + vlen < n and source[i + vlen] == "["):
-            j = i + vlen + 1
+                and i + 1 < n and source[i + 1] == "["):
+            j = i + 2
             k = j
             while k < n and source[k].isdigit():
                 k += 1
@@ -185,14 +198,15 @@ def _substitute_refs(source: str, columns: list[str], var: str = "r") -> str:
                 index = int(source[j:k])
                 if index >= len(columns):
                     raise PlannerError(
-                        f"reference r[{index}] out of range for "
+                        f"reference {ch}[{index}] out of range for "
                         f"{len(columns)} columns in {source!r}")
-                out.append(f"({columns[index]})")
+                out.append(f"({columns[index].source})")
+                fields |= columns[index].fields
                 i = k + 1
                 continue
         out.append(ch)
         i += 1
-    return "".join(out)
+    return Expr("".join(out), frozenset(fields))
 
 
 def _split_projection(source: str) -> list[str]:
@@ -234,149 +248,117 @@ def _split_projection(source: str) -> list[str]:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One counted node of the chain: its survivors are counted per batch.
+
+    A filter is its predicate, which the generator renders inline.  Any
+    other stage is rendered by the node's operator,
+    ``operators[position].render_stage(i, row, sources)``, and leaves
+    ``row`` — the tuple its downstream columns read — in the generated
+    body.  A relation join reads its stream key and its condition, and
+    leaves the looked-up row; a window reads its partition key, its order
+    value and its aggregates' arguments, and leaves the aggregates."""
+
+    position: int           # the node's chain position (leaf = 0)
+    exprs: tuple            # the Exprs it reads
+    row: str | None = None  # its output tuple; None for a filter
+
+
+@dataclass(frozen=True)
 class CompiledChain:
     """The generated function plus the bookkeeping the executor needs."""
 
     source: str            # generated Python, kept for EXPLAIN / debugging
     fn: object             # f(values, timestamps) -> (entries, stage_counts)
     stream: str            # the single input stream the chain consumes
-    stage_flags: list      # per chain node (leaf->root): a counted stage?
-
-
-@dataclass(frozen=True)
-class RelationLookup:
-    """A stream-to-relation join as a stage of the chain: one ``get`` on
-    the relation's task-local store per record, under the key the
-    operator would use (the ``repr`` of the stream-side equi-key)."""
-
-    row: str             # the looked-up row's name in the generated body
-    store: str           # the task-local store caching the relation
-    key_expr: str        # the stream-side equi-key
-    condition: str       # the full join condition
-    outer: bool          # LEFT: no matching row pads with nulls
-    width: int           # relation columns
-
-
-@dataclass(frozen=True)
-class WindowAdvance:
-    """A sliding window as a stage of the chain: each record advances its
-    partition's window in the window operator's own state (Algorithm 1,
-    rendered by
-    :meth:`~repro.samzasql.operators.sliding_window.SlidingWindowOperator.render_advance`),
-    and its aggregates read as ``<row>[j]``."""
-
-    row: str             # the aggregates' tuple in the generated body
-    operator: int        # the window operator's chain position (leaf = 0)
-    key_expr: str        # the partition key tuple
-    order_expr: str      # the ORDER BY value
-    arg_exprs: tuple     # per aggregate: its argument (None: COUNT(*))
+    stages: tuple          # the chain's Stages, one survivor count each
 
 
 @dataclass(frozen=True)
 class ChainExpressions:
-    """A compilable chain rendered down to expression sources.
-
-    All expressions are over the record dict ``r`` (``r['name']`` field
-    refs), the wire timestamp ``t``, the rows relation lookups found
-    (``_rel<k>[i]``) and a window's aggregates (``_win<k>[j]``).  This is
-    the analysis the serde-fused codegen in :mod:`repro.samzasql.serde_plan`
-    builds its generated function from.
+    """A compilable chain rendered down to expressions over its stream's
+    input record: what the serde-fused codegen in
+    :mod:`repro.samzasql.serde_plan` builds its generated function from.
     """
 
     stream: str          # the single input stream the chain consumes
-    columns: list        # one expression per output field
-    stages: list         # predicates, RelationLookups, WindowAdvances
-    ts_expr: str         # output timestamp (insert rowtime fallback folded in)
-    key_expr: str        # output key expression ("None" when unkeyed)
-    stage_flags: list    # per chain node (leaf->root): a counted stage?
+    columns: list        # one Expr per output field
+    stages: list         # the Stages, in execution order
+    ts_expr: Expr        # output timestamp (insert rowtime fallback folded in)
+    key_expr: Expr       # output key expression ("None" when unkeyed)
     insert: InsertNode   # the chain's root
 
 
-def chain_expressions(plan: PhysicalPlan) -> ChainExpressions:
-    """Render the chain's nodes into composed expressions."""
+def chain_expressions(plan: PhysicalPlan,
+                      input_fields: list[str]) -> ChainExpressions:
+    """Render the chain's nodes into composed expressions over the input
+    record whose fields, in schema order, are ``input_fields``."""
     reason = chain_fallback(plan)
     if reason is not None:
         raise PlannerError(f"plan does not compile: {reason}")
-    nodes = _chain_nodes(plan)
+    scan, *nodes = chain_nodes(plan)
+    index = {name: k for k, name in enumerate(input_fields)}
+    # a column the schema lacks is never rendered: reading it falls back
+    columns = [Expr(f"f{index[name]}", frozenset({index[name]}))
+               if name in index else Expr("None", frozenset({name}))
+               for name in scan.field_names]
+    ts_expr = (Expr("t") if scan.rowtime_index is None
+               else columns[scan.rowtime_index])
+    stages: list[Stage] = []
 
-    columns: list[str] = []
-    ts_expr = "t"
-    stages: list = []            # filters, lookups, windows: execution order
-    stage_flags: list[bool] = []
-    stream = ""
-
-    for node in nodes:
-        if isinstance(node, ScanNode):
-            stream = node.stream
-            columns = [f"r[{name!r}]" for name in node.field_names]
-            if node.rowtime_index is not None:
-                ts_expr = columns[node.rowtime_index]
-            stage_flags.append(False)
-        elif isinstance(node, FilterNode):
-            stages.append(_substitute_refs(node.predicate_source, columns))
-            stage_flags.append(True)
+    for position, node in enumerate(nodes, start=1):
+        refs = {"r": columns}
+        if isinstance(node, FilterNode):
+            stages.append(Stage(position, (
+                _substitute_refs(node.predicate_source, refs),)))
         elif isinstance(node, ProjectNode):
-            columns = [
-                _substitute_refs(element, columns)
-                for element in _split_projection(node.projection_source)
-            ]
-            stage_flags.append(False)
+            columns = [_substitute_refs(element, refs) for element
+                       in _split_projection(node.projection_source)]
         elif isinstance(node, StreamRelationJoinNode):
             row = f"_rel{len(stages)}"
-            relation = [f"{row}[{i}]" for i in range(node.relation_width)]
+            relation = [Expr(f"{row}[{i}]")
+                        for i in range(node.relation_width)]
             left, right = ((columns, relation) if node.stream_is_left
                            else (relation, columns))
-            # r[i] before l[i]: the stream's columns render as r['name']
-            condition = _substitute_refs(
-                _substitute_refs(node.condition_source, right), left, "l")
-            stages.append(RelationLookup(
-                row=row, store=node.store_name,
-                key_expr=_substitute_refs(node.stream_key_source, columns),
-                condition=condition, outer=node.join_kind == "LEFT",
-                width=node.relation_width))
+            stages.append(Stage(position, (
+                _substitute_refs(node.stream_key_source, refs),
+                _substitute_refs(node.condition_source,
+                                 {"l": left, "r": right})), row))
             columns = left + right
-            stage_flags.append(True)
         elif isinstance(node, SlidingWindowNode):
             row = f"_win{len(stages)}"
-            stages.append(WindowAdvance(
-                row=row, operator=len(stage_flags),
-                key_expr=_substitute_refs(node.partition_key_source, columns),
-                order_expr=_substitute_refs(node.order_source, columns),
-                arg_exprs=tuple(
-                    None if spec.arg_source is None
-                    else _substitute_refs(spec.arg_source, columns)
-                    for spec in node.aggs)))
-            columns = columns + [f"{row}[{j}]" for j in range(len(node.aggs))]
+            sources = [node.partition_key_source, node.order_source,
+                       *(spec.arg_source for spec in node.aggs
+                         if spec.arg_source is not None)]
             # a stage that passes every record: its count is its input's
-            stage_flags.append(True)
-        elif isinstance(node, InsertNode):
-            stage_flags.append(False)
-        else:  # pragma: no cover - chain_fallback already rejected it
-            raise PlannerError(f"cannot compile node kind {node.kind!r}")
+            stages.append(Stage(position, tuple(
+                _substitute_refs(source, refs) for source in sources), row))
+            columns = columns + [Expr(f"{row}[{j}]")
+                                 for j in range(len(node.aggs))]
 
     insert = plan.root
     assert isinstance(insert, InsertNode)
     if insert.rowtime_index is not None:
         rt_col = columns[insert.rowtime_index]
-        if strip_parens(rt_col) != strip_parens(ts_expr):
+        if strip_parens(rt_col.source) != strip_parens(ts_expr.source):
             # Interpreted insert keeps the upstream timestamp when the
             # rowtime value is NULL; when the two expressions are the same
             # up to redundant parentheses the branch is a no-op and is
             # elided.
-            ts_expr = f"(({ts_expr}) if ({rt_col}) is None else ({rt_col}))"
+            ts_expr = Expr(f"(({ts_expr.source}) if ({rt_col.source}) is None "
+                           f"else ({rt_col.source}))",
+                           ts_expr.fields | rt_col.fields)
     if insert.key_field_indexes is None:
-        key_expr = "None"
-    elif len(insert.key_field_indexes) == 1:
-        key_expr = f"repr({columns[insert.key_field_indexes[0]]})"
+        key_expr = Expr("None")
     else:
-        reprs = ", ".join(f"repr({columns[i]})"
-                          for i in insert.key_field_indexes)
-        key_expr = f'"|".join(({reprs}))'
+        keys = [columns[i] for i in insert.key_field_indexes]
+        reprs = ", ".join(f"repr({key.source})" for key in keys)
+        key_expr = Expr(reprs if len(keys) == 1 else f'"|".join(({reprs}))',
+                        frozenset().union(*(key.fields for key in keys)))
 
-    return ChainExpressions(stream=stream, columns=columns,
+    return ChainExpressions(stream=scan.stream, columns=columns,
                             stages=stages, ts_expr=ts_expr,
-                            key_expr=key_expr, stage_flags=stage_flags,
-                            insert=insert)
+                            key_expr=key_expr, insert=insert)
 
 
 class CompiledExecutor:
@@ -403,14 +385,12 @@ class CompiledExecutor:
 
     def __init__(self, chain: CompiledChain, router):
         operators = list(router.operators)  # leaf-to-root, like the chain
-        if len(operators) != len(chain.stage_flags):
-            raise PlannerError(
-                "router operator count does not match the compiled chain "
-                f"({len(operators)} vs {len(chain.stage_flags)})")
-        self._counters = list(zip(operators, chain.stage_flags))
         insert = operators[-1]
         if not isinstance(insert, InsertOperator):
             raise PlannerError("compiled chain must end in an insert operator")
+        counted = {stage.position for stage in chain.stages}
+        self._counters = [(operator, position in counted)
+                          for position, operator in enumerate(operators)]
         self._insert = insert
         self._timer = operators[0]._process_timer  # None: metrics off
         self._fn = chain.fn

@@ -4,8 +4,8 @@
 paths: the serde-fused function (decode → chain → encode generated as
 one function over raw bytes) and the interpreted operator DAG (the
 reference router, full decode/encode).  A chain — stateless operators
-plus equi-key stream-to-relation joins and a sliding window over
-built-in aggregates — fuses when
+plus stream-to-relation joins on the relation's key and sliding windows
+over built-in aggregates — fuses when
 :func:`~repro.samzasql.serde_plan.analyze_serde` can inline the serdes
 of the stream it consumes and of its output; a relation's changelog
 stays decoded, whatever its serde.  Everything else is interpreted,
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import Config
-from repro.samzasql.compile import chain_expressions, chain_fallback
+from repro.samzasql.compile import chain_fallback, chain_nodes
 from repro.samzasql.physical import PhysicalPlan
 from repro.samzasql.serde_plan import SerdeAnalysis, analyze_serde
 from repro.serde.avro import AvroSerde
@@ -82,15 +82,14 @@ def decide_execution(plan: PhysicalPlan, config: Config,
         return interpreted(reason)
     if serdes is None:
         return interpreted("no serde registry available")
-    exprs = chain_expressions(plan)
     _in_key, in_msg = serdes.resolve_stream_serdes(
-        config, "kafka", exprs.stream)
+        config, "kafka", chain_nodes(plan)[0].stream)
     out_key, out_msg = serdes.resolve_stream_serdes(
         config, "kafka", plan.output_stream)
     if not (isinstance(in_msg, AvroSerde) and isinstance(out_msg, AvroSerde)
             and isinstance(out_key, StringSerde)):
         return interpreted("input/output streams are not Avro with string keys")
-    reason, analysis = analyze_serde(exprs, in_msg.schema, out_msg.schema)
+    reason, analysis = analyze_serde(plan, in_msg.schema, out_msg.schema)
     if reason is not None:
         return interpreted(reason)
     return ExecutionDecision(FUSED, sampled, serde=analysis)

@@ -10,8 +10,12 @@ delayed arrivals".  Tuples arriving after their window was emitted are
 discarded ("some tuples may get discarded due to the expiration of
 timeouts"), counted in ``late_dropped``.
 
-State (accumulators per open ``(window_start, group_key)``) lives in a
-changelog-backed store, so failure + replay reconstructs the same windows.
+State (accumulators per open ``(window_start, group_key)``, and one meta
+record: the watermark and the open windows) lives in a changelog-backed
+store, so failure + replay reconstructs the same windows.  The plan names
+the store per operator instance (``sql-group-windows``, then
+``sql-group2-windows``...): a nested group window keeps its own meta
+record.
 
 This operator was only partially implemented in the paper's prototype
 (future work item 4); it is implemented in full here.
@@ -23,7 +27,6 @@ from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.samzasql.physical import AggSpec
 from repro.sql.codegen import compile_lambda
 
-STORE = "sql-group-windows"
 _META_KEY = "__meta__"
 
 
@@ -32,7 +35,8 @@ class GroupWindowAggOperator(Operator):
 
     def __init__(self, window_kind: str, time_source: str, emit_ms: int,
                  retain_ms: int, align_ms: int, group_key_source: str,
-                 aggs: list[AggSpec], field_names: list[str]):
+                 aggs: list[AggSpec], field_names: list[str],
+                 stores: list[str]):
         super().__init__()
         if emit_ms <= 0 or retain_ms <= 0:
             raise ValueError("window emit/retain must be positive")
@@ -44,6 +48,7 @@ class GroupWindowAggOperator(Operator):
         self.group_key_source = group_key_source
         self.aggs = list(aggs)
         self.field_names = list(field_names)
+        self.stores = list(stores)  # the open windows
         self._time_fn = compile_lambda(time_source)
         self._key_fn = compile_lambda(group_key_source)
         self._arg_fns = [
@@ -66,7 +71,7 @@ class GroupWindowAggOperator(Operator):
         return udaf
 
     def setup(self, context: OperatorContext) -> None:
-        self._store = context.get_store(STORE)
+        self._store = context.get_store(self.stores[0])
 
     def state_size(self) -> int:
         """Open (not yet emitted) windows; backs ``window-state-size``."""

@@ -37,8 +37,8 @@ State layout (PR 4 style, per input port):
   where ``bucket_id = ts // bucket_ms``.  Monotonic timestamps mean
   bucket ids are created in ascending order, so the dict's insertion
   order doubles as the purge order;
-* in the write-behind store ``sql-mjoin-<port>`` (``sql-mjoin<N>-<port>``
-  for the N-th join instance of a plan), one row entry
+* in the port's write-behind store, named by the plan (``sql-mjoin-<port>``,
+  ``sql-mjoin<N>-<port>`` for a later join instance), one row entry
   ``(bucket_id, seq) → row`` per retained row plus a small per-bucket
   index record ``(bucket_id, -1) → {"count", "seq"}``, which the ordered
   key codec sorts just ahead of its bucket's rows — no monolithic blob is
@@ -69,13 +69,8 @@ from itertools import product
 from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.sql.codegen import compile_lambda
 
-STORE_PREFIX = "sql-mjoin-"
 #: The seq of a bucket's index record in its store key: below every row's.
 INDEX_SEQ = -1
-
-
-def store_names(k: int, prefix: str = STORE_PREFIX) -> list[str]:
-    return [f"{prefix}{i}" for i in range(k)]
 
 
 class MultiWayStreamJoinOperator(Operator):
@@ -84,11 +79,10 @@ class MultiWayStreamJoinOperator(Operator):
     def __init__(self, widths: list[int], time_indexes: list[int],
                  key_sources: list[str], upper_bounds_ms: list[list[int]],
                  probe_orders: list[list[int]], condition_source: str,
-                 bucket_ms: int, field_names: list[str],
-                 store_prefix: str = STORE_PREFIX):
+                 bucket_ms: int, field_names: list[str], stores: list[str]):
         super().__init__()
         self.k = len(widths)
-        self.store_prefix = store_prefix
+        self.stores = list(stores)  # one per input port
         self.widths = list(widths)
         self.time_indexes = list(time_indexes)
         self.upper_bounds_ms = [list(row) for row in upper_bounds_ms]
@@ -116,8 +110,7 @@ class MultiWayStreamJoinOperator(Operator):
     # -- durability --------------------------------------------------------------
 
     def setup(self, context: OperatorContext) -> None:
-        self._stores = [context.get_store(name)
-                        for name in store_names(self.k, self.store_prefix)]
+        self._stores = [context.get_store(name) for name in self.stores]
         self._buckets = [dict() for _ in range(self.k)]
         self._index = [dict() for _ in range(self.k)]
         self._retained = [0] * self.k

@@ -116,7 +116,7 @@ def changelog_key_types(plan: PhysicalPlan) -> dict[str, str]:
         node = pending.pop()
         pending.extend(node.inputs)
         if isinstance(node, StreamRelationJoinNode):
-            layout = plan.stores[node.store_name]
+            layout = plan.stores[node.stores[0]]
             out[node.relation_stream] = layout.row[node.relation_key_index][1]
     return out
 
@@ -184,22 +184,24 @@ def _instantiate(node: PhysicalNode) -> Operator:
     if isinstance(node, SlidingWindowNode):
         return SlidingWindowOperator(
             node.partition_key_source, node.order_source, node.frame_mode,
-            node.preceding_ms, node.preceding_rows, node.aggs, node.field_names)
+            node.preceding_ms, node.preceding_rows, node.aggs, node.field_names,
+            node.stores)
     if isinstance(node, GroupWindowAggNode):
         return GroupWindowAggOperator(
             node.window_kind, node.time_source, node.emit_ms, node.retain_ms,
-            node.align_ms, node.group_key_source, node.aggs, node.field_names)
+            node.align_ms, node.group_key_source, node.aggs, node.field_names,
+            node.stores)
     if isinstance(node, MultiWayStreamJoinNode):
         return MultiWayStreamJoinOperator(
             node.widths, node.time_indexes, node.key_sources,
             node.upper_bounds_ms, node.probe_orders, node.condition_source,
-            node.bucket_ms, node.field_names, node.store_prefix)
+            node.bucket_ms, node.field_names, node.stores)
     if isinstance(node, StreamRelationJoinNode):
         return StreamRelationJoinOperator(
             node.relation, node.relation_field_names, node.relation_key_index,
             node.stream_is_left, node.stream_width, node.relation_width,
-            node.condition_source, node.stream_key_source,
-            node.relation_key_source, node.join_kind, node.field_names)
+            node.condition_source, node.stream_key_source, node.join_kind,
+            node.field_names, node.stores)
     if isinstance(node, InsertNode):
         return InsertOperator(node.output_stream, node.field_names,
                               node.rowtime_index, node.key_field_indexes)

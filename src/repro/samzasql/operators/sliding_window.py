@@ -10,14 +10,16 @@ Per incoming tuple::
     compute new aggregate values adding current tuple
     send latest aggregate values downstream
 
-State lives in two task-local key-value stores, as described:
+State lives in two task-local key-value stores, as described, named by
+the plan (``sql-window-*`` for its first window, ``sql-window2-*`` for a
+second, so nested windows never share state):
 
-* ``sql-window-messages`` — every retained message, keyed
-  ``(*partition_key, seq)`` (purged rows are deleted).  The value is
-  ``[order_value, *aggregate_arguments]``: the columns a rebuild reads,
-  not the whole input row;
-* ``sql-window-state`` — per partition key, ``{"seq"}``: the seq the
-  key's next message gets.
+* messages — every retained message, keyed ``(*partition_key, seq)``
+  (purged rows are deleted).  The value is ``[order_value,
+  *aggregate_arguments]``: the columns a rebuild reads, not the whole
+  input row;
+* state — per partition key, ``{"seq"}``: the seq the key's next message
+  gets.
 
 The partition key is a tuple: the PARTITION BY values themselves, or
 their ``repr`` when one of them is of a type the ordered key codec does
@@ -46,13 +48,14 @@ them with the same keys and values.
 
 Algorithm 1 exists here in two forms.  :meth:`SlidingWindowOperator._advance`
 is the interpreted one, run per batch by :meth:`process_batch` (the
-reference arm).  :meth:`SlidingWindowOperator.render_advance` renders the
+reference arm).  :meth:`SlidingWindowOperator.render_stage` renders the
 same steps as source lines for the serde-fused function
 (:func:`repro.samzasql.serde_plan.compile_serde_fused`), inlined per
 record with one block per aggregate over the same ``_windows`` dict, the
 same stores and the same ``_retained`` counter — so setup, rebuild,
 restore and the ``window-state-size`` gauge serve both, and the two
-forms leave identical store operations in identical order.
+forms leave identical store operations in identical order.  Every name
+it renders carries the stage index, so two windows fuse into one chain.
 """
 
 from __future__ import annotations
@@ -62,9 +65,6 @@ from collections import deque
 from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.samzasql.physical import AggSpec
 from repro.sql.codegen import compile_lambda
-
-MESSAGES_STORE = "sql-window-messages"
-STATE_STORE = "sql-window-state"
 
 #: The aggregates both forms of Algorithm 1 maintain incrementally; any
 #: other is a UDAF, re-folded at emit, and keeps a task interpreted.
@@ -192,7 +192,7 @@ class SlidingWindowOperator(Operator):
     def __init__(self, partition_key_source: str, order_source: str,
                  frame_mode: str, preceding_ms: int | None,
                  preceding_rows: int | None, aggs: list[AggSpec],
-                 field_names: list[str]):
+                 field_names: list[str], stores: list[str]):
         super().__init__()
         self.partition_key_source = partition_key_source
         self.order_source = order_source
@@ -201,6 +201,7 @@ class SlidingWindowOperator(Operator):
         self.preceding_rows = preceding_rows
         self.aggs = list(aggs)
         self.field_names = list(field_names)
+        self.stores = list(stores)  # messages, state
         self._key_fn = compile_lambda(partition_key_source)
         self._order_fn = compile_lambda(order_source)
         self._arg_fns = [
@@ -219,8 +220,7 @@ class SlidingWindowOperator(Operator):
         self._retained = 0
 
     def setup(self, context: OperatorContext) -> None:
-        self._messages = context.get_store(MESSAGES_STORE)
-        self._state = context.get_store(STATE_STORE)
+        self._messages, self._state = map(context.get_store, self.stores)
         self._windows = {}
         self._retained = 0
         self._rebuild()
@@ -315,22 +315,26 @@ class SlidingWindowOperator(Operator):
         # send latest aggregate values downstream
         self.emit_batch(out, list(timestamps))
 
-    def render_advance(self, i: int, row: str, key: str, order: str,
-                       args: list) -> tuple[dict, list, list, list]:
+    def render_stage(self, i: int, row: str,
+                     exprs: list) -> tuple[dict, list, list, list]:
         """Algorithm 1 as source for stage ``i`` of the fused function:
         ``(namespace, batch_lines, record_lines, end_lines)``.
 
-        ``key``, ``order`` and ``args`` (``None`` for COUNT(*)) are
-        expressions over the decoded record; the record lines leave its
-        aggregate values in the tuple ``row``.  Per record they do what
-        :meth:`_advance` does, in the same order — message put, purge
-        (RANGE before the add, ROWS after), accumulator upkeep — with one
-        inlined block per aggregate.  Per batch, the end lines put each
-        touched key's seq record in first-touch order, as
+        ``exprs`` are the partition key, the order value and the argument
+        of each aggregate that has one, over the decoded record; the
+        record lines leave its aggregate values in the tuple ``row``.  Per
+        record they do what :meth:`_advance` does, in the same order —
+        message put, purge (RANGE before the add, ROWS after), accumulator
+        upkeep — with one inlined block per aggregate.  Per batch, the end
+        lines put each touched key's seq record in first-touch order, as
         :meth:`process_batch` does, and add the ``_retained`` delta.  The
         store methods are bound per batch, never here: whatever wraps
         the stores' classes sees every write.
         """
+        key, order = exprs[:2]
+        given = iter(exprs[2:])
+        args = [None if spec.arg_source is None else next(given)
+                for spec in self.aggs]
         funcs = [spec.func for spec in self.aggs]
         values = [f"_v{i}_{j}" for j in range(len(funcs))]
         # literal lists: the generated namespace has no range()

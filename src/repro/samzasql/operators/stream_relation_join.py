@@ -3,26 +3,28 @@
 The relation "is available as a change log stream"; Samza delivers that
 stream as a *bootstrap* input, fully consumed before any stream message.
 This operator caches the relation partition assigned to the task in a
-task-local store keyed by the ``repr`` of the relation row's join key
-(its primary key unless the join says otherwise); changelog upserts and
-tombstones keep it current.  It then performs the join on each arriving
-stream tuple by store lookup.
+task-local store (named by the plan) keyed by the ``repr`` of the
+relation row's primary key; changelog upserts and tombstones keep it
+current.  It then performs the join on each arriving stream tuple by
+store lookup when the join equates a stream column with that key, and by
+a scan of the store otherwise.  So what the store holds never depends on
+the join that fills it.
 
 The paper's prototype stored the relation with Kryo, and the
 deserialization on every lookup made its join ≈2x slower than the
 hand-written Samza job (§5.1).  Here the store's value codec is compiled
 from the relation's row type, like the stream's own Avro decoder.
 
-A join with an equi-key normally does not run :meth:`_join` at all: it
-is a stage of the task's fused function
-(:class:`~repro.samzasql.compile.RelationLookup`), which makes the same
-one ``get`` per stream row.  This operator still owns the store, applies
-the changelog on the relation port, and carries the counters; its stream
-port is the interpreted reference, and the only path for a join without
-an equi-key (a scan of the whole store per row).  A task holds one
+A join on the relation's key normally does not run :meth:`_join` at
+all: it is a stage of the task's fused function, rendered by
+:meth:`StreamRelationJoinOperator.render_stage`, which makes the same one
+``get`` per stream row.  This operator still owns the store, applies the
+changelog on the relation port, and carries the counters; its stream
+port is the interpreted reference, and the only path for a join not on
+the key (a scan of the whole store per row).  A task holds one
 partition of the relation, so the planner refuses a join that could
-need another's: one without an equi-key, or keyed on anything but a
-stream column, on more than one task.
+need another's: one not on the key, or keyed on anything but a stream
+column, on more than one task.
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ class StreamRelationJoinOperator(Operator):
                  relation_key_index: int, stream_is_left: bool,
                  stream_width: int, relation_width: int,
                  condition_source: str, stream_key_source: str | None,
-                 relation_key_source: str | None, join_kind: str,
-                 field_names: list[str]):
+                 join_kind: str, field_names: list[str], stores: list[str]):
         super().__init__()
         self.relation = relation
         self.relation_field_names = list(relation_field_names)
@@ -84,19 +85,14 @@ class StreamRelationJoinOperator(Operator):
         self.condition_source = condition_source
         self.join_kind = join_kind
         self.field_names = list(field_names)
+        self.stores = list(stores)  # the cached relation
         self._condition = compile_lambda(condition_source, params="l, r")
         self._stream_key = (None if stream_key_source is None
                             else compile_lambda(stream_key_source))
-        self._relation_key = (None if relation_key_source is None
-                              else compile_lambda(relation_key_source))
-        # Store keys are primary keys unless the join keys on another field.
-        self._keyed_by_primary_key = relation_key_source in (
-            None, f"r[{relation_key_index}]")
         self._store = None
-        self.store_name = f"sql-relation-{relation.lower()}"
 
     def setup(self, context: OperatorContext) -> None:
-        self._store = context.get_store(self.store_name)
+        self._store = context.get_store(self.stores[0])
 
     def state_size(self) -> int:
         """Cached relation rows; backs ``window-state-size``."""
@@ -116,25 +112,10 @@ class StreamRelationJoinOperator(Operator):
 
     def _apply_changelog(self, row) -> None:
         """Upsert a relation row, or delete the one a tombstone names."""
-        if row.__class__ is ChangelogTombstone:
-            self._delete(row.key)
-            return
-        if self._relation_key is not None:
-            key = repr(self._relation_key(row))
-        else:
-            key = repr(row[self.relation_key_index])
-        self._store.put(key, row)
-
-    def _delete(self, primary_key) -> None:
-        if primary_key is None:
-            return
-        if self._keyed_by_primary_key:
-            self._store.delete(repr(primary_key))
-            return
-        index = self.relation_key_index
-        for store_key, row in list(self._store.all()):
-            if row[index] == primary_key:
-                self._store.delete(store_key)
+        if row.__class__ is not ChangelogTombstone:
+            self._store.put(repr(row[self.relation_key_index]), row)
+        elif row.key is not None:
+            self._store.delete(repr(row.key))
 
     def _join(self, stream_row: list, timestamp_ms: int, out_rows: list,
               out_ts: list) -> None:
@@ -156,6 +137,28 @@ class StreamRelationJoinOperator(Operator):
         if not matched and self.join_kind == "LEFT":
             out_rows.append(list(stream_row) + [None] * self.relation_width)
             out_ts.append(timestamp_ms)
+
+    def render_stage(self, i: int, row: str,
+                     exprs: list) -> tuple[dict, list, list, list]:
+        """:meth:`_join` with the key as source for stage ``i`` of the
+        fused function: ``(namespace, batch_lines, record_lines,
+        end_lines)``.
+
+        ``exprs`` are the stream row's key and the join condition, over
+        the decoded record and the looked-up relation row ``row``.  Per
+        record: one ``get`` under the key's ``repr``; a miss or a failed
+        condition skips the record (INNER) or reads a row of nulls
+        (LEFT).  The store's own ``get`` is bound per batch, never here:
+        whatever wraps the store's class sees every lookup.
+        """
+        key, condition = exprs
+        namespace = {f"_store{i}": self._store,
+                     f"_null{i}": (None,) * self.relation_width}
+        body = [f"        {row} = _get{i}(repr({key}))",
+                f"        if {row} is None or not ({condition}):",
+                (f"            {row} = _null{i}" if self.join_kind == "LEFT"
+                 else "            continue")]
+        return namespace, [f"    _get{i} = _store{i}.get"], body, []
 
     def describe(self) -> str:
         return f"StreamRelationJoin({self.relation})"

@@ -150,6 +150,7 @@ class SlidingWindowNode(PhysicalNode):
     preceding_rows: Optional[int]
     aggs: list[AggSpec]
     field_names: list[str]          # input fields ++ agg output names
+    stores: list[str] = field(default_factory=list)  # messages, state
 
     def __post_init__(self) -> None:
         self.kind = "sliding_window"
@@ -167,6 +168,7 @@ class GroupWindowAggNode(PhysicalNode):
     group_key_source: str           # renders to a list of key values
     aggs: list[AggSpec]
     field_names: list[str]          # wstart, wend, keys..., aggs...
+    stores: list[str] = field(default_factory=list)  # the open windows
 
     def __post_init__(self) -> None:
         self.kind = "group_window_agg"
@@ -188,9 +190,7 @@ class MultiWayStreamJoinNode(PhysicalNode):
     smallest expected state first, so empty sides short-circuit the
     probe before larger sides are touched.  ``condition_source`` is the
     full join condition over per-input rows ``p0..p{K-1}``, applied as the
-    residual predicate.  Store names are per join instance
-    (``store_prefix``): a plan with several joins (a cascade) must not
-    share window state between them.
+    residual predicate.
     """
 
     widths: list[int]
@@ -204,7 +204,7 @@ class MultiWayStreamJoinNode(PhysicalNode):
     input_weights: list[float]       # expected-state metric per input
     order_metric: str                # "window_ms*rate" | "window_ms"
     field_names: list[str]
-    store_prefix: str = "sql-mjoin-"  # per-instance: "<prefix><port>"
+    stores: list[str] = field(default_factory=list)  # one per input port
 
     def __post_init__(self) -> None:
         self.kind = "multi_way_join"
@@ -220,8 +220,8 @@ class StreamRelationJoinNode(PhysicalNode):
     """Stream-to-relation join through a bootstrap changelog (§4.4).
 
     ``inputs[0]`` is the stream subplan.  The relation side is loaded from
-    its changelog stream into a local store before any stream message is
-    processed (Samza bootstrap semantics).
+    its changelog stream into a local store, keyed by its primary key,
+    before any stream message is processed (Samza bootstrap semantics).
     """
 
     relation: str
@@ -232,18 +232,13 @@ class StreamRelationJoinNode(PhysicalNode):
     stream_width: int
     relation_width: int
     condition_source: str           # over (l, r) in output order
-    stream_key_source: Optional[str]   # equi-key of the stream row
-    relation_key_source: Optional[str]
+    stream_key_source: Optional[str]   # stream column = the primary key
     join_kind: str
     field_names: list[str]
+    stores: list[str] = field(default_factory=list)  # the cached relation
 
     def __post_init__(self) -> None:
         self.kind = "stream_relation_join"
-
-    @property
-    def store_name(self) -> str:
-        """The task-local store caching the relation."""
-        return f"sql-relation-{self.relation.lower()}"
 
 
 @dataclass
@@ -301,7 +296,7 @@ class PhysicalPlan:
     root: PhysicalNode
     input_streams: list[str]
     bootstrap_streams: list[str]
-    stores: dict[str, StoreLayout]  # every operator store, by name
+    stores: dict[str, StoreLayout]  # every node's ``stores``, by name
     output_stream: str
     relation_output: bool = False  # output topic is a compacted changelog
 

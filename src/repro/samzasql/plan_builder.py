@@ -9,7 +9,9 @@ or stream-to-relation (relation side becomes a bootstrap changelog store,
 §4.4), and reject shapes the streaming runtime cannot execute (unwindowed
 aggregates over unbounded streams, streaming a pure table...).  Each
 operator store gets a :class:`~repro.samzasql.physical.StoreLayout` from
-the row types at hand, which picks its codecs.
+the row types at hand, which picks its codecs, and a name no other
+operator instance shares (:meth:`PhysicalPlanBuilder._own_stores`), which
+the node carries for its operator to open.
 :func:`single_task_relation_joins` names the relation joins a job may only
 run on one task; the shell refuses them on more.
 """
@@ -114,14 +116,14 @@ def _scan_column(node: PhysicalNode, index: int) -> bool:
 def single_task_relation_joins(plan: PhysicalPlan):
     """Each relation join that is only right on a single task, as
     ``(join, stream-side key field)`` — the key is ``None`` for a join
-    without an equi-key.
+    not on the relation's key.
 
     A task bootstraps only its own partition of a relation's changelog,
     which is hashed by the relation's key; only a stream column can be
     co-partitioned with it.  A key read off another relation (``Orders ⋈
     Products ⋈ Suppliers ON p.supplierId = s.supplierId``) or computed
-    finds its row in some other task's partition, and a join without an
-    equi-key sees one partition of the relation.
+    finds its row in some other task's partition, and a join not on the
+    relation's key scans one partition of the relation.
     """
     pending = [plan.root]
     while pending:
@@ -176,7 +178,23 @@ class PhysicalPlanBuilder:
         self.input_streams: list[str] = []
         self.bootstrap_streams: list[str] = []
         self.stores: dict[str, StoreLayout] = {}
-        self._multi_join_count = 0  # stream-to-stream joins lowered
+
+    def _own_stores(self, family: str,
+                    layouts: dict[str, StoreLayout]) -> list[str]:
+        """Name one operator instance's stores and record their layouts.
+
+        The first instance of a family owns ``sql-<family>-<part>`` per
+        part; a later one whose names would collide owns
+        ``sql-<family><N>-<part>`` with the first free N, so no two
+        instances ever share a store (nested windows, a join cascade, a
+        relation joined twice)."""
+        prefix, n = f"sql-{family}-", 1
+        while any(prefix + part in self.stores for part in layouts):
+            n += 1
+            prefix = f"sql-{family}{n}-"
+        names = [prefix + part for part in layouts]
+        self.stores.update(zip(names, layouts.values()))
+        return names
 
     def build(self, logical: RelNode, output_stream: str,
               relation_key: list[str] | None = None) -> PhysicalPlan:
@@ -275,7 +293,8 @@ class PhysicalPlanBuilder:
         """The window's stores: ``sql-window-messages`` holds ``(partition
         key..., seq) → [order value, *aggregate arguments]`` — what a
         rebuild reads, not the whole input row — and ``sql-window-state``
-        holds ``(partition key...) → {seq}``.  The partition key is its
+        holds ``(partition key...) → {seq}`` (``sql-window2-*`` for a
+        second window of the plan, and so on).  The partition key is its
         typed values when each has an ordered-key kind, else one string
         (their ``repr``)."""
         exprs = node.partition_exprs
@@ -297,13 +316,14 @@ class PhysicalPlanBuilder:
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
-        self.stores["sql-window-messages"] = StoreLayout.typed(
-            [*kinds, "int"],
-            row=[_field(node.order_expr, input_type, "order"),
-                 *(_field(call.arg, input_type, call.name)
-                   for call in node.agg_calls)])
-        self.stores["sql-window-state"] = StoreLayout.typed(
-            kinds, record=[["seq", SqlType.BIGINT.value]])
+        physical.stores = self._own_stores("window", {
+            "messages": StoreLayout.typed(
+                [*kinds, "int"],
+                row=[_field(node.order_expr, input_type, "order"),
+                     *(_field(call.arg, input_type, call.name)
+                       for call in node.agg_calls)]),
+            "state": StoreLayout.typed(
+                kinds, record=[["seq", SqlType.BIGINT.value]])})
         return physical
 
     def _lower_aggregate(self, node: LogicalAggregate) -> PhysicalNode:
@@ -330,8 +350,8 @@ class PhysicalPlanBuilder:
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
-        self.stores["sql-group-windows"] = StoreLayout(
-            "str", fallback="accumulators and the meta record are not rows")
+        physical.stores = self._own_stores("group", {"windows": StoreLayout(
+            "str", fallback="accumulators and the meta record are not rows")})
         return physical
 
     # -- joins ---------------------------------------------------------------------------
@@ -412,9 +432,6 @@ class PhysicalPlanBuilder:
         # probe touches a handful of buckets and purge drops whole ones.
         bucket_ms = max(1, max(spans) // 8) if max(spans) else 1
 
-        self._multi_join_count += 1
-        prefix = ("sql-mjoin-" if self._multi_join_count == 1
-                  else f"sql-mjoin{self._multi_join_count}-")
         physical = MultiWayStreamJoinNode(
             widths=list(analysis.widths),
             time_indexes=list(analysis.rowtime_indexes),
@@ -429,15 +446,15 @@ class PhysicalPlanBuilder:
             input_weights=weights,
             order_metric=order_metric,
             field_names=list(row_type.field_names),
-            store_prefix=prefix,
         )
         physical.inputs = [self._lower(child) for child in inputs]
-        # (bucket, seq) → buffered row; (bucket, -1) → the bucket's index
-        # record, which sorts ahead of its rows
-        for i, child in enumerate(inputs):
-            self.stores[f"{prefix}{i}"] = StoreLayout.typed(
+        # sql-mjoin-<port>: (bucket, seq) → buffered row; (bucket, -1) →
+        # the bucket's index record, which sorts ahead of its rows
+        physical.stores = self._own_stores("mjoin", {
+            str(i): StoreLayout.typed(
                 ["int", "int"], row=_row_fields(child.row_type),
                 record=_JOIN_INDEX_RECORD)
+            for i, child in enumerate(inputs)})
         return physical
 
     def _lower_stream_relation(self, node: LogicalJoin,
@@ -463,10 +480,6 @@ class PhysicalPlanBuilder:
         key_index = (definition.row_type.index_of(definition.key_field)
                      if definition.key_field else 0)
 
-        left_key, right_key = self._extract_equi_keys(node.condition, left_width)
-        stream_key = left_key if stream_is_left else right_key
-        relation_key = right_key if stream_is_left else left_key
-
         physical = StreamRelationJoinNode(
             relation=definition.name,
             relation_stream=definition.changelog_topic,
@@ -476,37 +489,38 @@ class PhysicalPlanBuilder:
             stream_width=len(stream_side.row_type),
             relation_width=len(relation_side.row_type),
             condition_source=render(node.condition, left_width=left_width),
-            stream_key_source=stream_key,
-            relation_key_source=relation_key,
+            stream_key_source=self._stream_key(
+                node.condition, left_width, stream_is_left, key_index),
             join_kind=node.kind,
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(stream_side)]
         self.input_streams.append(definition.changelog_topic)
         self.bootstrap_streams.append(definition.changelog_topic)
-        self.stores[physical.store_name] = StoreLayout.typed(
-            "str", row=_row_fields(definition.row_type))
+        physical.stores = self._own_stores("relation", {
+            definition.name.lower(): StoreLayout.typed(
+                "str", row=_row_fields(definition.row_type))})
         return physical
 
     # -- condition analysis -------------------------------------------------------------------
 
     @staticmethod
-    def _extract_equi_keys(condition: RexNode,
-                           left_width: int) -> tuple[str | None, str | None]:
-        """First ``left_field = right_field`` conjunct as rendered key sources."""
+    def _stream_key(condition: RexNode, left_width: int, stream_is_left: bool,
+                    key_index: int) -> str | None:
+        """The stream column the join equates with the relation's primary
+        key (the first such conjunct), rendered over the stream row; None
+        when no conjunct is on the key — the store is keyed by it, so
+        such a join scans the store."""
+        key = key_index + (left_width if stream_is_left else 0)
+        offset = 0 if stream_is_left else left_width
         for conjunct in split_conjunction(condition):
             if not (isinstance(conjunct, RexCall) and conjunct.op == "="):
                 continue
             a, b = conjunct.operands
             if not (isinstance(a, RexInputRef) and isinstance(b, RexInputRef)):
                 continue
-            if a.index < left_width <= b.index:
-                left_ref, right_ref = a, b
-            elif b.index < left_width <= a.index:
-                left_ref, right_ref = b, a
-            else:
-                continue
-            left_source = f"r[{left_ref.index}]"
-            right_source = f"r[{right_ref.index - left_width}]"
-            return left_source, right_source
-        return None, None
+            for ref, other in ((a, b), (b, a)):
+                if (ref.index == key
+                        and (other.index < left_width) == stream_is_left):
+                    return f"r[{other.index - offset}]"
+        return None

@@ -8,38 +8,40 @@ query is Avro decode/encode of columns the query never looks at.
 
 Three layers, all decided at plan time:
 
-1. **Column pruning** — a required-columns pass over the chain's
-   expression sources (:func:`repro.samzasql.compile.chain_expressions`)
-   determines which input fields feed predicates, projections, a
-   window's partition key, order and arguments, the output timestamp,
-   or the output key.  Everything else is *skip-scanned*: the generated
-   decoder advances the cursor with varint/length skips and never
-   builds a Python object.
+1. **Column pruning** — the chain's expressions
+   (:func:`repro.samzasql.compile.chain_expressions`) each carry the
+   input fields they read, so the fields that feed predicates, relation
+   keys and join conditions, a window's partition key, order and
+   arguments, the output timestamp, the output key, or a re-encoded
+   column are a union.  Everything else is *skip-scanned*: the generated
+   decoder advances the cursor with varint/length skips and never builds
+   a Python object.
 
-2. **Re-encode elision** — output columns that are bare references to
-   input columns of a byte-compatible kind are forwarded as raw byte
-   spans sliced straight out of the incoming datum instead of being
-   decoded and re-encoded.  All in-repo Avro encoders write canonical
-   (minimal-varint) form, so the splice is byte-identical to a decode →
-   re-encode round trip.  Where the output schema nullable-wraps a bare
-   input primitive, the union branch byte is spliced in front of the
-   span; when every column forwards this way the encode step is fully
-   elided into one ``b"".join``.
+2. **Re-encode elision** — output columns that are bare input fields of
+   a byte-compatible kind are forwarded as raw byte spans sliced
+   straight out of the incoming datum instead of being decoded and
+   re-encoded.  All in-repo Avro encoders write canonical (minimal-varint)
+   form, so the splice is byte-identical to a decode → re-encode round
+   trip.  Where the output schema nullable-wraps a bare input primitive,
+   the union branch byte is spliced in front of the span; when every
+   column forwards this way the encode step is fully elided into one
+   ``b"".join``.
 
-3. **Fusion** — decode, predicate evaluation, relation lookups, and
-   encode are generated into ONE function over the raw value batch,
-   returning ready-to-send ``(bytes, timestamp_ms, key)`` entries.  The
-   container feeds it undecoded consumer records and the producer takes
-   the bytes as-is.  A stream-to-relation join stage is one ``get`` on
-   the relation's store through its object API (looked up per batch, so
-   whatever wraps the store's class sees every call); an INNER miss
-   skips the record, a LEFT miss reads a row of nulls.  Relation columns
-   are always re-encoded; stream columns still splice.  A sliding-window
-   stage is Algorithm 1 inlined, as the window operator renders it
-   (:meth:`~repro.samzasql.operators.sliding_window.SlidingWindowOperator.render_advance`):
-   the record advances its partition's window in the operator's own
-   state, writing through the stores' own put/delete (bound per batch),
-   and the aggregate columns are encoded while the input columns splice.
+3. **Fusion** — decode, the chain's stages, and encode are generated into
+   ONE function over the raw value batch, returning ready-to-send
+   ``(bytes, timestamp_ms, key)`` entries.  The container feeds it
+   undecoded consumer records and the producer takes the bytes as-is.  A
+   filter stage is rendered inline; every other stage is rendered by its
+   own operator's ``render_stage``, next to the interpreted code it
+   mirrors.  A stream-to-relation join stage is one ``get`` on the
+   relation's store through its object API (bound per batch, so whatever
+   wraps the store's class sees every call); an INNER miss skips the
+   record, a LEFT miss reads a row of nulls.  Relation columns are always
+   re-encoded; stream columns still splice.  A sliding-window stage is
+   Algorithm 1 inlined: the record advances its partition's window in
+   the operator's own state, writing through the stores' own put/delete
+   (bound per batch), and the aggregate columns are encoded while the
+   input columns splice.
 
 Fusion is the only compiled path.  Anything the analysis cannot prove
 safe — non-Avro serdes, unsupported schema shapes, expressions over
@@ -51,7 +53,6 @@ on that first.
 
 from __future__ import annotations
 
-import ast
 import struct
 from dataclasses import dataclass, field
 
@@ -59,11 +60,9 @@ from repro.common.errors import SerdeError
 from repro.samzasql.compile import (
     ChainExpressions,
     CompiledChain,
-    RelationLookup,
-    WindowAdvance,
-    _scan_string,
-    strip_parens,
+    chain_expressions,
 )
+from repro.samzasql.physical import PhysicalPlan
 from repro.serde.avro import (
     _DOUBLE,
     _FLOAT,
@@ -79,59 +78,6 @@ from repro.sql.codegen import CODEGEN_NAMESPACE, compile_source
 _VARINT_KINDS = frozenset({"int", "long"})
 
 
-def _iter_refs(source: str, var: str = "r"):
-    """Yield ``(start, end, name)`` for each ``r['name']`` reference.
-
-    A character scanner rather than a regex so string literals in the
-    expression are never mistaken for references (and vice versa).
-    """
-    i = 0
-    n = len(source)
-    vlen = len(var)
-    while i < n:
-        if (source.startswith(var, i)
-                and (i == 0 or not (source[i - 1].isalnum()
-                                    or source[i - 1] == "_"))
-                and i + vlen < n and source[i + vlen] == "["
-                and i + vlen + 1 < n and source[i + vlen + 1] in "'\""):
-            j = _scan_string(source, i + vlen + 1)
-            if j < n and source[j] == "]":
-                yield i, j + 1, ast.literal_eval(source[i + vlen + 1:j])
-                i = j + 1
-                continue
-        if source[i] in "'\"":
-            i = _scan_string(source, i)
-            continue
-        i += 1
-
-
-def collect_refs(source: str) -> set:
-    """The set of input column names an expression source references."""
-    return {name for _s, _e, name in _iter_refs(source)}
-
-
-def substitute_named_refs(source: str, mapping: dict) -> str:
-    """Replace each ``r['name']`` reference with ``mapping[name]``."""
-    out: list[str] = []
-    last = 0
-    for start, end, name in _iter_refs(source):
-        out.append(source[last:start])
-        out.append(mapping[name])
-        last = end
-    out.append(source[last:])
-    return "".join(out)
-
-
-def _bare_ref(source: str) -> str | None:
-    """The column name when ``source`` is exactly one (possibly
-    parenthesized) input reference, else ``None``."""
-    s = strip_parens(source)
-    refs = list(_iter_refs(s))
-    if len(refs) == 1 and refs[0][0] == 0 and refs[0][1] == len(s):
-        return refs[0][2]
-    return None
-
-
 # -- the plan-time analysis ---------------------------------------------------
 
 
@@ -145,7 +91,7 @@ class SerdeAnalysis:
     in_fields: list = field(default_factory=list)    # flat_record_fields
     span_fields: set = field(default_factory=set)    # input indexes spanned
     # Per output column: ("splice", input_index, prefix_byte | None) or
-    # ("compute", expr_over_r, out_kind, out_null_index, field_type_def).
+    # ("compute", expr_source, out_kind, out_null_index, field_type_def).
     columns: list = field(default_factory=list)
     required: tuple = ()   # input columns decoded into Python values
     pruned: tuple = ()     # input columns skip-scanned / span-forwarded
@@ -153,7 +99,7 @@ class SerdeAnalysis:
     computed: tuple = ()   # output columns re-encoded from values
 
 
-def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
+def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
                   ) -> tuple[str | None, SerdeAnalysis | None]:
     """Decide whether a compilable chain serde-fuses over its stream's
     schema: ``(None, analysis)`` when it does, ``(reason, None)`` when
@@ -165,8 +111,6 @@ def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
     for name, kind, _null in in_fields:
         if kind is None:
             return f"input field {name!r} has an unsupported shape", None
-    in_by_name = {name: (i, kind, null)
-                  for i, (name, kind, null) in enumerate(in_fields)}
 
     out_def = getattr(output_schema, "definition", None)
     out_fields = flat_record_fields(out_def)
@@ -179,6 +123,7 @@ def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
             return (f"output field {name!r} has a non-canonical union "
                     "ordering"), None
 
+    exprs = chain_expressions(plan, [name for name, _k, _n in in_fields])
     if len(out_fields) != len(exprs.columns):
         return "output schema width does not match the chain", None
     if [name for name, _k, _n in out_fields] != list(exprs.insert.field_names):
@@ -186,26 +131,17 @@ def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
 
     build = SerdeAnalysis(exprs=exprs, output_schema=output_schema,
                           in_fields=in_fields)
-    needed: set = set()
-    # Columns whose *values* the generated function needs: predicates,
-    # lookup keys and join conditions, a window's partition key, order
-    # and arguments, the output timestamp, the output key, and any
-    # re-encoded column.
-    value_sources = [exprs.ts_expr, exprs.key_expr]
+    # Expressions whose *values* the generated function needs: every
+    # stage's, the output timestamp, the output key, and any re-encoded
+    # column.
+    value_exprs = [exprs.ts_expr, exprs.key_expr]
     for stage in exprs.stages:
-        if isinstance(stage, RelationLookup):
-            value_sources += [stage.key_expr, stage.condition]
-        elif isinstance(stage, WindowAdvance):
-            value_sources += [stage.key_expr, stage.order_expr,
-                              *(arg for arg in stage.arg_exprs
-                                if arg is not None)]
-        else:
-            value_sources.append(stage)
+        value_exprs += stage.exprs
 
     for column, (oname, okind, onull) in zip(exprs.columns, out_fields):
-        ref = _bare_ref(column)
-        if ref is not None and ref in in_by_name:
-            index, ikind, inull = in_by_name[ref]
+        index = column.field
+        if index is not None:
+            _name, ikind, inull = in_fields[index]
             compatible = (ikind == okind
                           or (ikind in _VARINT_KINDS
                               and okind in _VARINT_KINDS))
@@ -218,21 +154,21 @@ def analyze_serde(exprs: ChainExpressions, input_schema, output_schema
                 build.span_fields.add(index)
                 continue
         build.columns.append(
-            ("compute", column, okind, onull,
+            ("compute", column.source, okind, onull,
              out_def["fields"][len(build.columns)]["type"]))
-        value_sources.append(column)
+        value_exprs.append(column)
 
-    for source in value_sources:
-        for name in collect_refs(source):
-            if name not in in_by_name:
-                return (f"expression references unknown column {name!r}",
-                        None)
-            needed.add(name)
+    needed: set = set()
+    for expr in value_exprs:
+        for k in expr.fields:
+            if isinstance(k, str):
+                return f"expression references unknown column {k!r}", None
+            needed.add(k)
 
-    build.required = tuple(name for name, _k, _n in in_fields
-                           if name in needed)
-    build.pruned = tuple(name for name, _k, _n in in_fields
-                         if name not in needed)
+    build.required = tuple(name for k, (name, _k, _n) in enumerate(in_fields)
+                           if k in needed)
+    build.pruned = tuple(name for k, (name, _k, _n) in enumerate(in_fields)
+                         if k not in needed)
     build.spliced = tuple(name for (name, _k, _n), op
                           in zip(out_fields, build.columns)
                           if op[0] == "splice")
@@ -281,7 +217,7 @@ def _splice_pieces(build: SerdeAnalysis) -> list[tuple]:
     return pieces
 
 
-def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
+def compile_serde_fused(build: SerdeAnalysis,
                         operators: list | None = None) -> CompiledChain:
     """Generate one function spanning decode → chain → encode.
 
@@ -289,16 +225,14 @@ def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
     wire timestamps) and returns ``(entries, stage_counts)`` where each
     entry is ``(message_bytes, timestamp_ms, key)`` ready for a
     pre-serialized send, and ``stage_counts`` carries the per-stage
-    survivor counts (filters, relation lookups, windows) the operator
-    counters need.  ``stores`` maps store names to the task's stores; a
-    chain with relation lookups reads its relations there.  ``operators``
-    is the task's chain of operators, leaf first; a window stage advances
-    its operator's state, rendered by the operator itself.
+    survivor counts the operator counters need.  ``operators`` is the
+    task's chain of operators, leaf first: every stage but a filter is
+    rendered by its own operator, over that operator's state and stores
+    (a chain of filters and projections needs none).
     """
-    fvars = {name: f"f{i}" for i, (name, _k, _n) in enumerate(build.in_fields)}
     stages = build.exprs.stages
-    ts_expr = substitute_named_refs(build.exprs.ts_expr, fvars)
-    key_expr = substitute_named_refs(build.exprs.key_expr, fvars)
+    ts_expr = build.exprs.ts_expr.source
+    key_expr = build.exprs.key_expr.source
 
     namespace = dict(CODEGEN_NAMESPACE)
     # repr: the relation-output key is a repr-join
@@ -338,10 +272,9 @@ def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
                     encode_lines.append(f"{pad}out.append({prefix})")
                 encode_lines.append(f"{pad}out += buf[s{index}:e{index}]")
                 continue
-            _tag, column, okind, onull, type_def = op
+            _tag, expr, okind, onull, type_def = op
             namespace[f"enc{j}"] = build.output_schema._compile_encoder(
                 type_def)
-            expr = substitute_named_refs(column, fvars)
             encode_lines.append(f"{pad}v = ({expr})")
             if onull is None:
                 encode_lines += field_write_src("v", okind, 2, None)
@@ -362,33 +295,17 @@ def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
     stage_lines: list[str] = []
     end_lines: list[str] = []
     for i, stage in enumerate(stages):
-        if isinstance(stage, WindowAdvance):
-            scope, batch, body, end = operators[stage.operator].render_advance(
-                i, stage.row, substitute_named_refs(stage.key_expr, fvars),
-                substitute_named_refs(stage.order_expr, fvars),
-                [None if arg is None else substitute_named_refs(arg, fvars)
-                 for arg in stage.arg_exprs])
+        if stage.row is None:
+            [predicate] = stage.exprs
+            stage_lines += [f"        if not ({predicate.source}):",
+                            "            continue"]
+        else:
+            scope, batch, body, end = operators[stage.position].render_stage(
+                i, stage.row, [expr.source for expr in stage.exprs])
             namespace.update(scope)
             lines += batch
             stage_lines += body
             end_lines += end
-        elif not isinstance(stage, RelationLookup):
-            stage_lines += [
-                f"        if not ({substitute_named_refs(stage, fvars)}):",
-                "            continue"]
-        else:
-            namespace[f"_store{i}"] = stores[stage.store]
-            namespace[f"_null{i}"] = (None,) * stage.width
-            # the store's own get, bound per batch: whatever wraps the
-            # store's class sees every lookup
-            lines.append(f"    _get{i} = _store{i}.get")
-            key = substitute_named_refs(stage.key_expr, fvars)
-            condition = substitute_named_refs(stage.condition, fvars)
-            stage_lines += [
-                f"        {stage.row} = _get{i}(repr({key}))",
-                f"        if {stage.row} is None or not ({condition}):",
-                (f"            {stage.row} = _null{i}" if stage.outer
-                 else "            continue")]
         stage_lines.append(f"        _n{i} += 1")
     lines += [f"    _n{i} = 0" for i in range(len(stages))]
     lines.append("    for buf, t in zip(values, timestamps):")
@@ -415,5 +332,4 @@ def compile_serde_fused(build: SerdeAnalysis, stores: dict | None = None,
 
     exec(compile_source(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
     return CompiledChain(source=source, fn=namespace["_fused_plan"],
-                         stream=build.exprs.stream,
-                         stage_flags=build.exprs.stage_flags)
+                         stream=build.exprs.stream, stages=tuple(stages))

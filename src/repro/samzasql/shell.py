@@ -514,12 +514,13 @@ class SamzaSQLShell:
                          if self.cluster.has_topic(s)), default=1)
             if tasks > 1:
                 on = (f"on {key!r}, which is not a column of the stream"
-                      if key is not None else "without an equi-key")
+                      if key is not None else "not on its key")
                 raise PlannerError(
                     f"relation {join.relation} is joined {on}: each of the "
                     f"{tasks} tasks bootstraps only its own partition of "
                     f"{join.relation_stream}, so rows would be lost; join "
-                    f"on a stream column, or use one partition per input")
+                    f"a stream column to its key, or use one partition per "
+                    f"input")
         serdes = SerdeRegistry()
         config: dict[str, Any] = {
             "job.name": query_id,

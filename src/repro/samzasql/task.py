@@ -109,11 +109,11 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             # One generated function spans decode→chain→encode; the
             # container delivers the chain's stream undecoded.  Relation
             # changelogs stay decoded: they reach the join's relation
-            # port through the router, tombstones included.  A window
-            # stage advances its operator's state, rebuilt at setup.
+            # port through the router, tombstones included.  A join or
+            # window stage is rendered by its operator, over the state
+            # and stores the operator opened at setup.
             self._executor = CompiledExecutor(
-                compile_serde_fused(decision.serde, stores, operators),
-                self._router)
+                compile_serde_fused(decision.serde, operators), self._router)
             self.raw_input_streams = frozenset({self._executor.stream})
             self._route_batch = self._router.route_batch
         elif decision.sampled:
@@ -197,11 +197,6 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
     def decision(self) -> ExecutionDecision:
         """The plan-time decision this task executes (what EXPLAIN prints)."""
         return self._decision
-
-    @property
-    def compiled(self) -> bool:
-        """True when this task runs the exec-compiled fused function."""
-        return self._executor is not None
 
     @property
     def executor(self):

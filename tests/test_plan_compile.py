@@ -59,7 +59,7 @@ class TestCompileDecision:
         dep = Deployment().with_orders(5)
         handle = dep.run(FILTER_SQL)
         for task in sql_tasks(handle):
-            assert task.compiled
+            assert task.serde_fused
             assert task.decision.fallback is None
             assert task.decision.task_status == "compiled"
 
@@ -67,17 +67,17 @@ class TestCompileDecision:
         dep = Deployment().with_orders(5)
         handle = dep.run("SELECT STREAM rowtime, orderId, units * 2 AS twice "
                          "FROM Orders")
-        assert all(task.compiled for task in sql_tasks(handle))
+        assert all(task.serde_fused for task in sql_tasks(handle))
 
     def test_window_falls_back_with_reason(self):
         """The sliding window is a stage of the fused chain; the group
         window still runs interpreted, and says why."""
         dep = Deployment().with_orders(5)
         for task in sql_tasks(dep.run(WINDOW_SQL)):
-            assert task.compiled and task.decision.fallback is None
+            assert task.serde_fused and task.decision.fallback is None
         handle = dep.run(GROUP_WINDOW_SQL)
         for task in sql_tasks(handle):
-            assert not task.compiled
+            assert not task.serde_fused
             decision = task.decision
             assert decision.path == "interpreted"
             assert decision.fallback == GROUP_WINDOW_REASON
@@ -86,8 +86,8 @@ class TestCompileDecision:
 
     def test_window_fallback_reasons(self):
         """A window whose key, order or argument calls a UDF, or whose
-        aggregate is a UDAF, stays interpreted with its reason — and so
-        does a second window in the chain (the two share the stores)."""
+        aggregate is a UDAF, stays interpreted with its reason; a second
+        window in the chain owns its own stores and fuses."""
         from repro.sql.udf import UDF_REGISTRY, register_scalar_udf
 
         UDF_REGISTRY.clear()
@@ -112,32 +112,31 @@ class TestCompileDecision:
                       "PRECEDING) v FROM (SELECT STREAM rowtime, productId, "
                       "units, SUM(units) "
                       + over.format(key="productId", order="rowtime") + ")")
-            assert chain_fallback(dep.shell.execute(nested).plan) == (
-                "more than one sliding window (they share the stores)")
+            assert chain_fallback(dep.shell.execute(nested).plan) is None
         finally:
             UDF_REGISTRY.clear()
 
     def test_join_falls_back_with_reason(self):
-        """An equi-key relation join is a stage of the fused chain; one
-        without an equi-key scans the whole store per message and runs
-        interpreted — the tasks and EXPLAIN say so alike.  (It sees one
-        partition of the relation per task, so it runs on one.)"""
+        """A relation join on the relation's key is a stage of the fused
+        chain; one not on the key scans the whole store per message and
+        runs interpreted — the tasks and EXPLAIN say so alike.  (It sees
+        one partition of the relation per task, so it runs on one.)"""
         dep = Deployment().with_orders(5).with_products()
         equi = ("SELECT STREAM o.rowtime, o.orderId, p.name "
                 "FROM Orders o JOIN Products p ON o.productId = p.productId")
         report = dep.shell.execute(f"EXPLAIN {equi}")
         assert "tasks: 4 × compiled\n  serde: decode pruned" in report
         for task in sql_tasks(dep.run(equi)):
-            assert task.compiled and task.decision.fallback is None
+            assert task.serde_fused and task.decision.fallback is None
 
         dep = Deployment(partitions=1).with_orders(5).with_products()
         theta = ("SELECT STREAM o.orderId, p.name FROM Orders o "
                  "JOIN Products p ON o.units > p.supplierId")
-        reason = "relation join without an equi-key"
+        reason = "relation join not on the relation's key"
         report = dep.shell.execute(f"EXPLAIN {theta}")
         assert f"tasks: 1 × interpreted (fallback: {reason})" in report
         for task in sql_tasks(dep.run(theta)):
-            assert not task.compiled
+            assert not task.serde_fused
             assert task.decision.fallback == reason
 
     def test_udf_falls_back_with_reason(self):
@@ -150,7 +149,7 @@ class TestCompileDecision:
             handle = dep.run("SELECT STREAM orderId, "
                              "PLAN_COMPILE_T(units) AS u FROM Orders")
             for task in sql_tasks(handle):
-                assert not task.compiled
+                assert not task.serde_fused
                 assert "UDF" in task.decision.fallback
         finally:
             UDF_REGISTRY.clear()

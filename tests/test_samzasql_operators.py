@@ -40,18 +40,22 @@ class Sink(Operator):
         self.rows.extend(zip(rows, timestamps))
 
 
-# -- the stores, typed as the planner types them for these tests' rows -------
+# -- the stores, named and typed as the planner does for these tests' rows ----
+
+#: A window's stores as the plan names them: messages, then state.
+WINDOW_STORE_NAMES = ("sql-window-messages", "sql-window-state")
 
 
 def window_stores(aggs, partition_kind="str"):
     """``(key, rowtime, value)`` rows partitioned by ``r[1]``: messages
     hold ``[order, *arguments]``, the state record the next seq."""
+    messages, state = WINDOW_STORE_NAMES
     return {
-        "sql-window-messages": StoreLayout.typed(
+        messages: StoreLayout.typed(
             [partition_kind, "int"],
             row=[["rowtime", "TIMESTAMP"],
                  *([spec.func, "BIGINT"] for spec in aggs)]),
-        "sql-window-state": StoreLayout.typed(
+        state: StoreLayout.typed(
             [partition_kind], record=[["seq", "BIGINT"]]),
     }
 
@@ -143,7 +147,8 @@ class TestSlidingWindowOperator:
             partition_key_source="(r[1],)", order_source="r[0]",
             frame_mode=frame, preceding_ms=preceding_ms,
             preceding_rows=preceding_rows, aggs=aggs,
-            field_names=["rowtime", "key", "value", "agg"])
+            field_names=["rowtime", "key", "value", "agg"],
+            stores=list(WINDOW_STORE_NAMES))
         sink, _ = wire(operator, window_stores(aggs))
         return operator, sink
 
@@ -219,7 +224,8 @@ class TestSlidingWindowOperator:
             partition_key_source="(r[1],)", order_source="r[0]",
             frame_mode="RANGE", preceding_ms=50, preceding_rows=None,
             aggs=self.AGGS,
-            field_names=["rowtime", "key", "value", "s", "c", "mn", "mx", "a"])
+            field_names=["rowtime", "key", "value", "s", "c", "mn", "mx", "a"],
+            stores=list(WINDOW_STORE_NAMES))
         operator.setup(context)
         sink = Sink()
         operator.downstream = sink
@@ -337,7 +343,8 @@ class TestGroupWindowOperator:
             retain_ms=retain, align_ms=align, group_key_source="[r[1]]",
             aggs=[AggSpec(func="COUNT", arg_source=None),
                   AggSpec(func="SUM", arg_source="r[2]")],
-            field_names=["wstart", "wend", "key", "c", "s"])
+            field_names=["wstart", "wend", "key", "c", "s"],
+            stores=list(GROUP_STORES))
         sink, _ = wire(operator, GROUP_STORES)
         return operator, sink
 
@@ -406,29 +413,34 @@ class TestGroupWindowOperator:
 
     def test_invalid_window_params(self):
         with pytest.raises(ValueError):
-            GroupWindowAggOperator("TUMBLE", "r[0]", 0, 100, 0, "[]", [], [])
+            GroupWindowAggOperator("TUMBLE", "r[0]", 0, 100, 0, "[]", [], [],
+                                   list(GROUP_STORES))
 
 
 class TestStreamRelationJoinOperator:
     def _operator(self, kind="INNER", with_keys=True, join_field=0):
+        """A join on ``join_field`` of the relation: on its primary key
+        (field 0) it looks the key up, as the planner lowers it; on any
+        other field it scans the store."""
         operator = StreamRelationJoinOperator(
             relation="Products",
             relation_field_names=["productId", "supplierId"],
             relation_key_index=0, stream_is_left=True,
             stream_width=2, relation_width=2,
             condition_source=f"(l[1] == r[{join_field}])",
-            stream_key_source="r[1]" if with_keys else None,
-            relation_key_source=f"r[{join_field}]" if with_keys else None,
+            stream_key_source=("r[1]" if with_keys and join_field == 0
+                               else None),
             join_kind=kind,
-            field_names=["rowtime", "productId", "productId0", "supplierId"])
+            field_names=["rowtime", "productId", "productId0", "supplierId"],
+            stores=list(RELATION_STORES))
         sink, _ = wire(operator, RELATION_STORES)
         return operator, sink
 
     @pytest.mark.parametrize("join_field", [0, 1],
                              ids=["primary-key", "other-field"])
     def test_tombstone_deletes_the_cached_row(self, join_field):
-        """A tombstone names the row by its primary key, whatever field
-        the cache is keyed by."""
+        """A tombstone names the row by its primary key, which keys the
+        cache whatever field the join is on."""
         operator, sink = self._operator(join_field=join_field)
         operator.process_batch(RELATION_PORT, [
             [7, 70], [8, 80], ChangelogTombstone(7),
@@ -490,7 +502,7 @@ def binary_join(lower=2000, upper=2000):
         upper_bounds_ms=[[0, upper], [lower, 0]], probe_orders=[[1], [0]],
         condition_source="(p0[1] == p1[1])",
         bucket_ms=max(1, max(lower, upper) // 8),
-        field_names=["lt", "lid", "rt", "rid"])
+        field_names=["lt", "lid", "rt", "rid"], stores=list(join_stores(2)))
 
 
 class TestStreamStreamJoinOperator:
@@ -607,7 +619,8 @@ class TestMultiWayStreamJoinOperator:
             probe_orders=[[1, 2], [0, 2], [0, 1]],
             condition_source="((p0[1] == p1[1]) and (p1[1] == p2[1]))",
             bucket_ms=bucket_ms,
-            field_names=["t0", "k0", "t1", "k1", "t2", "k2"])
+            field_names=["t0", "k0", "t1", "k1", "t2", "k2"],
+            stores=list(self.STORES))
 
     def _operator(self, **kwargs):
         operator = self._make(**kwargs)
@@ -835,7 +848,8 @@ class TestBatchEquivalence:
                 frame_mode="RANGE", preceding_ms=20,
                 preceding_rows=None, aggs=aggs,
                 field_names=["rowtime", "productId", "units",
-                             "s", "c", "mn", "mx", "a"]),
+                             "s", "c", "mn", "mx", "a"],
+                stores=list(WINDOW_STORE_NAMES)),
             rows, [o["rowtime"] for o in self.ORDERS],
             window_stores(aggs, partition_kind="int"))
 
@@ -848,7 +862,8 @@ class TestBatchEquivalence:
                 partition_key_source="(r[1],)", order_source="r[0]",
                 frame_mode="ROWS", preceding_ms=None, preceding_rows=2,
                 aggs=aggs,
-                field_names=["rowtime", "productId", "units", "s", "mn"]),
+                field_names=["rowtime", "productId", "units", "s", "mn"],
+                stores=list(WINDOW_STORE_NAMES)),
             rows, [o["rowtime"] for o in self.ORDERS],
             window_stores(aggs, partition_kind="int"))
 
@@ -905,7 +920,8 @@ class TestBatchEquivalence:
                       AggSpec(func="SUM", arg_source="r[2]"),
                       AggSpec(func="MIN", arg_source="r[2]"),
                       AggSpec(func="MAX", arg_source="r[2]")],
-                field_names=["wstart", "wend", "key", "c", "s", "mn", "mx"]),
+                field_names=["wstart", "wend", "key", "c", "s", "mn", "mx"],
+                stores=list(GROUP_STORES)),
             rows, [r[0] for r in rows], GROUP_STORES)
 
     def test_group_window_late_dropped_matches(self):
@@ -916,7 +932,8 @@ class TestBatchEquivalence:
                 window_kind="HOP", time_source="r[0]", emit_ms=50,
                 retain_ms=120, align_ms=0, group_key_source="[r[1]]",
                 aggs=[AggSpec(func="COUNT", arg_source=None)],
-                field_names=["wstart", "wend", "key", "c"])
+                field_names=["wstart", "wend", "key", "c"],
+                stores=list(GROUP_STORES))
 
         single = make_operator()
         wire(single, GROUP_STORES)

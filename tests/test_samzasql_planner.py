@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.chaos.validate import NESTED_WINDOW_SQL
 from repro.common import PlannerError
+from repro.samza.storage import InMemoryKeyValueStore
+from repro.samzasql.operators.base import OperatorContext
+from repro.samzasql.operators.router import _instantiate
 from repro.samzasql.physical import (
     FilterNode,
     GroupWindowAggNode,
@@ -314,8 +318,8 @@ class TestMultiWayCollapse:
         # each join instance gets its own stores
         assert sorted(plan.store_names) == ["sql-mjoin-0", "sql-mjoin-1",
                                             "sql-mjoin2-0", "sql-mjoin2-1"]
-        assert {j.store_prefix for j in joins} == {"sql-mjoin-",
-                                                   "sql-mjoin2-"}
+        assert sorted(j.stores for j in joins) == [
+            ["sql-mjoin-0", "sql-mjoin-1"], ["sql-mjoin2-0", "sql-mjoin2-1"]]
 
     def test_two_way_not_collapsed(self, catalog):
         plan = build(catalog, """
@@ -349,6 +353,61 @@ class TestMultiWayCollapse:
         assert _join_widths(plan) == [2]
         assert any(isinstance(n, StreamRelationJoinNode)
                    for n in _walk(plan.root))
+
+
+class _OpeningContext(OperatorContext):
+    """Records the name of every store an operator opens at setup."""
+
+    def __init__(self):
+        super().__init__({}, send_batch=None)
+        self.opened = []
+
+    def get_store(self, name):
+        self.opened.append(name)
+        return InMemoryKeyValueStore()
+
+
+class TestStoreOwnership:
+    """The plan names each stateful operator instance's stores once; the
+    operator opens exactly those.  No two window or join instances share
+    a store — nested windows once did, and a restore rebuilt each from
+    the other's rows — and together they are the plan's stores."""
+
+    PLANS = {
+        "nested-sliding-windows": (build, NESTED_WINDOW_SQL),
+        "nested-group-windows": (
+            build, "SELECT STREAM START(ws), COUNT(*) FROM (SELECT STREAM "
+                   "START(rowtime) AS ws, COUNT(*) AS n FROM Orders GROUP BY "
+                   "TUMBLE(rowtime, INTERVAL '10' SECOND)) "
+                   "GROUP BY TUMBLE(ws, INTERVAL '20' SECOND)"),
+        "join-cascade": (build_cascade, TestMultiWayCollapse.THREE_WAY),
+        "relation-joined-twice": (
+            build, "SELECT STREAM o.orderId, p.name, q.name AS qname FROM "
+                   "Orders o JOIN Products p ON o.productId = p.productId "
+                   "JOIN Products q ON o.productId = q.supplierId"),
+        "window-over-relation-join": (
+            build, "SELECT STREAM rowtime, SUM(supplierId) OVER (PARTITION "
+                   "BY productId ORDER BY rowtime ROWS 2 PRECEDING) s FROM "
+                   "(SELECT STREAM o.rowtime, o.productId, p.supplierId FROM "
+                   "Orders o JOIN Products p ON o.productId = p.productId)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_instances_open_disjoint_stores_naming_the_plan(self, catalog,
+                                                            case):
+        lower, sql = self.PLANS[case]
+        plan = lower(catalog, sql)
+        opened = []
+        for node in _walk(plan.root):
+            context = _OpeningContext()
+            _instantiate(node).setup(context)
+            assert context.opened == getattr(node, "stores", [])
+            if context.opened:
+                opened.append(context.opened)
+        names = [name for instance in opened for name in instance]
+        assert len(opened) == 2
+        assert len(names) == len(set(names))
+        assert sorted(names) == sorted(plan.stores)
 
 
 class TestMultiWayProbeOrder:

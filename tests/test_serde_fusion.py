@@ -12,7 +12,7 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultSchedule
 from repro.chaos.supervisor import ChaosSupervisor
-from repro.chaos.validate import restored_entries
+from repro.chaos.validate import NESTED_WINDOW_SQL, restored_entries
 from repro.common import PlannerError
 from repro.metrics import METRICS_STREAM
 from repro.samzasql.environment import SamzaSqlEnvironment
@@ -153,7 +153,7 @@ class TestSerdePlanAnalysis:
         dep = Deployment().with_orders(5)
         handle = dep.run(JSON_SINK_SQL, config_overrides=JSON_SINK)
         for task in sql_tasks(handle):
-            assert not task.compiled and not task.serde_fused
+            assert not task.serde_fused
             assert task.decision.fallback == JSON_SINK_REASON
 
     def test_batches_of_one_still_fuse(self):
@@ -162,8 +162,7 @@ class TestSerdePlanAnalysis:
 
     def test_interpreted_chain_never_fuses(self):
         _dep, handle = run_filter("interpreted")
-        assert all(not t.compiled and not t.serde_fused
-                   for t in sql_tasks(handle))
+        assert all(not t.serde_fused for t in sql_tasks(handle))
 
 
 class TestByteEquivalence:
@@ -395,7 +394,7 @@ class TestRelationJoinPartitioning:
                     "relation Suppliers is joined on 'supplierId', which is "
                     "not a column of the stream: each of the 4 tasks")):
                 dep.shell.execute(sql)
-        with pytest.raises(PlannerError, match="without an equi-key"):
+        with pytest.raises(PlannerError, match="joined not on its key"):
             dep.shell.execute("SELECT STREAM o.orderId FROM Orders o "
                               "JOIN Products p ON o.units > p.supplierId")
         assert dep.shell._masters == []
@@ -417,6 +416,37 @@ class TestRelationJoinPartitioning:
                 "JOIN Products p ON o.pid = p.productId", "pid")):
             with pytest.raises(PlannerError, match=f"joined on '{key}'"):
                 dep.shell.execute(f"EXPLAIN {sql}")
+
+    #: Products 0..9 with supplierId = productId % 3: each order of
+    #: product 0, 1 or 2 matches three or four products by supplier.
+    NOT_ON_THE_KEY = {
+        "other-field": "SELECT STREAM o.orderId, q.name FROM Orders o "
+                       "JOIN Products q ON o.productId = q.supplierId",
+        "key-then-other-field": (
+            "SELECT STREAM o.orderId, p.name, q.name AS qname FROM Orders o "
+            "JOIN Products p ON o.productId = p.productId "
+            "JOIN Products q ON o.productId = q.supplierId"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_ON_THE_KEY))
+    def test_join_not_on_the_key_scans_the_keyed_cache(self, case):
+        """The cache is keyed by the relation's primary key whatever the
+        join is on: a join on another field scans it, so it loses no row
+        on one task (a cache keyed by supplier kept one product each) and
+        is refused on four, with nothing submitted."""
+        sql = self.NOT_ON_THE_KEY[case]
+        dep = Deployment().with_orders(40).with_products(10)
+        with pytest.raises(PlannerError, match="joined not on its key"):
+            dep.shell.execute(sql)
+        assert dep.shell._masters == []
+        dep = Deployment(partitions=1).with_orders(40).with_products(10)
+        handle = dep.run(sql)
+        assert all(task.decision.fallback
+                   == "relation join not on the relation's key"
+                   for task in sql_tasks(handle))
+        table = table_rows(dep, sql)
+        assert len(table) == 40
+        assert sorted(handle.results(), key=repr) == sorted(table, key=repr)
 
     def test_one_partition_runs_fused_and_equals_the_table(self):
         dep = Deployment(partitions=1).with_orders(20).with_products(10)
@@ -585,6 +615,81 @@ class TestFusedSlidingWindow:
                          for r in table_rows(dep, SLIDING_WINDOW_SQL)}
         assert dumps["fused"] == dumps["interpreted"]
         assert outputs["fused"] == table
+
+
+class TestNestedWindows:
+    """A window over a window's output: each instance owns its stores
+    (``sql-window-*``, ``sql-window2-*``; ``sql-group-windows``,
+    ``sql-group2-windows``), so two sliding windows fuse into one chain
+    and a restore rebuilds each from its own rows."""
+
+    @staticmethod
+    def window_changelogs(dump):
+        return {tp.split("-sql-")[1].split("-changelog")[0]
+                for tp, records in dump.items()
+                if "-sql-window" in tp and records}
+
+    @pytest.mark.parametrize("poll_size", ["200", "1"])
+    def test_fused_equals_interpreted_and_table(self, poll_size):
+        sql = NESTED_WINDOW_SQL
+        dep_on, fused = TestFusedSlidingWindow.run("fused", poll_size, sql)
+        dep_off, interpreted = TestFusedSlidingWindow.run(
+            "interpreted", poll_size, sql)
+        dump = cluster_dump(dep_on)
+        assert dump == cluster_dump(dep_off)
+        assert self.window_changelogs(dump) == {
+            "window-messages", "window-state",
+            "window2-messages", "window2-state"}
+        assert operator_counters(fused) == operator_counters(interpreted)
+        assert sorted(fused.results(), key=repr) == sorted(
+            table_rows(dep_on, sql), key=repr)
+
+    def test_crash_restores_each_window_from_its_own_stores(self):
+        """A crash at 35 with batches of 8: the relaunch restores both
+        windows' stores and rebuilds each window from its own rows."""
+        dumps, outputs = {}, {}
+        for path in ("fused", "interpreted"):
+            dep, injector = chaos_sql_deployment(
+                FaultSchedule.script().add_crash(35))
+            with reference_arm(path):  # held across the relaunch
+                handle = dep.shell.execute(
+                    NESTED_WINDOW_SQL, containers=2, config_overrides={
+                        "task.checkpoint.interval.messages": 10,
+                        "task.poll.batch.size": 8})
+                supervisor = ChaosSupervisor(dep.runner, injector,
+                                             zk=dep.shell.zk)
+                supervisor.run_until_quiescent()
+            assert supervisor.restarts == 1
+            assert all(task.decision.path == path
+                       for task in sql_tasks(handle))
+            assert restored_entries(handle.master) > 0
+            with injector.suspended():
+                dumps[path] = cluster_dump(dep)
+                outputs[path] = {repr(sorted(r.items()))
+                                 for r in handle.results()}
+                table = {repr(sorted(r.items()))
+                         for r in table_rows(dep, NESTED_WINDOW_SQL)}
+        assert dumps["fused"] == dumps["interpreted"]
+        assert len(self.window_changelogs(dumps["fused"])) == 4
+        assert outputs["fused"] == table
+
+    def test_nested_group_windows_keep_their_own_meta_record(self):
+        """10 s windows counted again in 20 s windows, one partition, one
+        order a second for a minute: the inner windows up to 1 040 000
+        close, so the outer watermark closes the two outer windows that
+        end by then — the table query's rows but its last, still open."""
+        sql = ("SELECT STREAM START(ws) AS ws2, COUNT(*) AS c, SUM(n) AS n "
+               "FROM (SELECT STREAM START(rowtime) AS ws, COUNT(*) AS n "
+               "FROM Orders GROUP BY TUMBLE(rowtime, INTERVAL '10' SECOND)) "
+               "GROUP BY TUMBLE(ws, INTERVAL '20' SECOND)")
+        dep = Deployment(partitions=1).with_orders(60)
+        handle = dep.run(sql)
+        assert handle.plan.store_names == ["sql-group-windows",
+                                           "sql-group2-windows"]
+        closed = [row for row in table_rows(dep, sql)
+                  if row["ws2"] + 20_000 <= 1_040_000]
+        assert len(closed) == 2
+        assert sorted(handle.results(), key=repr) == sorted(closed, key=repr)
 
 
 class TestJsonSink:
