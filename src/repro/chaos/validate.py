@@ -25,6 +25,7 @@ Usage::
     PYTHONPATH=src python -m repro.chaos.validate --seed 42 --replay-check
     PYTHONPATH=src python -m repro.chaos.validate --scenario multiway
     PYTHONPATH=src python -m repro.chaos.validate --scenario nested-window
+    PYTHONPATH=src python -m repro.chaos.validate --scenario relation-join
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.workloads.orders import (
     OrderLifecycleGenerator,
     order_stage_schema,
 )
+from repro.workloads.products import PRODUCTS_SCHEMA, ProductsGenerator
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,9 @@ class Scenario:
     minimum: dict = field(default_factory=dict)   # fault kind -> fired at least
     parallel: bool = False
     explain: str | None = None                # a line EXPLAIN must print
+    # (name, schema, primary-key field) of each relation, fed through its
+    # changelog; a fed row that holds only its key is a tombstone
+    tables: tuple[tuple[str, AvroSchema, str], ...] = ()
 
 
 def _orders_feed(seed: int, orders: int) -> Iterator[tuple[str, dict]]:
@@ -81,6 +86,16 @@ def _lifecycle_feed(seed: int, orders: int) -> Iterator[tuple[str, dict]]:
     return ((name, record) for name, record
             in OrderLifecycleGenerator(seed=seed).events(orders)
             if name != "Invoices")
+
+
+def _catalog_feed(seed: int, orders: int) -> Iterator[tuple[str, dict]]:
+    """A hundred products (suppliers drawn from the seed), product 7 then
+    deleted, all before :func:`_orders_feed` — enough rows that each
+    container's first commit logs some before the orders start."""
+    for record in ProductsGenerator(seed=seed).records():
+        yield "Products", record
+    yield "Products", {"productId": 7}
+    yield from _orders_feed(seed, orders)
 
 
 #: Filter + sliding window — the paper's two single-stream benchmark
@@ -121,6 +136,13 @@ MULTIWAY_SQL = (
     "AND Fills.orderId = Shipments.orderId"
 )
 
+#: The fig 5c join (Listing 8): a lookup stage of the fused function.
+RELATION_JOIN_SQL = (
+    "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
+    "Orders.units, Products.supplierId FROM Orders JOIN Products "
+    "ON Orders.productId = Products.productId"
+)
+
 _BROKER_CHAOS = {"transient": 5, CONTAINER_CRASH: 1, ZK_EXPIRE: 1}
 
 SCENARIOS: dict[str, Scenario] = {
@@ -134,6 +156,12 @@ SCENARIOS: dict[str, Scenario] = {
     "nested-window": Scenario(
         NESTED_WINDOW_SQL, (("Orders", ORDERS_SCHEMA),), "productId",
         _orders_feed, minimum=_BROKER_CHAOS, explain="× compiled"),
+    # The same schedule against the fused relation join: a relaunch fills
+    # the join's decoded rows from the restored relation store.
+    "relation-join": Scenario(
+        RELATION_JOIN_SQL, (("Orders", ORDERS_SCHEMA),), "productId",
+        _catalog_feed, minimum=_BROKER_CHAOS, explain="× compiled",
+        tables=(("Products", PRODUCTS_SCHEMA, "productId"),)),
     # The same schedule against the collapsed 3-way join's shared stores.
     "multiway": Scenario(
         MULTIWAY_SQL,
@@ -249,16 +277,21 @@ def run_scenario(name: str = "window", seed: int = 42, orders: int = 300,
         config={"cluster.parallel.execution": str(scenario.parallel).lower()})
     shell = env.shell
     try:
-        serdes = {}
+        targets = {}  # fed name -> (topic, key field, serde)
         for stream, schema in scenario.streams:
             shell.register_stream(stream, schema, partitions=partitions)
-            serdes[stream] = AvroSerde(schema)
+            targets[stream] = (stream, scenario.key, AvroSerde(schema))
+        for table, schema, key in scenario.tables:
+            topic = shell.register_table(table, schema, key_field=key,
+                                         partitions=partitions).changelog_topic
+            targets[table] = (topic, key, AvroSerde(schema))
         producer = Producer(env.cluster)
         feed = list(scenario.feed(seed, orders))
-        for stream, record in feed:
-            producer.send(stream, serdes[stream].to_bytes(record),
-                          key=str(record[scenario.key]).encode(),
-                          timestamp_ms=record["rowtime"])
+        for fed, record in feed:
+            topic, key, serde = targets[fed]
+            value = None if record.keys() == {key} else serde.to_bytes(record)
+            producer.send(topic, value, key=str(record[key]).encode(),
+                          timestamp_ms=record.get("rowtime"))
         # EXPLAIN and the feed are fixture set-up: arm the brokers after.
         explained = (scenario.explain is None or scenario.explain
                      in shell.execute("EXPLAIN " + scenario.sql))

@@ -281,8 +281,10 @@ class WriteBehindKeyValueStore(KeyValueStore):
     * **Commit pays for net change only.**  The store keeps the exact set
       of keys it knows are live below it: empty when it opens over an
       empty backing store, learned from the first ``all()`` scan otherwise
-      (the sliding-window and stream-join operators scan once in ``setup``
-      after a restore), and brought up to date by each successful flush.
+      (the sliding-window, stream-join and relation-join operators each
+      scan their stores once in ``setup``, so after a restore the set is
+      known before the first write), and brought up to date by each
+      successful flush.
       Until it has opened empty or been scanned the set is *unknown* and
       every delete is deferred as a tombstone (which the logged layer
       still drops if the key turns out to be absent).  Once it is known,

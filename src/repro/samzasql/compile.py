@@ -18,12 +18,13 @@ materialized (the paper's future-work item 5, taken to its endpoint), and
 each :class:`Expr` knows the input fields it reads.  Each counted node is
 one :class:`Stage`: a filter is its predicate; a relation join or a
 sliding window is rendered by its own operator (``render_stage``), and
-leaves a tuple downstream columns read — the looked-up row as
-``_rel<i>[j]``, the window's aggregates as ``_win<i>[j]``.
+leaves a tuple downstream columns read — the row looked up in the join
+operator's decoded relation as ``_rel<i>[j]``, the window's aggregates
+as ``_win<i>[j]``.
 
 Unsupported shapes — the group window (a hopping/tumbling GROUP BY), the
 windowed stream-to-stream join, a relation join not on the relation's
-key (it scans the whole store per message), a window over a UDAF, and
+key (it scans the whole relation per message), a window over a UDAF, and
 UDF calls (resolved through a live registry) — run the interpreted
 router, selected per task at plan time
 (:func:`repro.samzasql.decision.decide_execution`).  Byte

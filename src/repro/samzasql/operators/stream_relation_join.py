@@ -2,29 +2,33 @@
 
 The relation "is available as a change log stream"; Samza delivers that
 stream as a *bootstrap* input, fully consumed before any stream message.
-This operator caches the relation partition assigned to the task in a
-task-local store (named by the plan) keyed by the ``repr`` of the
-relation row's primary key; changelog upserts and tombstones keep it
-current.  It then performs the join on each arriving stream tuple by
-store lookup when the join equates a stream column with that key, and by
-a scan of the store otherwise.  So what the store holds never depends on
-the join that fills it.
+This operator holds the relation partition assigned to the task decoded,
+in a dict keyed by the ``repr`` of the relation row's primary key;
+changelog upserts and tombstones keep it current.  It then performs the
+join on each arriving stream tuple by a dict lookup when the join equates
+a stream column with that key, and by a scan of the rows in key order
+otherwise.  So what the operator holds never depends on the join that
+reads it.
 
-The paper's prototype stored the relation with Kryo, and the
-deserialization on every lookup made its join ≈2x slower than the
-hand-written Samza job (§5.1).  Here the store's value codec is compiled
-from the relation's row type, like the stream's own Avro decoder.
+The paper's prototype kept the relation in its store and deserialized it
+(Kryo) on every lookup, which made its join ≈2x slower than the
+hand-written Samza job (§5.1).  Here, as for the sliding window's live
+windows, the store is the relation's durability log: a task-local store
+(named by the plan, its value codec compiled from the relation's row
+type) takes every changelog upsert and tombstone, and is read only when
+:meth:`StreamRelationJoinOperator.setup` fills the dict from it — empty
+on a first start, the restored changelog after a relaunch.
 
 A join on the relation's key normally does not run :meth:`_join` at
 all: it is a stage of the task's fused function, rendered by
 :meth:`StreamRelationJoinOperator.render_stage`, which makes the same one
-``get`` per stream row.  This operator still owns the store, applies the
-changelog on the relation port, and carries the counters; its stream
-port is the interpreted reference, and the only path for a join not on
-the key (a scan of the whole store per row).  A task holds one
-partition of the relation, so the planner refuses a join that could
-need another's: one not on the key, or keyed on anything but a stream
-column, on more than one task.
+dict ``get`` per stream row.  This operator still owns the rows and the
+store, applies the changelog on the relation port, and carries the
+counters; its stream port is the interpreted reference, and the only
+path for a join not on the key (a scan of the whole relation per row).
+A task holds one partition of the relation, so the planner refuses a
+join that could need another's: one not on the key, or keyed on
+anything but a stream column, on more than one task.
 """
 
 from __future__ import annotations
@@ -85,24 +89,33 @@ class StreamRelationJoinOperator(Operator):
         self.condition_source = condition_source
         self.join_kind = join_kind
         self.field_names = list(field_names)
-        self.stores = list(stores)  # the cached relation
+        self.stores = list(stores)  # the relation's durability log
         self._condition = compile_lambda(condition_source, params="l, r")
         self._stream_key = (None if stream_key_source is None
                             else compile_lambda(stream_key_source))
         self._store = None
+        #: The relation partition, decoded: ``repr(pk)`` -> row.
+        self._rows: dict[str, Any] = {}
+        #: The rows in key order, for a join not on the key (None: stale).
+        self._scan: list | None = None
 
     def setup(self, context: OperatorContext) -> None:
         self._store = context.get_store(self.stores[0])
+        # Empty on a first start (the bootstrap arrives after setup), the
+        # restored changelog after a relaunch.  The scan also tells the
+        # write-behind store which keys are live below it.
+        self._rows = dict(self._store.all())
 
     def state_size(self) -> int:
         """Cached relation rows; backs ``window-state-size``."""
-        return 0 if self._store is None else len(self._store)
+        return len(self._rows)
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         self.processed += len(rows)
         if port == RELATION_PORT:
             for row in rows:
                 self._apply_changelog(row)
+            self._scan = None
             return
         out_rows: list = []
         out_ts: list = []
@@ -111,20 +124,30 @@ class StreamRelationJoinOperator(Operator):
         self.emit_batch(out_rows, out_ts)
 
     def _apply_changelog(self, row) -> None:
-        """Upsert a relation row, or delete the one a tombstone names."""
+        """Upsert a relation row, or delete the one a tombstone names: in
+        the rows, and in the store for durability."""
         if row.__class__ is not ChangelogTombstone:
-            self._store.put(repr(row[self.relation_key_index]), row)
+            key = repr(row[self.relation_key_index])
+            self._store.put(key, row)
+            self._rows[key] = row
         elif row.key is not None:
-            self._store.delete(repr(row.key))
+            key = repr(row.key)
+            self._store.delete(key)
+            self._rows.pop(key, None)
 
     def _join(self, stream_row: list, timestamp_ms: int, out_rows: list,
               out_ts: list) -> None:
         matched = False
         if self._stream_key is not None:
-            relation_row = self._store.get(repr(self._stream_key(stream_row)))
+            relation_row = self._rows.get(repr(self._stream_key(stream_row)))
             candidates = [] if relation_row is None else [relation_row]
         else:
-            candidates = [value for _key, value in self._store.all()]
+            candidates = self._scan
+            if candidates is None:
+                # The order the store scans in: its ordered key codec sorts
+                # str keys as Python does.
+                rows = self._rows
+                candidates = self._scan = [rows[key] for key in sorted(rows)]
         for relation_row in candidates:
             if self.stream_is_left:
                 left, right = stream_row, relation_row
@@ -146,19 +169,20 @@ class StreamRelationJoinOperator(Operator):
 
         ``exprs`` are the stream row's key and the join condition, over
         the decoded record and the looked-up relation row ``row``.  Per
-        record: one ``get`` under the key's ``repr``; a miss or a failed
-        condition skips the record (INNER) or reads a row of nulls
-        (LEFT).  The store's own ``get`` is bound per batch, never here:
-        whatever wraps the store's class sees every lookup.
+        record: one ``get`` on the decoded rows under the key's ``repr``;
+        a miss or a failed condition skips the record (INNER) or reads a
+        row of nulls (LEFT).  The dict's ``get`` is bound per batch through
+        the operator, as the window binds its state, so the function
+        always reads the rows the relation port keeps current.
         """
         key, condition = exprs
-        namespace = {f"_store{i}": self._store,
+        namespace = {f"_op{i}": self,
                      f"_null{i}": (None,) * self.relation_width}
         body = [f"        {row} = _get{i}(repr({key}))",
                 f"        if {row} is None or not ({condition}):",
                 (f"            {row} = _null{i}" if self.join_kind == "LEFT"
                  else "            continue")]
-        return namespace, [f"    _get{i} = _store{i}.get"], body, []
+        return namespace, [f"    _get{i} = _op{i}._rows.get"], body, []
 
     def describe(self) -> str:
         return f"StreamRelationJoin({self.relation})"

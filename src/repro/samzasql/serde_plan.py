@@ -33,10 +33,11 @@ Three layers, all decided at plan time:
    undecoded consumer records and the producer takes the bytes as-is.  A
    filter stage is rendered inline; every other stage is rendered by its
    own operator's ``render_stage``, next to the interpreted code it
-   mirrors.  A stream-to-relation join stage is one ``get`` on the
-   relation's store through its object API (bound per batch, so whatever
-   wraps the store's class sees every call); an INNER miss skips the
-   record, a LEFT miss reads a row of nulls.  Relation columns are always
+   mirrors.  A stream-to-relation join stage is one ``get`` on the join
+   operator's decoded relation (a dict whose ``get`` is bound per batch;
+   the relation's store is only its durability log, never read per
+   record); an INNER miss skips the record, a LEFT miss reads a row of
+   nulls.  Relation columns are always
    re-encoded; stream columns still splice.  A sliding-window stage is
    Algorithm 1 inlined: the record advances its partition's window in
    the operator's own state, writing through the stores' own put/delete

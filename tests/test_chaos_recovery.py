@@ -370,6 +370,18 @@ class TestValidationHarness:
                 "window2-messages-changelog", "window2-state-changelog"]
         assert report.meets_criteria()
 
+    def test_relation_join_refills_its_rows_from_the_restored_store(self):
+        """Crash mid-run over the fused relation join: the relaunch
+        restores the relation store from its changelog and the join fills
+        its decoded rows from it; product 7's tombstone keeps its orders
+        unmatched."""
+        report = run_scenario("relation-join", seed=42)
+        assert report.explained  # EXPLAIN: × compiled
+        assert report.table_equal
+        assert report.distinct == report.table_rows == 270
+        assert report.restored_entries > 0
+        assert report.meets_criteria()
+
     def test_noop_restore_fails_the_window_audit(self, monkeypatch):
         """The mutant the audit exists to catch: a relaunch that restores
         nothing re-emits window rows with wrong aggregates.  The table

@@ -242,10 +242,16 @@ class TestCrashMidBatchElision:
         self.test_crash_mid_batch_replays_identically(metrics=True)
 
     def test_fused_join_restores_its_relation(self):
-        """A crash inside a poll batch of the fused join: the relaunch
-        restores ``sql-relation-products`` from its changelog, looks the
-        replayed suffix up in it, and emits what the interpreted arm
-        emits."""
+        """A crash inside a poll batch of the fused join, after an upsert
+        and a tombstone followed the first commit: the relaunch restores
+        ``sql-relation-products`` from its changelog, fills the join's
+        rows from it, looks the replayed suffix up in them, and emits
+        what the interpreted arm emits."""
+        def relation_stores(handle):
+            return [instance.stores["sql-relation-products"]
+                    for container in handle.master.samza_containers.values()
+                    for instance in container.tasks.values()]
+
         outputs = {}
         for path in ("fused", "interpreted"):
             # past the crashing container's first commit, inside a batch
@@ -259,8 +265,18 @@ class TestCrashMidBatchElision:
                     })
                 supervisor = ChaosSupervisor(dep.runner, injector,
                                              zk=dep.shell.zk)
+                # every task's first commit logged its relation partition
+                while not all(store.flushed_count
+                              for store in relation_stores(handle)):
+                    supervisor.run_iteration()
+                assert supervisor.restarts == 0
+                with injector.suspended():
+                    dep.send_product(3, 4)     # upsert: a new supplier
+                    dep.send_product(1, None)  # tombstone: product 1 is gone
                 supervisor.run_until_quiescent()
             assert supervisor.restarts == 1
+            for join in relation_joins(handle):
+                assert join._rows == dict(join._store.all())
             assert all(task.decision.path == path
                        for task in sql_tasks(handle))
             restored = sum(
@@ -274,7 +290,12 @@ class TestCrashMidBatchElision:
                 outputs[path] = {(r["orderId"], r["supplierId"])
                                  for r in handle.results()}
         assert outputs["fused"] == outputs["interpreted"]
-        assert outputs["fused"] == {(i, i % 10 % 3) for i in range(80)}
+        kept = {(i, s) for i, s in outputs["fused"] if i % 10 not in (1, 3)}
+        assert kept == {(i, i % 10 % 3) for i in range(80)
+                        if i % 10 not in (1, 3)}
+        # the last orders of products 3 and 1 saw the upsert and the tombstone
+        assert (73, 4) in outputs["fused"]
+        assert not any(i == 71 for i, _ in outputs["fused"])
 
 
 #: Orders carry productId 0..9; products 0..7 exist (8 and 9 never
@@ -378,6 +399,78 @@ class TestFusedRelationJoin:
         by_product = {r["productId"]: r["supplierId"] for r in streamed}
         assert by_product[3] == 4 and by_product[9] == 2
         assert by_product.get(1) is None
+
+
+def relation_joins(handle):
+    return [op for task in sql_tasks(handle) for op in task.router.operators
+            if op.METRIC_KIND == "relation-join"]
+
+
+class TestDecodedRelation:
+    """The join operator holds its relation partition decoded: a lookup
+    is a dict hit, and the store takes the changelog's own traffic and is
+    read only to fill the rows at setup."""
+
+    def test_fused_drain_reads_no_store(self, monkeypatch):
+        """Counted the way a tracer wraps the store class: over a fused
+        drain with relation changes between stream batches no ``get``
+        reaches a store, and the relation stores take one put or delete
+        per changelog record their tasks consumed."""
+        from repro.samza.storage import WriteBehindKeyValueStore
+
+        calls = dict.fromkeys(("get", "put", "delete"), 0)
+        for name in calls:
+            method = getattr(WriteBehindKeyValueStore, name)
+            monkeypatch.setattr(
+                WriteBehindKeyValueStore, name,
+                lambda self, *args, _m=method, _n=name: (
+                    calls.__setitem__(_n, calls[_n] + 1), _m(self, *args))[1])
+
+        def change(dep):
+            dep.send_product(3, 4)
+            dep.send_product(1, None)
+            dep.send_product(9, 2)
+
+        dep, handle = run_join("fused", "200", FUSED_JOINS["inner"],
+                               between=change)
+        assert "    _get0 = _op0._rows.get" in sql_tasks(
+            handle)[0].executor.source
+        consumed = sum(
+            dep.cluster.latest_offset(tp) - dep.cluster.earliest_offset(tp)
+            for tp in dep.cluster.partitions_for("Products-changelog"))
+        assert consumed == JOIN_PRODUCTS + 3
+        assert calls == {"get": 0, "put": consumed - 1, "delete": 1}
+
+    #: Sent in this order; a scan meets them in key order: "1" < "12" <
+    #: "18" < "25" < "3" < "30" < "7".
+    SCAN_PRODUCTS = (12, 3, 25, 7, 30, 1, 18)
+
+    def test_keyless_scan_meets_rows_in_key_order(self):
+        """A join not on the key scans the relation in the order the
+        store's own scan yields (its ordered key codec, not arrival), so
+        it emits what the join that scanned the store emitted; a relation
+        change between stream batches reorders the scan."""
+        sql = ("SELECT STREAM o.orderId, q.name FROM Orders o "
+               "JOIN Products q ON o.productId = q.supplierId")
+        dep = Deployment(partitions=1).with_orders(20).with_products(0)
+        for pid in self.SCAN_PRODUCTS:
+            dep.send_product(pid, pid % 3)
+        handle = dep.run(sql)
+        dep.send_product(21, 0)    # a new match for supplier 0
+        dep.send_product(3, None)  # and one gone
+        dep.runner.run_until_quiescent()
+        dep.feed_orders(20, start_ts=5_000_000, start_id=200)
+        dep.runner.run_until_quiescent()
+
+        def matches(order_ids, products):
+            return [(i, f"product-{pid}") for i in order_ids
+                    for pid in sorted(products, key=repr)
+                    if pid % 3 == i % 10]
+
+        later = set(self.SCAN_PRODUCTS) - {3} | {21}
+        assert [(r["orderId"], r["name"]) for r in handle.results()] == (
+            matches(range(20), self.SCAN_PRODUCTS)
+            + matches(range(200, 220), later))
 
 
 class TestRelationJoinPartitioning:
