@@ -1,0 +1,85 @@
+def _fused_plan(values, timestamps):
+    _out = []
+    _append = _out.append
+    _n0 = 0
+    for buf, t in zip(values, timestamps):
+        blen = len(buf)
+        pos = 0
+        try:
+            s0 = pos
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f0 = (raw >> 1) ^ -(raw & 1)
+            e0 = pos
+            s1 = pos
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f1 = (raw >> 1) ^ -(raw & 1)
+            e1 = pos
+            while buf[pos] >= 0x80:
+                pos += 1
+            pos += 1
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f3 = (raw >> 1) ^ -(raw & 1)
+        except (IndexError, _StructError):
+            raise SerdeError('truncated Avro datum') from None
+        if pos != blen:
+            if pos > blen:
+                raise SerdeError('truncated Avro datum')
+            raise SerdeError('trailing bytes after Avro datum: %d' % (blen - pos))
+        if not (((f1) == 3)):
+            continue
+        _n0 += 1
+        out = bytearray()
+        out.append(2)
+        out += buf[s0:e0]
+        out.append(2)
+        out += buf[s1:e1]
+        v = (((f3) * 2))
+        if v is None:
+            out.append(0)
+        elif v.__class__ is int and -2147483648 <= v <= 2147483647:
+            out.append(2)
+            n = v << 1 if v >= 0 else ((-1 - v) << 1) | 1
+            if n < 0x80:
+                out.append(n)
+            else:
+                while n > 0x7F:
+                    out.append((n & 0x7F) | 0x80)
+                    n >>= 7
+                out.append(n)
+        else:
+            enc2(v, out)
+        _append((bytes(out), f0, None))
+    return _out, (_n0,)

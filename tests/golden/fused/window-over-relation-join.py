@@ -1,0 +1,143 @@
+def _fused_plan(values, timestamps):
+    _out = []
+    _append = _out.append
+    _get0 = _op0._rows.get
+    _windows1 = _op1._windows
+    _mput1 = _op1._messages.put
+    _mdel1 = _op1._messages.delete
+    _sput1 = _op1._state.put
+    _touched1 = {}
+    _ret1 = 0
+    _n0 = 0
+    _n1 = 0
+    for buf, t in zip(values, timestamps):
+        blen = len(buf)
+        pos = 0
+        try:
+            s0 = pos
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f0 = (raw >> 1) ^ -(raw & 1)
+            e0 = pos
+            s1 = pos
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f1 = (raw >> 1) ^ -(raw & 1)
+            e1 = pos
+            while buf[pos] >= 0x80:
+                pos += 1
+            pos += 1
+            b = buf[pos]; pos += 1
+            if b < 0x80:
+                raw = b
+            else:
+                raw = b & 0x7F
+                shift = 7
+                while True:
+                    b = buf[pos]; pos += 1
+                    raw |= (b & 0x7F) << shift
+                    if b < 0x80:
+                        break
+                    shift += 7
+            f3 = (raw >> 1) ^ -(raw & 1)
+        except (IndexError, _StructError):
+            raise SerdeError('truncated Avro datum') from None
+        if pos != blen:
+            if pos > blen:
+                raise SerdeError('truncated Avro datum')
+            raise SerdeError('trailing bytes after Avro datum: %d' % (blen - pos))
+        _rel0 = _get0(repr((f1)))
+        if _rel0 is None or not (((f1) == (_rel0[0]))):
+            continue
+        _n0 += 1
+        _k1 = (((f1)), )
+        _w1 = _windows1.get(_k1)
+        if _w1 is None:
+            _w1 = _windows1[_k1] = _WindowState([[0, 0, 0]], [None], {'seq': 0})
+        _s1 = _w1.record
+        _q1 = _s1['seq']
+        _s1['seq'] = _q1 + 1
+        _touched1[_k1] = _s1
+        _o1 = ((f0))
+        _v1_0 = ((f3))
+        _mput1(_k1 + (_q1,), [_o1, _v1_0])
+        _rows1 = _w1.rows
+        _x1_0 = _w1.accs[0]
+        _cut1 = _o1 - 300000
+        while _rows1 and _rows1[0][0] < _cut1:
+            _e = _rows1.popleft()
+            _v = _e[2][0]
+            if _v is not None:
+                _x1_0[0] -= _v
+                _x1_0[2] -= 1
+            _mdel1(_k1 + (_e[1],))
+            _ret1 -= 1
+        _rows1.append((_o1, _q1, (_v1_0, )))
+        _ret1 += 1
+        if _v1_0 is not None:
+            _x1_0[0] += _v1_0
+            _x1_0[2] += 1
+        _win1 = ((_x1_0[0] if _x1_0[2] else None), )
+        _n1 += 1
+        out = bytearray()
+        out.append(2)
+        out += buf[s0:e0]
+        out.append(2)
+        out += buf[s1:e1]
+        v = (((_rel0[1])))
+        if v is None:
+            out.append(0)
+        elif v.__class__ is str:
+            out.append(2)
+            raw = v.encode('utf-8')
+            n = len(raw) << 1
+            if n < 0x80:
+                out.append(n)
+            else:
+                while n > 0x7F:
+                    out.append((n & 0x7F) | 0x80)
+                    n >>= 7
+                out.append(n)
+            out += raw
+        else:
+            enc2(v, out)
+        v = ((_win1[0]))
+        if v is None:
+            out.append(0)
+        elif v.__class__ is int and -9223372036854775808 <= v <= 9223372036854775807:
+            out.append(2)
+            n = v << 1 if v >= 0 else ((-1 - v) << 1) | 1
+            if n < 0x80:
+                out.append(n)
+            else:
+                while n > 0x7F:
+                    out.append((n & 0x7F) | 0x80)
+                    n >>= 7
+                out.append(n)
+        else:
+            enc3(v, out)
+        _append((bytes(out), f0, None))
+    for _key, _record in _touched1.items():
+        _sput1(_key, _record)
+    _op1._retained += _ret1
+    return _out, (_n0, _n1,)
