@@ -101,9 +101,6 @@ class RetryPolicy:
 
     # -- execution -----------------------------------------------------------
 
-    def is_retryable(self, err: BaseException) -> bool:
-        return isinstance(err, self.retryable)
-
     def call(self, fn: Callable[[], T]) -> T:
         """Run ``fn``, retrying retryable errors with backoff.
 

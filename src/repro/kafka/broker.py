@@ -106,7 +106,3 @@ class Broker:
     @property
     def fetch_request_count(self) -> int:
         return self._fetch_requests.count
-
-    @property
-    def produce_request_count(self) -> int:
-        return self._produce_requests.count

@@ -100,9 +100,6 @@ class Consumer:
         self._check_assigned(tp)
         self._positions[tp] = offset
 
-    def seek_to_beginning(self, tp: TopicPartition) -> None:
-        self.seek(tp, self._cluster.earliest_offset(tp))
-
     def seek_to_end(self, tp: TopicPartition) -> None:
         self.seek(tp, self._cluster.latest_offset(tp))
 

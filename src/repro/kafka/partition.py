@@ -102,9 +102,6 @@ class PartitionLog:
     def size_bytes(self) -> int:
         return sum(m.size_bytes for m in self._messages)
 
-    def earliest_timestamp(self) -> int | None:
-        return self._messages[0].timestamp_ms if self._messages else None
-
     # -- retention / compaction -------------------------------------------------
 
     def truncate_before(self, offset: int) -> int:

@@ -76,10 +76,3 @@ class RouteTable:
             for topic, by_partition in payload.get("entries", {}).items()
         }
         return cls(epoch=payload.get("epoch", 0), entries=entries)
-
-
-def shard_partitions(partition_ids: set[int], partition_count: int) -> set[int]:
-    """The partitions of a ``partition_count``-wide topic hosted by a worker
-    group whose tasks carry ``partition_ids`` (GroupByPartitionId: task i
-    owns partition i of every co-partitioned input)."""
-    return {pid for pid in partition_ids if pid < partition_count}

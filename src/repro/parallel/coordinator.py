@@ -473,12 +473,6 @@ class ParallelJobCoordinator:
         return sorted(t for t in self._input_topics
                       if t not in self.mesh.owner_sequenced)
 
-    def handle_for_gid(self, gid: str) -> WorkerHandle | None:
-        for handle in self.handles.values():
-            if handle.gid == gid and not handle.dead:
-                return handle
-        return None
-
     # -- spawning --------------------------------------------------------------
 
     def ensure_workers(self) -> None:

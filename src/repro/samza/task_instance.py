@@ -6,8 +6,6 @@ path (flush stores, write checkpoint).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.common.config import Config
 from repro.samza.checkpoint import Checkpoint, CheckpointManager
 from repro.samza.storage import KeyValueStore
@@ -142,7 +140,3 @@ class TaskInstance:
                 self.offsets[ssp] = checkpoint.offsets[ssp]
             else:
                 self.offsets[ssp] = default_offsets.get(ssp, 0)
-
-    def store_snapshot(self) -> dict[str, dict[Any, Any]]:
-        """Debug/test helper: materialize store contents."""
-        return {name: dict(store.all()) for name, store in self.stores.items()}

@@ -9,10 +9,11 @@ down to composed expressions (:func:`chain_expressions`), from which
 function spanning decode → chain → encode.  :class:`CompiledExecutor`
 runs that function in place of the router's per-operator dispatch.
 
-Expression sources are the ones the existing :mod:`repro.sql.codegen`
-rex compiler rendered into the plan JSON; positional references
-(``r[2]``) are substituted, once, with the scan's per-field expressions —
-the decoded input fields ``f<k>`` themselves — so the whole chain works
+The plan carries each node's expressions as Rex trees, and
+:func:`repro.sql.codegen.render` renders them straight over the chain's
+columns, never over a row: a reference renders as its column's
+expression — at the scan, the decoded input field ``f<k>`` itself — so
+nothing is substituted into rendered text, the whole chain works
 tuple-at-a-time directly on the incoming message, no array-tuple is ever
 materialized (the paper's future-work item 5, taken to its endpoint), and
 each :class:`Expr` knows the input fields it reads.  Each counted node is
@@ -51,6 +52,8 @@ from repro.samzasql.physical import (
     SlidingWindowNode,
     StreamRelationJoinNode,
 )
+from repro.sql.codegen import render
+from repro.sql.rex import RexCall, RexInputRef, RexNode, walk_rex
 
 #: Node kinds the compiler can fuse.  Everything else falls back.
 CHAIN_KINDS = frozenset({"scan", "filter", "project", "sliding_window",
@@ -86,15 +89,14 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
         if kind not in CHAIN_KINDS:
             return f"unsupported operator: {kind}"
         if (isinstance(node, StreamRelationJoinNode)
-                and node.stream_key_source is None):
+                and node.stream_key_index is None):
             return "relation join not on the relation's key"
         if isinstance(node, SlidingWindowNode):
-            for spec in node.aggs:
-                if spec.func not in BUILTIN_AGGREGATES:
-                    return f"window aggregate is a UDAF: {spec.func}"
-        # every expression source the node carries, whatever its kind
-        if "_udf_call(" in repr([value for name, value in vars(node).items()
-                                 if name != "inputs"]):
+            for call in node.aggs:
+                if call.op not in BUILTIN_AGGREGATES:
+                    return f"window aggregate is a UDAF: {call.op}"
+        if any(isinstance(n, RexCall) and n.op.startswith("UDF:")
+               for tree in node.expressions() for n in walk_rex(tree)):
             return "expression calls a UDF (resolved via live registry)"
         if not node.inputs:
             break
@@ -108,40 +110,7 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
     return None
 
 
-# -- source manipulation ------------------------------------------------------
-
-
-def _scan_string(source: str, start: int) -> int:
-    """Index just past the string literal opening at ``start``."""
-    quote = source[start]
-    i = start + 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == quote:
-            return i + 1
-        i += 1
-    return n
-
-
-def strip_parens(source: str) -> str:
-    """``source`` without the redundant parentheses that enclose all of
-    it (``((f1))`` → ``f1``; ``(a) + (b)`` stays as it is)."""
-    s = source.strip()
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for idx, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and idx != len(s) - 1:
-                    return s
-        s = s[1:-1].strip()
-    return s
+# -- rendering over the chain's columns ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -153,96 +122,22 @@ class Expr:
     ``t`` and the tuples earlier stages leave (``_rel<i>``, ``_win<i>``).
     ``fields`` holds each ``k`` it reads — or, for a scan column the input
     schema lacks, the column's name: reading one keeps the task
-    interpreted."""
+    interpreted.  ``field`` is ``k`` when the expression is the input
+    field ``f<k>`` alone."""
 
     source: str
     fields: frozenset = frozenset()
-
-    @property
-    def field(self) -> int | None:
-        """``k`` when the expression is the input field ``f<k>`` alone."""
-        if len(self.fields) == 1:
-            [k] = self.fields
-            if isinstance(k, int) and strip_parens(self.source) == f"f{k}":
-                return k
-        return None
+    field: int | None = None
 
 
-def _substitute_refs(source: str, refs: dict[str, list[Expr]]) -> Expr:
-    """Replace each positional reference ``<var>[<int>]`` — ``r[2]``, and
-    ``l[0]`` in a join condition — with its column's expression.
-
-    A character scanner rather than a regex so that string literals in
-    the expression (``_like(r[1], '%r[0]%')``) are never rewritten.
-    """
-    out: list[str] = []
-    fields: set = set()
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in ("'", '"'):
-            j = _scan_string(source, i)
-            out.append(source[i:j])
-            i = j
-            continue
-        columns = refs.get(ch)
-        if (columns is not None
-                and (i == 0 or not (source[i - 1].isalnum()
-                                    or source[i - 1] == "_"))
-                and i + 1 < n and source[i + 1] == "["):
-            j = i + 2
-            k = j
-            while k < n and source[k].isdigit():
-                k += 1
-            if k > j and k < n and source[k] == "]":
-                index = int(source[j:k])
-                if index >= len(columns):
-                    raise PlannerError(
-                        f"reference {ch}[{index}] out of range for "
-                        f"{len(columns)} columns in {source!r}")
-                out.append(f"({columns[index].source})")
-                fields |= columns[index].fields
-                i = k + 1
-                continue
-        out.append(ch)
-        i += 1
-    return Expr("".join(out), frozenset(fields))
-
-
-def _split_projection(source: str) -> list[str]:
-    """Split a rendered projection ``[e0, e1, ...]`` into element sources."""
-    stripped = source.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise PlannerError(f"projection source is not a list literal: {source!r}")
-    inner = stripped[1:-1]
-    parts: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    i = 0
-    n = len(inner)
-    while i < n:
-        ch = inner[i]
-        if ch in ("'", '"'):
-            j = _scan_string(inner, i)
-            buf.append(inner[i:j])
-            i = j
-            continue
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    tail = "".join(buf).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+def _render(tree: RexNode, columns: list[Expr]) -> Expr:
+    """``tree`` rendered over the chain's ``columns``: each reference reads
+    its column's expression, parenthesized."""
+    source = render(tree, ref_sources=[f"({c.source})" for c in columns])
+    fields = frozenset().union(*(columns[i].fields
+                                 for i in tree.accept_fields()))
+    return Expr(source, fields, columns[tree.index].field
+                if isinstance(tree, RexInputRef) else None)
 
 
 # -- whole-chain code generation ----------------------------------------------
@@ -300,7 +195,7 @@ def chain_expressions(plan: PhysicalPlan,
     scan, *nodes = chain_nodes(plan)
     index = {name: k for k, name in enumerate(input_fields)}
     # a column the schema lacks is never rendered: reading it falls back
-    columns = [Expr(f"f{index[name]}", frozenset({index[name]}))
+    columns = [Expr(f"f{index[name]}", frozenset({index[name]}), index[name])
                if name in index else Expr("None", frozenset({name}))
                for name in scan.field_names]
     ts_expr = (Expr("t") if scan.rowtime_index is None
@@ -308,32 +203,30 @@ def chain_expressions(plan: PhysicalPlan,
     stages: list[Stage] = []
 
     for position, node in enumerate(nodes, start=1):
-        refs = {"r": columns}
         if isinstance(node, FilterNode):
-            stages.append(Stage(position, (
-                _substitute_refs(node.predicate_source, refs),)))
+            stages.append(Stage(position, (_render(node.predicate, columns),)))
         elif isinstance(node, ProjectNode):
-            columns = [_substitute_refs(element, refs) for element
-                       in _split_projection(node.projection_source)]
+            columns = [_render(expr, columns) for expr in node.exprs]
         elif isinstance(node, StreamRelationJoinNode):
             row = f"_rel{len(stages)}"
             relation = [Expr(f"{row}[{i}]")
                         for i in range(node.relation_width)]
-            left, right = ((columns, relation) if node.stream_is_left
-                           else (relation, columns))
+            joined = (columns + relation if node.stream_is_left
+                      else relation + columns)
             stages.append(Stage(position, (
-                _substitute_refs(node.stream_key_source, refs),
-                _substitute_refs(node.condition_source,
-                                 {"l": left, "r": right})), row))
-            columns = left + right
+                _render(RexInputRef(node.stream_key_index), columns),
+                _render(node.condition, joined)), row))
+            columns = joined
         elif isinstance(node, SlidingWindowNode):
             row = f"_win{len(stages)}"
-            sources = [node.partition_key_source, node.order_source,
-                       *(spec.arg_source for spec in node.aggs
-                         if spec.arg_source is not None)]
+            keys = [_render(key, columns) for key in node.partition_keys]
+            key = Expr(node.key_source([key.source for key in keys]),
+                       frozenset().union(*(key.fields for key in keys)))
             # a stage that passes every record: its count is its input's
-            stages.append(Stage(position, tuple(
-                _substitute_refs(source, refs) for source in sources), row))
+            stages.append(Stage(position, (
+                key, _render(node.order, columns),
+                *(_render(call.operands[0], columns) for call in node.aggs
+                  if call.operands)), row))
             columns = columns + [Expr(f"{row}[{j}]")
                                  for j in range(len(node.aggs))]
 
@@ -341,11 +234,10 @@ def chain_expressions(plan: PhysicalPlan,
     assert isinstance(insert, InsertNode)
     if insert.rowtime_index is not None:
         rt_col = columns[insert.rowtime_index]
-        if strip_parens(rt_col.source) != strip_parens(ts_expr.source):
+        if ts_expr.field is None or rt_col.field != ts_expr.field:
             # Interpreted insert keeps the upstream timestamp when the
-            # rowtime value is NULL; when the two expressions are the same
-            # up to redundant parentheses the branch is a no-op and is
-            # elided.
+            # rowtime value is NULL; when both are the same input field
+            # the branch is a no-op and is elided.
             ts_expr = Expr(f"(({ts_expr.source}) if ({rt_col.source}) is None "
                            f"else ({rt_col.source}))",
                            ts_expr.fields | rt_col.fields)

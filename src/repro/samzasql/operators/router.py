@@ -3,9 +3,10 @@ routes each deserialized input message into the right scan (or join
 relation port).
 
 This is the task-side half of the paper's two-step planning: the plan
-arrives as JSON (from ZooKeeper), expressions are re-compiled from their
-rendered sources, operators are instantiated and chained, and incoming
-envelopes flow ``stream → entry operator → ... → insert``.
+arrives as JSON (from ZooKeeper), each node's expression trees are rendered
+to the sources its operator compiles, operators are instantiated and
+chained, and incoming envelopes flow ``stream → entry operator → ... →
+insert``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.samzasql.operators.stream_relation_join import (
 )
 from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
 from repro.samzasql.physical import (
+    AggSpec,
     FilterNode,
     GroupWindowAggNode,
     InsertNode,
@@ -39,6 +41,7 @@ from repro.samzasql.physical import (
     SlidingWindowNode,
     StreamRelationJoinNode,
 )
+from repro.sql.codegen import render, render_projection
 
 
 class _Port:
@@ -88,13 +91,6 @@ class MessageRouter:
     def on_timer(self, now_ms: int) -> None:
         for operator in self.operators:
             operator.on_timer(now_ms)
-
-    def flush_windows(self) -> None:
-        """Force-emit open group windows (bounded-input runs, shutdown)."""
-        for operator in self.operators:
-            if isinstance(operator, GroupWindowAggOperator):
-                operator.flush()
-        self.flush_sinks()
 
     def flush_sinks(self) -> None:
         """Send buffered insert output."""
@@ -175,33 +171,46 @@ class _PortAdapter(Operator):
 
 
 def _instantiate(node: PhysicalNode) -> Operator:
+    """The node's operator, constructed with its trees rendered to source:
+    over the row ``r``, a relation join's condition over ``l`` and ``r``,
+    a K-way join's over the per-input rows ``p0..p{K-1}``."""
     if isinstance(node, ScanNode):
         return ScanOperator(node.stream, node.field_names, node.rowtime_index)
     if isinstance(node, FilterNode):
-        return FilterOperator(node.predicate_source)
+        return FilterOperator(render(node.predicate))
     if isinstance(node, ProjectNode):
-        return ProjectOperator(node.projection_source, node.field_names)
+        return ProjectOperator(render_projection(node.exprs), node.field_names)
     if isinstance(node, SlidingWindowNode):
         return SlidingWindowOperator(
-            node.partition_key_source, node.order_source, node.frame_mode,
-            node.preceding_ms, node.preceding_rows, node.aggs, node.field_names,
-            node.stores)
+            node.key_source([render(key) for key in node.partition_keys]),
+            render(node.order), node.frame_mode, node.preceding_ms,
+            node.preceding_rows, [AggSpec.of(call) for call in node.aggs],
+            node.field_names, node.stores)
     if isinstance(node, GroupWindowAggNode):
         return GroupWindowAggOperator(
-            node.window_kind, node.time_source, node.emit_ms, node.retain_ms,
-            node.align_ms, node.group_key_source, node.aggs, node.field_names,
+            node.window_kind, render(node.time), node.emit_ms, node.retain_ms,
+            node.align_ms, render_projection(node.group_keys),
+            [AggSpec.of(call) for call in node.aggs], node.field_names,
             node.stores)
     if isinstance(node, MultiWayStreamJoinNode):
+        rows = [f"p{i}[{j}]" for i, width in enumerate(node.widths)
+                for j in range(width)]
+        keys = (["None"] * len(node.widths) if node.key_indexes is None
+                else [f"r[{key}]" for key in node.key_indexes])
         return MultiWayStreamJoinOperator(
-            node.widths, node.time_indexes, node.key_sources,
-            node.upper_bounds_ms, node.probe_orders, node.condition_source,
+            node.widths, node.time_indexes, keys, node.upper_bounds_ms,
+            node.probe_orders, render(node.condition, ref_sources=rows),
             node.bucket_ms, node.field_names, node.stores)
     if isinstance(node, StreamRelationJoinNode):
+        left_width = (node.stream_width if node.stream_is_left
+                      else node.relation_width)
         return StreamRelationJoinOperator(
             node.relation, node.relation_field_names, node.relation_key_index,
             node.stream_is_left, node.stream_width, node.relation_width,
-            node.condition_source, node.stream_key_source, node.join_kind,
-            node.field_names, node.stores)
+            render(node.condition, left_width=left_width),
+            None if node.stream_key_index is None
+            else f"r[{node.stream_key_index}]",
+            node.join_kind, node.field_names, node.stores)
     if isinstance(node, InsertNode):
         return InsertOperator(node.output_stream, node.field_names,
                               node.rowtime_index, node.key_field_indexes)

@@ -5,18 +5,22 @@ filter, project and join where scan operators are at the leaf nodes" (§4.2).
 
 Every node is a plain dataclass convertible to/from JSON dictionaries, so
 the whole plan can be written to ZooKeeper by the shell and re-read by the
-SamzaSQL tasks at init time, which then re-run code generation over the
-embedded expression sources — the paper's two-phase planning.
+SamzaSQL tasks at init time.  Nodes carry their expressions as Rex trees
+(:mod:`repro.sql.rex`, in its JSON form on the wire), never rendered code:
+each task renders them (:mod:`repro.sql.codegen`) for the operators it
+instantiates and for its fused function — the paper's two-phase planning.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Iterator, Optional
 
 from repro.common.errors import PlannerError
 from repro.serde.base import Serde
 from repro.serde.state_codecs import ordered_key_serde, positional_value_serde
+from repro.sql.codegen import render
+from repro.sql.rex import RexCall, RexNode, rex_from_json, rex_to_json
 from repro.sql.types import SQL_TO_AVRO, SqlType
 
 #: Avro kind a stored SQL value is written as.  State holds Python ints,
@@ -91,10 +95,35 @@ class StoreLayout:
 
 @dataclass
 class AggSpec:
-    """One aggregate: function name + optional rendered argument source."""
+    """One aggregate as its operator runs it: function name + optional
+    rendered argument source."""
 
     func: str  # COUNT / SUM / MIN / MAX / AVG
     arg_source: Optional[str]  # None for COUNT(*)
+
+    @staticmethod
+    def of(call: RexCall) -> "AggSpec":
+        """The spec of a plan node's aggregate: a call of the function
+        (``op``) on its argument, or on nothing for COUNT(*)."""
+        return AggSpec(call.op, render(call.operands[0])
+                       if call.operands else None)
+
+
+def _to_json(value: Any) -> Any:
+    if isinstance(value, RexNode):
+        return rex_to_json(value)
+    if isinstance(value, list):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _from_json(value: Any) -> Any:
+    """A node field back from JSON: a dict is always an expression tree."""
+    if isinstance(value, dict):
+        return rex_from_json(value)
+    if isinstance(value, list):
+        return [_from_json(item) for item in value]
+    return value
 
 
 @dataclass
@@ -103,10 +132,18 @@ class PhysicalNode:
     inputs: list["PhysicalNode"] = field(init=False, default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        payload["kind"] = self.kind
+        payload = {f.name: _to_json(getattr(self, f.name))
+                   for f in fields(self)}
         payload["inputs"] = [child.to_dict() for child in self.inputs]
         return payload
+
+    def expressions(self) -> Iterator[RexNode]:
+        """Every expression tree the node carries, whatever its kind."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, RexNode):
+                    yield item
 
 
 @dataclass
@@ -124,7 +161,7 @@ class ScanNode(PhysicalNode):
 
 @dataclass
 class FilterNode(PhysicalNode):
-    predicate_source: str
+    predicate: RexNode
 
     def __post_init__(self) -> None:
         self.kind = "filter"
@@ -132,7 +169,7 @@ class FilterNode(PhysicalNode):
 
 @dataclass
 class ProjectNode(PhysicalNode):
-    projection_source: str  # renders to a full output array
+    exprs: list[RexNode]            # one per output field
     field_names: list[str]
 
     def __post_init__(self) -> None:
@@ -143,17 +180,25 @@ class ProjectNode(PhysicalNode):
 class SlidingWindowNode(PhysicalNode):
     """Algorithm 1: per-tuple advance + emit over changelog-backed state."""
 
-    partition_key_source: str       # renders the partition key's tuple
-    order_source: str               # renders the ORDER BY timestamp
+    partition_keys: list[RexNode]   # the PARTITION BY expressions
+    repr_key: bool                  # the key is their repr, not their values
+    order: RexNode                  # the ORDER BY timestamp
     frame_mode: str                 # RANGE or ROWS
     preceding_ms: Optional[int]
     preceding_rows: Optional[int]
-    aggs: list[AggSpec]
+    aggs: list[RexCall]             # op: the function; operands: its argument
     field_names: list[str]          # input fields ++ agg output names
     stores: list[str] = field(default_factory=list)  # messages, state
 
     def __post_init__(self) -> None:
         self.kind = "sliding_window"
+
+    def key_source(self, keys: list[str]) -> str:
+        """The partition key's tuple over the rendered PARTITION BY
+        expressions: their values, or one ``repr`` of them all."""
+        if self.repr_key:
+            return f"(repr([{', '.join(keys)}]),)"
+        return "(" + "".join(key + ", " for key in keys) + ")"
 
 
 @dataclass
@@ -161,12 +206,12 @@ class GroupWindowAggNode(PhysicalNode):
     """Hopping/tumbling windowed GROUP BY aggregation (§3.6)."""
 
     window_kind: str                # TUMBLE or HOP
-    time_source: str
+    time: RexNode
     emit_ms: int
     retain_ms: int
     align_ms: int
-    group_key_source: str           # renders to a list of key values
-    aggs: list[AggSpec]
+    group_keys: list[RexNode]
+    aggs: list[RexCall]             # as a sliding window's
     field_names: list[str]          # wstart, wend, keys..., aggs...
     stores: list[str] = field(default_factory=list)  # the open windows
 
@@ -188,17 +233,17 @@ class MultiWayStreamJoinNode(PhysicalNode):
     ``t_j ∈ [t_i - upper[i][j], t_i + upper[j][i]]``.  ``probe_orders[i]``
     is the planner-chosen probe sequence for arrivals on port *i* —
     smallest expected state first, so empty sides short-circuit the
-    probe before larger sides are touched.  ``condition_source`` is the
-    full join condition over per-input rows ``p0..p{K-1}``, applied as the
-    residual predicate.
+    probe before larger sides are touched.  ``condition`` is the full
+    join condition over the concatenated inputs, applied as the residual
+    predicate; its operator reads it over per-input rows ``p0..p{K-1}``.
     """
 
     widths: list[int]
     time_indexes: list[int]          # per-input local rowtime index
-    key_sources: list[str]           # per-input equi-key source over r
+    key_indexes: Optional[list[int]]  # per-input equi-key; None: keyless
     upper_bounds_ms: list[list[int]]
     probe_orders: list[list[int]]
-    condition_source: str            # over p0, p1, ... pK-1
+    condition: RexNode
     bucket_ms: int
     input_names: list[str]           # for EXPLAIN
     input_weights: list[float]       # expected-state metric per input
@@ -231,8 +276,8 @@ class StreamRelationJoinNode(PhysicalNode):
     stream_is_left: bool
     stream_width: int
     relation_width: int
-    condition_source: str           # over (l, r) in output order
-    stream_key_source: Optional[str]   # stream column = the primary key
+    condition: RexNode              # over the output row
+    stream_key_index: Optional[int]  # stream column = the primary key
     join_kind: str
     field_names: list[str]
     stores: list[str] = field(default_factory=list)  # the cached relation
@@ -255,7 +300,6 @@ class InsertNode(PhysicalNode):
     field_names: list[str]
     field_types: list[str]          # SqlType names, for output schema synthesis
     rowtime_index: Optional[int]
-    partition_key_index: Optional[int]
     key_field_indexes: Optional[list[int]] = None
 
     def __post_init__(self) -> None:
@@ -282,9 +326,8 @@ def node_from_dict(payload: dict[str, Any]) -> PhysicalNode:
         node_type = _NODE_TYPES[kind]
     except KeyError:
         raise PlannerError(f"unknown physical node kind {kind!r}") from None
-    if "aggs" in data:
-        data["aggs"] = [AggSpec(**a) for a in data["aggs"]]
-    node = node_type(**data)
+    node = node_type(**{name: _from_json(value)
+                        for name, value in data.items()})
     node.inputs = [node_from_dict(child) for child in inputs]
     return node
 
@@ -335,7 +378,7 @@ class PhysicalPlan:
             if isinstance(node, ScanNode):
                 description += f"({node.stream})"
             elif isinstance(node, FilterNode):
-                description += f"({node.predicate_source})"
+                description += f"({render(node.predicate)})"
             elif isinstance(node, InsertNode):
                 description += f"({node.output_stream})"
             elif isinstance(node, StreamRelationJoinNode):

@@ -1,10 +1,10 @@
 """Logical plan → SamzaSQL physical plan.
 
 This is the SamzaSQL-specific physical planning step of Figure 3: map each
-logical operator onto the operator layer, render every expression to code
-(via :mod:`repro.sql.codegen`), classify joins as stream-to-stream (window
-bounds and key family read off the join condition by
-:func:`~repro.sql.rel.multi_join.analyze_multi_join`, §3.8.1)
+logical operator onto the operator layer, carrying its expressions as the
+Rex trees the logical plan holds (each task renders them), classify joins
+as stream-to-stream (window bounds and key family read off the join
+condition by :func:`~repro.sql.rel.multi_join.analyze_multi_join`, §3.8.1)
 or stream-to-relation (relation side becomes a bootstrap changelog store,
 §4.4), and reject shapes the streaming runtime cannot execute (unwindowed
 aggregates over unbounded streams, streaming a pure table...).  Each
@@ -18,12 +18,8 @@ run on one task; the shell refuses them on more.
 
 from __future__ import annotations
 
-import re
-
 from repro.common.errors import PlannerError
-from repro.samzasql.compile import _split_projection
 from repro.samzasql.physical import (
-    AggSpec,
     FilterNode,
     GroupWindowAggNode,
     InsertNode,
@@ -37,7 +33,6 @@ from repro.samzasql.physical import (
     StreamRelationJoinNode,
 )
 from repro.sql.catalog import Catalog, StreamDefinition, TableDefinition
-from repro.sql.codegen import render, render_projection
 from repro.sql.rel.multi_join import analyze_multi_join, stream_scan_of
 from repro.sql.rel.nodes import (
     LogicalAggregate,
@@ -74,9 +69,6 @@ _KEY_KINDS = {
 #: A multi-way join bucket's index record: rows buffered, next seq.
 _JOIN_INDEX_RECORD = [["count", "BIGINT"], ["seq", "BIGINT"]]
 
-#: A rendered bare input reference: ``r[3]``.
-_BARE_REF = re.compile(r"r\[(\d+)\]")
-
 
 def _scan_column(node: PhysicalNode, index: int) -> bool:
     """Whether column ``index`` of ``node``'s output is a stream scan's
@@ -84,14 +76,13 @@ def _scan_column(node: PhysicalNode, index: int) -> bool:
     while not isinstance(node, ScanNode):
         if isinstance(node, (ProjectNode, GroupWindowAggNode)):
             if isinstance(node, ProjectNode):
-                elements = _split_projection(node.projection_source)
+                elements = node.exprs
             else:  # window start, window end, the group keys, aggregates
-                elements = ["", ""] + _split_projection(node.group_key_source)
-            match = (_BARE_REF.fullmatch(elements[index])
-                     if index < len(elements) else None)
-            if match is None:
+                elements = [None, None, *node.group_keys]
+            expr = elements[index] if index < len(elements) else None
+            if not isinstance(expr, RexInputRef):
                 return False
-            index = int(match.group(1))
+            index = expr.index
         elif isinstance(node, StreamRelationJoinNode):
             if not node.stream_is_left:
                 index -= node.relation_width
@@ -131,12 +122,10 @@ def single_task_relation_joins(plan: PhysicalPlan):
         pending.extend(node.inputs)
         if not isinstance(node, StreamRelationJoinNode):
             continue
-        match = _BARE_REF.fullmatch(node.stream_key_source or "")
-        if match is None:
+        index = node.stream_key_index
+        if index is None:
             yield node, None
-            continue
-        index = int(match.group(1))
-        if not _scan_column(node.inputs[0], index):
+        elif not _scan_column(node.inputs[0], index):
             offset = 0 if node.stream_is_left else node.relation_width
             yield node, node.field_names[offset + index]
 
@@ -147,13 +136,10 @@ def _contains_stream(node: RelNode) -> bool:
     return any(_contains_stream(child) for child in node.inputs)
 
 
-def _agg_spec(call: AggCall) -> AggSpec:
-    return AggSpec(func=call.func,
-                   arg_source=None if call.arg is None else render(call.arg))
-
-
-def _render_list(exprs) -> str:
-    return "[" + ", ".join(render(e) for e in exprs) + "]"
+def _agg_call(call: AggCall) -> RexCall:
+    """The aggregate as the plan carries it: a call of its function."""
+    return RexCall(call.func, () if call.arg is None else (call.arg,),
+                   call.type)
 
 
 def _row_fields(row_type) -> list[list[str]]:
@@ -223,7 +209,6 @@ class PhysicalPlanBuilder:
             field_names=list(row_type.field_names),
             field_types=[t.value for t in row_type.field_types],
             rowtime_index=rowtime_index,
-            partition_key_index=None,
             key_field_indexes=key_indexes,
         )
         insert.inputs = [root]
@@ -231,6 +216,8 @@ class PhysicalPlanBuilder:
             raise PlannerError(
                 "plan has no stream inputs; use the batch executor for "
                 "table-only queries")
+        # a literal the plan JSON would not carry exactly is refused here
+        insert.to_dict()
         return PhysicalPlan(
             root=insert,
             input_streams=list(dict.fromkeys(self.input_streams)),
@@ -251,13 +238,12 @@ class PhysicalPlanBuilder:
         if isinstance(node, LogicalScan):
             return self._lower_scan(node)
         if isinstance(node, LogicalFilter):
-            physical = FilterNode(predicate_source=render(node.condition))
+            physical = FilterNode(predicate=node.condition)
             physical.inputs = [self._lower(node.input)]
             return physical
         if isinstance(node, LogicalProject):
-            physical = ProjectNode(
-                projection_source=render_projection(list(node.exprs)),
-                field_names=list(node.names))
+            physical = ProjectNode(exprs=list(node.exprs),
+                                   field_names=list(node.names))
             physical.inputs = [self._lower(node.input)]
             return physical
         if isinstance(node, LogicalWindowAgg):
@@ -297,22 +283,19 @@ class PhysicalPlanBuilder:
         second window of the plan, and so on).  The partition key is its
         typed values when each has an ordered-key kind, else one string
         (their ``repr``)."""
-        exprs = node.partition_exprs
-        kinds = [_KEY_KINDS.get(expr.type) for expr in exprs]
-        if all(kinds):
-            partition_source = "(" + "".join(
-                render(expr) + ", " for expr in exprs) + ")"
-        else:
-            partition_source = f"(repr({_render_list(exprs)}),)"
+        kinds = [_KEY_KINDS.get(expr.type) for expr in node.partition_exprs]
+        repr_key = not all(kinds)
+        if repr_key:
             kinds = ["str"]
         input_type = node.input.row_type
         physical = SlidingWindowNode(
-            partition_key_source=partition_source,
-            order_source=render(node.order_expr),
+            partition_keys=list(node.partition_exprs),
+            repr_key=repr_key,
+            order=node.order_expr,
             frame_mode=node.frame_mode,
             preceding_ms=node.preceding_ms,
             preceding_rows=node.preceding_rows,
-            aggs=[_agg_spec(c) for c in node.agg_calls],
+            aggs=[_agg_call(c) for c in node.agg_calls],
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
@@ -341,12 +324,12 @@ class PhysicalPlanBuilder:
         window = node.window
         physical = GroupWindowAggNode(
             window_kind=window.kind,
-            time_source=render(window.time_expr),
+            time=window.time_expr,
             emit_ms=window.emit_ms,
             retain_ms=window.retain_ms,
             align_ms=window.align_ms,
-            group_key_source=_render_list(node.group_exprs),
-            aggs=[_agg_spec(c) for c in node.agg_calls],
+            group_keys=list(node.group_exprs),
+            aggs=[_agg_call(c) for c in node.agg_calls],
             field_names=list(node.row_type.field_names),
         )
         physical.inputs = [self._lower(node.input)]
@@ -394,13 +377,6 @@ class PhysicalPlanBuilder:
                 "'2' SECOND AND b.rowtime + INTERVAL '2' SECOND`")
         k = analysis.k
 
-        # The full condition, as the residual over per-input rows p0..p{K-1}.
-        ref_sources = []
-        for i in range(k):
-            ref_sources.extend(
-                f"p{i}[{local}]" for local in range(analysis.widths[i]))
-        condition_source = render(condition, ref_sources=ref_sources)
-
         input_names: list[str] = []
         rates: list[float | None] = []
         for i, child in enumerate(inputs):
@@ -436,11 +412,11 @@ class PhysicalPlanBuilder:
             widths=list(analysis.widths),
             time_indexes=list(analysis.rowtime_indexes),
             # keyless: one constant key, every buffered row is a candidate
-            key_sources=(["None"] * k if analysis.key_indexes is None else
-                         [f"r[{idx}]" for idx in analysis.key_indexes]),
+            key_indexes=(None if analysis.key_indexes is None
+                         else list(analysis.key_indexes)),
             upper_bounds_ms=[list(row) for row in analysis.upper_ms],
             probe_orders=probe_orders,
-            condition_source=condition_source,
+            condition=condition,
             bucket_ms=bucket_ms,
             input_names=input_names,
             input_weights=weights,
@@ -488,8 +464,8 @@ class PhysicalPlanBuilder:
             stream_is_left=stream_is_left,
             stream_width=len(stream_side.row_type),
             relation_width=len(relation_side.row_type),
-            condition_source=render(node.condition, left_width=left_width),
-            stream_key_source=self._stream_key(
+            condition=node.condition,
+            stream_key_index=self._stream_key(
                 node.condition, left_width, stream_is_left, key_index),
             join_kind=node.kind,
             field_names=list(node.row_type.field_names),
@@ -506,10 +482,10 @@ class PhysicalPlanBuilder:
 
     @staticmethod
     def _stream_key(condition: RexNode, left_width: int, stream_is_left: bool,
-                    key_index: int) -> str | None:
+                    key_index: int) -> int | None:
         """The stream column the join equates with the relation's primary
-        key (the first such conjunct), rendered over the stream row; None
-        when no conjunct is on the key — the store is keyed by it, so
+        key (the first such conjunct), as its index in the stream row;
+        None when no conjunct is on the key — the store is keyed by it, so
         such a join scans the store."""
         key = key_index + (left_width if stream_is_left else 0)
         offset = 0 if stream_is_left else left_width
@@ -522,5 +498,5 @@ class PhysicalPlanBuilder:
             for ref, other in ((a, b), (b, a)):
                 if (ref.index == key
                         and (other.index < left_width) == stream_is_left):
-                    return f"r[{other.index - offset}]"
+                    return other.index - offset
         return None

@@ -247,16 +247,17 @@ def compile_serde_fused(build: SerdeAnalysis,
     if not build.computed:
         rendered: list[str] = []
         pieces = _splice_pieces(build)
-        last = len(build.in_fields) - 1
+        consts = 0
         for piece in pieces:
             if piece[0] == "const":
-                cname = f"_c{len([p for p in rendered if p.startswith('_c')])}"
+                cname = f"_c{consts}"
+                consts += 1
                 namespace[cname] = piece[1]
                 rendered.append(cname)
             else:
                 _tag, lo, hi = piece
                 rendered.append(f"buf[s{lo}:e{hi}]")
-        if rendered == [f"buf[s0:e{last}]"]:
+        if pieces == [("span", 0, len(build.in_fields) - 1)]:
             # Identity forward: the whole record is one verbatim span.
             msg_expr = "buf"
         elif len(rendered) == 1:

@@ -4,11 +4,10 @@
 expressions, window operators and join operators."  Here Rex trees are
 rendered to Python expression *source* and compiled once per operator, so
 the per-row hot path is straight-line compiled bytecode with no tree
-walking — the same motivation as Calcite's generated Java.
-
-The rendered source is plain text, so it can travel inside the physical
-plan JSON through ZooKeeper and be re-compiled inside the SamzaSQL task at
-init time (the paper's two-step planning).
+walking — the same motivation as Calcite's generated Java.  :func:`render`
+is the one producer of expression source: the physical plan carries the
+trees themselves, and each SamzaSQL task renders them at init, over a row
+for an operator and over the fused function's columns for a chain.
 
 Rows are Python lists (the paper's array-tuple representation, Figure 4);
 ``r[i]`` reads field *i*.  Join predicates see two rows ``l`` and ``r``.

@@ -2,14 +2,18 @@
 
 A Rex tree is a *typed* expression over the fields of an input row,
 produced by the converter and consumed by the optimizer (constant folding,
-pushdown reasoning) and the code generator.
+pushdown reasoning) and the code generator.  The physical plan carries
+the trees themselves through ZooKeeper, in the JSON form of
+:func:`rex_to_json`; each task renders them (:mod:`repro.sql.codegen`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional
 
+from repro.common.errors import PlannerError
 from repro.sql.types import SqlType
 
 
@@ -131,3 +135,43 @@ def make_conjunction(conjuncts: list[RexNode]) -> RexNode | None:
     if len(conjuncts) == 1:
         return conjuncts[0]
     return RexCall("AND", tuple(conjuncts), SqlType.BOOLEAN)
+
+
+def walk_rex(node: RexNode) -> Iterator[RexNode]:
+    """Every node of the tree, parents before their operands."""
+    yield node
+    if isinstance(node, RexCall):
+        for operand in node.operands:
+            yield from walk_rex(operand)
+
+
+def _json_literal(value: Any) -> Any:
+    """``value`` when JSON carries it back to the same ``repr``; a
+    :class:`PlannerError` otherwise — a plan never changes a literal."""
+    if value is None or type(value) in (bool, int, str):
+        return value
+    if type(value) is float and math.isfinite(value):
+        return value
+    raise PlannerError(f"literal {value!r} cannot travel in the plan JSON")
+
+
+def rex_to_json(node: RexNode) -> dict[str, Any]:
+    """The tree as JSON: ``{"input": i}``, ``{"literal": v}`` or ``{"op":
+    op, "operands": [...]}``, each with its ``"type"``."""
+    if isinstance(node, RexInputRef):
+        return {"input": node.index, "type": node.type.value}
+    if isinstance(node, RexLiteral):
+        return {"literal": _json_literal(node.value), "type": node.type.value}
+    return {"op": node.op, "operands": [rex_to_json(o) for o in node.operands],
+            "type": node.type.value}
+
+
+def rex_from_json(payload: dict[str, Any]) -> RexNode:
+    sql_type = SqlType(payload["type"])
+    if "input" in payload:
+        return RexInputRef(payload["input"], sql_type)
+    if "literal" in payload:
+        return RexLiteral(payload["literal"], sql_type)
+    return RexCall(payload["op"],
+                   tuple(rex_from_json(o) for o in payload["operands"]),
+                   sql_type)

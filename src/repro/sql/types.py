@@ -25,10 +25,6 @@ class SqlType(enum.Enum):
         return self in (SqlType.INTEGER, SqlType.BIGINT, SqlType.DOUBLE,
                         SqlType.TIMESTAMP, SqlType.INTERVAL)
 
-    @property
-    def is_time(self) -> bool:
-        return self is SqlType.TIMESTAMP
-
 
 #: The Avro primitive each SQL type is written as; ANY has none.
 SQL_TO_AVRO = {

@@ -100,12 +100,6 @@ class OrdersGenerator:
             written += 1
         return written
 
-    def average_message_bytes(self, sample: int = 200) -> float:
-        total = sum(len(value) for _, value, _ in
-                    OrdersGenerator(self.product_count, seed=7,
-                                    target_message_bytes=self._padding_bytes and 100)
-                    .encoded(sample))
-        return total / sample
 
 
 ORDER_STAGES = ("Fills", "Shipments", "Invoices")

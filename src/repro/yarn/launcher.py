@@ -29,10 +29,6 @@ class ProcessLauncher:
     def unregister(self, container_id: str) -> None:
         self._processes.pop(container_id, None)
 
-    def live_container_ids(self) -> list[str]:
-        return sorted(
-            cid for cid, proc in self._processes.items() if proc.is_alive())
-
     def kill(self, container_id: str) -> bool:
         """SIGKILL the process backing ``container_id``; True if one died."""
         process = self._processes.get(container_id)

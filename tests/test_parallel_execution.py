@@ -205,8 +205,9 @@ class TestFrameCodec:
 
 
 #: Canonical plan JSON for the paper's fig5a filter query.  Workers
-#: recompile operators from exactly these bytes (via ZooKeeper), so the
-#: serialization must stay byte-stable across processes and releases.
+#: render operators from the trees in exactly these bytes (via
+#: ZooKeeper), so the serialization must stay byte-stable across
+#: processes and releases.
 FILTER_PLAN_GOLDEN = (
     '{"bootstrap_streams":[],"input_streams":["Orders"],"output_stream":'
     '"out","relation_output":false,"root":{"field_names":["rowtime",'
@@ -214,8 +215,9 @@ FILTER_PLAN_GOLDEN = (
     '"BIGINT","INTEGER"],"inputs":[{"inputs":[{"field_names":["rowtime",'
     '"productId","orderId","units"],"inputs":[],"kind":"scan",'
     '"rowtime_index":0,"stream":"Orders"}],"kind":"filter",'
-    '"predicate_source":"(r[3] > 50)"}],"key_field_indexes":null,"kind":'
-    '"insert","output_stream":"out","partition_key_index":null,'
+    '"predicate":{"op":">","operands":[{"input":3,"type":"INTEGER"},'
+    '{"literal":50,"type":"INTEGER"}],"type":"BOOLEAN"}}],'
+    '"key_field_indexes":null,"kind":"insert","output_stream":"out",'
     '"rowtime_index":0},"stores":{}}'
 )
 

@@ -166,6 +166,47 @@ class TestCompileDecision:
         assert decisions[GROUP_WINDOW_SQL] == GROUP_WINDOW_REASON
 
 
+class TestStringLiteralsDoNotDecideThePath:
+    """The UDF check walks the plan's expression trees for UDF calls: a
+    string literal that spells the generated helper's name is data, and
+    the query still fuses and returns the table query's rows."""
+
+    UDF_REASON = "expression calls a UDF (resolved via live registry)"
+    CASES = {
+        "projected": "SELECT STREAM rowtime, orderId, '_udf_call(' AS tag "
+                     "FROM Orders",
+        "compared": "SELECT STREAM rowtime, orderId FROM Orders "
+                    "WHERE CAST(units AS VARCHAR) <> '_udf_call('",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_literal_naming_the_udf_helper_fuses(self, case):
+        sql = self.CASES[case]
+        dep = Deployment().with_orders(20)
+        assert "tasks: 4 × compiled\n" in dep.shell.execute(f"EXPLAIN {sql}")
+        handle = dep.run(sql)
+        assert all(task.decision.path == "fused" for task in sql_tasks(handle))
+        table = dep.shell.execute(sql.replace("SELECT STREAM", "SELECT"))
+        assert len(table) == 20
+        assert sorted(handle.results(), key=repr) == sorted(table, key=repr)
+
+    def test_scalar_udf_still_falls_back(self):
+        from repro.sql.udf import UDF_REGISTRY, register_scalar_udf
+
+        UDF_REGISTRY.clear()
+        register_scalar_udf("PLAN_COMPILE_L", lambda x: x)
+        try:
+            dep = Deployment().with_orders(5)
+            sql = ("SELECT STREAM rowtime, orderId FROM Orders "
+                   "WHERE PLAN_COMPILE_L(units) > 10")
+            assert (f"× interpreted (fallback: {self.UDF_REASON})"
+                    in dep.shell.execute(f"EXPLAIN {sql}"))
+            for task in sql_tasks(dep.run(sql)):
+                assert task.decision.fallback == self.UDF_REASON
+        finally:
+            UDF_REGISTRY.clear()
+
+
 class TestByteEquivalence:
     def test_filter_rows_and_counters_identical(self):
         handles = run_modes(FILTER_SQL)

@@ -117,7 +117,8 @@ class TestStoreLayouts:
         plan = build(catalog, f"SELECT STREAM rowtime, SUM(units) {over} s, "
                               f"COUNT(*) {over} c FROM Orders")
         window = plan.root.inputs[0].inputs[0]
-        assert window.partition_key_source == "(r[1], )"
+        assert not window.repr_key
+        assert _instantiate(window).partition_key_source == "(r[1], )"
         messages = plan.stores["sql-window-messages"]
         assert messages.key == ["int", "int"]
         assert messages.row == [["rowtime", "TIMESTAMP"],
@@ -132,7 +133,9 @@ class TestStoreLayouts:
         hold — DOUBLE, BOOLEAN — makes the whole partition key its repr."""
         plan = build(catalog, window_sql("productId, units > 5"))
         window = plan.root.inputs[0].inputs[0]
-        assert window.partition_key_source == "(repr([r[1], (r[3] > 5)]),)"
+        assert window.repr_key
+        assert (_instantiate(window).partition_key_source
+                == "(repr([r[1], (r[3] > 5)]),)")
         assert plan.stores["sql-window-messages"].key == ["str", "int"]
         assert plan.stores["sql-window-state"].key == ["str"]
 
@@ -198,7 +201,7 @@ class TestStreamStreamBounds:
         assert isinstance(join, MultiWayStreamJoinNode)
         assert join.upper_bounds_ms == [[0, 2000], [2000, 0]]
         assert join.probe_orders == [[1], [0]]
-        assert join.key_sources == ["r[2]", "r[2]"]  # packetId
+        assert join.key_indexes == [2, 2]  # packetId
         assert join.bucket_ms == 250
         assert plan.store_names == ["sql-mjoin-0", "sql-mjoin-1"]
 
@@ -231,7 +234,7 @@ class TestStreamStreamBounds:
             PacketsR1.rowtime BETWEEN PacketsR2.rowtime - INTERVAL '1' SECOND
               AND PacketsR2.rowtime + INTERVAL '1' SECOND""")
         join = plan.root.inputs[0].inputs[0]
-        assert join.key_sources == ["None", "None"]  # keyless: one bucket
+        assert join.key_indexes is None  # keyless: one bucket
 
 
 class TestRejections:
