@@ -5,7 +5,7 @@ implementation that performs the computation described in the query" (§2).
 
 At ``init`` the task performs the second phase of the two-step planning
 (§4.2): it loads the physical plan JSON that the shell wrote to ZooKeeper,
-re-runs code generation over the plan's expression sources, and builds the
+runs code generation over the plan's expression trees, and builds the
 message router.  ``process`` then routes each deserialized message into
 the operator DAG; operator output leaves through the task's collector.
 """
