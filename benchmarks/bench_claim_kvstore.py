@@ -20,8 +20,9 @@ from repro.samza.storage import (
 )
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.sliding_window import SlidingWindowOperator
-from repro.samzasql.physical import AggSpec
+from repro.samzasql.physical import SlidingWindowNode
 from repro.serde import NoOpSerde, ObjectSerde
+from repro.sql.rex import RexCall, RexInputRef
 
 from benchmarks.conftest import write_result
 
@@ -55,12 +56,12 @@ class _DictStore(KeyValueStore):
 
 
 def _window_operator(stores) -> SlidingWindowOperator:
-    operator = SlidingWindowOperator(
-        partition_key_source="(r[1],)", order_source="r[0]",
+    operator = SlidingWindowOperator(SlidingWindowNode(
+        partition_keys=[RexInputRef(1)], repr_key=False, order=RexInputRef(0),
         frame_mode="RANGE", preceding_ms=300_000, preceding_rows=None,
-        aggs=[AggSpec(func="SUM", arg_source="r[3]")],
+        aggs=[RexCall("SUM", (RexInputRef(3),))],
         field_names=["rowtime", "productId", "orderId", "units", "sum"],
-        stores=list(stores))
+        stores=list(stores)))
     operator.setup(OperatorContext(stores, send_batch=lambda _entries: None))
 
     class _Sink:

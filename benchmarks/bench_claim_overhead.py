@@ -17,8 +17,14 @@ import pytest
 from repro.bench.micro import samzasql_pipeline
 from repro.samzasql.operators.filter import FilterOperator
 from repro.samzasql.operators.project import ProjectOperator
+from repro.samzasql.physical import FilterNode, ProjectNode
+from repro.sql.rex import RexCall, RexInputRef, RexLiteral
 
 from benchmarks.conftest import write_result
+
+
+#: The query's ``units > 50`` over its array-tuple.
+UNITS_OVER_50 = FilterNode(RexCall(">", (RexInputRef(3), RexLiteral(50))))
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +38,10 @@ def test_project_pipeline_standard(benchmark, standard):
 
 def test_router_layer_alone(benchmark):
     """Filter+project over pre-converted arrays: the router's own cost."""
-    filter_op = FilterOperator("(r[3] > 50)")
-    project_op = ProjectOperator("[r[0], r[1], r[3]]", ["rowtime", "productId", "units"])
+    filter_op = FilterOperator(UNITS_OVER_50)
+    project_op = ProjectOperator(ProjectNode(
+        [RexInputRef(0), RexInputRef(1), RexInputRef(3)],
+        ["rowtime", "productId", "units"]))
     filter_op.downstream = project_op
     row = [1_000_000, 7, 99, 60, "x" * 60]
 
@@ -46,7 +54,7 @@ def test_router_layer_alone(benchmark):
 def test_claim_transforms_dominate(benchmark, results_dir):
     """Transform share of the per-message cost must dominate router share."""
     standard_p = samzasql_pipeline("project")
-    router_filter = FilterOperator("(r[3] > 50)")
+    router_filter = FilterOperator(UNITS_OVER_50)
     row = [1_000_000, 7, 99, 60, "x" * 60]
 
     def measure():

@@ -400,6 +400,8 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
     import time
 
     from repro.samzasql.operators.multi_way_join import MultiWayStreamJoinOperator
+    from repro.samzasql.physical import MultiWayStreamJoinNode
+    from repro.sql.rex import RexCall, RexInputRef, RexLiteral
 
     rng = random.Random(7)
     key_names = [f"K{i:02d}" for i in range(keys)]
@@ -429,27 +431,46 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
 
     derived = long_window_ms + window_ms  # transitive B-C bound
 
+    def ref(index):
+        return RexInputRef(index)
+
+    def same_key(a, b):
+        """The keys of the inputs whose rows start at refs a and b."""
+        return RexCall("=", (ref(a + 1), ref(b + 1)))
+
+    def within(a, b, bound_ms):
+        """The two conjuncts |ts_a - ts_b| <= bound_ms."""
+        return [RexCall("<=", (RexCall("-", (ref(x), ref(y))),
+                               RexLiteral(bound_ms)))
+                for x, y in ((a, b), (b, a))]
+
+    def join_operator(widths, upper_bounds_ms, probe_orders, conjuncts,
+                      bucket_ms, field_names, stores):
+        """A join of ``[ts, key]`` rows on the key, as a plan node."""
+        k = len(widths)
+        return MultiWayStreamJoinOperator(MultiWayStreamJoinNode(
+            widths=widths, time_indexes=[0] * k, key_indexes=[1] * k,
+            upper_bounds_ms=upper_bounds_ms, probe_orders=probe_orders,
+            condition=RexCall("AND", tuple(conjuncts)), bucket_ms=bucket_ms,
+            input_names=[f"S{i}" for i in range(k)], input_weights=[1.0] * k,
+            order_metric="window_ms", field_names=field_names,
+            stores=stores))
+
     def build_multiway():
-        operator = MultiWayStreamJoinOperator(
-            widths=[2, 2, 2], time_indexes=[0, 0, 0],
-            key_sources=["r[1]"] * 3,
-            upper_bounds_ms=[[0, window_ms, long_window_ms],
-                             [window_ms, 0, derived],
-                             [long_window_ms, derived, 0]],
-            probe_orders=[[2, 1], [2, 0], [0, 1]],
+        operator = join_operator(
+            [2, 2, 2],
+            [[0, window_ms, long_window_ms],
+             [window_ms, 0, derived],
+             [long_window_ms, derived, 0]],
+            [[2, 1], [2, 0], [0, 1]],
             # Like the planner's lowering, the residual condition carries
             # the time conjuncts too: candidate windows are relative to
             # the arriving row, so bounds between the two *other* ports
             # are only enforced here.
-            condition_source=(
-                "((p0[1] == p1[1]) and (p1[1] == p2[1])"
-                f" and (p0[0] - p1[0] <= {window_ms})"
-                f" and (p1[0] - p0[0] <= {window_ms})"
-                f" and (p0[0] - p2[0] <= {long_window_ms})"
-                f" and (p2[0] - p0[0] <= {long_window_ms}))"),
-            bucket_ms=max(derived // 8, 1),
-            field_names=["ts0", "k0", "ts1", "k1", "ts2", "k2"],
-            stores=["sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2"])
+            [same_key(0, 2), same_key(2, 4), *within(0, 2, window_ms),
+             *within(0, 4, long_window_ms)],
+            max(derived // 8, 1), ["ts0", "k0", "ts1", "k1", "ts2", "k2"],
+            ["sql-mjoin-0", "sql-mjoin-1", "sql-mjoin-2"])
         sink = _DiscardSink()
         operator.downstream = sink
         operator.setup(OperatorContext(_make_stores(), lambda _entries: None))
@@ -460,16 +481,11 @@ def measure_join_probe(messages: int = 4000, repeats: int = 3,
         return feed, sink
 
     def build_binary(left_width, bound_ms, field_names, prefix):
-        return MultiWayStreamJoinOperator(
-            widths=[left_width, 2], time_indexes=[0, 0],
-            key_sources=["r[1]"] * 2,
-            upper_bounds_ms=[[0, bound_ms], [bound_ms, 0]],
-            probe_orders=[[1], [0]],
-            condition_source=("((p0[1] == p1[1])"
-                              f" and (p0[0] - p1[0] <= {bound_ms})"
-                              f" and (p1[0] - p0[0] <= {bound_ms}))"),
-            bucket_ms=max(bound_ms // 8, 1), field_names=field_names,
-            stores=[f"{prefix}0", f"{prefix}1"])
+        return join_operator(
+            [left_width, 2], [[0, bound_ms], [bound_ms, 0]], [[1], [0]],
+            [same_key(0, left_width), *within(0, left_width, bound_ms)],
+            max(bound_ms // 8, 1), field_names,
+            [f"{prefix}0", f"{prefix}1"])
 
     def build_cascade():
         first = build_binary(2, window_ms, ["ts0", "k0", "ts1", "k1"],

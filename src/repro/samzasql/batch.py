@@ -17,7 +17,11 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.common.errors import PlannerError
-from repro.sql.codegen import compile_join_predicate, compile_lambda, render, render_projection
+from repro.sql.codegen import (
+    compile_join_predicate,
+    compile_projection,
+    compile_scalar,
+)
 from repro.sql.rel.nodes import (
     LogicalAggregate,
     LogicalDelta,
@@ -53,11 +57,11 @@ class BatchExecutor:
             return [list(row) for row in self._rows_for(node.source)]
         if isinstance(node, LogicalFilter):
             rows = self._eval(node.input)
-            predicate = compile_lambda(render(node.condition))
+            predicate = compile_scalar(node.condition)
             return [row for row in rows if predicate(row)]
         if isinstance(node, LogicalProject):
             rows = self._eval(node.input)
-            project = compile_lambda(render_projection(list(node.exprs)))
+            project = compile_projection(node.exprs)
             return [project(row) for row in rows]
         if isinstance(node, LogicalJoin):
             return self._eval_join(node)
@@ -105,7 +109,7 @@ class BatchExecutor:
             ready = [c for c in pending
                      if max(c.accept_fields(), default=0) < width]
             pending = [c for c in pending if c not in ready]
-            keep = (compile_lambda(render(make_conjunction(ready)))
+            keep = (compile_scalar(make_conjunction(ready))
                     if ready else lambda row: True)
             rows = self._eval(child)
             out = [joined for prefix in out for row in rows
@@ -116,7 +120,7 @@ class BatchExecutor:
         rows = self._eval(node.input)
         # stable multi-key sort: apply keys last-to-first
         for rex, ascending in reversed(node.sort_keys):
-            key_fn = compile_lambda(render(rex))
+            key_fn = compile_scalar(rex)
             rows.sort(key=key_fn, reverse=not ascending)
         if node.limit is not None:
             rows = rows[:node.limit]
@@ -124,14 +128,13 @@ class BatchExecutor:
 
     def _eval_aggregate(self, node: LogicalAggregate) -> list[list]:
         rows = self._eval(node.input)
-        key_fn = compile_lambda(
-            "[" + ", ".join(render(e) for e in node.group_exprs) + "]")
+        key_fn = compile_projection(node.group_exprs)
         arg_fns = [
-            None if call.arg is None else compile_lambda(render(call.arg))
+            None if call.arg is None else compile_scalar(call.arg)
             for call in node.agg_calls
         ]
         window = node.window
-        time_fn = compile_lambda(render(window.time_expr)) if window else None
+        time_fn = compile_scalar(window.time_expr) if window else None
 
         groups: dict[tuple, dict] = {}
         for row in rows:
@@ -171,11 +174,10 @@ class BatchExecutor:
 
     def _eval_window_agg(self, node: LogicalWindowAgg) -> list[list]:
         rows = self._eval(node.input)
-        key_fn = compile_lambda(
-            "[" + ", ".join(render(e) for e in node.partition_exprs) + "]")
-        order_fn = compile_lambda(render(node.order_expr))
+        key_fn = compile_projection(node.partition_exprs)
+        order_fn = compile_scalar(node.order_expr)
         arg_fns = [
-            None if call.arg is None else compile_lambda(render(call.arg))
+            None if call.arg is None else compile_scalar(call.arg)
             for call in node.agg_calls
         ]
         partitions: dict[str, list[tuple]] = {}

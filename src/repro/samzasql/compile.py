@@ -18,8 +18,9 @@ tuple-at-a-time directly on the incoming message, no array-tuple is ever
 materialized (the paper's future-work item 5, taken to its endpoint), and
 each :class:`Expr` knows the input fields it reads.  Each counted node is
 one :class:`Stage`: a filter is its predicate; a relation join or a
-sliding window is rendered by its own operator (``render_stage``), and
-leaves a tuple downstream columns read — the row looked up in the join
+sliding window is rendered by its own operator (``render_stage``; the
+router built it from the same node, ``Operator(node)``), and leaves a
+tuple downstream columns read — the row looked up in the join
 operator's decoded relation as ``_rel<i>[j]``, the window's aggregates
 as ``_win<i>[j]``.
 

@@ -6,6 +6,7 @@ import time
 from typing import Callable
 
 from repro.samza.storage import KeyValueStore
+from repro.samzasql.physical import PhysicalNode
 
 
 class OperatorContext:
@@ -34,13 +35,17 @@ class OperatorContext:
 
 
 class Operator:
-    """One node of the router DAG.
+    """One node of the router DAG, built from its physical plan node.
+
+    ``Operator(node)`` keeps the node as ``node`` and compiles the node's
+    expression trees itself: the node is the operator's one description,
+    read wherever the operator needs a field of it.
 
     ``process_batch(port, rows, timestamps)`` receives a batch of
     array-tuples on an input port (port 0 for single-input operators;
     joins use 0/1 plus a relation port) and forwards zero or more tuples
     downstream via ``emit_batch``.  A single message is a batch of one:
-    :meth:`process` is that convenience, for tests and timer-driven emits.
+    :meth:`process` is that convenience, for tests.
 
     Delivery goes through ``receive_batch`` — normally just a bound alias
     of ``process_batch``.  On an interpreted task whose job reports
@@ -55,7 +60,8 @@ class Operator:
     #: overridden by every concrete operator.
     METRIC_KIND = "operator"
 
-    def __init__(self):
+    def __init__(self, node: PhysicalNode):
+        self.node = node
         self.downstream: Operator | None = None
         self.processed = 0
         self.emitted = 0
@@ -76,9 +82,6 @@ class Operator:
         self.emitted += len(rows)
         if rows and self.downstream is not None:
             self.downstream.receive_batch(0, rows, timestamps)
-
-    def on_timer(self, now_ms: int) -> None:
-        """Wall-clock hook (Samza window() tick); default no-op."""
 
     # -- instrumentation ------------------------------------------------------
 
@@ -105,7 +108,3 @@ class Operator:
         self.process_batch(port, rows, timestamps)
         self._process_timer.update(
             (time.perf_counter_ns() - start) // len(rows))
-
-    # debugging helper used by the shell's EXPLAIN and by tests
-    def describe(self) -> str:
-        return type(self).__name__

@@ -24,8 +24,8 @@ This operator was only partially implemented in the paper's prototype
 from __future__ import annotations
 
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.samzasql.physical import AggSpec
-from repro.sql.codegen import compile_lambda
+from repro.samzasql.physical import GroupWindowAggNode
+from repro.sql.codegen import compile_projection, compile_scalar
 
 _META_KEY = "__meta__"
 
@@ -33,29 +33,15 @@ _META_KEY = "__meta__"
 class GroupWindowAggOperator(Operator):
     METRIC_KIND = "group-window"
 
-    def __init__(self, window_kind: str, time_source: str, emit_ms: int,
-                 retain_ms: int, align_ms: int, group_key_source: str,
-                 aggs: list[AggSpec], field_names: list[str],
-                 stores: list[str]):
-        super().__init__()
-        if emit_ms <= 0 or retain_ms <= 0:
+    def __init__(self, node: GroupWindowAggNode):
+        super().__init__(node)
+        if node.emit_ms <= 0 or node.retain_ms <= 0:
             raise ValueError("window emit/retain must be positive")
-        self.window_kind = window_kind
-        self.time_source = time_source
-        self.emit_ms = emit_ms
-        self.retain_ms = retain_ms
-        self.align_ms = align_ms
-        self.group_key_source = group_key_source
-        self.aggs = list(aggs)
-        self.field_names = list(field_names)
-        self.stores = list(stores)  # the open windows
-        self._time_fn = compile_lambda(time_source)
-        self._key_fn = compile_lambda(group_key_source)
-        self._arg_fns = [
-            None if spec.arg_source is None else compile_lambda(spec.arg_source)
-            for spec in self.aggs
-        ]
-        self._udafs = [self._resolve_udaf(spec.func) for spec in self.aggs]
+        self._time_fn = compile_scalar(node.time)
+        self._key_fn = compile_projection(node.group_keys)
+        self._arg_fns = [compile_scalar(call.operands[0]) if call.operands
+                         else None for call in node.aggs]
+        self._udafs = [self._resolve_udaf(call.op) for call in node.aggs]
         self._store = None
         self.late_dropped = 0
 
@@ -71,7 +57,7 @@ class GroupWindowAggOperator(Operator):
         return udaf
 
     def setup(self, context: OperatorContext) -> None:
-        self._store = context.get_store(self.stores[0])
+        self._store = context.get_store(self.node.stores[0])  # open windows
 
     def state_size(self) -> int:
         """Open (not yet emitted) windows; backs ``window-state-size``."""
@@ -88,14 +74,14 @@ class GroupWindowAggOperator(Operator):
         Windows start at ``align + k*emit`` and span ``retain`` ms; retain
         need not be a multiple of emit (§3.6).
         """
-        shifted = ts - self.align_ms
-        last_start = (shifted // self.emit_ms) * self.emit_ms
+        node = self.node
+        shifted = ts - node.align_ms
         starts = []
-        start = last_start
-        while start > shifted - self.retain_ms:
-            starts.append(start + self.align_ms)
-            start -= self.emit_ms
-        return [s for s in starts]
+        start = (shifted // node.emit_ms) * node.emit_ms
+        while start > shifted - node.retain_ms:
+            starts.append(start + node.align_ms)
+            start -= node.emit_ms
+        return starts
 
     # -- processing -----------------------------------------------------------------
 
@@ -107,6 +93,7 @@ class GroupWindowAggOperator(Operator):
         not depend on how the input was batched."""
         self.processed += len(rows)
         store = self._store
+        retain_ms = self.node.retain_ms
         meta = store.get(_META_KEY) or {"watermark": None, "open": {}}
         states: dict[str, dict] = {}  # per-batch (window, key) state cache
         dirty: dict[str, dict] = {}   # subset of states needing a put
@@ -114,13 +101,13 @@ class GroupWindowAggOperator(Operator):
         out_ts: list = []
         for row in rows:
             ts = self._time_fn(row)
-            key = repr(self._key_fn(row))
             key_values = self._key_fn(row)
+            key = repr(key_values)
             watermark = meta["watermark"]
             arg_values = [None if fn is None else fn(row)
                           for fn in self._arg_fns]
             for wstart in self.windows_for(ts):
-                wend = wstart + self.retain_ms
+                wend = wstart + retain_ms
                 if watermark is not None and wend <= watermark:
                     self.late_dropped += 1
                     continue
@@ -211,8 +198,9 @@ class GroupWindowAggOperator(Operator):
 
     def _window_row(self, state: dict, wend: int) -> list:
         results = []
-        for spec, udaf, acc in zip(self.aggs, self._udafs, state["accs"]):
-            func = spec.func
+        for call, udaf, acc in zip(self.node.aggs, self._udafs,
+                                   state["accs"]):
+            func = call.op
             if udaf is not None:
                 results.append(udaf.result(acc[0]))
             elif func == "COUNT":
@@ -228,7 +216,3 @@ class GroupWindowAggOperator(Operator):
             else:
                 raise ValueError(f"unsupported aggregate {func}")
         return [state["wstart"], wend, *state["keys"], *results]
-
-    def describe(self) -> str:
-        return (f"GroupWindowAgg({self.window_kind}, emit={self.emit_ms}ms, "
-                f"retain={self.retain_ms}ms)")

@@ -3,38 +3,31 @@
 from __future__ import annotations
 
 from repro.samzasql.operators.base import Operator, OperatorContext
+from repro.samzasql.physical import InsertNode
 
 
 class InsertOperator(Operator):
     METRIC_KIND = "insert"
 
-    def __init__(self, output_stream: str, field_names: list[str],
-                 rowtime_index: int | None,
-                 key_field_indexes: list[int] | None = None):
-        super().__init__()
-        self.output_stream = output_stream
-        self.field_names = list(field_names)
-        self.rowtime_index = rowtime_index
-        self.key_field_indexes = key_field_indexes
+    def __init__(self, node: InsertNode):
+        super().__init__(node)
         self._send_batch = None
         self._buffer: list = []
 
     def setup(self, context: OperatorContext) -> None:
         self._send_batch = context.send_batch
 
-    def _key_of(self, row: list) -> str | None:
-        if self.key_field_indexes is None:
-            return None
-        return "|".join(repr(row[i]) for i in self.key_field_indexes)
+    def _key_of(self, row: list) -> str:
+        return "|".join(repr(row[i]) for i in self.node.key_field_indexes)
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
         n = len(rows)
         self.processed += n
         self.emitted += n
         # ArrayToAvro: positional array -> record dict
-        names = self.field_names
-        rt = self.rowtime_index
-        if self.key_field_indexes is None:
+        names = self.node.field_names
+        rt = self.node.rowtime_index
+        if self.node.key_field_indexes is None:
             if rt is None:
                 entries = [(dict(zip(names, row)), ts, None)
                            for row, ts in zip(rows, timestamps)]
@@ -75,6 +68,3 @@ class InsertOperator(Operator):
         if self._buffer:
             entries, self._buffer = self._buffer, []
             self._send_batch(entries)
-
-    def describe(self) -> str:
-        return f"Insert({self.output_stream})"

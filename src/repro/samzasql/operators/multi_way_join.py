@@ -67,38 +67,35 @@ from __future__ import annotations
 from itertools import product
 
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.sql.codegen import compile_lambda
+from repro.samzasql.physical import MultiWayStreamJoinNode
+from repro.sql.codegen import compile_lambda, compile_scalar, render
+from repro.sql.rex import RexInputRef
 
 #: The seq of a bucket's index record in its store key: below every row's.
 INDEX_SEQ = -1
 
 
+def _keyless(row: list) -> None:
+    """The join key of a port of a keyless join: every row shares it."""
+    return None
+
+
 class MultiWayStreamJoinOperator(Operator):
     METRIC_KIND = "multi-join"
 
-    def __init__(self, widths: list[int], time_indexes: list[int],
-                 key_sources: list[str], upper_bounds_ms: list[list[int]],
-                 probe_orders: list[list[int]], condition_source: str,
-                 bucket_ms: int, field_names: list[str], stores: list[str]):
-        super().__init__()
-        self.k = len(widths)
-        self.stores = list(stores)  # one per input port
-        self.widths = list(widths)
-        self.time_indexes = list(time_indexes)
-        self.upper_bounds_ms = [list(row) for row in upper_bounds_ms]
-        self.probe_orders = [list(order) for order in probe_orders]
-        self.condition_source = condition_source
-        self.bucket_ms = max(1, int(bucket_ms))
-        self.field_names = list(field_names)
-        params = ", ".join(f"p{i}" for i in range(self.k))
-        self._condition = compile_lambda(condition_source, params=params)
-        self._key_fns = [compile_lambda(source) for source in key_sources]
-        # Symmetric retention per port (see MultiJoinAnalysis.retention_ms).
-        self._retention_ms = [
-            max(0, *(max(self.upper_bounds_ms[j][i], self.upper_bounds_ms[i][j])
-                     for j in range(self.k) if j != i))
-            for i in range(self.k)
-        ]
+    def __init__(self, node: MultiWayStreamJoinNode):
+        super().__init__(node)
+        self.k = len(node.widths)
+        self.bucket_ms = max(1, int(node.bucket_ms))
+        # the condition over the per-input rows p0..p{K-1}
+        rows = [f"p{i}[{j}]" for i, width in enumerate(node.widths)
+                for j in range(width)]
+        self._condition = compile_lambda(
+            render(node.condition, ref_sources=rows),
+            params=", ".join(f"p{i}" for i in range(self.k)))
+        self._key_fns = ([_keyless] * self.k if node.key_indexes is None
+                         else [compile_scalar(RexInputRef(key))
+                               for key in node.key_indexes])
         self._stores = [None] * self.k
         # port -> bucket_id -> key -> [(ts, seq, row)], ascending bucket ids
         self._buckets: list[dict] = [dict() for _ in range(self.k)]
@@ -110,7 +107,8 @@ class MultiWayStreamJoinOperator(Operator):
     # -- durability --------------------------------------------------------------
 
     def setup(self, context: OperatorContext) -> None:
-        self._stores = [context.get_store(name) for name in self.stores]
+        # the plan names one per input port
+        self._stores = [context.get_store(name) for name in self.node.stores]
         self._buckets = [dict() for _ in range(self.k)]
         self._index = [dict() for _ in range(self.k)]
         self._retained = [0] * self.k
@@ -132,7 +130,7 @@ class MultiWayStreamJoinOperator(Operator):
         sliding-window operator uses.
         """
         for port in range(self.k):
-            time_index = self.time_indexes[port]
+            time_index = self.node.time_indexes[port]
             key_fn = self._key_fns[port]
             buckets, index = self._buckets[port], self._index[port]
             current = fence = bucket = None
@@ -175,8 +173,8 @@ class MultiWayStreamJoinOperator(Operator):
         """Candidate rows per slot, or None when any probed side is empty."""
         slots: list = [None] * self.k
         slots[port] = [(ts, -1, row)]
-        upper = self.upper_bounds_ms
-        for j in self.probe_orders[port]:
+        upper = self.node.upper_bounds_ms
+        for j in self.node.probe_orders[port]:
             low = ts - upper[port][j]
             high = ts + upper[j][port]
             candidates = self._candidates(j, key, low, high)
@@ -245,7 +243,7 @@ class MultiWayStreamJoinOperator(Operator):
             watermark = self._watermarks[j]
             if watermark is None:
                 return
-            bound = watermark - self.upper_bounds_ms[j][port]
+            bound = watermark - self.node.upper_bounds_ms[j][port]
             horizon = bound if horizon is None else min(horizon, bound)
         cutoff = horizon // self.bucket_ms
         buckets = self._buckets[port]
@@ -270,7 +268,7 @@ class MultiWayStreamJoinOperator(Operator):
         """Rows probe/buffer in input order, with each touched (port,
         bucket) index record persisted once per batch."""
         self.processed += len(rows)
-        time_index = self.time_indexes[port]
+        time_index = self.node.time_indexes[port]
         key_fn = self._key_fns[port]
         out_rows: list = []
         out_ts: list = []
@@ -294,7 +292,3 @@ class MultiWayStreamJoinOperator(Operator):
         if max_ts is not None:
             self._advance(port, max_ts)
         self.emit_batch(out_rows, out_ts)
-
-    def describe(self) -> str:
-        windows = ", ".join(f"{ms}ms" for ms in self._retention_ms)
-        return f"MultiWayStreamJoin(k={self.k}, retention=[{windows}])"

@@ -10,25 +10,20 @@ array at the scan operator".
 from __future__ import annotations
 
 from repro.samzasql.operators.base import Operator
+from repro.samzasql.physical import ScanNode
 from repro.sql.codegen import compile_batch_scan
 
 
 class ScanOperator(Operator):
     METRIC_KIND = "scan"
 
-    def __init__(self, stream: str, field_names: list[str],
-                 rowtime_index: int | None):
-        super().__init__()
-        self.stream = stream
-        self.field_names = list(field_names)
-        self.rowtime_index = rowtime_index
-        self._batch_scan = compile_batch_scan(self.field_names, rowtime_index)
+    def __init__(self, node: ScanNode):
+        super().__init__(node)
+        self._batch_scan = compile_batch_scan(node.field_names,
+                                              node.rowtime_index)
 
     def process_batch(self, port: int, messages: list, timestamps: list) -> None:
         self.processed += len(messages)
         # AvroToArray: record dict -> positional array
         pairs = self._batch_scan(messages, timestamps)
         self.emit_batch([row for row, _ in pairs], [ts for _, ts in pairs])
-
-    def describe(self) -> str:
-        return f"Scan({self.stream})"

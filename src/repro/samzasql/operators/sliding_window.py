@@ -63,8 +63,8 @@ from __future__ import annotations
 from collections import deque
 
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.samzasql.physical import AggSpec
-from repro.sql.codegen import compile_lambda
+from repro.samzasql.physical import SlidingWindowNode
+from repro.sql.codegen import compile_lambda, compile_scalar, render
 
 #: The aggregates both forms of Algorithm 1 maintain incrementally; any
 #: other is a UDAF, re-folded at emit, and keeps a task interpreted.
@@ -104,16 +104,16 @@ class _Accumulators:
     (no retraction API) still re-fold the retained rows at emit.
     """
 
-    __slots__ = ("specs", "_summing", "_minmax")
+    __slots__ = ("funcs", "_summing", "_minmax")
 
-    def __init__(self, specs: list[AggSpec]):
-        self.specs = specs
-        self._summing = [spec.func in ("SUM", "AVG") for spec in specs]
-        self._minmax = [spec.func if spec.func in ("MIN", "MAX") else None
-                        for spec in specs]
+    def __init__(self, funcs: list[str]):
+        self.funcs = funcs
+        self._summing = [func in ("SUM", "AVG") for func in funcs]
+        self._minmax = [func if func in ("MIN", "MAX") else None
+                        for func in funcs]
 
     def fresh(self) -> list:
-        return [[0, 0, 0] for _ in self.specs]
+        return [[0, 0, 0] for _ in self.funcs]
 
     def minmax_fresh(self) -> list:
         return [None if func is None else deque() for func in self._minmax]
@@ -158,8 +158,7 @@ class _Accumulators:
 
     def results(self, window: _WindowState) -> list:
         out = []
-        for index, (spec, acc) in enumerate(zip(self.specs, window.accs)):
-            func = spec.func
+        for index, (func, acc) in enumerate(zip(self.funcs, window.accs)):
             if func == "COUNT":
                 out.append(acc[1])
             elif func == "SUM":
@@ -189,38 +188,28 @@ class _Accumulators:
 class SlidingWindowOperator(Operator):
     METRIC_KIND = "sliding-window"
 
-    def __init__(self, partition_key_source: str, order_source: str,
-                 frame_mode: str, preceding_ms: int | None,
-                 preceding_rows: int | None, aggs: list[AggSpec],
-                 field_names: list[str], stores: list[str]):
-        super().__init__()
-        self.partition_key_source = partition_key_source
-        self.order_source = order_source
-        self.frame_mode = frame_mode
-        self.preceding_ms = preceding_ms
-        self.preceding_rows = preceding_rows
-        self.aggs = list(aggs)
-        self.field_names = list(field_names)
-        self.stores = list(stores)  # messages, state
-        self._key_fn = compile_lambda(partition_key_source)
-        self._order_fn = compile_lambda(order_source)
-        self._arg_fns = [
-            (None if spec.arg_source is None else compile_lambda(spec.arg_source))
-            for spec in self.aggs
-        ]
-        self._accumulators = _Accumulators(self.aggs)
-        self._range_ms = preceding_ms if frame_mode == "RANGE" else None
+    def __init__(self, node: SlidingWindowNode):
+        super().__init__(node)
+        self._key_fn = compile_lambda(node.key_source(
+            [render(key) for key in node.partition_keys]))
+        self._order_fn = compile_scalar(node.order)
+        self._arg_fns = [compile_scalar(call.operands[0]) if call.operands
+                         else None for call in node.aggs]
+        self._accumulators = _Accumulators([call.op for call in node.aggs])
+        self._range_ms = (node.preceding_ms if node.frame_mode == "RANGE"
+                          else None)
         # ROWS frame includes the current row
-        self._rows_limit = (preceding_rows + 1
-                            if frame_mode == "ROWS" and preceding_rows is not None
-                            else None)
+        self._rows_limit = (node.preceding_rows + 1
+                            if node.frame_mode == "ROWS"
+                            and node.preceding_rows is not None else None)
         self._messages = None
         self._state = None
         self._windows: dict[tuple, _WindowState] = {}
         self._retained = 0
 
     def setup(self, context: OperatorContext) -> None:
-        self._messages, self._state = map(context.get_store, self.stores)
+        # the plan names them: messages, state
+        self._messages, self._state = map(context.get_store, self.node.stores)
         self._windows = {}
         self._retained = 0
         self._rebuild()
@@ -333,9 +322,9 @@ class SlidingWindowOperator(Operator):
         """
         key, order = exprs[:2]
         given = iter(exprs[2:])
-        args = [None if spec.arg_source is None else next(given)
-                for spec in self.aggs]
-        funcs = [spec.func for spec in self.aggs]
+        args = [next(given) if call.operands else None
+                for call in self.node.aggs]
+        funcs = self._accumulators.funcs
         values = [f"_v{i}_{j}" for j in range(len(funcs))]
         # literal lists: the generated namespace has no range()
         fresh = (", ".join("[0, 0, 0]" for _ in funcs),
@@ -416,9 +405,3 @@ class SlidingWindowOperator(Operator):
         """Messages currently retained in open windows — an O(1) counter
         maintained on add/purge (backs the ``window-state-size`` gauge)."""
         return self._retained
-
-    def describe(self) -> str:
-        bound = (f"{self.preceding_ms}ms" if self.preceding_ms is not None
-                 else f"{self.preceding_rows}rows" if self.preceding_rows is not None
-                 else "UNBOUNDED")
-        return f"SlidingWindow({self.frame_mode} {bound})"

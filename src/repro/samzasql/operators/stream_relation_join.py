@@ -36,7 +36,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.samzasql.operators.base import Operator, OperatorContext
-from repro.sql.codegen import compile_lambda
+from repro.samzasql.physical import StreamRelationJoinNode
+from repro.sql.codegen import compile_join_predicate, compile_scalar
+from repro.sql.rex import RexInputRef
 from repro.sql.types import SqlType
 
 STREAM_PORT = 0
@@ -74,25 +76,15 @@ class ChangelogTombstone:
 class StreamRelationJoinOperator(Operator):
     METRIC_KIND = "relation-join"
 
-    def __init__(self, relation: str, relation_field_names: list[str],
-                 relation_key_index: int, stream_is_left: bool,
-                 stream_width: int, relation_width: int,
-                 condition_source: str, stream_key_source: str | None,
-                 join_kind: str, field_names: list[str], stores: list[str]):
-        super().__init__()
-        self.relation = relation
-        self.relation_field_names = list(relation_field_names)
-        self.relation_key_index = relation_key_index
-        self.stream_is_left = stream_is_left
-        self.stream_width = stream_width
-        self.relation_width = relation_width
-        self.condition_source = condition_source
-        self.join_kind = join_kind
-        self.field_names = list(field_names)
-        self.stores = list(stores)  # the relation's durability log
-        self._condition = compile_lambda(condition_source, params="l, r")
-        self._stream_key = (None if stream_key_source is None
-                            else compile_lambda(stream_key_source))
+    def __init__(self, node: StreamRelationJoinNode):
+        super().__init__(node)
+        # the condition over the joined row, read as the rows ``l`` and ``r``
+        self._condition = compile_join_predicate(
+            node.condition, node.stream_width if node.stream_is_left
+            else node.relation_width)
+        self._stream_key = (None if node.stream_key_index is None
+                            else compile_scalar(
+                                RexInputRef(node.stream_key_index)))
         self._store = None
         #: The relation partition, decoded: ``repr(pk)`` -> row.
         self._rows: dict[str, Any] = {}
@@ -100,7 +92,7 @@ class StreamRelationJoinOperator(Operator):
         self._scan: list | None = None
 
     def setup(self, context: OperatorContext) -> None:
-        self._store = context.get_store(self.stores[0])
+        self._store = context.get_store(self.node.stores[0])  # durability log
         # Empty on a first start (the bootstrap arrives after setup), the
         # restored changelog after a relaunch.  The scan also tells the
         # write-behind store which keys are live below it.
@@ -127,7 +119,7 @@ class StreamRelationJoinOperator(Operator):
         """Upsert a relation row, or delete the one a tombstone names: in
         the rows, and in the store for durability."""
         if row.__class__ is not ChangelogTombstone:
-            key = repr(row[self.relation_key_index])
+            key = repr(row[self.node.relation_key_index])
             self._store.put(key, row)
             self._rows[key] = row
         elif row.key is not None:
@@ -137,6 +129,7 @@ class StreamRelationJoinOperator(Operator):
 
     def _join(self, stream_row: list, timestamp_ms: int, out_rows: list,
               out_ts: list) -> None:
+        node = self.node
         matched = False
         if self._stream_key is not None:
             relation_row = self._rows.get(repr(self._stream_key(stream_row)))
@@ -149,7 +142,7 @@ class StreamRelationJoinOperator(Operator):
                 rows = self._rows
                 candidates = self._scan = [rows[key] for key in sorted(rows)]
         for relation_row in candidates:
-            if self.stream_is_left:
+            if node.stream_is_left:
                 left, right = stream_row, relation_row
             else:
                 left, right = relation_row, stream_row
@@ -157,8 +150,8 @@ class StreamRelationJoinOperator(Operator):
                 matched = True
                 out_rows.append(list(left) + list(right))
                 out_ts.append(timestamp_ms)
-        if not matched and self.join_kind == "LEFT":
-            out_rows.append(list(stream_row) + [None] * self.relation_width)
+        if not matched and node.join_kind == "LEFT":
+            out_rows.append(list(stream_row) + [None] * node.relation_width)
             out_ts.append(timestamp_ms)
 
     def render_stage(self, i: int, row: str,
@@ -176,13 +169,11 @@ class StreamRelationJoinOperator(Operator):
         always reads the rows the relation port keeps current.
         """
         key, condition = exprs
+        node = self.node
         namespace = {f"_op{i}": self,
-                     f"_null{i}": (None,) * self.relation_width}
+                     f"_null{i}": (None,) * node.relation_width}
         body = [f"        {row} = _get{i}(repr({key}))",
                 f"        if {row} is None or not ({condition}):",
-                (f"            {row} = _null{i}" if self.join_kind == "LEFT"
+                (f"            {row} = _null{i}" if node.join_kind == "LEFT"
                  else "            continue")]
         return namespace, [f"    _get{i} = _op{i}._rows.get"], body, []
-
-    def describe(self) -> str:
-        return f"StreamRelationJoin({self.relation})"

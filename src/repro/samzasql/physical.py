@@ -7,8 +7,9 @@ Every node is a plain dataclass convertible to/from JSON dictionaries, so
 the whole plan can be written to ZooKeeper by the shell and re-read by the
 SamzaSQL tasks at init time.  Nodes carry their expressions as Rex trees
 (:mod:`repro.sql.rex`, in its JSON form on the wire), never rendered code:
-each task renders them (:mod:`repro.sql.codegen`) for the operators it
-instantiates and for its fused function — the paper's two-phase planning.
+each task builds every operator from its node, and the operator compiles
+the node's trees itself (:mod:`repro.sql.codegen`); the fused function
+renders the same trees over its columns — the paper's two-phase planning.
 """
 
 from __future__ import annotations
@@ -91,22 +92,6 @@ class StoreLayout:
             else tuple(_STATE_AVRO[SqlType(t)] for _n, t in self.row),
             None if self.record is None
             else tuple((n, _STATE_AVRO[SqlType(t)]) for n, t in self.record))
-
-
-@dataclass
-class AggSpec:
-    """One aggregate as its operator runs it: function name + optional
-    rendered argument source."""
-
-    func: str  # COUNT / SUM / MIN / MAX / AVG
-    arg_source: Optional[str]  # None for COUNT(*)
-
-    @staticmethod
-    def of(call: RexCall) -> "AggSpec":
-        """The spec of a plan node's aggregate: a call of the function
-        (``op``) on its argument, or on nothing for COUNT(*)."""
-        return AggSpec(call.op, render(call.operands[0])
-                       if call.operands else None)
 
 
 def _to_json(value: Any) -> Any:

@@ -186,7 +186,6 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             for operator in self._router.operators:
                 if isinstance(operator, GroupWindowAggOperator):
                     operator.emit_partials()
-        self._router.on_timer(0)
         self._router.flush_sinks()
 
     @property

@@ -210,24 +210,23 @@ def compile_lambda(source: str, params: str = "r") -> Callable:
     return eval(code, dict(CODEGEN_NAMESPACE))  # noqa: S307 - trusted, self-generated
 
 
-def compile_predicate(node: RexNode) -> Callable[[list], bool]:
-    return compile_lambda(render(node))
-
-
 def compile_scalar(node: RexNode) -> Callable[[list], Any]:
+    """One expression over a row ``r``: a predicate, a key, an argument."""
     return compile_lambda(render(node))
 
 
-def compile_projection(exprs: list[RexNode]) -> Callable[[list], list]:
-    inner = ", ".join(render(e) for e in exprs)
-    return compile_lambda(f"[{inner}]")
-
-
-def render_projection(exprs: list[RexNode]) -> str:
+def _list_source(exprs: list[RexNode]) -> str:
     return "[" + ", ".join(render(e) for e in exprs) + "]"
 
 
+def compile_projection(exprs: list[RexNode]) -> Callable[[list], list]:
+    """The list of ``exprs`` over a row ``r``: a projection, a group key."""
+    return compile_lambda(_list_source(exprs))
+
+
 def compile_join_predicate(node: RexNode, left_width: int) -> Callable[[list, list], bool]:
+    """A condition over a joined row, read as two rows ``l`` and ``r``:
+    refs below ``left_width`` read ``l``, the rest ``r``."""
     return compile_lambda(render(node, left_width=left_width), params="l, r")
 
 
@@ -236,23 +235,24 @@ def compile_join_predicate(node: RexNode, left_width: int) -> Callable[[list, li
 # The batched execution path evaluates one compiled expression over a whole
 # record batch: a single list comprehension with the rendered expression
 # inlined in it, so the per-row cost is the expression itself — no lambda
-# call, no operator dispatch.  Sources follow the same conventions as the
-# single-row compilers (``r`` is one row/record, rendered by :func:`render`).
+# call, no operator dispatch.  Trees render as for the single-row compilers
+# (``r`` is one row/record).
 
 
-def compile_batch_predicate(source: str) -> Callable[[list, list], list]:
+def compile_batch_predicate(node: RexNode) -> Callable[[list, list], list]:
     """Filter a batch in one call: ``f(rows, timestamps)`` returns the
-    surviving ``(row, timestamp)`` pairs, evaluating ``source`` once per
+    surviving ``(row, timestamp)`` pairs, evaluating ``node`` once per
     row inside a single comprehension."""
     return compile_lambda(
-        f"[(r, t) for r, t in zip(rows, timestamps) if ({source})]",
+        f"[(r, t) for r, t in zip(rows, timestamps) if ({render(node)})]",
         params="rows, timestamps")
 
 
-def compile_batch_projection(source: str) -> Callable[[list], list]:
-    """Project a batch in one call: ``f(rows)`` maps the rendered
-    row-expression ``source`` (e.g. ``[r[0], r[2]]``) over every row."""
-    return compile_lambda(f"[{source} for r in rows]", params="rows")
+def compile_batch_projection(exprs: list[RexNode]) -> Callable[[list], list]:
+    """Project a batch in one call: ``f(rows)`` maps the list of ``exprs``
+    over every row."""
+    return compile_lambda(f"[{_list_source(exprs)} for r in rows]",
+                          params="rows")
 
 
 def compile_batch_scan(field_names: list[str],

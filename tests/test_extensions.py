@@ -185,6 +185,17 @@ class TestScalarUdf:
         deployment.run("SELECT STREAM orderId FROM Orders WHERE TICK(1) = 1")
         assert len(calls) == 3  # once per row, not once at plan time
 
+    def test_udf_in_group_key_runs_once_per_row(self):
+        calls = []
+        register_scalar_udf("TICK", lambda x: calls.append(x) or x,
+                            result_type=SqlType.INTEGER)
+        deployment = Deployment(partitions=1).with_orders(20)
+        deployment.run(
+            "SELECT STREAM START(rowtime) AS ws, TICK(productId) AS p, "
+            "COUNT(*) AS c FROM Orders GROUP BY "
+            "TUMBLE(rowtime, INTERVAL '1' MINUTE), TICK(productId)")
+        assert len(calls) == 20
+
     def test_duplicate_registration_rejected(self):
         register_scalar_udf("F", lambda x: x)
         with pytest.raises(SqlValidationError, match="already registered"):

@@ -1,9 +1,9 @@
 """The physical plan survives its own JSON.
 
 The shell writes the plan to ZooKeeper and every task reads it back, so a
-plan restored from its JSON must construct the same operators (the same
-rendered sources), generate the same fused function and explain the same
-way as the plan the shell built.  Literals travel as JSON values: each
+plan restored from its JSON must build its operators from nodes equal to
+the shell's, generate the same fused function and explain the same way as
+the plan the shell built.  Literals travel as JSON values: each
 comes back with the ``repr`` the renderer writes, and one JSON cannot
 carry exactly is refused when the plan is built.
 """
@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import ExitStack
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import PlannerError
+from repro.samza.storage import InMemoryKeyValueStore
 from repro.samzasql.decision import decide_execution
-from repro.samzasql.operators import router
-from repro.samzasql.physical import PhysicalPlan
+from repro.samzasql.operators import Operator, OperatorContext, build_router
+from repro.samzasql.operators.router import OPERATOR_TYPES
+from repro.samzasql.physical import _NODE_TYPES, PhysicalPlan
 from repro.samzasql.serde_plan import compile_serde_fused
 from repro.sql.codegen import render
 from repro.sql.rex import (
@@ -78,28 +78,16 @@ CORPUS = {
                      "WHERE units > 10", {"relation_key": ["productId"]}),
 }
 
-_OPERATORS = ("ScanOperator", "FilterOperator", "ProjectOperator",
-              "SlidingWindowOperator", "GroupWindowAggOperator",
-              "MultiWayStreamJoinOperator", "StreamRelationJoinOperator",
-              "InsertOperator")
+def restored(plan: PhysicalPlan) -> PhysicalPlan:
+    """The plan as a task reads it: back from its JSON bytes."""
+    return PhysicalPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
 
 
-def constructor_calls(plan: PhysicalPlan) -> list:
-    """``(operator, args)`` for every operator the plan instantiates."""
-    calls = []
-    with ExitStack() as stack:
-        for name in _OPERATORS:
-            real = getattr(router, name)
-            stack.enter_context(mock.patch.object(
-                router, name,
-                lambda *args, _real=real, _name=name: (
-                    calls.append((_name, args)), _real(*args))[1]))
-        pending = [plan.root]
-        while pending:
-            node = pending.pop()
-            pending.extend(node.inputs)
-            router._instantiate(node)
-    return calls
+def preorder(node):
+    """The nodes below ``node`` in the order the router builds them."""
+    yield node
+    for child in node.inputs:
+        yield from preorder(child)
 
 
 def fused_source(plan: PhysicalPlan, handle) -> str | None:
@@ -121,18 +109,41 @@ def test_plan_survives_its_json(name):
     handle = dep.shell.execute(sql, **kwargs)
     dep.runner.run_until_quiescent()
     plan = handle.plan
-    restored = PhysicalPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-    assert restored.to_dict() == plan.to_dict()
-    assert constructor_calls(restored) == constructor_calls(plan)
-    assert restored.explain() == plan.explain()
+    read_back = restored(plan)
+    assert read_back.to_dict() == plan.to_dict()
+    assert read_back.explain() == plan.explain()
     source = fused_source(plan, handle)
-    assert fused_source(restored, handle) == source
+    assert fused_source(read_back, handle) == source
     # and it is the program the task built from the plan it read from ZK
     [task] = sql_tasks(handle)
     assert (task.executor.source if task.serde_fused else None) == source
     fuses = name not in ("group-window", "join-k2", "join-k3",
                          "relation-join-keyless")
     assert (source is not None) == fuses
+
+
+@pytest.mark.parametrize("kind", sorted(_NODE_TYPES))
+def test_every_node_kind_has_an_operator(kind):
+    assert issubclass(OPERATOR_TYPES[kind], Operator)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_router_builds_operators_from_the_plan_nodes(name):
+    """Each operator of a router built from the restored plan holds the
+    node it was built from, equal to the shell's node."""
+    sql, kwargs = CORPUS[name]
+    dep = Deployment(partitions=1).with_orders(5).with_products(4)
+    dep.with_packets(routers=3)
+    plan = dep.shell.execute(sql, **kwargs).plan
+    read_back = restored(plan)
+    context = OperatorContext(
+        {store: InMemoryKeyValueStore() for store in read_back.stores},
+        send_batch=None)
+    router = build_router(read_back, context)
+    assert ([operator.node for operator in router.operators]
+            == list(reversed(list(preorder(plan.root)))))
+    assert all(isinstance(operator, OPERATOR_TYPES[operator.node.kind])
+               for operator in router.operators)
 
 
 _SPECIAL = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 0, -0.0, 0.0, 1e300,

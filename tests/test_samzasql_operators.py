@@ -25,19 +25,72 @@ from repro.samzasql.operators.stream_relation_join import (
     STREAM_PORT,
     ChangelogTombstone,
 )
-from repro.samzasql.physical import AggSpec, StoreLayout
+from repro.samzasql.physical import (
+    FilterNode,
+    GroupWindowAggNode,
+    InsertNode,
+    MultiWayStreamJoinNode,
+    ProjectNode,
+    ScanNode,
+    SlidingWindowNode,
+    StoreLayout,
+    StreamRelationJoinNode,
+)
 from repro.serde import ObjectSerde
+from repro.sql.rex import RexCall, RexInputRef, RexLiteral
 
 
-class Sink(Operator):
-    """Collects (row, timestamp) pairs."""
+class Sink:
+    """Collects (row, timestamp) pairs as an operator's downstream."""
 
     def __init__(self):
-        super().__init__()
         self.rows = []
 
-    def process_batch(self, port, rows, timestamps):
+    def receive_batch(self, port, rows, timestamps):
         self.rows.extend(zip(rows, timestamps))
+
+
+# -- the plan nodes the operators are built from ------------------------------
+
+
+def ref(index):
+    return RexInputRef(index)
+
+
+def call(op, *operands):
+    """An expression ``op(operands)``; an int operand is a literal."""
+    return RexCall(op, tuple(RexLiteral(o) if isinstance(o, int) else o
+                             for o in operands))
+
+
+def agg(func, arg=None):
+    """An aggregate as plan nodes carry it: no operand for COUNT(*)."""
+    return RexCall(func, () if arg is None else (ref(arg),))
+
+
+def insert_node(field_names, rowtime_index, key_field_indexes=None):
+    return InsertNode("Out", field_names, ["ANY"] * len(field_names),
+                      rowtime_index, key_field_indexes)
+
+
+def window_node(aggs, field_names, frame="RANGE", preceding_ms=10_000,
+                preceding_rows=None):
+    """A window over ``(rowtime, key, value)`` rows, partitioned by the
+    key and ordered by the rowtime."""
+    return SlidingWindowNode(
+        partition_keys=[ref(1)], repr_key=False, order=ref(0),
+        frame_mode=frame, preceding_ms=preceding_ms,
+        preceding_rows=preceding_rows, aggs=aggs, field_names=field_names,
+        stores=list(WINDOW_STORE_NAMES))
+
+
+def group_node(aggs, field_names, kind="TUMBLE", emit=100, retain=100,
+               align=0):
+    """A group window over ``(rowtime, key, value)`` rows, by the key."""
+    return GroupWindowAggNode(
+        window_kind=kind, time=ref(0), emit_ms=emit, retain_ms=retain,
+        align_ms=align, group_keys=[ref(1)], aggs=aggs,
+        field_names=field_names, stores=list(GROUP_STORES))
 
 
 # -- the stores, named and typed as the planner does for these tests' rows ----
@@ -54,7 +107,7 @@ def window_stores(aggs, partition_kind="str"):
         messages: StoreLayout.typed(
             [partition_kind, "int"],
             row=[["rowtime", "TIMESTAMP"],
-                 *([spec.func, "BIGINT"] for spec in aggs)]),
+                 *([aggregate.op, "BIGINT"] for aggregate in aggs)]),
         state: StoreLayout.typed(
             [partition_kind], record=[["seq", "BIGINT"]]),
     }
@@ -102,13 +155,14 @@ def wire(operator, layouts=None):
 
 class TestScanOperator:
     def test_avro_to_array_conversion(self):
-        scan = ScanOperator("Orders", ["rowtime", "productId", "units"], 0)
+        scan = ScanOperator(
+            ScanNode("Orders", ["rowtime", "productId", "units"], 0))
         sink, _ = wire(scan)
         scan.process(0, {"rowtime": 99, "productId": 1, "units": 5}, 0)
         assert sink.rows == [([99, 1, 5], 99)]
 
     def test_envelope_timestamp_used_without_rowtime(self):
-        scan = ScanOperator("S", ["a"], None)
+        scan = ScanOperator(ScanNode("S", ["a"], None))
         sink, _ = wire(scan)
         scan.process(0, {"a": 1}, 777)
         assert sink.rows == [([1], 777)]
@@ -116,7 +170,7 @@ class TestScanOperator:
 
 class TestFilterProjectInsert:
     def test_filter_drops(self):
-        op = FilterOperator("(r[0] > 10)")
+        op = FilterOperator(FilterNode(call(">", ref(0), 10)))
         sink, _ = wire(op)
         op.process(0, [5], 0)
         op.process(0, [15], 0)
@@ -125,13 +179,14 @@ class TestFilterProjectInsert:
         assert op.emitted == 1
 
     def test_project_rewrites(self):
-        op = ProjectOperator("[r[1], r[0] * 2]", ["b", "double_a"])
+        op = ProjectOperator(ProjectNode([ref(1), call("*", ref(0), 2)],
+                                         ["b", "double_a"]))
         sink, _ = wire(op)
         op.process(0, [3, "x"], 1)
         assert sink.rows == [(["x", 6], 1)]
 
     def test_insert_array_to_record(self):
-        op = InsertOperator("Out", ["rowtime", "units"], rowtime_index=0)
+        op = InsertOperator(insert_node(["rowtime", "units"], 0))
         context, sent = make_context()
         op.setup(context)
         op.process(0, [123, 9], 0)
@@ -142,13 +197,10 @@ class TestFilterProjectInsert:
 class TestSlidingWindowOperator:
     def _operator(self, preceding_ms=10_000, frame="RANGE", preceding_rows=None,
                   aggs=None):
-        aggs = aggs or [AggSpec(func="SUM", arg_source="r[2]")]
-        operator = SlidingWindowOperator(
-            partition_key_source="(r[1],)", order_source="r[0]",
-            frame_mode=frame, preceding_ms=preceding_ms,
-            preceding_rows=preceding_rows, aggs=aggs,
-            field_names=["rowtime", "key", "value", "agg"],
-            stores=list(WINDOW_STORE_NAMES))
+        aggs = aggs or [agg("SUM", 2)]
+        operator = SlidingWindowOperator(window_node(
+            aggs, ["rowtime", "key", "value"] + [a.op for a in aggs], frame,
+            preceding_ms, preceding_rows))
         sink, _ = wire(operator, window_stores(aggs))
         return operator, sink
 
@@ -173,15 +225,7 @@ class TestSlidingWindowOperator:
         assert [row[-1] for row, _ in sink.rows] == [10, 30, 50]
 
     def test_multiple_aggregates(self):
-        operator, sink = self._operator(aggs=[
-            AggSpec(func="SUM", arg_source="r[2]"),
-            AggSpec(func="COUNT", arg_source=None),
-            AggSpec(func="MIN", arg_source="r[2]"),
-            AggSpec(func="MAX", arg_source="r[2]"),
-            AggSpec(func="AVG", arg_source="r[2]"),
-        ])
-        operator.field_names = ["rowtime", "key", "value",
-                                "s", "c", "mn", "mx", "avg"]
+        operator, sink = self._operator(aggs=self.AGGS)
         operator.process(0, [1, "k", 4], 1)
         operator.process(0, [2, "k", 8], 2)
         [_, (row, _ts)] = sink.rows
@@ -189,7 +233,7 @@ class TestSlidingWindowOperator:
 
     def test_min_recomputed_after_purge(self):
         operator, sink = self._operator(
-            preceding_ms=5, aggs=[AggSpec(func="MIN", arg_source="r[2]")])
+            preceding_ms=5, aggs=[agg("MIN", 2)])
         operator.process(0, [1, "k", 1], 1)
         operator.process(0, [2, "k", 9], 2)
         operator.process(0, [100, "k", 5], 100)  # min=1 purged
@@ -211,21 +255,16 @@ class TestSlidingWindowOperator:
             operator2.process(0, [ts, "k", value], ts)
         assert sink2.rows[2][0][-1] == first_final
 
-    AGGS = [AggSpec(func="SUM", arg_source="r[2]"),
-            AggSpec(func="COUNT", arg_source=None),
-            AggSpec(func="MIN", arg_source="r[2]"),
-            AggSpec(func="MAX", arg_source="r[2]"),
-            AggSpec(func="AVG", arg_source="r[2]")]
+    AGGS = [agg("SUM", 2), agg("COUNT"), agg("MIN", 2), agg("MAX", 2),
+            agg("AVG", 2)]
 
     STORES = window_stores(AGGS)
 
     def _fresh(self, context):
-        operator = SlidingWindowOperator(
-            partition_key_source="(r[1],)", order_source="r[0]",
-            frame_mode="RANGE", preceding_ms=50, preceding_rows=None,
-            aggs=self.AGGS,
-            field_names=["rowtime", "key", "value", "s", "c", "mn", "mx", "a"],
-            stores=list(WINDOW_STORE_NAMES))
+        operator = SlidingWindowOperator(window_node(
+            self.AGGS,
+            ["rowtime", "key", "value", "s", "c", "mn", "mx", "a"],
+            preceding_ms=50))
         operator.setup(context)
         sink = Sink()
         operator.downstream = sink
@@ -338,13 +377,9 @@ class TestSlidingWindowOperator:
 
 class TestGroupWindowOperator:
     def _operator(self, kind="TUMBLE", emit=100, retain=100, align=0):
-        operator = GroupWindowAggOperator(
-            window_kind=kind, time_source="r[0]", emit_ms=emit,
-            retain_ms=retain, align_ms=align, group_key_source="[r[1]]",
-            aggs=[AggSpec(func="COUNT", arg_source=None),
-                  AggSpec(func="SUM", arg_source="r[2]")],
-            field_names=["wstart", "wend", "key", "c", "s"],
-            stores=list(GROUP_STORES))
+        operator = GroupWindowAggOperator(group_node(
+            [agg("COUNT"), agg("SUM", 2)], ["wstart", "wend", "key", "c", "s"],
+            kind, emit, retain, align))
         sink, _ = wire(operator, GROUP_STORES)
         return operator, sink
 
@@ -413,8 +448,7 @@ class TestGroupWindowOperator:
 
     def test_invalid_window_params(self):
         with pytest.raises(ValueError):
-            GroupWindowAggOperator("TUMBLE", "r[0]", 0, 100, 0, "[]", [], [],
-                                   list(GROUP_STORES))
+            GroupWindowAggOperator(group_node([], [], emit=0))
 
 
 class TestStreamRelationJoinOperator:
@@ -422,17 +456,16 @@ class TestStreamRelationJoinOperator:
         """A join on ``join_field`` of the relation: on its primary key
         (field 0) it looks the key up, as the planner lowers it; on any
         other field it scans the store."""
-        operator = StreamRelationJoinOperator(
-            relation="Products",
+        operator = StreamRelationJoinOperator(StreamRelationJoinNode(
+            relation="Products", relation_stream="ProductsChangelog",
             relation_field_names=["productId", "supplierId"],
             relation_key_index=0, stream_is_left=True,
             stream_width=2, relation_width=2,
-            condition_source=f"(l[1] == r[{join_field}])",
-            stream_key_source=("r[1]" if with_keys and join_field == 0
-                               else None),
+            condition=call("=", ref(1), ref(2 + join_field)),
+            stream_key_index=1 if with_keys and join_field == 0 else None,
             join_kind=kind,
             field_names=["rowtime", "productId", "productId0", "supplierId"],
-            stores=list(RELATION_STORES))
+            stores=list(RELATION_STORES)))
         sink, _ = wire(operator, RELATION_STORES)
         return operator, sink
 
@@ -493,16 +526,25 @@ class TestStreamRelationJoinOperator:
 LEFT_PORT, RIGHT_PORT = 0, 1
 
 
+def join_node(k, upper_bounds_ms, probe_orders, condition, bucket_ms):
+    """A K-way join of ``[ts, key]`` rows on the key."""
+    return MultiWayStreamJoinNode(
+        widths=[2] * k, time_indexes=[0] * k, key_indexes=[1] * k,
+        upper_bounds_ms=upper_bounds_ms, probe_orders=probe_orders,
+        condition=condition, bucket_ms=bucket_ms,
+        input_names=[f"S{i}" for i in range(k)], input_weights=[1.0] * k,
+        order_metric="window_ms",
+        field_names=[f"{name}{i}" for i in range(k) for name in ("t", "k")],
+        stores=list(join_stores(k)))
+
+
 def binary_join(lower=2000, upper=2000):
     """The windowed stream-to-stream join (§3.8.1) as the planner lowers
     it: the K = 2 case of the multi-way operator, ``left.rowtime -
     right.rowtime ∈ [-lower, upper]``."""
-    return MultiWayStreamJoinOperator(
-        widths=[2, 2], time_indexes=[0, 0], key_sources=["r[1]", "r[1]"],
-        upper_bounds_ms=[[0, upper], [lower, 0]], probe_orders=[[1], [0]],
-        condition_source="(p0[1] == p1[1])",
-        bucket_ms=max(1, max(lower, upper) // 8),
-        field_names=["lt", "lid", "rt", "rid"], stores=list(join_stores(2)))
+    return MultiWayStreamJoinOperator(join_node(
+        2, [[0, upper], [lower, 0]], [[1], [0]], call("=", ref(1), ref(3)),
+        max(1, max(lower, upper) // 8)))
 
 
 class TestStreamStreamJoinOperator:
@@ -612,15 +654,10 @@ class TestMultiWayStreamJoinOperator:
     def _make(self, bound=2000, bucket_ms=500):
         k = 3
         upper = [[0 if i == j else bound for j in range(k)] for i in range(k)]
-        return MultiWayStreamJoinOperator(
-            widths=[2, 2, 2], time_indexes=[0, 0, 0],
-            key_sources=["r[1]", "r[1]", "r[1]"],
-            upper_bounds_ms=upper,
-            probe_orders=[[1, 2], [0, 2], [0, 1]],
-            condition_source="((p0[1] == p1[1]) and (p1[1] == p2[1]))",
-            bucket_ms=bucket_ms,
-            field_names=["t0", "k0", "t1", "k1", "t2", "k2"],
-            stores=list(self.STORES))
+        return MultiWayStreamJoinOperator(join_node(
+            k, upper, [[1, 2], [0, 2], [0, 1]],
+            call("AND", call("=", ref(1), ref(3)), call("=", ref(3), ref(5))),
+            bucket_ms))
 
     def _operator(self, **kwargs):
         operator = self._make(**kwargs)
@@ -796,37 +833,38 @@ class TestBatchEquivalence:
 
     def test_scan(self):
         self._check(
-            lambda: ScanOperator("Orders",
-                                 ["rowtime", "productId", "orderId", "units"], 0),
+            lambda: ScanOperator(ScanNode(
+                "Orders", ["rowtime", "productId", "orderId", "units"], 0)),
             self.ORDERS, [0] * len(self.ORDERS))
 
     def test_scan_without_rowtime(self):
-        self._check(lambda: ScanOperator("Orders", ["units"], None),
+        self._check(lambda: ScanOperator(ScanNode("Orders", ["units"], None)),
                     self.ORDERS, [7000 + i for i in range(len(self.ORDERS))])
 
     def test_filter(self):
         rows = [[o["rowtime"], o["units"]] for o in self.ORDERS]
-        self._check(lambda: FilterOperator("(r[1] > 50)"),
+        self._check(lambda: FilterOperator(FilterNode(call(">", ref(1), 50))),
                     rows, [o["rowtime"] for o in self.ORDERS])
 
     def test_project(self):
         rows = [[o["rowtime"], o["units"]] for o in self.ORDERS]
-        self._check(lambda: ProjectOperator("[r[0], r[1] * 2]",
-                                            ["rowtime", "doubled"]),
+        self._check(lambda: ProjectOperator(ProjectNode(
+                        [ref(0), call("*", ref(1), 2)],
+                        ["rowtime", "doubled"])),
                     rows, [o["rowtime"] for o in self.ORDERS])
 
     def test_insert(self):
         rows = [[o["rowtime"], o["orderId"], o["units"]] for o in self.ORDERS]
         self._check(
-            lambda: InsertOperator("Out", ["rowtime", "orderId", "units"],
-                                   rowtime_index=0, key_field_indexes=[1]),
+            lambda: InsertOperator(insert_node(
+                ["rowtime", "orderId", "units"], 0, key_field_indexes=[1])),
             rows, [0] * len(rows))
 
     def test_insert_buffered_flush(self):
         """Nothing is sent until flush; one flush sends everything, in
         order, and a second flush sends nothing more."""
         rows = [[o["rowtime"], o["units"]] for o in self.ORDERS]
-        insert = InsertOperator("Out", ["rowtime", "units"], rowtime_index=0)
+        insert = InsertOperator(insert_node(["rowtime", "units"], 0))
         context, sent = make_context()
         insert.setup(context)
         insert.process_batch(0, rows[:20], [0] * 20)
@@ -843,27 +881,19 @@ class TestBatchEquivalence:
         rows = [[o["rowtime"], o["productId"], o["units"]] for o in self.ORDERS]
         aggs = TestSlidingWindowOperator.AGGS
         self._check(
-            lambda: SlidingWindowOperator(
-                partition_key_source="(r[1],)", order_source="r[0]",
-                frame_mode="RANGE", preceding_ms=20,
-                preceding_rows=None, aggs=aggs,
-                field_names=["rowtime", "productId", "units",
-                             "s", "c", "mn", "mx", "a"],
-                stores=list(WINDOW_STORE_NAMES)),
+            lambda: SlidingWindowOperator(window_node(
+                aggs, ["rowtime", "productId", "units",
+                       "s", "c", "mn", "mx", "a"], preceding_ms=20)),
             rows, [o["rowtime"] for o in self.ORDERS],
             window_stores(aggs, partition_kind="int"))
 
     def test_sliding_window_rows_frame(self):
         rows = [[o["rowtime"], o["productId"], o["units"]] for o in self.ORDERS]
-        aggs = [AggSpec(func="SUM", arg_source="r[2]"),
-                AggSpec(func="MIN", arg_source="r[2]")]
+        aggs = [agg("SUM", 2), agg("MIN", 2)]
         self._check(
-            lambda: SlidingWindowOperator(
-                partition_key_source="(r[1],)", order_source="r[0]",
-                frame_mode="ROWS", preceding_ms=None, preceding_rows=2,
-                aggs=aggs,
-                field_names=["rowtime", "productId", "units", "s", "mn"],
-                stores=list(WINDOW_STORE_NAMES)),
+            lambda: SlidingWindowOperator(window_node(
+                aggs, ["rowtime", "productId", "units", "s", "mn"],
+                frame="ROWS", preceding_ms=None, preceding_rows=2)),
             rows, [o["rowtime"] for o in self.ORDERS],
             window_stores(aggs, partition_kind="int"))
 
@@ -913,27 +943,18 @@ class TestBatchEquivalence:
         included)."""
         rows = [[(i * 37) % 500, f"k{i % 4}", i] for i in range(60)]
         self._check(
-            lambda: GroupWindowAggOperator(
-                window_kind="TUMBLE", time_source="r[0]", emit_ms=100,
-                retain_ms=100, align_ms=0, group_key_source="[r[1]]",
-                aggs=[AggSpec(func="COUNT", arg_source=None),
-                      AggSpec(func="SUM", arg_source="r[2]"),
-                      AggSpec(func="MIN", arg_source="r[2]"),
-                      AggSpec(func="MAX", arg_source="r[2]")],
-                field_names=["wstart", "wend", "key", "c", "s", "mn", "mx"],
-                stores=list(GROUP_STORES)),
+            lambda: GroupWindowAggOperator(group_node(
+                [agg("COUNT"), agg("SUM", 2), agg("MIN", 2), agg("MAX", 2)],
+                ["wstart", "wend", "key", "c", "s", "mn", "mx"])),
             rows, [r[0] for r in rows], GROUP_STORES)
 
     def test_group_window_late_dropped_matches(self):
         rows = [[(i * 37) % 500, f"k{i % 4}", i] for i in range(60)]
 
         def make_operator():
-            return GroupWindowAggOperator(
-                window_kind="HOP", time_source="r[0]", emit_ms=50,
-                retain_ms=120, align_ms=0, group_key_source="[r[1]]",
-                aggs=[AggSpec(func="COUNT", arg_source=None)],
-                field_names=["wstart", "wend", "key", "c"],
-                stores=list(GROUP_STORES))
+            return GroupWindowAggOperator(group_node(
+                [agg("COUNT")], ["wstart", "wend", "key", "c"], kind="HOP",
+                emit=50, retain=120))
 
         single = make_operator()
         wire(single, GROUP_STORES)

@@ -6,7 +6,7 @@ from repro.chaos.validate import NESTED_WINDOW_SQL
 from repro.common import PlannerError
 from repro.samza.storage import InMemoryKeyValueStore
 from repro.samzasql.operators.base import OperatorContext
-from repro.samzasql.operators.router import _instantiate
+from repro.samzasql.operators.router import OPERATOR_TYPES
 from repro.samzasql.physical import (
     FilterNode,
     GroupWindowAggNode,
@@ -21,6 +21,7 @@ from repro.samzasql.physical import (
 from repro.samzasql.plan_builder import PhysicalPlanBuilder
 from repro.sql import QueryPlanner
 from repro.sql.catalog import Catalog, StreamDefinition, TableDefinition
+from repro.sql.codegen import render
 from repro.sql.types import RowType, SqlType
 
 from tests.sql_fixtures import paper_catalog
@@ -107,6 +108,11 @@ def window_sql(partition, aggregate="SUM(units)", stream="Orders"):
             f"PRECEDING) s FROM {stream}")
 
 
+def rendered_key(window):
+    """The window's partition key as its operator compiles it."""
+    return window.key_source([render(key) for key in window.partition_keys])
+
+
 class TestStoreLayouts:
     """Each store's layout comes from the row types the builder holds, and
     travels in the plan JSON."""
@@ -118,7 +124,7 @@ class TestStoreLayouts:
                               f"COUNT(*) {over} c FROM Orders")
         window = plan.root.inputs[0].inputs[0]
         assert not window.repr_key
-        assert _instantiate(window).partition_key_source == "(r[1], )"
+        assert rendered_key(window) == "(r[1], )"
         messages = plan.stores["sql-window-messages"]
         assert messages.key == ["int", "int"]
         assert messages.row == [["rowtime", "TIMESTAMP"],
@@ -134,8 +140,7 @@ class TestStoreLayouts:
         plan = build(catalog, window_sql("productId, units > 5"))
         window = plan.root.inputs[0].inputs[0]
         assert window.repr_key
-        assert (_instantiate(window).partition_key_source
-                == "(repr([r[1], (r[3] > 5)]),)")
+        assert rendered_key(window) == "(repr([r[1], (r[3] > 5)]),)"
         assert plan.stores["sql-window-messages"].key == ["str", "int"]
         assert plan.stores["sql-window-state"].key == ["str"]
 
@@ -403,7 +408,7 @@ class TestStoreOwnership:
         opened = []
         for node in _walk(plan.root):
             context = _OpeningContext()
-            _instantiate(node).setup(context)
+            OPERATOR_TYPES[node.kind](node).setup(context)
             assert context.opened == getattr(node, "stores", [])
             if context.opened:
                 opened.append(context.opened)

@@ -58,7 +58,8 @@ class TestTaskInit:
     def test_plan_loaded_from_zookeeper(self):
         task, plan = make_task("SELECT STREAM * FROM Orders WHERE units > 50")
         assert task.router is not None
-        assert "Filter" in task.router.operator_chain()
+        kinds = [operator.METRIC_KIND for operator in task.router.operators]
+        assert kinds == ["scan", "filter", "insert"]
 
     def test_missing_plan_raises(self):
         zk = ZkServer()

@@ -6,7 +6,6 @@ from repro.common import PlannerError, SqlParseError
 from repro.sql import QueryPlanner
 from repro.sql.codegen import (
     compile_join_predicate,
-    compile_predicate,
     compile_projection,
     compile_scalar,
     render,
@@ -179,23 +178,23 @@ ORDER = [1_000_000, 7, 99, 60]  # rowtime, productId, orderId, units
 
 class TestCodegen:
     def test_comparison(self, planner):
-        predicate = compile_predicate(_rex(planner, "units > 50"))
+        predicate = compile_scalar(_rex(planner, "units > 50"))
         assert predicate(ORDER) is True
         assert predicate([0, 0, 0, 50]) is False
 
     def test_boolean_connectives(self, planner):
-        predicate = compile_predicate(
+        predicate = compile_scalar(
             _rex(planner, "units > 50 AND NOT (productId = 3 OR orderId < 10)"))
         assert predicate(ORDER) is True
         assert predicate([0, 3, 99, 60]) is False
 
     def test_between(self, planner):
-        predicate = compile_predicate(_rex(planner, "units BETWEEN 50 AND 70"))
+        predicate = compile_scalar(_rex(planner, "units BETWEEN 50 AND 70"))
         assert predicate(ORDER) is True
         assert predicate([0, 0, 0, 71]) is False
 
     def test_in_list(self, planner):
-        predicate = compile_predicate(_rex(planner, "productId IN (1, 7, 9)"))
+        predicate = compile_scalar(_rex(planner, "productId IN (1, 7, 9)"))
         assert predicate(ORDER) is True
 
     def test_arithmetic(self, planner):
@@ -239,7 +238,7 @@ class TestCodegen:
         catalog = paper_catalog()
         p = QueryPlanner(catalog)
         plan = p.plan_query("SELECT * FROM Products WHERE name LIKE 'wid%'")
-        predicate = compile_predicate(plan.condition)
+        predicate = compile_scalar(plan.condition)
         assert predicate([1, "widget", 2]) is True
         assert predicate([1, "gadget", 2]) is False
 
