@@ -105,10 +105,6 @@ def measure_query(query: str, variant: str, messages: int = 4000,
     return measure(query, variant, messages=messages, partitions=partitions)
 
 
-def run_all_figures(messages: int = 4000) -> dict[str, BenchResult]:
-    return {figure: run_figure(figure, messages=messages) for figure in FIGURES}
-
-
 def profile_operators(query: str, messages: int = 4000, partitions: int = 32,
                       containers: int = 1) -> list[dict]:
     """Per-operator profile of one benchmark query, read from the

@@ -101,5 +101,7 @@ def instrument_operators(operators, registry: MetricsRegistry,
         state_size = getattr(op, "state_size", None)
         if state_size is not None:
             registry.gauge(group, "window-state-size", fn=state_size)
+        if hasattr(op, "late_rows"):
+            registry.gauge(group, "late-rows", fn=lambda op=op: op.late_rows)
         if op in timed:
             op.enable_timing(registry.timer(group, "process-ns"))

@@ -8,12 +8,17 @@ for the same window due to early results policy that send out partial
 results as soon as a window boundary condition is met without waiting for
 delayed arrivals".  Tuples arriving after their window was emitted are
 discarded ("some tuples may get discarded due to the expiration of
-timeouts"), counted in ``late_dropped``.
+timeouts"), counted in ``late_rows``.
 
-State (accumulators per open ``(window_start, group_key)``, and one meta
-record: the watermark and the open windows) lives in a changelog-backed
-store, so failure + replay reconstructs the same windows.  The plan names
-the store per operator instance (``sql-group-windows``, then
+The operator holds its open windows decoded, by window start, and
+closes them when the watermark reaches the earliest open end: in end
+order, each end's windows in creation order.  The store is their
+changelog-backed durability log: each batch puts the windows it touched,
+in first-touch order, then the meta record ``{"watermark": w}``, and a
+closed window gets a delete.  ``setup`` reads it once, so a relaunch
+reopens every window state in it (ending at ``wstart + retain``); windows
+restored with one end come back in store-key order.  The plan names the
+store per operator instance (``sql-group-windows``, then
 ``sql-group2-windows``...): a nested group window keeps its own meta
 record.
 
@@ -43,7 +48,12 @@ class GroupWindowAggOperator(Operator):
                          else None for call in node.aggs]
         self._udafs = [self._resolve_udaf(call.op) for call in node.aggs]
         self._store = None
-        self.late_dropped = 0
+        #: The open windows, decoded: window start -> {store key: state},
+        #: each start's windows in creation order.
+        self._open: dict[int, dict[str, dict]] = {}
+        self._watermark = None   # the largest rowtime seen
+        self._next_end = None    # the earliest open window end
+        self.late_rows = 0
 
     @staticmethod
     def _resolve_udaf(func: str):
@@ -57,14 +67,24 @@ class GroupWindowAggOperator(Operator):
         return udaf
 
     def setup(self, context: OperatorContext) -> None:
-        self._store = context.get_store(self.node.stores[0])  # open windows
+        self._store = context.get_store(self.node.stores[0])  # durability log
+        # Empty on a first start, the restored changelog after a relaunch:
+        # every window state the store holds is open.  The scan also tells
+        # the write-behind store which keys are live below it.
+        for store_key, value in self._store.all():
+            if store_key == _META_KEY:
+                self._watermark = value["watermark"]
+            else:
+                self._open.setdefault(value["wstart"], {})[store_key] = value
+        self._next_end = self._first_end()
+
+    def _first_end(self) -> int | None:
+        """The earliest end among the open windows (None: none open)."""
+        return min(self._open) + self.node.retain_ms if self._open else None
 
     def state_size(self) -> int:
         """Open (not yet emitted) windows; backs ``window-state-size``."""
-        if self._store is None:
-            return 0
-        meta = self._store.get(_META_KEY)
-        return len(meta["open"]) if meta else 0
+        return sum(map(len, self._open.values()))
 
     # -- window assignment ----------------------------------------------------
 
@@ -86,44 +106,43 @@ class GroupWindowAggOperator(Operator):
     # -- processing -----------------------------------------------------------------
 
     def process_batch(self, port: int, rows: list, timestamps: list) -> None:
-        """The meta record is fetched once per batch and window states
-        once per (window, batch), with write-back deferred to the end of
-        the batch.  Watermark advancement and closed-window emission run
-        per message, so lateness decisions and the emission sequence do
-        not depend on how the input was batched."""
+        """Window states change in memory; the store gets each touched
+        window once per batch, in first-touch order, then the meta record.
+        Watermark advancement and closed-window emission run per message,
+        so lateness decisions and the emission sequence do not depend on
+        how the input was batched."""
         self.processed += len(rows)
-        store = self._store
         retain_ms = self.node.retain_ms
-        meta = store.get(_META_KEY) or {"watermark": None, "open": {}}
-        states: dict[str, dict] = {}  # per-batch (window, key) state cache
-        dirty: dict[str, dict] = {}   # subset of states needing a put
+        open_windows = self._open
+        touched: dict[str, dict] = {}  # windows to put, first touch first
         out_rows: list = []
         out_ts: list = []
         for row in rows:
             ts = self._time_fn(row)
             key_values = self._key_fn(row)
             key = repr(key_values)
-            watermark = meta["watermark"]
+            watermark = self._watermark
             arg_values = [None if fn is None else fn(row)
                           for fn in self._arg_fns]
             for wstart in self.windows_for(ts):
                 wend = wstart + retain_ms
                 if watermark is not None and wend <= watermark:
-                    self.late_dropped += 1
+                    self.late_rows += 1
                     continue
                 store_key = f"{wstart}|{key}"
-                state = states.get(store_key)
+                windows = open_windows.get(wstart)
+                if windows is None:
+                    windows = open_windows[wstart] = {}
+                    if self._next_end is None or wend < self._next_end:
+                        self._next_end = wend
+                state = windows.get(store_key)
                 if state is None:
-                    state = store.get(store_key)
-                    if state is None:
-                        state = {"wstart": wstart, "keys": key_values,
-                                 "accs": [([None, 0, None, None, 0]
-                                           if udaf is None
-                                           else [udaf.create()])
-                                          for udaf in self._udafs]}
-                        meta["open"][store_key] = wend
-                    states[store_key] = state
-                dirty[store_key] = state
+                    state = windows[store_key] = {
+                        "wstart": wstart, "keys": key_values,
+                        "accs": [([None, 0, None, None, 0] if udaf is None
+                                  else [udaf.create()])
+                                 for udaf in self._udafs]}
+                touched[store_key] = state
                 for udaf, acc, value in zip(self._udafs, state["accs"],
                                             arg_values):
                     if udaf is not None:
@@ -137,61 +156,39 @@ class GroupWindowAggOperator(Operator):
                         acc[2] = value if acc[2] is None else min(acc[2], value)
                         acc[3] = value if acc[3] is None else max(acc[3], value)
             if watermark is None or ts > watermark:
-                meta["watermark"] = ts
-            self._close_windows(meta, states, dirty, out_rows, out_ts)
-        for store_key, state in dirty.items():
+                self._watermark = ts
+                if self._next_end is not None and self._next_end <= ts:
+                    self._close_windows(touched, out_rows, out_ts)
+        store = self._store
+        for store_key, state in touched.items():
             store.put(store_key, state)
-        store.put(_META_KEY, meta)
+        store.put(_META_KEY, {"watermark": self._watermark})
         self.emit_batch(out_rows, out_ts)
 
-    def _close_windows(self, meta: dict, states: dict, dirty: dict,
-                       out_rows: list, out_ts: list) -> None:
-        """Emit windows whose end the watermark has passed: consults the
-        per-batch state cache before the store (deferred puts haven't
-        landed yet) and collects the output rows."""
-        watermark = meta["watermark"]
-        if watermark is None:
-            return
-        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
-            if wend > watermark:
-                continue
-            state = states.pop(store_key, None)
-            if state is None:
-                state = self._store.get(store_key)
-            dirty.pop(store_key, None)  # closed: never write it back
-            meta["open"].pop(store_key)
-            if state is None:
-                continue
-            self._store.delete(store_key)
-            out_rows.append(self._window_row(state, wend))
-            out_ts.append(wend)
+    def _close_windows(self, touched: dict, out_rows: list,
+                       out_ts: list) -> None:
+        """Emit and delete every window whose end the watermark has
+        reached: in end order, each end's windows in creation order."""
+        retain_ms = self.node.retain_ms
+        for wstart in sorted(self._open):
+            wend = wstart + retain_ms
+            if wend > self._watermark:
+                break
+            for store_key, state in self._open.pop(wstart).items():
+                touched.pop(store_key, None)  # closed: never write it back
+                self._store.delete(store_key)
+                out_rows.append(self._window_row(state, wend))
+                out_ts.append(wend)
+        self._next_end = self._first_end()
 
     def emit_partials(self) -> None:
         """Early-results policy: emit current partial aggregates for every
         open window *without* closing it — late tuples keep updating the
         window and trigger re-emission when it finally closes."""
-        meta = self._store.get(_META_KEY)
-        if meta is None:
-            return
-        self._emit_windows(meta, delete=False)
-
-    def flush(self) -> None:
-        """Force-emit every open window (end of bounded input / shutdown)."""
-        meta = self._store.get(_META_KEY)
-        if meta is None:
-            return
-        self._emit_windows(meta, delete=True)
-        meta["open"] = {}
-        self._store.put(_META_KEY, meta)
-
-    def _emit_windows(self, meta: dict, delete: bool) -> None:
-        """Emit every open window in end order, one batch downstream."""
         out_rows, out_ts = [], []
-        for store_key, wend in sorted(meta["open"].items(), key=lambda kv: kv[1]):
-            state = self._store.get(store_key)
-            if state is not None:
-                if delete:
-                    self._store.delete(store_key)
+        for wstart in sorted(self._open):
+            wend = wstart + self.node.retain_ms
+            for state in self._open[wstart].values():
                 out_rows.append(self._window_row(state, wend))
                 out_ts.append(wend)
         self.emit_batch(out_rows, out_ts)

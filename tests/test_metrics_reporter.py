@@ -7,7 +7,7 @@ import io
 
 from repro.common import VirtualClock
 from repro.common.metrics import MetricsRegistry, Timer
-from repro.kafka import KafkaCluster
+from repro.kafka import KafkaCluster, Producer
 from repro.metrics import (
     METRICS_SNAPSHOT_SCHEMA,
     METRICS_STREAM,
@@ -363,6 +363,28 @@ def test_window_state_size_gauge():
     sizes = [r["value"] for r in handle.snapshots()
              if r["metric"] == "window-state-size"]
     assert sizes and sum(sizes) > 0
+
+
+def test_late_rows_gauge():
+    """A row for a window the watermark already closed is dropped, and
+    the group window's ``late-rows`` gauge counts it."""
+    env = make_env()
+    env.shell.register_stream("Orders", ORDERS_SCHEMA, partitions=1)
+    serde = AvroSerde(ORDERS_SCHEMA)
+    producer = Producer(env.cluster)
+    # the second order closes [960 000, 1 020 000); the third is late for it
+    for order_id, ts in enumerate((1_000_000, 1_070_000, 1_000_500)):
+        producer.send("Orders", serde.to_bytes(
+            {"rowtime": ts, "productId": 0, "orderId": order_id,
+             "units": 1}), key=b"0", timestamp_ms=ts)
+    handle = env.shell.execute(
+        "SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c "
+        "FROM Orders GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)")
+    env.run_until_quiescent()
+    assert [r["c"] for r in handle.results()] == [1]
+    late = [r["value"] for r in handle.snapshots()
+            if r["metric"] == "late-rows"]
+    assert late and late[-1] == 1
 
 
 def test_cli_metrics_command_renders_snapshots():

@@ -415,16 +415,9 @@ class TestGroupWindowOperator:
         operator.process(0, [10, "k", 1], 10)
         operator.process(0, [150, "k", 1], 150)  # closes [0,100)
         operator.process(0, [20, "k", 9], 20)    # late for a closed window
-        assert operator.late_dropped == 1
+        assert operator.late_rows == 1
         # re-close never happens for that window
         assert len(sink.rows) == 1
-
-    def test_flush_emits_open_windows(self):
-        operator, sink = self._operator()
-        operator.process(0, [10, "k", 1], 10)
-        operator.flush()
-        [(row, _)] = sink.rows
-        assert row == [0, 100, "k", 1, 1]
 
     def test_emit_partials_keeps_windows_open(self):
         operator, sink = self._operator()
@@ -437,6 +430,73 @@ class TestGroupWindowOperator:
         assert len(window_rows) == 2
         assert window_rows[0][3] == 1  # partial count
         assert window_rows[1][3] == 2  # final count
+
+    @staticmethod
+    def _restored(changelog, kind="HOP", emit=100, retain=250):
+        """An operator over the container's store stack, its bytes store
+        restored from ``changelog``, which then takes its writes."""
+        layout = GROUP_STORES["sql-group-windows"]
+        memory = InMemoryKeyValueStore()
+        memory.write_batch(changelog)
+        store = WriteBehindKeyValueStore(typed_store(layout, LoggedKeyValueStore(
+            memory, changelog.extend)), layout.key_serde())
+        operator = GroupWindowAggOperator(group_node(
+            [agg("COUNT"), agg("SUM", 2)], ["wstart", "wend", "key", "c", "s"],
+            kind, emit, retain))
+        operator.setup(OperatorContext({"sql-group-windows": store},
+                                       send_batch=None))
+        sink = Sink()
+        operator.downstream = sink
+        return operator, sink, store
+
+    @staticmethod
+    def _feed(operator, rows, batch=5):
+        for i in range(0, len(rows), batch):
+            chunk = rows[i:i + batch]
+            operator.process_batch(0, chunk, [row[0] for row in chunk])
+
+    def test_restore_continues_like_the_uninterrupted_operator(self):
+        """Operator A runs on after a commit; operator B starts from the
+        changelog of that commit.  Fed the same rows, a late one
+        included, both emit the same rows in the same order, hold the same
+        windows and write the same changelog.  Every key reports at each
+        tick, in key order, so a window's creation order is its key order
+        (the order a restore gives windows of one end)."""
+        rows = [[t, key, t % 7] for t in range(0, 1000, 20)
+                for key in ("a", "b", "c")]
+        committed, rest = rows[:80], rows[80:]
+        rest.insert(10, [5, "a", 1])  # all three of its windows are closed
+        log_a = []
+        first, sink_a, store_a = self._restored(log_a)
+        self._feed(first, committed)
+        store_a.flush()
+        log_b = list(log_a)
+        restored, sink_b, store_b = self._restored(log_b)
+        assert restored.state_size() == first.state_size() > 0
+        emitted = len(sink_a.rows)
+        for operator in (first, restored):
+            self._feed(operator, rest)
+        assert sink_b.rows == sink_a.rows[emitted:]
+        assert len(sink_b.rows) == 15  # ends 550 to 950, three keys each
+        assert restored.state_size() == first.state_size() > 0
+        assert restored.late_rows == first.late_rows == 3
+        store_a.flush()
+        store_b.flush()
+        assert dict(store_b.all()) == dict(store_a.all())
+        assert log_b == log_a
+
+    def test_restored_windows_of_one_end_come_back_in_key_order(self):
+        """Creation order is not persisted: windows restored with the same
+        end are emitted in store-key order, the same rows."""
+        log = []
+        first, sink_a, store = self._restored(log, "TUMBLE", 100, 100)
+        self._feed(first, [[10, "b", 1], [20, "a", 2]])
+        store.flush()
+        restored, sink_b, _ = self._restored(list(log), "TUMBLE", 100, 100)
+        for operator in (first, restored):
+            operator.process(0, [150, "c", 0], 150)
+        assert [row[2] for row, _ in sink_a.rows] == ["b", "a"]
+        assert [row[2] for row, _ in sink_b.rows] == ["a", "b"]
 
     def test_keys_isolated(self):
         operator, sink = self._operator()
@@ -963,4 +1023,4 @@ class TestBatchEquivalence:
         batched = make_operator()
         wire(batched, GROUP_STORES)
         batched.process_batch(0, list(rows), [r[0] for r in rows])
-        assert batched.late_dropped == single.late_dropped
+        assert batched.late_rows == single.late_rows

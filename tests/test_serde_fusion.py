@@ -45,6 +45,11 @@ JOIN_SQL = ("SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
             "Orders.units, Products.supplierId FROM Orders JOIN Products "
             "ON Orders.productId = Products.productId")
 
+#: A HOP group window: interpreted, its open windows in a changelogged store.
+HOP_SQL = ("SELECT STREAM START(rowtime) AS ws, productId, COUNT(*) AS c, "
+           "SUM(units) AS s FROM Orders GROUP BY "
+           "HOP(rowtime, INTERVAL '10' SECOND, INTERVAL '20' SECOND), productId")
+
 
 def enable_metrics(dep):
     """Give the fixture's hand-built shell a default environment's
@@ -240,6 +245,44 @@ class TestCrashMidBatchElision:
 
     def test_crash_mid_batch_replays_identically_with_metrics_on(self):
         self.test_crash_mid_batch_replays_identically(metrics=True)
+
+    @pytest.mark.parametrize("crash_at", [35, 55])
+    def test_group_window_restores_its_open_windows(self, crash_at):
+        """A crash of an interpreted group-window task, past its first
+        commit: the relaunch fills the open windows from the restored
+        ``sql-group-windows`` store, and the replayed suffix closes them
+        as the uncrashed run does."""
+        outputs = {}
+        for crash in (crash_at, None):
+            schedule = FaultSchedule.script()
+            if crash is not None:
+                schedule.add_crash(crash)
+            dep, injector = chaos_sql_deployment(schedule)
+            handle = dep.shell.execute(
+                HOP_SQL, containers=2, config_overrides={
+                    "task.checkpoint.interval.messages": 10,
+                    "task.poll.batch.size": 8,
+                })
+            supervisor = ChaosSupervisor(dep.runner, injector,
+                                         zk=dep.shell.zk)
+            supervisor.run_until_quiescent()
+            assert supervisor.restarts == (crash is not None)
+            with injector.suspended():
+                outputs[crash] = {repr(sorted(r.items()))
+                                  for r in handle.results()}
+                table = {repr(sorted(r.items()))
+                         for r in table_rows(dep, HOP_SQL)}
+            if crash is not None:
+                restored = sum(
+                    gauge.value
+                    for container in handle.master.samza_containers.values()
+                    for group, metric, gauge in container.metrics.gauges()
+                    if metric == "restored-entries"
+                    and group.startswith("store.sql-group-windows."))
+                assert restored > 0
+        assert outputs[crash_at] == outputs[None]
+        assert len(outputs[None]) == 70
+        assert outputs[crash_at] <= table
 
     def test_fused_join_restores_its_relation(self):
         """A crash inside a poll batch of the fused join, after an upsert
