@@ -44,10 +44,6 @@ class _DictStore(KeyValueStore):
     def delete(self, key):
         self._data.pop(key, None)
 
-    def range(self, from_key, to_key):
-        return ((key, self._data[key]) for key in sorted(self._data)
-                if from_key <= key < to_key)
-
     def all(self):
         return ((key, self._data[key]) for key in sorted(self._data))
 

@@ -104,51 +104,3 @@ def measure_query(query: str, variant: str, messages: int = 4000,
 
     return measure(query, variant, messages=messages, partitions=partitions)
 
-
-def profile_operators(query: str, messages: int = 4000, partitions: int = 32,
-                      containers: int = 1) -> list[dict]:
-    """Per-operator profile of one benchmark query, read from the
-    ``__metrics`` snapshot stream (not by reaching into registries).
-
-    Returns one dict per operator: messages in/out summed over partitions,
-    worst-partition p95 process time (on a fused query the
-    leaf operator carries the whole chain's timer, the others read 0),
-    and retained window state.
-    """
-    from repro.bench.calibration import (
-        SQL_QUERIES,
-        _build_runtime,
-        _feed_workload,
-    )
-    from repro.workloads.orders import padded_orders_schema
-    from repro.workloads.products import PRODUCTS_SCHEMA
-
-    env = _build_runtime(partitions, metrics_interval_ms=1_000)
-    _feed_workload(env.cluster, query, messages, partitions)
-    env.shell.register_stream("Orders", padded_orders_schema(),
-                              partitions=partitions)
-    if query == "join":
-        env.shell.register_table("Products", PRODUCTS_SCHEMA,
-                                 key_field="productId", partitions=partitions)
-    env.shell.execute(SQL_QUERIES[query], containers=containers)
-    env.run_until_quiescent()
-
-    ops: dict[str, dict] = {}
-    for record in env.metrics(force=True):
-        if not record["operator"]:
-            continue
-        entry = ops.setdefault(record["operator"], {
-            "operator": record["operator"], "messages_in": 0.0,
-            "messages_out": 0.0, "process_ns_p95": 0.0,
-            "window_state_size": 0.0,
-        })
-        if record["metric"] == "messages-in":
-            entry["messages_in"] += record["value"]
-        elif record["metric"] == "messages-out":
-            entry["messages_out"] += record["value"]
-        elif record["metric"] == "process-ns.p95":
-            entry["process_ns_p95"] = max(entry["process_ns_p95"],
-                                          record["value"])
-        elif record["metric"] == "window-state-size":
-            entry["window_state_size"] += record["value"]
-    return sorted(ops.values(), key=lambda e: e["operator"])

@@ -246,12 +246,11 @@ def _changelogged_store(write_behind: bool) -> "SerializedKeyValueStore":
     """One store as the container stacks it: in-memory → changelog →
     serde, optionally topped with the write-behind dirty map."""
     changelog: list = []
-    key_serde = ObjectSerde()
     store = SerializedKeyValueStore(
         LoggedKeyValueStore(InMemoryKeyValueStore(), changelog.extend),
-        key_serde, ObjectSerde())
+        ObjectSerde(), ObjectSerde())
     if write_behind:
-        store = WriteBehindKeyValueStore(store, key_serde)
+        store = WriteBehindKeyValueStore(store)
     return store
 
 

@@ -19,18 +19,10 @@ import random
 from typing import Callable, TypeVar
 
 from repro.common.clock import Clock, SystemClock
-from repro.common.config import Config
 from repro.common.errors import ConfigError, RetryExhaustedError, TransientKafkaError
 from repro.common.metrics import MetricsRegistry
 
 T = TypeVar("T")
-
-#: Config keys understood by :meth:`RetryPolicy.from_config`.
-MAX_ATTEMPTS_KEY = "task.retry.max.attempts"
-BASE_BACKOFF_KEY = "task.retry.backoff.ms"
-MAX_BACKOFF_KEY = "task.retry.max.backoff.ms"
-MULTIPLIER_KEY = "task.retry.backoff.multiplier"
-JITTER_KEY = "task.retry.backoff.jitter"
 
 
 class RetryPolicy:
@@ -60,20 +52,6 @@ class RetryPolicy:
         self._retries = registry.counter(group, "retries")
         self._exhausted = registry.counter(group, "retries.exhausted")
         self._backoff_ms = registry.counter(group, "backoff.ms")
-
-    @classmethod
-    def from_config(cls, config: Config, clock: Clock | None = None,
-                    metrics: MetricsRegistry | None = None,
-                    group: str = "retry") -> "RetryPolicy":
-        """Build a policy from ``task.retry.*`` keys (sane defaults)."""
-        return cls(
-            max_attempts=config.get_int(MAX_ATTEMPTS_KEY, 8),
-            base_backoff_ms=config.get_float(BASE_BACKOFF_KEY, 10.0),
-            max_backoff_ms=config.get_float(MAX_BACKOFF_KEY, 1_000.0),
-            multiplier=config.get_float(MULTIPLIER_KEY, 2.0),
-            jitter=config.get_float(JITTER_KEY, 0.2),
-            clock=clock, metrics=metrics, group=group,
-        )
 
     # -- introspection -------------------------------------------------------
 

@@ -116,17 +116,12 @@ class SamzaContainer:
         self._checkpoints = checkpoint_manager
         self._fault_injector = fault_injector
 
-        # Transient broker errors are survived by backing off and retrying
-        # (tunable via task.retry.*); only exhaustion fails the container.
-        self._retry = RetryPolicy.from_config(
-            config, clock=self.clock, metrics=self.metrics,
+        # Transient broker errors are survived by backing off and
+        # retrying; only exhaustion fails the container.
+        self._retry = RetryPolicy(
+            clock=self.clock, metrics=self.metrics,
             group=f"container-{container_id}-retry")
-        self._consumer = Consumer(
-            cluster,
-            fetch_max_records_per_partition=config.get_int(
-                "systems.kafka.consumer.fetch.max.records", 100),
-            retry_policy=self._retry,
-        )
+        self._consumer = Consumer(cluster, retry_policy=self._retry)
         self._producer = Producer(cluster, retry_policy=self._retry)
         self._collector = _Collector(self)
         # stream -> {key -> (key_bytes, partition)} for the pre-serialized
@@ -319,11 +314,9 @@ class SamzaContainer:
                         lambda: self.cluster.produce_batch(_tp, stamped))
 
                 bytes_store = LoggedKeyValueStore(memory, log_batch)
-            key_serde = self.serdes.get(spec.key_serde)
-            store = WriteBehindKeyValueStore(
-                SerializedKeyValueStore(
-                    bytes_store, key_serde, self.serdes.get(spec.msg_serde)),
-                key_serde)
+            store = WriteBehindKeyValueStore(SerializedKeyValueStore(
+                bytes_store, self.serdes.get(spec.key_serde),
+                self.serdes.get(spec.msg_serde)))
             group = f"store.{spec.name}.p{model.partition_id}"
             self.metrics.gauge(group, "dirty-entries",
                                fn=lambda s=store: s.dirty_count)

@@ -7,11 +7,12 @@ task failure."
 
 The stack, bottom to top:
 
-* :class:`InMemoryKeyValueStore` — bytes→bytes sorted store (the RocksDB
-  role), the memtable.  Keys sort by their serialized bytes, so a scan
-  is in key order exactly when the key serde preserves order: the SQL
-  operators' stores use :mod:`repro.serde.state_codecs`, whose keys do,
-  and rebuild each window or join buffer from one ordered scan.
+* :class:`InMemoryKeyValueStore` — bytes→bytes store (the RocksDB role),
+  the memtable: one unsorted dict.  ``all()`` sorts its keys once per
+  scan, so a scan is in key order exactly when the key serde preserves
+  order: the SQL operators' stores use :mod:`repro.serde.state_codecs`,
+  whose keys do, and rebuild each window or join buffer from one ordered
+  scan.
 * :class:`LoggedKeyValueStore` — write-*ahead* mirror to a compacted
   changelog topic partition: each batch is logged, then applied, so the
   memtable is always the materialised changelog.  A tombstone for a key
@@ -39,11 +40,15 @@ Every layer has exactly one write path, ``write_batch(entries)``; ``put``
 and ``delete`` are batches of one.  Entries are ``(key, value)`` pairs, at
 most one per key; a delete is :data:`TOMBSTONE` at the object layers and
 ``None`` (the changelog's own tombstone) at the bytes layers.
+
+Reads are ``get`` and the full ``all()`` scan; there are no range scans.
+The sliding-window, relation-join, group-window and multi-way join
+operators scan each of their stores once, in ``setup``, and hold the
+decoded state themselves from then on.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import StateStoreError
@@ -65,7 +70,7 @@ _MISSING = object()
 
 
 class KeyValueStore:
-    """Interface: get/put/delete/range/all/flush over ordered keys."""
+    """Interface: get/put/delete/all/flush over hashable keys."""
 
     def get(self, key: Any) -> Any:
         raise NotImplementedError
@@ -85,11 +90,8 @@ class KeyValueStore:
             else:
                 self.put(key, value)
 
-    def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
-        """Entries with ``from_key <= key < to_key`` in key order."""
-        raise NotImplementedError
-
     def all(self) -> Iterator[tuple[Any, Any]]:
+        """Every entry, in serialized-key order."""
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -100,11 +102,10 @@ class KeyValueStore:
 
 
 class InMemoryKeyValueStore(KeyValueStore):
-    """Sorted bytes→bytes store (dict + sorted key list)."""
+    """Bytes→bytes store: one dict, sorted only when scanned."""
 
     def __init__(self):
         self._data: dict[bytes, bytes] = {}
-        self._sorted_keys: list[bytes] = []
 
     @staticmethod
     def _check_key(key: Any) -> bytes:
@@ -124,35 +125,19 @@ class InMemoryKeyValueStore(KeyValueStore):
     def write_batch(self, entries: Iterable[tuple[bytes, bytes | None]]) -> None:
         """Apply ``(key, value)`` records in order; ``None`` deletes (a
         changelog tombstone) — so a restore is one batch of the log."""
-        data, sorted_keys, check_key = self._data, self._sorted_keys, self._check_key
+        data, check_key = self._data, self._check_key
         for key, value in entries:
             key = check_key(key)
             if value is None:
-                if key in data:
-                    del data[key]
-                    del sorted_keys[bisect_left(sorted_keys, key)]
+                data.pop(key, None)
                 continue
             if not isinstance(value, (bytes, bytearray)):
                 raise StateStoreError(f"store values must be bytes, got {type(value).__name__}")
-            if key not in data:
-                insort(sorted_keys, key)
             data[key] = bytes(value)
 
-    def range(self, from_key: bytes, to_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        from_key = self._check_key(from_key)
-        to_key = self._check_key(to_key)
-        if from_key > to_key:
-            raise StateStoreError("range requires from_key <= to_key")
-        start = bisect_left(self._sorted_keys, from_key)
-        for index in range(start, len(self._sorted_keys)):
-            key = self._sorted_keys[index]
-            if key >= to_key:
-                return
-            yield key, self._data[key]
-
     def all(self) -> Iterator[tuple[bytes, bytes]]:
-        for key in self._sorted_keys:
-            yield key, self._data[key]
+        data = self._data
+        return ((key, data[key]) for key in sorted(data))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -198,9 +183,6 @@ class LoggedKeyValueStore(KeyValueStore):
             self._log(records)
             self._backing.write_batch(records)
 
-    def range(self, from_key: bytes, to_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        return self._backing.range(from_key, to_key)
-
     def all(self) -> Iterator[tuple[bytes, bytes]]:
         return self._backing.all()
 
@@ -236,12 +218,6 @@ class SerializedKeyValueStore(KeyValueStore):
             (key_bytes(key), None if value is TOMBSTONE else value_bytes(value))
             for key, value in entries)
 
-    def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
-        raw_from = self._key_serde.to_bytes(from_key)
-        raw_to = self._key_serde.to_bytes(to_key)
-        for raw_key, raw_value in self._backing.range(raw_from, raw_to):
-            yield self._key_serde.from_bytes(raw_key), self._value_serde.from_bytes(raw_value)
-
     def all(self) -> Iterator[tuple[Any, Any]]:
         for raw_key, raw_value in self._backing.all():
             yield self._key_serde.from_bytes(raw_key), self._value_serde.from_bytes(raw_value)
@@ -267,24 +243,30 @@ class WriteBehindKeyValueStore(KeyValueStore):
 
     Semantics:
 
+    * **Keys must be hashable**: the dirty map and the live-key set hold
+      them.  SQL store keys are tuples, ints and strings; native task
+      stores use strings and tuples.
     * **Values are captured by reference.**  The bytes written at flush
       reflect the object's state *at flush time*, i.e. exactly the state
       the accompanying checkpoint describes.  (Operators that mutate a
       record in place after ``put`` get commit-consistent snapshots for
       free; this is intentional.)
-    * **Reads see writes.**  ``get`` consults the dirty map first — a
-      dirty key costs a dict lookup, zero serde.  ``range``/``all`` merge
-      the dirty map with the backing scan in serialized-key order (the
-      order the backing store sorts by), skipping tombstoned keys, without
-      spilling anything down — scans never cause early changelog writes,
-      preserving "no changelog entries between commits".
+    * **``get`` sees writes.**  It consults the dirty map first — a dirty
+      key costs a dict lookup, zero serde.
+    * **``all()`` scans what is below, and only that.**  It is the open
+      scan: it must run with no deferred writes pending (when the store
+      opens, or after a flush) and raises :class:`StateStoreError`
+      otherwise.  It never flushes to make the scan possible — that would
+      put changelog records ahead of the checkpoint, and a task that is
+      not idempotent (a counter) would then apply its replayed suffix
+      twice after a crash.
     * **Commit pays for net change only.**  The store keeps the exact set
       of keys it knows are live below it: empty when it opens over an
       empty backing store, learned from the first ``all()`` scan otherwise
-      (the sliding-window, stream-join and relation-join operators each
-      scan their stores once in ``setup``, so after a restore the set is
-      known before the first write), and brought up to date by each
-      successful flush.
+      (the sliding-window, relation-join, group-window and multi-way join
+      operators each scan their stores once in ``setup``, so after a
+      restore the set is known before the first write), and brought up to
+      date by each successful flush.
       Until it has opened empty or been scanned the set is *unknown* and
       every delete is deferred as a tombstone (which the logged layer
       still drops if the key turns out to be absent).  Once it is known,
@@ -308,14 +290,10 @@ class WriteBehindKeyValueStore(KeyValueStore):
       the last commit, and replay regenerates the lost suffix — producing
       byte-identical state because the replayed inputs start from exactly
       the state they originally started from.
-
-    Unhashable keys (none of the runtime's stores use any) fall back to
-    immediate write-through.
     """
 
-    def __init__(self, backing: KeyValueStore, key_serde: Serde):
+    def __init__(self, backing: KeyValueStore):
         self._backing = backing
-        self._key_serde = key_serde
         # key -> object value, or TOMBSTONE for a deferred delete;
         # insertion-ordered so flush order — and with it the changelog
         # byte stream — is deterministic under replay.
@@ -331,87 +309,33 @@ class WriteBehindKeyValueStore(KeyValueStore):
         return len(self._dirty)
 
     def get(self, key: Any) -> Any:
-        try:
-            value = self._dirty.get(key, _MISSING)
-        except TypeError:
-            return self._backing.get(key)
+        value = self._dirty.get(key, _MISSING)
         if value is _MISSING:
             return self._backing.get(key)
         return None if value is TOMBSTONE else value
 
     def put(self, key: Any, value: Any) -> None:
-        try:
-            self._dirty[key] = value
-        except TypeError:  # unhashable key: write through immediately
-            self._backing.put(key, value)
+        self._dirty[key] = value
 
     def delete(self, key: Any) -> None:
         live = self._live
-        try:
-            if live is not None and key not in live:
-                self._dirty.pop(key, None)  # known absent below: no tombstone
-                self.elided_count += 1
-            else:
-                self._dirty[key] = TOMBSTONE
-        except TypeError:
-            self._backing.delete(key)
-
-    # -- merged scans ---------------------------------------------------------
-
-    def _dirty_sorted(self) -> list[tuple[bytes, Any, Any]]:
-        """Dirty entries as (serialized_key, key, value), in byte order —
-        the order the backing store's scans yield keys in."""
-        to_bytes = self._key_serde.to_bytes
-        return sorted(((to_bytes(key), key, value)
-                       for key, value in self._dirty.items()),
-                      key=lambda entry: entry[0])
-
-    def _merge(self, backing_iter: Iterator[tuple[Any, Any]],
-               dirty: list[tuple[bytes, Any, Any]]) -> Iterator[tuple[Any, Any]]:
-        to_bytes = self._key_serde.to_bytes
-        index, count = 0, len(dirty)
-        for backing_key, backing_value in backing_iter:
-            raw = to_bytes(backing_key)
-            while index < count and dirty[index][0] < raw:
-                _, key, value = dirty[index]
-                index += 1
-                if value is not TOMBSTONE:
-                    yield key, value
-            if index < count and dirty[index][0] == raw:
-                _, key, value = dirty[index]  # dirty entry shadows backing
-                index += 1
-                if value is not TOMBSTONE:
-                    yield key, value
-                continue
-            yield backing_key, backing_value
-        while index < count:
-            _, key, value = dirty[index]
-            index += 1
-            if value is not TOMBSTONE:
-                yield key, value
-
-    def range(self, from_key: Any, to_key: Any) -> Iterator[tuple[Any, Any]]:
-        if not self._dirty:
-            return self._backing.range(from_key, to_key)
-        raw_from = self._key_serde.to_bytes(from_key)
-        raw_to = self._key_serde.to_bytes(to_key)
-        dirty = [entry for entry in self._dirty_sorted()
-                 if raw_from <= entry[0] < raw_to]
-        return self._merge(self._backing.range(from_key, to_key), dirty)
+        if live is not None and key not in live:
+            self._dirty.pop(key, None)  # known absent below: no tombstone
+            self.elided_count += 1
+        else:
+            self._dirty[key] = TOMBSTONE
 
     def all(self) -> Iterator[tuple[Any, Any]]:
-        backing_iter = self._backing.all()
-        if self._live is None:
-            # First full scan: learn which keys are live below.
-            entries = list(backing_iter)
-            try:
-                self._live = {key for key, _ in entries}
-            except TypeError:  # unhashable keys: stay unknown
-                pass
-            backing_iter = iter(entries)
-        if not self._dirty:
-            return backing_iter
-        return self._merge(backing_iter, self._dirty_sorted())
+        if self._dirty:
+            raise StateStoreError(
+                f"scan with {len(self._dirty)} deferred writes pending: "
+                "a store is scanned when it opens or after a flush")
+        if self._live is not None:
+            return self._backing.all()
+        # First full scan: learn which keys are live below.
+        entries = list(self._backing.all())
+        self._live = {key for key, _ in entries}
+        return iter(entries)
 
     def flush(self) -> None:
         """Push the deferred mutations down as one batch (serde + changelog

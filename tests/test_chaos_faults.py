@@ -12,7 +12,6 @@ from repro.chaos.faults import (
     PRODUCE_ERROR,
 )
 from repro.common import (
-    Config,
     ConfigError,
     ContainerCrashError,
     RetryExhaustedError,
@@ -87,18 +86,6 @@ class TestRetryPolicy:
         seq_b = [b.backoff_ms(1) for _ in range(5)]
         assert seq_a == seq_b
         assert all(80 <= d <= 120 for d in seq_a)
-
-    def test_from_config_reads_task_retry_keys(self):
-        config = Config({
-            "task.retry.max.attempts": 4,
-            "task.retry.backoff.ms": 5,
-            "task.retry.max.backoff.ms": 50,
-            "task.retry.backoff.multiplier": 3.0,
-            "task.retry.backoff.jitter": 0.0,
-        })
-        policy = RetryPolicy.from_config(config, clock=VirtualClock(0))
-        assert policy.max_attempts == 4
-        assert [policy.backoff_ms(a) for a in range(1, 4)] == [5, 15, 45]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):

@@ -101,6 +101,7 @@ class TestStatefulJob:
         produce_orders(cluster, 100, partitions=2)
         master = runner.submit(self._job(cluster))
         runner.run_until_quiescent()
+        master.finish()  # the final commit flushes: nothing left deferred
         totals = {}
         for container in master.samza_containers.values():
             for task in container.tasks.values():

@@ -35,7 +35,7 @@ def _stack_over(memory, sink, serde=None, value_serde=None):
     serde = serde or ObjectSerde()
     serialized = _RecordingSerializedStore(
         LoggedKeyValueStore(memory, sink), serde, value_serde or serde)
-    return WriteBehindKeyValueStore(serialized, serde), serialized
+    return WriteBehindKeyValueStore(serialized), serialized
 
 
 def _replay(log):
@@ -66,22 +66,6 @@ class TestInMemoryStore:
         assert store.get(b"k") == b"2"
         assert len(store) == 1
 
-    def test_range_is_sorted_half_open(self):
-        store = InMemoryKeyValueStore()
-        for key in (b"d", b"a", b"c", b"b"):
-            store.put(key, key.upper())
-        assert list(store.range(b"b", b"d")) == [(b"b", b"B"), (b"c", b"C")]
-
-    def test_range_empty(self):
-        store = InMemoryKeyValueStore()
-        store.put(b"a", b"1")
-        assert list(store.range(b"x", b"z")) == []
-
-    def test_range_reversed_bounds_raise(self):
-        store = InMemoryKeyValueStore()
-        with pytest.raises(StateStoreError):
-            list(store.range(b"z", b"a"))
-
     def test_all_in_key_order(self):
         store = InMemoryKeyValueStore()
         for key in (b"c", b"a", b"b"):
@@ -107,18 +91,6 @@ class TestInMemoryStore:
         assert dict(store.all()) == entries
         assert [k for k, _ in store.all()] == sorted(entries)
 
-    @given(
-        st.dictionaries(st.binary(min_size=1, max_size=4), st.binary(max_size=4), max_size=30),
-        st.binary(min_size=1, max_size=4), st.binary(min_size=1, max_size=4),
-    )
-    def test_range_matches_filter(self, entries, a, b):
-        lo, hi = min(a, b), max(a, b)
-        store = InMemoryKeyValueStore()
-        for k, v in entries.items():
-            store.put(k, v)
-        expected = sorted((k, v) for k, v in entries.items() if lo <= k < hi)
-        assert list(store.range(lo, hi)) == expected
-
 
 class TestLoggedStore:
     def test_mutations_logged(self):
@@ -134,7 +106,6 @@ class TestLoggedStore:
         store = LoggedKeyValueStore(InMemoryKeyValueStore(), log.extend)
         store.put(b"a", b"1")
         store.get(b"a")
-        list(store.range(b"a", b"b"))
         list(store.all())
         assert len(log) == 1
 
@@ -171,13 +142,6 @@ class TestSerializedStore:
         store.put("k", [1])
         store.delete("k")
         assert store.get("k") is None
-
-    def test_range_decodes(self):
-        store = SerializedKeyValueStore(
-            InMemoryKeyValueStore(), LongSerde(), JsonSerde())
-        for ts in (100, 200, 300):
-            store.put(ts, {"ts": ts})
-        assert [k for k, _ in store.range(100, 300)] == [100, 200]
 
     def test_long_keys_sort_numerically(self):
         """Big-endian longs keep numeric order in the bytes store — the
@@ -313,7 +277,9 @@ class TestWriteBehindStore:
         # the flush taught it nothing about *other* keys: still unknown
         wb.put("again", 1)
         wb.delete("again")
-        assert wb.elided_count == 0
+        assert wb.elided_count == 0 and wb.get("again") is None
+        wb.flush()                      # the tombstone goes down, unlogged
+        assert log == [(serde.to_bytes("orphan"), None)]
         # ...one complete scan does
         assert list(wb.all()) == []
         wb.put("again", 1)
@@ -336,26 +302,23 @@ class TestWriteBehindStore:
         assert log == [(serde.to_bytes("orphan"), None)]
         assert len(memory) == 0
 
-    def test_scan_merges_dirty_and_backing(self):
-        wb, _, log = self._stack()
+    def test_scan_with_deferred_writes_raises_and_logs_nothing(self):
+        """A scan sees only what is below, so it must not run with writes
+        pending; nor may it flush them, which would log ahead of the
+        checkpoint."""
+        wb, inner, log = self._stack()
         wb.put(1, "flushed")
         wb.put(3, "flushed")
         wb.flush()
-        flushed_log = len(log)
+        flushed_log = list(log)
         wb.put(2, "dirty")
-        wb.put(4, "dirty")
         wb.delete(3)
-        assert list(wb.all()) == [(1, "flushed"), (2, "dirty"), (4, "dirty")]
-        assert list(wb.range(1, 4)) == [(1, "flushed"), (2, "dirty")]
-        # scans never spill: no changelog traffic between commits
-        assert len(log) == flushed_log
-
-    def test_scan_dirty_shadows_backing(self):
-        wb, _, _ = self._stack()
-        wb.put(1, "old")
+        with pytest.raises(StateStoreError):
+            wb.all()
+        assert log == flushed_log
+        assert wb.dirty_count == 2 and inner.get(3) == "flushed"
         wb.flush()
-        wb.put(1, "new")
-        assert list(wb.all()) == [(1, "new")]
+        assert list(wb.all()) == [(1, "flushed"), (2, "dirty")]
 
     def test_len_accounts_for_dirty(self):
         wb, _, _ = self._stack()
@@ -425,7 +388,9 @@ class TestFlushFailureOrdering:
             wb.flush()
         assert list(memory.all()) == committed      # nothing applied
         assert wb.dirty_count == 3                  # nothing forgotten
-        assert dict(wb.all()) == {"overwritten": 2, "fresh": 1}
+        assert {key: wb.get(key) for key in ("persisted", "never",
+                "overwritten", "fresh")} == {
+            "persisted": None, "never": None, "overwritten": 2, "fresh": 1}
 
         wb.flush()
         assert calls[2] == calls[1]                 # the same batch again
@@ -439,7 +404,6 @@ _OPS = st.one_of(
     st.tuples(st.just("put"), _KEYS, st.integers(0, 3)),
     st.tuples(st.just("delete"), _KEYS),
     st.tuples(st.just("get"), _KEYS),
-    st.tuples(st.just("range"), _KEYS, _KEYS),
     st.tuples(st.sampled_from(["all", "len", "flush", "crash"])),
 )
 
@@ -496,14 +460,18 @@ class TestStoreStackAgainstModel:
 
     # derandomize: CI (and the tier-1 gate) must see the same examples on
     # every run; explore locally by raising max_examples and dropping it.
-    # The examples pin, on every stack, the three cases the live-key set
-    # gets wrong when it is never known, never maintained, or ignored.
+    # The first three examples pin, on every stack, the three cases the
+    # live-key set gets wrong when it is never known, never maintained, or
+    # ignored; the last, that an open scan after a restore teaches it.
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(_OPS, max_size=40))
     @example(ops=[("put", 0, 0), ("flush",), ("delete", 0)])
     @example(ops=[("put", 0, 0), ("flush",), ("crash",), ("delete", 0)])
     @example(ops=[("put", 0, 0), ("flush",), ("crash",), ("delete", 1),
                   ("flush",)])
+    @example(ops=[("put", 0, 0), ("flush",), ("crash",), ("all",),
+                  ("put", 1, 1), ("all",), ("delete", 0), ("delete", 1),
+                  ("flush",), ("all",)])
     def test_reads_restores_and_changelog_match_the_model(self, stack, ops):
         key_serde, value_serde, stored = _STACKS[stack]
         to_bytes = key_serde.to_bytes
@@ -543,11 +511,11 @@ class TestStoreStackAgainstModel:
                 model.pop(op[1], None)
             elif kind == "get":
                 assert wb.get(op[1]) == model.get(op[1])
-            elif kind == "range":
-                low, high = sorted(op[1:], key=to_bytes)
-                assert list(wb.range(low, high)) == [
-                    (key, value) for key, value in in_store_order(model)
-                    if to_bytes(low) <= to_bytes(key) < to_bytes(high)]
+            elif kind == "all" and wb.dirty_count:
+                logged_before = len(log)
+                with pytest.raises(StateStoreError):
+                    wb.all()
+                assert len(log) == logged_before
             elif kind == "all":
                 assert list(wb.all()) == in_store_order(model)
             elif kind == "len":

@@ -312,8 +312,7 @@ class TestSlidingWindowOperator:
                 memory.write_batch(changelogs[name])
                 stores[name] = WriteBehindKeyValueStore(
                     typed_store(layout, LoggedKeyValueStore(
-                        memory, changelogs[name].extend)),
-                    layout.key_serde())
+                        memory, changelogs[name].extend)))
             return stores
 
         def feed(operator, rows):
@@ -439,7 +438,7 @@ class TestGroupWindowOperator:
         memory = InMemoryKeyValueStore()
         memory.write_batch(changelog)
         store = WriteBehindKeyValueStore(typed_store(layout, LoggedKeyValueStore(
-            memory, changelog.extend)), layout.key_serde())
+            memory, changelog.extend)))
         operator = GroupWindowAggOperator(group_node(
             [agg("COUNT"), agg("SUM", 2)], ["wstart", "wend", "key", "c", "s"],
             kind, emit, retain))

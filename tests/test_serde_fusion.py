@@ -341,6 +341,91 @@ class TestCrashMidBatchElision:
         assert not any(i == 71 for i, _ in outputs["fused"])
 
 
+def feed_packets(dep, count=30):
+    """Packets 0..count-1 through three routers, one a second."""
+    dep.with_packets(routers=3)
+    for pid in range(count):
+        for router in (1, 2, 3):
+            dep.feed_packet(f"PacketsR{router}", pid, 1_000_000 + pid * 1_000)
+
+
+#: One query per stateful SQL operator kind: (sql, the path its tasks
+#: take, the deployment's set-up beyond the orders).  The 3-way packet
+#: join collapses into one multi-way join operator with a store per input.
+STATEFUL_QUERIES = {
+    "sliding-window": (SLIDING_WINDOW_SQL, "fused", None),
+    "relation-join": (JOIN_SQL, "fused", lambda dep: dep.with_products(10)),
+    "group-window": (HOP_SQL, "interpreted", None),
+    "multi-way-join": (
+        "SELECT STREAM PacketsR1.packetId FROM PacketsR1 " + " ".join(
+            f"JOIN PacketsR{i} ON PacketsR1.rowtime BETWEEN "
+            f"PacketsR{i}.rowtime - INTERVAL '2' SECOND AND "
+            f"PacketsR{i}.rowtime + INTERVAL '2' SECOND AND "
+            f"PacketsR{i - 1}.packetId = PacketsR{i}.packetId"
+            for i in (2, 3)),
+        "interpreted", feed_packets),
+}
+
+
+class TestStoreTrafficUnderRelaunch:
+    """What the store stack serves a SQL job: writes, and one open scan.
+    Every stateful operator holds its state decoded, so across a crash
+    and relaunch no SQL store is read with ``get``, and each store
+    instance — one per task open, the relaunched container's included —
+    is scanned exactly once, with nothing deferred yet."""
+
+    @pytest.mark.parametrize("kind", sorted(STATEFUL_QUERIES))
+    def test_one_open_scan_per_store_and_no_get(self, kind, monkeypatch):
+        from repro.samza.container import SamzaContainer
+        from repro.samza.storage import WriteBehindKeyValueStore
+
+        opened = []  # (store name, instance), in open order
+        build = SamzaContainer._build_stores
+
+        def build_stores(container, model):
+            stores = build(container, model)
+            opened.extend(stores.items())
+            return stores
+
+        gets, scans = {}, {}  # instance -> gets; instance -> dirty at each scan
+        get, scan = WriteBehindKeyValueStore.get, WriteBehindKeyValueStore.all
+
+        def counted_get(store, key):
+            gets[store] = gets.get(store, 0) + 1
+            return get(store, key)
+
+        def counted_scan(store):
+            scans.setdefault(store, []).append(store.dirty_count)
+            return scan(store)
+
+        monkeypatch.setattr(SamzaContainer, "_build_stores", build_stores)
+        monkeypatch.setattr(WriteBehindKeyValueStore, "get", counted_get)
+        monkeypatch.setattr(WriteBehindKeyValueStore, "all", counted_scan)
+
+        sql, path, set_up = STATEFUL_QUERIES[kind]
+        dep, injector = chaos_sql_deployment(
+            FaultSchedule.script().add_crash(35))
+        if set_up is not None:
+            set_up(dep)
+        handle = dep.shell.execute(sql, containers=2, config_overrides={
+            "task.checkpoint.interval.messages": 10,
+            "task.poll.batch.size": 8})
+        supervisor = ChaosSupervisor(dep.runner, injector, zk=dep.shell.zk)
+        supervisor.run_until_quiescent()
+
+        assert supervisor.restarts == 1
+        assert restored_entries(handle.master) > 0
+        assert {task.decision.path for task in sql_tasks(handle)} == {path}
+        with injector.suspended():
+            assert handle.results()
+        tasks = sum(len(c.tasks) for c in handle.master.samza_containers.values())
+        names = {name for name, _ in opened}
+        assert all(name.startswith("sql-") for name in names)
+        assert len(opened) > tasks * len(names)  # the relaunch opened more
+        assert gets == {}
+        assert all(scans.get(store) == [0] for _, store in opened)
+
+
 #: Orders carry productId 0..9; products 0..7 exist (8 and 9 never
 #: match), supplierId = productId % 5 (a residual on it is selective);
 #: suppliers 0..3 exist (supplier 4 never matches).
