@@ -242,15 +242,28 @@ def native_pipeline(query: str, messages: int = 8192) -> MicroPipeline:
 COMMIT_INTERVAL = 500
 
 
+class _LoggedMemtable(InMemoryKeyValueStore):
+    """A memtable that logs each batch (a tombstone only for a key it
+    holds) before applying it."""
+
+    def __init__(self):
+        super().__init__()
+        self._log = LoggedKeyValueStore([].extend)
+
+    def write_batch(self, entries) -> None:
+        records = [(key, value) for key, value in entries
+                   if value is not None or self.get(key) is not None]
+        self._log.write_batch(records)
+        super().write_batch(records)
+
+
 def _changelogged_store(write_behind: bool) -> "SerializedKeyValueStore":
-    """One store as the container stacks it: in-memory → changelog →
-    serde, optionally topped with the write-behind dirty map."""
-    changelog: list = []
-    store = SerializedKeyValueStore(
-        LoggedKeyValueStore(InMemoryKeyValueStore(), changelog.extend),
-        ObjectSerde(), ObjectSerde())
+    """One store over a logged memtable behind the serde, optionally
+    topped with the write-behind dirty map."""
+    store = SerializedKeyValueStore(_LoggedMemtable(), ObjectSerde(),
+                                    ObjectSerde())
     if write_behind:
-        store = WriteBehindKeyValueStore(store)
+        store = WriteBehindKeyValueStore(store, {})
     return store
 
 

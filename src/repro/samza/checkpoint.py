@@ -1,10 +1,10 @@
 """Checkpointing: durable per-task input offsets.
 
 Checkpoints are written to a compacted Kafka topic keyed by task name,
-exactly like Samza's KafkaCheckpointManager.  On restart, the latest
-checkpoint per task is read back and the container seeks its consumers
-there — the paper's durability story: "ensures streams will be replayed
-from the last known checkpointed partition offset".
+exactly like Samza's KafkaCheckpointManager.  On restart, a container
+reads the topic once, keeps the latest checkpoint per task, and seeks its
+consumers there — the paper's durability story: "ensures streams will be
+replayed from the last known checkpointed partition offset".
 """
 
 from __future__ import annotations
@@ -72,22 +72,21 @@ class CheckpointManager:
         value = self._value_serde.to_bytes(checkpoint.to_payload())
         self._call(lambda: self._cluster.produce(self._tp, key, value))
 
-    def read_last_checkpoint(self, task_name: str) -> Checkpoint | None:
-        """Scan the checkpoint partition for the task's latest entry.
+    def read_checkpoints(self) -> dict[str, Checkpoint]:
+        """Every task's latest checkpoint, from one scan of the checkpoint
+        partition (a container reads it once, at start).
 
         A stale start offset (the scan raced retention/compaction) is not
         fatal: the scan restarts once from the current earliest offset.
         """
-        latest: Checkpoint | None = None
         start = self._call(lambda: self._cluster.earliest_offset(self._tp))
         try:
             messages = self._call(lambda: self._cluster.fetch(self._tp, start))
         except OffsetOutOfRangeError:
             fresh = self._cluster.earliest_offset(self._tp)
             messages = self._call(lambda: self._cluster.fetch(self._tp, fresh))
-        for message in messages:
-            if message.key is None or message.value is None:
-                continue
-            if self._key_serde.from_bytes(message.key) == task_name:
-                latest = Checkpoint.from_payload(self._value_serde.from_bytes(message.value))
-        return latest
+        latest = {message.key: message.value for message in messages
+                  if message.key is not None and message.value is not None}
+        task_name, payload = self._key_serde.from_bytes, self._value_serde.from_bytes
+        return {task_name(key): Checkpoint.from_payload(payload(value))
+                for key, value in latest.items()}

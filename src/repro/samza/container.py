@@ -31,13 +31,7 @@ from repro.kafka.message import TopicPartition
 from repro.kafka.producer import Producer, hash_partitioner
 from repro.samza.checkpoint import CheckpointManager
 from repro.samza.serdes import SerdeRegistry
-from repro.samza.storage import (
-    InMemoryKeyValueStore,
-    KeyValueStore,
-    LoggedKeyValueStore,
-    SerializedKeyValueStore,
-    WriteBehindKeyValueStore,
-)
+from repro.samza.storage import KeyValueStore, materialize, open_logged_store
 from repro.samza.system import (
     OutgoingMessageEnvelope,
     SystemStreamPartition,
@@ -67,6 +61,10 @@ class _StoreSpec:
 
 
 _STORE_SUBKEYS = ("changelog", "key.serde", "msg.serde")
+
+
+def _unlogged(records: list) -> None:
+    """The log of a store configured without a changelog."""
 
 
 class _Coordinator(TaskCoordinator):
@@ -233,18 +231,22 @@ class SamzaContainer:
         self._consumer.assign([ssp.topic_partition for ssp in sorted(
             all_ssps, key=lambda s: (s.stream, s.partition))])
 
-        # Restore offsets (checkpoint wins, else earliest) and seek.  A
+        # Restore offsets (checkpoint wins, else earliest) and seek, from
+        # one read of the checkpoint topic for the whole container.  A
         # checkpointed offset can be stale: retention may have evicted it
         # (offset below log start) or the topic may have been recreated
         # (offset beyond the high watermark).  Either way the replay
         # contract is "resume from what still exists" — clamp into the
         # valid range and count the reset rather than crash on restore.
+        checkpoints = (self._checkpoints.read_checkpoints()
+                       if self._checkpoints is not None else {})
         for instance in self.tasks.values():
             earliest = {
                 ssp: self.cluster.earliest_offset(ssp.topic_partition)
                 for ssp in instance.ssps
             }
-            instance.restore_offsets(earliest)
+            instance.restore_offsets(checkpoints.get(instance.task_name),
+                                     earliest)
             for ssp, offset in list(instance.offsets.items()):
                 low = earliest[ssp]
                 high = self.cluster.latest_offset(ssp.topic_partition)
@@ -296,12 +298,11 @@ class SamzaContainer:
     def _build_stores(self, model: TaskModel) -> dict[str, KeyValueStore]:
         stores: dict[str, KeyValueStore] = {}
         for spec in self._store_specs:
-            memory = InMemoryKeyValueStore()
-            bytes_store: KeyValueStore = memory
-            restored = 0
+            committed: dict[bytes, bytes] = {}
+            log_batch = _unlogged
             if spec.changelog_stream is not None:
                 topic = spec.changelog_stream
-                restored = self._restore_store(memory, topic, model.partition_id)
+                committed = self._restore_store(topic, model.partition_id)
                 tp = TopicPartition(topic, model.partition_id)
 
                 def log_batch(records: list, _tp=tp) -> None:
@@ -313,10 +314,9 @@ class SamzaContainer:
                     self._retry.call(
                         lambda: self.cluster.produce_batch(_tp, stamped))
 
-                bytes_store = LoggedKeyValueStore(memory, log_batch)
-            store = WriteBehindKeyValueStore(SerializedKeyValueStore(
-                bytes_store, self.serdes.get(spec.key_serde),
-                self.serdes.get(spec.msg_serde)))
+            store = open_logged_store(
+                committed, self.serdes.get(spec.key_serde),
+                self.serdes.get(spec.msg_serde), log_batch)
             group = f"store.{spec.name}.p{model.partition_id}"
             self.metrics.gauge(group, "dirty-entries",
                                fn=lambda s=store: s.dirty_count)
@@ -327,22 +327,21 @@ class SamzaContainer:
             # Entries the changelog restored when this container opened
             # the store: 0 on a first start, the recovered state after a
             # relaunch.
-            self.metrics.gauge(group, "restored-entries", initial=restored)
+            self.metrics.gauge(group, "restored-entries",
+                               initial=len(committed))
             stores[spec.name] = store
         return stores
 
-    def _restore_store(self, memory: InMemoryKeyValueStore, topic: str,
-                       partition: int) -> int:
-        """Replay the changelog partition into the (empty) store — state
-        restore; returns the number of entries the store then holds."""
+    def _restore_store(self, topic: str, partition: int) -> dict[bytes, bytes]:
+        """State restore: the changelog partition's content, ``{key bytes:
+        value bytes}``, read in one fetch."""
         if not self.cluster.has_topic(topic):
-            return 0
+            return {}
         tp = TopicPartition(topic, partition)
         start = self.cluster.earliest_offset(tp)
         messages = self._retry.call(lambda: self.cluster.fetch(tp, start))
-        memory.write_batch((message.key, message.value) for message in messages
-                           if message.key is not None)
-        return len(memory)
+        return materialize((message.key, message.value)
+                           for message in messages if message.key is not None)
 
     # -- output path ------------------------------------------------------------------
 

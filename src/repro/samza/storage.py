@@ -5,36 +5,31 @@ storage ... The state is modeled as a stream and Samza manages the
 snapshotting and restoration by replaying the state stream in case of a
 task failure."
 
-The stack, bottom to top:
+A container store is, top to bottom, dirty map → committed decoded map →
+serde → log:
 
-* :class:`InMemoryKeyValueStore` — bytes→bytes store (the RocksDB role),
-  the memtable: one unsorted dict.  ``all()`` sorts its keys once per
-  scan, so a scan is in key order exactly when the key serde preserves
-  order: the SQL operators' stores use :mod:`repro.serde.state_codecs`,
-  whose keys do, and rebuild each window or join buffer from one ordered
-  scan.
-* :class:`LoggedKeyValueStore` — write-*ahead* mirror to a compacted
-  changelog topic partition: each batch is logged, then applied, so the
-  memtable is always the materialised changelog.  A tombstone for a key
-  the memtable does not hold is therefore a no-op on restore and is never
-  logged.  Restoration replays the partition.
-* :class:`SerializedKeyValueStore` — object API on top of a bytes store;
-  every access pays the serde cost.  The paper's Figure 6 finding — sliding
-  window throughput "is dominated by access to the key-value store" — falls
-  out of this layer, and its Kryo-vs-Avro join gap comes from which serde
-  is plugged in here (the generic object serde models Kryo; SQL stores
-  get codecs derived from their plan).
-* :class:`WriteBehindKeyValueStore` — object-level dirty map that defers
-  the serde *and* the changelog write of every mutation until ``flush()``,
-  which hands the interval's *net* change down as one batch; a row put and
-  deleted inside one interval that was never persisted costs nothing.
-  The container flushes stores immediately before writing the checkpoint,
-  so the changelog is exactly as current as the checkpoint it accompanies:
-  a crash between commits loses only the uncommitted suffix, which
-  at-least-once replay regenerates deterministically.  This is what takes
-  stateful-operator state maintenance from O(state) serde per message to
-  O(1) — the cure for the Figure 6 bottleneck.  Every container store
-  has this layer on top.
+* :class:`WriteBehindKeyValueStore` — the dirty map, which defers the
+  serde *and* the changelog write of every mutation until ``flush()``,
+  over the committed entries held decoded (the RocksDB role).  The
+  container flushes stores immediately before writing the checkpoint, so
+  the changelog is exactly as current as the checkpoint it accompanies.
+* :class:`SerializedKeyValueStore` — encodes each flushed entry with the
+  store's serdes.  The paper's Figure 6 finding — sliding window
+  throughput "is dominated by access to the key-value store" — came from
+  paying this serde on every access; its Kryo-vs-Avro join gap comes from
+  which serde is plugged in here (the generic object serde models Kryo;
+  SQL stores get codecs derived from their plan).
+* :class:`LoggedKeyValueStore` — hands each encoded batch to the
+  changelog: one produce-batch request on the store's compacted topic
+  partition.  It holds nothing.
+
+A relaunch restores a store with :func:`materialize` over the changelog
+partition (one fetch) and :func:`open_logged_store`, which decodes the
+committed entries once, in serialized-key order, into the top layer.
+
+:class:`InMemoryKeyValueStore` is a plain bytes store for callers that want
+a whole store under the serialized layer (tests, the paper-era micro
+benchmarks); the container builds none.
 
 Every layer has exactly one write path, ``write_batch(entries)``; ``put``
 and ``delete`` are batches of one.  Entries are ``(key, value)`` pairs, at
@@ -95,7 +90,7 @@ class KeyValueStore:
         raise NotImplementedError
 
     def flush(self) -> None:
-        """Push buffered writes down the stack (dirty map -> log -> memory)."""
+        """Push buffered writes down the stack."""
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -124,7 +119,7 @@ class InMemoryKeyValueStore(KeyValueStore):
 
     def write_batch(self, entries: Iterable[tuple[bytes, bytes | None]]) -> None:
         """Apply ``(key, value)`` records in order; ``None`` deletes (a
-        changelog tombstone) — so a restore is one batch of the log."""
+        changelog tombstone)."""
         data, check_key = self._data, self._check_key
         for key, value in entries:
             key = check_key(key)
@@ -144,30 +139,19 @@ class InMemoryKeyValueStore(KeyValueStore):
 
 
 class LoggedKeyValueStore(KeyValueStore):
-    """Write-ahead mirror to a changelog sink.
+    """The changelog sink as a store: holds nothing, reads nothing.
 
-    ``log_fn(records)`` receives each batch's effective ``(key,
-    value_or_None)`` records as one list; the container wires it to one
-    produce-batch request on the store's compacted changelog topic
-    partition.
-
-    Log first, apply second: the backing store only ever holds what the
-    changelog already records, so it *is* the materialised changelog and
-    a tombstone for a key it does not hold — a no-op on restore — is
-    dropped rather than logged.  If ``log_fn`` raises, nothing was applied
-    and the same batch can be written again (records it had already
-    appended are keyed upserts, idempotent under replay); a caller that
-    gives up instead must discard the store, as the container does when a
-    commit fails.
+    ``log_fn(records)`` receives each batch's ``(key, value_or_None)``
+    records as one list; the container wires it to one produce-batch
+    request on the store's compacted changelog topic partition.  If it
+    raises, the layer above keeps its state, so the same batch can be
+    written again (records already appended are keyed upserts, idempotent
+    under replay); a caller that gives up instead must discard the store,
+    as the container does when a commit fails.
     """
 
-    def __init__(self, backing: KeyValueStore,
-                 log_fn: Callable[[list[tuple[bytes, bytes | None]]], None]):
-        self._backing = backing
+    def __init__(self, log_fn: Callable[[list[tuple[bytes, bytes | None]]], None]):
         self._log = log_fn
-
-    def get(self, key: bytes) -> bytes | None:
-        return self._backing.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
         self.write_batch(((key, value),))
@@ -176,21 +160,9 @@ class LoggedKeyValueStore(KeyValueStore):
         self.write_batch(((key, None),))
 
     def write_batch(self, entries: Iterable[tuple[bytes, bytes | None]]) -> None:
-        held = self._backing.get
-        records = [(key, value) for key, value in entries
-                   if value is not None or held(key) is not None]
+        records = list(entries)
         if records:
             self._log(records)
-            self._backing.write_batch(records)
-
-    def all(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._backing.all()
-
-    def flush(self) -> None:
-        self._backing.flush()
-
-    def __len__(self) -> int:
-        return len(self._backing)
 
 
 class SerializedKeyValueStore(KeyValueStore):
@@ -222,67 +194,61 @@ class SerializedKeyValueStore(KeyValueStore):
         for raw_key, raw_value in self._backing.all():
             yield self._key_serde.from_bytes(raw_key), self._value_serde.from_bytes(raw_value)
 
-    def flush(self) -> None:
-        self._backing.flush()
-
     def __len__(self) -> int:
         return len(self._backing)
 
 
 class WriteBehindKeyValueStore(KeyValueStore):
-    """Object-level dirty map deferring serde + changelog writes to flush.
+    """Object-level dirty map over the committed entries, held decoded;
+    serde and changelog writes wait for flush.
 
     ``put``/``delete`` record the *intention* in an insertion-ordered dict
     (deletes as :data:`TOMBSTONE`); nothing below this layer — serde,
-    changelog produce, memtable — runs until ``flush()``, which the task
-    instance calls at commit time immediately before checkpointing input
-    offsets and which hands the whole dirty map down as **one**
-    ``write_batch``.  Per-message state maintenance therefore costs one
-    dict write instead of an O(value) serde round-trip plus a changelog
-    produce, and a commit costs one produce-batch request per store.
+    changelog produce — runs until ``flush()``, which the task instance
+    calls at commit time immediately before checkpointing input offsets
+    and which hands the whole dirty map down as **one** ``write_batch``.
+    Per-message state maintenance therefore costs one dict write instead
+    of an O(value) serde round-trip plus a changelog produce, and a commit
+    costs one produce-batch request per store.
+
+    ``live`` is the store's committed content, ``{key: value}``, decoded:
+    empty for a store that restored nothing, else the restored changelog
+    in serialized-key order (:func:`open_logged_store`).  The store takes
+    it over and brings it up to date at each successful flush.
 
     Semantics:
 
-    * **Keys must be hashable**: the dirty map and the live-key set hold
+    * **Keys must be hashable**: the dirty map and the committed map hold
       them.  SQL store keys are tuples, ints and strings; native task
       stores use strings and tuples.
-    * **Values are captured by reference.**  The bytes written at flush
+    * **Values are held by reference.**  The bytes written at flush
       reflect the object's state *at flush time*, i.e. exactly the state
       the accompanying checkpoint describes.  (Operators that mutate a
       record in place after ``put`` get commit-consistent snapshots for
-      free; this is intentional.)
-    * **``get`` sees writes.**  It consults the dirty map first — a dirty
-      key costs a dict lookup, zero serde.
-    * **``all()`` scans what is below, and only that.**  It is the open
-      scan: it must run with no deferred writes pending (when the store
-      opens, or after a flush) and raises :class:`StateStoreError`
-      otherwise.  It never flushes to make the scan possible — that would
-      put changelog records ahead of the checkpoint, and a task that is
-      not idempotent (a counter) would then apply its replayed suffix
-      twice after a crash.
-    * **Commit pays for net change only.**  The store keeps the exact set
-      of keys it knows are live below it: empty when it opens over an
-      empty backing store, learned from the first ``all()`` scan otherwise
-      (the sliding-window, relation-join, group-window and multi-way join
-      operators each scan their stores once in ``setup``, so after a
-      restore the set is known before the first write), and brought up to
-      date by each successful flush.
-      Until it has opened empty or been scanned the set is *unknown* and
-      every delete is deferred as a tombstone (which the logged layer
-      still drops if the key turns out to be absent).  Once it is known,
-      ``delete`` of a key that is not in it just drops the dirty entry — a row put and purged
-      inside one commit interval never reaches the serde, the memtable or
-      the changelog — while a key that *is* live below (a persisted row,
-      or a crash orphan flushed ahead of its checkpoint) gets a real
-      tombstone.  The set holds the key objects the dirty map already
-      owned — for the window operator, one ``(*partition_key, seq)``
-      tuple per retained row.  Writing to the backing store behind
-      this layer's back would break the set; nothing does.
+      free; this is intentional.)  ``get`` and ``all()`` hand out the
+      held objects themselves.
+    * **``get`` sees writes.**  It consults the dirty map first, then the
+      committed map — a dict lookup either way, zero serde.
+    * **``all()`` is the open scan** of the committed map: it must run
+      with no deferred writes pending (when the store opens, or after a
+      flush) and raises :class:`StateStoreError` otherwise.  It never
+      flushes to make the scan possible — that would put changelog
+      records ahead of the checkpoint, and a task that is not idempotent
+      (a counter) would then apply its replayed suffix twice after a
+      crash.  Entries come in serialized-key order as the store opened
+      them; keys a later flush makes live follow, in flush order.
+    * **Commit pays for net change only.**  The committed map knows
+      exactly which keys are live below, so ``delete`` of a key not in it
+      just drops the dirty entry — a row put and purged inside one commit
+      interval never reaches the serde or the changelog — while a key
+      that *is* live (a persisted row, or a crash orphan flushed ahead of
+      its checkpoint) gets a real tombstone.  No tombstone is logged for
+      an absent key.
     * **Flush order** is dirty-map insertion order (first dirtying wins;
       a key re-put after an elided delete counts from the re-put), so the
       changelog byte stream is deterministic under replay.
     * **Failed flush.**  If ``write_batch`` raises, the dirty map and the
-      key set are untouched: flush again, or discard the store (the
+      committed map are untouched: flush again, or discard the store (the
       container does the latter — a failed commit kills it and the
       replacement restores from the changelog).
     * **Crash window.**  Unflushed mutations simply vanish with the
@@ -292,14 +258,14 @@ class WriteBehindKeyValueStore(KeyValueStore):
       the state they originally started from.
     """
 
-    def __init__(self, backing: KeyValueStore):
+    def __init__(self, backing: KeyValueStore, live: dict):
         self._backing = backing
         # key -> object value, or TOMBSTONE for a deferred delete;
         # insertion-ordered so flush order — and with it the changelog
         # byte stream — is deterministic under replay.
         self._dirty: dict[Any, Any] = {}
-        # Keys known to be live below this layer; None = unknown.
-        self._live: set | None = None if len(backing) else set()
+        # key -> committed value: what the changelog holds, decoded.
+        self._live = live
         self.flushed_count = 0  # entries handed down by flush()
         self.elided_count = 0   # deletes that needed no tombstone
 
@@ -311,55 +277,66 @@ class WriteBehindKeyValueStore(KeyValueStore):
     def get(self, key: Any) -> Any:
         value = self._dirty.get(key, _MISSING)
         if value is _MISSING:
-            return self._backing.get(key)
+            return self._live.get(key)
         return None if value is TOMBSTONE else value
 
     def put(self, key: Any, value: Any) -> None:
         self._dirty[key] = value
 
     def delete(self, key: Any) -> None:
-        live = self._live
-        if live is not None and key not in live:
-            self._dirty.pop(key, None)  # known absent below: no tombstone
-            self.elided_count += 1
-        else:
+        if key in self._live:
             self._dirty[key] = TOMBSTONE
+        else:
+            self._dirty.pop(key, None)  # absent below: no tombstone
+            self.elided_count += 1
 
     def all(self) -> Iterator[tuple[Any, Any]]:
         if self._dirty:
             raise StateStoreError(
                 f"scan with {len(self._dirty)} deferred writes pending: "
                 "a store is scanned when it opens or after a flush")
-        if self._live is not None:
-            return self._backing.all()
-        # First full scan: learn which keys are live below.
-        entries = list(self._backing.all())
-        self._live = {key for key, _ in entries}
-        return iter(entries)
+        return iter(self._live.items())
 
     def flush(self) -> None:
         """Push the deferred mutations down as one batch (serde + changelog
-        run here), then flush the backing stack."""
+        run here), then commit them to the decoded map."""
         dirty = self._dirty
         if dirty:
             self._backing.write_batch(dirty.items())
             live = self._live
-            if live is not None:
-                for key, value in dirty.items():
-                    if value is TOMBSTONE:
-                        live.discard(key)
-                    else:
-                        live.add(key)
+            for key, value in dirty.items():
+                if value is TOMBSTONE:
+                    del live[key]
+                else:
+                    live[key] = value
             self.flushed_count += len(dirty)
             dirty.clear()
-        self._backing.flush()
 
     def __len__(self) -> int:
-        count = len(self._backing)
+        live = self._live
+        count = len(live)
         for key, value in self._dirty.items():
-            exists = self._backing.get(key) is not None
             if value is TOMBSTONE:
-                count -= 1 if exists else 0
-            elif not exists:
+                count -= 1  # deferred only for a live key
+            elif key not in live:
                 count += 1
         return count
+
+
+def materialize(records: Iterable[tuple[bytes, bytes | None]]) -> dict[bytes, bytes]:
+    """A changelog's content: the last value per key, tombstoned keys
+    dropped."""
+    latest = dict(records)
+    return {key: value for key, value in latest.items() if value is not None}
+
+
+def open_logged_store(committed: dict[bytes, bytes], key_serde: Serde,
+                      value_serde: Serde, log_fn) -> WriteBehindKeyValueStore:
+    """The container's store stack over ``committed``, a changelog's
+    content (:func:`materialize`): each entry is decoded once, in
+    serialized-key order, into the top layer; flushes encode with the same
+    serdes and go to ``log_fn``."""
+    key_of, value_of = key_serde.from_bytes, value_serde.from_bytes
+    live = {key_of(raw): value_of(committed[raw]) for raw in sorted(committed)}
+    return WriteBehindKeyValueStore(SerializedKeyValueStore(
+        LoggedKeyValueStore(log_fn), key_serde, value_serde), live)

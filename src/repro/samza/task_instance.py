@@ -129,12 +129,10 @@ class TaskInstance:
         if self._checkpoints is not None:
             self._checkpoints.write_checkpoint(self.task_name, Checkpoint(dict(self.offsets)))
 
-    def restore_offsets(self, default_offsets: dict[SystemStreamPartition, int]) -> None:
-        """Initialise offsets from the last checkpoint, else the defaults."""
-        checkpoint = (
-            self._checkpoints.read_last_checkpoint(self.task_name)
-            if self._checkpoints is not None else None
-        )
+    def restore_offsets(self, checkpoint: Checkpoint | None,
+                        default_offsets: dict[SystemStreamPartition, int]) -> None:
+        """Initialise offsets from the task's last checkpoint, else the
+        defaults."""
         for ssp in self.ssps:
             if checkpoint is not None and ssp in checkpoint.offsets:
                 self.offsets[ssp] = checkpoint.offsets[ssp]

@@ -69,8 +69,7 @@ class GroupWindowAggOperator(Operator):
     def setup(self, context: OperatorContext) -> None:
         self._store = context.get_store(self.node.stores[0])  # durability log
         # Empty on a first start, the restored changelog after a relaunch:
-        # every window state the store holds is open.  The scan also tells
-        # the write-behind store which keys are live below it.
+        # every window state the store holds is open.
         for store_key, value in self._store.all():
             if store_key == _META_KEY:
                 self._watermark = value["watermark"]

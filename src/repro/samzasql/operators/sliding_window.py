@@ -219,26 +219,36 @@ class SlidingWindowOperator(Operator):
         ordered scan of the messages store.
 
         Its keys are ordered ``(*partition_key, seq)``, so the scan meets
-        each key's retained rows together and in seq order: re-adding them
-        as they come replays exactly the add sequence that produced the
-        committed accumulators and monotonic deques, with no grouping and
-        no sort.  Rows with ``seq >= record["seq"]`` were flushed ahead of
-        a seq record that never made it — they are skipped here and
-        regenerated identically by at-least-once replay.
+        each key's retained rows together and in seq order: the walk keeps
+        the current key's window in hand, and re-adding its rows as they
+        come replays exactly the add sequence that produced the committed
+        accumulators and monotonic deques, with no grouping and no sort.
+        Rows with ``seq >= record["seq"]`` were flushed ahead of a seq
+        record that never made it — they are skipped here and regenerated
+        identically by at-least-once replay.  A row keeps its arguments
+        as a tuple, as the fused stage does: a tuple of plain values, and
+        the row entry holding it, drop out of the garbage collector's
+        scans.
         """
         windows = self._windows
         accumulators = self._accumulators
+        add = accumulators.add
         for key, record in self._state.all():
             windows[key] = _WindowState(accumulators.fresh(),
                                         accumulators.minmax_fresh(), record)
-        for store_key, (order_value, *arg_values) in self._messages.all():
+        prefix = window = None
+        fence = -1
+        for store_key, value in self._messages.all():
             seq = store_key[-1]
-            window = windows.get(store_key[:-1])
-            if window is None or seq >= window.record["seq"]:
-                continue
-            window.rows.append((order_value, seq, arg_values))
-            accumulators.add(window, order_value, seq, arg_values)
-            self._retained += 1
+            if store_key[:-1] != prefix:
+                prefix = store_key[:-1]
+                window = windows.get(prefix)
+                fence = -1 if window is None else window.record["seq"]
+            if seq < fence:
+                order_value, arg_values = value[0], tuple(value[1:])
+                window.rows.append((order_value, seq, arg_values))
+                add(window, order_value, seq, arg_values)
+                self._retained += 1
 
     # -- Algorithm 1, step by step ----------------------------------------
 

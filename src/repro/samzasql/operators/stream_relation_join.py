@@ -94,8 +94,7 @@ class StreamRelationJoinOperator(Operator):
     def setup(self, context: OperatorContext) -> None:
         self._store = context.get_store(self.node.stores[0])  # durability log
         # Empty on a first start (the bootstrap arrives after setup), the
-        # restored changelog after a relaunch.  The scan also tells the
-        # write-behind store which keys are live below it.
+        # restored changelog after a relaunch.
         self._rows = dict(self._store.all())
 
     def state_size(self) -> int:

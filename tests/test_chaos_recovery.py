@@ -299,15 +299,22 @@ class TestSqlQueryRecovery:
         assert emissions == ref_by_order
 
 
-def noop_restore(self, memory, topic, partition):
+def noop_restore(self, topic, partition):
     """A ``SamzaContainer._restore_store`` that reads nothing back."""
-    return 0
+    return {}
 
 
-def lying_restore(self, memory, topic, partition):
+class _OneEntryClaimed(dict):
+    """Empty, but its length claims one entry."""
+
+    def __len__(self):
+        return 1
+
+
+def lying_restore(self, topic, partition):
     """Reads nothing back but reports a restored entry, so only the
     emitted rows can give it away."""
-    return 1
+    return _OneEntryClaimed()
 
 
 class TestValidationHarness:

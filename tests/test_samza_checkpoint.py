@@ -33,19 +33,20 @@ class TestCheckpointManager:
         manager = CheckpointManager(cluster, "job1")
         manager.write_checkpoint("Partition 0", Checkpoint({ssp("Orders"): 5}))
         manager.write_checkpoint("Partition 0", Checkpoint({ssp("Orders"): 9}))
-        restored = manager.read_last_checkpoint("Partition 0")
+        restored = manager.read_checkpoints().get("Partition 0")
         assert restored.offsets == {ssp("Orders"): 9}
 
     def test_unknown_task_is_none(self):
         manager = CheckpointManager(KafkaCluster(), "job1")
-        assert manager.read_last_checkpoint("Partition 0") is None
+        assert manager.read_checkpoints().get("Partition 0") is None
 
     def test_tasks_isolated(self):
         manager = CheckpointManager(KafkaCluster(), "job1")
         manager.write_checkpoint("Partition 0", Checkpoint({ssp("Orders", 0): 1}))
         manager.write_checkpoint("Partition 1", Checkpoint({ssp("Orders", 1): 2}))
-        assert manager.read_last_checkpoint("Partition 0").offsets == {ssp("Orders", 0): 1}
-        assert manager.read_last_checkpoint("Partition 1").offsets == {ssp("Orders", 1): 2}
+        checkpoints = manager.read_checkpoints()
+        assert {task: checkpoint.offsets for task, checkpoint in checkpoints.items()} == {
+            "Partition 0": {ssp("Orders", 0): 1}, "Partition 1": {ssp("Orders", 1): 2}}
 
     def test_survives_compaction(self):
         """The checkpoint topic is compacted; the latest entry per task must
@@ -55,11 +56,11 @@ class TestCheckpointManager:
         for offset in range(10):
             manager.write_checkpoint("Partition 0", Checkpoint({ssp("Orders"): offset}))
         cluster.run_retention()
-        assert manager.read_last_checkpoint("Partition 0").offsets == {ssp("Orders"): 9}
+        assert manager.read_checkpoints().get("Partition 0").offsets == {ssp("Orders"): 9}
 
     def test_jobs_use_distinct_topics(self):
         cluster = KafkaCluster()
         m1 = CheckpointManager(cluster, "job1")
         m2 = CheckpointManager(cluster, "job2")
         m1.write_checkpoint("Partition 0", Checkpoint({ssp("Orders"): 1}))
-        assert m2.read_last_checkpoint("Partition 0") is None
+        assert m2.read_checkpoints().get("Partition 0") is None

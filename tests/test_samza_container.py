@@ -340,7 +340,7 @@ class TestCoordinator:
                        serdes=orders_serdes())
         master = runner.submit(job)
         runner.run_until_quiescent()
-        checkpoint = master.checkpoints.read_last_checkpoint("Partition 0")
+        checkpoint = master.checkpoints.read_checkpoints().get("Partition 0")
         assert checkpoint is not None
         [(ssp, offset)] = checkpoint.offsets.items()
         assert offset == 4

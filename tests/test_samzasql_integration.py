@@ -748,7 +748,7 @@ class TestBatchSingleEquivalence:
                 offsets[name] = {str(ssp): off
                                  for ssp, off in instance.offsets.items()}
                 instance.commit()
-                checkpoint = instance._checkpoints.read_last_checkpoint(name)
+                checkpoint = instance._checkpoints.read_checkpoints().get(name)
                 checkpoints[name] = checkpoint.to_payload()
         return (outputs, offsets, checkpoints,
                 cls._restored_stores(deployment, handle))

@@ -4,9 +4,9 @@ import pytest
 
 from repro.samza.storage import (
     InMemoryKeyValueStore,
-    LoggedKeyValueStore,
     SerializedKeyValueStore,
-    WriteBehindKeyValueStore,
+    materialize,
+    open_logged_store,
 )
 from repro.samzasql.operators import (
     FilterOperator,
@@ -20,6 +20,7 @@ from repro.samzasql.operators import (
 )
 from repro.samzasql.operators.base import Operator, OperatorContext
 from repro.samzasql.operators.multi_way_join import INDEX_SEQ
+from repro.samzasql.operators.sliding_window import _WindowState
 from repro.samzasql.operators.stream_relation_join import (
     RELATION_PORT,
     STREAM_PORT,
@@ -128,11 +129,19 @@ RELATION_STORES = {"sql-relation-products": StoreLayout.typed(
 GROUP_STORES = {"sql-group-windows": StoreLayout("str", fallback="test")}
 
 
-def typed_store(layout, backing=None):
-    """The serialized layer over ``backing`` with ``layout``'s codecs."""
+def typed_store(layout):
+    """A bytes store behind the serialized layer with ``layout``'s codecs."""
     return SerializedKeyValueStore(
-        InMemoryKeyValueStore() if backing is None else backing,
-        layout.key_serde(), layout.msg_serde() or ObjectSerde())
+        InMemoryKeyValueStore(), layout.key_serde(),
+        layout.msg_serde() or ObjectSerde())
+
+
+def restored_store(layout, changelog):
+    """The container's store stack with ``layout``'s codecs, opened over
+    ``changelog`` the way a relaunch opens it; it logs to ``changelog``."""
+    return open_logged_store(materialize(changelog), layout.key_serde(),
+                             layout.msg_serde() or ObjectSerde(),
+                             changelog.extend)
 
 
 def make_context(layouts=None):
@@ -306,14 +315,8 @@ class TestSlidingWindowOperator:
 
         def open_stores(changelogs):
             """Production stack per store, restored from its changelog."""
-            stores = {}
-            for name, layout in self.STORES.items():
-                memory = InMemoryKeyValueStore()
-                memory.write_batch(changelogs[name])
-                stores[name] = WriteBehindKeyValueStore(
-                    typed_store(layout, LoggedKeyValueStore(
-                        memory, changelogs[name].extend)))
-            return stores
+            return {name: restored_store(layout, changelogs[name])
+                    for name, layout in self.STORES.items()}
 
         def feed(operator, rows):
             for row in rows:
@@ -363,6 +366,106 @@ class TestSlidingWindowOperator:
         # the rows put and purged with nothing below cost no tombstone:
         # the uninterrupted run's second flush elided 30 and 40
         assert ref_stores["sql-window-messages"].elided_count == 2
+
+    #: Over an INTEGER (2) and a DOUBLE (3) column, both with NULLs.
+    EXACT_AGGS = [agg("COUNT"), *(agg(func, column) for column in (2, 3)
+                                  for func in ("COUNT", "SUM", "AVG", "MIN",
+                                               "MAX"))]
+
+    class _OneAtATime(SlidingWindowOperator):
+        """The rebuild as it was: each retained row re-added through
+        ``_Accumulators.add``, in seq order."""
+
+        def _rebuild(self):
+            accumulators = self._accumulators
+            for key, record in self._state.all():
+                self._windows[key] = _WindowState(
+                    accumulators.fresh(), accumulators.minmax_fresh(), record)
+            for store_key, (order_value, *arg_values) in self._messages.all():
+                seq = store_key[-1]
+                window = self._windows.get(store_key[:-1])
+                if window is None or seq >= window.record["seq"]:
+                    continue
+                window.rows.append((order_value, seq, arg_values))
+                accumulators.add(window, order_value, seq, arg_values)
+                self._retained += 1
+
+    @pytest.mark.parametrize("frame", ["RANGE", "ROWS"])
+    def test_rebuild_equals_re_adding_rows_one_at_a_time(self, frame):
+        """After a restore through the container's open path, the rebuilt
+        windows — rows, accumulators (DOUBLE sums bit for bit), MIN/MAX
+        deques, the retained count — and the next outputs equal those of
+        re-adding the retained rows one at a time; a crash orphan is
+        skipped by both."""
+        names = ["rowtime", "key", "n", "x"] + [
+            f"a{i}" for i in range(len(self.EXACT_AGGS))]
+        # eight rows per window in either frame: each key every 10 ms
+        node = window_node(self.EXACT_AGGS, names, frame, preceding_ms=75,
+                           preceding_rows=7)
+        messages, state = WINDOW_STORE_NAMES
+        layouts = {
+            messages: StoreLayout.typed(["str", "int"], row=[
+                ["rowtime", "TIMESTAMP"], ["count", "BIGINT"],
+                *([f"n{i}", "INTEGER"] for i in range(5)),
+                *([f"x{i}", "DOUBLE"] for i in range(5))]),
+            state: StoreLayout.typed(["str"], record=[["seq", "BIGINT"]]),
+        }
+        # equal neighbours for the deques; sums whose rounding depends on
+        # the order of addition (1e16 + 1.0 - 1e16 + 1.0 is 1.0 in order)
+        ints = [3, 3, None, 2, 3, 7]
+        doubles = [1e16, 1.0, -1e16, 1.0, None, 0.1, -0.0]
+        rows = [[n * 10, f"k{j}", ints[(n + j) % len(ints)],
+                 doubles[(n + 2 * j) % len(doubles)]]
+                for n in range(20) for j in range(3)]
+        committed, lost, later = rows[:39], rows[39:45], rows[45:]
+
+        changelogs = {name: [] for name in layouts}
+
+        def open_stores():
+            return {name: restored_store(layout, changelogs[name])
+                    for name, layout in layouts.items()}
+
+        def feed(operator, batch):
+            for row in batch:
+                operator.process(0, list(row), row[0])
+
+        first = SlidingWindowOperator(node)
+        stores = open_stores()
+        first.setup(OperatorContext(stores, send_batch=None))
+        first.downstream = Sink()
+        feed(first, committed)
+        for store in stores.values():
+            store.flush()                           # commit
+        feed(first, lost)
+        stores[messages].flush()                    # crash mid-commit
+
+        def restored(cls):
+            operator = cls(node)
+            operator.setup(OperatorContext(open_stores(), send_batch=None))
+            operator.downstream = Sink()
+            return operator
+
+        rebuilt, reference = restored(SlidingWindowOperator), restored(
+            self._OneAtATime)
+        orphans = [key for key, _ in rebuilt._messages.all()
+                   if key[-1] >= rebuilt._windows[key[:-1]].record["seq"]]
+        assert orphans and reference._retained > 0
+
+        def window_state(operator):
+            # a rebuilt row holds its arguments as a tuple, as the fused
+            # stage does; the one-at-a-time reference holds a list
+            return repr(sorted(
+                (key, [(order, seq, tuple(args))
+                       for order, seq, args in window.rows],
+                 window.accs, window.minmax, window.record)
+                for key, window in operator._windows.items()))
+
+        assert window_state(rebuilt) == window_state(reference)
+        assert rebuilt._retained == reference._retained
+        for operator in (rebuilt, reference):
+            feed(operator, lost + later)
+        assert repr(rebuilt.downstream.rows) == repr(reference.downstream.rows)
+        assert window_state(rebuilt) == window_state(reference)
 
     def test_state_size_counter_matches_store(self):
         """The O(1) retained-row counter tracks the messages store exactly."""
@@ -432,13 +535,9 @@ class TestGroupWindowOperator:
 
     @staticmethod
     def _restored(changelog, kind="HOP", emit=100, retain=250):
-        """An operator over the container's store stack, its bytes store
-        restored from ``changelog``, which then takes its writes."""
-        layout = GROUP_STORES["sql-group-windows"]
-        memory = InMemoryKeyValueStore()
-        memory.write_batch(changelog)
-        store = WriteBehindKeyValueStore(typed_store(layout, LoggedKeyValueStore(
-            memory, changelog.extend)))
+        """An operator over the container's store stack, restored from
+        ``changelog``, which then takes its writes."""
+        store = restored_store(GROUP_STORES["sql-group-windows"], changelog)
         operator = GroupWindowAggOperator(group_node(
             [agg("COUNT"), agg("SUM", 2)], ["wstart", "wend", "key", "c", "s"],
             kind, emit, retain))

@@ -374,37 +374,25 @@ class TestStoreTrafficUnderRelaunch:
     instance — one per task open, the relaunched container's included —
     is scanned exactly once, with nothing deferred yet."""
 
-    @pytest.mark.parametrize("kind", sorted(STATEFUL_QUERIES))
-    def test_one_open_scan_per_store_and_no_get(self, kind, monkeypatch):
+    @staticmethod
+    def _crash_and_relaunch(kind, monkeypatch, partitions=2):
+        """Runs ``kind``'s query on two containers through one crash;
+        returns the deployment, the handle and every task open's
+        ``(model, stores)``, in open order."""
         from repro.samza.container import SamzaContainer
-        from repro.samza.storage import WriteBehindKeyValueStore
 
-        opened = []  # (store name, instance), in open order
+        opened = []
         build = SamzaContainer._build_stores
 
         def build_stores(container, model):
             stores = build(container, model)
-            opened.extend(stores.items())
+            opened.append((model, stores))
             return stores
 
-        gets, scans = {}, {}  # instance -> gets; instance -> dirty at each scan
-        get, scan = WriteBehindKeyValueStore.get, WriteBehindKeyValueStore.all
-
-        def counted_get(store, key):
-            gets[store] = gets.get(store, 0) + 1
-            return get(store, key)
-
-        def counted_scan(store):
-            scans.setdefault(store, []).append(store.dirty_count)
-            return scan(store)
-
         monkeypatch.setattr(SamzaContainer, "_build_stores", build_stores)
-        monkeypatch.setattr(WriteBehindKeyValueStore, "get", counted_get)
-        monkeypatch.setattr(WriteBehindKeyValueStore, "all", counted_scan)
-
         sql, path, set_up = STATEFUL_QUERIES[kind]
         dep, injector = chaos_sql_deployment(
-            FaultSchedule.script().add_crash(35))
+            FaultSchedule.script().add_crash(35), partitions=partitions)
         if set_up is not None:
             set_up(dep)
         handle = dep.shell.execute(sql, containers=2, config_overrides={
@@ -418,12 +406,76 @@ class TestStoreTrafficUnderRelaunch:
         assert {task.decision.path for task in sql_tasks(handle)} == {path}
         with injector.suspended():
             assert handle.results()
+        return dep, handle, opened
+
+    @pytest.mark.parametrize("kind", sorted(STATEFUL_QUERIES))
+    def test_one_open_scan_per_store_and_no_get(self, kind, monkeypatch):
+        from repro.samza.storage import WriteBehindKeyValueStore
+
+        gets, scans = {}, {}  # instance -> gets; instance -> dirty at each scan
+        get, scan = WriteBehindKeyValueStore.get, WriteBehindKeyValueStore.all
+
+        def counted_get(store, key):
+            gets[store] = gets.get(store, 0) + 1
+            return get(store, key)
+
+        def counted_scan(store):
+            scans.setdefault(store, []).append(store.dirty_count)
+            return scan(store)
+
+        monkeypatch.setattr(WriteBehindKeyValueStore, "get", counted_get)
+        monkeypatch.setattr(WriteBehindKeyValueStore, "all", counted_scan)
+
+        _dep, handle, opened = self._crash_and_relaunch(kind, monkeypatch)
+        opened = [item for _model, stores in opened for item in stores.items()]
         tasks = sum(len(c.tasks) for c in handle.master.samza_containers.values())
         names = {name for name, _ in opened}
         assert all(name.startswith("sql-") for name in names)
         assert len(opened) > tasks * len(names)  # the relaunch opened more
         assert gets == {}
         assert all(scans.get(store) == [0] for _, store in opened)
+
+    @pytest.mark.parametrize("kind", sorted(STATEFUL_QUERIES))
+    def test_relaunch_reads_each_log_once(self, kind, monkeypatch):
+        """Counted at the broker, across a crash and relaunch of containers
+        holding two tasks each: every store changelog partition is fetched
+        once per task open, the relaunched container's included, and the
+        checkpoint topic once per container start."""
+        from repro.kafka.cluster import KafkaCluster
+        from repro.samza.container import SamzaContainer
+
+        fetches = {}  # (topic, partition) -> fetch calls
+        fetch, start = KafkaCluster.fetch, SamzaContainer.start
+        starts = []
+
+        def counted_fetch(cluster, tp, *args, **kwargs):
+            fetches[tp.topic, tp.partition] = fetches.get(
+                (tp.topic, tp.partition), 0) + 1
+            return fetch(cluster, tp, *args, **kwargs)
+
+        def counted_start(container):
+            starts.append(container.container_id)
+            return start(container)
+
+        monkeypatch.setattr(KafkaCluster, "fetch", counted_fetch)
+        monkeypatch.setattr(SamzaContainer, "start", counted_start)
+
+        _dep, handle, opened = self._crash_and_relaunch(
+            kind, monkeypatch, partitions=4)
+        job = handle.master.job
+        changelogs = {value.split(".", 1)[1] for key, value in job.config.items()
+                      if key.startswith("stores.") and key.endswith(".changelog")}
+        opens = {}  # partition -> task opens
+        for model, _stores in opened:
+            opens[model.partition_id] = opens.get(model.partition_id, 0) + 1
+        assert len(opened) == 4 + 2  # the relaunch reopened two tasks
+        assert len(starts) == 2 + 1
+        assert changelogs and {
+            (topic, partition): fetches.get((topic, partition), 0)
+            for topic in changelogs for partition in opens} == {
+            (topic, partition): count
+            for topic in changelogs for partition, count in opens.items()}
+        assert fetches[handle.master.checkpoints.topic, 0] == len(starts)
 
 
 #: Orders carry productId 0..9; products 0..7 exist (8 and 9 never
