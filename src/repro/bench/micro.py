@@ -560,8 +560,10 @@ def measure_frame_codec(records: int = 20_000, record_bytes: int = 64,
     :class:`repro.parallel.peer.PeerLink` flushes — and times, GC-suspended
     with per-mode minima over ``repeats``:
 
-    * ``encode`` / ``decode`` — the varint record-frame codec every peer
-      link, parent mirror, and forwarded-input frame runs through;
+    * ``encode`` / ``decode`` — the columnar record-frame codec every
+      peer link, parent mirror, and forwarded-input frame runs through
+      (fixed-width columns per group plus one key and one value blob, so
+      the per-record work is C-level array and join calls);
     * ``header`` — the mirror-frame watermark envelope
       (``encode_data_payload`` / ``decode_data_payload``) per frame;
     * ``pack`` — ``pack_msgs`` / ``unpack_msgs``, the MSG_MULTI batching

@@ -78,10 +78,12 @@ from repro.parallel.frames import (
     MSG_STATUS,
     MSG_STATUS_REQ,
     decode_data_payload,
-    decode_frame,
+    decode_frame_batches,
     encode_frame,
+    group_size,
     pack_msgs,
     parse_msg,
+    record_of,
     send_msg,
 )
 from repro.parallel.peer import DEFAULT_CREDIT_BYTES
@@ -541,13 +543,12 @@ class ParallelJobCoordinator:
     def _apply_frame(self, payload: bytes, sequenced: bool = False) -> None:
         produce_batch = (self.cluster.produce_batch if sequenced
                          else self.mesh.direct_produce_batch)
-        for topic, partition, partition_count, records in decode_frame(payload):
+        for topic, partition, partition_count, records in (
+                decode_frame_batches(payload)):
             if not self.cluster.has_topic(topic):
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
-            produce_batch(TopicPartition(topic, partition), [
-                (key, value, timestamp_ms)
-                for _offset, timestamp_ms, key, value in records])
+            produce_batch(TopicPartition(topic, partition), records)
 
     def _dispatch(self, handle: WorkerHandle, raw: bytes) -> tuple[bytes, bytes]:
         tag, payload = parse_msg(raw)
@@ -666,19 +667,15 @@ class ParallelJobCoordinator:
         for tp, pos in ordered:
             end = self.cluster.latest_offset(tp)
             while pos < end and size < budget:
-                records = [
-                    (m.offset, m.timestamp_ms, m.key, m.value)
-                    for m in self.cluster.fetch(
-                        tp, pos, min(FORWARD_CHUNK, end - pos))
-                ]
+                records = list(map(record_of, self.cluster.fetch(
+                    tp, pos, min(FORWARD_CHUNK, end - pos))))
                 if not records:  # pragma: no cover - defensive
                     break
                 groups.append((
                     tp.topic, tp.partition,
                     self.cluster.topic(tp.topic).partition_count,
                     records))
-                size += sum(len(r[2] or b"") + len(r[3] or b"") + 16
-                            for r in records)
+                size += group_size(tp.topic, records)
                 pos = records[-1][0] + 1
             if pos != handle.forward_pos[tp]:
                 new_pos[tp] = pos
@@ -719,8 +716,12 @@ class ParallelJobCoordinator:
     def _status_round(self) -> int:
         """Per live handle, pack this round's control traffic — input
         frame, ingress frames, status request — into ONE pipe write
-        (``MSG_MULTI``): one syscall and one worker wakeup per pump."""
-        delta = 0
+        (``MSG_MULTI``): one syscall and one worker wakeup per pump.
+        Every live handle's write goes out before any reply is awaited,
+        so the workers apply their input and answer side by side; a
+        worker that dies before answering yields no status here and is
+        reaped by the next pump."""
+        asked: list[WorkerHandle] = []
         for handle in list(self.handles.values()):
             if handle.dead:
                 continue
@@ -739,6 +740,9 @@ class ParallelJobCoordinator:
                 with handle.cond:
                     handle.eof = True
                 continue
+            asked.append(handle)
+        delta = 0
+        for handle in asked:
             payload = self._await(handle, MSG_STATUS)
             if payload is None:
                 continue

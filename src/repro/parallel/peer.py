@@ -46,6 +46,11 @@ import threading
 
 from repro.common.errors import SerdeError
 from repro.common.varint import encode_varint, read_varint
+from repro.parallel.frames import (
+    FRAME_HEADER_BYTES,
+    group_header_size,
+    record_size,
+)
 
 # -- peer connection message tags ---------------------------------------------
 PEER_HELLO = b"h"    # JSON {gid, epoch} — first message on a connection
@@ -123,37 +128,37 @@ class PeerLink:
                   in sorted(self._pending.items())]
         # Split into bounded frames so credit granularity stays fine-grained
         # and no frame (single-record outliers aside) outgrows the window.
+        # ``size`` is the exact encoded size of the frame being built.
         frame_cap = min(MAX_FRAME_BYTES, self.credit_bytes)
         batch: list = []
         batch_records = 0
-        size = 0
-
-        def record_size(record) -> int:
-            return len(record[2] or b"") + len(record[3] or b"") + 16
+        size = FRAME_HEADER_BYTES
 
         def emit() -> None:
             nonlocal batch, batch_records, size
             if batch:
                 self._push_frame(encode_frame(batch), batch_records)
-                batch, batch_records, size = [], 0, 0
+                batch, batch_records, size = [], 0, FRAME_HEADER_BYTES
 
         for topic, partition, partition_count, records in groups:
+            header = group_header_size(topic)
             chunk: list = []
-            chunk_size = 0
             for record in records:
-                rsize = record_size(record)
-                if (batch or chunk) and size + chunk_size + rsize > frame_cap:
+                rsize = record_size(record[2], record[3])
+                if (batch or chunk) and (
+                        size + rsize + (0 if chunk else header) > frame_cap):
                     if chunk:
                         batch.append((topic, partition, partition_count, chunk))
                         batch_records += len(chunk)
-                        chunk, chunk_size = [], 0
+                        chunk = []
                     emit()
+                if not chunk:
+                    size += header
                 chunk.append(record)
-                chunk_size += rsize
+                size += rsize
             if chunk:
                 batch.append((topic, partition, partition_count, chunk))
                 batch_records += len(chunk)
-                size += chunk_size
         emit()
         self._pending.clear()
         self._pending_records = 0

@@ -65,11 +65,12 @@ from repro.parallel.frames import (
     MSG_STATUS,
     MSG_STATUS_REQ,
     RecordGroup,
-    decode_frame,
+    decode_frame_batches,
     encode_data_payload,
     encode_frame,
     pack_msgs,
     parse_msg,
+    record_of,
     send_msg,
     unpack_msgs,
 )
@@ -90,44 +91,56 @@ class ClusterTap:
     """Watermark tracker over the worker's local cluster copy.
 
     ``collect`` returns every record appended past the last collection as
-    record groups, and advances the watermarks.  Partitions the parent
-    forwards input into are advanced with :meth:`mark_forwarded` so the
-    forwarded records are not mirrored straight back.
+    record groups, and advances the watermarks.  It reads only the
+    partitions named in ``appended`` — the set the worker's produce hook
+    adds each locally appended partition to — so an idle iteration costs
+    one empty-set check.  Appends made before the tap exists are the fork
+    baseline: the constructor snapshots every partition's end offset and
+    forgets what ``appended`` held.  Partitions the parent forwards input
+    into are advanced with :meth:`mark_forwarded` so the forwarded records
+    are not mirrored straight back.
     """
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, appended: set[TopicPartition]):
         self._cluster = cluster
+        self._appended = appended
         self._positions: dict[TopicPartition, int] = {}
         for topic in cluster.topics():
             for tp in cluster.partitions_for(topic):
                 self._positions[tp] = cluster.latest_offset(tp)
+        appended.clear()
 
     def mark_forwarded(self, tp: TopicPartition, offset: int) -> None:
         self._positions[tp] = offset
 
     def collect(self) -> list[RecordGroup]:
+        appended = self._appended
+        if not appended:
+            return []
         cluster = self._cluster
+        # Topic, then partition: the order a scan of every partition takes.
+        changed = sorted(appended, key=lambda tp: (tp.topic, tp.partition))
+        appended.clear()
         groups: list[RecordGroup] = []
         # The tap is observation, not the system under test: freeze the
         # fault injector so these fetches don't consume scheduled faults.
         injector = cluster.fault_injector
         guard = injector.suspended() if injector is not None else nullcontext()
         with guard:
-            for topic in cluster.topics():
-                partition_count = cluster.topic(topic).partition_count
-                for tp in cluster.partitions_for(topic):
-                    pos = self._positions.get(tp)
-                    if pos is None:  # topic created after the fork
-                        pos = cluster.earliest_offset(tp)
-                    end = cluster.latest_offset(tp)
-                    if end <= pos:
-                        continue
-                    records = [
-                        (m.offset, m.timestamp_ms, m.key, m.value)
-                        for m in cluster.fetch(tp, pos, end - pos)
-                    ]
-                    groups.append((topic, tp.partition, partition_count, records))
-                    self._positions[tp] = end
+            for tp in changed:
+                if not cluster.has_topic(tp.topic):
+                    continue
+                pos = self._positions.get(tp)
+                if pos is None:  # topic created after the fork
+                    pos = cluster.earliest_offset(tp)
+                end = cluster.latest_offset(tp)
+                if end <= pos:
+                    continue
+                groups.append((
+                    tp.topic, tp.partition,
+                    cluster.topic(tp.topic).partition_count,
+                    list(map(record_of, cluster.fetch(tp, pos, end - pos)))))
+                self._positions[tp] = end
         return groups
 
 
@@ -151,6 +164,8 @@ class _WorkerLoop:
         self.stopping = False
         self._deferred: collections.deque[bytes] = collections.deque()
         self._in_gate = False
+        # Partitions appended to locally since the tap last collected.
+        self._appended: set[TopicPartition] = set()
 
         # Bound methods shadow at the instance level, so only this
         # process's cluster copy routes produces.
@@ -166,7 +181,7 @@ class _WorkerLoop:
 
         container.pre_commit_hook = self._commit_gate
         container.finish_task_init()
-        self.tap = ClusterTap(self.cluster)
+        self.tap = ClusterTap(self.cluster, self._appended)
         metrics = container.metrics
         metrics.gauge("peer", "inbound-queued-bytes",
                       fn=lambda: self.endpoint.queued_bytes)
@@ -185,7 +200,7 @@ class _WorkerLoop:
             if entry.gid == self.gid:
                 # Own shard: apply locally; the mirror echo is the
                 # parent's (and any replacement's) durable copy.
-                return self._original_produce_batch(tp, records)
+                return self._append(tp, records)
             link = self._link_for(entry)
             partition_count = self.cluster.topic(tp.topic).partition_count
             for key, value, timestamp_ms in records:
@@ -196,6 +211,12 @@ class _WorkerLoop:
             self.outbox.extend((tp, key, value, timestamp_ms)
                                for key, value, timestamp_ms in records)
             return -1
+        return self._append(tp, records)
+
+    def _append(self, tp, records):
+        """Append to the local shard and note the partition for the tap
+        (before the append: a fault mid-batch leaves earlier records in)."""
+        self._appended.add(tp)
         return self._original_produce_batch(tp, records)
 
     def _link_for(self, entry) -> PeerLink:
@@ -228,24 +249,22 @@ class _WorkerLoop:
         """Apply peer/ingress records to the local shard.  Deliberately not
         ``mark_forwarded``: the tap mirrors these appends to the parent,
         and that echo IS the parent's copy (plus the retention ack)."""
-        for topic, partition, partition_count, records in decode_frame(frame):
+        for topic, partition, partition_count, records in (
+                decode_frame_batches(frame)):
             if not self.cluster.has_topic(topic):
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
-            self._original_produce_batch(TopicPartition(topic, partition), [
-                (key, value, timestamp_ms)
-                for _offset, timestamp_ms, key, value in records])
+            self._append(TopicPartition(topic, partition), records)
 
     def apply_input(self, payload: bytes) -> None:
         self.fwd_bytes += len(payload)
-        for topic, partition, partition_count, records in decode_frame(payload):
+        for topic, partition, partition_count, records in (
+                decode_frame_batches(payload)):
             if not self.cluster.has_topic(topic):
                 self.cluster.create_topic(topic, partitions=partition_count,
                                           if_not_exists=True)
             tp = TopicPartition(topic, partition)
-            self._original_produce_batch(tp, [
-                (key, value, timestamp_ms)
-                for _offset, timestamp_ms, key, value in records])
+            self._original_produce_batch(tp, records)
             self.tap.mark_forwarded(tp, self.cluster.latest_offset(tp))
 
     def apply_ingress(self, payload: bytes) -> None:
@@ -327,9 +346,10 @@ class _WorkerLoop:
                 # Two gated workers draining into each other make progress
                 # because each gate round applies the other's frames and
                 # returns credit.  Commands keep being served, status
-                # requests included: the parent blocks on each status
-                # reply, and a peer it has not forked yet can only drain
-                # this gate once the parent moves on.
+                # requests included: a parent pump writes every worker's
+                # request and then waits for every reply, and a peer it
+                # has not forked yet (forks happen between pumps) can only
+                # drain this gate once that pump ends.
                 if self.cmd_conn.poll(0.0005):
                     self.handle_command(self.cmd_conn.recv_bytes())
                 if time.monotonic() > deadline:
@@ -411,9 +431,10 @@ class _WorkerLoop:
             while self._deferred and not self.stopping:
                 self.handle_command(self._deferred.popleft())
             # One command per round (a pump's traffic is one MSG_MULTI),
-            # then an iteration: the parent sends its next status request
-            # as soon as a reply lands, so draining until the pipe is empty
-            # can keep the container from ever running again.
+            # then an iteration: the parent writes the next round's request
+            # as soon as the last worker's reply lands, so draining until
+            # the pipe is empty can keep the container from ever running
+            # again.
             if not self.stopping and cmd_conn.poll(0):
                 self.handle_command(cmd_conn.recv_bytes())
             if self.stopping:
