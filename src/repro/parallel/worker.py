@@ -5,9 +5,10 @@ in-process object graph — Kafka cluster, ZooKeeper, config, serdes, task
 factories — and that inherited copy *is* the shared-nothing broker shard.
 Nothing is pickled; the fork is the state transfer.  After forking, the
 worker finishes task initialization (``SamzaContainer.finish_task_init``),
-which is where :class:`~repro.samzasql.task.SamzaSqlTask` reads the
-physical-plan JSON back from the forked ZooKeeper and recompiles its
-operators — the paper's two-step planning, now genuinely per-process.
+which is where the container's first
+:class:`~repro.samzasql.task.SamzaSqlTask` reads the physical-plan JSON
+back from the forked ZooKeeper into the job program its tasks bind — the
+paper's two-step planning, now genuinely per-process.
 
 Everything the worker produces beyond the fork-time watermarks is
 mirrored to the parent as record frames (the parent's cluster is the

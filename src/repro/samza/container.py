@@ -134,9 +134,9 @@ class SamzaContainer:
         self._window_ms = config.get_int("task.window.ms", -1)
         self._commit_interval = config.get_int("task.checkpoint.interval.messages", 500)
         self._batch_size = config.get_int("task.poll.batch.size", 200)
-        # Under parallel execution, task init (and with it the SQL task's
-        # plan fetch + operator codegen) is deferred to the worker process
-        # so compilation happens per-process from the shared plan JSON.
+        # Under parallel execution, task init (and with it the SQL job's
+        # plan fetch + codegen, once per container) is deferred to the
+        # worker process so compilation happens there, from the plan JSON.
         self._parallel_execution = parallel_execution(config)
         self._store_specs = self._parse_store_specs(config)
         self._tasks_initialized = False
@@ -215,13 +215,14 @@ class SamzaContainer:
         if self._started:
             raise ConfigError(f"container {self.container_id} already started")
         all_ssps: set[SystemStreamPartition] = set()
+        shared: dict = {}  # every task's TaskContext.container
         for model in self._task_models:
             stores = self._build_stores(model)
             task: StreamTask = self._task_factory()
             instance = TaskInstance(
                 model.task_name, model.partition_id, task, set(model.ssps),
                 stores, self._checkpoints, metrics=self.metrics,
-                serdes=self.serdes,
+                serdes=self.serdes, container=shared,
             )
             self.tasks[model.task_name] = instance
             for ssp in model.ssps:
@@ -277,18 +278,16 @@ class SamzaContainer:
                 self._consumer.pause(ssp.topic_partition)
 
         if not self._parallel_execution:
-            for instance in self.tasks.values():
-                instance.init(self.config)
-            self._tasks_initialized = True
+            self.finish_task_init()
 
         self._last_window_ms = self.clock.now_ms()
         self._started = True
 
     def finish_task_init(self) -> None:
-        """Second half of startup under parallel execution, run inside the
-        forked worker: initialize every task there, so the SQL task reads
-        the plan from the (forked) ZooKeeper and compiles its operators in
-        the process that will run them."""
+        """Initialize every task: the end of :meth:`start`, or under
+        parallel execution its second half, run inside the forked worker
+        so the SQL job's program is read from the (forked) ZooKeeper and
+        compiled in the process that will run it."""
         if self._tasks_initialized:
             return
         for instance in self.tasks.values():

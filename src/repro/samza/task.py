@@ -46,7 +46,7 @@ class TaskContext:
     """Per-task runtime context: identity, stores, metrics."""
 
     def __init__(self, task_name: str, partition_id: int, stores: dict[str, "KeyValueStore"],
-                 metrics=None, serdes=None):
+                 metrics=None, serdes=None, container: dict | None = None):
         self.task_name = task_name
         self.partition_id = partition_id
         self._stores = stores
@@ -55,6 +55,9 @@ class TaskContext:
         # tasks use it to resolve their streams' Avro schemas for the
         # serde-fusion fast path.
         self.serdes = serdes
+        # Shared by every task of one container start (Samza's
+        # ContainerContext); a task built alone gets one of its own.
+        self.container = {} if container is None else container
 
     def get_store(self, name: str) -> "KeyValueStore":
         try:

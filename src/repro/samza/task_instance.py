@@ -28,7 +28,7 @@ class TaskInstance:
                  ssps: set[SystemStreamPartition],
                  stores: dict[str, KeyValueStore],
                  checkpoint_manager: CheckpointManager | None,
-                 metrics=None, serdes=None):
+                 metrics=None, serdes=None, container: dict | None = None):
         self.task_name = task_name
         self.partition_id = partition_id
         self.task = task
@@ -42,7 +42,8 @@ class TaskInstance:
         # tasks); published by init() from the task's raw_input_streams.
         self.raw_streams: frozenset[str] = frozenset()
         self.context = TaskContext(task_name, partition_id, stores,
-                                   metrics=metrics, serdes=serdes)
+                                   metrics=metrics, serdes=serdes,
+                                   container=container)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -4,17 +4,19 @@ The pieces, following §4:
 
 * :mod:`repro.samzasql.physical` — the physical plan: a JSON-serializable
   operator tree (scan / filter / project / sliding window / windowed
-  aggregate / joins / insert).  Expressions inside it are *rendered
-  source strings* produced by :mod:`repro.sql.codegen`.
+  aggregate / joins / insert) carrying its expressions as Rex trees.
 * :mod:`repro.samzasql.plan_builder` — lowers an optimized logical plan to
   the physical plan and derives the Samza job requirements (inputs,
   bootstrap streams, stores).
 * :mod:`repro.samzasql.operators` — the operator layer, including the
   Algorithm-1 sliding window on changelog-backed local state and the
   bootstrap-stream stream-to-relation join.
-* :mod:`repro.samzasql.task` — the SamzaSQL StreamTask: at init it loads
-  the plan from ZooKeeper, re-generates operator code, and builds the
-  message router (the paper's two-step query planning).
+* :mod:`repro.samzasql.decision` — the job program: the plan read from
+  ZooKeeper, its execution decision and generated code, once per
+  container start.
+* :mod:`repro.samzasql.task` — the SamzaSQL StreamTask: at init it binds
+  its container's program and builds the message router (the paper's
+  two-step query planning).
 * :mod:`repro.samzasql.shell` — the SamzaSQL shell/driver: plans queries,
   writes plan metadata to ZooKeeper, generates the job config, and
   submits the job through the YARN client.

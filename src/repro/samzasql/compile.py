@@ -5,34 +5,22 @@ whole of the paper's fig5a/b queries, with any number of stream-to-relation
 joins on the relation's key (fig 5c, §4.4) and sliding windows (fig 6,
 Algorithm 1 of §4.3) as stages of it — this module renders every node
 down to composed expressions (:func:`chain_expressions`), from which
-:func:`repro.samzasql.serde_plan.compile_serde_fused` generates ONE
-function spanning decode → chain → encode.  :class:`CompiledExecutor`
-runs that function in place of the router's per-operator dispatch.
+:func:`repro.samzasql.serde_plan.render_fused` generates ONE function
+spanning decode → chain → encode, once per job program
+(:class:`repro.samzasql.decision.JobProgram`).  Each task's
+:class:`CompiledExecutor` binds that function to its own operators and
+runs it in place of the router's per-operator dispatch.
 
-The plan carries each node's expressions as Rex trees, and
-:func:`repro.sql.codegen.render` renders them straight over the chain's
-columns, never over a row: a reference renders as its column's
-expression — at the scan, the decoded input field ``f<k>`` itself — so
-nothing is substituted into rendered text, the whole chain works
-tuple-at-a-time directly on the incoming message, no array-tuple is ever
-materialized (the paper's future-work item 5, taken to its endpoint), and
-each :class:`Expr` knows the input fields it reads.  Each counted node is
-one :class:`Stage`: a filter is its predicate; a relation join or a
-sliding window is rendered by its own operator (``render_stage``; the
-router built it from the same node, ``Operator(node)``), and leaves a
-tuple downstream columns read — the row looked up in the join
-operator's decoded relation as ``_rel<i>[j]``, the window's aggregates
-as ``_win<i>[j]``.
+:func:`repro.sql.codegen.render` renders the plan's Rex trees straight
+over the chain's columns — at the scan, the decoded input fields
+``f<k>`` — so no array-tuple is ever materialized (the paper's
+future-work item 5), and each :class:`Expr` knows the input fields it
+reads.  Each counted node is one :class:`Stage`; a relation join leaves
+its row as ``_rel<i>[j]``, a window its aggregates as ``_win<i>[j]``.
 
-Unsupported shapes — the group window (a hopping/tumbling GROUP BY), the
-windowed stream-to-stream join, a relation join not on the relation's
-key (it scans the whole relation per message), a window over a UDAF, and
-UDF calls (resolved through a live registry) — run the interpreted
-router, selected per task at plan time
-(:func:`repro.samzasql.decision.decide_execution`).  Byte
-equivalence between the two paths is enforced by the integration suite;
-the per-operator ``processed``/``emitted`` counters are maintained
-exactly, so metrics snapshots are indistinguishable too.
+Every other shape runs the interpreted router (:func:`chain_fallback`
+names why); the integration suite enforces byte equivalence between the
+two paths, counters included.
 """
 
 from __future__ import annotations
@@ -41,7 +29,6 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 
 from repro.common.errors import PlannerError
-from repro.samzasql.operators.insert import InsertOperator
 from repro.samzasql.operators.sliding_window import BUILTIN_AGGREGATES
 from repro.samzasql.physical import (
     FilterNode,
@@ -80,8 +67,8 @@ def chain_nodes(plan: PhysicalPlan) -> list[PhysicalNode]:
 
 def chain_fallback(plan: PhysicalPlan) -> str | None:
     """Why the plan's chain does not exec-compile; None when it does."""
-    node: PhysicalNode = plan.root
-    while True:
+    nodes = chain_nodes(plan)
+    for node in reversed(nodes):  # root first
         kind = node.kind
         if kind in _STATEFUL_KINDS:
             return f"stateful operator: {kind}"
@@ -99,13 +86,10 @@ def chain_fallback(plan: PhysicalPlan) -> str | None:
         if any(isinstance(n, RexCall) and n.op.startswith("UDF:")
                for tree in node.expressions() for n in walk_rex(tree)):
             return "expression calls a UDF (resolved via live registry)"
-        if not node.inputs:
-            break
-        if len(node.inputs) != 1:
+        if len(node.inputs) > 1:
             return f"multi-input operator: {kind}"
-        node = node.inputs[0]
-    if not isinstance(node, ScanNode):
-        return f"chain does not end at a scan: {node.kind}"
+    if not isinstance(nodes[0], ScanNode):
+        return f"chain does not end at a scan: {nodes[0].kind}"
     if not isinstance(plan.root, InsertNode):
         return f"chain root is not an insert: {plan.root.kind}"
     return None
@@ -148,27 +132,17 @@ def _render(tree: RexNode, columns: list[Expr]) -> Expr:
 class Stage:
     """One counted node of the chain: its survivors are counted per batch.
 
-    A filter is its predicate, which the generator renders inline.  Any
-    other stage is rendered by the node's operator,
-    ``operators[position].render_stage(i, row, sources)``, and leaves
-    ``row`` — the tuple its downstream columns read — in the generated
-    body.  A relation join reads its stream key and its condition, and
-    leaves the looked-up row; a window reads its partition key, its order
-    value and its aggregates' arguments, and leaves the aggregates."""
+    A filter is its predicate, rendered inline.  Any other stage is
+    rendered by its node's operator class, ``render_stage(node, i, row,
+    sources)``, and leaves ``row``, the tuple downstream columns read: a
+    relation join reads its stream key and condition and leaves the
+    looked-up row; a window reads its partition key, order value and
+    aggregate arguments and leaves the aggregates."""
 
     position: int           # the node's chain position (leaf = 0)
+    node: PhysicalNode      # the plan node it renders
     exprs: tuple            # the Exprs it reads
     row: str | None = None  # its output tuple; None for a filter
-
-
-@dataclass(frozen=True)
-class CompiledChain:
-    """The generated function plus the bookkeeping the executor needs."""
-
-    source: str            # generated Python, kept for EXPLAIN / debugging
-    fn: object             # f(values, timestamps) -> (entries, stage_counts)
-    stream: str            # the single input stream the chain consumes
-    stages: tuple          # the chain's Stages, one survivor count each
 
 
 @dataclass(frozen=True)
@@ -179,8 +153,8 @@ class ChainExpressions:
     """
 
     stream: str          # the single input stream the chain consumes
-    columns: list        # one Expr per output field
-    stages: list         # the Stages, in execution order
+    columns: tuple       # one Expr per output field
+    stages: tuple        # the Stages, in execution order
     ts_expr: Expr        # output timestamp (insert rowtime fallback folded in)
     key_expr: Expr       # output key expression ("None" when unkeyed)
     insert: InsertNode   # the chain's root
@@ -188,11 +162,9 @@ class ChainExpressions:
 
 def chain_expressions(plan: PhysicalPlan,
                       input_fields: list[str]) -> ChainExpressions:
-    """Render the chain's nodes into composed expressions over the input
-    record whose fields, in schema order, are ``input_fields``."""
-    reason = chain_fallback(plan)
-    if reason is not None:
-        raise PlannerError(f"plan does not compile: {reason}")
+    """Render a compilable chain's nodes (:func:`chain_fallback` is None)
+    into composed expressions over the input record whose fields, in
+    schema order, are ``input_fields``."""
     scan, *nodes = chain_nodes(plan)
     index = {name: k for k, name in enumerate(input_fields)}
     # a column the schema lacks is never rendered: reading it falls back
@@ -205,7 +177,8 @@ def chain_expressions(plan: PhysicalPlan,
 
     for position, node in enumerate(nodes, start=1):
         if isinstance(node, FilterNode):
-            stages.append(Stage(position, (_render(node.predicate, columns),)))
+            stages.append(Stage(position, node,
+                                (_render(node.predicate, columns),)))
         elif isinstance(node, ProjectNode):
             columns = [_render(expr, columns) for expr in node.exprs]
         elif isinstance(node, StreamRelationJoinNode):
@@ -214,7 +187,7 @@ def chain_expressions(plan: PhysicalPlan,
                         for i in range(node.relation_width)]
             joined = (columns + relation if node.stream_is_left
                       else relation + columns)
-            stages.append(Stage(position, (
+            stages.append(Stage(position, node, (
                 _render(RexInputRef(node.stream_key_index), columns),
                 _render(node.condition, joined)), row))
             columns = joined
@@ -224,7 +197,7 @@ def chain_expressions(plan: PhysicalPlan,
             key = Expr(node.key_source([key.source for key in keys]),
                        frozenset().union(*(key.fields for key in keys)))
             # a stage that passes every record: its count is its input's
-            stages.append(Stage(position, (
+            stages.append(Stage(position, node, (
                 key, _render(node.order, columns),
                 *(_render(call.operands[0], columns) for call in node.aggs
                   if call.operands)), row))
@@ -250,18 +223,15 @@ def chain_expressions(plan: PhysicalPlan,
         key_expr = Expr(reprs if len(keys) == 1 else f'"|".join(({reprs}))',
                         frozenset().union(*(key.fields for key in keys)))
 
-    return ChainExpressions(stream=scan.stream, columns=columns,
-                            stages=stages, ts_expr=ts_expr,
+    return ChainExpressions(stream=scan.stream, columns=tuple(columns),
+                            stages=tuple(stages), ts_expr=ts_expr,
                             key_expr=key_expr, insert=insert)
 
 
 class CompiledExecutor:
-    """Runs a :class:`CompiledChain` in place of the router's dispatch.
-
-    The chain is the serde-fused one from
-    :func:`repro.samzasql.serde_plan.compile_serde_fused` (raw value bytes
-    in, encoded bytes out).  The executor runs the generated function over
-    each delivered batch, maintains the chain operators'
+    """Binds the job program's fused function (raw value bytes in, encoded
+    bytes out) to one task's operators and runs it in place of the
+    router's dispatch: it maintains the chain operators'
     ``processed``/``emitted`` counters exactly as the interpreted path
     would, and hands the finished entries to the insert operator's
     buffer, so flush/checkpoint semantics are untouched.  A relation join
@@ -270,27 +240,28 @@ class CompiledExecutor:
     through the router, which counts them.  A window stage passes every
     record it advances.
 
-    With metrics on, the leaf operator carries the chain's one
-    ``process-ns`` timer (operator timers are inclusive of everything
-    downstream, so the leaf's means "the whole chain per message") and
-    each non-empty batch records its per-message mean on it, decode and
-    encode included.
+    With metrics on, the leaf operator carries the chain's one inclusive
+    ``process-ns`` timer ("the whole chain per message"); each non-empty
+    batch records its per-message mean on it, decode and encode included.
     """
 
-    def __init__(self, chain: CompiledChain, router):
+    def __init__(self, program, router):
         operators = list(router.operators)  # leaf-to-root, like the chain
-        insert = operators[-1]
-        if not isinstance(insert, InsertOperator):
-            raise PlannerError("compiled chain must end in an insert operator")
-        counted = {stage.position for stage in chain.stages}
+        exprs = program.decision.serde.exprs
+        counted = {stage.position for stage in exprs.stages}
         self._counters = [(operator, position in counted)
                           for position, operator in enumerate(operators)]
-        self._insert = insert
+        self._insert = operators[-1]  # a fused chain's root is an insert
         self._timer = operators[0]._process_timer  # None: metrics off
-        self._fn = chain.fn
-        self.stream = chain.stream
+        # this task's own namespace: no task shares a function or globals
+        namespace = dict(program.constants)
+        for slot, position in program.slots:
+            namespace[slot] = operators[position]
+        exec(program.code, namespace)  # noqa: S102 - trusted, self-generated
+        self._fn = namespace["_fused_plan"]
+        self.stream = exprs.stream
         #: The generated Python source (EXPLAIN, tests, debugging).
-        self.source = chain.source
+        self.source = program.source
 
     def route_batch(self, stream: str, messages: list, timestamps: list) -> None:
         if stream != self.stream:

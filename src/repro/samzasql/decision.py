@@ -1,4 +1,5 @@
-"""The one plan-time decision: which path a query's tasks execute.
+"""The one plan-time derivation: which path a job's tasks execute, and
+the program they run.
 
 :func:`decide_execution` is the only place that chooses between the two
 paths: the serde-fused function (decode → chain → encode generated as
@@ -9,21 +10,23 @@ over built-in aggregates — fuses when
 :func:`~repro.samzasql.serde_plan.analyze_serde` can inline the serdes
 of the stream it consumes and of its output; a relation's changelog
 stays decoded, whatever its serde.  Everything else is interpreted,
-with one ``fallback`` reason.
-:class:`~repro.samzasql.task.SamzaSqlTask` builds exactly the executor
-the returned :class:`ExecutionDecision` names, and ``EXPLAIN`` prints
-that same object computed from the same merged job config — so the
-report cannot drift from what runs.
+with one ``fallback`` reason.  Its one caller, :meth:`JobProgram.build`,
+parses the plan bytes, decides and renders once per container start;
+``EXPLAIN`` builds the same object from the same bytes, so the report
+cannot drift from what runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from repro.common.config import Config
 from repro.samzasql.compile import chain_fallback, chain_nodes
+from repro.samzasql.operators.router import changelog_key_types
 from repro.samzasql.physical import PhysicalPlan
-from repro.samzasql.serde_plan import SerdeAnalysis, analyze_serde
+from repro.samzasql.serde_plan import SerdeAnalysis, analyze_serde, render_fused
 from repro.serde.avro import AvroSerde
 from repro.serde.base import StringSerde
 
@@ -93,3 +96,35 @@ def decide_execution(plan: PhysicalPlan, config: Config,
     if reason is not None:
         return interpreted(reason)
     return ExecutionDecision(FUSED, sampled, serde=analysis)
+
+
+@dataclass(frozen=True)
+class JobProgram:
+    """What a job's tasks derive from the plan bytes, derived once per
+    container start: the plan, its decision and, when fused, the
+    generated function, which each task only binds
+    (:class:`~repro.samzasql.compile.CompiledExecutor`)."""
+
+    plan: PhysicalPlan
+    decision: ExecutionDecision
+    changelog_key_types: dict      # relation changelog -> its key's type
+    early_emit: bool               # samzasql.window.early.emit
+    source: str | None = None      # the fused function (None: interpreted)
+    code: object = None            # its compiled code object
+    constants: MappingProxyType | None = None  # what the code reads
+    slots: tuple = ()              # (``_op<i>``, chain position) per stage
+
+    @staticmethod
+    def build(plan_json: bytes, config: Config, serdes) -> "JobProgram":
+        """The program of ``plan_json`` under the merged job config and
+        the job's serde registry (``None`` when the host has none)."""
+        plan = PhysicalPlan.from_dict(json.loads(plan_json))
+        decision = decide_execution(plan, config, serdes)
+        program = JobProgram(plan, decision, changelog_key_types(plan),
+                             config.get_bool("samzasql.window.early.emit",
+                                             False))
+        if decision.path != FUSED:
+            return program
+        source, code, constants, slots = render_fused(decision.serde)
+        return replace(program, source=source, code=code,
+                       constants=MappingProxyType(constants), slots=slots)

@@ -49,9 +49,10 @@ them with the same keys and values.
 Algorithm 1 exists here in two forms.  :meth:`SlidingWindowOperator._advance`
 is the interpreted one, run per batch by :meth:`process_batch` (the
 reference arm).  :meth:`SlidingWindowOperator.render_stage` renders the
-same steps as source lines for the serde-fused function
-(:func:`repro.samzasql.serde_plan.compile_serde_fused`), inlined per
-record with one block per aggregate over the same ``_windows`` dict, the
+same steps from the node, once per job program, as source lines for the
+serde-fused function (:func:`repro.samzasql.serde_plan.render_fused`),
+inlined per record with one block per aggregate over the same
+``_windows`` dict of the operator each task binds, the
 same stores and the same ``_retained`` counter — so setup, rebuild,
 restore and the ``window-state-size`` gauge serve both, and the two
 forms leave identical store operations in identical order.  Every name
@@ -185,6 +186,14 @@ class _Accumulators:
         return udaf.result(state)
 
 
+def _frame(node: SlidingWindowNode) -> tuple:
+    """``(range_ms, rows_limit)``: a RANGE frame's width, or the rows a
+    ROWS frame keeps, the current row included; None when unbounded."""
+    rows = node.preceding_rows
+    return ((node.preceding_ms, None) if node.frame_mode == "RANGE" else
+            (None, rows + 1 if rows is not None else None))
+
+
 class SlidingWindowOperator(Operator):
     METRIC_KIND = "sliding-window"
 
@@ -196,12 +205,7 @@ class SlidingWindowOperator(Operator):
         self._arg_fns = [compile_scalar(call.operands[0]) if call.operands
                          else None for call in node.aggs]
         self._accumulators = _Accumulators([call.op for call in node.aggs])
-        self._range_ms = (node.preceding_ms if node.frame_mode == "RANGE"
-                          else None)
-        # ROWS frame includes the current row
-        self._rows_limit = (node.preceding_rows + 1
-                            if node.frame_mode == "ROWS"
-                            and node.preceding_rows is not None else None)
+        self._range_ms, self._rows_limit = _frame(node)
         self._messages = None
         self._state = None
         self._windows: dict[tuple, _WindowState] = {}
@@ -314,10 +318,12 @@ class SlidingWindowOperator(Operator):
         # send latest aggregate values downstream
         self.emit_batch(out, list(timestamps))
 
-    def render_stage(self, i: int, row: str,
+    @staticmethod
+    def render_stage(node: SlidingWindowNode, i: int, row: str,
                      exprs: list) -> tuple[dict, list, list, list]:
-        """Algorithm 1 as source for stage ``i`` of the fused function:
-        ``(namespace, batch_lines, record_lines, end_lines)``.
+        """Algorithm 1 as source for stage ``i`` of the fused function,
+        from the node alone: ``(constants, batch_lines, record_lines,
+        end_lines)``, reading the binding task's operator as ``_op{i}``.
 
         ``exprs`` are the partition key, the order value and the argument
         of each aggregate that has one, over the decoded record; the
@@ -332,16 +338,15 @@ class SlidingWindowOperator(Operator):
         """
         key, order = exprs[:2]
         given = iter(exprs[2:])
-        args = [next(given) if call.operands else None
-                for call in self.node.aggs]
-        funcs = self._accumulators.funcs
+        args = [next(given) if call.operands else None for call in node.aggs]
+        funcs = [call.op for call in node.aggs]
+        range_ms, rows_limit = _frame(node)
         values = [f"_v{i}_{j}" for j in range(len(funcs))]
         # literal lists: the generated namespace has no range()
         fresh = (", ".join("[0, 0, 0]" for _ in funcs),
                  ", ".join("_deque()" if func in ("MIN", "MAX") else "None"
                            for func in funcs))
-        namespace = {f"_op{i}": self, "_WindowState": _WindowState,
-                     "_deque": deque}
+        constants = {"_WindowState": _WindowState, "_deque": deque}
         batch = [f"    _windows{i} = _op{i}._windows",
                  f"    _mput{i} = _op{i}._messages.put",
                  f"    _mdel{i} = _op{i}._messages.delete",
@@ -397,19 +402,19 @@ class SlidingWindowOperator(Operator):
                            f"({acc}[0] / {acc}[2] if {acc}[2] else None)")
         purge += [f"_mdel{i}(_k{i} + (_e[1],))", f"_ret{i} -= 1"]
         loop = [f"    {line}" for line in purge]
-        if self._range_ms is not None:
-            body += [f"_cut{i} = _o{i} - {self._range_ms}",
+        if range_ms is not None:
+            body += [f"_cut{i} = _o{i} - {range_ms}",
                      f"while _rows{i} and _rows{i}[0][0] < _cut{i}:", *loop]
         body += [f"_rows{i}.append((_o{i}, _q{i}, "
                  f"({''.join(v + ', ' for v in values)})))",
                  f"_ret{i} += 1", *add]
-        if self._rows_limit is not None:
-            body += [f"while len(_rows{i}) > {self._rows_limit}:", *loop]
+        if rows_limit is not None:
+            body += [f"while len(_rows{i}) > {rows_limit}:", *loop]
         body.append(f"{row} = ({''.join(r + ', ' for r in results)})")
         end = [f"    for _key, _record in _touched{i}.items():",
                f"        _sput{i}(_key, _record)",
                f"    _op{i}._retained += _ret{i}"]
-        return namespace, batch, [" " * 8 + line for line in body], end
+        return constants, batch, [" " * 8 + line for line in body], end
 
     def state_size(self) -> int:
         """Messages currently retained in open windows — an O(1) counter

@@ -20,9 +20,9 @@ type) takes every changelog upsert and tombstone, and is read only when
 on a first start, the restored changelog after a relaunch.
 
 A join on the relation's key normally does not run :meth:`_join` at
-all: it is a stage of the task's fused function, rendered by
-:meth:`StreamRelationJoinOperator.render_stage`, which makes the same one
-dict ``get`` per stream row.  This operator still owns the rows and the
+all: it is a stage of the job's fused function, rendered from the node
+by :meth:`StreamRelationJoinOperator.render_stage`, which makes the same
+one dict ``get`` per stream row on the operator each task binds.  This operator still owns the rows and the
 store, applies the changelog on the relation port, and carries the
 counters; its stream port is the interpreted reference, and the only
 path for a join not on the key (a scan of the whole relation per row).
@@ -153,26 +153,25 @@ class StreamRelationJoinOperator(Operator):
             out_rows.append(list(stream_row) + [None] * node.relation_width)
             out_ts.append(timestamp_ms)
 
-    def render_stage(self, i: int, row: str,
+    @staticmethod
+    def render_stage(node: StreamRelationJoinNode, i: int, row: str,
                      exprs: list) -> tuple[dict, list, list, list]:
         """:meth:`_join` with the key as source for stage ``i`` of the
-        fused function: ``(namespace, batch_lines, record_lines,
-        end_lines)``.
+        fused function, from the node alone: ``(constants, batch_lines,
+        record_lines, end_lines)``, reading the binding task's operator
+        as ``_op{i}``.
 
         ``exprs`` are the stream row's key and the join condition, over
         the decoded record and the looked-up relation row ``row``.  Per
         record: one ``get`` on the decoded rows under the key's ``repr``;
         a miss or a failed condition skips the record (INNER) or reads a
-        row of nulls (LEFT).  The dict's ``get`` is bound per batch through
-        the operator, as the window binds its state, so the function
-        always reads the rows the relation port keeps current.
+        row of nulls (LEFT).  The ``get`` is bound per batch, so the
+        function always reads the rows the relation port keeps current.
         """
         key, condition = exprs
-        node = self.node
-        namespace = {f"_op{i}": self,
-                     f"_null{i}": (None,) * node.relation_width}
         body = [f"        {row} = _get{i}(repr({key}))",
                 f"        if {row} is None or not ({condition}):",
                 (f"            {row} = _null{i}" if node.join_kind == "LEFT"
                  else "            continue")]
-        return namespace, [f"    _get{i} = _op{i}._rows.get"], body, []
+        return ({f"_null{i}": (None,) * node.relation_width},
+                [f"    _get{i} = _op{i}._rows.get"], body, [])

@@ -8,8 +8,9 @@ the whole plan can be written to ZooKeeper by the shell and re-read by the
 SamzaSQL tasks at init time.  Nodes carry their expressions as Rex trees
 (:mod:`repro.sql.rex`, in its JSON form on the wire), never rendered code:
 each task builds every operator from its node, and the operator compiles
-the node's trees itself (:mod:`repro.sql.codegen`); the fused function
-renders the same trees over its columns — the paper's two-phase planning.
+the node's trees itself (:mod:`repro.sql.codegen`); the fused function,
+rendered once per container start, renders the same trees over its
+columns — the paper's two-phase planning.
 """
 
 from __future__ import annotations

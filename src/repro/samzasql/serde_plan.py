@@ -29,20 +29,14 @@ Three layers, all decided at plan time:
 
 3. **Fusion** — decode, the chain's stages, and encode are generated into
    ONE function over the raw value batch, returning ready-to-send
-   ``(bytes, timestamp_ms, key)`` entries.  The container feeds it
-   undecoded consumer records and the producer takes the bytes as-is.  A
-   filter stage is rendered inline; every other stage is rendered by its
-   own operator's ``render_stage``, next to the interpreted code it
-   mirrors.  A stream-to-relation join stage is one ``get`` on the join
-   operator's decoded relation (a dict whose ``get`` is bound per batch;
-   the relation's store is only its durability log, never read per
-   record); an INNER miss skips the record, a LEFT miss reads a row of
-   nulls.  Relation columns are always
-   re-encoded; stream columns still splice.  A sliding-window stage is
-   Algorithm 1 inlined: the record advances its partition's window in
-   the operator's own state, writing through the stores' own put/delete
-   (bound per batch), and the aggregate columns are encoded while the
-   input columns splice.
+   ``(bytes, timestamp_ms, key)`` entries; the container feeds it
+   undecoded records and the producer takes the bytes as-is.  It is
+   rendered once per job program (:func:`render_fused`) from the plan and
+   schemas alone: a filter stage inline, every other stage by its
+   operator class's ``render_stage``, next to the interpreted code it
+   mirrors — a relation join as one ``get`` on the decoded relation, a
+   sliding window as Algorithm 1 over the operator's state and stores —
+   reading the operator of whichever task binds the code (``_op<i>``).
 
 Fusion is the only compiled path.  Anything the analysis cannot prove
 safe — non-Avro serdes, unsupported schema shapes, expressions over
@@ -55,14 +49,11 @@ on that first.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import SerdeError
-from repro.samzasql.compile import (
-    ChainExpressions,
-    CompiledChain,
-    chain_expressions,
-)
+from repro.samzasql.compile import ChainExpressions, chain_expressions
+from repro.samzasql.operators.router import OPERATOR_TYPES
 from repro.samzasql.physical import PhysicalPlan
 from repro.serde.avro import (
     _DOUBLE,
@@ -82,22 +73,23 @@ _VARINT_KINDS = frozenset({"int", "long"})
 # -- the plan-time analysis ---------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerdeAnalysis:
     """How a compilable chain serde-fuses: what the decision reports and
-    everything the codegen needs, computed once."""
+    everything the codegen needs, computed once per job program and
+    shared, read-only, by its tasks."""
 
-    exprs: ChainExpressions = None
-    output_schema: object = None
-    in_fields: list = field(default_factory=list)    # flat_record_fields
-    span_fields: set = field(default_factory=set)    # input indexes spanned
+    exprs: ChainExpressions
+    output_schema: object
+    in_fields: tuple        # flat_record_fields
+    span_fields: frozenset  # input indexes spanned
     # Per output column: ("splice", input_index, prefix_byte | None) or
     # ("compute", expr_source, out_kind, out_null_index, field_type_def).
-    columns: list = field(default_factory=list)
-    required: tuple = ()   # input columns decoded into Python values
-    pruned: tuple = ()     # input columns skip-scanned / span-forwarded
-    spliced: tuple = ()    # output columns forwarded as raw byte spans
-    computed: tuple = ()   # output columns re-encoded from values
+    columns: tuple
+    required: tuple         # input columns decoded into Python values
+    pruned: tuple           # input columns skip-scanned / span-forwarded
+    spliced: tuple          # output columns forwarded as raw byte spans
+    computed: tuple         # output columns re-encoded from values
 
 
 def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
@@ -124,14 +116,16 @@ def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
             return (f"output field {name!r} has a non-canonical union "
                     "ordering"), None
 
-    exprs = chain_expressions(plan, [name for name, _k, _n in in_fields])
+    names = [name for name, _k, _n in in_fields]
+    out_names = [name for name, _k, _n in out_fields]
+    exprs = chain_expressions(plan, names)
     if len(out_fields) != len(exprs.columns):
         return "output schema width does not match the chain", None
-    if [name for name, _k, _n in out_fields] != list(exprs.insert.field_names):
+    if out_names != list(exprs.insert.field_names):
         return "output schema field names do not match the chain", None
 
-    build = SerdeAnalysis(exprs=exprs, output_schema=output_schema,
-                          in_fields=in_fields)
+    columns: list[tuple] = []
+    spans: set[int] = set()
     # Expressions whose *values* the generated function needs: every
     # stage's, the output timestamp, the output key, and any re-encoded
     # column.
@@ -151,12 +145,11 @@ def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
             # bare input gets the output's branch byte spliced in front.
             if compatible and (inull is None or (inull == 0 and onull == 0)):
                 prefix = 2 if (inull is None and onull == 0) else None
-                build.columns.append(("splice", index, prefix))
-                build.span_fields.add(index)
+                columns.append(("splice", index, prefix))
+                spans.add(index)
                 continue
-        build.columns.append(
-            ("compute", column.source, okind, onull,
-             out_def["fields"][len(build.columns)]["type"]))
+        columns.append(("compute", column.source, okind, onull,
+                        out_def["fields"][len(columns)]["type"]))
         value_exprs.append(column)
 
     needed: set = set()
@@ -166,17 +159,15 @@ def analyze_serde(plan: PhysicalPlan, input_schema, output_schema
                 return f"expression references unknown column {k!r}", None
             needed.add(k)
 
-    build.required = tuple(name for k, (name, _k, _n) in enumerate(in_fields)
-                           if k in needed)
-    build.pruned = tuple(name for k, (name, _k, _n) in enumerate(in_fields)
-                         if k not in needed)
-    build.spliced = tuple(name for (name, _k, _n), op
-                          in zip(out_fields, build.columns)
-                          if op[0] == "splice")
-    build.computed = tuple(name for (name, _k, _n), op
-                           in zip(out_fields, build.columns)
-                           if op[0] == "compute")
-    return None, build
+    return None, SerdeAnalysis(
+        exprs, output_schema, tuple(in_fields), frozenset(spans),
+        tuple(columns),
+        required=tuple(n for k, n in enumerate(names) if k in needed),
+        pruned=tuple(n for k, n in enumerate(names) if k not in needed),
+        spliced=tuple(n for n, op in zip(out_names, columns)
+                      if op[0] == "splice"),
+        computed=tuple(n for n, op in zip(out_names, columns)
+                       if op[0] == "compute"))
 
 
 # -- code generation ----------------------------------------------------------
@@ -218,18 +209,17 @@ def _splice_pieces(build: SerdeAnalysis) -> list[tuple]:
     return pieces
 
 
-def compile_serde_fused(build: SerdeAnalysis,
-                        operators: list | None = None) -> CompiledChain:
-    """Generate one function spanning decode → chain → encode.
+def render_fused(build: SerdeAnalysis) -> tuple[str, object, dict, tuple]:
+    """Generate one function spanning decode → chain → encode, once per
+    job program: ``(source, code, constants, slots)``.
 
-    The function takes the *raw* value batch (encoded Avro datums and
-    wire timestamps) and returns ``(entries, stage_counts)`` where each
-    entry is ``(message_bytes, timestamp_ms, key)`` ready for a
-    pre-serialized send, and ``stage_counts`` carries the per-stage
-    survivor counts the operator counters need.  ``operators`` is the
-    task's chain of operators, leaf first: every stage but a filter is
-    rendered by its own operator, over that operator's state and stores
-    (a chain of filters and projections needs none).
+    The function ``_fused_plan`` takes the *raw* value batch (encoded
+    Avro datums and wire timestamps) and returns ``(entries,
+    stage_counts)``: ``(message_bytes, timestamp_ms, key)`` entries ready
+    for a pre-serialized send, and the per-stage survivor counts the
+    operator counters need.  A task execs ``code`` into a copy of
+    ``constants`` plus its own operators, one per slot (``_op<i>`` →
+    chain position) of a stage rendered by its operator class.
     """
     stages = build.exprs.stages
     ts_expr = build.exprs.ts_expr.source
@@ -296,15 +286,19 @@ def compile_serde_fused(build: SerdeAnalysis,
              "    _append = _out.append"]
     stage_lines: list[str] = []
     end_lines: list[str] = []
+    slots: list[tuple] = []
     for i, stage in enumerate(stages):
         if stage.row is None:
             [predicate] = stage.exprs
             stage_lines += [f"        if not ({predicate.source}):",
                             "            continue"]
         else:
-            scope, batch, body, end = operators[stage.position].render_stage(
-                i, stage.row, [expr.source for expr in stage.exprs])
+            scope, batch, body, end = OPERATOR_TYPES[
+                stage.node.kind].render_stage(
+                    stage.node, i, stage.row,
+                    [expr.source for expr in stage.exprs])
             namespace.update(scope)
+            slots.append((f"_op{i}", stage.position))
             lines += batch
             stage_lines += body
             end_lines += end
@@ -331,7 +325,5 @@ def compile_serde_fused(build: SerdeAnalysis,
     counts = ", ".join(f"_n{i}" for i in range(len(stages)))
     lines.append(f"    return _out, ({counts}{',' if counts else ''})")
     source = "\n".join(lines)
-
-    exec(compile_source(source, "<samzasql-serde-fuse>", "exec"), namespace)  # noqa: S102 - trusted, self-generated
-    return CompiledChain(source=source, fn=namespace["_fused_plan"],
-                         stream=build.exprs.stream, stages=tuple(stages))
+    return (source, compile_source(source, "<samzasql-serde-fuse>", "exec"),
+            namespace, tuple(slots))

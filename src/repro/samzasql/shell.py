@@ -33,7 +33,7 @@ from repro.metrics import (
 from repro.samza.job import JobRunner, SamzaApplicationMaster, SamzaJob
 from repro.samza.serdes import SerdeRegistry
 from repro.samzasql.batch import BatchExecutor
-from repro.samzasql.decision import decide_execution
+from repro.samzasql.decision import JobProgram
 from repro.samzasql.physical import PhysicalPlan
 from repro.samzasql.plan_builder import (
     PhysicalPlanBuilder,
@@ -344,8 +344,9 @@ class SamzaSQLShell:
 
         Runs the exact planning pipeline a submission would — physical
         lowering, job config, and the same
-        :func:`~repro.samzasql.decision.decide_execution` call every task
-        makes at init — but writes nothing to ZooKeeper and submits no job.
+        :meth:`~repro.samzasql.decision.JobProgram.build` call a container
+        makes, from the plan bytes its tasks would read — but writes
+        nothing to ZooKeeper and submits no job.
         """
         lines = ["logical plan:"]
         lines += ["  " + line for line in planned.plan.explain().splitlines()]
@@ -379,7 +380,8 @@ class SamzaSQLShell:
                         for s in plan.input_streams)
         except Exception:  # noqa: BLE001 - unregistered topic
             tasks = containers
-        decision = decide_execution(plan, config, serdes)
+        decision = JobProgram.build(ZkClient.encode_json(plan.to_dict()),
+                                    config, serdes).decision
         lines.append(f"tasks: {tasks} × {decision.task_status}")
         lines.append("  " + decision.serde_status)
         return "\n".join(lines)

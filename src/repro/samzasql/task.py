@@ -4,10 +4,13 @@
 implementation that performs the computation described in the query" (§2).
 
 At ``init`` the task performs the second phase of the two-step planning
-(§4.2): it loads the physical plan JSON that the shell wrote to ZooKeeper,
-runs code generation over the plan's expression trees, and builds the
-message router.  ``process`` then routes each deserialized message into
-the operator DAG; operator output leaves through the task's collector.
+(§4.2): it instantiates the physical plan the shell wrote to ZooKeeper.
+Plan read, parse, decision and fused render are the container's
+:class:`~repro.samzasql.decision.JobProgram`, built by the first task of
+a container start; every task only binds it: its stores, its operators
+and, when fused, its own copy of the generated function.  ``process``
+then routes each deserialized message into the operator DAG; operator
+output leaves through the task's collector.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from repro.samza.task import (
     WindowableTask,
 )
 from repro.samzasql.compile import CompiledExecutor
-from repro.samzasql.decision import FUSED, ExecutionDecision, decide_execution
+from repro.samzasql.decision import FUSED, ExecutionDecision, JobProgram
 from repro.samzasql.operators.base import OperatorContext
 from repro.samzasql.operators.group_window import GroupWindowAggOperator
-from repro.samzasql.operators.router import build_router, changelog_key_types
+from repro.samzasql.operators.router import build_router
 from repro.samzasql.operators.stream_relation_join import ChangelogTombstone
-from repro.samzasql.physical import PhysicalPlan
-from repro.samzasql.serde_plan import compile_serde_fused
 from repro.zk.client import ZkClient
 
 
@@ -66,38 +67,39 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
     def __init__(self, zk: ZkClient, plan_path: str):
         self._zk = zk
         self._plan_path = plan_path
-        self._router = None
+        self.program: JobProgram | None = None  # the container's, bound
+        self.router = None
+        self.executor: CompiledExecutor | None = None  # fused tasks only
         self._route_batch = None
         self._sink = None
-        self._early_emit = False
-        self._executor = None
-        self._decision: ExecutionDecision | None = None
-        self._changelog_key_types: dict[str, str] = {}
         #: Streams the container should deliver *undecoded*: the fused
         #: chain's stream; empty when the interpreted path runs.
         self.raw_input_streams: frozenset[str] = frozenset()
 
     def init(self, config: Config, context: TaskContext) -> None:
-        try:
-            payload = self._zk.read_json(self._plan_path)
-        except ZkSessionExpiredError:
-            # The server expired our session (chaos, GC pause...) between
-            # client creation and plan load; the plan znode is persistent,
-            # so a fresh session reads it fine.
-            self._zk.reconnect()
-            payload = self._zk.read_json(self._plan_path)
-        plan = PhysicalPlan.from_dict(payload)
-        decision = decide_execution(plan, config, context.serdes)
-        self._decision = decision
+        program = context.container.get(self._plan_path)
+        if program is None:  # the container's first task
+            try:
+                plan_json = self._zk.get(self._plan_path)[0]
+            except ZkSessionExpiredError:
+                # The server expired our session (chaos, GC pause...)
+                # between client creation and plan load; the plan znode
+                # is persistent, so a fresh session reads it fine.
+                self._zk.reconnect()
+                plan_json = self._zk.get(self._plan_path)[0]
+            program = context.container[self._plan_path] = JobProgram.build(
+                plan_json, config, context.serdes)
+        self.program, plan, decision = program, program.plan, program.decision
         fused = decision.path == FUSED
         self._sink = _CollectorSink(plan.output_stream, pre_serialized=fused)
         stores = {name: context.get_store(name) for name in plan.store_names}
         # The interpreted router is always built: its operators carry the
         # counters (and, with metrics on, the timers) either path updates.
-        self._router = build_router(plan, OperatorContext(
+        self.router = build_router(plan, OperatorContext(
             stores=stores, send_batch=self._sink.send_batch,
             partition_id=context.partition_id, metrics=context.metrics))
-        operators = self._router.operators
+        operators = self.router.operators
+        self._route_batch = self.router.route_batch
         if decision.sampled:
             # Before the executor is built (it picks up the leaf's timer):
             # its one run-time boundary is the function call, timed on the
@@ -110,25 +112,19 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
             # container delivers the chain's stream undecoded.  Relation
             # changelogs stay decoded: they reach the join's relation
             # port through the router, tombstones included.  A join or
-            # window stage is rendered by its operator, over the state
-            # and stores the operator opened at setup.
-            self._executor = CompiledExecutor(
-                compile_serde_fused(decision.serde, operators), self._router)
-            self.raw_input_streams = frozenset({self._executor.stream})
-            self._route_batch = self._router.route_batch
+            # window stage reads the state and stores this task's
+            # operator opened at setup.
+            self.executor = CompiledExecutor(program, self.router)
+            self.raw_input_streams = frozenset({self.executor.stream})
         elif decision.sampled:
             self._route_batch = TimingSampler(
-                self._router.route_batch, operators).route_batch
-        else:
-            self._route_batch = self._router.route_batch
-        self._changelog_key_types = changelog_key_types(plan)
-        self._early_emit = config.get_bool("samzasql.window.early.emit", False)
+                self.router.route_batch, operators).route_batch
 
     def _tombstones(self, stream: str, keys: list, messages: list) -> list:
         """A relation changelog's null records as the
         :class:`ChangelogTombstone` s of their keys; other streams, and
         batches without one, pass unchanged."""
-        key_type = self._changelog_key_types.get(stream)
+        key_type = self.program.changelog_key_types.get(stream)
         if key_type is None or None not in messages:
             return messages
         return [ChangelogTombstone.typed(key, key_type) if message is None
@@ -144,9 +140,9 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         :meth:`process_batch` exactly.
         """
         self._sink.collector = collector
-        self._executor.run([record.value for record in records],
+        self.executor.run([record.value for record in records],
                            [record.timestamp_ms for record in records])
-        self._router.flush_sinks()
+        self.router.flush_sinks()
 
     def process(self, envelope, collector: MessageCollector,
                 coordinator: TaskCoordinator) -> None:
@@ -155,7 +151,7 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         self._route_batch(envelope.stream, self._tombstones(
             envelope.stream, [envelope.key], [envelope.message]),
             [envelope.timestamp_ms])
-        self._router.flush_sinks()
+        self.router.flush_sinks()
 
     def process_batch(self, ssp, records: list, keys: list, messages: list,
                       collector: MessageCollector,
@@ -170,7 +166,7 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         timestamps = [record.timestamp_ms for record in records]
         self._route_batch(ssp.stream, self._tombstones(
             ssp.stream, keys, messages), timestamps)
-        self._router.flush_sinks()
+        self.router.flush_sinks()
 
     def window(self, collector: MessageCollector,
                coordinator: TaskCoordinator) -> None:
@@ -182,27 +178,18 @@ class SamzaSqlTask(StreamTask, InitableTask, WindowableTask):
         arrivals."
         """
         self._sink.collector = collector
-        if self._early_emit:
-            for operator in self._router.operators:
+        if self.program.early_emit:
+            for operator in self.router.operators:
                 if isinstance(operator, GroupWindowAggOperator):
                     operator.emit_partials()
-        self._router.flush_sinks()
-
-    @property
-    def router(self):
-        return self._router
+        self.router.flush_sinks()
 
     @property
     def decision(self) -> ExecutionDecision:
         """The plan-time decision this task executes (what EXPLAIN prints)."""
-        return self._decision
-
-    @property
-    def executor(self):
-        """The :class:`~repro.samzasql.compile.CompiledExecutor`, or None."""
-        return self._executor
+        return self.program.decision
 
     @property
     def serde_fused(self) -> bool:
         """True when this task routes raw batches through the fused path."""
-        return self._decision.path == FUSED
+        return self.program.decision.path == FUSED

@@ -6,8 +6,8 @@ rendered to Python expression *source* and compiled once per operator, so
 the per-row hot path is straight-line compiled bytecode with no tree
 walking — the same motivation as Calcite's generated Java.  :func:`render`
 is the one producer of expression source: the physical plan carries the
-trees themselves, and each SamzaSQL task renders them at init, over a row
-for an operator and over the fused function's columns for a chain.
+trees themselves; each operator renders them over a row, and a job's
+program renders a chain once over the fused function's columns.
 
 Rows are Python lists (the paper's array-tuple representation, Figure 4);
 ``r[i]`` reads field *i*.  Join predicates see two rows ``l`` and ``r``.

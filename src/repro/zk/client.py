@@ -91,20 +91,21 @@ class ZkClient:
 
     # -- JSON conveniences (used for plan/config metadata) ---------------------------
 
-    def write_json(self, path: str, payload: Any) -> None:
-        """Create-or-set ``path`` with a JSON payload, creating ancestors.
-
-        The serialization is canonical — sorted keys, no whitespace — so
-        the same payload always produces the same bytes.  The physical
-        plans the shell shares through here depend on this: every worker
-        process must recompile identical operator source from the plan.
-        """
-        self._check_open()
-        data = json.dumps(payload, sort_keys=True,
+    @staticmethod
+    def encode_json(payload: Any) -> bytes:
+        """The bytes :meth:`write_json` stores for ``payload``: canonical
+        (sorted keys, no whitespace), so the same payload always produces
+        the same bytes — every process reading a shared physical plan must
+        derive the same program from it."""
+        return json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
+
+    def write_json(self, path: str, payload: Any) -> None:
+        """Create-or-set ``path`` with a JSON payload, creating ancestors."""
+        self._check_open()
         if self._server.exists(path) is None:
             self._server.ensure_path(path)
-        self._server.set(path, data)
+        self._server.set(path, self.encode_json(payload))
 
     def read_json(self, path: str) -> Any:
         raw, _stat = self.get(path)

@@ -13,7 +13,7 @@ from repro.samzasql.decision import (
     FUSED,
     INTERPRETED,
     ExecutionDecision,
-    decide_execution,
+    JobProgram,
 )
 from repro.serde import AvroSchema, AvroSerde
 from repro.sql.planner import QueryPlanner
@@ -62,23 +62,27 @@ def reference_arm(path: str):
 
     The runtime has no switch for this: which path a task runs comes from
     its plan alone.  The equivalence suites still need the reference
-    router for queries that would fuse, so this substitutes the decision
-    where the task and ``EXPLAIN`` read it.  Tasks decide at init, so keep
-    the context open across every (re)launch of the job; forked workers
-    inherit the patch.
+    router for queries that would fuse, so this substitutes the program
+    where the containers and ``EXPLAIN`` build it — the one builder,
+    :meth:`JobProgram.build`, which every container start calls afresh.
+    Containers build at their first task's init, so keep the context open
+    across every (re)launch of the job; forked workers inherit the patch.
     """
     assert path in (FUSED, INTERPRETED), path
+    build = JobProgram.build
 
-    def decide(plan, config, serdes):
-        decision = decide_execution(plan, config, serdes)
-        if path != INTERPRETED or decision.path == INTERPRETED:
-            return decision
-        return ExecutionDecision(
-            INTERPRETED, decision.sampled,
-            fallback="reference arm: held at interpreted by the test fixture")
+    def held(plan_json, config, serdes):
+        program = build(plan_json, config, serdes)
+        if path != INTERPRETED or program.decision.path == INTERPRETED:
+            return program
+        return JobProgram(
+            program.plan, ExecutionDecision(
+                INTERPRETED, program.decision.sampled,
+                fallback="reference arm: held at interpreted by the test "
+                         "fixture"),
+            program.changelog_key_types, program.early_emit)
 
-    with mock.patch("repro.samzasql.task.decide_execution", decide), \
-            mock.patch("repro.samzasql.shell.decide_execution", decide):
+    with mock.patch.object(JobProgram, "build", held):
         yield
 
 

@@ -1,8 +1,9 @@
 """Golden corpus of fused sources: the generated program as a file.
 
 Each case runs one query on a one-partition fixture deployment and reads
-the fused function's source off its task (``task.executor.source``, the
-string the executor compiled); the test diffs it against
+the fused function's source off the job program its container built
+(``task.program.source``, the string every task's executor binds); the
+test diffs it against
 ``tests/golden/fused/<name>.py``.  A change to the generator, or to what
 the planner hands it, shows as a diff of these files.  Rewrite them on
 purpose, from the repo root, with::
@@ -77,13 +78,20 @@ CASES = {
 
 
 def fused_source(name: str) -> str:
-    """The fused source the task of ``CASES[name]`` compiled."""
+    """The fused source of the program ``CASES[name]``'s container built."""
     sql, kwargs = CASES[name]
     dep = Deployment(partitions=1).with_orders(5).with_products(4)
     dep.with_suppliers(2)
-    [task] = sql_tasks(dep.run(sql, **kwargs))
+    handle = dep.run(sql, **kwargs)
+    [task] = sql_tasks(handle)
     assert task.decision.path == "fused", task.decision
-    return task.executor.source + "\n"
+    # one program per container start, and it is the one the task binds
+    [container] = handle.master.samza_containers.values()
+    [instance] = container.tasks.values()
+    [program] = instance.context.container.values()
+    assert task.program is program
+    assert task.executor.source == program.source
+    return program.source + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

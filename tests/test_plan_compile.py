@@ -17,11 +17,11 @@ from repro.common.config import Config
 from repro.common.errors import ConfigError
 from repro.common.execution import RETIRED_KEYS, parallel_execution
 from repro.samzasql.compile import chain_fallback
-from repro.samzasql.decision import decide_execution
+from repro.samzasql.decision import JobProgram
 from repro.samzasql.environment import SamzaSqlEnvironment
-from repro.samzasql.serde_plan import compile_serde_fused
 from repro.serving.errors import ErrorCode, PipelineError
 from repro.sql.codegen import compile_lambda, compile_source
+from repro.zk.client import ZkClient
 
 from tests.samzasql_fixtures import (
     ORDERS_SCHEMA,
@@ -42,6 +42,13 @@ GROUP_WINDOW_SQL = (
     "SELECT STREAM START(rowtime) AS ws, COUNT(*) AS c FROM Orders "
     "GROUP BY TUMBLE(rowtime, INTERVAL '1' MINUTE)")
 GROUP_WINDOW_REASON = "stateful operator: group_window_agg"
+
+
+def shell_program(handle, container):
+    """The program ``EXPLAIN`` builds for the handle's plan: from the plan
+    JSON as the shell writes it, under the container's job config."""
+    return JobProgram.build(ZkClient.encode_json(handle.plan.to_dict()),
+                            container.config, container.serdes)
 
 
 def run_modes(sql, count=40, **kwargs):
@@ -253,34 +260,61 @@ class TestByteEquivalence:
         source = task.executor.source
         assert source.count("def ") == 1
         assert "process_batch" not in source
-        # and it is the same source the shell's own plan compiles to —
-        # the task rebuilt it from the plan JSON the shell wrote to ZK
+        # and it is the program the shell builds from its own plan: the
+        # task bound its container's, built from the JSON the shell wrote
         [container] = handle.master.samza_containers.values()
-        decision = decide_execution(handle.plan, container.config,
-                                    container.serdes)
-        assert compile_serde_fused(decision.serde).source == source
+        assert shell_program(handle, container).source == source
+
+
+class TestReferenceArm:
+    def test_interpreted_arm_after_a_fused_run_in_one_process(self):
+        """Programs are per container start, never memoized across jobs:
+        a job with the same plan bytes as an earlier fused one still runs
+        interpreted under the reference arm — and its EXPLAIN says so."""
+        fused = Deployment().with_orders(5).run(WINDOW_SQL)
+        assert {task.decision.path for task in sql_tasks(fused)} == {"fused"}
+        dep = Deployment().with_orders(5)
+        with reference_arm("interpreted"):
+            handle = dep.run(WINDOW_SQL)
+            report = dep.shell.execute(f"EXPLAIN {WINDOW_SQL}")
+        plans = [ZkClient.encode_json(h.plan.to_dict())
+                 for h in (fused, handle)]
+        assert plans[0] == plans[1]
+        tasks = sql_tasks(handle)
+        assert len(tasks) == 4
+        assert {task.decision.path for task in tasks} == {"interpreted"}
+        assert all(task.executor is None for task in tasks)
+        assert "tasks: 4 × interpreted (fallback: reference arm" in report
 
 
 class TestCodeCache:
-    """Generated source is compiled once per process and text, then
-    exec'd into each task's own namespace."""
+    """Generated source is rendered and compiled once per container start
+    (and code is memoized per process and text), then exec'd into each
+    task's own namespace."""
 
     def test_tasks_share_code_not_functions(self):
         compile_source.cache_clear()
         dep = Deployment().with_orders(5)
         handle = dep.run(FILTER_SQL)
-        assert len(sql_tasks(handle)) == 4
+        tasks = sql_tasks(handle)
+        assert len(tasks) == 4
         info = compile_source.cache_info()
-        # one compile per distinct source; the other three tasks only hit
+        # one compile per distinct source
         assert info.misses == info.currsize
-        assert info.hits >= 3
-        analysis = sql_tasks(handle)[0].decision.serde
-        first = compile_serde_fused(analysis).fn
-        second = compile_serde_fused(analysis).fn
-        assert first is not second
-        assert first.__globals__ is not second.__globals__
-        assert first.__code__ is second.__code__
-        # the tasks already compiled that source: both builds were hits
+        # one program for the container's four tasks: one code object,
+        # and four functions, each over its own globals
+        program = tasks[0].program
+        assert all(task.program is program for task in tasks)
+        functions = [task.executor._fn for task in tasks]
+        code = functions[0].__code__
+        assert any(const is code for const in program.code.co_consts)
+        assert all(fn.__code__ is code for fn in functions)
+        assert len({id(fn) for fn in functions}) == 4
+        assert len({id(fn.__globals__) for fn in functions}) == 4
+        # a rebuild (EXPLAIN's, or the next container start's) compiles
+        # nothing: the container already compiled that source
+        [container] = handle.master.samza_containers.values()
+        assert shell_program(handle, container).code is program.code
         assert compile_source.cache_info().misses == info.misses
 
     def test_different_predicates_never_share_code(self):

@@ -18,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import PlannerError
 from repro.samza.storage import InMemoryKeyValueStore
-from repro.samzasql.decision import decide_execution
+from repro.samzasql.decision import JobProgram
 from repro.samzasql.operators import Operator, OperatorContext, build_router
 from repro.samzasql.operators.router import OPERATOR_TYPES
 from repro.samzasql.physical import _NODE_TYPES, PhysicalPlan
-from repro.samzasql.serde_plan import compile_serde_fused
 from repro.sql.codegen import render
 from repro.sql.rex import (
     RexCall,
@@ -32,6 +31,7 @@ from repro.sql.rex import (
     rex_to_json,
 )
 from repro.sql.types import SqlType
+from repro.zk.client import ZkClient
 
 from tests.samzasql_fixtures import Deployment, sql_tasks
 
@@ -91,14 +91,12 @@ def preorder(node):
 
 
 def fused_source(plan: PhysicalPlan, handle) -> str | None:
-    """The fused function the plan generates on the handle's task; None
-    when the plan runs interpreted."""
+    """The fused function of the program the shell builds from ``plan``
+    under the handle's job config, as ``EXPLAIN`` builds it; None when
+    the plan runs interpreted."""
     [container] = handle.master.samza_containers.values()
-    decision = decide_execution(plan, container.config, container.serdes)
-    if decision.path != "fused":
-        return None
-    [task] = sql_tasks(handle)
-    return compile_serde_fused(decision.serde, task.router.operators).source
+    return JobProgram.build(ZkClient.encode_json(plan.to_dict()),
+                            container.config, container.serdes).source
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

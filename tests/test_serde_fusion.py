@@ -478,6 +478,68 @@ class TestStoreTrafficUnderRelaunch:
         assert fetches[handle.master.checkpoints.topic, 0] == len(starts)
 
 
+class TestOneProgramPerContainerStart:
+    """What a job derives from its plan, it derives once per container
+    start: one plan read, one parse, one decision and — when it fuses —
+    one render, relaunch included; every task of the container binds
+    that one program into a function of its own."""
+
+    @pytest.mark.parametrize("kind", ["sliding-window", "group-window"])
+    def test_one_derivation_per_container_start(self, kind, monkeypatch):
+        from repro.samza.container import SamzaContainer
+        from repro.samzasql import decision
+        from repro.samzasql.physical import PhysicalPlan
+        from repro.zk.client import ZkClient
+
+        counts = {"start": 0, "read": 0, "from_dict": 0, "decide": 0,
+                  "render": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        get = ZkClient.get
+
+        def counted_get(client, path, *args, **kwargs):
+            if path.startswith("/samza-sql/queries/"):
+                counts["read"] += 1
+            return get(client, path, *args, **kwargs)
+
+        monkeypatch.setattr(SamzaContainer, "start",
+                            counted("start", SamzaContainer.start))
+        monkeypatch.setattr(ZkClient, "get", counted_get)
+        monkeypatch.setattr(PhysicalPlan, "from_dict", staticmethod(
+            counted("from_dict", PhysicalPlan.from_dict)))
+        monkeypatch.setattr(decision, "decide_execution",
+                            counted("decide", decision.decide_execution))
+        monkeypatch.setattr(decision, "render_fused",
+                            counted("render", decision.render_fused))
+
+        _dep, handle, _opened = TestStoreTrafficUnderRelaunch \
+            ._crash_and_relaunch(kind, monkeypatch, partitions=4)
+        starts = counts.pop("start")
+        assert starts == 2 + 1  # two containers, one relaunched
+        fused = STATEFUL_QUERIES[kind][1] == "fused"
+        assert counts == {"read": starts, "from_dict": starts,
+                          "decide": starts, "render": starts if fused else 0}
+
+        containers = list(handle.master.samza_containers.values())
+        programs = set()
+        for container in containers:
+            tasks = [instance.task for instance in container.tasks.values()]
+            assert len(tasks) == 2
+            [program] = {id(task.program): task.program
+                         for task in tasks}.values()
+            programs.add(id(program))
+            if fused:
+                functions = [task.executor._fn for task in tasks]
+                assert len({id(fn.__globals__) for fn in functions}) == 2
+        # the relaunched container built its own
+        assert len(programs) == len(containers)
+
+
 #: Orders carry productId 0..9; products 0..7 exist (8 and 9 never
 #: match), supplierId = productId % 5 (a residual on it is selective);
 #: suppliers 0..3 exist (supplier 4 never matches).
